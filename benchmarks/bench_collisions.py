@@ -5,17 +5,18 @@ the collision/energy table — the quantitative form of the paper's "resend
 is evidently a waste of energy" motivation.  The bulk cases exercise the
 engine on ~10^5-point verification windows and a 10^4-sensor simulation.
 Everything routes through the :mod:`repro.api` facade: protocols resolve
-by registry name, backends by :class:`EngineConfig`.
+by registry name.  The scan-speedup gate races the numpy scan against
+the brute-force reference of :mod:`repro.scenarios.reference`.
 """
 
 import time
 
 import pytest
 
-from repro.api import Box, EngineConfig, Session
-from repro.engine import numpy_available
+from repro.api import Box, Session
 from repro.experiments.base import format_rows
 from repro.experiments.systems_experiments import run_collisions
+from repro.scenarios.reference import reference_collisions
 from repro.tiles.shapes import chebyshev_ball
 
 _TILE = chebyshev_ball(1)
@@ -24,11 +25,13 @@ _SESSION = Session.for_prototile(_TILE, window=Box((0, 0), (9, 9)))
 # 80 candidate conflict offsets) over 316 x 316 = 99856 sensors.
 _BULK_SIDE = 316
 _BULK_WINDOW = Box((0, 0), (_BULK_SIDE - 1, _BULK_SIDE - 1))
+# The brute-force reference is per-point Python, so the speedup gate
+# races it on a 100 x 100 = 10^4-sensor window instead.
+_REFERENCE_WINDOW = Box((0, 0), (99, 99))
 
 
-def _bulk_session(config=None):
-    return Session.for_prototile(chebyshev_ball(2), window=_BULK_WINDOW,
-                                 config=config)
+def _bulk_session(window=_BULK_WINDOW):
+    return Session.for_prototile(chebyshev_ball(2), window=window)
 
 
 def test_collisions_regenerates(report, benchmark):
@@ -63,28 +66,27 @@ def test_bulk_verification_window(benchmark):
     assert report.window_size == _BULK_SIDE ** 2
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_bulk_collision_scan_speedup(report, benchmark):
-    fallback_session = _bulk_session(EngineConfig(backend="python"))
-    engine_session = _bulk_session(EngineConfig(backend="numpy"))
+    session = _bulk_session(_REFERENCE_WINDOW)
+    schedule = session.schedule
 
     t0 = time.perf_counter()
-    fallback = fallback_session.verify(use_cache=False)
-    fallback_time = time.perf_counter() - t0
+    want = reference_collisions(session.window, schedule.slot_of,
+                                schedule.neighborhood_of)
+    reference_time = time.perf_counter() - t0
     engine_time = float("inf")
     for _ in range(2):
         t0 = time.perf_counter()
-        engine = engine_session.verify(use_cache=False)
+        engine = session.verify(use_cache=False)
         engine_time = min(engine_time, time.perf_counter() - t0)
-    benchmark.pedantic(engine_session.verify,
+    benchmark.pedantic(session.verify,
                        kwargs={"use_cache": False}, rounds=1, iterations=1)
 
-    assert engine.collisions == fallback.collisions == ()
-    assert (engine.backend, fallback.backend) == ("numpy", "python")
-    speedup = fallback_time / engine_time
+    assert list(engine.collisions) == want == []
+    speedup = reference_time / engine_time
     report("Engine — bulk collision scan",
-           f"{engine.window_size} sensors, radius-2 neighborhoods: pure "
-           f"Python {fallback_time:.2f} s, engine "
+           f"{engine.window_size} sensors, radius-2 neighborhoods: "
+           f"brute-force reference {reference_time:.2f} s, engine "
            f"{engine_time * 1e3:.0f} ms ({speedup:.1f}x)")
     assert speedup >= 10
 

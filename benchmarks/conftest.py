@@ -9,7 +9,7 @@ Two reporting channels exist:
   report recorded in EXPERIMENTS.md (pytest captures ordinary stdout,
   so printing from inside tests would be invisible on success);
 * the ``record_scaling`` fixture collects *machine-readable* rows —
-  wall time, speedup, engine backend, worker count — and the session
+  wall time, speedup, worker count — and the session
   hook writes them (merged with the pytest-benchmark timings) to
   ``BENCH_scaling.json`` at the repo root, so the perf trajectory is
   tracked across PRs instead of living only in log output.
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import active_backend, cpu_budget, shard_workers
+from repro.engine import cpu_budget, shard_workers
 
 _REPORT_BLOCKS: dict[str, str] = {}
 _SCALING_ROWS: list[dict] = []
@@ -52,12 +52,10 @@ def record_scaling():
     """
 
     def _record(name: str, *, seconds: float, speedup: float | None = None,
-                backend: str | None = None, workers: int | None = None,
-                **extra) -> None:
+                workers: int | None = None, **extra) -> None:
         row: dict = {
             "benchmark": name,
             "seconds": round(float(seconds), 6),
-            "backend": backend if backend is not None else active_backend(),
             "workers": workers if workers is not None else shard_workers(),
         }
         if speedup is not None:
@@ -87,7 +85,6 @@ def _benchmark_timing_rows(session) -> list[dict]:
                 "seconds": round(float(stats.min), 6),
                 "mean_seconds": round(float(stats.mean), 6),
                 "rounds": int(stats.rounds),
-                "backend": active_backend(),
                 "workers": shard_workers(),
             })
         except (AttributeError, TypeError):
@@ -101,7 +98,6 @@ def pytest_sessionfinish(session, exitstatus):
         return
     payload = {
         "schema": 1,
-        "backend": active_backend(),
         "workers": shard_workers(),
         "cpus": cpu_budget(),
         "python": platform.python_version(),

@@ -8,16 +8,26 @@ type checkers apply the inline annotations of the typed core
 PEP 561.
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# ``repro.__version__`` is the single source of the version.
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE).group(1)
 
 setup(
     name="repro-lattice-scheduling",
-    version="0.6.0",
+    version=VERSION,
     description=("Reproduction of 'Scheduling sensors by tiling lattices' "
                  "(PODC 2008): lattice tilings, schedules, verification, "
-                 "and a dual-backend simulation engine"),
+                 "and a numpy simulation engine"),
     package_dir={"": "src"},
     packages=find_packages("src"),
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
+    install_requires=["numpy"],
 )

@@ -15,9 +15,11 @@ Quickstart (the typed facade)::
     session.simulate("aloha", slots=90, p=0.2)     # SimulationMetrics
 
 Engine configuration is an explicit, typed value — ``EngineConfig(
-backend="python", workers=4)`` — passed per session or per call; the
-``REPRO_ENGINE`` / ``REPRO_ENGINE_WORKERS`` env vars keep working as
-lazily-resolved fallbacks.  The legacy free functions (:func:`
+workers=4)`` — passed per session or per call; the
+``REPRO_ENGINE_WORKERS`` env var keeps working as a lazily-resolved
+fallback.  The engine runs on numpy (a hard dependency); the test
+suite holds it to the brute-force reference in
+:mod:`repro.scenarios.reference`.  The legacy free functions (:func:`
 schedule_for`, :func:`find_collisions`, :func:`verify_collision_free`,
 :func:`simulate`) remain first-class and are pinned bit-identical to
 their :class:`Session` counterparts by the equivalence suite.
@@ -30,14 +32,15 @@ Package layout:
 * :mod:`repro.tiles` — prototiles (neighborhoods), exactness deciders
 * :mod:`repro.tiling` — lattice / periodic / multi-prototile tilings
 * :mod:`repro.core` — the paper's schedules (Theorems 1 and 2), optimality
-* :mod:`repro.engine` — vectorized bulk kernels, backend gate, sharding
+* :mod:`repro.engine` — vectorized numpy kernels, engine config, sharding
 * :mod:`repro.graphs` — baselines: distance-2 coloring, TDMA, annealing
 * :mod:`repro.net` — slotted wireless simulator with the paper's collision
   semantics, MAC protocols and the name registry
 * :mod:`repro.viz` — ASCII and SVG rendering of the paper's figures
 * :mod:`repro.experiments` — per-figure reproduction harness
-* :mod:`repro.scenarios` — deterministic scenario generation plus the
-  differential oracle cross-checking every engine path
+* :mod:`repro.scenarios` — deterministic scenario generation, the
+  differential oracle cross-checking every engine path, and the
+  brute-force reference it checks them against
 """
 
 from __future__ import annotations

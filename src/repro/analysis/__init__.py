@@ -1,7 +1,7 @@
 """repro.analysis — static enforcement of the library's invariants.
 
-The test suite proves the invariants dynamically (the 16-path scenario
-oracle, the backend-equivalence suites); this package proves the
+The test suite proves the invariants dynamically (the 8-path scenario
+oracle, the brute-force reference comparisons); this package proves the
 *preconditions* statically, at review time, the same check-legality-
 before-you-run discipline as a dependence-checked tiling legality
 analysis.  Six AST rules guard the contracts everything else builds on:
@@ -9,16 +9,16 @@ analysis.  Six AST rules guard the contracts everything else builds on:
 ==========================  ===========================================
 ``determinism-random``      randomness only via :mod:`repro.utils.rng`
 ``determinism-wallclock``   no wall clock on engine/scenario paths
-``backend-parity``          every numpy kernel has a python twin
 ``config-hygiene``          no import-time ``os.environ`` reads
 ``generator-purity``        scenario generators are pure functions
+``fault-hygiene``           no silently swallowed engine failures
 ``export-integrity``        ``__all__`` is literal, truthful, complete
 ==========================  ===========================================
 
 Run it::
 
     python -m repro.analysis check --strict src    # the CI gate
-    python -m repro.analysis explain backend-parity
+    python -m repro.analysis explain config-hygiene
     python -m repro.analysis typecheck             # mypy --strict core
 
 Suppress a finding only with a written reason::

@@ -1,8 +1,7 @@
 """Core of the invariant linter: rules, pragmas, and the check driver.
 
 The library's correctness story rests on invariants that the test suite
-can only observe *dynamically* — bit-identical numpy/python backends,
-counter-based :class:`repro.utils.rng.StreamRNG` determinism, lazy
+can only observe *dynamically* — counter-based :class:`repro.utils.rng.StreamRNG` determinism, lazy
 (never import-time) env-var resolution.  This package enforces them
 *statically*, from the AST, so a violation is a red CI leg at review
 time instead of a flaky differential failure three PRs later.

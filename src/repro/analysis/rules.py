@@ -7,8 +7,6 @@ only catch dynamically:
   :mod:`repro.utils.rng`; no ``random`` / ``numpy.random`` anywhere else.
 * ``determinism-wallclock`` — no wall-clock reads inside the engine or
   scenario observation paths.
-* ``backend-parity`` — every numpy kernel has a pure-Python counterpart
-  with a matching signature, discovered from the dispatch AST.
 * ``config-hygiene`` — no import-time ``os.environ`` reads (PR 4's bug
   class, pinned forever).
 * ``generator-purity`` — scenario generators are pure functions of
@@ -19,9 +17,6 @@ only catch dynamically:
 * ``fault-hygiene`` — no bare ``except:`` and no silently swallowed
   ``except Exception:`` inside ``repro.engine`` / ``repro.faults``; the
   resilience lanes must observe every failure they handle.
-* ``service-hygiene`` — no blocking calls (``time.sleep``, synchronous
-  file IO, ``subprocess``) inside ``repro.service`` coroutine
-  functions; the asyncio front end must never stall the event loop.
 
 Rules are registered on import (see
 :func:`repro.analysis.core.register_rule`); the driver and the CLI pick
@@ -31,7 +26,6 @@ them up from the registry.
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterator
 
 from repro.analysis.core import ModuleInfo, Rule, Violation, register_rule
@@ -39,12 +33,10 @@ from repro.analysis.core import ModuleInfo, Rule, Violation, register_rule
 __all__ = [
     "DeterminismRandomRule",
     "DeterminismWallclockRule",
-    "BackendParityRule",
     "ConfigHygieneRule",
     "GeneratorPurityRule",
     "ExportIntegrityRule",
     "FaultHygieneRule",
-    "ServiceHygieneRule",
 ]
 
 
@@ -104,7 +96,7 @@ is a counter-based StreamRNG value — a pure function of
 (seed, stream, slot, draw) — or a random.Random seeded through
 make_rng/spawn_rng.  A stray `import random` or `np.random.*` call
 reintroduces hidden sequential state: results start depending on call
-order, window chunking, and which backend ran first.
+order, window chunking, and which worker ran first.
 
 Complies: from repro.utils.rng import StreamRNG, make_rng, make_np_rng
 Violates: import random; random.random(); np.random.default_rng(...)
@@ -226,189 +218,6 @@ repro.engine.* or repro.scenarios.* library modules
                         node, f"wall-clock read {base}.{node.attr} on an "
                         f"observation path; engine/scenario results "
                         f"must be replayable")
-
-
-# ----------------------------------------------------------------------
-# Rule: backend-parity
-# ----------------------------------------------------------------------
-_NP_PATTERNS = (
-    # (regex, counterpart name templates, tried in order)
-    (re.compile(r"^_np_(?P<stem>\w+)$"),
-     ("_py_{stem}", "_{stem}", "{stem}")),
-    (re.compile(r"^_numpy_(?P<stem>\w+)$"),
-     ("_python_{stem}", "_py_{stem}")),
-    (re.compile(r"^(?P<stem>_?\w+?)_numpy$"),
-     ("{stem}_python", "{stem}_py")),
-)
-
-
-def _numpy_counterparts(name: str) -> tuple[str, ...] | None:
-    """Counterpart names a numpy-kernel name implies, or None."""
-    for pattern, templates in _NP_PATTERNS:
-        match = pattern.match(name)
-        if match is not None:
-            stem = match.group("stem")
-            return tuple(template.format(stem=stem)
-                         for template in templates)
-    return None
-
-
-def _is_backend_guard(test: ast.expr) -> bool:
-    """True for ``active_backend() == "numpy"`` (either orientation)."""
-    if not isinstance(test, ast.Compare) or len(test.ops) != 1 \
-            or not isinstance(test.ops[0], ast.Eq):
-        return False
-    sides = (test.left, test.comparators[0])
-    call = next((s for s in sides if isinstance(s, ast.Call)), None)
-    const = next((s for s in sides if isinstance(s, ast.Constant)), None)
-    if call is None or const is None or const.value != "numpy":
-        return False
-    func = call.func
-    name = func.id if isinstance(func, ast.Name) else \
-        func.attr if isinstance(func, ast.Attribute) else None
-    return name == "active_backend"
-
-
-def _signature_shape(fn: ast.FunctionDef) -> tuple[int, int]:
-    """(positional-arity, default count) with ``self``/``np`` stripped.
-
-    The numpy side of a kernel pair conventionally takes the imported
-    numpy module as a leading ``np`` parameter; arity is compared after
-    removing it so the *semantic* signatures must match.
-    """
-    params = [arg.arg for arg in fn.args.posonlyargs + fn.args.args]
-    if params and params[0] in ("self", "cls"):
-        params = params[1:]
-    if params and params[0] == "np":
-        params = params[1:]
-    return len(params), len(fn.args.defaults)
-
-
-class _Namespace:
-    """Functions, classes and imported names visible in one scope."""
-
-    def __init__(self, body: list[ast.stmt]):
-        self.functions: dict[str, ast.FunctionDef] = {}
-        self.imported: set[str] = set()
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.functions[node.name] = node  # type: ignore[assignment]
-            elif isinstance(node, ast.Import):
-                for item in node.names:
-                    self.imported.add(
-                        (item.asname or item.name).split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                for item in node.names:
-                    self.imported.add(item.asname or item.name)
-
-    def resolve(self, name: str) -> ast.FunctionDef | None:
-        return self.functions.get(name)
-
-    def binds(self, name: str) -> bool:
-        return name in self.functions or name in self.imported
-
-
-@register_rule
-class BackendParityRule(Rule):
-    id = "backend-parity"
-    summary = ("every numpy kernel in repro.engine needs a pure-Python "
-               "counterpart with a matching signature")
-    explain = """\
-Every engine kernel is written twice — numpy arrays and plain Python —
-and the equivalence suites pin the two bit-identical.  This rule makes
-the *existence* half of that contract static: any function named like
-a numpy kernel (`_np_X`, `_X_numpy`, `_numpy_X`), or dispatched from
-the numpy branch of an `active_backend() == "numpy"` guard, must have
-a pure-Python counterpart (`_py_X` / `_X` / `_X_python` / `_python_X`)
-defined or imported in the same scope, with the same arity once the
-conventional leading `np` module parameter is stripped.
-
-Locally-defined helpers reached from a numpy dispatch branch that do
-not follow the kernel naming convention are reported as advice: an
-unnamed kernel is a kernel the parity check cannot see.
-
-Complies: def _scan_numpy(pts, slots): ...  +  def _scan_python(pts, slots): ...
-Violates: def _np_decode(np, keys): ...     with no _py_decode/_decode
-"""
-
-    SCOPE = "repro.engine"
-
-    def check(self, info: ModuleInfo) -> Iterator[Violation]:
-        if not (info.module == self.SCOPE
-                or info.module.startswith(self.SCOPE + ".")):
-            return
-        module_ns = _Namespace(info.tree.body)
-        yield from self._check_scope(info, info.tree.body, module_ns,
-                                     module_ns, owner="module")
-        for node in info.tree.body:
-            if isinstance(node, ast.ClassDef):
-                class_ns = _Namespace(node.body)
-                yield from self._check_scope(
-                    info, node.body, class_ns, module_ns,
-                    owner=f"class {node.name}")
-
-    def _check_scope(self, info: ModuleInfo, body: list[ast.stmt],
-                     local_ns: _Namespace, module_ns: _Namespace,
-                     owner: str) -> Iterator[Violation]:
-        for name, fn in local_ns.functions.items():
-            counterparts = _numpy_counterparts(name)
-            if counterparts is None:
-                continue
-            yield from self._check_kernel(info, fn, counterparts,
-                                          local_ns, module_ns, owner)
-        # Functions dispatched from a numpy guard branch but not named
-        # like kernels: the parity contract cannot see them.
-        named = set(local_ns.functions) | set(module_ns.functions)
-        for fn in local_ns.functions.values():
-            for node in ast.walk(fn):
-                if isinstance(node, ast.If) and _is_backend_guard(node.test):
-                    for ref in self._local_refs(node.body, named):
-                        if _numpy_counterparts(ref.id) is None:
-                            yield self.violation(info,
-                                ref, f"'{ref.id}' is dispatched on the "
-                                f"numpy branch of a backend guard but is "
-                                f"not named like a numpy kernel "
-                                f"(_np_*/_*_numpy/_numpy_*); the parity "
-                                f"check cannot pair it with a python "
-                                f"counterpart", severity="advice")
-
-    def _local_refs(self, body: list[ast.stmt],
-                    named: set[str]) -> Iterator[ast.Name]:
-        seen: set[str] = set()
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and node.id in named \
-                        and node.id not in seen:
-                    seen.add(node.id)
-                    yield node
-
-    def _check_kernel(self, info: ModuleInfo, fn: ast.FunctionDef,
-                      counterparts: tuple[str, ...], local_ns: _Namespace,
-                      module_ns: _Namespace, owner: str,
-                      ) -> Iterator[Violation]:
-        for candidate in counterparts:
-            twin = local_ns.resolve(candidate) or module_ns.resolve(candidate)
-            if twin is not None:
-                numpy_shape = _signature_shape(fn)
-                python_shape = _signature_shape(twin)
-                if numpy_shape != python_shape:
-                    yield self.violation(info,
-                        fn, f"numpy kernel '{fn.name}' and python "
-                        f"counterpart '{twin.name}' disagree on "
-                        f"signature: {numpy_shape[0]} vs "
-                        f"{python_shape[0]} positional parameters "
-                        f"(after stripping self/np), {numpy_shape[1]} "
-                        f"vs {python_shape[1]} defaults")
-                return
-            if local_ns.binds(candidate) or module_ns.binds(candidate):
-                # Imported counterpart (e.g. _mix64 from repro.utils.rng):
-                # existence satisfied; the cross-module signature is the
-                # equivalence suite's to check.
-                return
-        wanted = " / ".join(counterparts)
-        yield self.violation(info,
-            fn, f"numpy kernel '{fn.name}' in {owner} has no pure-Python "
-            f"counterpart; define or import one of: {wanted}")
 
 
 # ----------------------------------------------------------------------
@@ -735,145 +544,6 @@ Violates: except Exception:
                     "signal the resilience lanes are built on; degrade "
                     "with a warning, chain into a typed error, or "
                     "narrow the handler")
-
-
-# ----------------------------------------------------------------------
-# Rule: service-hygiene
-# ----------------------------------------------------------------------
-@register_rule
-class ServiceHygieneRule(Rule):
-    id = "service-hygiene"
-    summary = ("no blocking calls (time.sleep, sync file IO, subprocess) "
-               "inside repro.service coroutine functions")
-    explain = """\
-Coroutines in repro.service must never block the event loop.
-
-The service's asyncio front end (AsyncSchedulingService) multiplexes
-thousands of sessions onto one loop thread; a single time.sleep, open()
-read, or subprocess call inside a coroutine stalls *every* session's
-request, not just its own — latency p99s explode while the CPU sits
-idle.  Blocking work belongs on the dispatcher/worker threads (where
-the batcher's retry backoff rightly sleeps); coroutines bridge to it
-via asyncio.wrap_future / run_in_executor and await the result.
-
-Flagged inside `async def` functions of repro.service modules (nested
-synchronous helpers included — they run on the loop when the coroutine
-calls them; nested `async def`s are checked on their own):
-
-1. time.sleep(...) — use `await asyncio.sleep(...)`;
-2. synchronous file IO — open(), io.open(), Path.read_text/read_bytes/
-   write_text/write_bytes — hand the file to a worker thread;
-3. subprocess use (subprocess.*, os.system) — run it in an executor.
-
-A deliberate exception needs a reasoned pragma:
-`# repro: allow[service-hygiene] -- <why this cannot block>`.
-
-Complies: async def verify(...): return await asyncio.wrap_future(f)
-Violates: async def verify(...): time.sleep(0.1); return f.result()
-"""
-
-    SCOPE = "repro.service"
-    FILE_IO_ATTRS = frozenset({
-        "read_text", "read_bytes", "write_text", "write_bytes",
-    })
-    SUBPROCESS_NAMES = frozenset({
-        "run", "call", "check_call", "check_output", "Popen",
-        "getoutput", "getstatusoutput",
-    })
-
-    def _in_scope(self, module: str) -> bool:
-        return module == self.SCOPE or module.startswith(self.SCOPE + ".")
-
-    def check(self, info: ModuleInfo) -> Iterator[Violation]:
-        if not self._in_scope(info.module):
-            return
-        sleep_aliases = set()
-        subprocess_aliases = set()
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module == "time":
-                    sleep_aliases.update(
-                        item.asname or item.name for item in node.names
-                        if item.name == "sleep")
-                elif node.module == "subprocess":
-                    subprocess_aliases.update(
-                        item.asname or item.name for item in node.names
-                        if item.name in self.SUBPROCESS_NAMES)
-        for coroutine in self._coroutines(info.tree):
-            yield from self._check_coroutine(info, coroutine,
-                                             sleep_aliases,
-                                             subprocess_aliases)
-
-    def _coroutines(self, tree: ast.Module) -> Iterator[ast.AsyncFunctionDef]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.AsyncFunctionDef):
-                yield node
-
-    def _coroutine_body(self, fn: ast.AsyncFunctionDef) -> Iterator[ast.AST]:
-        """Walk a coroutine including nested sync defs (they run on the
-        loop when the coroutine calls them), excluding nested ``async
-        def``s — each coroutine is checked on its own."""
-        stack: list[ast.AST] = list(fn.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ast.AsyncFunctionDef):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _check_coroutine(self, info: ModuleInfo, fn: ast.AsyncFunctionDef,
-                         sleep_aliases: set[str],
-                         subprocess_aliases: set[str],
-                         ) -> Iterator[Violation]:
-        where = f"coroutine '{fn.name}'"
-        for node in self._coroutine_body(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and isinstance(
-                    func.value, ast.Name):
-                base, attr = func.value.id, func.attr
-                if base == "time" and attr == "sleep":
-                    yield self.violation(info,
-                        node, f"time.sleep in {where} blocks the whole "
-                        f"event loop; use 'await asyncio.sleep(...)'")
-                elif base == "io" and attr == "open":
-                    yield self.violation(info,
-                        node, f"synchronous io.open in {where} blocks "
-                        f"the event loop; do file IO on a worker thread")
-                elif base == "subprocess":
-                    yield self.violation(info,
-                        node, f"subprocess.{attr} in {where} blocks the "
-                        f"event loop; run it in an executor")
-                elif base == "os" and attr == "system":
-                    yield self.violation(info,
-                        node, f"os.system in {where} blocks the event "
-                        f"loop; run it in an executor")
-                elif attr in self.FILE_IO_ATTRS:
-                    yield self.violation(info,
-                        node, f"synchronous file IO .{attr}() in {where} "
-                        f"blocks the event loop; do file IO on a worker "
-                        f"thread")
-            elif isinstance(func, ast.Attribute) \
-                    and func.attr in self.FILE_IO_ATTRS:
-                yield self.violation(info,
-                    node, f"synchronous file IO .{func.attr}() in "
-                    f"{where} blocks the event loop; do file IO on a "
-                    f"worker thread")
-            elif isinstance(func, ast.Name):
-                if func.id == "open":
-                    yield self.violation(info,
-                        node, f"synchronous open() in {where} blocks the "
-                        f"event loop; do file IO on a worker thread")
-                elif func.id in sleep_aliases:
-                    yield self.violation(info,
-                        node, f"time.sleep (imported as '{func.id}') in "
-                        f"{where} blocks the event loop; use 'await "
-                        f"asyncio.sleep(...)'")
-                elif func.id in subprocess_aliases:
-                    yield self.violation(info,
-                        node, f"subprocess call '{func.id}' in {where} "
-                        f"blocks the event loop; run it in an executor")
 
 
 def _subscript_base(target: ast.expr) -> str | None:

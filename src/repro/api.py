@@ -1,6 +1,6 @@
 """repro.api — the typed Session/Config facade over the whole library.
 
-The internals are fast (dual-backend bulk engine, sharded execution,
+The internals are fast (vectorized bulk engine, sharded execution,
 incremental dirty-region verification) but historically they were driven
 through an accreted surface: env vars for configuration, free functions
 in :mod:`repro.core.schedule`, a separately-constructed simulator.  This
@@ -59,7 +59,6 @@ from repro.core.serialize import (
 )
 from repro.core.theorem1 import schedule_from_prototile, schedule_from_tiling
 from repro.core.theorem2 import schedule_from_multi_tiling
-from repro.engine.backend import active_backend
 from repro.engine.config import (
     EngineConfig,
     default_config,
@@ -196,13 +195,11 @@ class SlotAssignment:
         points: the queried sensors, in request order.
         slots: slot per sensor, each in ``0..num_slots-1``.
         num_slots: the schedule's period.
-        backend: engine backend that served the request.
     """
 
     points: Sequence[Sequence[int]]
     slots: Sequence[int]
     num_slots: int
-    backend: str
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -249,7 +246,6 @@ class VerificationReport:
             certificate-served verifies.
         cache_misses: session-lifetime count of full scans (the
             certifying fundamental-domain scan included).
-        backend: engine backend in effect for the request.
         workers: shard worker count in effect for the request.
     """
 
@@ -259,7 +255,6 @@ class VerificationReport:
     checked_points: int
     cache_hits: int
     cache_misses: int
-    backend: str
     workers: int
 
     @property
@@ -476,8 +471,7 @@ class Session:
     def _applied(self) -> AbstractContextManager[None]:
         """Context installing this session's explicit config fields."""
         config = self._config
-        if config is None or (config.backend is None
-                              and config.workers is None
+        if config is None or (config.workers is None
                               and config.on_kernel_failure is None):
             return nullcontext()
         return config.apply()
@@ -554,13 +548,13 @@ class Session:
             self._cache_hits += 1
             checked = 0
         with self._applied():
-            backend, workers = active_backend(), shard_workers()
+            workers = shard_workers()
         return VerificationReport(
             collisions=(), window_size=window_size,
             source="certificate", checked_points=checked,
             cache_hits=self._cache_hits,
             cache_misses=self._cache_misses,
-            backend=backend, workers=workers)
+            workers=workers)
 
     # -- lifecycle: assign ---------------------------------------------
     def assign(self, points: Iterable[Sequence[int]]) -> SlotAssignment:
@@ -579,10 +573,8 @@ class Session:
                 slots = bulk(points)
             else:
                 slots = [self._schedule.slot_of(p) for p in points]
-            backend = active_backend()
         return SlotAssignment(points=points, slots=slots,
-                              num_slots=self._schedule.num_slots,
-                              backend=backend)
+                              num_slots=self._schedule.num_slots)
 
     # -- lifecycle: verify ---------------------------------------------
     def verify(self, window: WindowLike | None = None, *,
@@ -628,13 +620,13 @@ class Session:
                 collisions = stream_box_collisions(
                     self._schedule, lo, hi, neighborhood,
                     offsets=offset_list, chunk_points=stream_chunk)
-                backend, workers = active_backend(), shard_workers()
+                workers = shard_workers()
             return VerificationReport(
                 collisions=tuple(collisions), window_size=volume,
                 source="scan", checked_points=volume,
                 cache_hits=self._cache_hits,
                 cache_misses=self._cache_misses,
-                backend=backend, workers=workers)
+                workers=workers)
         if use_cache and offset_list is None:
             certificate = self._certificate()
             if certificate is not None and certificate.collision_free:
@@ -645,18 +637,18 @@ class Session:
             with self._applied():
                 collisions = find_collisions(self._schedule, window_list,
                                              neighborhood, offset_list)
-                backend, workers = active_backend(), shard_workers()
+                workers = shard_workers()
             return VerificationReport(
                 collisions=tuple(collisions), window_size=len(window_list),
                 source="scan", checked_points=len(window_list),
                 cache_hits=self._cache_hits,
                 cache_misses=self._cache_misses,
-                backend=backend, workers=workers)
+                workers=workers)
         key = (tuple(window_list),
                None if offset_list is None else tuple(sorted(offset_list)))
         cache = self._caches.get(key)
         with self._applied():
-            backend, workers = active_backend(), shard_workers()
+            workers = shard_workers()
             if cache is None:
                 self._cache_misses += 1
                 cache = VerificationCache(self._schedule, window_list,
@@ -680,7 +672,7 @@ class Session:
             collisions=tuple(collisions), window_size=len(window_list),
             source=source, checked_points=checked,
             cache_hits=self._cache_hits, cache_misses=self._cache_misses,
-            backend=backend, workers=workers)
+            workers=workers)
 
     def is_collision_free(self, window: WindowLike | None = None) -> bool:
         """Shorthand: ``verify(window).collision_free``."""

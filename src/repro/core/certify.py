@@ -32,7 +32,7 @@ For windows too large to materialize (10^8+ points),
 axis-0 slabs plus a conflict-radius halo, each chunk verified by the
 ordinary bulk engine, results concatenated in canonical order — bit
 identical to a one-shot :func:`~repro.core.schedule.find_collisions`
-over the whole box, on both backends.
+over the whole box.
 """
 
 from __future__ import annotations
@@ -442,7 +442,7 @@ def stream_box_collisions(schedule: Schedule,
                           ) -> list[Collision]:
     """Out-of-core scan of the box window ``[lo, hi]``, chunk by chunk.
 
-    Equivalent — bit for bit, on both backends — to
+    Equivalent — bit for bit — to
     ``find_collisions(schedule, box_points(lo, hi), neighborhood_of)``,
     but only ever materializes one axis-0 slab of about
     ``chunk_points`` points (plus a conflict-radius halo), so 10^8+

@@ -496,9 +496,9 @@ def find_collisions(schedule: Schedule,
     A pair ``(x, y)`` collides when the sensors share a slot and their
     interference ranges intersect — the exact condition the paper's
     schedules must avoid.  The scan runs on the bulk engine
-    (:mod:`repro.engine.collisions`): vectorized with numpy when
-    available, pure Python otherwise, sharded across worker processes
-    when enabled, with identical results on every path.
+    (:mod:`repro.engine.collisions`): vectorized with numpy, sharded
+    across worker processes when enabled, with identical results on
+    every path.
 
     Args:
         schedule: slot assignment to check.
@@ -525,7 +525,8 @@ def find_collisions(schedule: Schedule,
 
     Returns:
         The colliding pairs, each ordered ``x < y`` and the list sorted —
-        a canonical order independent of backend and input ordering.
+        a canonical order independent of worker count and input
+        ordering.
 
     Raises:
         ValueError: when both ``cache`` and ``certificate`` are given,

@@ -1,16 +1,16 @@
-"""Bulk execution engine: vectorized kernels with a pure-Python fallback.
+"""Bulk execution engine: vectorized numpy kernels.
 
 The tuple-based core of the library is exact and convenient, but the
 collision oracle and the slotted simulator are hot paths that the ROADMAP
 asks to run "as fast as the hardware allows".  This package supplies the
-batch counterparts:
+batch counterparts.  numpy is a hard dependency and every kernel is
+written once, against numpy arrays; the collision scan and the coset
+lookup keep an exact path for inputs int64 cannot represent, selected
+by the input itself.  The test suite pins the kernels to the small
+brute-force reference in :mod:`repro.scenarios.reference`.
 
-* :mod:`repro.engine.backend` — the numpy gate.  numpy stays an *optional*
-  dependency; every kernel has a pure-Python implementation that produces
-  byte-identical results, and ``REPRO_ENGINE=python`` (or
-  :func:`set_backend`) forces the fallback even when numpy is installed.
 * :mod:`repro.engine.config` — :class:`EngineConfig`, the typed per-call
-  alternative to the env vars: explicit fields outrank the installed
+  alternative to the env var: explicit fields outrank the installed
   default config, which outranks the (lazily re-read) environment.
 * :mod:`repro.engine.encode` — injective integer keys for lattice points
   of a finite window, so membership tests become sorted-array lookups.
@@ -30,7 +30,8 @@ batch counterparts:
 * :mod:`repro.engine.randmac` — bulk decision kernels for the random MAC
   protocols (ALOHA / CSMA): whole ``(slot, sensor)`` windows of
   transmit decisions drawn from the counter-based per-sensor streams of
-  :class:`repro.utils.rng.StreamRNG`, bit-identical across backends.
+  :class:`repro.utils.rng.StreamRNG`, bit-identical to the scalar
+  ``StreamRNG.uniform``.
 
 The engine deliberately depends only on :mod:`repro.utils` and the
 duck-typed ``Sublattice`` interface, never on the schedule/network layers,
@@ -39,14 +40,6 @@ so those layers can dispatch into it without import cycles.
 
 from __future__ import annotations
 
-from repro.engine.backend import (
-    active_backend,
-    numpy_available,
-    numpy_module,
-    requested_backend,
-    set_backend,
-    use_backend,
-)
 from repro.engine.collisions import (
     EngineDegradedWarning,
     scan_collisions,
@@ -82,12 +75,6 @@ __all__ = [
     "default_config",
     "set_default_config",
     "use_config",
-    "active_backend",
-    "numpy_available",
-    "numpy_module",
-    "requested_backend",
-    "set_backend",
-    "use_backend",
     "cpu_budget",
     "shard_workers",
     "set_workers",

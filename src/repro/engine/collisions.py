@@ -8,21 +8,24 @@ interference set rebased to the origin), and the ranges of ``x`` and
 ``S_x - S_y`` — so the whole geometric test collapses to a membership
 table over (shape pair, candidate offset).
 
-Both implementations enumerate, for every lexicographically positive
-candidate offset ``delta``, the pairs ``(x, x + delta)`` present in the
-window, and keep those with equal slots and an allowed shape pair.  The
-numpy path does this with one sorted-key membership pass per offset; the
-Python path with one dict probe per (point, offset).  Results are
-identical: a list of ``(x, y)`` pairs with ``x < y``, sorted.
+The scan enumerates, for every lexicographically positive candidate
+offset ``delta``, the pairs ``(x, x + delta)`` present in the window,
+and keeps those with equal slots and an allowed shape pair — one
+sorted-key membership pass per offset over int64 keys.  The result is
+a list of ``(x, y)`` pairs with ``x < y``, sorted.
+
+An exact path (one dict probe per (point, offset)) answers the windows
+the int64 kernel cannot represent — coordinates or a padded bounding
+box too large for int64 keys — and the calls degraded by a kernel
+failure.  The input selects it; no option does.
 
 Two scaling layers sit on top of the serial scan:
 
 * **Sharding** (:mod:`repro.engine.parallel`): with workers enabled,
-  large scans split across processes — the numpy path shards the
-  *offset* axis (each worker reuses the presorted key arrays, inherited
-  copy-on-write), the Python path shards the *point* axis.  Merging is
-  concatenation followed by the same canonical sort, so the result is
-  bit-identical for any worker count.
+  large scans shard the *offset* axis across processes (each worker
+  reuses the presorted key arrays, inherited copy-on-write).  Merging
+  is concatenation followed by the same canonical sort, so the result
+  is bit-identical for any worker count.
 * **Dirty-region rescans** (:func:`scan_collisions_touching`): after a
   slot edit only pairs with an edited endpoint can change, and every
   such pair lies within one conflict-offset of an edited point — the
@@ -35,7 +38,8 @@ from __future__ import annotations
 import warnings
 from collections.abc import Collection, Mapping, Sequence
 
-from repro.engine.backend import active_backend, numpy_module
+import numpy as np
+
 from repro.engine.config import active_kernel_failure_policy
 from repro.engine.encode import BoxEncoder
 from repro.engine.parallel import plan_shards, run_sharded, shard_workers
@@ -53,11 +57,11 @@ class EngineDegradedWarning(RuntimeWarning):
 
     Emitted by :func:`scan_collisions` when the numpy path raises and
     the :func:`~repro.engine.config.active_kernel_failure_policy`
-    resolves to ``"degrade"``: the call is answered by the bit-identical
-    pure-Python twin instead of failing.  Structured — ``kernel`` names
-    the failed kernel and ``reason`` carries the original error text —
-    so callers (and the chaos oracle) can assert on the degradation
-    instead of string-matching a message.
+    resolves to ``"degrade"``: the call is answered by the exact path
+    instead of failing.  Structured — ``kernel`` names the failed kernel
+    and ``reason`` carries the original error text — so callers (and the
+    chaos oracle) can assert on the degradation instead of
+    string-matching a message.
     """
 
     def __init__(self, message: str, *, kernel: str, reason: str) -> None:
@@ -96,38 +100,35 @@ def scan_collisions(points: Sequence[IntVec],
         return []
     differences = [[frozenset(vsub(p, q) for p in a for q in b)
                     for b in shapes] for a in shapes]
-    if active_backend() == "numpy":
-        try:
-            consume_numpy_failure()
-            collisions = _scan_numpy(points, slots, shape_ids, differences,
-                                     positive)
-        except Exception as error:
-            if active_kernel_failure_policy() == "raise":
-                raise
-            warnings.warn(
-                EngineDegradedWarning(
-                    f"numpy collision scan failed ({error}); degrading to "
-                    f"the bit-identical python kernel",
-                    kernel="scan_collisions", reason=str(error)),
-                stacklevel=2)
-            collisions = None
-        if collisions is not None:
-            collisions.sort()
-            return collisions
-    collisions = _scan_python(points, slots, shape_ids, differences, positive)
+    collisions = None
+    try:
+        consume_numpy_failure()
+        collisions = _scan_numpy(points, slots, shape_ids, differences,
+                                 positive)
+    except Exception as error:
+        if active_kernel_failure_policy() == "raise":
+            raise
+        warnings.warn(
+            EngineDegradedWarning(
+                f"numpy collision scan failed ({error}); degrading to "
+                f"the exact scan",
+                kernel="scan_collisions", reason=str(error)),
+            stacklevel=2)
+    if collisions is None:
+        collisions = _scan_exact(points, slots, shape_ids, differences,
+                                 positive)
     collisions.sort()
     return collisions
 
 
-def _python_shard(payload, span):
-    """Probe points ``span[0]..span[1]-1`` as left endpoints (worker-safe)."""
-    points, slots, shape_ids, differences, offsets, index_of = payload
-    lo, hi = span
+def _scan_exact(points, slots, shape_ids, differences, offsets):
+    """One dict probe per (point, offset): exact for any integer size."""
+    index_of: dict[IntVec, int] = {}
+    for i, point in enumerate(points):
+        index_of.setdefault(point, i)
     collisions: list[Collision] = []
-    for i in range(lo, hi):
-        x = points[i]
-        slot = slots[i]
-        row = differences[shape_ids[i]]
+    for x, slot, shape in zip(points, slots, shape_ids):
+        row = differences[shape]
         for delta in offsets:
             j = index_of.get(vadd(x, delta))
             if j is None or slots[j] != slot:
@@ -137,27 +138,12 @@ def _python_shard(payload, span):
     return collisions
 
 
-def _scan_python(points, slots, shape_ids, differences, offsets):
-    index_of: dict[IntVec, int] = {}
-    for i, point in enumerate(points):
-        index_of.setdefault(point, i)
-    payload = (points, slots, shape_ids, differences, offsets, index_of)
-    workers = shard_workers()
-    if workers > 1 and len(points) * len(offsets) >= _MIN_PARALLEL_PROBES:
-        spans = plan_shards(len(points), workers)
-        if len(spans) > 1:
-            parts = run_sharded(_python_shard, payload, spans, workers)
-            return [pair for part in parts for pair in part]
-    return _python_shard(payload, (0, len(points)))
-
-
 def _numpy_shard(payload, span):
     """Offset passes ``span[0]..span[1]-1`` over presorted keys.
 
     Returns index pairs (not point tuples) so worker results stay small;
     the driver resolves them against the original window.
     """
-    np = numpy_module()
     keys, sorted_keys, order, slot_arr, shape_arr, allowed, offset_keys = \
         payload
     lo, hi = span
@@ -179,7 +165,6 @@ def _numpy_shard(payload, span):
 
 def _scan_numpy(points, slots, shape_ids, differences, offsets):
     """Vectorized scan; returns ``None`` when int64 keys cannot be used."""
-    np = numpy_module()
     try:
         array = np.asarray(points, dtype=np.int64)
     except OverflowError:
@@ -192,7 +177,7 @@ def _scan_numpy(points, slots, shape_ids, differences, offsets):
     encoder = BoxEncoder(points, pad=pad)
     if not encoder.fits_int64:
         return None
-    keys = encoder.keys_array(np, array)
+    keys = encoder.keys_array(array)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     slot_arr = np.asarray(slots, dtype=np.int64)

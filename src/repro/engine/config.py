@@ -1,26 +1,27 @@
 """Typed engine configuration: the explicit alternative to env vars.
 
 Historically the engine was configured through process-global state:
-``REPRO_ENGINE`` picked the kernel backend, ``REPRO_ENGINE_WORKERS`` the
-shard worker count, and knobs like the simulator's decision window were
-module constants.  That is workable for a library, but the ROADMAP's
+``REPRO_ENGINE_WORKERS`` picked the shard worker count, and knobs like
+the simulator's decision window were module constants.  That is workable for a library, but the ROADMAP's
 service-grade surface needs *per-call* configuration that can be typed,
 validated, passed around, and tested — without mutating the process.
 
 :class:`EngineConfig` is that object.  Every field is optional; a
 ``None`` field means "fall back to the ambient resolution", which keeps
-the env vars working but demotes them to default producers:
+the env var working but demotes it to a default producer:
 
 1. an explicit field on the :class:`EngineConfig` in effect,
-2. an explicit :func:`repro.engine.backend.set_backend` /
-   :func:`repro.engine.parallel.set_workers` call (the strict,
-   imperative API — it outranks the *default* config but not a config
-   passed per call, which applies itself innermost),
+2. an explicit :func:`repro.engine.parallel.set_workers` call (the
+   strict, imperative API — it outranks the *default* config but not a
+   config passed per call, which applies itself innermost),
 3. the session default installed via :func:`set_default_config` /
    :func:`use_config`,
-4. the environment variable, re-read lazily at resolution time (never
+4. ``REPRO_ENGINE_WORKERS``, re-read lazily at resolution time (never
    captured at import),
-5. the built-in default (``auto`` backend, serial workers).
+5. the built-in default (serial workers).
+
+There is one kernel implementation, on numpy; the config never picks
+between engines.
 
 The module lives in :mod:`repro.engine` so that the engine and the
 network simulator can accept ``config=`` parameters without importing
@@ -45,7 +46,6 @@ __all__ = [
     "use_kernel_failure_policy",
 ]
 
-_BACKEND_CHOICES = ("auto", "numpy", "python")
 _KERNEL_FAILURE_CHOICES = ("degrade", "raise")
 
 
@@ -54,9 +54,6 @@ class EngineConfig:
     """One validated bundle of engine knobs.
 
     Attributes:
-        backend: kernel backend — ``"auto"``, ``"numpy"`` or ``"python"``.
-            ``None`` falls back to ``set_backend`` / ``REPRO_ENGINE`` /
-            ``auto`` (in that order, resolved lazily).
         workers: shard worker count for the multi-core kernels (``1`` is
             serial).  ``None`` falls back to ``set_workers`` /
             ``REPRO_ENGINE_WORKERS`` / serial.
@@ -68,26 +65,22 @@ class EngineConfig:
             knob — the counter-based rng makes results identical for
             every window size.  ``None`` uses the simulator default.
         on_kernel_failure: degradation policy when a numpy engine
-            kernel fails mid-call — ``"degrade"`` falls back to the
-            bit-identical pure-Python twin with a structured
+            kernel fails mid-call — ``"degrade"`` answers from the
+            exact path with a structured
             :class:`~repro.engine.collisions.EngineDegradedWarning`,
             ``"raise"`` propagates the kernel error.  ``None`` falls
             back to the installed default config and then to
             ``"degrade"`` (an answered request beats a traceback; the
-            twin is pinned bit-identical by the equivalence suites).
+            exact path is pinned to the brute-force reference by the
+            test suite).
     """
 
-    backend: str | None = None
     workers: int | None = None
     bulk_decisions: bool = True
     decision_window: int | None = None
     on_kernel_failure: str | None = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None and self.backend not in _BACKEND_CHOICES:
-            raise ValueError(
-                f"unknown engine backend {self.backend!r}; expected one of "
-                f"{_BACKEND_CHOICES} (or None for the ambient fallback)")
         if self.workers is not None and (
                 not isinstance(self.workers, int)
                 or isinstance(self.workers, bool) or self.workers < 1):
@@ -113,21 +106,6 @@ class EngineConfig:
                 f"fallback)")
 
     # ------------------------------------------------------------------
-    def resolve_backend(self) -> str:
-        """The backend kernels will run on: ``"numpy"`` or ``"python"``.
-
-        An explicit ``backend`` field resolves exactly like
-        :func:`repro.engine.backend.active_backend` would resolve the
-        same request (``numpy`` degrades to ``python`` when numpy is
-        missing); ``None`` defers to the ambient resolution.
-        """
-        from repro.engine.backend import active_backend, numpy_available
-        if self.backend is None:
-            return active_backend()
-        if self.backend == "python":
-            return "python"
-        return "numpy" if numpy_available() else "python"
-
     def resolve_workers(self) -> int:
         """The worker count sharded kernels will use (``1`` = serial)."""
         from repro.engine.parallel import _MAX_WORKERS, shard_workers
@@ -169,41 +147,29 @@ class EngineConfig:
 
     @classmethod
     def from_env(cls) -> EngineConfig:
-        """Snapshot the env fallbacks into explicit fields.
+        """Snapshot the env fallback into an explicit field.
 
-        Useful to freeze the process-wide defaults into a value that no
+        Useful to freeze the process-wide default into a value that no
         later ``os.environ`` mutation can shift.
         """
         import os
 
-        from repro.engine.backend import _backend_from_env
         from repro.engine.parallel import _workers_from_env
-        return cls(backend=_backend_from_env(),
-                   workers=_workers_from_env(
-                       os.environ.get("REPRO_ENGINE_WORKERS")))
+        return cls(workers=_workers_from_env(
+            os.environ.get("REPRO_ENGINE_WORKERS")))
 
     @contextmanager
     def apply(self) -> Iterator[None]:
         """Make the explicit fields the ambient engine state for a block.
 
         Only non-``None`` fields are applied (via
-        :func:`~repro.engine.backend.use_backend` /
-        :func:`~repro.engine.parallel.use_workers`), so an all-default
-        config is a no-op.  This is how per-call ``config=`` parameters
-        reach kernels whose dispatch reads the ambient state.  Like
-        every config resolution path (and unlike the strict
-        :func:`~repro.engine.backend.set_backend`), a ``numpy`` request
-        degrades to ``python`` when numpy is not importable instead of
-        raising.
+        :func:`~repro.engine.parallel.use_workers` /
+        :func:`use_kernel_failure_policy`), so an all-default config is
+        a no-op.  This is how per-call ``config=`` parameters reach
+        kernels whose dispatch reads the ambient state.
         """
-        from repro.engine.backend import numpy_available, use_backend
         from repro.engine.parallel import use_workers
-        backend = self.backend
-        if backend == "numpy" and not numpy_available():
-            backend = "python"
         with ExitStack() as stack:
-            if backend is not None:
-                stack.enter_context(use_backend(backend))
             if self.workers is not None:
                 stack.enter_context(use_workers(self.workers))
             if self.on_kernel_failure is not None:
@@ -214,7 +180,8 @@ class EngineConfig:
 
 # ----------------------------------------------------------------------
 # The session default: one process-wide EngineConfig that the ambient
-# resolution (active_backend / shard_workers) consults before the env,
+# resolution (shard_workers, the kernel-failure policy) consults before
+# the env,
 # plus a context-local overlay for scoped installs.  Two stores because
 # they answer different questions: set_default_config configures the
 # *process* (visible to every thread — a service's worker threads must
@@ -242,7 +209,7 @@ def installed_default() -> EngineConfig | None:
 
     The context-local :func:`use_config` overlay outranks the
     process-wide :func:`set_default_config` value — the resolution the
-    backend/worker lookups consult.
+    worker and kernel-failure lookups consult.
     """
     override = _default_override.get()
     return _default if override is _UNSET else override
@@ -257,12 +224,9 @@ def default_config() -> EngineConfig:
 def set_default_config(config: EngineConfig | None) -> None:
     """Install (or with ``None`` clear) the process-default config.
 
-    Fields set on the default outrank the env vars for every call that
+    Fields set on the default outrank the env var for every call that
     does not pass its own config; ``None`` fields keep falling through
-    to the env.  Unlike :func:`repro.engine.backend.set_backend` this
-    validates nothing beyond the dataclass itself — a ``numpy`` request
-    still degrades gracefully when numpy is missing.  The value is
-    process-wide; a scoped :func:`use_config` block outranks it within
+    to the env.  The value is process-wide; a scoped :func:`use_config` block outranks it within
     the installing context only.
     """
     global _default
@@ -293,7 +257,7 @@ def use_config(config: EngineConfig | None) -> Iterator[None]:
 
 # ----------------------------------------------------------------------
 # The degradation policy: what the numpy kernel dispatch does when a
-# kernel fails mid-call.  Resolution mirrors backend/workers: explicit
+# kernel fails mid-call.  Resolution mirrors workers: explicit
 # context > default config field > the built-in "degrade".  The
 # explicit pin is context-local: config.apply() enters it around every
 # facade call, and two service threads applying different configs must
@@ -308,9 +272,9 @@ def active_kernel_failure_policy() -> str:
 
     Resolution order: an explicit :func:`use_kernel_failure_policy`
     block, then the installed default config's ``on_kernel_failure``
-    field, then ``"degrade"`` — the engine answers with the
-    bit-identical pure-Python twin (plus a structured warning) rather
-    than losing the call to a transient kernel failure.
+    field, then ``"degrade"`` — the engine answers from the exact path
+    (plus a structured warning) rather than losing the call to a
+    transient kernel failure.
     """
     pinned = _kernel_failure.get()
     if pinned is not None:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.utils.vectors import IntVec, bounding_box
 
 __all__ = ["BoxEncoder"]
@@ -73,7 +75,7 @@ class BoxEncoder:
         """Key difference ``key(x + delta) - key(x)`` for in-box pairs."""
         return sum(d * s for d, s in zip(delta, self.strides))
 
-    def keys_array(self, np, array):
+    def keys_array(self, array):
         """Keys of an ``(n, d)`` int64 numpy array of in-box points."""
         lo = np.asarray(self.lo, dtype=np.int64)
         strides = np.asarray(self.strides, dtype=np.int64)

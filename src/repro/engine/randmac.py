@@ -6,12 +6,12 @@ against a single shared ``random.Random``, which serialized the whole
 path.  These kernels evaluate entire ``(slot, sensor)`` windows of
 decisions at once against the counter-based :class:`repro.utils.rng.
 StreamRNG`: the value for sensor ``i`` at slot ``t`` is a pure function
-of ``(seed, i, t)``, so the numpy kernel, the pure-Python kernel and the
-scalar ``wants_to_send`` fallback all see the *same* randomness and
-produce bit-identical simulation metrics.
+of ``(seed, i, t)``, so the numpy kernel and the scalar ``wants_to_send``
+fallback see the *same* randomness and produce bit-identical simulation
+metrics.
 
-The numpy path reimplements the SplitMix64 arithmetic of ``StreamRNG``
-on ``uint64`` arrays (multiplication and addition wrap mod 2^64 exactly
+The kernel reimplements the SplitMix64 arithmetic of ``StreamRNG`` on
+``uint64`` arrays (multiplication and addition wrap mod 2^64 exactly
 like the masked Python integers); converting the top 53 bits to float64
 is exact, so the uniforms — and therefore every threshold comparison —
 agree bit-for-bit with the scalar implementation.
@@ -29,17 +29,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from repro.engine.backend import active_backend, numpy_module
+import numpy as np
+
 from repro.engine.parallel import plan_shards, run_sharded, shard_workers
-from repro.utils.rng import (
-    _INV_2_53,
-    _MASK64,
-    _MIX_A,
-    _MIX_B,
-    _PHI,
-    _mix64,
-    StreamRNG,
-)
+from repro.utils.rng import _INV_2_53, _MIX_A, _MIX_B, _PHI, StreamRNG
 
 __all__ = [
     "uniform_block",
@@ -55,7 +48,7 @@ __all__ = [
 _MIN_PARALLEL_CELLS = 1 << 16
 
 
-def _np_mix64(np, x):
+def _np_mix64(x):
     """SplitMix64 finalizer on a uint64 array (wraps mod 2^64)."""
     x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX_A)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX_B)
@@ -66,63 +59,34 @@ def _np_mix64(np, x):
 # slot window, so carrier-sensing protocols — dispatched one slot at a
 # time — reuse them across every slot of a simulation instead of
 # rehashing sensor ids per call, and each shard worker caches the bases
-# for its own sensor span.  Cached arrays/tuples are never mutated.
+# for its own sensor span.  Cached arrays are never mutated.
 @lru_cache(maxsize=32)
 def _np_bases(root: int, lo: int, hi: int):
-    np = numpy_module()
     with np.errstate(over="ignore"):
         ids = np.arange(lo, hi, dtype=np.uint64)
-        return _np_mix64(np, np.uint64(root) ^ (ids * np.uint64(_PHI)))
-
-
-@lru_cache(maxsize=32)
-def _py_bases(root: int, lo: int, hi: int) -> tuple[int, ...]:
-    return tuple(_mix64(root ^ ((s * _PHI) & _MASK64))
-                 for s in range(lo, hi))
-
-
-def _np_uniform_block(np, rng: StreamRNG, lo: int, hi: int,
-                      t0: int, t1: int):
-    """(t1-t0, hi-lo) float64 matrix of draw-0 uniforms."""
-    bases = _np_bases(rng.root, lo, hi)
-    with np.errstate(over="ignore"):
-        slots = np.arange(t0, t1, dtype=np.uint64) * np.uint64(_PHI)
-        states = _np_mix64(np, _np_mix64(np, bases[None, :] ^ slots[:, None]))
-    return (states >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-
-def _py_uniform_block(rng: StreamRNG, lo: int, hi: int,
-                      t0: int, t1: int) -> list[list[float]]:
-    """Pure-Python counterpart with the same cached per-sensor bases."""
-    bases = _py_bases(rng.root, lo, hi)
-    rows = []
-    for t in range(t0, t1):
-        tk = (t * _PHI) & _MASK64
-        rows.append([(_mix64(_mix64(b ^ tk)) >> 11) * _INV_2_53
-                     for b in bases])
-    return rows
+        return _np_mix64(np.uint64(root) ^ (ids * np.uint64(_PHI)))
 
 
 def uniform_block_range(rng: StreamRNG, lo: int, hi: int,
                         t0: int, t1: int):
     """Uniforms for the sensor id range ``lo..hi-1`` over a slot window.
 
-    ``result[t - t0][i - lo] == rng.uniform(i, t)`` exactly, on either
-    backend — sensor ids stay *global*, which is what lets shards of the
-    sensor axis reproduce the serial matrix column-for-column.
+    A ``(t1-t0, hi-lo)`` float64 matrix with ``result[t - t0][i - lo] ==
+    rng.uniform(i, t)`` exactly — sensor ids stay *global*, which is
+    what lets shards of the sensor axis reproduce the serial matrix
+    column-for-column.
     """
-    if active_backend() == "numpy":
-        return _np_uniform_block(numpy_module(), rng, lo, hi, t0, t1)
-    return _py_uniform_block(rng, lo, hi, t0, t1)
+    bases = _np_bases(rng.root, lo, hi)
+    with np.errstate(over="ignore"):
+        slots = np.arange(t0, t1, dtype=np.uint64) * np.uint64(_PHI)
+        states = _np_mix64(_np_mix64(bases[None, :] ^ slots[:, None]))
+    return (states >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def bernoulli_block_range(rng: StreamRNG, lo: int, hi: int,
                           t0: int, t1: int, p: float):
     """``uniform(i, t) < p`` for the sensor id range ``lo..hi-1``."""
-    if active_backend() == "numpy":
-        return _np_uniform_block(numpy_module(), rng, lo, hi, t0, t1) < p
-    return [[u < p for u in row]
-            for row in _py_uniform_block(rng, lo, hi, t0, t1)]
+    return uniform_block_range(rng, lo, hi, t0, t1) < p
 
 
 # ----------------------------------------------------------------------
@@ -136,33 +100,8 @@ def _block_shard(payload, span):
         return uniform_block_range(rng, lo, hi, t0, t1)
     block = bernoulli_block_range(rng, lo, hi, t0, t1, p)
     if mode == "masked" and t1 > t0:
-        if active_backend() == "numpy":
-            np = numpy_module()
-            block[0] &= ~np.asarray(muted[lo:hi], dtype=bool)
-        else:
-            block[0] = [(not muted[lo + i]) and d
-                        for i, d in enumerate(block[0])]
+        block[0] &= ~np.asarray(muted[lo:hi], dtype=bool)
     return block
-
-
-def _merge_columns(parts):
-    """Reassemble sensor-span shards side by side, on the caller's backend.
-
-    Workers normally answer on the caller's backend, but a ``spawn``
-    worker re-resolves ``REPRO_ENGINE`` from its own environment, so the
-    merge tolerates either representation per part.
-    """
-    if active_backend() == "numpy":
-        np = numpy_module()
-        return np.concatenate([np.asarray(part) for part in parts], axis=1)
-    rows = []
-    for t in range(len(parts[0])):
-        row: list = []
-        for part in parts:
-            chunk = part[t]
-            row.extend(chunk.tolist() if hasattr(chunk, "tolist") else chunk)
-        rows.append(row)
-    return rows
 
 
 def _dispatch_block(rng: StreamRNG, num_streams: int, t0: int, t1: int,
@@ -180,7 +119,7 @@ def _dispatch_block(rng: StreamRNG, num_streams: int, t0: int, t1: int,
         if len(spans) > 1:
             parts = run_sharded(_block_shard, (rng, t0, t1, mode, p, muted),
                                 spans, workers)
-            return _merge_columns(parts)
+            return np.concatenate(parts, axis=1)
     return _block_shard((rng, t0, t1, mode, p, muted), (0, num_streams))
 
 
@@ -188,10 +127,8 @@ def uniform_block(rng: StreamRNG, num_streams: int, t0: int, t1: int,
                   workers: int | None = None):
     """Uniforms in [0, 1) for sensors ``0..num_streams-1`` over a window.
 
-    ``result[t - t0][i] == rng.uniform(i, t)`` exactly, on either
-    backend and for any worker count; numpy returns a
-    ``(t1-t0, num_streams)`` float64 array, the fallback nested lists.
-    ``workers`` overrides the ambient :func:`~repro.engine.parallel.
+    ``result[t - t0][i] == rng.uniform(i, t)`` exactly, for any worker
+    count, as a ``(t1-t0, num_streams)`` float64 array.  ``workers`` overrides the ambient :func:`~repro.engine.parallel.
     shard_workers` resolution for this call (``None`` keeps it).
     """
     return _dispatch_block(rng, num_streams, t0, t1, "uniform", 0.0, None,

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from repro.engine.backend import numpy_module
+import numpy as np
+
 from repro.utils.vectors import IntVec
 
 __all__ = ["AdjacencyIndex"]
@@ -45,7 +46,8 @@ class AdjacencyIndex:
         self.edge_senders = tuple(edge_senders)
         self.edge_receivers = tuple(edge_receivers)
         self.num_edges = len(edge_senders)
-        self._numpy_cache = None
+        self._edge_arrays = (np.asarray(edge_senders, dtype=np.intp),
+                             np.asarray(edge_receivers, dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -58,14 +60,8 @@ class AdjacencyIndex:
         return tuple(tuple(ids) for ids in covering)
 
     def edge_arrays(self):
-        """``(edge_senders, edge_receivers)`` as cached numpy arrays."""
-        np = numpy_module()
-        if self._numpy_cache is None:
-            self._numpy_cache = (
-                np.asarray(self.edge_senders, dtype=np.intp),
-                np.asarray(self.edge_receivers, dtype=np.intp),
-            )
-        return self._numpy_cache
+        """``(edge_senders, edge_receivers)`` as numpy arrays."""
+        return self._edge_arrays
 
     def __repr__(self) -> str:
         return (f"AdjacencyIndex({len(self.positions)} sensors, "

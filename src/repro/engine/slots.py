@@ -4,24 +4,24 @@ Every tiling schedule in this library answers ``slot_of(x)`` by reducing
 ``x`` to the canonical representative of its coset modulo a sublattice
 (the tiling's translate set or period) and looking the representative up
 in a finite table.  :class:`CosetTable` packages that two-step lookup for
-*batches* of points:
+*batches* of points: it runs the same Hermite-normal-form reduction as
+:meth:`repro.utils.intlin.CosetSpace.canonical`, but column by column over
+an ``(n, d)`` int64 array — ``d`` passes of vectorized floor division
+instead of ``n`` Python loops — then resolves representatives through a
+dense ``index``-sized table of precomputed values.
 
-* the pure-Python path calls ``sublattice.canonical_representative`` per
-  point (exactly what ``slot_of`` does today);
-* the numpy path runs the same Hermite-normal-form reduction as
-  :meth:`repro.utils.intlin.CosetSpace.canonical`, but column by column
-  over an ``(n, d)`` array — ``d`` passes of vectorized floor division
-  instead of ``n`` Python loops — then resolves representatives through a
-  dense ``index``-sized table of precomputed values.
-
-Both paths return the same list of Python ints for the same input.
+Batches the int64 kernel cannot represent (coordinates of ``2**40`` or
+more, non-integer or ragged input) take the exact path instead: one
+``sublattice.canonical_representative`` call per point, exactly what
+``slot_of`` does.  Both return the same list of Python ints.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from repro.engine.backend import active_backend, numpy_module
+import numpy as np
+
 from repro.engine.parallel import plan_shards, run_sharded, shard_workers
 from repro.utils.vectors import IntVec
 
@@ -53,7 +53,7 @@ def as_point_batch(points):
 # Coordinate bound for the int64 fast path.  The HNF reduction subtracts
 # ``(x[i] // diag[i]) * column[i]``; with |x| < 2**40 and the modest
 # diagonals/columns of real tilings every intermediate stays far inside
-# int64.  Larger coordinates silently use the exact Python path.
+# int64.  Larger coordinates silently use the exact path.
 _MAX_COORD = 2 ** 40
 
 
@@ -88,10 +88,10 @@ class CosetTable:
             table[key] = value
         self.dimension = dimension
         self._diagonal = diagonal
-        self._strides = strides
-        self._basis = basis
-        self._table = table
-        self._numpy_cache = None
+        self._columns = [np.asarray(column, dtype=np.int64)
+                         for column in basis]
+        self._strides = np.asarray(strides, dtype=np.int64)
+        self._table = np.asarray(table, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def value_of(self, point: Sequence[int]) -> int:
@@ -99,11 +99,11 @@ class CosetTable:
         return self._values[self._sublattice.canonical_representative(point)]
 
     def lookup(self, points: Sequence[Sequence[int]]) -> list[int]:
-        """Values for a batch of points, dispatching on the backend.
+        """Values for a batch of points.
 
         Accepts a list of integer tuples or a ready-made ``(n, d)``
-        integer numpy array.  Falls back to the exact Python path for
-        inputs the int64 kernel cannot represent.  Very large batches
+        integer numpy array.  Falls back to the exact path for inputs
+        the int64 kernel cannot represent.  Very large batches
         shard across worker processes when workers are enabled
         (:mod:`repro.engine.parallel`); the rows partition, so the
         concatenated shard outputs equal the serial list exactly.
@@ -118,37 +118,23 @@ class CosetTable:
         return self._lookup_serial(points)
 
     def _lookup_serial(self, points: Sequence[Sequence[int]]) -> list[int]:
-        if active_backend() == "numpy":
-            np = numpy_module()
-            array = np.asarray(points)
-            if (array.ndim == 2 and array.shape[1] == self.dimension
-                    and array.dtype.kind in "iu"
-                    and (array.size == 0
-                         or int(np.abs(array).max()) < _MAX_COORD)):
-                return self._lookup_numpy(np, array)
-        return self._lookup_python(points)
+        array = np.asarray(points)
+        if (array.ndim == 2 and array.shape[1] == self.dimension
+                and array.dtype.kind in "iu"
+                and (array.size == 0
+                     or int(np.abs(array).max()) < _MAX_COORD)):
+            return self._lookup_numpy(array)
+        return self._lookup_exact(points)
 
-    def _lookup_python(self, points: Sequence[Sequence[int]]) -> list[int]:
+    def _lookup_exact(self, points: Sequence[Sequence[int]]) -> list[int]:
         canonical = self._sublattice.canonical_representative
         values = self._values
         return [values[canonical(p)] for p in points]
 
-    # ------------------------------------------------------------------
-    # repro: allow[backend-parity] -- numpy-branch-private constant cache, not a dispatched kernel; the python path reads _basis/_table directly
-    def _numpy_constants(self, np):
-        if self._numpy_cache is None:
-            columns = [np.asarray(column, dtype=np.int64)
-                       for column in self._basis]
-            strides = np.asarray(self._strides, dtype=np.int64)
-            table = np.asarray(self._table, dtype=np.int64)
-            self._numpy_cache = (columns, strides, table)
-        return self._numpy_cache
-
-    def _lookup_numpy(self, np, array) -> list[int]:
-        columns, strides, table = self._numpy_constants(np)
+    def _lookup_numpy(self, array) -> list[int]:
         reduced = array.astype(np.int64, copy=True)
         for i in range(self.dimension):
             quotient = reduced[:, i] // self._diagonal[i]
-            reduced[:, i:] -= quotient[:, None] * columns[i][i:]
-        keys = reduced @ strides
-        return table[keys].tolist()
+            reduced[:, i:] -= quotient[:, None] * self._columns[i][i:]
+        keys = reduced @ self._strides
+        return self._table[keys].tolist()

@@ -40,7 +40,8 @@ def run_scenarios(seed: int = 2008, per_family: int = 2) -> ExperimentResult:
              else f"seed={seed}; every path bit-identical")
     return ExperimentResult(
         "scenarios", "Differential scenario oracle (engine cross-check)",
-        "every engine path — backend x workers x full/incremental x "
+        "every engine path — workers x full/incremental x "
         "facade/legacy — answers each generated scenario identically, "
-        "and the answers satisfy Theorems 1/2",
+        "the answers equal the brute-force reference and satisfy "
+        "Theorems 1/2",
         rows, passed=not failures, notes=notes)

@@ -6,8 +6,7 @@ mid-call numpy kernel failures — as a frozen value whose every decision
 is a pure function of ``(seed, site, draw)`` through the counter-based
 :class:`repro.utils.rng.StreamRNG`.  Nothing is consumed and nothing
 advances: the same plan replayed over the same workload injects the
-very same faults, on either engine backend, for any worker count, in
-any call order.  That is what lets the chaos oracle compare a faulted
+very same faults, for any worker count, in any call order.  That is what lets the chaos oracle compare a faulted
 run against the fault-free reference and demand a deterministic
 verdict (masked, or detected-and-repaired) instead of a flaky one.
 
@@ -52,8 +51,7 @@ class FaultPlan:
 
     Every rate/choice below is evaluated through the plan's own
     :class:`StreamRNG` keyed by a per-site stream label, so injected
-    faults replay identically across backends, worker counts and call
-    orders.  A field left at its default injects nothing at that site;
+    faults replay identically across worker counts and call orders.  A field left at its default injects nothing at that site;
     an all-default plan is inert (arming it changes no observable
     behavior).
 

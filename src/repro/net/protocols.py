@@ -97,7 +97,7 @@ class MACProtocol(abc.ABC):
         ``wants_to_send`` call per cell, each served by the per-sensor
         counter stream ``rng.draw(i, t)``.  Vectorized overrides (the
         random protocols below) must return the same booleans — the
-        backend-equivalence suite holds them to it.
+        randmac equivalence suite holds them to it.
         """
         rows = []
         sensors = range(len(positions))

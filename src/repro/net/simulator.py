@@ -28,9 +28,10 @@ results are independent of iteration order and window boundaries.
 Carrier-sensing protocols are dispatched one slot at a time (the
 carrier-sense vector — a neighborhood OR over the CSR adjacency — only
 exists once the previous slot resolves) but still vectorize across
-sensors.  With numpy available the counts and decisions are computed by
-array kernels; the pure-Python fallback runs the same integer arithmetic
-and produces identical metrics.
+sensors.  The counts and decisions are computed by numpy array kernels;
+:func:`repro.scenarios.reference.reference_receptions` states the same
+two rules over plain receiver lists, and the test suite holds the
+simulator to it slot by slot.
 
 With workers enabled (``REPRO_ENGINE_WORKERS`` or
 :func:`repro.engine.parallel.set_workers`) large decision windows
@@ -46,7 +47,8 @@ from __future__ import annotations
 from collections import deque
 from contextlib import nullcontext
 
-from repro.engine.backend import numpy_module
+import numpy as np
+
 from repro.engine.config import EngineConfig, default_config
 from repro.engine.parallel import shard_workers
 from repro.faults.injection import active_plan as _active_plan
@@ -107,8 +109,8 @@ class BroadcastSimulator:
         (the default) defers to ``config.bulk_decisions``, which
         defaults to the vectorized path.
 
-        ``config`` pins this simulator's backend, worker count and
-        decision window explicitly; with no config at all the installed
+        ``config`` pins this simulator's worker count and decision
+        window explicitly; with no config at all the installed
         default config is consulted, and fields left ``None`` keep the
         ambient env-var-driven behavior.  The config is re-applied
         around every :meth:`step`, so the kernels the MAC protocols
@@ -147,7 +149,7 @@ class BroadcastSimulator:
             self._round_length = round_length
             # Byzantine injection seam: an armed FaultPlan corrupts the
             # published slot table (a pure function of the plan seed and
-            # the sorted sensor positions, so both backends corrupt the
+            # the sorted sensor positions, so every run corrupts the
             # same sensors to the same wrong slots).  Unarmed this is a
             # single None check.
             plan = _active_plan()
@@ -182,17 +184,11 @@ class BroadcastSimulator:
         # run() advances this so windows never precompute past the
         # requested horizon; step() callers keep the unbounded default.
         self._decision_horizon: int | None = None
-        self._np = (numpy_module()
-                    if config.resolve_backend() == "numpy" else None)
-        if self._np is not None:
-            np = self._np
-            self._edge_senders, self._edge_receivers = \
-                self._adjacency.edge_arrays()
-            self._slot_array = (np.asarray(self._slot_table, dtype=np.int64)
-                                if self._slot_table is not None else None)
-            self._backlogged = np.zeros(self._n, dtype=bool)
-        else:
-            self._backlogged = [False] * self._n
+        self._edge_senders, self._edge_receivers = \
+            self._adjacency.edge_arrays()
+        self._slot_array = (np.asarray(self._slot_table, dtype=np.int64)
+                            if self._slot_table is not None else None)
+        self._backlogged = np.zeros(self._n, dtype=bool)
         self._time = 0
 
     # ------------------------------------------------------------------
@@ -209,13 +205,12 @@ class BroadcastSimulator:
         """Context applying the explicit config fields, if there are any.
 
         Kernels reached through the protocols (decision blocks and their
-        sharded dispatch) resolve the *ambient* backend/worker state, so
-        a simulator carrying an explicit config installs it around every
+        sharded dispatch) resolve the *ambient* worker state, so a
+        simulator carrying an explicit config installs it around every
         step; an all-default config skips the bookkeeping entirely.
         """
         config = self._config
-        if config.backend is None and config.workers is None \
-                and config.on_kernel_failure is None:
+        if config.workers is None and config.on_kernel_failure is None:
             return nullcontext()
         return config.apply()
 
@@ -228,42 +223,27 @@ class BroadcastSimulator:
         time = self._time
         metrics = self.metrics
         n = self._n
-        np = self._np
         queues = self._queues
         # Traffic generation.
         if time % self.packet_interval == 0:
             for queue in queues:
                 queue.append(time)
             metrics.packets_created += n
-            if np is not None:
-                self._backlogged[:] = True
-            else:
-                self._backlogged = [True] * n
+            self._backlogged[:] = True
 
         # MAC decisions (only backlogged sensors transmit).
         backlogged = self._backlogged
         if self._slot_table is not None:
             slot = time % self._round_length
-            if np is not None:
-                transmitters = np.nonzero(
-                    backlogged & (self._slot_array == slot))[0].tolist()
-            else:
-                table = self._slot_table
-                transmitters = [i for i in range(n)
-                                if backlogged[i] and table[i] == slot]
+            transmitters = np.nonzero(
+                backlogged & (self._slot_array == slot))[0].tolist()
         else:
-            row = self._decision_row(time)
-            if np is not None:
-                if not isinstance(row, np.ndarray):
-                    row = np.asarray(row, dtype=bool)
-                transmitters = np.nonzero(backlogged & row)[0].tolist()
-            else:
-                transmitters = [i for i in range(n)
-                                if backlogged[i] and row[i]]
+            row = np.asarray(self._decision_row(time), dtype=bool)
+            transmitters = np.nonzero(backlogged & row)[0].tolist()
         # Flaky injection seam: an armed FaultPlan silently drops
         # scheduled transmissions, keyed purely by ``(sensor, slot)`` —
-        # both backends build the same ascending dense-id transmitter
-        # list, so the drops replay identically.  Unarmed this is a
+        # the transmitter list is in ascending dense-id order, so the
+        # drops replay identically.  Unarmed this is a
         # single None check per slot.
         plan = _active_plan()
         if plan is not None and plan.flaky > 0.0 and transmitters:
@@ -276,41 +256,20 @@ class BroadcastSimulator:
         # Reception resolution per the paper's two rules: a receiver is
         # lost iff it transmits itself (rule 1) or >= 2 transmitters
         # cover it (rule 2, where "cover" counts the sender too).
-        if np is not None:
-            is_tx = np.zeros(n, dtype=bool)
-            is_tx[transmitters] = True
-            tx_edges = is_tx[self._edge_senders]
-            receivers = self._edge_receivers[tx_edges]
-            counts = np.bincount(receivers, minlength=n)
-            failed_edges = is_tx[receivers] | (counts[receivers] > 1)
-            metrics.failed_receptions += int(failed_edges.sum())
-            fail_per_sender = np.bincount(
-                self._edge_senders[tx_edges][failed_edges], minlength=n)
-            for i in transmitters:
-                if not fail_per_sender[i]:
-                    self._complete_broadcast(i, time)
-            self._heard = counts > 0
-            total_receptions = int(counts.sum())
-        else:
-            receivers_of = self._adjacency.receivers
-            is_tx = [False] * n
-            for i in transmitters:
-                is_tx[i] = True
-            counts = [0] * n
-            for i in transmitters:
-                for receiver in receivers_of[i]:
-                    counts[receiver] += 1
-            for i in transmitters:
-                failed = 0
-                for receiver in receivers_of[i]:
-                    if is_tx[receiver] or counts[receiver] > 1:
-                        failed += 1
-                if failed:
-                    metrics.failed_receptions += failed
-                else:
-                    self._complete_broadcast(i, time)
-            self._heard = [count > 0 for count in counts]
-            total_receptions = sum(counts)
+        is_tx = np.zeros(n, dtype=bool)
+        is_tx[transmitters] = True
+        tx_edges = is_tx[self._edge_senders]
+        receivers = self._edge_receivers[tx_edges]
+        counts = np.bincount(receivers, minlength=n)
+        failed_edges = is_tx[receivers] | (counts[receivers] > 1)
+        metrics.failed_receptions += int(failed_edges.sum())
+        fail_per_sender = np.bincount(
+            self._edge_senders[tx_edges][failed_edges], minlength=n)
+        for i in transmitters:
+            if not fail_per_sender[i]:
+                self._complete_broadcast(i, time)
+        self._heard = counts > 0
+        total_receptions = int(counts.sum())
 
         # Non-transmit energy (counts already hold per-sensor receptions).
         model = self.energy_model
@@ -391,8 +350,7 @@ def simulate(network: Network, protocol: MACProtocol | str, slots: int,
     registered name (``"aloha"``, ``"csma"``, ``"tdma"``, ...), in which
     case extra keyword arguments parameterize it — e.g.
     ``simulate(network, "aloha", slots=90, p=0.2)``.  ``config`` pins the
-    engine configuration for this run (backend, workers, decision
-    window); omitted, the ambient env-var-driven behavior is unchanged.
+    engine configuration for this run (workers, decision window); omitted, the ambient env-var-driven behavior is unchanged.
     """
     simulator = BroadcastSimulator(
         network, _resolve_protocol(network, protocol, protocol_params),

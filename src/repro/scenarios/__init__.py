@@ -13,9 +13,11 @@ from and where every engine path is held to the same answer on each one.
   ``adversarial_edits``); a spec is a pure function of
   ``(family, seed, index)`` via counter-based rng streams;
 * :mod:`repro.scenarios.oracle` — the differential stress harness: one
-  spec across ``{numpy, python} x {1, 2 workers} x {full, incremental}
-  x {facade, legacy}``, asserting bit-identity plus the paper's
-  invariants.
+  spec across ``{1, 2 workers} x {full, incremental} x {facade,
+  legacy}``, asserting bit-identity, equality with the brute-force
+  answers and the paper's invariants;
+* :mod:`repro.scenarios.reference` — those brute-force answers, straight
+  from the paper's definitions of slots, collisions and receptions.
 
 CLI::
 

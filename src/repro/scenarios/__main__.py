@@ -31,11 +31,9 @@ _DEFAULT_SEED = 2008  # the paper's year, like the experiment suite
 
 
 def _matrix_from_args(args) -> tuple:
-    backends = tuple(args.backends.split(",")) if args.backends \
-        else ("numpy", "python")
     workers = tuple(int(w) for w in args.workers.split(",")) \
         if args.workers else (1, 2)
-    return full_matrix(backends=backends, workers=workers)
+    return full_matrix(workers=workers)
 
 
 def _report_payload(reports, elapsed: float) -> dict:
@@ -73,8 +71,6 @@ def main(argv: list[str] | None = None) -> int:
     _coordinate_args(show)
 
     def _matrix_args(p):
-        p.add_argument("--backends", default=None,
-                       help="comma list (default: numpy,python)")
         p.add_argument("--workers", default=None,
                        help="comma list (default: 1,2)")
         p.add_argument("--json", metavar="PATH", default=None,
@@ -119,8 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     service.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     service.add_argument("--count", type=int, default=2,
                          help="specs per family (indices 0..count-1)")
-    service.add_argument("--backends", default=None,
-                         help="comma list (default: all available)")
     service.add_argument("--max-batch", type=int, default=32)
     service.add_argument("--transport", choices=("inproc", "wire"),
                          default="inproc",
@@ -191,10 +185,9 @@ def _run_service_command(parser, args) -> int:
             parser.error(
                 f"unknown families: {', '.join(unknown)}; known: "
                 f"{', '.join(family_names())}")
-    backends = tuple(args.backends.split(",")) if args.backends else None
 
     kwargs = {"seed": args.seed, "count": args.count,
-              "backends": backends, "max_batch": args.max_batch,
+              "max_batch": args.max_batch,
               "transport": args.transport,
               "wire_workers": args.wire_workers}
     if families:
@@ -202,15 +195,13 @@ def _run_service_command(parser, args) -> int:
     report = run_differential(**kwargs)
 
     for mismatch in report["mismatches"]:
-        print(f"[FAIL] {mismatch['spec']} backend={mismatch['backend']} "
+        print(f"[FAIL] {mismatch['spec']} "
               f"response={mismatch['response']}")
     status = "OK" if report["ok"] else "FAIL"
     transport_note = (
         f"wire transport, {report['wire_workers']} worker(s)"
         if report["transport"] == "wire" else "in-process")
-    print(f"[{status}] {report['specs']} spec(s) x "
-          f"{len(report['backends'])} backend(s) "
-          f"({', '.join(report['backends'])}; {transport_note}) — "
+    print(f"[{status}] {report['specs']} spec(s) ({transport_note}) — "
           f"{report['responses_compared']} responses compared, "
           f"{report['batched_dispatches']} batched dispatches, "
           f"{len(report['mismatches'])} mismatch(es)")

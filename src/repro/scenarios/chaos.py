@@ -7,10 +7,12 @@ demands a deterministic verdict —
 
 * **masked** — the faulted run produced the bit-identical observation
   (slots, collision lists, simulation metrics) as the fault-free
-  reference.  Resilience-only faults (worker crashes, injected numpy
-  kernel failures) *must* land here: the retry/serial-fallback lanes of
-  ``run_sharded`` and the degrade-to-python policy of the collision
-  scan exist precisely so these faults never reach an answer.
+  reference, whose slots and collisions in turn equal the brute-force
+  answers of :mod:`repro.scenarios.reference`.  Resilience-only faults
+  (worker crashes, injected numpy kernel failures) *must* land here:
+  the retry/serial-fallback lanes of ``run_sharded`` and the
+  degrade-to-exact policy of the collision scan exist precisely so
+  these faults never reach an answer.
 * **detected and repaired** — the faulted run diverged (flaky
   transmitters dropping sends, byzantine slot reports corrupting the
   simulator's table).  Divergence alone is legal only when a fault
@@ -19,7 +21,7 @@ demands a deterministic verdict —
   (:func:`repro.faults.chaos.corrupt_session`), runs
   :meth:`repro.api.Session.repair`, asserts the repair succeeded, and
   then demands ``verify_collision_free`` on the repaired schedule over
-  the full 16-path engine matrix.
+  the full 8-path engine matrix and from the brute-force reference.
 
 :func:`run_exec_probe` additionally drives the sharded execution lanes
 end to end on a window large enough to engage the process pool: a
@@ -46,7 +48,8 @@ from repro.engine.collisions import EngineDegradedWarning
 from repro.faults.chaos import corrupt_session, plan_for_spec
 from repro.faults.injection import use_plan
 from repro.faults.plan import FaultPlan
-from repro.scenarios.oracle import EnginePath, full_matrix
+from repro.scenarios.oracle import EnginePath, _brute_force, full_matrix
+from repro.scenarios.reference import reference_collisions
 from repro.scenarios.spec import ScenarioSpec
 from repro.tiles.shapes import chebyshev_ball
 from repro.utils.vectors import box_points
@@ -127,7 +130,7 @@ class ChaosReport:
 def _observe(spec: ScenarioSpec, plan: FaultPlan | None) -> tuple:
     """Slots, collision list and metrics — optionally under an armed plan.
 
-    Injected numpy kernel failures degrade to the python twin with an
+    Injected numpy kernel failures degrade to the exact scan with an
     :class:`EngineDegradedWarning`; the warning is the structured signal
     and is suppressed here because the *observation* is what the masked
     verdict compares.
@@ -151,13 +154,20 @@ def _observe(spec: ScenarioSpec, plan: FaultPlan | None) -> tuple:
 
 def _verify_all_paths(session: Session, paths: tuple[EnginePath, ...],
                       violations: list[str]) -> None:
-    """``verify_collision_free`` on every engine path, or a violation."""
+    """``verify_collision_free`` on every engine path, or a violation.
+
+    The brute-force reference must find the schedule clean too.
+    """
     window = session.window
     assert window is not None, "repair leg always runs on a windowed session"
     assignment = dict(zip(window,
                           (int(s) for s in session.assign(window).slots)))
     schedule = MappingSchedule(assignment)
     neighborhood = session.neighborhood_of
+    if reference_collisions(window, assignment.__getitem__, neighborhood):
+        violations.append(
+            "reference: repaired schedule still collides under the "
+            "brute-force pairwise test")
     for path in paths:
         config = path.config()
         if path.surface == "facade":
@@ -186,8 +196,10 @@ def run_chaos(spec: ScenarioSpec,
               paths: tuple[EnginePath, ...] | None = None) -> ChaosReport:
     """One spec through the fault-model contract.
 
-    Three checks, all deterministic:
+    Four checks, all deterministic:
 
+    0. *Reference*: the fault-free slots and collisions equal the
+       brute-force answers.
     1. *Resilience masking*: the spec run with only the resilience
        sites armed (worker crash on shard 0, one injected numpy kernel
        failure) must reproduce the fault-free observation bit for bit.
@@ -197,13 +209,18 @@ def run_chaos(spec: ScenarioSpec,
     3. *Detect and repair*: the plan's byzantine corruption is applied
        to the restricted schedule itself, ``repair()`` must succeed,
        and the repaired schedule must pass ``verify_collision_free``
-       on every engine path.
+       on every engine path and under the brute-force reference.
     """
     if paths is None:
         paths = full_matrix()
     plan = plan_for_spec(spec)
     report = ChaosReport(spec=spec, plan=plan, paths=tuple(paths))
     clean = _observe(spec, None)
+    expected = _brute_force(spec)
+    if clean[:2] != (expected.slots[0], expected.collisions[0]):
+        report.violations.append(
+            "reference: the fault-free slots or collisions diverge from "
+            "the brute-force answers")
 
     resilience = plan_for_spec(spec, byzantine=0.0, flaky=0.0,
                                kill_shard=0, numpy_failures=1)

@@ -1,23 +1,24 @@
 """The differential oracle: one scenario, every engine path, one answer.
 
-The library serves the same questions through many independently
-optimized paths — numpy kernels and the pure-Python fallback, serial and
-process-sharded execution, full-window rescans and incremental
-dirty-region re-verification, the typed :class:`repro.api.Session`
-facade and the legacy free functions.  Each pair is pinned equivalent by
-its own unit suite; the oracle closes the loop *end to end*: it replays
-one :class:`~repro.scenarios.spec.ScenarioSpec` over the whole cross
-product
+The library serves the same questions through several independently
+optimized paths — serial and process-sharded execution, full-window
+rescans and incremental dirty-region re-verification, the typed
+:class:`repro.api.Session` facade and the legacy free functions.  Each
+pair is pinned equivalent by its own unit suite; the oracle closes the
+loop *end to end*: it replays one
+:class:`~repro.scenarios.spec.ScenarioSpec` over the whole cross product
 
-    {numpy, python} x {1, 2 workers} x {full, incremental} x
-    {facade, legacy}
+    {1, 2 workers} x {full, incremental} x {facade, legacy}
 
 and demands that every path produce the bit-identical
 :class:`Observation` — slot assignments per round, collision lists per
-stage, simulation metrics, serialization round-trip — and that the
-reference observation satisfy the paper's invariants (Theorem 1/2
-collision-freeness and slot optimality, ``verify_collision_free``
-agreement, forced collisions present, slots in range).
+stage, simulation metrics, serialization round-trip.  The reference
+observation must then equal the brute-force answers of
+:mod:`repro.scenarios.reference` (per-point ``slot_of``, pairwise
+neighbourhood tests, the paper's reception rules slot by slot) and
+satisfy the paper's invariants (Theorem 1/2 collision-freeness and slot
+optimality, ``verify_collision_free`` agreement, forced collisions
+present, slots in range).
 
 A failing spec reports human-readable violations plus the exact CLI
 command (:meth:`~repro.scenarios.spec.ScenarioSpec.cli_command`) that
@@ -45,7 +46,13 @@ from repro.core.theorem2 import schedule_from_multi_tiling, theorem2_slot_count
 from repro.engine.config import EngineConfig
 from repro.net.model import Network, SensorNode
 from repro.net.protocols import make_protocol
+from repro.net.simulator import BroadcastSimulator
 from repro.net.simulator import simulate as net_simulate
+from repro.scenarios.reference import (
+    reference_collisions,
+    reference_receptions,
+    reference_slots,
+)
 from repro.scenarios.spec import ScenarioSpec
 from repro.tiles.shapes import GALLERY, chebyshev_ball
 from repro.tiling.construct import alternating_column_tiling
@@ -65,29 +72,27 @@ __all__ = [
 class EnginePath:
     """One cell of the engine matrix."""
 
-    backend: str   # "numpy" | "python"
     workers: int   # 1 | 2
     mode: str      # "full" | "incremental"
     surface: str   # "facade" | "legacy"
 
     def label(self) -> str:
-        return f"{self.backend}/w{self.workers}/{self.mode}/{self.surface}"
+        return f"w{self.workers}/{self.mode}/{self.surface}"
 
     def config(self) -> EngineConfig:
-        return EngineConfig(backend=self.backend, workers=self.workers)
+        return EngineConfig(workers=self.workers)
 
 
-def full_matrix(backends=("numpy", "python"), workers=(1, 2),
-                modes=("full", "incremental"),
+def full_matrix(workers=(1, 2), modes=("full", "incremental"),
                 surfaces=("facade", "legacy")) -> tuple[EnginePath, ...]:
-    """The engine matrix (2 x 2 x 2 x 2 = 16 paths by default).
+    """The engine matrix (2 x 2 x 2 = 8 paths by default).
 
     Narrow any axis for cheaper sweeps (the property suite runs
-    ``backends=("python",), workers=(1,)``); the CI stress tier and the
-    pinned corpus always run the full product.
+    ``workers=(1,)``); the CI stress tier and the pinned corpus always
+    run the full product.
     """
-    return tuple(EnginePath(b, w, m, s) for b, w, m, s
-                 in itertools.product(backends, workers, modes, surfaces))
+    return tuple(EnginePath(w, m, s) for w, m, s
+                 in itertools.product(workers, modes, surfaces))
 
 
 @dataclass(frozen=True)
@@ -273,8 +278,7 @@ def _run_legacy(spec: ScenarioSpec, path: EnginePath) -> Observation:
                        roundtrip_slots=roundtrip)
 
 
-def _simulate_legacy(spec: ScenarioSpec, final, neighborhood,
-                     config: EngineConfig) -> tuple:
+def _network_and_protocol(spec: ScenarioSpec, final, neighborhood):
     window = spec.window_points()
     # Mirror Session.network's construction branch for the *final*
     # schedule: Theorem 1/2 schedules derive interference from their
@@ -288,6 +292,12 @@ def _simulate_legacy(spec: ScenarioSpec, final, neighborhood,
         network = Network(SensorNode(p, neighborhood(p)) for p in window)
     protocol = make_protocol(spec.protocol, positions=network.positions,
                              schedule=final, **dict(spec.protocol_params))
+    return network, protocol
+
+
+def _simulate_legacy(spec: ScenarioSpec, final, neighborhood,
+                     config: EngineConfig) -> tuple:
+    network, protocol = _network_and_protocol(spec, final, neighborhood)
     metrics = net_simulate(network, protocol, spec.sim_slots,
                            packet_interval=final.num_slots,
                            seed=spec.sim_seed, config=config)
@@ -379,59 +389,139 @@ def _check_invariants(spec: ScenarioSpec, obs: Observation,
             "serialization round-trip changed the slot assignment")
 
 
-def _check_certificate(spec: ScenarioSpec, reference: Observation,
-                       violations: list[str]) -> None:
-    """The certificate leg: certified answers must match scanned ones.
+@dataclass(frozen=True)
+class _BruteForce:
+    """A spec's answers from :mod:`repro.scenarios.reference`.
 
-    On both backends, certify the spec's pristine periodic schedule,
-    round-trip the certificate through JSON, and demand that both the
-    live and the rebuilt certificate reproduce the reference collision
-    list bit-identically on every verification window.  The final
-    schedule of an edit script is an aperiodic ``MappingSchedule`` and
-    must *refuse* to certify — falling back to the full scan is part of
-    the contract.
+    ``slots`` and ``collisions`` are shaped like the :class:`Observation`
+    fields: per round, ``slot_of`` per point of the pristine schedule;
+    per stage, pairwise neighbourhood tests over a dict of point to slot
+    that applies the edit script step by step.  ``final`` is the last
+    stage's schedule and ``window`` the window it was checked over.
     """
-    for backend in ("numpy", "python"):
-        with EngineConfig(backend=backend, workers=1).apply():
-            schedule = _legacy_schedule(spec)
-            certificate = certify_schedule(schedule)
-            if certificate is None:
+
+    slots: tuple
+    collisions: tuple
+    final: object
+    window: list
+    neighborhood: object
+
+
+def _brute_force(spec: ScenarioSpec) -> _BruteForce:
+    schedule = _legacy_schedule(spec)
+    neighborhood = schedule.neighborhood_of
+    rounds = spec.rounds()
+    slots = tuple(tuple(reference_slots(schedule.slot_of, window))
+                  for window in rounds)
+    if not spec.edits:
+        stages = tuple(_freeze_collisions(reference_collisions(
+            window, schedule.slot_of, neighborhood)) for window in rounds)
+        return _BruteForce(slots, stages, schedule, rounds[-1], neighborhood)
+    window = spec.window_points()
+    assignment = dict(zip(window, reference_slots(schedule.slot_of, window)))
+    stages_list = [_freeze_collisions(reference_collisions(
+        window, assignment.__getitem__, neighborhood))]
+    for step in spec.edits:
+        assignment.update({point: slot for point, slot in step})
+        stages_list.append(_freeze_collisions(reference_collisions(
+            window, assignment.__getitem__, neighborhood)))
+    return _BruteForce(slots, tuple(stages_list),
+                       MappingSchedule(assignment), window, neighborhood)
+
+
+def _check_reference(spec: ScenarioSpec, reference: Observation,
+                     expected: _BruteForce, violations: list[str]) -> None:
+    """The reference observation against the brute-force answers.
+
+    Slots and collision stages must equal :func:`_brute_force`.  The
+    simulation is replayed slot by slot on the scalar
+    ``wants_to_send`` path, each slot's receptions checked against
+    :func:`~repro.scenarios.reference.reference_receptions`, and the
+    final metrics must equal the observed ones — which also pins the
+    bulk random-MAC decision blocks to the scalar ``StreamRNG`` draws.
+    """
+    if reference.slots != expected.slots:
+        violations.append(
+            f"reference: slots diverge from per-point slot_of: "
+            f"{_clip(reference.slots)} != {_clip(expected.slots)}")
+    if reference.collisions != expected.collisions:
+        violations.append(
+            f"reference: collisions diverge from the brute-force pairwise "
+            f"test: {_clip(reference.collisions)} != "
+            f"{_clip(expected.collisions)}")
+    if not spec.protocol:
+        return
+    final = expected.final
+    network, protocol = _network_and_protocol(spec, final,
+                                              expected.neighborhood)
+    simulator = BroadcastSimulator(network, protocol,
+                                   packet_interval=final.num_slots,
+                                   seed=spec.sim_seed, bulk_decisions=False)
+    receivers = {p: network.receivers_of(p) for p in network.positions}
+    metrics = simulator.metrics
+    for time in range(spec.sim_slots):
+        failed, completed = (metrics.failed_receptions,
+                             metrics.successful_broadcasts)
+        outcome = reference_receptions(simulator.step(), receivers)
+        lost = sum(len(lost) for _, lost in outcome.values())
+        done = sum(not lost for _, lost in outcome.values())
+        if (metrics.failed_receptions - failed,
+                metrics.successful_broadcasts - completed) != (lost, done):
+            violations.append(
+                f"reference: slot {time} resolved "
+                f"{metrics.failed_receptions - failed} lost / "
+                f"{metrics.successful_broadcasts - completed} completed, "
+                f"the reception rules give {lost} / {done}")
+            return
+    if astuple(metrics) != reference.metrics:
+        violations.append(
+            f"reference: the scalar-decision replay's metrics "
+            f"{_clip(astuple(metrics))} != {_clip(reference.metrics)}")
+
+
+def _check_certificate(spec: ScenarioSpec, expected: _BruteForce,
+                       violations: list[str]) -> None:
+    """The certificate leg: certified answers must match brute force.
+
+    Certify the spec's pristine periodic schedule, round-trip the
+    certificate through JSON, and demand that both the live and the
+    rebuilt certificate reproduce the brute-force collision list
+    bit-identically on every verification window.  The final schedule
+    of an edit script is an aperiodic ``MappingSchedule`` and must
+    *refuse* to certify — falling back to the full scan is part of the
+    contract.
+    """
+    with EngineConfig(workers=1).apply():
+        schedule = _legacy_schedule(spec)
+        certificate = certify_schedule(schedule)
+        if certificate is None:
+            violations.append(
+                f"certificate: certify_schedule returned None for a "
+                f"periodic {spec.construction} schedule")
+            return
+        rebuilt = certificate_from_json(certificate.to_json())
+        if not rebuilt.covers(schedule):
+            violations.append(
+                "certificate: JSON round-trip lost the schedule binding "
+                "(covers() is False)")
+        windows = [spec.window_points()] if spec.edits else spec.rounds()
+        for index, window in enumerate(windows):
+            want = expected.collisions[0 if spec.edits else index]
+            got = _freeze_collisions(certificate.verify_points(window))
+            if got != want:
                 violations.append(
-                    f"certificate/{backend}: certify_schedule returned "
-                    f"None for a periodic {spec.construction} schedule")
-                continue
-            rebuilt = certificate_from_json(certificate.to_json())
-            if not rebuilt.covers(schedule):
+                    f"certificate: window {index} verdict diverges from "
+                    f"the brute-force reference: {_clip(got)} != "
+                    f"{_clip(want)}")
+            redone = _freeze_collisions(rebuilt.verify_points(window))
+            if redone != got:
                 violations.append(
-                    f"certificate/{backend}: JSON round-trip lost the "
-                    f"schedule binding (covers() is False)")
-            windows = ([spec.window_points()] if spec.edits
-                       else spec.rounds())
-            for index, window in enumerate(windows):
-                want = reference.collisions[0 if spec.edits else index]
-                got = _freeze_collisions(certificate.verify_points(window))
-                if got != want:
-                    violations.append(
-                        f"certificate/{backend}: window {index} verdict "
-                        f"diverges from the scan: {_clip(got)} != "
-                        f"{_clip(want)}")
-                redone = _freeze_collisions(rebuilt.verify_points(window))
-                if redone != got:
-                    violations.append(
-                        f"certificate/{backend}: JSON round-tripped "
-                        f"certificate changed window {index}: "
-                        f"{_clip(redone)} != {_clip(got)}")
-            if spec.edits:
-                window = spec.window_points()
-                assignment = dict(zip(
-                    window, (int(s) for s in schedule.slots_of(window))))
-                for step in spec.edits:
-                    assignment.update(
-                        {point: slot for point, slot in step})
-                if certify_schedule(MappingSchedule(assignment)) is not None:
-                    violations.append(
-                        f"certificate/{backend}: an edited mapping "
-                        f"schedule certified as periodic")
+                    f"certificate: JSON round-tripped certificate changed "
+                    f"window {index}: {_clip(redone)} != {_clip(got)}")
+        if spec.edits and certify_schedule(expected.final) is not None:
+            violations.append(
+                "certificate: an edited mapping schedule certified as "
+                "periodic")
 
 
 def _optimal_slots(spec: ScenarioSpec) -> int:
@@ -448,12 +538,12 @@ def run_oracle(spec: ScenarioSpec,
     """One spec across the engine matrix, cross-checked and invariant-checked.
 
     The first path's observation is the reference; every other path must
-    reproduce it bit for bit, and the reference must satisfy the paper
-    invariants.  ``verify_collision_free`` is additionally cross-checked
-    against the reference collision list on the final schedule, and the
-    certificate leg (:func:`_check_certificate`) pins the
-    O(fundamental-domain) verification path to the scanned answers on
-    both backends.
+    reproduce it bit for bit, the reference must equal the brute-force
+    answers (:func:`_check_reference`) and satisfy the paper invariants.
+    ``verify_collision_free`` is additionally cross-checked against the
+    reference collision list on the final schedule, and the certificate
+    leg (:func:`_check_certificate`) pins the O(fundamental-domain)
+    verification path to the brute-force collision lists.
     """
     if paths is None:
         paths = full_matrix()
@@ -475,36 +565,18 @@ def run_oracle(spec: ScenarioSpec,
                                            observation))
     if reference is not None:
         report.reference = reference
+        expected = _brute_force(spec)
+        _check_reference(spec, reference, expected, report.violations)
         _check_invariants(spec, reference, report.violations)
-        _check_certificate(spec, reference, report.violations)
-        clean = _final_verify_collision_free(spec)
+        _check_certificate(spec, expected, report.violations)
+        clean = verify_collision_free(expected.final, expected.window,
+                                      expected.neighborhood)
         if clean != (not reference.collisions[-1]):
             report.violations.append(
                 f"verify_collision_free says {clean} but the final "
                 f"collision list has {len(reference.collisions[-1])} "
                 f"entries")
     return report
-
-
-def _final_verify_collision_free(spec: ScenarioSpec) -> bool:
-    """The boolean surface on the spec's final schedule and window.
-
-    Rebuilds the final state the cheap way — one schedule construction
-    and a plain dict merge of the edit script, no caches, no sessions —
-    over the *last* verification round's window, which is where the
-    reference observation's final collision list came from.
-    """
-    schedule = _legacy_schedule(spec)
-    neighborhood = schedule.neighborhood_of
-    window = spec.rounds()[-1]
-    final = schedule
-    if spec.edits:
-        assignment = dict(zip(
-            window, (int(s) for s in schedule.slots_of(window))))
-        for step in spec.edits:
-            assignment.update({point: slot for point, slot in step})
-        final = MappingSchedule(assignment)
-    return verify_collision_free(final, window, neighborhood)
 
 
 def _diff(reference_path: EnginePath, path: EnginePath,

@@ -11,8 +11,6 @@ this package puts a server in front of it:
   ``assign`` requests into bulk engine dispatches, per-request
   deadlines, and a certificate fast path answering eligible verifies
   O(1) on the submitting thread.
-* :class:`~repro.service.server.AsyncSchedulingService` — the same
-  endpoints as coroutines for asyncio front ends.
 * :mod:`~repro.service.metrics` — typed counters / latency histograms /
   gauges behind a JSON metrics endpoint.
 * :mod:`~repro.service.loadgen` / ``python -m repro.service bench`` —
@@ -39,7 +37,6 @@ from repro.service.metrics import (
     ServiceMetrics,
 )
 from repro.service.server import (
-    AsyncSchedulingService,
     EditAck,
     LoadAck,
     RestrictAck,
@@ -48,7 +45,6 @@ from repro.service.server import (
 from repro.service.store import SessionStore, StoreStats
 
 __all__ = [
-    "AsyncSchedulingService",
     "EditAck",
     "LatencyHistogram",
     "LoadAck",

@@ -94,7 +94,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_differential(args: argparse.Namespace) -> int:
     report = differential.run_differential(
         families=tuple(args.families), seed=args.seed, count=args.count,
-        backends=args.backends or None, max_batch=args.max_batch,
+        max_batch=args.max_batch,
         transport=args.transport, wire_workers=args.wire_workers)
     print(json.dumps(report, indent=None if args.json else 2,
                      sort_keys=True))
@@ -183,8 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     diff.add_argument("--seed", type=int, default=2008)
     diff.add_argument("--count", type=int, default=2,
                       help="specs per family")
-    diff.add_argument("--backends", nargs="*", default=None,
-                      help="engine backends (default: all available)")
     diff.add_argument("--max-batch", type=int, default=32)
     diff.add_argument("--transport", choices=("inproc", "wire"),
                       default="inproc",

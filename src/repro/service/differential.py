@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.api import Session, SlotAssignment, VerificationReport
-from repro.engine.backend import numpy_available
 from repro.engine.config import EngineConfig
 from repro.scenarios.generators import iter_corpus
 from repro.scenarios.spec import ScenarioSpec
@@ -39,18 +38,10 @@ from repro.service.server import EditAck, RestrictAck, SchedulingService
 from repro.service.store import SessionStore
 
 __all__ = ["replay_direct", "replay_specs", "replay_specs_wire",
-           "run_differential", "default_backends"]
+           "run_differential"]
 
 _DEFAULT_FAMILIES = ("grid_sweep", "churn", "mobile")
 _DEFAULT_SEED = 2008
-
-
-def default_backends() -> list[str]:
-    """Both engine backends, or just pure python where numpy is absent."""
-    backends = ["python"]
-    if numpy_available():
-        backends.append("numpy")
-    return backends
 
 
 # -- canonical forms ---------------------------------------------------
@@ -69,7 +60,6 @@ def _canonical_verify(report: VerificationReport) -> dict[str, Any]:
         "checked_points": int(report.checked_points),
         "cache_hits": int(report.cache_hits),
         "cache_misses": int(report.cache_misses),
-        "backend": report.backend,
         "workers": int(report.workers),
     }
 
@@ -80,7 +70,6 @@ def _canonical_assign(assignment: SlotAssignment) -> dict[str, Any]:
         "points": _canonical_points(assignment.points),
         "slots": [int(slot) for slot in assignment.slots],
         "num_slots": int(assignment.num_slots),
-        "backend": assignment.backend,
     }
 
 
@@ -230,10 +219,9 @@ def replay_specs_wire(specs: list[ScenarioSpec],
 
 def run_differential(*, families: tuple[str, ...] = _DEFAULT_FAMILIES,
                      seed: int = _DEFAULT_SEED, count: int = 2,
-                     backends: list[str] | None = None,
                      max_batch: int = 32, transport: str = "inproc",
                      wire_workers: int = 2) -> dict[str, Any]:
-    """Replay a corpus through both legs on every backend and diff.
+    """Replay a corpus through both legs and diff.
 
     ``transport="inproc"`` exercises :func:`replay_specs` (direct
     submit on one service); ``transport="wire"`` exercises
@@ -242,54 +230,45 @@ def run_differential(*, families: tuple[str, ...] = _DEFAULT_FAMILIES,
     oracle is the same: every canonical response must equal the direct
     session's, field for field, counters included.
 
-    Returns a JSON-able report: per-backend spec counts, the total
-    number of compared responses, any mismatches (each naming the spec,
-    backend, response index and both canonical values), and whether the
-    service actually coalesced dispatches during the run.
+    Returns a JSON-able report: the spec count, the number of compared
+    responses, any mismatches (each naming the spec, response index and
+    both canonical values), and whether the service actually coalesced
+    dispatches during the run.
     """
     if transport not in ("inproc", "wire"):
         raise ValueError(
             f"transport must be 'inproc' or 'wire', got {transport!r}")
-    backends = default_backends() if backends is None else backends
     specs = list(iter_corpus(families, seed, count))
     mismatches: list[dict[str, Any]] = []
     compared = 0
-    batched_total = 0
-    for backend in backends:
-        config = EngineConfig(backend=backend)
-        if transport == "wire":
-            service_legs = replay_specs_wire(specs, config,
-                                             max_batch=max_batch,
-                                             workers=wire_workers)
-        else:
-            service_legs = replay_specs(specs, config,
-                                        max_batch=max_batch)
-        batched_total += service_legs.pop("__batched_dispatches__")[0]
-        for spec in specs:
-            direct = replay_direct(spec, config)
-            service = service_legs[spec.label()]
-            compared += len(direct)
-            if direct == service:
-                continue
-            for index, (expected, actual) in enumerate(
-                    zip(direct, service)):
-                if expected != actual:
-                    mismatches.append({
-                        "spec": spec.label(), "backend": backend,
-                        "response": index, "direct": expected,
-                        "service": actual})
-            if len(direct) != len(service):
+    if transport == "wire":
+        service_legs = replay_specs_wire(specs, max_batch=max_batch,
+                                         workers=wire_workers)
+    else:
+        service_legs = replay_specs(specs, max_batch=max_batch)
+    batched = service_legs.pop("__batched_dispatches__")[0]
+    for spec in specs:
+        direct = replay_direct(spec)
+        service = service_legs[spec.label()]
+        compared += len(direct)
+        if direct == service:
+            continue
+        for index, (expected, actual) in enumerate(zip(direct, service)):
+            if expected != actual:
                 mismatches.append({
-                    "spec": spec.label(), "backend": backend,
-                    "response": "length",
-                    "direct": len(direct), "service": len(service)})
+                    "spec": spec.label(), "response": index,
+                    "direct": expected, "service": actual})
+        if len(direct) != len(service):
+            mismatches.append({
+                "spec": spec.label(), "response": "length",
+                "direct": len(direct), "service": len(service)})
     return {
         "families": list(families), "seed": seed, "count": count,
         "transport": transport,
         "wire_workers": wire_workers if transport == "wire" else 0,
-        "backends": backends, "specs": len(specs),
+        "specs": len(specs),
         "responses_compared": compared,
-        "batched_dispatches": batched_total,
+        "batched_dispatches": batched,
         "mismatches": mismatches,
         "ok": not mismatches,
     }

@@ -2,8 +2,7 @@
 
 One :class:`SchedulingService` owns a :class:`~repro.service.store.
 SessionStore` and a single dispatcher thread.  Clients submit typed
-requests from any thread (or, through :class:`AsyncSchedulingService`,
-from any asyncio task) and get a :class:`concurrent.futures.Future`
+requests from any thread and get a :class:`concurrent.futures.Future`
 back; the dispatcher drains the admission queue in arrival order,
 groups each drain into per-session runs, and **coalesces** consecutive
 ``assign`` requests for a session into one bulk engine dispatch — the
@@ -42,7 +41,6 @@ one poisoned request cannot fail its batchmates.
 
 from __future__ import annotations
 
-import asyncio
 import contextvars
 import threading
 import time
@@ -64,7 +62,6 @@ from repro.service.metrics import MetricsRecorder, ServiceMetrics
 from repro.service.store import SessionStore
 
 __all__ = [
-    "AsyncSchedulingService",
     "EditAck",
     "LoadAck",
     "RestrictAck",
@@ -182,7 +179,7 @@ class SchedulingService:
         # contextvar-scoped use_config overlay) the way the thread that
         # built the service does — a fresh thread starts with an empty
         # context, which would silently change how sessions without an
-        # explicit config resolve backend/workers.  Snapshot the
+        # explicit config resolve workers.  Snapshot the
         # creating context and run the loop inside it.
         self._context = contextvars.copy_context()
         self._dispatcher = threading.Thread(
@@ -531,8 +528,7 @@ class SchedulingService:
             if self._expire_if_late(request):
                 continue
             self._complete(request, SlotAssignment(
-                points=points, slots=slots, num_slots=bulk.num_slots,
-                backend=bulk.backend))
+                points=points, slots=slots, num_slots=bulk.num_slots))
 
     def _execute_single(self, session_id: str, session: Session,
                         request: _Request) -> Session:
@@ -634,62 +630,3 @@ def _certificate_ready(session: Session) -> bool:
     """
     certificate = session._certificate_value
     return certificate is not None and certificate.collision_free
-
-
-class AsyncSchedulingService:
-    """Asyncio front end: the same endpoints as awaitables.
-
-    Wraps a :class:`SchedulingService`; every coroutine submits through
-    the same admission control and awaits the request future without
-    blocking the event loop (``asyncio.wrap_future``).  Typed
-    rejections (:class:`ServiceOverloadError`, deadline/closed errors)
-    raise inside the awaiting task.
-    """
-
-    def __init__(self, service: SchedulingService) -> None:
-        self._service = service
-
-    async def assign(self, session_id: str,
-                     points: Iterable[Sequence[int]], *,
-                     timeout: float | None = None) -> SlotAssignment:
-        future = self._service.submit("assign", session_id,
-                                      {"points": list(points)},
-                                      timeout=timeout)
-        return await asyncio.wrap_future(future)
-
-    async def verify(self, session_id: str, window: Any = None, *,
-                     timeout: float | None = None) -> Any:
-        future = self._service.submit("verify", session_id,
-                                      {"window": window}, timeout=timeout)
-        return await asyncio.wrap_future(future)
-
-    async def edit(self, session_id: str,
-                   updates: Mapping[Sequence[int], int], *,
-                   timeout: float | None = None) -> EditAck:
-        future = self._service.submit("edit", session_id,
-                                      {"updates": dict(updates)},
-                                      timeout=timeout)
-        return await asyncio.wrap_future(future)
-
-    async def restrict(self, session_id: str, window: Any = None, *,
-                       timeout: float | None = None) -> RestrictAck:
-        future = self._service.submit("restrict", session_id,
-                                      {"window": window}, timeout=timeout)
-        return await asyncio.wrap_future(future)
-
-    async def save(self, session_id: str, *,
-                   timeout: float | None = None) -> str:
-        future = self._service.submit("save", session_id, {},
-                                      timeout=timeout)
-        return await asyncio.wrap_future(future)
-
-    async def load(self, session_id: str, text: str, *,
-                   window: Any = None,
-                   timeout: float | None = None) -> LoadAck:
-        future = self._service.submit("load", session_id,
-                                      {"text": text, "window": window},
-                                      timeout=timeout)
-        return await asyncio.wrap_future(future)
-
-    async def metrics(self) -> ServiceMetrics:
-        return self._service.metrics()

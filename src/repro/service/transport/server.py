@@ -266,7 +266,7 @@ class WireServer:
         # that built the server does — the certificate fast path and
         # admin ops execute on the *handler* thread, and a fresh thread
         # starts with an empty context, which would silently change how
-        # sessions without an explicit config resolve backend/workers.
+        # sessions without an explicit config resolve workers.
         # Same contract as the dispatcher's snapshot in
         # SchedulingService.__init__; each connection runs in its own
         # copy because one Context cannot be entered concurrently.

@@ -417,8 +417,7 @@ def encode_result(result: Any) -> dict[str, Any]:
         return {"kind": "assign",
                 "points": _canonical_points(result.points),
                 "slots": [int(slot) for slot in result.slots],
-                "num_slots": int(result.num_slots),
-                "backend": result.backend}
+                "num_slots": int(result.num_slots)}
     if isinstance(result, VerificationReport):
         return {"kind": "verify",
                 "collisions": [[_canonical_points(pair)[0],
@@ -429,7 +428,6 @@ def encode_result(result: Any) -> dict[str, Any]:
                 "checked_points": int(result.checked_points),
                 "cache_hits": int(result.cache_hits),
                 "cache_misses": int(result.cache_misses),
-                "backend": result.backend,
                 "workers": int(result.workers)}
     if isinstance(result, EditAck):
         return {"kind": "edit",
@@ -464,8 +462,7 @@ def decode_result(data: dict[str, Any]) -> Any:
         return SlotAssignment(
             points=_decode_points(data["points"]),
             slots=[int(slot) for slot in data["slots"]],
-            num_slots=int(data["num_slots"]),
-            backend=data["backend"])
+            num_slots=int(data["num_slots"]))
     if kind == "verify":
         return VerificationReport(
             collisions=tuple(
@@ -477,7 +474,6 @@ def decode_result(data: dict[str, Any]) -> Any:
             checked_points=int(data["checked_points"]),
             cache_hits=int(data["cache_hits"]),
             cache_misses=int(data["cache_misses"]),
-            backend=data["backend"],
             workers=int(data["workers"]))
     if kind == "edit":
         return EditAck(points_changed=int(data["points_changed"]),

@@ -13,8 +13,8 @@ Two generator families live here:
   pure function of ``(seed, stream, slot, draw)``.  Nothing is consumed
   and nothing advances, so the value a sensor sees at a given slot does
   not depend on how many other sensors drew before it, on how the slot
-  range was chunked into windows, or on which engine backend computed
-  it.  This is what makes the vectorized random-MAC simulator path
+  range was chunked into windows, or on which worker computed it.
+  This is what makes the vectorized random-MAC simulator path
   (:mod:`repro.engine.randmac`) bit-identical to the scalar one.
 """
 
@@ -144,16 +144,15 @@ class StreamRNG:
     ``uniform(stream, slot, draw)`` hashes ``(root, stream, slot, draw)``
     through three SplitMix64 rounds and maps the top 53 bits to a float
     in ``[0, 1)``.  There is no sequential state: callers may evaluate
-    any subset of coordinates in any order (or in bulk, on any engine
-    backend) and always observe the same values.  The simulator keys
+    any subset of coordinates in any order (or in bulk, in any worker)
+    and always observe the same values.  The simulator keys
     ``stream`` by dense sensor id and ``slot`` by time slot, which is
     what makes randomized runs independent of iteration order and shard
     boundaries.
 
     The bulk kernels in :mod:`repro.engine.randmac` reimplement exactly
-    this arithmetic — on ``uint64`` arrays under numpy, and with cached
-    per-stream bases in the pure-Python fallback; the equivalence tests
-    pin every implementation to this scalar one bit-for-bit.
+    this arithmetic on ``uint64`` arrays; the equivalence tests pin them
+    to this scalar implementation bit-for-bit.
     """
 
     __slots__ = ("root",)

@@ -1,9 +1,10 @@
 """The pinned-seed scenario corpus through the full differential oracle.
 
 Every CI leg replays this corpus — 28 specs, 4 per generator family,
-seed 2008 — across the complete engine matrix ``{numpy, python} x
-{1, 2 workers} x {full, incremental} x {facade, legacy}`` (16 paths per
-spec) and tolerates zero divergences or invariant violations.  The
+seed 2008 — across the complete engine matrix ``{1, 2 workers} x
+{full, incremental} x {facade, legacy}`` (8 paths per spec) and
+tolerates zero divergences, invariant violations or departures from the
+brute-force reference.  The
 ``grid_sweep`` picks include the two *stress* cycle entries (indices 14
 and 15), whose windows are large enough to push the sharded kernels
 past their serial cutoffs, so the 2-worker column genuinely forks.
@@ -47,8 +48,7 @@ class TestCorpusShape:
         assert {family for family, _ in CORPUS} == set(family_names())
 
     def test_matrix_is_the_full_cross_product(self):
-        assert len(MATRIX) == 16
-        assert {p.backend for p in MATRIX} == {"numpy", "python"}
+        assert len(MATRIX) == 8
         assert {p.workers for p in MATRIX} == {1, 2}
         assert {p.mode for p in MATRIX} == {"full", "incremental"}
         assert {p.surface for p in MATRIX} == {"facade", "legacy"}
@@ -96,7 +96,7 @@ class TestCliReproduction:
         payload = json.loads(report_path.read_text())
         assert payload["ok"] is True
         assert payload["results"][0]["family"] == "churn"
-        assert payload["paths_per_spec"] == 16
+        assert payload["paths_per_spec"] == 8
 
     def test_corpus_command_sweeps_families(self):
         result = subprocess.run(

@@ -5,8 +5,7 @@ twice — once as direct ``Session`` method calls, once as requests
 against a shared :class:`~repro.service.server.SchedulingService` with
 cross-session batching enabled — and every canonicalized response
 (collision lists, verification sources, session-lifetime cache
-counters, slot arrays, saved JSON) must match bit for bit, on every
-available engine backend.
+counters, slot arrays, saved JSON) must match bit for bit.
 """
 
 from __future__ import annotations
@@ -18,11 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.backend import numpy_available
 from repro.engine.config import EngineConfig
 from repro.scenarios.generators import iter_corpus
 from repro.service.differential import (
-    default_backends,
     replay_direct,
     replay_specs,
     replay_specs_wire,
@@ -33,17 +30,15 @@ FAMILIES = ("grid_sweep", "churn", "mobile")
 SEED = 2008
 COUNT = 2
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
-
 
 @pytest.fixture(scope="module")
 def corpus():
     return list(iter_corpus(FAMILIES, SEED, COUNT))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_service_replay_bit_identical_to_direct(corpus, backend):
-    config = EngineConfig(backend=backend)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_service_replay_bit_identical_to_direct(corpus, workers):
+    config = EngineConfig(workers=workers)
     service_legs = replay_specs(corpus, config, max_batch=32)
     service_legs.pop("__batched_dispatches__")
     for spec in corpus:
@@ -52,42 +47,39 @@ def test_service_replay_bit_identical_to_direct(corpus, backend):
         assert len(served) == len(direct), spec.label()
         for index, (expected, actual) in enumerate(zip(direct, served)):
             assert actual == expected, (
-                f"{spec.label()} response {index} diverged on {backend}")
+                f"{spec.label()} response {index} diverged with "
+                f"{workers} worker(s)")
 
 
 def test_run_differential_report_clean():
-    report = run_differential(families=FAMILIES, seed=SEED, count=1,
-                              backends=BACKENDS)
+    report = run_differential(families=FAMILIES, seed=SEED, count=1)
     assert report["ok"], report["mismatches"]
     assert report["specs"] == len(FAMILIES)
     assert report["responses_compared"] > 0
-    assert report["backends"] == BACKENDS
+    assert "backends" not in report
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_wire_transport_replay_bit_identical_to_direct(corpus, backend):
+def test_wire_transport_replay_bit_identical_to_direct(corpus):
     """The tentpole acceptance gate: the same corpus, replayed through
     the socket front end over a consistent-hash worker pool — sessions
     serialized through the wire envelope, requests pipelined in bulk
     frames across worker connections — must still answer bit for bit
     what direct ``Session`` calls answer, counters included."""
-    config = EngineConfig(backend=backend)
-    wire_legs = replay_specs_wire(corpus, config, max_batch=32, workers=2)
+    wire_legs = replay_specs_wire(corpus, max_batch=32, workers=2)
     wire_legs.pop("__batched_dispatches__")
     for spec in corpus:
-        direct = replay_direct(spec, config)
+        direct = replay_direct(spec)
         served = wire_legs[spec.label()]
         assert len(served) == len(direct), spec.label()
         for index, (expected, actual) in enumerate(zip(direct, served)):
             assert actual == expected, (
                 f"{spec.label()} response {index} diverged over the "
-                f"wire on {backend}")
+                f"wire")
 
 
 def test_run_differential_wire_report_clean():
     report = run_differential(families=FAMILIES, seed=SEED, count=1,
-                              backends=BACKENDS, transport="wire",
-                              wire_workers=2)
+                              transport="wire", wire_workers=2)
     assert report["ok"], report["mismatches"]
     assert report["transport"] == "wire"
     assert report["wire_workers"] == 2
@@ -128,17 +120,10 @@ def test_serve_entry_point_over_a_real_process_boundary(tmp_path):
         process.stdout.close()
 
 
-def test_default_backends_match_availability():
-    backends = default_backends()
-    assert backends[0] == "python"
-    assert ("numpy" in backends) == numpy_available()
-
-
 def test_adversarial_edit_specs_also_transparent():
     """The edit-heavy family exercises restrict/edit/delta paths."""
     specs = list(iter_corpus(("adversarial_edits",), SEED, 1))
-    config = EngineConfig(backend=BACKENDS[-1])
-    service_legs = replay_specs(specs, config)
+    service_legs = replay_specs(specs)
     service_legs.pop("__batched_dispatches__")
     for spec in specs:
-        assert service_legs[spec.label()] == replay_direct(spec, config)
+        assert service_legs[spec.label()] == replay_direct(spec)

@@ -6,8 +6,8 @@ any corrupted schedule, any faulted shard, and any recovery lane —
 in-pool retry (the crash budget runs out before the retries do),
 serial fallback (the crash budget outlasts every retry), or per-shard
 timeout (a hung worker is cancelled and recomputed) — the collision
-scan returns results bit-identical to the serial, fault-free reference,
-on both engine backends, for 1, 2 and 4 workers.
+scan returns results bit-identical to the serial, fault-free run and to
+the brute-force reference, for 1, 2 and 4 workers.
 
 Windows here are small, so the serial-below-this threshold is patched
 down to make the sharded dispatch genuinely run (the same trick as
@@ -25,17 +25,16 @@ from hypothesis import strategies as st
 import repro.engine.collisions as collisions_module
 from repro.core.schedule import MappingSchedule, find_collisions
 from repro.core.theorem1 import schedule_from_prototile
-from repro.engine import numpy_available
 from repro.engine.config import EngineConfig
 from repro.faults.injection import use_plan
 from repro.faults.plan import FaultPlan
+from repro.scenarios.reference import reference_collisions
 from repro.tiles.shapes import chebyshev_ball
 from repro.utils.vectors import box_points
 
 SETTINGS = dict(max_examples=12, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 WORKER_COUNTS = [1, 2, 4]
 
 _PERIODIC = schedule_from_prototile(chebyshev_ball(1))
@@ -55,10 +54,10 @@ def _corrupted_schedule(seed):
     return MappingSchedule({**clean, **updates})
 
 
-def _scan(schedule, backend, workers, plan):
+def _scan(schedule, workers, plan):
     arming = use_plan(plan) if plan is not None else nullcontext()
     sharded = mock.patch.object(collisions_module, "_MIN_PARALLEL_PROBES", 1)
-    with EngineConfig(backend=backend, workers=workers).apply(), \
+    with EngineConfig(workers=workers).apply(), \
             arming, sharded, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return find_collisions(schedule, WINDOW, _PERIODIC.neighborhood_of)
@@ -76,31 +75,25 @@ def _lane_plan(lane, shard):
 
 class TestSingleWorkerFaultIsInvisible:
     @given(seed=st.integers(0, 2 ** 16),
-           backend=st.sampled_from(BACKENDS),
            workers=st.sampled_from(WORKER_COUNTS),
            shard=st.integers(0, 3),
            lane=st.sampled_from(["retry", "serial-fallback", "timeout"]))
     @settings(**SETTINGS)
-    def test_faulted_scan_matches_serial_reference(self, seed, backend,
-                                                   workers, shard, lane):
+    def test_faulted_scan_matches_serial_reference(self, seed, workers,
+                                                   shard, lane):
         schedule = _corrupted_schedule(seed)
-        reference = _scan(schedule, backend, 1, None)
+        reference = _scan(schedule, 1, None)
         assert reference, "corruption must produce collisions to compare"
-        faulted = _scan(schedule, backend, workers,
+        faulted = _scan(schedule, workers,
                         _lane_plan(lane, shard % max(workers, 1)))
         assert faulted == reference
 
-    @given(seed=st.integers(0, 2 ** 16),
-           backend=st.sampled_from(BACKENDS))
+    @given(seed=st.integers(0, 2 ** 16))
     @settings(**SETTINGS)
-    def test_backends_agree_under_faults(self, seed, backend):
-        # The faulted sharded scan agrees not just with its own
-        # backend's serial run but with the other backend's too.
+    def test_faulted_scan_matches_brute_force(self, seed):
+        # The faulted sharded scan agrees not just with its own serial
+        # run but with the pairwise test of the paper's definition.
         schedule = _corrupted_schedule(seed)
-        results = {
-            b: _scan(schedule, b, 2, _lane_plan("retry", 0))
-            for b in BACKENDS
-        }
-        reference = _scan(schedule, backend, 1, None)
-        for got in results.values():
-            assert got == reference
+        faulted = _scan(schedule, 2, _lane_plan("retry", 0))
+        assert faulted == reference_collisions(
+            WINDOW, schedule.slot_of, _PERIODIC.neighborhood_of)

@@ -7,11 +7,12 @@ Three contracts, for arbitrary coordinates and arbitrary valid specs:
   anything;
 * **closure** — every spec the strategy space can express validates,
   serializes and materializes into a working session;
-* **differential agreement** — on a reduced engine matrix (the python
-  backend, serial), the full-rescan and incremental lanes of both the
-  facade and the legacy surface agree on every strategy-drawn spec.
-  (The full 16-path matrix runs on the pinned corpus in the integration
-  suite — properties keep the per-example cost small instead.)
+* **differential agreement** — on a reduced engine matrix (serial), the
+  full-rescan and incremental lanes of both the facade and the legacy
+  surface agree on every strategy-drawn spec, and with the brute-force
+  reference.  (The full 8-path matrix runs on the pinned corpus in the
+  integration suite — properties keep the per-example cost small
+  instead.)
 """
 
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from tests.properties.strategies import scenario_specs
 SETTINGS = dict(max_examples=20, deadline=None)
 
 #: Cheap four-path matrix for per-example differential checks.
-REDUCED_MATRIX = full_matrix(backends=("python",), workers=(1,))
+REDUCED_MATRIX = full_matrix(workers=(1,))
 
 coordinates = st.tuples(st.sampled_from(family_names()),
                         st.integers(0, 2 ** 32), st.integers(0, 40))
@@ -96,5 +97,5 @@ class TestDifferentialAgreement:
     @settings(max_examples=10, deadline=None)
     def test_facade_equals_legacy_with_simulation(self, spec):
         facade, legacy = (run_path(spec, path) for path in full_matrix(
-            backends=("python",), workers=(1,), modes=("full",)))
+            workers=(1,), modes=("full",)))
         assert facade == legacy

@@ -20,8 +20,11 @@ import repro.engine.config as config_module
 import repro.engine.parallel as parallel_module
 from repro.api import Box, EngineConfig, Session, use_config
 from repro.core.schedule import find_collisions
-from repro.engine.backend import active_backend, use_backend
-from repro.engine.config import default_config, set_default_config
+from repro.engine.config import (
+    active_kernel_failure_policy,
+    default_config,
+    set_default_config,
+)
 from repro.engine.parallel import shard_workers, use_workers
 from repro.net.protocols import (
     CSMALike,
@@ -32,6 +35,7 @@ from repro.net.protocols import (
     protocol_names,
     register_protocol,
 )
+from repro.scenarios.reference import reference_collisions, reference_slots
 from repro.tiles.shapes import chebyshev_ball, directional_antenna
 from repro.utils.vectors import box_points
 
@@ -40,13 +44,12 @@ WINDOW = Box((-6, -6), (6, 6))
 
 @pytest.fixture
 def clean_engine(monkeypatch):
-    """No env vars, no default config: the built-in resolution only."""
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    """No env var, no default config: the built-in resolution only."""
     monkeypatch.delenv("REPRO_ENGINE_WORKERS", raising=False)
     previous = config_module._default
     set_default_config(None)
     # An explicit use_config(None) overlay also hides any ambient
-    # context-local install (e.g. the --engine-config conftest fixture).
+    # context-local install.
     with use_config(None):
         yield
     set_default_config(previous)
@@ -57,27 +60,29 @@ def clean_engine(monkeypatch):
 # ----------------------------------------------------------------------
 class TestEngineConfig:
     def test_frozen_and_validated(self):
-        config = EngineConfig(backend="python", workers=2)
+        config = EngineConfig(workers=2)
         with pytest.raises(AttributeError):
-            config.backend = "numpy"
-        for bad in (dict(backend="fortran"), dict(workers=0),
-                    dict(workers=1.5), dict(workers=True),
-                    dict(decision_window=0), dict(bulk_decisions="yes")):
+            config.workers = 3
+        for bad in (dict(workers=0), dict(workers=1.5), dict(workers=True),
+                    dict(decision_window=0), dict(bulk_decisions="yes"),
+                    dict(on_kernel_failure="ignore")):
             with pytest.raises(ValueError):
                 EngineConfig(**bad)
 
+    def test_four_fields_and_no_engine_choice(self):
+        fields = list(EngineConfig().to_dict())
+        assert fields == ["workers", "bulk_decisions", "decision_window",
+                          "on_kernel_failure"]
+        with pytest.raises(TypeError):
+            EngineConfig(**{"backend": "python"})
+        with pytest.raises(ValueError, match="unknown EngineConfig"):
+            EngineConfig.from_dict({"backend": "python"})
+
     def test_replace(self):
-        config = EngineConfig(backend="python")
+        config = EngineConfig(bulk_decisions=False)
         bumped = config.replace(workers=4)
-        assert bumped == EngineConfig(backend="python", workers=4)
+        assert bumped == EngineConfig(bulk_decisions=False, workers=4)
         assert config.workers is None  # original untouched
-
-    def test_resolve_backend_explicit(self, clean_engine):
-        assert EngineConfig(backend="python").resolve_backend() == "python"
-
-    def test_resolve_backend_defers_to_ambient(self, clean_engine):
-        with use_backend("python"):
-            assert EngineConfig().resolve_backend() == "python"
 
     def test_resolve_workers(self, clean_engine):
         assert EngineConfig(workers=3).resolve_workers() == 3
@@ -86,39 +91,25 @@ class TestEngineConfig:
         assert EngineConfig(workers=100000).resolve_workers() == 64
 
     def test_from_env_snapshots(self, clean_engine, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "python")
         monkeypatch.setenv("REPRO_ENGINE_WORKERS", "3")
-        config = EngineConfig.from_env()
-        assert config.backend == "python"
-        assert config.workers == 3
+        assert EngineConfig.from_env() == EngineConfig(workers=3)
 
     def test_apply_installs_fields(self, clean_engine):
-        with EngineConfig(backend="python", workers=2).apply():
-            assert active_backend() == "python"
+        with EngineConfig(workers=2, on_kernel_failure="raise").apply():
             assert shard_workers() == 2
+            assert active_kernel_failure_policy() == "raise"
         assert shard_workers() == 1
-
-    def test_apply_degrades_numpy_request_without_numpy(self, clean_engine,
-                                                        monkeypatch):
-        import repro.engine.backend as backend_module
-        monkeypatch.setattr(backend_module, "numpy_available", lambda: False)
-        with EngineConfig(backend="numpy").apply():
-            assert active_backend() == "python"
-        assert EngineConfig(backend="numpy").resolve_backend() == "python"
+        assert active_kernel_failure_policy() == "degrade"
 
     def test_default_config_outranks_env(self, clean_engine, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "numpy")
         monkeypatch.setenv("REPRO_ENGINE_WORKERS", "4")
-        with use_config(EngineConfig(backend="python", workers=2)):
-            assert active_backend() == "python"
+        with use_config(EngineConfig(workers=2)):
             assert shard_workers() == 2
-        assert active_backend() == "numpy"
         assert shard_workers() == 4
 
     def test_explicit_call_outranks_default_config(self, clean_engine):
-        with use_config(EngineConfig(backend="python", workers=2)):
-            with use_backend("numpy"), use_workers(3):
-                assert active_backend() == "numpy"
+        with use_config(EngineConfig(workers=2)):
+            with use_workers(3):
                 assert shard_workers() == 3
 
     def test_set_default_config_type_checked(self):
@@ -152,32 +143,32 @@ class TestEngineConfig:
 # worker pool) cannot cross-contaminate each other's resolution.
 # ----------------------------------------------------------------------
 class TestConcurrentConfigIsolation:
-    def test_two_threads_resolve_different_backends(self, clean_engine):
+    def test_two_threads_resolve_different_configs(self, clean_engine):
         import threading
 
         resolved: dict[str, str] = {}
         workers_seen: dict[str, int] = {}
         ready = threading.Barrier(2)
 
-        def run(name: str, backend: str, workers: int) -> None:
-            with use_config(EngineConfig(backend=backend, workers=workers)):
+        def run(name: str, policy: str, workers: int) -> None:
+            with use_config(EngineConfig(on_kernel_failure=policy,
+                                         workers=workers)):
                 # Rendezvous *inside* both blocks: each thread resolves
                 # while the other's config is installed in its context.
                 ready.wait(timeout=10)
-                resolved[name] = active_backend()
+                resolved[name] = active_kernel_failure_policy()
                 workers_seen[name] = shard_workers()
                 ready.wait(timeout=10)
 
         threads = [
-            threading.Thread(target=run, args=("a", "python", 1)),
-            threading.Thread(target=run, args=("b", "auto", 2)),
+            threading.Thread(target=run, args=("a", "raise", 1)),
+            threading.Thread(target=run, args=("b", "degrade", 2)),
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        assert resolved["a"] == "python"
-        assert resolved["b"] in ("numpy", "python")  # auto, not python-pinned
+        assert (resolved["a"], resolved["b"]) == ("raise", "degrade")
         assert (workers_seen["a"], workers_seen["b"]) == (1, 2)
         # Neither install leaked into the main thread.
         assert config_module.installed_default() is None
@@ -190,7 +181,7 @@ class TestConcurrentConfigIsolation:
         def probe() -> None:
             seen["workers"] = shard_workers()
 
-        with use_config(EngineConfig(backend="python", workers=4)):
+        with use_config(EngineConfig(workers=4)):
             thread = threading.Thread(target=probe)
             thread.start()
             thread.join(timeout=30)
@@ -204,7 +195,7 @@ class TestConcurrentConfigIsolation:
         def probe() -> None:
             seen["workers"] = shard_workers()
 
-        set_default_config(EngineConfig(backend="python", workers=3))
+        set_default_config(EngineConfig(workers=3))
         try:
             thread = threading.Thread(target=probe)
             thread.start()
@@ -256,13 +247,6 @@ class TestLazyEnvResolution:
         assert shard_workers() == 3
         monkeypatch.delenv("REPRO_ENGINE_WORKERS")
         assert shard_workers() == 1
-
-    def test_backend_env_change_after_import(self, clean_engine,
-                                             monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "python")
-        assert active_backend() == "python"
-        monkeypatch.setenv("REPRO_ENGINE", "auto")
-        assert active_backend() in ("numpy", "python")
 
     def test_malformed_workers_value_warns_once(self, clean_engine,
                                                 monkeypatch):
@@ -618,7 +602,7 @@ class TestSessionEditAddsPoints:
         """with_config() must not freeze a lazily-derived window either."""
         session = self._session({(0, 0): 0, (10, 10): 0})
         session.verify()                     # derives the domain window
-        rewrapped = session.with_config(EngineConfig(backend="python"))
+        rewrapped = session.with_config(EngineConfig(workers=2))
         report = rewrapped.edit({(1, 1): 0}).verify()
         assert list(report.collisions) == [((0, 0), (1, 1))]
 
@@ -682,31 +666,28 @@ class TestSessionSaveLoad:
 
 
 class TestSessionConfig:
-    def test_config_pins_backend_and_workers(self, clean_engine):
+    def test_config_pins_workers(self, clean_engine):
         session = Session.for_chebyshev(
-            1, window=WINDOW, config=EngineConfig(backend="python",
-                                                  workers=2))
-        report = session.verify()
-        assert (report.backend, report.workers) == ("python", 2)
-        assert session.assign([(0, 0)]).backend == "python"
+            1, window=WINDOW, config=EngineConfig(workers=2))
+        assert session.verify().workers == 2
         # ambient state is untouched outside the calls
         assert shard_workers() == 1
 
     def test_with_config(self, clean_engine):
         session = Session.for_chebyshev(1, window=WINDOW)
-        python = session.with_config(EngineConfig(backend="python"))
-        assert python.schedule is session.schedule
-        assert python.verify().backend == "python"
+        sharded = session.with_config(EngineConfig(workers=2))
+        assert sharded.schedule is session.schedule
+        assert sharded.verify().workers == 2
 
-    def test_backends_agree_through_facade(self, clean_engine):
-        results = {}
-        for backend in ("numpy", "python"):
-            session = Session.for_prototile(
-                directional_antenna(), window=WINDOW,
-                config=EngineConfig(backend=backend))
-            results[backend] = (session.assign(session.window).slots,
-                                session.verify().collisions)
-        assert results["numpy"] == results["python"]
+    def test_facade_matches_reference(self, clean_engine):
+        session = Session.for_prototile(directional_antenna(), window=WINDOW)
+        schedule = session.schedule
+        window = session.window
+        assert list(session.assign(window).slots) == \
+            reference_slots(schedule.slot_of, window)
+        assert list(session.verify(use_cache=False).collisions) == \
+            reference_collisions(window, schedule.slot_of,
+                                 session.neighborhood_of)
 
 
 # ----------------------------------------------------------------------

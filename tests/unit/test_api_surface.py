@@ -3,9 +3,8 @@
 The exported surface of ``repro`` and ``repro.api`` is snapshotted by
 name: adding an export is a deliberate snapshot update, removing or
 renaming one fails loudly.  And every legacy entry point is pinned
-*bit-identical* to its ``Session`` counterpart — on both engine
-backends, with 1 and 2 workers, with no ``DeprecationWarning`` raised on
-either path (neither surface is deprecated; they are two views of one
+*bit-identical* to its ``Session`` counterpart — with 1 and 2
+workers, with no ``DeprecationWarning`` raised on either path (neither surface is deprecated; they are two views of one
 implementation).
 """
 
@@ -73,7 +72,6 @@ def test_top_level_exports_are_the_canonical_objects():
 # Equivalence: legacy entry point == Session counterpart, bit for bit.
 # ----------------------------------------------------------------------
 WINDOW_CORNERS = ((-5, -5), (6, 5))
-BACKENDS = ["numpy", "python"]
 WORKERS = [1, 2]
 
 
@@ -84,18 +82,10 @@ def _forbid_deprecation():
         yield
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    from repro.engine import numpy_available
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed")
-    return request.param
-
-
 @pytest.mark.parametrize("workers", WORKERS)
-def test_assign_equivalence(backend, workers):
-    config = EngineConfig(backend=backend, workers=workers)
-    points = list(box_points(*WINDOW_CORNERS))
+def test_assign_equivalence(workers, coset_lane):
+    config = EngineConfig(workers=workers)
+    points = coset_lane(box_points(*WINDOW_CORNERS))
     with _forbid_deprecation():
         schedule = schedule_from_prototile(chebyshev_ball(1))
         with config.apply():
@@ -103,15 +93,14 @@ def test_assign_equivalence(backend, workers):
         session = Session.for_chebyshev(1, config=config)
         facade = session.assign(points)
     assert list(facade.slots) == list(legacy)
-    assert facade.backend == backend
 
 
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("tile", ["chebyshev", "antenna"])
-def test_verify_equivalence(backend, workers, tile):
+def test_verify_equivalence(workers, tile, scan_lane):
     prototile = (chebyshev_ball(1) if tile == "chebyshev"
                  else directional_antenna())
-    config = EngineConfig(backend=backend, workers=workers)
+    config = EngineConfig(workers=workers)
     points = list(box_points(*WINDOW_CORNERS))
     with _forbid_deprecation():
         schedule = schedule_from_prototile(prototile)
@@ -131,8 +120,8 @@ def test_verify_equivalence(backend, workers, tile):
 
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("protocol_name", ["schedule", "aloha", "csma"])
-def test_simulate_equivalence(backend, workers, protocol_name):
-    config = EngineConfig(backend=backend, workers=workers)
+def test_simulate_equivalence(workers, protocol_name):
+    config = EngineConfig(workers=workers)
     points = list(box_points((0, 0), (7, 7)))
     tile = chebyshev_ball(1)
     with _forbid_deprecation():
@@ -153,9 +142,9 @@ def test_simulate_equivalence(backend, workers, protocol_name):
 
 
 @pytest.mark.parametrize("workers", WORKERS)
-def test_simulator_config_equals_env_style_context(backend, workers):
-    """BroadcastSimulator(config=...) == the use_backend/use_workers way."""
-    config = EngineConfig(backend=backend, workers=workers)
+def test_simulator_config_equals_env_style_context(workers):
+    """BroadcastSimulator(config=...) == the config.apply() way."""
+    config = EngineConfig(workers=workers)
     points = list(box_points((0, 0), (6, 6)))
     network = Network.homogeneous(points, chebyshev_ball(1))
     with _forbid_deprecation():

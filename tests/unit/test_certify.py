@@ -7,7 +7,8 @@ is an optimization grounded in periodicity, never an approximation.
 These tests drive clean (Theorem 1/2) and deliberately colliding
 periodic schedules through certification, serialization round-trips,
 the ``find_collisions(certificate=)`` hook and the out-of-core
-streaming scanner, on both engine backends.
+streaming scanner, and hold the colliding verdicts to the brute-force
+reference.
 """
 
 import tracemalloc
@@ -32,8 +33,8 @@ from repro.core.schedule import (
 from repro.core.serialize import schedule_from_json, schedule_to_json
 from repro.core.theorem1 import schedule_from_prototile
 from repro.core.theorem2 import schedule_from_multi_tiling
-from repro.engine import use_backend
 from repro.lattice.sublattice import diagonal_sublattice
+from repro.scenarios.reference import reference_collisions
 from repro.tiles.shapes import chebyshev_ball
 from repro.tiling.construct import alternating_column_tiling
 from repro.utils.vectors import box_points
@@ -64,51 +65,47 @@ def _colliding_certificate():
 
 
 class TestCleanSchedules:
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_theorem1_schedule_certifies_collision_free(self, backend):
-        with use_backend(backend):
-            schedule = schedule_from_prototile(_TILE)
-            certificate = certify_schedule(schedule)
-            assert certificate is not None
-            assert certificate.collision_free
-            assert certificate.num_slots == schedule.num_slots
-            assert certificate.checked_points > 0
-            # O(1) verdicts agree with the scan on any window, including
-            # a translated (congruent) one
-            for lo, hi in (((0, 0), (9, 9)), ((-17, 31), (-8, 40))):
-                window = list(box_points(lo, hi))
-                assert certificate.verify_points(window) == []
-                assert certificate.verify_box(lo, hi) == []
-                assert find_collisions(schedule, window,
-                                       schedule.neighborhood_of) == []
-
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_theorem2_schedule_certifies_collision_free(self, backend):
-        with use_backend(backend):
-            schedule = schedule_from_multi_tiling(
-                alternating_column_tiling("SZ"))
-            certificate = certify_schedule(schedule)
-            assert certificate is not None
-            assert certificate.collision_free
-            window = list(box_points((-5, -5), (6, 6)))
+    def test_theorem1_schedule_certifies_collision_free(self, scan_lane):
+        schedule = schedule_from_prototile(_TILE)
+        certificate = certify_schedule(schedule)
+        assert certificate is not None
+        assert certificate.collision_free
+        assert certificate.num_slots == schedule.num_slots
+        assert certificate.checked_points > 0
+        # O(1) verdicts agree with the scan on any window, including
+        # a translated (congruent) one
+        for lo, hi in (((0, 0), (9, 9)), ((-17, 31), (-8, 40))):
+            window = list(box_points(lo, hi))
             assert certificate.verify_points(window) == []
+            assert certificate.verify_box(lo, hi) == []
             assert find_collisions(schedule, window,
                                    schedule.neighborhood_of) == []
 
+    def test_theorem2_schedule_certifies_collision_free(self, scan_lane):
+        schedule = schedule_from_multi_tiling(
+            alternating_column_tiling("SZ"))
+        certificate = certify_schedule(schedule)
+        assert certificate is not None
+        assert certificate.collision_free
+        window = list(box_points((-5, -5), (6, 6)))
+        assert certificate.verify_points(window) == []
+        assert find_collisions(schedule, window,
+                               schedule.neighborhood_of) == []
+
 
 class TestCollidingSchedules:
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_verdict_matches_full_scan_bit_for_bit(self, backend):
+    def test_verdict_matches_full_scan_bit_for_bit(self, scan_lane):
         schedule, certificate = _colliding_certificate()
         assert not certificate.collision_free
         assert certificate.colliding_classes
-        with use_backend(backend):
-            for lo, hi in (((0, 0), (6, 6)), ((-9, 4), (-2, 11))):
-                window = list(box_points(lo, hi))
-                want = find_collisions(schedule, window, _flat_neighborhood)
-                assert want  # the differential saw real collisions
-                assert certificate.verify_points(window) == want
-                assert certificate.verify_box(lo, hi) == want
+        for lo, hi in (((0, 0), (6, 6)), ((-9, 4), (-2, 11))):
+            window = list(box_points(lo, hi))
+            want = find_collisions(schedule, window, _flat_neighborhood)
+            assert want  # the differential saw real collisions
+            assert want == reference_collisions(window, schedule.slot_of,
+                                                _flat_neighborhood)
+            assert certificate.verify_points(window) == want
+            assert certificate.verify_box(lo, hi) == want
 
     def test_verify_points_follows_window_membership(self):
         schedule, certificate = _colliding_certificate()
@@ -208,27 +205,25 @@ class TestFindCollisionsHook:
 
 
 class TestStreaming:
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_streamed_scan_equals_one_shot(self, backend):
+    def test_streamed_scan_equals_one_shot(self, scan_lane):
         lo, hi = (-4, -3), (17, 12)
-        with use_backend(backend):
-            for schedule, neighborhood in (
-                    (schedule_from_prototile(_TILE), None),
-                    (schedule_from_multi_tiling(
-                        alternating_column_tiling("SZ")), None),
-                    (_Flat(), _flat_neighborhood)):
-                nb = neighborhood or schedule.neighborhood_of
-                offsets = (sorted({(0, 1), (1, 0), (1, 1), (0, -1),
-                                   (-1, 0), (2, 0), (0, 2), (1, -1)})
-                           if neighborhood else None)
-                want = find_collisions(schedule,
-                                       list(box_points(lo, hi)), nb,
-                                       offsets=offsets)
-                for chunk in (1, 7, 50, 10**6):
-                    got = stream_box_collisions(schedule, lo, hi, nb,
-                                                offsets=offsets,
-                                                chunk_points=chunk)
-                    assert got == want
+        for schedule, neighborhood in (
+                (schedule_from_prototile(_TILE), None),
+                (schedule_from_multi_tiling(
+                    alternating_column_tiling("SZ")), None),
+                (_Flat(), _flat_neighborhood)):
+            nb = neighborhood or schedule.neighborhood_of
+            offsets = (sorted({(0, 1), (1, 0), (1, 1), (0, -1),
+                               (-1, 0), (2, 0), (0, 2), (1, -1)})
+                       if neighborhood else None)
+            want = find_collisions(schedule,
+                                   list(box_points(lo, hi)), nb,
+                                   offsets=offsets)
+            for chunk in (1, 7, 50, 10**6):
+                got = stream_box_collisions(schedule, lo, hi, nb,
+                                            offsets=offsets,
+                                            chunk_points=chunk)
+                assert got == want
 
     def test_structureless_schedules_need_explicit_offsets(self):
         with pytest.raises(ValueError, match="offsets"):

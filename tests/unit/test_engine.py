@@ -1,9 +1,10 @@
 """Unit tests for the bulk engine and its integration regressions.
 
-Covers the three bugfixes of this change (generator-valued ``offsets``,
-empty prototile lists, cached network positions) and the engine contract:
-the numpy and pure-Python paths must produce byte-identical collision
-lists, slot assignments and simulator metrics.
+Covers the bugfix regressions (generator-valued ``offsets``, empty
+prototile lists, cached network positions) and the engine contract: the
+numpy kernels must produce the collision lists, slot assignments and
+per-slot receptions of the brute-force reference in
+:mod:`repro.scenarios.reference`.
 """
 
 import random
@@ -18,24 +19,19 @@ from repro.core.schedule import (
 )
 from repro.core.theorem1 import schedule_from_prototile
 from repro.core.theorem2 import schedule_from_multi_tiling
-from repro.engine import (
-    AdjacencyIndex,
-    BoxEncoder,
-    CosetTable,
-    active_backend,
-    numpy_available,
-    set_backend,
-    use_backend,
-)
+from repro.engine import AdjacencyIndex, BoxEncoder, CosetTable, EngineConfig
 from repro.lattice.sublattice import diagonal_sublattice
 from repro.net.model import Network
 from repro.net.protocols import CSMALike, GlobalTDMA, ScheduleMAC, SlottedAloha
-from repro.net.simulator import simulate
+from repro.net.simulator import BroadcastSimulator, simulate
+from repro.scenarios.reference import (
+    reference_collisions,
+    reference_receptions,
+    reference_slots,
+)
 from repro.tiles.shapes import chebyshev_ball, plus_pentomino, rectangle_tile
 from repro.tiling.construct import figure5_mixed_tiling
 from repro.utils.vectors import box_points, difference_set
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 # ----------------------------------------------------------------------
@@ -101,23 +97,6 @@ class TestNetworkPositionsCache:
 # ----------------------------------------------------------------------
 # Engine building blocks
 # ----------------------------------------------------------------------
-class TestBackend:
-    def test_rejects_unknown_name(self):
-        with pytest.raises(ValueError):
-            set_backend("cuda")
-
-    def test_use_backend_restores(self):
-        before = active_backend()
-        with use_backend("python"):
-            assert active_backend() == "python"
-        assert active_backend() == before
-
-    @pytest.mark.skipif(numpy_available(), reason="numpy is installed")
-    def test_numpy_request_without_numpy(self):
-        with pytest.raises(ValueError):
-            set_backend("numpy")
-
-
 class TestBoxEncoder:
     def test_keys_are_bijective_and_lexicographic(self):
         points = list(box_points((-2, 1), (1, 3)))
@@ -157,9 +136,7 @@ class TestCosetTable:
         points = list(box_points((-7, -7), (7, 7)))
         expected = [values[sublattice.canonical_representative(p)]
                     for p in points]
-        for backend in BACKENDS:
-            with use_backend(backend):
-                assert table.lookup(points) == expected
+        assert table.lookup(points) == expected
         assert table.value_of((5, -3)) == \
             values[sublattice.canonical_representative((5, -3))]
 
@@ -190,7 +167,7 @@ class TestAdjacencyIndex:
 
 
 # ----------------------------------------------------------------------
-# Backend equivalence: collisions, slots, simulator
+# The kernels against the brute-force reference
 # ----------------------------------------------------------------------
 def _random_window(seed, side=9):
     rng = random.Random(seed)
@@ -200,23 +177,18 @@ def _random_window(seed, side=9):
     return points, MappingSchedule(assignment)
 
 
-class TestBackendEquivalence:
+class TestReferenceEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_collision_lists_identical(self, seed):
+    def test_collision_lists_match_reference(self, seed, scan_lane):
         points, schedule = _random_window(seed)
         tile = chebyshev_ball(1)
         neighborhood = lambda p: tile.translate(p)  # noqa: E731
-        results = {}
-        for backend in BACKENDS:
-            with use_backend(backend):
-                results[backend] = find_collisions(schedule, points,
-                                                   neighborhood)
-        assert results["python"]  # random 4-slot window must collide
-        first, *rest = results.values()
-        for other in rest:
-            assert other == first
+        got = find_collisions(schedule, points, neighborhood)
+        assert got  # random 4-slot window must collide
+        assert got == reference_collisions(points, schedule.slot_of,
+                                           neighborhood)
 
-    def test_collision_list_is_sorted_canonical(self):
+    def test_collision_list_is_sorted_canonical(self, scan_lane):
         points, schedule = _random_window(7)
         tile = chebyshev_ball(1)
         collisions = find_collisions(schedule, points,
@@ -224,58 +196,48 @@ class TestBackendEquivalence:
         assert collisions == sorted(collisions)
         assert all(x < y for x, y in collisions)
 
-    def test_heterogeneous_collisions_identical(self):
+    def test_heterogeneous_collisions_match_reference(self, scan_lane):
         multi = figure5_mixed_tiling()
         points = list(box_points((-4, -4), (4, 4)))
         bad = MappingSchedule({p: 0 for p in points})
-        results = []
-        for backend in BACKENDS:
-            with use_backend(backend):
-                results.append(find_collisions(bad, points,
-                                               multi.neighborhood_of))
-        assert results[0]
-        assert all(r == results[0] for r in results)
+        got = find_collisions(bad, points, multi.neighborhood_of)
+        assert got
+        assert got == reference_collisions(points, bad.slot_of,
+                                           multi.neighborhood_of)
 
-    def test_theorem_schedules_verify_on_both_backends(self):
+    def test_theorem_schedules_verify_clean(self, scan_lane):
         schedule = schedule_from_prototile(chebyshev_ball(1))
         points = list(box_points((-5, -5), (5, 5)))
         multi = figure5_mixed_tiling()
         schedule2 = schedule_from_multi_tiling(multi)
-        for backend in BACKENDS:
-            with use_backend(backend):
-                assert verify_collision_free(schedule, points,
-                                             schedule.neighborhood_of)
-                assert verify_collision_free(schedule2, points,
-                                             schedule2.neighborhood_of)
+        for sched in (schedule, schedule2):
+            assert verify_collision_free(sched, points, sched.neighborhood_of)
+            assert not reference_collisions(points, sched.slot_of,
+                                            sched.neighborhood_of)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_slots_of_matches_slot_of(self, backend):
-        points = list(box_points((-6, -6), (6, 6)))
+    def test_slots_of_matches_slot_of(self, coset_lane):
+        points = coset_lane(box_points((-6, -6), (6, 6)))
         schedule = schedule_from_prototile(plus_pentomino())
         multi_schedule = schedule_from_multi_tiling(figure5_mixed_tiling())
-        with use_backend(backend):
-            assert schedule.slots_of(points) == \
-                [schedule.slot_of(p) for p in points]
-            assert multi_schedule.slots_of(points) == \
-                [multi_schedule.slot_of(p) for p in points]
+        for sched in (schedule, multi_schedule):
+            assert sched.slots_of(points) == \
+                reference_slots(sched.slot_of, points)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_decompose_batch_matches_decompose(self, backend):
+    def test_decompose_batch_matches_decompose(self):
         schedule = schedule_from_prototile(chebyshev_ball(1))
         tiling = schedule.tiling
         multi = figure5_mixed_tiling()
         points = list(box_points((-4, -4), (4, 4)))
-        with use_backend(backend):
-            assert tiling.decompose_batch(points) == \
-                [tiling.decompose(p) for p in points]
-            assert multi.decompose_batch(points) == \
-                [multi.decompose(p) for p in points]
-            assert multi.prototile_indices(points) == \
-                [multi.prototile_index_of(p) for p in points]
+        assert tiling.decompose_batch(points) == \
+            [tiling.decompose(p) for p in points]
+        assert multi.decompose_batch(points) == \
+            [multi.decompose(p) for p in points]
+        assert multi.prototile_indices(points) == \
+            [multi.prototile_index_of(p) for p in points]
 
     @pytest.mark.parametrize("protocol_name",
                              ["schedule", "tdma", "aloha", "csma"])
-    def test_simulator_metrics_identical(self, protocol_name):
+    def test_simulator_follows_reception_rules(self, protocol_name):
         tile = chebyshev_ball(1)
         points = list(box_points((0, 0), (5, 5)))
         network = Network.homogeneous(points, tile)
@@ -290,10 +252,20 @@ class TestBackendEquivalence:
                 return SlottedAloha(0.3)
             return CSMALike(0.3)
 
-        results = []
-        for backend in BACKENDS:
-            with use_backend(backend):
-                results.append(simulate(network, make_protocol(), slots=40,
-                                        packet_interval=5, seed=11))
-        assert all(r == results[0] for r in results)
-        assert results[0].packets_created > 0
+        receivers = {p: network.receivers_of(p) for p in network.positions}
+        simulator = BroadcastSimulator(network, make_protocol(),
+                                       packet_interval=5, seed=11)
+        metrics = simulator.metrics
+        for _ in range(40):
+            failed = metrics.failed_receptions
+            done = metrics.successful_broadcasts
+            outcome = reference_receptions(simulator.step(), receivers)
+            assert metrics.failed_receptions - failed == \
+                sum(len(lost) for _, lost in outcome.values())
+            assert metrics.successful_broadcasts - done == \
+                sum(not lost for _, lost in outcome.values())
+        assert metrics.packets_created > 0
+        scalar = simulate(network, make_protocol(), slots=40,
+                          packet_interval=5, seed=11,
+                          config=EngineConfig(bulk_decisions=False))
+        assert scalar == metrics

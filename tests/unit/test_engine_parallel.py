@@ -2,7 +2,7 @@
 
 The contract of :mod:`repro.engine.parallel` is that sharding is purely
 a performance decision — every kernel must return exactly the serial
-result for 1, 2 or 4 workers, on either engine backend.  The thresholds
+result for 1, 2 or 4 workers.  The thresholds
 that keep small inputs serial are monkeypatched down so the sharded
 dispatch genuinely runs on test-sized inputs.
 """
@@ -15,7 +15,6 @@ import repro.engine.collisions as collisions_module
 import repro.engine.randmac as randmac_module
 import repro.engine.slots as slots_module
 from repro.core.theorem1 import schedule_from_prototile
-from repro.engine import use_backend
 from repro.engine.parallel import (
     _workers_from_env,
     cpu_budget,
@@ -39,7 +38,6 @@ from repro.tiles.shapes import chebyshev_ball
 from repro.utils.rng import StreamRNG
 from repro.utils.vectors import box_points
 
-BACKENDS = ["numpy", "python"]
 WORKER_COUNTS = [1, 2, 4]
 
 
@@ -152,55 +150,49 @@ def _collision_inputs():
 
 
 class TestShardedKernels:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_scan_collisions_identical_across_workers(self, backend,
-                                                      force_sharding):
+    def test_scan_collisions_identical_across_workers(self, force_sharding,
+                                                      scan_lane):
         points, slots, shape_ids, shapes, offsets = _collision_inputs()
-        with use_backend(backend):
-            reference = None
-            for workers in WORKER_COUNTS:
-                with use_workers(workers):
-                    got = scan_collisions(points, slots, shape_ids, shapes,
-                                          offsets)
-                if reference is None:
-                    reference = got
-                    assert reference  # the inputs must actually collide
-                assert got == reference
+        reference = None
+        for workers in WORKER_COUNTS:
+            with use_workers(workers):
+                got = scan_collisions(points, slots, shape_ids, shapes,
+                                      offsets)
+            if reference is None:
+                reference = got
+                assert reference  # the inputs must actually collide
+            assert got == reference
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_coset_lookup_identical_across_workers(self, backend,
-                                                   force_sharding):
+    def test_coset_lookup_identical_across_workers(self, force_sharding,
+                                                   coset_lane):
         schedule = schedule_from_prototile(chebyshev_ball(1))
         table = schedule._coset_table()
-        points = list(box_points((-7, -7), (9, 9)))
-        with use_backend(backend):
-            reference = None
-            for workers in WORKER_COUNTS:
-                with use_workers(workers):
-                    got = table.lookup(points)
-                if reference is None:
-                    reference = got
-                assert got == reference
+        points = coset_lane(box_points((-7, -7), (9, 9)))
+        reference = None
+        for workers in WORKER_COUNTS:
+            with use_workers(workers):
+                got = table.lookup(points)
+            if reference is None:
+                reference = got
+                assert reference == [table.value_of(p) for p in points]
+            assert got == reference
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_decision_blocks_match_scalar_streams(self, backend,
-                                                  force_sharding):
+    def test_decision_blocks_match_scalar_streams(self, force_sharding):
         rng = StreamRNG(23)
         n, t0, t1, p = 41, 5, 12, 0.37
         muted = [i % 3 == 0 for i in range(n)]
-        with use_backend(backend):
-            for workers in WORKER_COUNTS:
-                with use_workers(workers):
-                    uniforms = uniform_block(rng, n, t0, t1)
-                    decisions = bernoulli_block(rng, n, t0, t1, p)
-                    masked = masked_bernoulli_block(rng, n, t0, t1, p, muted)
-                for t in range(t0, t1):
-                    for i in range(n):
-                        want = rng.uniform(i, t)
-                        assert uniforms[t - t0][i] == want
-                        assert bool(decisions[t - t0][i]) == (want < p)
-                        expect = (want < p) and not (t == t0 and muted[i])
-                        assert bool(masked[t - t0][i]) == expect
+        for workers in WORKER_COUNTS:
+            with use_workers(workers):
+                uniforms = uniform_block(rng, n, t0, t1)
+                decisions = bernoulli_block(rng, n, t0, t1, p)
+                masked = masked_bernoulli_block(rng, n, t0, t1, p, muted)
+            for t in range(t0, t1):
+                for i in range(n):
+                    want = rng.uniform(i, t)
+                    assert uniforms[t - t0][i] == want
+                    assert bool(decisions[t - t0][i]) == (want < p)
+                    expect = (want < p) and not (t == t0 and muted[i])
+                    assert bool(masked[t - t0][i]) == expect
 
     def test_single_slot_windows_never_shard(self, monkeypatch,
                                              force_sharding):
@@ -217,14 +209,12 @@ class TestShardedKernels:
             masked_bernoulli_block(rng, 300, 5, 6, 0.4, [False] * 300)
             bernoulli_block(rng, 300, 5, 6, 0.4)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_uniform_block_range_is_a_column_slice(self, backend):
+    def test_uniform_block_range_is_a_column_slice(self):
         rng = StreamRNG(4)
-        with use_backend(backend):
-            full = uniform_block(rng, 30, 2, 6)
-            part = uniform_block_range(rng, 10, 20, 2, 6)
-            for t in range(4):
-                assert list(part[t]) == list(full[t][10:20])
+        full = uniform_block(rng, 30, 2, 6)
+        part = uniform_block_range(rng, 10, 20, 2, 6)
+        for t in range(4):
+            assert list(part[t]) == list(full[t][10:20])
 
 
 class TestShardedSimulator:
@@ -244,10 +234,9 @@ class TestShardedSimulator:
             return simulator.run(30)
 
         reference = run(bulk=False)
-        for backend in BACKENDS:
-            for workers in WORKER_COUNTS:
-                with use_backend(backend), use_workers(workers):
-                    assert run() == reference
+        for workers in WORKER_COUNTS:
+            with use_workers(workers):
+                assert run() == reference
 
     def test_decision_window_widens_with_workers(self):
         with use_workers(1):

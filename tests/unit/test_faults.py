@@ -4,12 +4,12 @@ The contract under test is the fault model's three-part promise:
 
 * a :class:`FaultPlan` is a frozen *description* — every injected fault
   a pure function of ``(seed, site, draw)``, replaying identically
-  across backends, worker counts and call orders;
+  across worker counts and call orders;
 * arming is scoped and leak-proof — :func:`use_plan` restores the
   previous state (plan *and* per-arming counters) even when the block
   raises, and an all-default plan armed changes nothing;
 * failure surfaces are typed — a numpy kernel failure degrades to the
-  bit-identical python twin under the default policy (and propagates
+  exact scan under the default policy (and propagates
   under ``on_kernel_failure="raise"``), corrupt session files raise
   :class:`CorruptSessionError` naming path and reason, and
   :meth:`Session.repair` heals byzantine corruption deterministically.
@@ -29,7 +29,6 @@ from repro.api import (
 from repro.core.certify import certificate_from_json
 from repro.core.schedule import find_collisions
 from repro.core.theorem1 import schedule_from_prototile
-from repro.engine import numpy_available, use_backend
 from repro.engine.collisions import EngineDegradedWarning
 from repro.faults.chaos import corrupt_session, plan_for_spec
 from repro.faults.injection import (
@@ -46,6 +45,7 @@ from repro.faults.plan import (
     InjectedWorkerCrash,
 )
 from repro.scenarios.generators import generate
+from repro.scenarios.reference import reference_collisions
 from repro.tiles.shapes import chebyshev_ball
 from repro.utils.vectors import box_points
 
@@ -191,7 +191,6 @@ class TestArming:
         consume_numpy_failure()
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 class TestKernelDegradation:
     SCHEDULE = schedule_from_prototile(chebyshev_ball(1))
 
@@ -199,10 +198,10 @@ class TestKernelDegradation:
         return find_collisions(self.SCHEDULE, WINDOW,
                                self.SCHEDULE.neighborhood_of)
 
-    def test_degraded_scan_matches_python_twin(self):
-        with use_backend("python"):
-            reference = self._scan()
-        with use_backend("numpy"), use_plan(FaultPlan(numpy_failures=1)):
+    def test_degraded_scan_matches_reference(self):
+        reference = reference_collisions(WINDOW, self.SCHEDULE.slot_of,
+                                         self.SCHEDULE.neighborhood_of)
+        with use_plan(FaultPlan(numpy_failures=1)):
             with pytest.warns(EngineDegradedWarning) as caught:
                 degraded = self._scan()
             recovered = self._scan()  # budget spent: numpy path again
@@ -213,7 +212,7 @@ class TestKernelDegradation:
         assert "injected numpy kernel failure" in warning.reason
 
     def test_raise_policy_propagates_the_kernel_fault(self):
-        config = EngineConfig(backend="numpy", on_kernel_failure="raise")
+        config = EngineConfig(on_kernel_failure="raise")
         with config.apply(), use_plan(FaultPlan(numpy_failures=1)):
             with pytest.raises(InjectedKernelFault):
                 self._scan()

@@ -22,7 +22,7 @@ from repro.scenarios.generators import EXACT_TILES
 from repro.tiles.shapes import GALLERY
 
 #: Cheapest matrix that still covers both modes and both surfaces.
-CHEAP = full_matrix(backends=("python",), workers=(1,))
+CHEAP = full_matrix(workers=(1,))
 
 
 def _spec(**overrides) -> ScenarioSpec:
@@ -178,8 +178,21 @@ class TestOracle:
     def test_facade_and_legacy_observe_identically(self):
         spec = generate("heterogeneous_mix", 2008, 1)
         facade, legacy = (run_path(spec, path) for path in full_matrix(
-            backends=("python",), workers=(1,), modes=("full",)))
+            workers=(1,), modes=("full",)))
         assert facade == legacy
+
+    def test_reference_catches_a_consistently_wrong_engine(self,
+                                                           monkeypatch):
+        # Every path shares CosetTable, so a shifted lookup fools the
+        # cross-path comparison and (being a slot permutation) the
+        # theorem invariants; only the brute-force reference sees it.
+        from repro.engine.slots import CosetTable
+        lookup = CosetTable.lookup
+        monkeypatch.setattr(
+            CosetTable, "lookup",
+            lambda self, points: [(s + 1) % 9 for s in lookup(self, points)])
+        report = run_oracle(_spec(), paths=CHEAP)
+        assert any("per-point slot_of" in v for v in report.violations)
 
     def test_false_clean_expectation_is_a_violation(self):
         report = run_oracle(_spec(expect_collision_free=False),
@@ -205,8 +218,8 @@ class TestOracle:
         assert "python -m repro.scenarios run" in report.summary()
 
     def test_matrix_axes_are_narrowable(self):
-        assert len(full_matrix(backends=("python",), workers=(1,),
-                               modes=("full",), surfaces=("legacy",))) == 1
+        assert len(full_matrix(workers=(1,), modes=("full",),
+                               surfaces=("legacy",))) == 1
 
 
 class TestCli:
@@ -226,8 +239,7 @@ class TestCli:
     def test_run_writes_a_json_report(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         code = scenarios_main(["run", "churn", "--index", "1",
-                               "--workers", "1", "--backends", "python",
-                               "--json", str(path)])
+                               "--workers", "1", "--json", str(path)])
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload["ok"] is True
@@ -251,7 +263,6 @@ class TestCli:
                 lambda seed, index: broken.__class__(
                     **{**broken.__dict__, "seed": seed, "index": index})))
         code = scenarios_main(["corpus", "--families", "churn",
-                               "--count", "1", "--workers", "1",
-                               "--backends", "python"])
+                               "--count", "1", "--workers", "1"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out

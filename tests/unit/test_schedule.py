@@ -176,18 +176,15 @@ class TestManyShapeClassesFallback:
         shapes, _ = schedule_module._origin_shapes(points, neighborhood)
         assert len(shapes) == len(points) > schedule_module._MAX_SHAPE_CLASSES
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_fallback_matches_bulk_engine_path(self, backend, monkeypatch):
+    def test_fallback_matches_bulk_engine_path(self, monkeypatch, scan_lane):
         import repro.core.schedule as schedule_module
-        from repro.engine import use_backend
 
         points, neighborhood = self._degenerate_window()
         schedule = MappingSchedule({p: p[0] % 2 if p[0] < 20 else 0
                                     for p in points})
-        with use_backend(backend):
-            fallback = find_collisions(schedule, points, neighborhood)
-            monkeypatch.setattr(schedule_module, "_MAX_SHAPE_CLASSES", 10_000)
-            bulk = find_collisions(schedule, points, neighborhood)
+        fallback = find_collisions(schedule, points, neighborhood)
+        monkeypatch.setattr(schedule_module, "_MAX_SHAPE_CLASSES", 10_000)
+        bulk = find_collisions(schedule, points, neighborhood)
         assert fallback == bulk
         assert fallback  # the all-slot-0 half must produce collisions
 

@@ -4,7 +4,7 @@ The cache's contract is that after any sequence of ``apply`` calls its
 collision list equals a full :func:`find_collisions` rescan of the
 edited schedule — the dirty-region rescan is an optimization, never an
 approximation.  The randomized tests drive long edit sequences against
-the full-scan oracle on both engine backends.
+the full-scan oracle and the brute-force reference.
 """
 
 import random
@@ -19,7 +19,7 @@ from repro.core.schedule import (
     verify_collision_free,
 )
 from repro.core.theorem1 import schedule_from_prototile
-from repro.engine import use_backend
+from repro.scenarios.reference import reference_collisions
 from repro.tiles.shapes import chebyshev_ball, rectangle_tile
 from repro.utils.vectors import box_points
 
@@ -132,20 +132,20 @@ class TestVerificationCache:
         assert cache.apply(delta) == find_collisions(delta.schedule, window,
                                                      _neighborhood)
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_random_edit_sequences_match_full_rescan(self, backend):
+    def test_random_edit_sequences_match_full_rescan(self, scan_lane):
         rng = random.Random(91)
         points, schedule = _tiled_mapping(12)
-        with use_backend(backend):
-            cache = VerificationCache(schedule, points, _neighborhood)
-            current = schedule
-            for _ in range(40):
-                edits = {rng.choice(points): rng.randrange(9)
-                         for _ in range(rng.randrange(1, 5))}
-                delta = current.with_updates(edits)
-                assert cache.apply(delta) == find_collisions(
-                    delta.schedule, points, _neighborhood)
-                current = delta.schedule
+        cache = VerificationCache(schedule, points, _neighborhood)
+        current = schedule
+        for _ in range(40):
+            edits = {rng.choice(points): rng.randrange(9)
+                     for _ in range(rng.randrange(1, 5))}
+            delta = current.with_updates(edits)
+            assert cache.apply(delta) == find_collisions(
+                delta.schedule, points, _neighborhood)
+            current = delta.schedule
+        assert cache.collisions() == reference_collisions(
+            points, current.slot_of, _neighborhood)
 
     def test_handmade_delta_is_honored(self):
         # Any code constructing deltas by hand gets the same fast lane,
@@ -308,8 +308,7 @@ class TestWindowIdentity:
 class TestDegenerateScanParity:
     """The many-shape fallback must mirror the bulk path exactly."""
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_duplicate_points_match_bulk_path(self, backend, monkeypatch):
+    def test_duplicate_points_match_bulk_path(self, monkeypatch, scan_lane):
         import repro.core.schedule as schedule_module
         points, schedule = _tiled_mapping(5)
         # duplicated points, plus a forced collision to make the lists
@@ -317,9 +316,8 @@ class TestDegenerateScanParity:
         window = points + points[:9] + points[:3]
         edited = schedule.with_updates(
             {(1, 1): schedule.slot_of((1, 2))}).schedule
-        with use_backend(backend):
-            bulk = find_collisions(edited, window, _neighborhood)
-            monkeypatch.setattr(schedule_module, "_MAX_SHAPE_CLASSES", -1)
-            degenerate = find_collisions(edited, window, _neighborhood)
+        bulk = find_collisions(edited, window, _neighborhood)
+        monkeypatch.setattr(schedule_module, "_MAX_SHAPE_CLASSES", -1)
+        degenerate = find_collisions(edited, window, _neighborhood)
         assert degenerate == bulk
         assert bulk  # the differential saw real collisions

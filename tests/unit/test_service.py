@@ -10,7 +10,6 @@ stays bit-identical to per-request dispatch.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
@@ -18,7 +17,6 @@ import pytest
 
 from repro.api import Box, Session
 from repro.service import (
-    AsyncSchedulingService,
     EditAck,
     LoadAck,
     SchedulingService,
@@ -61,7 +59,6 @@ class TestEndpointIdentity:
         served = service.assign("s", points)
         assert canonical_slots(served) == canonical_slots(direct)
         assert served.num_slots == direct.num_slots
-        assert served.backend == direct.backend
 
     def test_verify_sequence_matches_direct(self, service):
         service.open_session("s", make_tiling_session())
@@ -101,20 +98,19 @@ class TestEndpointIdentity:
 
         The dispatcher thread starts with an empty contextvar context;
         without snapshotting the creating context, sessions with no
-        explicit config would resolve backend/workers differently
+        explicit config would resolve workers differently
         through the service than through direct calls made in the
         installing thread.
         """
         from repro.api import EngineConfig, use_config
 
-        with use_config(EngineConfig(backend="python", workers=2)):
+        with use_config(EngineConfig(workers=2)):
             svc = SchedulingService(SessionStore(), max_queue=64)
             svc.open_session("s", make_tiling_session())
             direct = make_tiling_session().verify()
             served = svc.verify("s")
             svc.close()
         assert served.workers == direct.workers == 2
-        assert served.backend == direct.backend == "python"
 
     def test_unknown_session_is_typed(self, service):
         future = service.submit("assign", "ghost", {"points": [(0, 0)]})
@@ -325,49 +321,3 @@ class TestMetrics:
         assert set(payload) == {"counters", "latencies", "gauges"}
         assert payload["counters"]["assign.completed"] == 1
         assert "p99_s" in payload["latencies"]["assign"]
-
-
-class TestAsyncFront:
-    def test_async_endpoints_match_direct(self):
-        svc = SchedulingService(SessionStore(), max_queue=256)
-        svc.open_session("s", make_tiling_session())
-
-        async def drive():
-            front = AsyncSchedulingService(svc)
-            assignment = await front.assign("s", [(0, 0), (2, 3)])
-            report = await front.verify("s")
-            metrics = await front.metrics()
-            return assignment, report, metrics
-
-        assignment, report, metrics = asyncio.run(drive())
-        svc.close()
-        direct = make_tiling_session()
-        assert canonical_slots(assignment) \
-            == canonical_slots(direct.assign([(0, 0), (2, 3)]))
-        assert report.collisions == direct.verify().collisions
-        assert metrics.counter("assign.completed") == 1
-
-    def test_async_overload_raises_in_task(self):
-        svc = SchedulingService(SessionStore(), max_queue=1,
-                                autostart=False)
-        svc.open_session("s", make_tiling_session())
-
-        async def drive():
-            front = AsyncSchedulingService(svc)
-            futures = []
-            with pytest.raises(ServiceOverloadError):
-                for _ in range(5):
-                    futures.append(asyncio.ensure_future(
-                        front.assign("s", [(0, 0)])))
-                    # submit() runs synchronously inside the coroutine
-                    # construction, so the overload surfaces here.
-                    await asyncio.sleep(0)
-                    for done in futures:
-                        if done.done():
-                            done.result()
-                    await front.assign("s", [(0, 0)])
-            for pending in futures:
-                pending.cancel()
-
-        asyncio.run(drive())
-        svc.close(wait=False)

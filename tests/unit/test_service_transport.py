@@ -174,8 +174,7 @@ class TestResultCodec:
         direct = make_tiling_session().assign([(0, 0), (1, 2), (4, 5)])
         again = decode_result(encode_result(direct))
         assert canonical_slots(again) == canonical_slots(direct)
-        assert (again.num_slots, again.backend) == \
-            (direct.num_slots, direct.backend)
+        assert again.num_slots == direct.num_slots
 
     def test_verification_round_trip_counters_included(self):
         session = make_tiling_session()
@@ -419,11 +418,11 @@ class TestWireEndToEnd:
         inline on the *handler* thread, which starts with an empty
         contextvar context — without the server's context snapshot, a
         session with no explicit config silently resolved
-        backend/workers differently on the fast path than on the
+        workers differently on the fast path than on the
         dispatcher path."""
         from repro.api import EngineConfig, use_config
 
-        with use_config(EngineConfig(backend="python", workers=2)):
+        with use_config(EngineConfig(workers=2)):
             service = SchedulingService(SessionStore(), max_queue=64)
             server = WireServer(service).start()
             with ServiceClient(*server.address, timeout=30) as client:
@@ -434,8 +433,7 @@ class TestWireEndToEnd:
             server.close()
             service.close()
         assert metrics.counter("batch.certificate_fast_path") >= 1
-        assert (queued.backend, queued.workers) == ("python", 2)
-        assert (inline.backend, inline.workers) == ("python", 2)
+        assert (queued.workers, inline.workers) == (2, 2)
 
     def test_garbage_bytes_answer_typed_then_disconnect(self, wire):
         client, _ = wire
