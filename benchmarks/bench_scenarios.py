@@ -4,7 +4,7 @@ Two budgets matter operationally: spec *generation* must be cheap
 enough to mint corpora by the thousand (it is pure counter-rng
 arithmetic plus validation, no schedule construction — except the
 schedule-aware adversarial family), and one small spec through the full
-8-path oracle must stay well under a second so the CI stress tier can
+4-path oracle must stay well under a second so the CI stress tier can
 afford dozens of specs per leg.
 """
 
@@ -39,12 +39,12 @@ def test_oracle_full_matrix_small_spec(benchmark, report, record_scaling):
                                        rounds=3, iterations=1)
     seconds = (time.perf_counter() - start) / 3
     assert oracle_report.ok
-    record_scaling("scenario-oracle/8-path-small", seconds=seconds,
+    record_scaling("scenario-oracle/4-path-small", seconds=seconds,
                    window=len(spec.window_points()))
-    report("Scenario oracle — 8-path differential check",
+    report("Scenario oracle — 4-path differential check",
            f"{spec.label()}: {len(matrix)} paths in {seconds * 1e3:.0f} ms")
     # The CI stress tier budgets whole corpora; one small spec across
-    # all 8 paths must stay comfortably sub-second.
+    # all 4 paths must stay comfortably sub-second.
     assert seconds < 1.0
 
 

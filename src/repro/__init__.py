@@ -14,10 +14,12 @@ Quickstart (the typed facade)::
     assert report.collision_free
     session.simulate("aloha", slots=90, p=0.2)     # SimulationMetrics
 
-Engine configuration is an explicit, typed value — ``EngineConfig(
-workers=4)`` — passed per session or per call; the
-``REPRO_ENGINE_WORKERS`` env var keeps working as a lazily-resolved
-fallback.  The engine runs on numpy (a hard dependency); the test
+Engine configuration is one explicit, typed value — ``EngineConfig(
+workers=4)`` — passed per session or simulator, or installed for a
+block with :func:`use_config`; the ``REPRO_ENGINE_WORKERS`` env var
+keeps working as a lazily-resolved fallback.  The worker count is the
+engine's only knob: it changes how fast an answer comes, never the
+answer.  The engine runs on numpy (a hard dependency); the test
 suite holds it to the brute-force reference in
 :mod:`repro.scenarios.reference`.  The legacy free functions (:func:`
 schedule_for`, :func:`find_collisions`, :func:`verify_collision_free`,
@@ -53,8 +55,6 @@ from repro.api import (
     Session,
     SlotAssignment,
     VerificationReport,
-    default_config,
-    set_default_config,
     use_config,
 )
 from repro.core.schedule import find_collisions, verify_collision_free
@@ -85,7 +85,6 @@ __all__ = [
     "VerificationReport",
     "Prototile",
     "chebyshev_ball",
-    "default_config",
     "directional_antenna",
     "find_collisions",
     "make_protocol",
@@ -93,7 +92,6 @@ __all__ = [
     "protocol_names",
     "register_protocol",
     "schedule_for",
-    "set_default_config",
     "simulate",
     "use_config",
     "verify_collision_free",

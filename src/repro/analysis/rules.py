@@ -232,10 +232,10 @@ class ConfigHygieneRule(Rule):
 Environment variables must be read lazily, at call time — never at
 import time.
 
-PR 4 fixed exactly this bug class: repro.engine.parallel captured
+This bug class has happened: repro.engine.parallel once captured
 REPRO_ENGINE_WORKERS at import, so configuring the environment after
 `import repro` silently did nothing.  The resolution order
-(explicit call > default config > env > builtin) only holds when the
+(session config > use_config > env > builtin) only holds when the
 env read happens inside the resolving function.
 
 This rule flags any os.environ / os.getenv reference that evaluates at
@@ -298,7 +298,7 @@ Violates: def run(n=os.getenv("N")): ...
                 yield self.violation(info,
                     node, f"import-time read of {read}: environment "
                     f"variables must resolve lazily inside the function "
-                    f"that uses them (explicit > default config > env > "
+                    f"that uses them (session config > use_config > env > "
                     f"builtin)")
             yield from self._visit(info, list(ast.iter_child_nodes(node)),
                                    env_names, in_function)

@@ -7,8 +7,10 @@ in :mod:`repro.core.schedule`, a separately-constructed simulator.  This
 module is the service-grade surface the ROADMAP asks for: one
 :class:`Session` object owns a schedule together with its verification
 state and exposes the full lifecycle as typed request/response methods,
-and one :class:`~repro.engine.config.EngineConfig` value replaces the
-process-global knobs (which keep working as lazy fallbacks).
+and one :class:`~repro.engine.config.EngineConfig` value carries the
+engine's one knob, the worker count (an enclosing
+:func:`~repro.engine.config.use_config` block and
+``REPRO_ENGINE_WORKERS`` remain as lazy fallbacks).
 
 Quickstart::
 
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -59,12 +60,7 @@ from repro.core.serialize import (
 )
 from repro.core.theorem1 import schedule_from_prototile, schedule_from_tiling
 from repro.core.theorem2 import schedule_from_multi_tiling
-from repro.engine.config import (
-    EngineConfig,
-    default_config,
-    set_default_config,
-    use_config,
-)
+from repro.engine.config import EngineConfig, use_config
 from repro.engine.parallel import shard_workers
 from repro.net.energy import UNIT_TX_MODEL, EnergyModel
 from repro.net.metrics import SimulationMetrics
@@ -91,8 +87,6 @@ __all__ = [
     "Session",
     "SlotAssignment",
     "VerificationReport",
-    "default_config",
-    "set_default_config",
     "use_config",
     "make_protocol",
     "protocol_names",
@@ -302,10 +296,11 @@ class Session:
     :class:`~repro.core.schedule.VerificationCache` instances for the
     windows it has verified, and an optional
     :class:`~repro.engine.config.EngineConfig` that every request is
-    served under (``None`` keeps the ambient default-config/env-var
-    resolution).  Sessions are cheap value-like objects: :meth:`edit`
-    returns a *new* session for the edited schedule (transferring the
-    warm caches after an incremental dirty-region re-verification), and
+    served under (``None`` keeps the enclosing
+    :func:`~repro.engine.config.use_config` / env-var resolution).
+    Sessions are cheap value-like objects: :meth:`edit` returns a *new*
+    session for the edited schedule (transferring the warm caches after
+    an incremental dirty-region re-verification), and
     :meth:`with_config` re-wraps the same schedule under another config.
 
     Args:
@@ -429,8 +424,10 @@ class Session:
 
     @property
     def config(self) -> EngineConfig:
-        """The config requests run under (the installed default if unset)."""
-        return self._config if self._config is not None else default_config()
+        """The config requests run under (all-default when unset: the
+        enclosing :func:`~repro.engine.config.use_config` block or the
+        env var decides)."""
+        return self._config if self._config is not None else EngineConfig()
 
     @property
     def window(self) -> list[IntVec] | None:
@@ -468,13 +465,35 @@ class Session:
                 f"slots={self._schedule.num_slots}, window={window})")
 
     # -- internals -----------------------------------------------------
-    def _applied(self) -> AbstractContextManager[None]:
-        """Context installing this session's explicit config fields."""
-        config = self._config
-        if config is None or (config.workers is None
-                              and config.on_kernel_failure is None):
-            return nullcontext()
-        return config.apply()
+    #: The warm session state the schedule's serial form leaves out:
+    #: verification caches, networks, hit/miss counters, the certificate
+    #: and pending incremental deltas.  It moves as one unit through
+    #: :meth:`_detach_warm` and :meth:`_attach_warm`.
+    _WARM_ATTRIBUTES = (
+        "_caches", "_networks", "_cache_hits", "_cache_misses",
+        "_certificate_value", "_certificate_tried", "_certificate_served",
+        "_pending_delta",
+    )
+
+    def _detach_warm(self) -> dict[str, Any]:
+        """The warm state, by attribute name, for a session that is about
+        to be dropped (spilled or handed off); the values are shared, not
+        copied."""
+        return {name: getattr(self, name) for name in self._WARM_ATTRIBUTES}
+
+    def _attach_warm(self, warm: Mapping[str, Any]) -> None:
+        """Adopt warm state detached from a content-identical session.
+
+        Missing attributes stay cold.  The caches still track the other
+        session's schedule object, and the delta chain in
+        :meth:`~repro.core.schedule.VerificationCache.apply` checks
+        identity, so they are re-pointed at this session's schedule.
+        """
+        for name in self._WARM_ATTRIBUTES:
+            if name in warm:
+                setattr(self, name, warm[name])
+        for cache in self._caches.values():
+            cache.rebase(self._schedule)
 
     def _window_list(self, window: WindowLike | None) -> list[IntVec]:
         if window is not None:
@@ -521,7 +540,7 @@ class Session:
             self._certificate_tried = True
             bound_to = getattr(self._neighborhood_of, "__self__", None)
             if bound_to is self._schedule:
-                with self._applied():
+                with use_config(self._config):
                     self._certificate_value = certify_schedule(
                         self._schedule)
         return self._certificate_value
@@ -547,7 +566,7 @@ class Session:
         else:
             self._cache_hits += 1
             checked = 0
-        with self._applied():
+        with use_config(self._config):
             workers = shard_workers()
         return VerificationReport(
             collisions=(), window_size=window_size,
@@ -567,7 +586,7 @@ class Session:
         """
         if not hasattr(points, "__len__"):
             points = list(points)
-        with self._applied():
+        with use_config(self._config):
             bulk = getattr(self._schedule, "slots_of", None)
             if bulk is not None:
                 slots = bulk(points)
@@ -616,7 +635,7 @@ class Session:
             neighborhood = self._require_neighborhood()
             lo, hi = window._corners()
             volume = window.volume()
-            with self._applied():
+            with use_config(self._config):
                 collisions = stream_box_collisions(
                     self._schedule, lo, hi, neighborhood,
                     offsets=offset_list, chunk_points=stream_chunk)
@@ -634,7 +653,7 @@ class Session:
         window_list = self._window_list(window)
         neighborhood = self._require_neighborhood()
         if not use_cache:
-            with self._applied():
+            with use_config(self._config):
                 collisions = find_collisions(self._schedule, window_list,
                                              neighborhood, offset_list)
                 workers = shard_workers()
@@ -647,7 +666,7 @@ class Session:
         key = (tuple(window_list),
                None if offset_list is None else tuple(sorted(offset_list)))
         cache = self._caches.get(key)
-        with self._applied():
+        with use_config(self._config):
             workers = shard_workers()
             if cache is None:
                 self._cache_misses += 1
@@ -710,7 +729,7 @@ class Session:
                           window=self._transferable_window(),
                           neighborhood_of=self._neighborhood_of,
                           offsets=self._offsets)
-        with session._applied():
+        with use_config(session._config):
             for cache in self._caches.values():
                 cache.apply(delta)
         session._caches = self._caches
@@ -1060,7 +1079,7 @@ class Session:
                  packet_interval: int | None = None,
                  seed: int | None = None,
                  energy_model: EnergyModel = UNIT_TX_MODEL,
-                 bulk_decisions: bool | None = None,
+                 bulk_decisions: bool = True,
                  **protocol_params: Any) -> SimulationMetrics:
         """Run the slotted broadcast simulator over this session's window.
 

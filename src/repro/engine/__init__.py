@@ -9,9 +9,11 @@ lookup keep an exact path for inputs int64 cannot represent, selected
 by the input itself.  The test suite pins the kernels to the small
 brute-force reference in :mod:`repro.scenarios.reference`.
 
-* :mod:`repro.engine.config` — :class:`EngineConfig`, the typed per-call
-  alternative to the env var: explicit fields outrank the installed
-  default config, which outranks the (lazily re-read) environment.
+* :mod:`repro.engine.config` — :class:`EngineConfig`, the engine's one
+  knob (the shard worker count), and :func:`use_config`, its one scoped
+  override.  A session's or simulator's config outranks the enclosing
+  :func:`use_config` block, which outranks the (lazily re-read)
+  ``REPRO_ENGINE_WORKERS``; serial is the default.
 * :mod:`repro.engine.encode` — injective integer keys for lattice points
   of a finite window, so membership tests become sorted-array lookups.
 * :mod:`repro.engine.slots` — :class:`CosetTable`, a vectorized form of
@@ -45,20 +47,13 @@ from repro.engine.collisions import (
     scan_collisions,
     scan_collisions_touching,
 )
-from repro.engine.config import (
-    EngineConfig,
-    default_config,
-    set_default_config,
-    use_config,
-)
+from repro.engine.config import EngineConfig, use_config
 from repro.engine.encode import BoxEncoder
 from repro.engine.parallel import (
     cpu_budget,
     plan_shards,
     run_sharded,
-    set_workers,
     shard_workers,
-    use_workers,
 )
 from repro.engine.randmac import (
     bernoulli_block,
@@ -72,13 +67,9 @@ from repro.engine.slots import CosetTable
 
 __all__ = [
     "EngineConfig",
-    "default_config",
-    "set_default_config",
     "use_config",
     "cpu_budget",
     "shard_workers",
-    "set_workers",
-    "use_workers",
     "plan_shards",
     "run_sharded",
     "EngineDegradedWarning",

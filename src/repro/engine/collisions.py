@@ -40,7 +40,6 @@ from collections.abc import Collection, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.config import active_kernel_failure_policy
 from repro.engine.encode import BoxEncoder
 from repro.engine.parallel import plan_shards, run_sharded, shard_workers
 from repro.faults.injection import consume_numpy_failure
@@ -55,13 +54,14 @@ Collision = tuple[IntVec, IntVec]
 class EngineDegradedWarning(RuntimeWarning):
     """The numpy kernel failed mid-call and the engine degraded.
 
-    Emitted by :func:`scan_collisions` when the numpy path raises and
-    the :func:`~repro.engine.config.active_kernel_failure_policy`
-    resolves to ``"degrade"``: the call is answered by the exact path
-    instead of failing.  Structured — ``kernel`` names the failed kernel
-    and ``reason`` carries the original error text — so callers (and the
-    chaos oracle) can assert on the degradation instead of
-    string-matching a message.
+    Emitted by :func:`scan_collisions` when the numpy path raises: the
+    call is answered by the exact path instead of failing.  Structured —
+    ``kernel`` names the failed kernel and ``reason`` carries the
+    original error text — so callers (and the chaos oracle) can assert
+    on the degradation instead of string-matching a message.  A caller
+    that wants the failure instead turns the warning into an error with
+    ``warnings.simplefilter("error", EngineDegradedWarning)``; the
+    kernel error is then chained as its context.
     """
 
     def __init__(self, message: str, *, kernel: str, reason: str) -> None:
@@ -106,8 +106,6 @@ def scan_collisions(points: Sequence[IntVec],
         collisions = _scan_numpy(points, slots, shape_ids, differences,
                                  positive)
     except Exception as error:
-        if active_kernel_failure_policy() == "raise":
-            raise
         warnings.warn(
             EngineDegradedWarning(
                 f"numpy collision scan failed ({error}); degrading to "

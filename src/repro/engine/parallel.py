@@ -21,24 +21,30 @@ count, because
   worker computing sensors ``lo..hi`` sees the very same draws the
   serial kernel computes for those sensors.
 
-Sharding is **opt-in**.  The resolution order for the worker count is
+Sharding is **opt-in**.  :func:`shard_workers` resolves the worker
+count in one place, in this order:
 
-1. an explicit :func:`set_workers` / :func:`use_workers` call (which is
-   also how a per-call :class:`repro.engine.config.EngineConfig` applies
-   itself),
-2. the default :class:`~repro.engine.config.EngineConfig` installed via
-   :func:`repro.engine.config.set_default_config`,
+1. the :class:`~repro.engine.config.EngineConfig` of the calling
+   session or simulator, which enters
+   :func:`~repro.engine.config.use_config` around its own calls,
+2. the innermost :func:`~repro.engine.config.use_config` block,
 3. the ``REPRO_ENGINE_WORKERS`` environment variable (a positive
    integer, or ``auto`` for the usable CPU count), re-read lazily at
    resolution time — never captured at import, so env changes after
    import take effect,
 4. the default of ``1`` — the serial path, which stays the reference.
 
+Inside a shard worker the count is always ``1``: pool workers are
+daemonic and cannot fork grandchildren.
+
 Worker processes are started with the ``fork`` method when the platform
 offers it, so the (potentially large) shared payload — point windows,
 presorted key arrays, coset tables — reaches the workers through
 copy-on-write pages instead of pickling; platforms without ``fork``
-transparently fall back to pickling the payload once per worker.
+transparently fall back to pickling the payload once per worker.  The
+payload travels in each pool's own initializer arguments and the parent
+keeps no per-call module state, so concurrent threads can run sharded
+calls side by side.
 
 **Resilience.**  The pool lane is allowed to fail without failing the
 call: a shard whose worker crashes (or whose result never arrives
@@ -63,10 +69,9 @@ import time
 import warnings
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Any, Iterator
+from typing import Any
 
+from repro.engine.config import scoped_workers
 from repro.faults.injection import active_plan as _active_plan
 from repro.faults.plan import InjectedWorkerCrash
 
@@ -74,8 +79,6 @@ __all__ = [
     "ShardFailure",
     "cpu_budget",
     "shard_workers",
-    "set_workers",
-    "use_workers",
     "plan_shards",
     "run_sharded",
 ]
@@ -155,77 +158,33 @@ def _workers_from_env(raw: str | None) -> int:
     return min(value, _MAX_WORKERS)
 
 
-#: The explicit :func:`set_workers` selection; ``None`` means "not set",
-#: in which case resolution falls through to the default config and then
-#: the env var — lazily, on every call.  Process-wide on purpose: the
-#: imperative API configures the interpreter for every thread.
-_workers: int | None = None
-
-#: The scoped :func:`use_workers` selection.  Context-local so two
-#: threads/tasks forcing different worker counts (equivalence tests,
-#: service requests applying per-call configs) cannot observe each
-#: other's pin; it outranks :func:`set_workers` as the innermost force.
-_workers_override: ContextVar[int | None] = ContextVar(
-    "repro_engine_workers_override", default=None)
-
 #: True inside a shard worker process: nested kernels must stay serial
-#: (pool workers are daemonic and cannot fork grandchildren).
+#: (pool workers are daemonic and cannot fork grandchildren).  Only the
+#: pool initializer sets it, in the child — never the parent, whose
+#: other threads keep resolving their own worker counts while a pool
+#: runs.
 _in_worker = False
 
-#: Payload handed to shard kernels.  Under ``fork`` it is published here
-#: before the pool starts so children inherit it via copy-on-write; under
-#: other start methods the pool initializer installs it per worker.
+#: Payload handed to shard kernels; the pool initializer installs it in
+#: each worker.  The parent never sets it.
 _payload: Any = None
 
 
 def shard_workers() -> int:
     """The worker count sharded kernels will use (``1`` = serial).
 
-    Resolution is lazy: with no explicit :func:`set_workers` call and no
-    default :class:`~repro.engine.config.EngineConfig` worker count, the
-    ``REPRO_ENGINE_WORKERS`` env var is consulted *now*, so mutating the
-    environment after import (or between calls) takes effect.
+    The config of the innermost :func:`~repro.engine.config.use_config`
+    block wins — sessions and simulators enter one around their own
+    calls — then ``REPRO_ENGINE_WORKERS``, consulted *now* so mutating
+    the environment after import takes effect, then ``1``.  Capped at
+    64, and always ``1`` inside a shard worker.
     """
     if _in_worker:
         return 1
-    override = _workers_override.get()
-    if override is not None:
-        return override
-    if _workers is not None:
-        return _workers
-    from repro.engine import config as _config
-    default = _config.installed_default()
-    if default is not None and default.workers is not None:
-        return min(default.workers, _MAX_WORKERS)
+    scoped = scoped_workers()
+    if scoped is not None:
+        return min(scoped, _MAX_WORKERS)
     return _workers_from_env(os.environ.get("REPRO_ENGINE_WORKERS"))
-
-
-def set_workers(count: int) -> None:
-    """Select the worker count for sharded kernels (``1`` disables).
-
-    Raises:
-        ValueError: for a non-positive count.
-    """
-    global _workers
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"worker count must be a positive int, got {count!r}")
-    _workers = min(count, _MAX_WORKERS)
-
-
-@contextmanager
-def use_workers(count: int) -> Iterator[None]:
-    """Temporarily force a worker count (tests, benchmarks, config.apply).
-
-    Context-local: visible to the current thread/task and anything it
-    forks, never to concurrently running contexts.
-    """
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"worker count must be a positive int, got {count!r}")
-    token = _workers_override.set(min(count, _MAX_WORKERS))
-    try:
-        yield
-    finally:
-        _workers_override.reset(token)
 
 
 def plan_shards(total: int, shards: int) -> list[tuple[int, int]]:
@@ -250,7 +209,7 @@ def plan_shards(total: int, shards: int) -> list[tuple[int, int]]:
 
 
 def _worker_init(payload: Any) -> None:
-    """Install the shared payload in a freshly spawned worker."""
+    """Pool initializer: install the payload and mark the worker."""
     global _payload, _in_worker
     _payload = payload
     _in_worker = True
@@ -340,7 +299,6 @@ def run_sharded(kernel: Callable[[Any, Any], Any], payload: Any,
             deterministic kernel error), with the failing shard index
             attached and the original error chained.
     """
-    global _payload, _in_worker
     shard_args = list(shard_args)
     if workers is None:
         workers = shard_workers()
@@ -353,18 +311,13 @@ def run_sharded(kernel: Callable[[Any, Any], Any], payload: Any,
     if retries is None:
         retries = _DEFAULT_RETRIES
     timeout = _resolve_timeout(timeout)
-    context = _pool_context()
-    if context.get_start_method() == "fork":
-        # Children snapshot these globals at fork time (copy-on-write);
-        # the parent restores them as soon as the pool winds down.
-        previous = _payload
-        _payload, _in_worker = payload, True
-        pool_kwargs: dict[str, Any] = {}
-    else:  # pragma: no cover - fork-less platform
-        previous = _payload
-        pool_kwargs = {"initializer": _worker_init, "initargs": (payload,)}
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                               **pool_kwargs)
+    # The payload rides in the initializer arguments: under ``fork`` the
+    # children inherit them copy-on-write (nothing is pickled), under
+    # other start methods they are pickled once per worker.  Either way
+    # each pool carries its own call's payload, so concurrent callers in
+    # other threads never see it.
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context(),
+                               initializer=_worker_init, initargs=(payload,))
     #: Flips when a shard timed out: its worker is still wedged on the
     #: old task, so the teardown must not wait for it — the pool is
     #: abandoned (shutdown(wait=False)) and reaps itself once the hung
@@ -386,7 +339,6 @@ def run_sharded(kernel: Callable[[Any, Any], Any], payload: Any,
         return results
     finally:
         pool.shutdown(wait=not abandoned, cancel_futures=True)
-        _payload, _in_worker = previous, False
 
 
 #: Sentinel: the pool lane gave up on this shard; recompute serially.

@@ -105,10 +105,8 @@ def _block_shard(payload, span):
 
 
 def _dispatch_block(rng: StreamRNG, num_streams: int, t0: int, t1: int,
-                    mode: str, p: float, muted,
-                    workers: int | None = None):
-    if workers is None:
-        workers = shard_workers()
+                    mode: str, p: float, muted):
+    workers = shard_workers()
     # Single-slot windows never shard: carrier-sensing protocols request
     # one of these per simulated slot, and paying a process-pool spawn
     # per slot to split a one-row kernel is strictly slower than serial
@@ -123,28 +121,23 @@ def _dispatch_block(rng: StreamRNG, num_streams: int, t0: int, t1: int,
     return _block_shard((rng, t0, t1, mode, p, muted), (0, num_streams))
 
 
-def uniform_block(rng: StreamRNG, num_streams: int, t0: int, t1: int,
-                  workers: int | None = None):
+def uniform_block(rng: StreamRNG, num_streams: int, t0: int, t1: int):
     """Uniforms in [0, 1) for sensors ``0..num_streams-1`` over a window.
 
     ``result[t - t0][i] == rng.uniform(i, t)`` exactly, for any worker
-    count, as a ``(t1-t0, num_streams)`` float64 array.  ``workers`` overrides the ambient :func:`~repro.engine.parallel.
-    shard_workers` resolution for this call (``None`` keeps it).
+    count, as a ``(t1-t0, num_streams)`` float64 array.
     """
-    return _dispatch_block(rng, num_streams, t0, t1, "uniform", 0.0, None,
-                           workers)
+    return _dispatch_block(rng, num_streams, t0, t1, "uniform", 0.0, None)
 
 
 def bernoulli_block(rng: StreamRNG, num_streams: int, t0: int, t1: int,
-                    p: float, workers: int | None = None):
+                    p: float):
     """Boolean decision matrix: ``uniform(i, t) < p`` per sensor and slot."""
-    return _dispatch_block(rng, num_streams, t0, t1, "bernoulli", p, None,
-                           workers)
+    return _dispatch_block(rng, num_streams, t0, t1, "bernoulli", p, None)
 
 
 def masked_bernoulli_block(rng: StreamRNG, num_streams: int, t0: int,
-                           t1: int, p: float, muted: Sequence[bool],
-                           workers: int | None = None):
+                           t1: int, p: float, muted: Sequence[bool]):
     """:func:`bernoulli_block` with a per-sensor mute (carrier sense).
 
     Muted sensors decide ``False``; everyone else keeps the draw keyed by
@@ -156,5 +149,4 @@ def masked_bernoulli_block(rng: StreamRNG, num_streams: int, t0: int,
     single-slot windows anyway.)
     """
     muted = list(muted) if not hasattr(muted, "__getitem__") else muted
-    return _dispatch_block(rng, num_streams, t0, t1, "masked", p, muted,
-                           workers)
+    return _dispatch_block(rng, num_streams, t0, t1, "masked", p, muted)

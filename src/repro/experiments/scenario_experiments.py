@@ -1,9 +1,8 @@
 """Scenario experiment: the differential oracle as a reproduction check.
 
 One pinned-seed spec per generator family, replayed across the full
-engine matrix — ``{numpy, python} x {1, 2 workers} x {full, incremental}
-x {facade, legacy}`` — with zero tolerated divergences or invariant
-violations.  This is the registry-facing face of
+engine matrix — ``{1, 2 workers} x {full, incremental}`` — with zero
+tolerated divergences or invariant violations.  This is the registry-facing face of
 :mod:`repro.scenarios`; the deep corpus lives in the integration suite
 and the ``scenario-stress`` CI tier.
 """
@@ -40,8 +39,8 @@ def run_scenarios(seed: int = 2008, per_family: int = 2) -> ExperimentResult:
              else f"seed={seed}; every path bit-identical")
     return ExperimentResult(
         "scenarios", "Differential scenario oracle (engine cross-check)",
-        "every engine path — workers x full/incremental x "
-        "facade/legacy — answers each generated scenario identically, "
+        "every engine path — workers x full/incremental — answers "
+        "each generated scenario identically, "
         "the answers equal the brute-force reference and satisfy "
         "Theorems 1/2",
         rows, passed=not failures, notes=notes)

@@ -77,7 +77,7 @@ class FaultPlan:
             worker bounded by timeout + backoff instead of blocking.
         numpy_failures: how many numpy collision-kernel calls fail with
             :class:`InjectedKernelFault` after arming (counted per
-            armed plan) — exercises the degradation policy.
+            armed plan) — exercises the degrade-to-exact path.
     """
 
     seed: int = 0

@@ -33,23 +33,22 @@ sensors.  The counts and decisions are computed by numpy array kernels;
 two rules over plain receiver lists, and the test suite holds the
 simulator to it slot by slot.
 
-With workers enabled (``REPRO_ENGINE_WORKERS`` or
-:func:`repro.engine.parallel.set_workers`) large decision windows
-additionally shard their sensor axis across worker processes inside the
-randmac kernels, and the simulator widens the precomputed window to
-amortize the dispatch; because every decision is keyed by
-``(seed, sensor, slot)``, the resulting :class:`SimulationMetrics` are
-bit-identical for any worker count.
+With workers enabled (the simulator's ``config=``, an enclosing
+:func:`~repro.engine.config.use_config` block or ``REPRO_ENGINE_WORKERS``)
+large decision windows additionally shard their sensor axis across
+worker processes inside the randmac kernels, and the simulator widens
+the precomputed window to amortize the dispatch; because every decision
+is keyed by ``(seed, sensor, slot)``, the resulting
+:class:`SimulationMetrics` are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from contextlib import nullcontext
 
 import numpy as np
 
-from repro.engine.config import EngineConfig, default_config
+from repro.engine.config import EngineConfig, use_config
 from repro.engine.parallel import shard_workers
 from repro.faults.injection import active_plan as _active_plan
 from repro.net.energy import UNIT_TX_MODEL, EnergyModel
@@ -72,23 +71,18 @@ _DECISION_WINDOW = 128
 _MAX_DECISION_CELLS = 1 << 24
 
 
-def _decision_window_for(num_sensors: int, workers: int | None = None,
-                         base: int | None = None) -> int:
+def _decision_window_for(num_sensors: int) -> int:
     """Window length for non-carrier-sense protocols.
 
-    With sharded decisions enabled (``REPRO_ENGINE_WORKERS`` or an
-    :class:`EngineConfig` worker count), wider windows amortize the
+    With sharded decisions enabled, wider windows amortize the
     per-window worker dispatch; the counter-based rng keeps results
     identical for every window size, so this is purely a batching
-    decision.  ``workers``/``base`` override the ambient worker
-    resolution and the module default window when given.
+    decision derived from :func:`~repro.engine.parallel.shard_workers`.
     """
-    if base is None:
-        base = _DECISION_WINDOW
-    window = base * (shard_workers() if workers is None else workers)
+    window = _DECISION_WINDOW * shard_workers()
     if num_sensors > 0:
         window = min(window, _MAX_DECISION_CELLS // num_sensors)
-    return max(base, window)
+    return max(_DECISION_WINDOW, window)
 
 
 class BroadcastSimulator:
@@ -98,30 +92,23 @@ class BroadcastSimulator:
                  packet_interval: int = 1,
                  seed: int | None = None,
                  energy_model: EnergyModel = UNIT_TX_MODEL,
-                 bulk_decisions: bool | None = None,
+                 bulk_decisions: bool = True,
                  config: EngineConfig | None = None):
         """``bulk_decisions=False`` forces the scalar reference path:
         random-MAC decisions fall back to one ``wants_to_send`` call per
         sensor per slot (ignoring any vectorized ``decision_block``
         override).  Both paths draw from the same per-sensor counter
         streams, so they produce identical metrics — the flag exists for
-        the equivalence tests and benchmarks that prove it.  ``None``
-        (the default) defers to ``config.bulk_decisions``, which
-        defaults to the vectorized path.
+        the oracle's scalar reference replay and the tests and
+        benchmarks that prove the equivalence.
 
-        ``config`` pins this simulator's worker count and decision
-        window explicitly; with no config at all the installed
-        default config is consulted, and fields left ``None`` keep the
-        ambient env-var-driven behavior.  The config is re-applied
-        around every :meth:`step`, so the kernels the MAC protocols
-        dispatch into see it too.
+        ``config`` pins this simulator's worker count; without one (or
+        with ``workers=None``) the enclosing resolution applies.  The
+        config is entered around construction and every :meth:`step`,
+        so the kernels the MAC protocols dispatch into see it too.
         """
         require_positive(packet_interval, "packet_interval")
-        if config is None:
-            config = default_config()
         self._config = config
-        if bulk_decisions is None:
-            bulk_decisions = config.bulk_decisions
         self.network = network
         self.protocol = protocol
         self.packet_interval = packet_interval
@@ -170,11 +157,11 @@ class BroadcastSimulator:
         self._stream = StreamRNG(seed)
         if bulk_decisions:
             self._decision_block = protocol.decision_block
-            self._decision_window = (
-                1 if protocol.uses_carrier_sense
-                else _decision_window_for(self._n,
-                                          workers=config.resolve_workers(),
-                                          base=config.decision_window))
+            if protocol.uses_carrier_sense:
+                self._decision_window = 1
+            else:
+                with use_config(config):
+                    self._decision_window = _decision_window_for(self._n)
         else:
             self._decision_block = (
                 lambda *args: MACProtocol.decision_block(protocol, *args))
@@ -201,22 +188,9 @@ class BroadcastSimulator:
         """Packets still queued across all sensors."""
         return sum(len(q) for q in self._queues)
 
-    def _applied(self):
-        """Context applying the explicit config fields, if there are any.
-
-        Kernels reached through the protocols (decision blocks and their
-        sharded dispatch) resolve the *ambient* worker state, so a
-        simulator carrying an explicit config installs it around every
-        step; an all-default config skips the bookkeeping entirely.
-        """
-        config = self._config
-        if config.workers is None and config.on_kernel_failure is None:
-            return nullcontext()
-        return config.apply()
-
     def step(self) -> list[IntVec]:
         """Advance one slot; returns the sensors that transmitted."""
-        with self._applied():
+        with use_config(self._config):
             return self._step()
 
     def _step(self) -> list[IntVec]:
@@ -318,7 +292,7 @@ class BroadcastSimulator:
         require_positive(slots, "slots")
         self._decision_horizon = self._time + slots
         try:
-            with self._applied():
+            with use_config(self._config):
                 for _ in range(slots):
                     self._step()
         finally:
@@ -350,7 +324,7 @@ def simulate(network: Network, protocol: MACProtocol | str, slots: int,
     registered name (``"aloha"``, ``"csma"``, ``"tdma"``, ...), in which
     case extra keyword arguments parameterize it — e.g.
     ``simulate(network, "aloha", slots=90, p=0.2)``.  ``config`` pins the
-    engine configuration for this run (workers, decision window); omitted, the ambient env-var-driven behavior is unchanged.
+    worker count for this run; omitted, the enclosing resolution applies.
     """
     simulator = BroadcastSimulator(
         network, _resolve_protocol(network, protocol, protocol_params),

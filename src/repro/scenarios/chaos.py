@@ -11,7 +11,7 @@ demands a deterministic verdict —
   answers of :mod:`repro.scenarios.reference`.  Resilience-only faults
   (worker crashes, injected numpy kernel failures) *must* land here:
   the retry/serial-fallback lanes of ``run_sharded`` and the
-  degrade-to-exact policy of the collision scan exist precisely so
+  degrade-to-exact path of the collision scan exist precisely so
   these faults never reach an answer.
 * **detected and repaired** — the faulted run diverged (flaky
   transmitters dropping sends, byzantine slot reports corrupting the
@@ -20,8 +20,8 @@ demands a deterministic verdict —
   leg replays the byzantine corruption against the schedule itself
   (:func:`repro.faults.chaos.corrupt_session`), runs
   :meth:`repro.api.Session.repair`, asserts the repair succeeded, and
-  then demands ``verify_collision_free`` on the repaired schedule over
-  the full 8-path engine matrix and from the brute-force reference.
+  then demands a clean verification of the repaired schedule on every
+  path of the 4-path engine matrix and from the brute-force reference.
 
 :func:`run_exec_probe` additionally drives the sharded execution lanes
 end to end on a window large enough to engage the process pool: a
@@ -36,13 +36,8 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field
 
-from repro.api import EngineConfig, Session
-from repro.core.schedule import (
-    MappingSchedule,
-    VerificationCache,
-    find_collisions,
-    verify_collision_free,
-)
+from repro.api import EngineConfig, Session, use_config
+from repro.core.schedule import find_collisions
 from repro.core.theorem1 import schedule_from_prototile
 from repro.engine.collisions import EngineDegradedWarning
 from repro.faults.chaos import corrupt_session, plan_for_spec
@@ -154,7 +149,7 @@ def _observe(spec: ScenarioSpec, plan: FaultPlan | None) -> tuple:
 
 def _verify_all_paths(session: Session, paths: tuple[EnginePath, ...],
                       violations: list[str]) -> None:
-    """``verify_collision_free`` on every engine path, or a violation.
+    """A clean verification on every engine path, or a violation.
 
     The brute-force reference must find the schedule clean too.
     """
@@ -162,28 +157,17 @@ def _verify_all_paths(session: Session, paths: tuple[EnginePath, ...],
     assert window is not None, "repair leg always runs on a windowed session"
     assignment = dict(zip(window,
                           (int(s) for s in session.assign(window).slots)))
-    schedule = MappingSchedule(assignment)
     neighborhood = session.neighborhood_of
     if reference_collisions(window, assignment.__getitem__, neighborhood):
         violations.append(
             "reference: repaired schedule still collides under the "
             "brute-force pairwise test")
     for path in paths:
-        config = path.config()
-        if path.surface == "facade":
-            check = Session.for_mapping(assignment, config=config,
-                                        neighborhood_of=neighborhood,
-                                        window=window)
-            clean = check.verify(
-                use_cache=(path.mode == "incremental")).collision_free
-        else:
-            with config.apply():
-                if path.mode == "incremental":
-                    cache = VerificationCache(schedule, window, neighborhood)
-                    clean = not cache.collisions()
-                else:
-                    clean = verify_collision_free(schedule, window,
-                                                  neighborhood)
+        check = Session.for_mapping(assignment, config=path.config(),
+                                    neighborhood_of=neighborhood,
+                                    window=window)
+        clean = check.verify(
+            use_cache=(path.mode == "incremental")).collision_free
         if not clean:
             violations.append(
                 f"{path.label()}: repaired schedule still collides")
@@ -208,8 +192,8 @@ def run_chaos(spec: ScenarioSpec,
        flaky); an unexplained divergence is a violation.
     3. *Detect and repair*: the plan's byzantine corruption is applied
        to the restricted schedule itself, ``repair()`` must succeed,
-       and the repaired schedule must pass ``verify_collision_free``
-       on every engine path and under the brute-force reference.
+       and the repaired schedule must verify clean on every engine
+       path and under the brute-force reference.
     """
     if paths is None:
         paths = full_matrix()
@@ -290,7 +274,7 @@ def run_exec_probe() -> list[str]:
         # O(fundamental-domain) from the periodicity certificate and
         # never reach the sharded kernel this probe exists to stress.
         arming = use_plan(plan) if plan is not None else nullcontext()
-        with EngineConfig(workers=workers).apply(), arming, \
+        with use_config(EngineConfig(workers=workers)), arming, \
                 warnings.catch_warnings():
             # The retry/serial-fallback lanes announce themselves with
             # structured RuntimeWarnings; the probe asserts on the

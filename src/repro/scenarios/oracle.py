@@ -2,13 +2,13 @@
 
 The library serves the same questions through several independently
 optimized paths — serial and process-sharded execution, full-window
-rescans and incremental dirty-region re-verification, the typed
-:class:`repro.api.Session` facade and the legacy free functions.  Each
-pair is pinned equivalent by its own unit suite; the oracle closes the
-loop *end to end*: it replays one
-:class:`~repro.scenarios.spec.ScenarioSpec` over the whole cross product
+rescans and incremental dirty-region re-verification.  Each pair is
+pinned equivalent by its own unit suite; the oracle closes the loop
+*end to end*: it replays one :class:`~repro.scenarios.spec.ScenarioSpec`
+through the :class:`repro.api.Session` facade over the whole cross
+product
 
-    {1, 2 workers} x {full, incremental} x {facade, legacy}
+    {1, 2 workers} x {full, incremental}
 
 and demands that every path produce the bit-identical
 :class:`Observation` — slot assignments per round, collision lists per
@@ -36,18 +36,14 @@ from repro.core.schedule import (
     MappingSchedule,
     MultiTilingSchedule,
     TilingSchedule,
-    VerificationCache,
-    find_collisions,
     verify_collision_free,
 )
-from repro.core.serialize import schedule_from_json, schedule_to_json
 from repro.core.theorem1 import optimal_slot_count, schedule_from_prototile
 from repro.core.theorem2 import schedule_from_multi_tiling, theorem2_slot_count
-from repro.engine.config import EngineConfig
+from repro.engine.config import EngineConfig, use_config
 from repro.net.model import Network, SensorNode
 from repro.net.protocols import make_protocol
 from repro.net.simulator import BroadcastSimulator
-from repro.net.simulator import simulate as net_simulate
 from repro.scenarios.reference import (
     reference_collisions,
     reference_receptions,
@@ -74,25 +70,24 @@ class EnginePath:
 
     workers: int   # 1 | 2
     mode: str      # "full" | "incremental"
-    surface: str   # "facade" | "legacy"
 
     def label(self) -> str:
-        return f"w{self.workers}/{self.mode}/{self.surface}"
+        return f"w{self.workers}/{self.mode}"
 
     def config(self) -> EngineConfig:
         return EngineConfig(workers=self.workers)
 
 
-def full_matrix(workers=(1, 2), modes=("full", "incremental"),
-                surfaces=("facade", "legacy")) -> tuple[EnginePath, ...]:
-    """The engine matrix (2 x 2 x 2 = 8 paths by default).
+def full_matrix(workers=(1, 2),
+                modes=("full", "incremental")) -> tuple[EnginePath, ...]:
+    """The engine matrix (2 x 2 = 4 paths by default).
 
     Narrow any axis for cheaper sweeps (the property suite runs
     ``workers=(1,)``); the CI stress tier and the pinned corpus always
     run the full product.
     """
-    return tuple(EnginePath(w, m, s) for w, m, s
-                 in itertools.product(workers, modes, surfaces))
+    return tuple(EnginePath(w, m)
+                 for w, m in itertools.product(workers, modes))
 
 
 @dataclass(frozen=True)
@@ -125,9 +120,10 @@ def _freeze_collisions(collisions) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Facade paths: everything through repro.api.Session
+# Engine paths: everything through repro.api.Session
 # ----------------------------------------------------------------------
-def _run_facade(spec: ScenarioSpec, path: EnginePath) -> Observation:
+def run_path(spec: ScenarioSpec, path: EnginePath) -> Observation:
+    """One spec through one engine path."""
     config = path.config()
     incremental = path.mode == "incremental"
     session = spec.base_session(config=config)
@@ -203,9 +199,9 @@ def _simulate_facade(spec: ScenarioSpec, session: Session) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Legacy paths: free functions, hand-built schedules and caches
+# The theorem schedules and networks, built without the facade
 # ----------------------------------------------------------------------
-def _legacy_schedule(spec: ScenarioSpec):
+def _theorem_schedule(spec: ScenarioSpec):
     if spec.construction == "prototile":
         return schedule_from_prototile(GALLERY[spec.prototile])
     if spec.construction == "chebyshev":
@@ -213,69 +209,6 @@ def _legacy_schedule(spec: ScenarioSpec):
                                                       spec.dimension))
     return schedule_from_multi_tiling(
         alternating_column_tiling(spec.pattern))
-
-
-def _run_legacy(spec: ScenarioSpec, path: EnginePath) -> Observation:
-    config = path.config()
-    incremental = path.mode == "incremental"
-    with config.apply():
-        schedule = _legacy_schedule(spec)
-        neighborhood = schedule.neighborhood_of
-        rounds = spec.rounds()
-        slots = tuple(tuple(int(s) for s in schedule.slots_of(window))
-                      for window in rounds)
-
-        stages: list[tuple] = []
-        if spec.edits:
-            window = spec.window_points()
-            current = MappingSchedule(dict(zip(
-                window, (int(s) for s in schedule.slots_of(window)))))
-            cache = (VerificationCache(current, window, neighborhood)
-                     if incremental else None)
-            stages.append(_freeze_collisions(
-                find_collisions(current, window, neighborhood, cache=cache)))
-            for step in spec.edits:
-                if incremental:
-                    delta = current.with_updates(dict(step))
-                    cache.apply(delta)
-                    current = delta.schedule
-                    stages.append(_freeze_collisions(
-                        find_collisions(current, window, neighborhood,
-                                        cache=cache)))
-                else:
-                    current = current.with_updates(dict(step)).schedule
-                    stages.append(_freeze_collisions(
-                        find_collisions(current, window, neighborhood)))
-            final = current
-        else:
-            for window in rounds:
-                if incremental:
-                    cache = VerificationCache(schedule, window, neighborhood)
-                    first = cache.collisions()
-                    again = find_collisions(schedule, window, neighborhood,
-                                            cache=cache)
-                    if again != first:
-                        raise AssertionError(
-                            f"warm cache changed its answer: {first} then "
-                            f"{again}")
-                    stages.append(_freeze_collisions(first))
-                else:
-                    stages.append(_freeze_collisions(
-                        find_collisions(schedule, window, neighborhood)))
-            final = schedule
-
-        metrics = None
-        if spec.protocol:
-            metrics = _simulate_legacy(spec, final, neighborhood, config)
-
-        text = schedule_to_json(final)
-        reloaded = schedule_from_json(text)
-        base_window = spec.window_points()
-        roundtrip = tuple(int(s) for s in reloaded.slots_of(base_window))
-
-    return Observation(num_slots=final.num_slots, slots=slots,
-                       collisions=tuple(stages), metrics=metrics,
-                       roundtrip_slots=roundtrip)
 
 
 def _network_and_protocol(spec: ScenarioSpec, final, neighborhood):
@@ -295,25 +228,9 @@ def _network_and_protocol(spec: ScenarioSpec, final, neighborhood):
     return network, protocol
 
 
-def _simulate_legacy(spec: ScenarioSpec, final, neighborhood,
-                     config: EngineConfig) -> tuple:
-    network, protocol = _network_and_protocol(spec, final, neighborhood)
-    metrics = net_simulate(network, protocol, spec.sim_slots,
-                           packet_interval=final.num_slots,
-                           seed=spec.sim_seed, config=config)
-    return astuple(metrics)
-
-
 # ----------------------------------------------------------------------
 # The oracle
 # ----------------------------------------------------------------------
-def run_path(spec: ScenarioSpec, path: EnginePath) -> Observation:
-    """One spec through one engine path."""
-    if path.surface == "facade":
-        return _run_facade(spec, path)
-    return _run_legacy(spec, path)
-
-
 @dataclass
 class OracleReport:
     """Outcome of one spec across the matrix."""
@@ -408,7 +325,7 @@ class _BruteForce:
 
 
 def _brute_force(spec: ScenarioSpec) -> _BruteForce:
-    schedule = _legacy_schedule(spec)
+    schedule = _theorem_schedule(spec)
     neighborhood = schedule.neighborhood_of
     rounds = spec.rounds()
     slots = tuple(tuple(reference_slots(schedule.slot_of, window))
@@ -491,8 +408,8 @@ def _check_certificate(spec: ScenarioSpec, expected: _BruteForce,
     *refuse* to certify — falling back to the full scan is part of the
     contract.
     """
-    with EngineConfig(workers=1).apply():
-        schedule = _legacy_schedule(spec)
+    with use_config(EngineConfig(workers=1)):
+        schedule = _theorem_schedule(spec)
         certificate = certify_schedule(schedule)
         if certificate is None:
             violations.append(

@@ -67,15 +67,6 @@ class StoreStats:
     cache_misses: int
 
 
-#: The Session attributes that make up the warm, non-serialized state.
-#: Detached on eviction and re-attached on restore as one unit.
-_WARM_ATTRIBUTES = (
-    "_caches", "_networks", "_cache_hits", "_cache_misses",
-    "_certificate_value", "_certificate_tried", "_certificate_served",
-    "_pending_delta",
-)
-
-
 @dataclass
 class _Record:
     """One session slot: the live object or its spilled form."""
@@ -264,8 +255,7 @@ class SessionStore:
             # Schedule types without a serial form (exotic tilings)
             # simply stay resident; eviction is best-effort.
             return False
-        record.warm = {name: getattr(session, name)
-                       for name in _WARM_ATTRIBUTES}
+        record.warm = session._detach_warm()
         record.window = session._window
         record.window_explicit = session._window_explicit
         neighborhood = session._neighborhood_of
@@ -295,14 +285,7 @@ class SessionStore:
                           offsets=record.offsets)
         session._window = record.window
         session._window_explicit = record.window_explicit
-        for name, value in record.warm.items():
-            setattr(session, name, value)
-        # The warm caches still track the spilled schedule *object*;
-        # the delta chain in VerificationCache.apply checks identity,
-        # so re-point them at the deserialized (digest-verified
-        # content-identical) schedule before the next edit.
-        for cache in session._caches.values():
-            cache.rebase(schedule)
+        session._attach_warm(record.warm)
         record.session = session
         record.envelope = None
         record.warm = None

@@ -46,7 +46,6 @@ from typing import Any, Callable
 
 from repro.service.errors import TransportError
 from repro.service.server import SchedulingService
-from repro.service.store import _WARM_ATTRIBUTES
 from repro.service.transport.wire import (
     decode_request,
     decode_session,
@@ -197,16 +196,8 @@ class ServiceSink:
         warm_b64 = payload.get("warm")
         if warm_b64:
             try:
-                warm = pickle.loads(base64.b64decode(warm_b64))
-                for name in _WARM_ATTRIBUTES:
-                    if name in warm:
-                        setattr(session, name, warm[name])
-                # Warm caches still reference the exporting process's
-                # schedule object; re-point them at the deserialized
-                # (digest-verified content-identical) one, exactly as
-                # SessionStore._restore does.
-                for cache in session._caches.values():
-                    cache.rebase(session.schedule)
+                session._attach_warm(
+                    pickle.loads(base64.b64decode(warm_b64)))
             except Exception:
                 # Best-effort warmth: an unpicklable or stale blob
                 # degrades to a cold import, never a failed one.
@@ -222,10 +213,8 @@ class ServiceSink:
         with store.lease(session_id) as session:
             envelope = encode_session(session, session_id)
             try:
-                blob = pickle.dumps(
-                    {name: getattr(session, name)
-                     for name in _WARM_ATTRIBUTES},
-                    protocol=pickle.HIGHEST_PROTOCOL)
+                blob = pickle.dumps(session._detach_warm(),
+                                    protocol=pickle.HIGHEST_PROTOCOL)
                 warm: str | None = base64.b64encode(blob).decode("ascii")
             except Exception:
                 warm = None  # cold handoff; caches rebuild on arrival

@@ -7,7 +7,6 @@ import pytest
 import repro.engine.collisions as collisions_module
 import repro.engine.slots as slots_module
 from repro.engine.collisions import EngineDegradedWarning
-from repro.engine.config import use_kernel_failure_policy
 from repro.faults.injection import use_plan
 from repro.faults.plan import FaultPlan
 
@@ -16,9 +15,9 @@ from repro.faults.plan import FaultPlan
 def scan_lane(request, monkeypatch):
     """Answer the test's collision scans from the numpy kernel or exactly.
 
-    The ``exact`` lane arms a numpy-failure budget no test exhausts under
-    the ``"degrade"`` policy, so every :func:`scan_collisions` call is
-    answered by ``_scan_exact`` — the path that serves windows beyond
+    The ``exact`` lane arms a numpy-failure budget no test exhausts, so
+    every :func:`scan_collisions` call degrades and is answered by
+    ``_scan_exact`` — the path that serves windows beyond
     int64 keys and calls degraded by a kernel failure.  A test taking
     this fixture must hold on both lanes; on the exact lane the fixture
     also checks that the exact scan really ran.
@@ -34,8 +33,7 @@ def scan_lane(request, monkeypatch):
         return exact(*args)
 
     monkeypatch.setattr(collisions_module, "_scan_exact", counted)
-    with use_kernel_failure_policy("degrade"), \
-            use_plan(FaultPlan(numpy_failures=1 << 30)), \
+    with use_plan(FaultPlan(numpy_failures=1 << 30)), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore", EngineDegradedWarning)
         yield request.param

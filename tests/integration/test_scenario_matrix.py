@@ -2,8 +2,7 @@
 
 Every CI leg replays this corpus — 28 specs, 4 per generator family,
 seed 2008 — across the complete engine matrix ``{1, 2 workers} x
-{full, incremental} x {facade, legacy}`` (8 paths per spec) and
-tolerates zero divergences, invariant violations or departures from the
+{full, incremental}`` (4 paths per spec) and tolerates zero divergences, invariant violations or departures from the
 brute-force reference.  The
 ``grid_sweep`` picks include the two *stress* cycle entries (indices 14
 and 15), whose windows are large enough to push the sharded kernels
@@ -48,10 +47,9 @@ class TestCorpusShape:
         assert {family for family, _ in CORPUS} == set(family_names())
 
     def test_matrix_is_the_full_cross_product(self):
-        assert len(MATRIX) == 8
+        assert len(MATRIX) == 4
         assert {p.workers for p in MATRIX} == {1, 2}
         assert {p.mode for p in MATRIX} == {"full", "incremental"}
-        assert {p.surface for p in MATRIX} == {"facade", "legacy"}
 
     def test_stress_specs_exercise_the_sharded_kernels(self):
         # At least one corpus member must clear the 2^16-cell cutoff
@@ -96,7 +94,7 @@ class TestCliReproduction:
         payload = json.loads(report_path.read_text())
         assert payload["ok"] is True
         assert payload["results"][0]["family"] == "churn"
-        assert payload["paths_per_spec"] == 8
+        assert payload["paths_per_spec"] == 4
 
     def test_corpus_command_sweeps_families(self):
         result = subprocess.run(

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import repro.engine.collisions as collisions_module
 from repro.core.schedule import MappingSchedule, find_collisions
 from repro.core.theorem1 import schedule_from_prototile
-from repro.engine.config import EngineConfig
+from repro.engine.config import EngineConfig, use_config
 from repro.faults.injection import use_plan
 from repro.faults.plan import FaultPlan
 from repro.scenarios.reference import reference_collisions
@@ -57,7 +57,7 @@ def _corrupted_schedule(seed):
 def _scan(schedule, workers, plan):
     arming = use_plan(plan) if plan is not None else nullcontext()
     sharded = mock.patch.object(collisions_module, "_MIN_PARALLEL_PROBES", 1)
-    with EngineConfig(workers=workers).apply(), \
+    with use_config(EngineConfig(workers=workers)), \
             arming, sharded, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return find_collisions(schedule, WINDOW, _PERIODIC.neighborhood_of)

@@ -8,11 +8,10 @@ Three contracts, for arbitrary coordinates and arbitrary valid specs:
 * **closure** — every spec the strategy space can express validates,
   serializes and materializes into a working session;
 * **differential agreement** — on a reduced engine matrix (serial), the
-  full-rescan and incremental lanes of both the facade and the legacy
-  surface agree on every strategy-drawn spec, and with the brute-force
-  reference.  (The full 8-path matrix runs on the pinned corpus in the
-  integration suite — properties keep the per-example cost small
-  instead.)
+  full-rescan and incremental lanes agree on every strategy-drawn spec,
+  and with the brute-force reference.  (The full 4-path matrix runs on
+  the pinned corpus in the integration suite — properties keep the
+  per-example cost small instead.)
 """
 
 from hypothesis import given, settings
@@ -25,7 +24,7 @@ from tests.properties.strategies import scenario_specs
 
 SETTINGS = dict(max_examples=20, deadline=None)
 
-#: Cheap four-path matrix for per-example differential checks.
+#: Cheap two-path matrix for per-example differential checks.
 REDUCED_MATRIX = full_matrix(workers=(1,))
 
 coordinates = st.tuples(st.sampled_from(family_names()),
@@ -95,7 +94,7 @@ class TestDifferentialAgreement:
 
     @given(scenario_specs(allow_edits=False, allow_drift=False))
     @settings(max_examples=10, deadline=None)
-    def test_facade_equals_legacy_with_simulation(self, spec):
-        facade, legacy = (run_path(spec, path) for path in full_matrix(
-            workers=(1,), modes=("full",)))
-        assert facade == legacy
+    def test_full_equals_incremental_with_simulation(self, spec):
+        full, incremental = (run_path(spec, path)
+                             for path in full_matrix(workers=(1,)))
+        assert full == incremental

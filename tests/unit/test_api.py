@@ -2,30 +2,28 @@
 
 Two contracts are pinned here:
 
-* configuration — explicit ``EngineConfig`` fields outrank the installed
-  default config, which outranks the env vars, which are resolved
-  *lazily* (mutating ``os.environ`` after import takes effect) and warn
-  at most once per malformed value;
+* configuration — ``EngineConfig`` has one field, the worker count.
+  A session's or simulator's config outranks the innermost
+  ``use_config`` block, which outranks ``REPRO_ENGINE_WORKERS``, which
+  is resolved *lazily* (mutating ``os.environ`` after import takes
+  effect) and warns at most once per malformed value; serial is the
+  default;
 * lifecycle — every ``Session`` method is bit-identical to the legacy
   entry point it wraps (the full equivalence matrix lives in
   ``test_api_surface.py``; this file covers the stateful parts: caches,
   edits, protocol resolution, save/load).
 """
 
+import dataclasses
 import warnings
 
 import pytest
 
-import repro.engine.config as config_module
 import repro.engine.parallel as parallel_module
 from repro.api import Box, EngineConfig, Session, use_config
 from repro.core.schedule import find_collisions
-from repro.engine.config import (
-    active_kernel_failure_policy,
-    default_config,
-    set_default_config,
-)
-from repro.engine.parallel import shard_workers, use_workers
+from repro.engine.parallel import run_sharded, shard_workers
+from repro.net.model import Network
 from repro.net.protocols import (
     CSMALike,
     GlobalTDMA,
@@ -35,6 +33,7 @@ from repro.net.protocols import (
     protocol_names,
     register_protocol,
 )
+from repro.net.simulator import BroadcastSimulator
 from repro.scenarios.reference import reference_collisions, reference_slots
 from repro.tiles.shapes import chebyshev_ball, directional_antenna
 from repro.utils.vectors import box_points
@@ -44,15 +43,12 @@ WINDOW = Box((-6, -6), (6, 6))
 
 @pytest.fixture
 def clean_engine(monkeypatch):
-    """No env var, no default config: the built-in resolution only."""
+    """No env var: the built-in resolution only."""
     monkeypatch.delenv("REPRO_ENGINE_WORKERS", raising=False)
-    previous = config_module._default
-    set_default_config(None)
-    # An explicit use_config(None) overlay also hides any ambient
-    # context-local install.
-    with use_config(None):
-        yield
-    set_default_config(previous)
+
+
+def _resolved_in_worker(payload, span):
+    return shard_workers()
 
 
 # ----------------------------------------------------------------------
@@ -63,115 +59,133 @@ class TestEngineConfig:
         config = EngineConfig(workers=2)
         with pytest.raises(AttributeError):
             config.workers = 3
-        for bad in (dict(workers=0), dict(workers=1.5), dict(workers=True),
-                    dict(decision_window=0), dict(bulk_decisions="yes"),
-                    dict(on_kernel_failure="ignore")):
+        for bad in (0, -1, 1.5, True, "2"):
             with pytest.raises(ValueError):
-                EngineConfig(**bad)
+                EngineConfig(workers=bad)
 
-    def test_four_fields_and_no_engine_choice(self):
-        fields = list(EngineConfig().to_dict())
-        assert fields == ["workers", "bulk_decisions", "decision_window",
-                          "on_kernel_failure"]
-        with pytest.raises(TypeError):
-            EngineConfig(**{"backend": "python"})
+    def test_one_field(self):
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == \
+            ["workers"]
+        for removed in ("backend", "bulk_decisions"):
+            with pytest.raises(TypeError):
+                EngineConfig(**{removed: False})
+
+    def test_dict_round_trip_rejects_unknown_keys(self):
+        config = EngineConfig(workers=2)
+        assert config.to_dict() == {"workers": 2}
+        assert EngineConfig.from_dict(config.to_dict()) == config
+        with pytest.raises(ValueError, match="unknown EngineConfig"):
+            EngineConfig.from_dict({"workers": 2, "window": 7})
         with pytest.raises(ValueError, match="unknown EngineConfig"):
             EngineConfig.from_dict({"backend": "python"})
+        with pytest.raises(ValueError):
+            EngineConfig.from_dict({"workers": 0})
 
-    def test_replace(self):
-        config = EngineConfig(bulk_decisions=False)
-        bumped = config.replace(workers=4)
-        assert bumped == EngineConfig(bulk_decisions=False, workers=4)
-        assert config.workers is None  # original untouched
-
-    def test_resolve_workers(self, clean_engine):
-        assert EngineConfig(workers=3).resolve_workers() == 3
-        assert EngineConfig().resolve_workers() == 1
-        # capped like set_workers
-        assert EngineConfig(workers=100000).resolve_workers() == 64
-
-    def test_from_env_snapshots(self, clean_engine, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "3")
-        assert EngineConfig.from_env() == EngineConfig(workers=3)
-
-    def test_apply_installs_fields(self, clean_engine):
-        with EngineConfig(workers=2, on_kernel_failure="raise").apply():
-            assert shard_workers() == 2
-            assert active_kernel_failure_policy() == "raise"
-        assert shard_workers() == 1
-        assert active_kernel_failure_policy() == "degrade"
-
-    def test_default_config_outranks_env(self, clean_engine, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "4")
-        with use_config(EngineConfig(workers=2)):
-            assert shard_workers() == 2
-        assert shard_workers() == 4
-
-    def test_explicit_call_outranks_default_config(self, clean_engine):
-        with use_config(EngineConfig(workers=2)):
-            with use_workers(3):
-                assert shard_workers() == 3
-
-    def test_set_default_config_type_checked(self):
+    def test_use_config_type_checked(self):
         with pytest.raises(TypeError):
-            set_default_config("python")
-        assert default_config() == default_config()
-
-    def test_default_config_drives_simulator_knobs(self, clean_engine):
-        from repro.net.model import Network
-        from repro.net.simulator import BroadcastSimulator
-        network = Network.homogeneous(
-            list(box_points((0, 0), (3, 3))), chebyshev_ball(1))
-        config = EngineConfig(bulk_decisions=False, decision_window=7)
-        with use_config(config):
-            defaulted = BroadcastSimulator(network, SlottedAloha(0.2),
-                                           seed=1)
-        assert defaulted._decision_window == 1  # scalar reference path
-        explicit = BroadcastSimulator(network, SlottedAloha(0.2), seed=1,
-                                      config=config)
-        bulk = BroadcastSimulator(network, SlottedAloha(0.2), seed=1)
-        assert defaulted.run(20) == explicit.run(20) == bulk.run(20)
-        windowed = BroadcastSimulator(
-            network, SlottedAloha(0.2), seed=1,
-            config=EngineConfig(decision_window=7))
-        assert windowed._decision_window == 7
+            with use_config("python"):
+                pass
 
 
 # ----------------------------------------------------------------------
-# Concurrent config isolation: the scoped use_* installs are
-# context-local, so threads serving different sessions (the repro.service
-# worker pool) cannot cross-contaminate each other's resolution.
+# Worker-count resolution: session/simulator config > use_config > env
+# > 1, capped at 64, and 1 inside a shard worker.
+# ----------------------------------------------------------------------
+class TestWorkerResolutionOrder:
+    NETWORK = Network.homogeneous(list(box_points((0, 0), (3, 3))),
+                                  chebyshev_ball(1))
+
+    def _session_workers(self, config=None):
+        session = Session.for_chebyshev(1, window=WINDOW, config=config)
+        return session.verify(use_cache=False).workers
+
+    def _simulator_workers(self, config=None):
+        # A non-carrier-sense simulator widens its decision window by
+        # the worker count it resolved (128 slots per worker).
+        simulator = BroadcastSimulator(self.NETWORK, SlottedAloha(0.2),
+                                       seed=1, config=config)
+        return simulator._decision_window // 128
+
+    def test_builtin_default_is_serial(self, clean_engine):
+        assert shard_workers() == 1
+        assert self._session_workers() == 1
+        assert self._simulator_workers() == 1
+
+    def test_env_outranks_the_default(self, clean_engine, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "4")
+        assert shard_workers() == 4
+        assert self._session_workers() == 4
+        assert self._simulator_workers() == 4
+
+    def test_use_config_outranks_env(self, clean_engine, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "4")
+        with use_config(EngineConfig(workers=2)):
+            assert shard_workers() == 2
+            assert self._session_workers() == 2
+            assert self._simulator_workers() == 2
+            with use_config(EngineConfig(workers=3)):
+                assert shard_workers() == 3  # the innermost block wins
+            # A config without a worker count installs nothing.
+            with use_config(EngineConfig()), use_config(None):
+                assert shard_workers() == 2
+        assert shard_workers() == 4
+
+    def test_own_config_outranks_use_config(self, clean_engine,
+                                            monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "4")
+        own = EngineConfig(workers=3)
+        with use_config(EngineConfig(workers=2)):
+            assert self._session_workers(own) == 3
+            assert self._simulator_workers(own) == 3
+            # workers=None defers to the block.
+            assert self._session_workers(EngineConfig()) == 2
+            assert self._simulator_workers(EngineConfig()) == 2
+            assert shard_workers() == 2  # the session scope closed again
+
+    def test_capped_at_64(self, clean_engine, monkeypatch):
+        with use_config(EngineConfig(workers=100000)):
+            assert shard_workers() == 64
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "100000")
+        assert shard_workers() == 64
+
+    def test_serial_inside_a_shard_worker(self, clean_engine):
+        with use_config(EngineConfig(workers=2)):
+            inside = run_sharded(_resolved_in_worker, None,
+                                 [(0, 1), (1, 2)])
+        assert inside == [1, 1]
+
+
+# ----------------------------------------------------------------------
+# Concurrent config isolation: use_config is context-local, so threads
+# serving different sessions (the repro.service worker pool) cannot
+# cross-contaminate each other's resolution.
 # ----------------------------------------------------------------------
 class TestConcurrentConfigIsolation:
     def test_two_threads_resolve_different_configs(self, clean_engine):
         import threading
 
-        resolved: dict[str, str] = {}
         workers_seen: dict[str, int] = {}
         ready = threading.Barrier(2)
 
-        def run(name: str, policy: str, workers: int) -> None:
-            with use_config(EngineConfig(on_kernel_failure=policy,
-                                         workers=workers)):
+        def run(name: str, workers: int) -> None:
+            with use_config(EngineConfig(workers=workers)):
                 # Rendezvous *inside* both blocks: each thread resolves
                 # while the other's config is installed in its context.
                 ready.wait(timeout=10)
-                resolved[name] = active_kernel_failure_policy()
                 workers_seen[name] = shard_workers()
                 ready.wait(timeout=10)
 
         threads = [
-            threading.Thread(target=run, args=("a", "raise", 1)),
-            threading.Thread(target=run, args=("b", "degrade", 2)),
+            threading.Thread(target=run, args=("a", 1)),
+            threading.Thread(target=run, args=("b", 2)),
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        assert (resolved["a"], resolved["b"]) == ("raise", "degrade")
         assert (workers_seen["a"], workers_seen["b"]) == (1, 2)
         # Neither install leaked into the main thread.
-        assert config_module.installed_default() is None
+        assert shard_workers() == 1
 
     def test_use_config_does_not_leak_to_other_threads(self, clean_engine):
         import threading
@@ -187,7 +201,8 @@ class TestConcurrentConfigIsolation:
             thread.join(timeout=30)
         assert seen["workers"] == 1  # fresh thread, fresh context
 
-    def test_set_default_config_visible_to_new_threads(self, clean_engine):
+    def test_env_is_visible_to_new_threads(self, clean_engine,
+                                           monkeypatch):
         import threading
 
         seen: dict[str, int] = {}
@@ -195,14 +210,11 @@ class TestConcurrentConfigIsolation:
         def probe() -> None:
             seen["workers"] = shard_workers()
 
-        set_default_config(EngineConfig(workers=3))
-        try:
-            thread = threading.Thread(target=probe)
-            thread.start()
-            thread.join(timeout=30)
-        finally:
-            set_default_config(None)
-        assert seen["workers"] == 3  # process-wide install crosses threads
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "3")
+        thread = threading.Thread(target=probe)
+        thread.start()
+        thread.join(timeout=30)
+        assert seen["workers"] == 3  # the process-wide setting
 
     def test_use_plan_is_context_local(self):
         import threading
@@ -235,7 +247,7 @@ class TestConcurrentConfigIsolation:
 
 
 # ----------------------------------------------------------------------
-# Satellite: lazy env resolution, warn-once
+# Lazy env resolution, warn-once
 # ----------------------------------------------------------------------
 class TestLazyEnvResolution:
     def test_workers_env_change_after_import(self, clean_engine,
@@ -259,22 +271,22 @@ class TestLazyEnvResolution:
             assert shard_workers() == 1  # second resolution stays silent
         parallel_module._env_warned.discard("a-bad-count")
 
-    def test_explicit_workers_override_env(self, clean_engine, monkeypatch):
+    def test_use_config_overrides_env(self, clean_engine, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_WORKERS", "4")
-        with use_workers(1):
+        with use_config(EngineConfig(workers=1)):
             assert shard_workers() == 1
         assert shard_workers() == 4
 
 
-class TestRandmacWorkersParam:
-    """The per-call ``workers=`` hook on the randmac block kernels."""
+class TestRandmacWorkerScope:
+    """The randmac block kernels follow the scoped worker count."""
 
     @staticmethod
     def _rows(block):
         return [[bool(cell) for cell in row] for row in block]
 
-    def test_workers_param_is_bit_identical(self, clean_engine,
-                                            monkeypatch):
+    def test_sharded_blocks_are_bit_identical(self, clean_engine,
+                                              monkeypatch):
         import repro.engine.randmac as randmac_module
         from repro.engine.randmac import (
             bernoulli_block,
@@ -285,21 +297,20 @@ class TestRandmacWorkersParam:
         monkeypatch.setattr(randmac_module, "_MIN_PARALLEL_CELLS", 1)
         rng = StreamRNG(7)
         muted = [i % 3 == 0 for i in range(6)]
-        serial = bernoulli_block(rng, 6, 0, 4, 0.4, workers=1)
-        sharded = bernoulli_block(rng, 6, 0, 4, 0.4, workers=2)
-        assert self._rows(sharded) == self._rows(serial)
-        assert [list(map(float, row))
-                for row in uniform_block(rng, 6, 0, 4, workers=2)] == \
-            [list(map(float, row))
-             for row in uniform_block(rng, 6, 0, 4, workers=1)]
-        assert self._rows(
-            masked_bernoulli_block(rng, 6, 0, 4, 0.4, muted, workers=2)) \
-            == self._rows(
-                masked_bernoulli_block(rng, 6, 0, 4, 0.4, muted, workers=1))
+        blocks = {}
+        for workers in (1, 2):
+            with use_config(EngineConfig(workers=workers)):
+                blocks[workers] = (
+                    self._rows(bernoulli_block(rng, 6, 0, 4, 0.4)),
+                    [list(map(float, row))
+                     for row in uniform_block(rng, 6, 0, 4)],
+                    self._rows(masked_bernoulli_block(rng, 6, 0, 4, 0.4,
+                                                      muted)))
+        assert blocks[2] == blocks[1]
 
-    def test_workers_param_overrides_ambient(self, clean_engine,
-                                             monkeypatch):
-        """workers=1 pins the serial path even with ambient workers on."""
+    def test_inner_serial_scope_overrides_outer(self, clean_engine,
+                                                monkeypatch):
+        """An inner workers=1 block pins the serial path."""
         import repro.engine.randmac as randmac_module
         from repro.engine.randmac import bernoulli_block
         from repro.utils.rng import StreamRNG
@@ -309,8 +320,9 @@ class TestRandmacWorkersParam:
 
         monkeypatch.setattr(randmac_module, "_MIN_PARALLEL_CELLS", 1)
         monkeypatch.setattr(randmac_module, "run_sharded", fail_if_sharded)
-        with use_workers(4):
-            bernoulli_block(StreamRNG(1), 8, 0, 4, 0.3, workers=1)
+        with use_config(EngineConfig(workers=4)):
+            with use_config(EngineConfig(workers=1)):
+                bernoulli_block(StreamRNG(1), 8, 0, 4, 0.3)
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,13 @@ import pytest
 
 import repro
 import repro.api
-from repro.api import Box, EngineConfig, Session
-from repro.core.schedule import find_collisions, verify_collision_free
+from repro.api import Box, EngineConfig, Session, use_config
+from repro.core.schedule import (
+    MappingSchedule,
+    VerificationCache,
+    find_collisions,
+    verify_collision_free,
+)
 from repro.core.serialize import schedule_from_json, schedule_to_json
 from repro.core.theorem1 import schedule_from_prototile
 from repro.net.model import Network
@@ -31,16 +36,16 @@ from repro.utils.vectors import box_points
 REPRO_EXPORTS = frozenset({
     "Box", "EngineConfig", "Session", "SlotAssignment",
     "VerificationReport",
-    "Prototile", "chebyshev_ball", "default_config", "directional_antenna",
+    "Prototile", "chebyshev_ball", "directional_antenna",
     "find_collisions", "make_protocol", "plus_pentomino", "protocol_names",
-    "register_protocol", "schedule_for", "set_default_config", "simulate",
+    "register_protocol", "schedule_for", "simulate",
     "use_config", "verify_collision_free", "__version__",
 })
 
 API_EXPORTS = frozenset({
     "Box", "CorruptSessionError", "EngineConfig", "RepairReport",
     "Session", "SlotAssignment", "VerificationReport",
-    "default_config", "set_default_config", "use_config",
+    "use_config",
     "make_protocol", "protocol_names", "register_protocol",
 })
 
@@ -88,7 +93,7 @@ def test_assign_equivalence(workers, coset_lane):
     points = coset_lane(box_points(*WINDOW_CORNERS))
     with _forbid_deprecation():
         schedule = schedule_from_prototile(chebyshev_ball(1))
-        with config.apply():
+        with use_config(config):
             legacy = schedule.slots_of(points)
         session = Session.for_chebyshev(1, config=config)
         facade = session.assign(points)
@@ -104,7 +109,7 @@ def test_verify_equivalence(workers, tile, scan_lane):
     points = list(box_points(*WINDOW_CORNERS))
     with _forbid_deprecation():
         schedule = schedule_from_prototile(prototile)
-        with config.apply():
+        with use_config(config):
             legacy = find_collisions(schedule, points,
                                      schedule.neighborhood_of)
             legacy_free = verify_collision_free(schedule, points,
@@ -132,7 +137,7 @@ def test_simulate_equivalence(workers, protocol_name):
             "aloha": lambda: SlottedAloha(0.15),
             "csma": lambda: CSMALike(0.15),
         }[protocol_name]()
-        with config.apply():
+        with use_config(config):
             legacy = simulate(network, legacy_protocol, slots=40,
                               packet_interval=schedule.num_slots, seed=13)
         session = Session.for_prototile(tile, window=points, config=config)
@@ -143,17 +148,57 @@ def test_simulate_equivalence(workers, protocol_name):
 
 @pytest.mark.parametrize("workers", WORKERS)
 def test_simulator_config_equals_env_style_context(workers):
-    """BroadcastSimulator(config=...) == the config.apply() way."""
+    """BroadcastSimulator(config=...) == the use_config(...) way."""
     config = EngineConfig(workers=workers)
     points = list(box_points((0, 0), (6, 6)))
     network = Network.homogeneous(points, chebyshev_ball(1))
     with _forbid_deprecation():
-        with config.apply():
+        with use_config(config):
             ambient = BroadcastSimulator(network, SlottedAloha(0.2),
                                          seed=3).run(30)
         configured = BroadcastSimulator(network, SlottedAloha(0.2),
                                         seed=3, config=config).run(30)
     assert configured == ambient
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_edit_chain_equivalence(workers):
+    """Session.edit + incremental verify == with_updates + apply + cache.
+
+    A chain of edits on a restricted session, verified incrementally
+    after each step, equals the free-function chain: ``with_updates``
+    deltas fed to one :class:`VerificationCache` and answered through
+    ``find_collisions(cache=)``.
+    """
+    config = EngineConfig(workers=workers)
+    window = list(box_points((0, 0), (7, 7)))
+    schedule = schedule_from_prototile(chebyshev_ball(1))
+    neighborhood = schedule.neighborhood_of
+    steps = [{(2, 2): 0, (3, 3): 0}, {(2, 2): schedule.slot_of((2, 2))},
+             {(5, 1): 4, (6, 6): 1, (0, 7): 2}]
+    with _forbid_deprecation():
+        session = Session.for_prototile(chebyshev_ball(1), window=window,
+                                        config=config).restrict()
+        facade = [session.verify().collisions]
+        for step in steps:
+            session = session.edit(step)
+            report = session.verify()
+            assert report.source == "delta"
+            facade.append(report.collisions)
+        with use_config(config):
+            current = MappingSchedule(
+                {p: schedule.slot_of(p) for p in window})
+            cache = VerificationCache(current, window, neighborhood)
+            legacy = [tuple(find_collisions(current, window, neighborhood,
+                                            cache=cache))]
+            for step in steps:
+                delta = current.with_updates(step)
+                cache.apply(delta)
+                current = delta.schedule
+                legacy.append(tuple(find_collisions(
+                    current, window, neighborhood, cache=cache)))
+    assert facade == legacy
+    assert any(facade)  # the chain must actually collide somewhere
 
 
 def test_save_load_equivalence():

@@ -19,11 +19,11 @@ from repro.core.schedule import (
 )
 from repro.core.theorem1 import schedule_from_prototile
 from repro.core.theorem2 import schedule_from_multi_tiling
-from repro.engine import AdjacencyIndex, BoxEncoder, CosetTable, EngineConfig
+from repro.engine import AdjacencyIndex, BoxEncoder, CosetTable
 from repro.lattice.sublattice import diagonal_sublattice
 from repro.net.model import Network
 from repro.net.protocols import CSMALike, GlobalTDMA, ScheduleMAC, SlottedAloha
-from repro.net.simulator import BroadcastSimulator, simulate
+from repro.net.simulator import BroadcastSimulator
 from repro.scenarios.reference import (
     reference_collisions,
     reference_receptions,
@@ -265,7 +265,7 @@ class TestReferenceEquivalence:
             assert metrics.successful_broadcasts - done == \
                 sum(not lost for _, lost in outcome.values())
         assert metrics.packets_created > 0
-        scalar = simulate(network, make_protocol(), slots=40,
-                          packet_interval=5, seed=11,
-                          config=EngineConfig(bulk_decisions=False))
+        scalar = BroadcastSimulator(network, make_protocol(),
+                                    packet_interval=5, seed=11,
+                                    bulk_decisions=False).run(40)
         assert scalar == metrics

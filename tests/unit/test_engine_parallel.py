@@ -7,7 +7,11 @@ that keep small inputs serial are monkeypatched down so the sharded
 dispatch genuinely runs on test-sized inputs.
 """
 
+import multiprocessing
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -15,14 +19,13 @@ import repro.engine.collisions as collisions_module
 import repro.engine.randmac as randmac_module
 import repro.engine.slots as slots_module
 from repro.core.theorem1 import schedule_from_prototile
+from repro.engine.config import EngineConfig, use_config
 from repro.engine.parallel import (
     _workers_from_env,
     cpu_budget,
     plan_shards,
     run_sharded,
-    set_workers,
     shard_workers,
-    use_workers,
 )
 from repro.engine.randmac import (
     bernoulli_block,
@@ -73,14 +76,9 @@ class TestWorkerResolution:
     def test_env_count_is_capped(self):
         assert _workers_from_env("100000") == 64
 
-    def test_set_workers_rejects_bad_counts(self):
-        for bad in (0, -1, 1.5, "2"):
-            with pytest.raises(ValueError):
-                set_workers(bad)
-
-    def test_use_workers_restores(self):
+    def test_use_config_restores(self):
         before = shard_workers()
-        with use_workers(before + 3):
+        with use_config(EngineConfig(workers=before + 3)):
             assert shard_workers() == before + 3
         assert shard_workers() == before
 
@@ -137,6 +135,74 @@ class TestRunSharded:
         assert run_sharded(_square, [3], [(0, 1)], workers=8) == [[9]]
 
 
+def _sleepy(payload, span):
+    time.sleep(payload)
+    return span
+
+
+class TestConcurrentShardedCalls:
+    """Threads sharing the module: one thread's pool never leaks into
+    another thread's resolution or payload."""
+
+    def test_worker_count_holds_while_another_threads_pool_runs(self):
+        spans = [(0, 1), (1, 2)]
+        results = {}
+
+        def hold_pool_open():
+            results["spans"] = run_sharded(_sleepy, 0.6, spans, workers=2)
+
+        holder = threading.Thread(target=hold_pool_open)
+        seen = []
+        with use_config(EngineConfig(workers=2)):
+            holder.start()
+            while holder.is_alive():
+                if multiprocessing.active_children():
+                    seen.append(shard_workers())
+                time.sleep(0.005)
+        holder.join(timeout=30)
+        assert not holder.is_alive()
+        assert results["spans"] == spans
+        assert seen, "the pool never ran while sampling"
+        assert set(seen) == {2}
+
+    def test_concurrent_scans_of_different_windows(self, force_sharding):
+        rng = random.Random(5)
+        shapes = [frozenset({(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)})]
+        offsets = sorted({(a, b) for a in range(-2, 3)
+                          for b in range(-2, 3)} - {(0, 0)})
+        inputs = []
+        # Equal sizes, so both threads reach the pool at the same time.
+        for lo, hi in (((0, 0), (13, 13)), ((40, -9), (53, 4))):
+            points = list(box_points(lo, hi))
+            slots = [rng.randrange(4) for _ in points]
+            inputs.append((points, slots, [0] * len(points), shapes,
+                           offsets))
+        serial = [scan_collisions(*args) for args in inputs]
+        assert serial[0] and serial[1] and serial[0] != serial[1]
+        start = threading.Barrier(2)
+        mismatches = []
+
+        def scan(index):
+            with use_config(EngineConfig(workers=2)):
+                for _ in range(20):
+                    start.wait(timeout=30)
+                    if scan_collisions(*inputs[index]) != serial[index]:
+                        mismatches.append(index)
+
+        threads = [threading.Thread(target=scan, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+
 def _collision_inputs():
     rng = random.Random(11)
     points = list(box_points((0, 0), (17, 17)))
@@ -155,7 +221,7 @@ class TestShardedKernels:
         points, slots, shape_ids, shapes, offsets = _collision_inputs()
         reference = None
         for workers in WORKER_COUNTS:
-            with use_workers(workers):
+            with use_config(EngineConfig(workers=workers)):
                 got = scan_collisions(points, slots, shape_ids, shapes,
                                       offsets)
             if reference is None:
@@ -170,7 +236,7 @@ class TestShardedKernels:
         points = coset_lane(box_points((-7, -7), (9, 9)))
         reference = None
         for workers in WORKER_COUNTS:
-            with use_workers(workers):
+            with use_config(EngineConfig(workers=workers)):
                 got = table.lookup(points)
             if reference is None:
                 reference = got
@@ -182,7 +248,7 @@ class TestShardedKernels:
         n, t0, t1, p = 41, 5, 12, 0.37
         muted = [i % 3 == 0 for i in range(n)]
         for workers in WORKER_COUNTS:
-            with use_workers(workers):
+            with use_config(EngineConfig(workers=workers)):
                 uniforms = uniform_block(rng, n, t0, t1)
                 decisions = bernoulli_block(rng, n, t0, t1, p)
                 masked = masked_bernoulli_block(rng, n, t0, t1, p, muted)
@@ -205,7 +271,7 @@ class TestShardedKernels:
 
         monkeypatch.setattr(randmac_module, "run_sharded", fail_if_sharded)
         rng = StreamRNG(6)
-        with use_workers(4):
+        with use_config(EngineConfig(workers=4)):
             masked_bernoulli_block(rng, 300, 5, 6, 0.4, [False] * 300)
             bernoulli_block(rng, 300, 5, 6, 0.4)
 
@@ -235,13 +301,13 @@ class TestShardedSimulator:
 
         reference = run(bulk=False)
         for workers in WORKER_COUNTS:
-            with use_workers(workers):
+            with use_config(EngineConfig(workers=workers)):
                 assert run() == reference
 
     def test_decision_window_widens_with_workers(self):
-        with use_workers(1):
+        with use_config(EngineConfig(workers=1)):
             assert _decision_window_for(100) == 128
-        with use_workers(4):
+        with use_config(EngineConfig(workers=4)):
             assert _decision_window_for(100) == 512
             # the cell cap bounds the widened window for huge networks
             assert _decision_window_for(1 << 22) == 128

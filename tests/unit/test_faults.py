@@ -8,14 +8,16 @@ The contract under test is the fault model's three-part promise:
 * arming is scoped and leak-proof — :func:`use_plan` restores the
   previous state (plan *and* per-arming counters) even when the block
   raises, and an all-default plan armed changes nothing;
-* failure surfaces are typed — a numpy kernel failure degrades to the
-  exact scan under the default policy (and propagates
-  under ``on_kernel_failure="raise"``), corrupt session files raise
+* failure surfaces are typed — a numpy kernel failure always degrades
+  to the exact scan with an :class:`EngineDegradedWarning` (which
+  ``simplefilter("error", ...)`` turns into an error), corrupt session
+  files raise
   :class:`CorruptSessionError` naming path and reason, and
   :meth:`Session.repair` heals byzantine corruption deterministically.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from repro.api import (
     EngineConfig,
     RepairReport,
     Session,
+    use_config,
 )
 from repro.core.certify import certificate_from_json
 from repro.core.schedule import find_collisions
@@ -211,16 +214,25 @@ class TestKernelDegradation:
         assert warning.kernel == "scan_collisions"
         assert "injected numpy kernel failure" in warning.reason
 
-    def test_raise_policy_propagates_the_kernel_fault(self):
-        config = EngineConfig(on_kernel_failure="raise")
-        with config.apply(), use_plan(FaultPlan(numpy_failures=1)):
-            with pytest.raises(InjectedKernelFault):
+    def test_warnings_filter_makes_the_failure_strict(self):
+        """Degrade is always on; strict callers use the warnings filter."""
+        with use_plan(FaultPlan(numpy_failures=1)), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", EngineDegradedWarning)
+            with pytest.raises(EngineDegradedWarning) as caught:
                 self._scan()
+        assert caught.value.kernel == "scan_collisions"
+        # The kernel error that caused the degradation stays attached.
+        assert isinstance(caught.value.__context__, InjectedKernelFault)
 
-    def test_degrade_policy_is_the_default(self):
-        assert EngineConfig().resolve_on_kernel_failure() == "degrade"
-        with pytest.raises(ValueError, match="on_kernel_failure"):
-            EngineConfig(on_kernel_failure="explode")
+    def test_degrade_holds_under_any_worker_count(self):
+        reference = reference_collisions(WINDOW, self.SCHEDULE.slot_of,
+                                         self.SCHEDULE.neighborhood_of)
+        for workers in (1, 2):
+            with use_config(EngineConfig(workers=workers)), \
+                    use_plan(FaultPlan(numpy_failures=1)):
+                with pytest.warns(EngineDegradedWarning):
+                    assert self._scan() == reference
 
 
 class TestCorruptSessionError:

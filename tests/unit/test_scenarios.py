@@ -21,7 +21,7 @@ from repro.scenarios.__main__ import main as scenarios_main
 from repro.scenarios.generators import EXACT_TILES
 from repro.tiles.shapes import GALLERY
 
-#: Cheapest matrix that still covers both modes and both surfaces.
+#: Cheapest matrix that still covers both modes.
 CHEAP = full_matrix(workers=(1,))
 
 
@@ -175,11 +175,11 @@ class TestOracle:
         assert report.ok and report.reference is not None
         assert report.to_row()["ok"] is True
 
-    def test_facade_and_legacy_observe_identically(self):
+    def test_full_and_incremental_observe_identically(self):
         spec = generate("heterogeneous_mix", 2008, 1)
-        facade, legacy = (run_path(spec, path) for path in full_matrix(
-            workers=(1,), modes=("full",)))
-        assert facade == legacy
+        full, incremental = (run_path(spec, path)
+                             for path in full_matrix(workers=(1,)))
+        assert full == incremental
 
     def test_reference_catches_a_consistently_wrong_engine(self,
                                                            monkeypatch):
@@ -218,8 +218,8 @@ class TestOracle:
         assert "python -m repro.scenarios run" in report.summary()
 
     def test_matrix_axes_are_narrowable(self):
-        assert len(full_matrix(workers=(1,), modes=("full",),
-                               surfaces=("legacy",))) == 1
+        assert len(full_matrix()) == 4
+        assert len(full_matrix(workers=(1,), modes=("full",))) == 1
 
 
 class TestCli:
