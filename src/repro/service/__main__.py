@@ -11,11 +11,10 @@ Commands:
   directly, diff every canonical response, exit 1 on any mismatch
   (``--transport wire`` replays through the socket front end over a
   consistent-hash worker pool).
-* ``serve`` — bind a wire server and serve until a ``shutdown`` op or
-  SIGINT: one in-process service by default, or ``--workers N`` for a
-  thread-mode pool behind one router socket.  ``--announce`` prints a
-  ``{"host": ..., "port": ...}`` JSON line once bound — the handshake
-  process-mode pools parse.
+* ``serve`` — bind a wire server over one scheduling service and
+  serve until a ``shutdown`` op or SIGINT.  ``--announce`` prints a
+  ``{"host": ..., "port": ...}`` JSON line once bound, for a parent
+  process that launched it on port 0.
 """
 
 from __future__ import annotations
@@ -108,42 +107,27 @@ def _cmd_differential(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import SchedulingService
     from repro.service.store import SessionStore
-    from repro.service.transport.pool import RouterSink, WorkerPool
     from repro.service.transport.server import WireServer
 
-    pool = service = None
-    if args.workers > 1:
-        pool = WorkerPool(args.workers, mode="thread",
-                          max_batch=args.max_batch,
-                          batch_window=args.batch_window,
-                          max_queue=args.max_queue,
-                          default_timeout=args.default_timeout)
-        server = WireServer(sink=RouterSink(pool), host=args.host,
-                            port=args.port)
-    else:
-        service = SchedulingService(
-            SessionStore(capacity=args.capacity),
-            max_queue=args.max_queue, max_batch=args.max_batch,
-            batch_window=args.batch_window,
-            default_timeout=args.default_timeout)
-        server = WireServer(service, host=args.host, port=args.port)
+    service = SchedulingService(
+        SessionStore(capacity=args.capacity),
+        max_queue=args.max_queue, max_batch=args.max_batch,
+        batch_window=args.batch_window,
+        default_timeout=args.default_timeout)
+    server = WireServer(service, host=args.host, port=args.port)
     host, port = server.address
     if args.announce:
         print(json.dumps({"host": host, "port": port}), flush=True)
     else:
-        print(f"serving on {host}:{port} "
-              f"({args.workers if args.workers > 1 else 1} worker(s)); "
-              f"stop with a shutdown op or Ctrl-C", file=sys.stderr)
+        print(f"serving on {host}:{port}; stop with a shutdown op or "
+              f"Ctrl-C", file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.close()
-        if service is not None:
-            service.close()
-        if pool is not None:
-            pool.close()
+        service.close()
     return 0
 
 
@@ -198,16 +182,13 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="0 binds a free port (see --announce)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help=">1: a thread-mode worker pool behind one "
-                            "router socket")
     serve.add_argument("--max-batch", type=int, default=64)
     serve.add_argument("--batch-window", type=float, default=0.002)
     serve.add_argument("--max-queue", type=int, default=1024)
     serve.add_argument("--default-timeout", type=float, default=None)
     serve.add_argument("--capacity", type=int, default=None,
-                       help="session-store LRU capacity (single-worker "
-                            "mode only)")
+                       help="session-store LRU capacity (default: "
+                            "never evict)")
     serve.add_argument("--announce", action="store_true",
                        help="print a {host, port} JSON line once bound")
     serve.set_defaults(run=_cmd_serve)

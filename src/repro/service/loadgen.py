@@ -264,7 +264,7 @@ def execute_wire(workload: Workload, *, max_batch: int = 64,
                  pipeline_depth: int = 128) -> LoadResult:
     """Run a workload through the socket front end and time it.
 
-    The wire twin of :func:`execute`: sessions open on a thread-mode
+    The wire twin of :func:`execute`: sessions open on an in-process
     :class:`~repro.service.transport.pool.WorkerPool` (``workers=1``
     is a single service behind one socket), then the scripted requests
     ship as pipelined bursts of ``pipeline_depth`` — each burst is one

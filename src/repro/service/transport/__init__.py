@@ -1,10 +1,10 @@
-"""Wire transport for the scheduling service: sockets, workers, scale-out.
+"""Wire transport for the scheduling service: sockets, clients, a pool.
 
-:mod:`repro.service` (PR 9) put a concurrent :class:`~repro.service.
+:mod:`repro.service` puts a concurrent :class:`~repro.service.
 server.SchedulingService` in front of the single-caller
-:class:`repro.api.Session` — in one process.  This package is the next
-rung of the ROADMAP's scale-out ladder: the same service surface over a
-real socket, and the same sessions sharded across worker *processes*.
+:class:`repro.api.Session`.  This package serves the same surface over
+a real socket, and shards sessions across a pool of in-process
+workers routed by the client.
 
 * :mod:`~repro.service.transport.wire` — the protocol: length-prefixed
   canonical-JSON frames, request/response/error encoding, and the typed
@@ -14,20 +14,21 @@ real socket, and the same sessions sharded across worker *processes*.
   threaded TCP front end that dispatches decoded requests into a local
   :class:`~repro.service.server.SchedulingService` (pipelined frames
   reach the dispatcher together, so cross-session coalescing works
-  over the wire too) or routes them across a worker pool.
+  over the wire too).
 * :mod:`~repro.service.transport.client` — :class:`ServiceClient`: the
   typed client, method-for-method the `SchedulingService` surface;
   every typed service error round-trips the socket and re-raises as
   itself (``ServiceOverloadError`` keeps ``queue_depth``/``max_queue``,
   ``ServiceDeadlineError`` keeps ``timeout``, …).
-* :mod:`~repro.service.transport.pool` — :class:`WorkerPool`:
-  multi-process scale-out.  Each worker owns its ``SessionStore``;
-  sessions place by consistent hash of ``session_id`` (so per-session
-  FIFO order survives sharding), and rebalancing moves sessions
-  between workers through the session wire envelope with warm-state
-  handoff.
+* :mod:`~repro.service.transport.pool` — :class:`WorkerPool` and
+  :class:`PoolClient`: in-process workers, each owning its
+  ``SessionStore`` behind its own loopback socket.  Sessions place by
+  consistent hash of ``session_id`` (so per-session FIFO order
+  survives sharding), the client routes each request to its owner,
+  and rebalancing hands live sessions, warm state included, from one
+  worker's store to another's.
 
-The acceptance gate is unchanged from PR 9: every response served over
+The acceptance gate is the service's: every response served over
 the wire is bit-identical to the same call made directly on the
 session — pinned by the differential oracle's wire leg
 (``python -m repro.scenarios service --transport wire``).
@@ -37,7 +38,6 @@ from repro.service.errors import TransportError
 from repro.service.transport.client import ServiceClient
 from repro.service.transport.pool import (
     PoolClient,
-    RouterSink,
     WorkerPool,
     hash_ring,
     place,
@@ -58,7 +58,6 @@ from repro.service.transport.wire import (
 __all__ = [
     "MAX_FRAME_BYTES",
     "PoolClient",
-    "RouterSink",
     "ServiceClient",
     "ServiceSink",
     "TransportError",

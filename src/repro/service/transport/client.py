@@ -217,18 +217,12 @@ class ServiceClient:
 
         The session ships through the digest-checked wire envelope:
         schedule + explicit window + engine config + interference
-        model (offsets, or the owning schedule's description).  Warm
-        state does not travel on this path (``open`` is the cold,
-        public door; warm movement is the pool's ``handoff`` pair).
+        model (offsets, or the owning schedule's description).  The
+        session opens cold: caches and counters do not travel.
         """
-        self.open_envelope(encode_session(session, session_id))
-
-    def open_envelope(self, envelope: str, *,
-                      warm: str | None = None) -> None:
-        payload: dict[str, Any] = {"envelope": envelope}
-        if warm is not None:
-            payload["warm"] = warm
-        self._request(encode_request("open", payload=payload))
+        self._request(encode_request(
+            "open", payload={"envelope": encode_session(session,
+                                                        session_id)}))
 
     def close_session(self, session_id: str) -> None:
         self._request(encode_request("close_session", session_id))
@@ -249,18 +243,3 @@ class ServiceClient:
     def shutdown(self) -> bool:
         """Ask the server to stop accepting after this reply."""
         return bool(self._request(encode_request("shutdown")))
-
-    def handoff_export(self, session_id: str) -> dict[str, Any]:
-        """Pull a session off the server: its wire envelope + warm blob.
-
-        The server closes its copy once exported — exactly-one-owner
-        is what keeps per-session FIFO meaningful across a pool.
-        """
-        return self._request(encode_request("handoff_export", session_id))
-
-    def handoff_import(self, envelope: str, *,
-                       warm: str | None = None) -> None:
-        payload: dict[str, Any] = {"envelope": envelope}
-        if warm is not None:
-            payload["warm"] = warm
-        self._request(encode_request("handoff_import", payload=payload))

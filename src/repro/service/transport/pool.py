@@ -1,13 +1,11 @@
-"""Multi-process scale-out: consistent hashing, worker pool, routing.
+"""In-process worker pool: consistent hashing and client-side routing.
 
-A :class:`WorkerPool` runs N independent scheduling services — each
-with its *own* :class:`~repro.service.store.SessionStore` — behind N
-:class:`~repro.service.transport.server.WireServer` sockets.  Workers
-are either in-process threads (``mode="thread"``: cheap, the default
-for tests and the differential oracle) or real subprocesses
-(``mode="process"``: ``python -m repro.service serve --announce`` per
-worker, true multi-core scale-out).  Both modes speak the identical
-wire protocol, so everything above the socket cannot tell them apart.
+A :class:`WorkerPool` runs N independent scheduling services in this
+process — each with its *own* :class:`~repro.service.store.SessionStore`
+— behind N loopback :class:`~repro.service.transport.server.WireServer`
+sockets.  It is what the wire differential oracle and the load
+generator replay through; a deployment runs one
+``python -m repro.service serve`` process per service.
 
 **Placement** is a consistent hash of ``session_id`` over a ring of
 virtual nodes (:func:`hash_ring` / :func:`place`).  One session lives
@@ -19,27 +17,19 @@ stable under resize — growing w0..w2 to w0..w3 moves only the ~1/4 of
 sessions whose ring segment the new worker claims.
 
 **Rebalancing** (:meth:`WorkerPool.rebalance`) moves exactly those
-sessions, through the wire envelope with warm-state handoff: the old
-worker exports (and closes) the session, the new worker imports it —
-caches, counters, certificate and pending deltas riding along
-best-effort, cold-on-failure, so a moved session keeps answering
-bit-identically either way.
+sessions by handing the live :class:`~repro.api.Session` object from
+the old worker's store to the new one's, so its warm state — caches,
+counters, certificate, pending deltas — moves with it and a moved
+session keeps answering bit-identically.
 
-**Routing** happens in one of two places: :class:`PoolClient` routes
-on the client side (each caller holds a connection per worker), or a
-front :class:`~repro.service.transport.server.WireServer` over a
-:class:`RouterSink` gives the whole pool one port
-(``python -m repro.service serve --workers N``).
+**Routing** happens on the client: :class:`PoolClient` holds one
+connection per worker and sends each session's requests to its owner.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import json
-import os
-import subprocess
-import sys
 import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
@@ -56,38 +46,27 @@ from repro.service.server import (
 from repro.service.store import SessionStore
 from repro.service.transport.client import ServiceClient
 from repro.service.transport.server import WireServer
-from repro.service.transport.wire import (
-    encode_bulk,
-    encode_error,
-    encode_result,
-)
 
-__all__ = ["PoolClient", "RouterSink", "WorkerPool", "hash_ring", "place"]
+__all__ = ["PoolClient", "WorkerPool", "hash_ring", "place"]
 
-#: Ops owned by exactly one worker (routed by session_id).
-_ROUTED_OPS = frozenset({
-    "assign", "verify", "edit", "restrict", "save", "load",
-    "close_session", "handoff_export",
-})
+#: Virtual nodes per worker on the ring.
+_VIRTUAL_NODES = 64
 
 
 # -- consistent hashing ------------------------------------------------
-def hash_ring(worker_names: Sequence[str],
-              replicas: int = 64) -> list[tuple[int, str]]:
-    """A consistent-hash ring: ``replicas`` virtual nodes per worker.
+def hash_ring(worker_names: Sequence[str]) -> list[tuple[int, str]]:
+    """A consistent-hash ring: ``_VIRTUAL_NODES`` points per worker.
 
     Ring points are the first 8 bytes of sha256 — deterministic across
     processes and Python builds (unlike ``hash()``, which is seeded),
-    which matters because client-side and server-side routing must
-    agree on placement without talking to each other.
+    so every client of a pool agrees on placement without talking to
+    the others.
     """
     if not worker_names:
         raise ValueError("hash_ring needs at least one worker name")
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas!r}")
     ring = []
     for name in worker_names:
-        for replica in range(replicas):
+        for replica in range(_VIRTUAL_NODES):
             digest = hashlib.sha256(
                 f"{name}#{replica}".encode("utf-8")).digest()
             ring.append((int.from_bytes(digest[:8], "big"), name))
@@ -111,42 +90,30 @@ def place(session_id: str, ring: Sequence[tuple[int, str]]) -> str:
 # -- the pool ----------------------------------------------------------
 @dataclass
 class _Worker:
-    """One pool member: its address, control client, and owned runtime."""
+    """One pool member: its service and the wire server in front of it."""
 
-    name: str
-    address: tuple[str, int]
-    client: ServiceClient
-    #: Thread mode: the in-process service + wire server this pool owns.
-    service: SchedulingService | None = None
-    server: WireServer | None = None
-    #: Process mode: the worker subprocess.
-    process: subprocess.Popen | None = None
+    service: SchedulingService
+    server: WireServer
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server.address
 
 
 class WorkerPool:
-    """N scheduling-service workers behind one consistent-hash ring.
+    """N in-process scheduling-service workers behind one hash ring.
 
     Args:
         workers: initial worker count.
-        mode: ``"thread"`` (in-process services; cheap, single-core) or
-            ``"process"`` (``python -m repro.service serve``
-            subprocesses; real multi-core scale-out).
-        replicas: virtual nodes per worker on the ring.
         max_batch / batch_window / max_queue / default_timeout: passed
             through to every worker's :class:`SchedulingService`.
     """
 
-    def __init__(self, workers: int = 2, *, mode: str = "thread",
-                 replicas: int = 64, max_batch: int = 64,
+    def __init__(self, workers: int = 2, *, max_batch: int = 64,
                  batch_window: float = 0.001, max_queue: int = 1024,
                  default_timeout: float | None = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
-        if mode not in ("thread", "process"):
-            raise ValueError(
-                f"mode must be 'thread' or 'process', got {mode!r}")
-        self._mode = mode
-        self._replicas = replicas
         self._service_options = {
             "max_batch": max_batch, "batch_window": batch_window,
             "max_queue": max_queue, "default_timeout": default_timeout,
@@ -156,13 +123,9 @@ class WorkerPool:
         self._next_index = 0
         for _ in range(workers):
             self._start_worker()
-        self._ring = hash_ring(self.worker_names(), replicas)
+        self._ring = hash_ring(self.worker_names())
 
     # -- topology ------------------------------------------------------
-    @property
-    def mode(self) -> str:
-        return self._mode
-
     def worker_names(self) -> list[str]:
         with self._lock:
             return sorted(self._workers,
@@ -172,11 +135,6 @@ class WorkerPool:
         with self._lock:
             return self._workers[name].address
 
-    def client_for(self, name: str) -> ServiceClient:
-        """The pool's control client for a worker (shared; serialized)."""
-        with self._lock:
-            return self._workers[name].client
-
     def worker_for(self, session_id: str) -> str:
         """The worker owning a session under the current ring."""
         with self._lock:
@@ -184,77 +142,19 @@ class WorkerPool:
         return place(session_id, ring)
 
     # -- worker lifecycle ----------------------------------------------
-    def _start_worker(self) -> _Worker:
+    def _start_worker(self) -> None:
         name = f"w{self._next_index}"
         self._next_index += 1
-        if self._mode == "thread":
-            service = SchedulingService(SessionStore(),
-                                        **self._service_options)
-            server = WireServer(service).start()
-            host, port = server.address
-            client = ServiceClient(host, port)
-            worker = _Worker(name=name, address=(host, port),
-                             client=client, service=service, server=server)
-        else:
-            worker = self._spawn_process_worker(name)
+        service = SchedulingService(SessionStore(), **self._service_options)
+        worker = _Worker(service=service,
+                         server=WireServer(service).start())
         with self._lock:
             self._workers[name] = worker
-        return worker
 
-    def _spawn_process_worker(self, name: str) -> _Worker:
-        import repro
-        src_dir = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            src_dir + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH") else src_dir)
-        options = self._service_options
-        command = [sys.executable, "-m", "repro.service", "serve",
-                   "--host", "127.0.0.1", "--port", "0", "--announce",
-                   "--max-batch", str(options["max_batch"]),
-                   "--batch-window", str(options["batch_window"]),
-                   "--max-queue", str(options["max_queue"])]
-        if options["default_timeout"] is not None:
-            command += ["--default-timeout",
-                        str(options["default_timeout"])]
-        process = subprocess.Popen(command, stdout=subprocess.PIPE,
-                                   env=env, text=True)
-        line = process.stdout.readline() if process.stdout else ""
-        if not line:
-            process.kill()
-            raise TransportError(
-                f"worker {name!r} exited before announcing its address "
-                f"(exit code {process.wait()})")
-        try:
-            announced = json.loads(line)
-            host, port = announced["host"], int(announced["port"])
-        except (json.JSONDecodeError, KeyError, TypeError,
-                ValueError) as error:
-            process.kill()
-            raise TransportError(
-                f"worker {name!r} announced garbage {line!r}: {error}"
-            ) from error
-        client = ServiceClient(host, port)
-        return _Worker(name=name, address=(host, port), client=client,
-                       process=process)
-
-    def _stop_worker(self, worker: _Worker) -> None:
-        try:
-            worker.client.shutdown()
-        except TransportError:
-            pass
-        worker.client.close()
-        if worker.server is not None:
-            worker.server.close()
-        if worker.service is not None:
-            worker.service.close()
-        if worker.process is not None:
-            try:
-                worker.process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                worker.process.kill()
-                worker.process.wait()
+    @staticmethod
+    def _stop_worker(worker: _Worker) -> None:
+        worker.server.close()
+        worker.service.close()
 
     # -- rebalancing ---------------------------------------------------
     def rebalance(self, workers: int) -> dict[str, str]:
@@ -262,11 +162,11 @@ class WorkerPool:
 
         Grows by starting fresh workers, shrinks by retiring the
         highest-numbered ones.  Every session whose ring owner changes
-        is exported from its old worker (envelope + warm blob, which
-        also closes it there — exactly one owner at all times) and
-        imported on its new one.  Per-session FIFO is preserved
-        because the caller rebalances between requests, never racing
-        a session's own in-flight stream.
+        moves as the live object: under its lease on the old worker, so
+        no request runs there meanwhile, it opens on the new one and
+        closes on the old.  Per-session FIFO is preserved because the caller
+        rebalances between requests, never racing a session's own
+        in-flight stream.
 
         Returns:
             moved ``session_id -> new worker name``.
@@ -274,27 +174,28 @@ class WorkerPool:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
         old_names = self.worker_names()
-        if workers > len(old_names):
-            for _ in range(workers - len(old_names)):
-                self._start_worker()
+        for _ in range(workers - len(old_names)):
+            self._start_worker()
         new_names = self.worker_names()[:workers]
-        retiring = [name for name in self.worker_names()
-                    if name not in new_names]
-        new_ring = hash_ring(new_names, self._replicas)
+        new_ring = hash_ring(new_names)
+        with self._lock:
+            members = dict(self._workers)
         moved: dict[str, str] = {}
         for name in old_names:
-            source = self.client_for(name)
-            for session_id in source.session_ids():
+            source = members[name].service.store
+            for session_id in source.ids():
                 target = place(session_id, new_ring)
                 if target == name:
                     continue
-                handoff = source.handoff_export(session_id)
-                self.client_for(target).handoff_import(
-                    handoff["envelope"], warm=handoff.get("warm"))
+                with source.lease(session_id) as session:
+                    members[target].service.open_session(session_id,
+                                                         session)
+                    source.close(session_id)
                 moved[session_id] = target
         with self._lock:
             self._ring = new_ring
-            retired = [self._workers.pop(name) for name in retiring]
+            retired = [self._workers.pop(name) for name in members
+                       if name not in new_names]
         for worker in retired:
             self._stop_worker(worker)
         return moved
@@ -451,116 +352,3 @@ class PoolClient:
         for thread in threads:
             thread.join()
         return results
-
-
-# -- server-side routing -----------------------------------------------
-class RouterSink:
-    """A front-door sink: one socket for the whole pool.
-
-    Plugs into a :class:`~repro.service.transport.server.WireServer`
-    and forwards raw frames to the owning worker — session ops by ring
-    placement, ``open``/``handoff_import`` by the session id inside
-    their envelope, ``metrics``/``session_ids``/``ping`` fanned out
-    and merged.  A ``bulk`` frame splits into per-worker bulks (order
-    within each worker preserved — FIFO again) and reassembles.
-    """
-
-    def __init__(self, pool: WorkerPool) -> None:
-        self._pool = pool
-        self._shutdown = threading.Event()
-
-    @property
-    def shutdown_requested(self) -> bool:
-        return self._shutdown.is_set()
-
-    def handle(self, frame: dict[str, Any]) -> dict[str, Any]:
-        try:
-            return self._handle(frame)
-        except Exception as error:
-            return {"ok": False, "error": encode_error(error)}
-
-    def _target_of(self, frame: dict[str, Any]) -> str:
-        op = frame.get("op")
-        if op in ("open", "handoff_import"):
-            payload = frame.get("payload")
-            envelope = (payload or {}).get("envelope")
-            try:
-                session_id = json.loads(envelope)["session_id"]
-            except (TypeError, ValueError, KeyError) as error:
-                raise TransportError(
-                    f"cannot route {op!r}: envelope has no readable "
-                    f"session_id ({error!r})") from error
-        else:
-            session_id = frame.get("session_id")
-        if not isinstance(session_id, str):
-            raise TransportError(
-                f"cannot route op {op!r} without a session_id")
-        return self._pool.worker_for(session_id)
-
-    def _handle(self, frame: dict[str, Any]) -> dict[str, Any]:
-        op = frame.get("op")
-        if op == "bulk":
-            return self._handle_bulk(frame)
-        if op == "ping":
-            for name in self._pool.worker_names():
-                self._pool.client_for(name).ping()
-            return {"ok": True, "result": encode_result(None)}
-        if op == "metrics":
-            merged = merge_metrics(
-                [self._pool.client_for(name).metrics()
-                 for name in self._pool.worker_names()])
-            return {"ok": True, "result": encode_result(merged)}
-        if op == "session_ids":
-            ids: list[str] = []
-            for name in self._pool.worker_names():
-                ids.extend(self._pool.client_for(name).session_ids())
-            return {"ok": True, "result": encode_result(sorted(ids))}
-        if op == "shutdown":
-            self._shutdown.set()
-            return {"ok": True, "result": encode_result(None)}
-        worker = self._target_of(frame)
-        return self._pool.client_for(worker).request_raw(frame)
-
-    def _handle_bulk(self, frame: dict[str, Any]) -> dict[str, Any]:
-        raw_requests = frame.get("requests")
-        if not isinstance(raw_requests, list):
-            raise TransportError("bulk frame carries no request list")
-        groups: dict[str, list[tuple[int, dict[str, Any]]]] = {}
-        items: list[Any] = [None] * len(raw_requests)
-        for index, raw in enumerate(raw_requests):
-            try:
-                if not isinstance(raw, dict):
-                    raise TransportError(
-                        f"bulk item must be a request object, got "
-                        f"{type(raw).__name__}")
-                worker = self._target_of(raw)
-            except TransportError as error:
-                items[index] = {"ok": False, "error": encode_error(error)}
-                continue
-            groups.setdefault(worker, []).append((index, raw))
-
-        def run(worker: str,
-                grouped: list[tuple[int, dict[str, Any]]]) -> None:
-            try:
-                response = self._pool.client_for(worker).request_raw(
-                    encode_bulk([raw for _, raw in grouped]))
-                answers = response.get("results")
-                if not response.get("ok") or not isinstance(answers, list):
-                    raise TransportError(
-                        f"malformed bulk response from worker "
-                        f"{worker!r}")
-            except Exception as error:
-                body = {"ok": False, "error": encode_error(error)}
-                for index, _ in grouped:
-                    items[index] = body
-                return
-            for (index, _), answer in zip(grouped, answers):
-                items[index] = answer
-
-        threads = [threading.Thread(target=run, args=(worker, grouped))
-                   for worker, grouped in groups.items()]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return {"ok": True, "results": items}

@@ -1,19 +1,14 @@
-"""The socket front end: a threaded TCP server over a request sink.
+"""The socket front end: a threaded TCP server over one local service.
 
 :class:`WireServer` owns the socket machinery only — accept loop,
 per-connection handler threads, frame I/O.  What a decoded request
-*means* is a sink's business:
-
-* :class:`ServiceSink` answers from a local
-  :class:`~repro.service.server.SchedulingService`.  Session-scoped
-  ops go through :meth:`~repro.service.server.SchedulingService.
-  submit` — the same admission control, deadlines and batching as
-  in-process callers — and a pipelined ``bulk`` frame submits every
-  sub-request *before* awaiting any result, so the dispatcher's
-  cross-session coalescing fires over the wire exactly as it does for
-  the in-process async client.
-* ``RouterSink`` (in :mod:`~repro.service.transport.pool`) forwards to
-  a worker pool by consistent hash instead.
+*means* is :class:`ServiceSink`'s business: it answers from a local
+:class:`~repro.service.server.SchedulingService`.  Session-scoped ops
+go through :meth:`~repro.service.server.SchedulingService.submit` —
+the same admission control, deadlines and batching as in-process
+callers — and a pipelined ``bulk`` frame submits every sub-request
+*before* awaiting any result, so the dispatcher's cross-session
+coalescing fires over the wire exactly as it does in-process.
 
 Error discipline mirrors the queue's: a decodable frame with a broken
 request (unknown op, malformed payload) gets a typed error *response*
@@ -24,25 +19,18 @@ service answers with its typed error — ``ServiceOverloadError``,
 ``ServiceDeadlineError``, ``UnknownSessionError``, … — re-raised
 as itself on the client side.
 
-Session handoff (``handoff_export`` / ``handoff_import`` / ``open``)
-moves whole sessions through the self-checking wire envelope
-(:func:`repro.core.serialize.session_wire_to_json`).  Warm state —
-verification caches, counters, certificate, pending deltas — rides
-along as a pickled blob *best-effort*: if it does not pickle, the
-session moves cold and rebuilds its caches on first use, the same
-degradation contract as store eviction.  The blob is only ever
-exchanged between a pool and its own workers on loopback; the wire
-envelope itself never embeds executable state.
+``open`` ships a whole session by value through the self-checking
+wire envelope (:func:`repro.core.serialize.session_wire_to_json`):
+schedule, window, config and interference model as data, never
+executable state.  A session opened over the wire starts cold.
 """
 
 from __future__ import annotations
 
-import base64
 import contextvars
-import pickle
 import socketserver
 import threading
-from typing import Any, Callable
+from typing import Any
 
 from repro.service.errors import TransportError
 from repro.service.server import SchedulingService
@@ -51,7 +39,6 @@ from repro.service.transport.wire import (
     decode_session,
     encode_error,
     encode_result,
-    encode_session,
     read_frame,
     write_frame,
 )
@@ -170,10 +157,11 @@ class ServiceSink:
         op = request["op"]
         if op in _SESSION_OPS:
             return self._submit(request).result()
-        if op in ("open", "handoff_import"):
-            return self._import_session(request["payload"])
-        if op == "handoff_export":
-            return self._export_session(request)
+        if op == "open":
+            session_id, session = decode_session(
+                request["payload"]["envelope"])
+            self._service.open_session(session_id, session)
+            return None
         if op == "close_session":
             session_id = request["session_id"]
             if session_id is None:
@@ -191,36 +179,6 @@ class ServiceSink:
             return None
         raise TransportError(f"op {op!r} not handled by this sink")
 
-    def _import_session(self, payload: dict[str, Any]) -> None:
-        session_id, session = decode_session(payload["envelope"])
-        warm_b64 = payload.get("warm")
-        if warm_b64:
-            try:
-                session._attach_warm(
-                    pickle.loads(base64.b64decode(warm_b64)))
-            except Exception:
-                # Best-effort warmth: an unpicklable or stale blob
-                # degrades to a cold import, never a failed one.
-                _, session = decode_session(payload["envelope"])
-        self._service.open_session(session_id, session)
-        return None
-
-    def _export_session(self, request: dict[str, Any]) -> dict[str, Any]:
-        session_id = request["session_id"]
-        if session_id is None:
-            raise TransportError("handoff_export requires a session_id")
-        store = self._service.store
-        with store.lease(session_id) as session:
-            envelope = encode_session(session, session_id)
-            try:
-                blob = pickle.dumps(session._detach_warm(),
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-                warm: str | None = base64.b64encode(blob).decode("ascii")
-            except Exception:
-                warm = None  # cold handoff; caches rebuild on arrival
-        self._service.close_session(session_id)
-        return {"kind": "handoff", "envelope": envelope, "warm": warm}
-
 
 class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
@@ -228,12 +186,11 @@ class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
 
 
 class WireServer:
-    """A TCP front end serving wire frames from a request sink.
+    """A TCP front end serving wire frames from a local service.
 
     Args:
-        service: serve this local scheduling service (wrapped in a
-            :class:`ServiceSink`).  Mutually exclusive with ``sink``.
-        sink: serve an explicit sink (e.g. a pool's ``RouterSink``).
+        service: the scheduling service to serve (wrapped in a
+            :class:`ServiceSink`).
         host / port: bind address; port ``0`` picks a free port —
             read it back from :attr:`address`.
 
@@ -241,15 +198,12 @@ class WireServer:
     ``serve_forever()`` serves in the calling thread (the
     ``python -m repro.service serve`` entry point).  A ``shutdown``
     op from any client stops the accept loop after its reply is
-    written, so a pool can retire a worker over the wire.
+    written.
     """
 
-    def __init__(self, service: SchedulingService | None = None, *,
-                 sink: Any = None, host: str = "127.0.0.1",
-                 port: int = 0) -> None:
-        if (service is None) == (sink is None):
-            raise ValueError("pass exactly one of service or sink")
-        self._sink = ServiceSink(service) if sink is None else sink
+    def __init__(self, service: SchedulingService, *,
+                 host: str = "127.0.0.1", port: int = 0) -> None:
+        self._sink = ServiceSink(service)
         # Connection handler threads must resolve ambient engine config
         # (the contextvar-scoped use_config overlay) the way the thread
         # that built the server does — the certificate fast path and
@@ -265,10 +219,6 @@ class WireServer:
                                        _make_handler(self._sink, self))
         self._thread: threading.Thread | None = None
         self._closed = False
-
-    @property
-    def sink(self) -> Any:
-        return self._sink
 
     @property
     def address(self) -> tuple[str, int]:
@@ -305,7 +255,7 @@ class WireServer:
         self.close()
 
 
-def _make_handler(sink: Any,
+def _make_handler(sink: ServiceSink,
                   wire_server: WireServer) -> type:
     """The per-connection frame loop, bound to one sink."""
 
@@ -333,7 +283,7 @@ def _make_handler(sink: Any,
                     write_frame(self.wfile, response)
                 except TransportError:
                     return  # peer vanished mid-reply
-                if getattr(sink, "shutdown_requested", False):
+                if sink.shutdown_requested:
                     # Reply first, then stop the accept loop from a
                     # separate thread (shutdown() joins serve_forever,
                     # which must not happen on this handler thread
@@ -343,7 +293,3 @@ def _make_handler(sink: Any,
                     return
 
     return _Handler
-
-
-#: Type of sink ``handle`` callables, for pool.py's RouterSink.
-SinkHandler = Callable[[dict[str, Any]], dict[str, Any]]

@@ -75,12 +75,22 @@ _MAGIC = b"REPRO1 "
 #: Longest legal header line: magic + decimal length + newline.
 _MAX_HEADER = len(_MAGIC) + len(str(MAX_FRAME_BYTES)) + 2
 
+
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"non-finite number {name} is not strict JSON")
+
+
+#: Decodes frame bodies; NaN and Infinity are refused, as write_frame
+#: refuses to send them.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 #: Session-scoped ops (queued through SchedulingService.submit) plus
 #: the transport's admin/control ops.
 REQUEST_OPS = frozenset({
     "assign", "verify", "edit", "restrict", "save", "load",
     "open", "close_session", "session_ids", "metrics", "ping",
-    "handoff_export", "handoff_import", "shutdown", "bulk",
+    "shutdown", "bulk",
 })
 
 
@@ -155,10 +165,10 @@ def read_frame(stream: BinaryIO) -> dict[str, Any] | None:
             f"truncated frame: header promised {length} bytes, got "
             f"{0 if body is None else len(body)}")
     try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        payload = _DECODER.decode(body.decode("utf-8"))
+    except (ValueError, RecursionError) as error:
         raise TransportError(
-            f"frame body is not valid JSON: {error}") from error
+            f"frame body is not strict JSON: {error}") from error
     if not isinstance(payload, dict):
         raise TransportError(
             f"frame payload must be a JSON object, got "
@@ -251,8 +261,7 @@ def decode_session(envelope: str) -> tuple[str, Session]:
     state: same digest-checked schedule, same window/config/offsets,
     and the same interference model (the owner schedule reconstructs
     and its ``neighborhood_of`` rebinds).  Counters and caches start
-    at zero — warmth travels separately (the handoff blob), when it
-    travels at all.
+    at zero: a session crosses the wire cold.
 
     Raises:
         CorruptSessionError: from the envelope validation.
@@ -300,16 +309,14 @@ def encode_request(op: str, session_id: str | None = None,
     elif op == "load":
         encoded["text"] = str(payload["text"])
         encoded["window"] = encode_window(payload.get("window"))
-    elif op in ("open", "handoff_import"):
+    elif op == "open":
         encoded["envelope"] = str(payload["envelope"])
-        if payload.get("warm") is not None:
-            encoded["warm"] = str(payload["warm"])
     elif op == "bulk":
         raise ValueError(
             "bulk frames nest encoded requests; build them with "
             "encode_bulk")
-    # save / close_session / session_ids / metrics / ping /
-    # handoff_export / shutdown carry no payload.
+    # save / close_session / session_ids / metrics / ping / shutdown
+    # carry no payload.
     request: dict[str, Any] = {"op": op, "payload": encoded}
     if session_id is not None:
         request["session_id"] = str(session_id)
@@ -342,7 +349,7 @@ def decode_request(data: dict[str, Any]) -> dict[str, Any]:
             frame instead of dying or serving garbage.
     """
     op = data.get("op")
-    if op not in REQUEST_OPS:
+    if not isinstance(op, str) or op not in REQUEST_OPS:
         raise TransportError(
             f"unknown wire op {op!r}; expected one of "
             f"{sorted(REQUEST_OPS)}")
@@ -397,11 +404,8 @@ def _decode_payload(op: str, payload: dict[str, Any]) -> dict[str, Any]:
     if op == "load":
         return {"text": str(payload["text"]),
                 "window": decode_window(payload.get("window"))}
-    if op in ("open", "handoff_import"):
-        decoded = {"envelope": str(payload["envelope"])}
-        if payload.get("warm") is not None:
-            decoded["warm"] = str(payload["warm"])
-        return decoded
+    if op == "open":
+        return {"envelope": str(payload["envelope"])}
     return {}
 
 
@@ -449,8 +453,6 @@ def encode_result(result: Any) -> dict[str, Any]:
                 "ids": [str(item) for item in result]}
     if result is None or result is True:
         return {"kind": "ok"}
-    if isinstance(result, dict) and result.get("kind") == "handoff":
-        return result
     raise TypeError(
         f"unencodable service response {type(result).__name__}")
 
@@ -492,8 +494,6 @@ def decode_result(data: dict[str, Any]) -> Any:
         return [str(item) for item in data["ids"]]
     if kind == "ok":
         return True
-    if kind == "handoff":
-        return data
     raise TransportError(f"unknown response kind {kind!r}")
 
 

@@ -1,0 +1,205 @@
+"""Fuzzing the wire decoders: every input is a frame, a response, or a
+typed error.
+
+Three contracts, for arbitrary input:
+
+* **framing** — any byte string fed to :func:`read_frame` yields frames,
+  a clean EOF, or a :class:`TransportError`; no parser exception
+  escapes, whatever the header or the body;
+* **dispatch** — any JSON object handed to :meth:`ServiceSink.handle`
+  comes back as a response body (``ok`` true or false) that the wire
+  can carry; ``handle`` never raises, so a broken request cannot drop
+  its connection;
+* **bulk isolation** — in a ``bulk`` frame mixing valid requests with
+  garbage, every valid request is answered exactly as a direct
+  ``Session`` call answers it.
+
+Coordinates stay small: a legitimately huge window is real work for
+the engine, not a decoder fault, and these properties are about the
+decoders.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.api import Box, Session
+from repro.service import SchedulingService, SessionStore
+from repro.service.transport import (
+    ServiceSink,
+    TransportError,
+    decode_result,
+    encode_request,
+    read_frame,
+    write_frame,
+)
+from repro.service.transport.wire import REQUEST_OPS
+
+SETTINGS = dict(max_examples=150, deadline=None)
+#: Dispatch examples go through a live service; fewer keep it quick.
+DISPATCH_SETTINGS = dict(max_examples=80, deadline=None)
+
+WINDOW = Box((0, 0), (5, 5))
+
+#: A body that nests deeper than the JSON parser's recursion limit.
+DEEP_BODY = b"[" * 200_000
+
+#: An op that is not a string, so it cannot even be looked up.
+UNHASHABLE_OP = {"op": []}
+
+#: A non-finite coordinate, which no integer conversion accepts.
+INFINITE_POINT = (b'{"op":"assign","session_id":"s",'
+                  b'"payload":{"points":[[Infinity,0]]}}')
+
+small_ints = st.integers(-8, 8)
+scalars = (st.none() | st.booleans() | small_ints
+           | st.floats(-8, 8, allow_nan=False) | st.text(max_size=8))
+json_values = st.recursive(
+    scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=4)),
+    max_leaves=16)
+points = st.lists(st.lists(small_ints, min_size=2, max_size=2),
+                  max_size=6)
+windows = (json_values
+           | st.builds(lambda lo, hi: {"box": [lo, hi]},
+                       st.lists(small_ints, min_size=2, max_size=2),
+                       st.lists(small_ints, min_size=2, max_size=2))
+           | st.builds(lambda pts: {"points": pts}, points))
+payload_fields = {
+    "points": points | json_values,
+    "window": windows,
+    "offsets": points | json_values,
+    "use_cache": json_values,
+    "stream_chunk": json_values,
+    "updates": st.lists(st.tuples(
+        st.lists(small_ints, min_size=2, max_size=2), small_ints)
+        .map(list), max_size=3) | json_values,
+    "text": json_values,
+    "envelope": json_values,
+    "warm": json_values,
+}
+payloads = json_values | st.fixed_dictionaries({}, optional=payload_fields)
+request_frames = st.fixed_dictionaries({}, optional={
+    "op": st.sampled_from(sorted(REQUEST_OPS)) | json_values,
+    "session_id": st.sampled_from(["s", "ghost"]) | json_values,
+    "payload": payloads,
+    "timeout": st.none() | json_values,
+    "requests": st.lists(json_values, max_size=3),
+})
+
+
+def _is_request(value) -> bool:
+    """True for a dict naming a real op (garbage must not be one)."""
+    op = value.get("op") if isinstance(value, dict) else None
+    return isinstance(op, str) and op in REQUEST_OPS
+
+
+garbage = (json_values | request_frames).filter(
+    lambda value: not _is_request(value))
+bulk_items = st.lists(
+    st.tuples(st.just("valid"), points) | st.tuples(st.just("garbage"),
+                                                     garbage),
+    min_size=1, max_size=8)
+
+
+def framed(body: bytes) -> bytes:
+    return b"REPRO1 " + str(len(body)).encode() + b"\n" + body
+
+
+def make_session() -> Session:
+    return Session.for_chebyshev(1, window=WINDOW)
+
+
+@pytest.fixture(scope="module")
+def sink():
+    service = SchedulingService(SessionStore(), max_queue=256,
+                                batch_window=0.0)
+    yield ServiceSink(service)
+    service.close()
+
+
+def _assert_response_body(response) -> None:
+    assert isinstance(response, dict)
+    assert response.get("ok") in (True, False)
+    if response["ok"]:
+        assert "result" in response or "results" in response
+    else:
+        assert isinstance(response.get("error"), dict)
+    write_frame(io.BytesIO(), response)  # the wire can carry it
+
+
+class TestFraming:
+    @given(st.binary(max_size=256))
+    @settings(**SETTINGS)
+    @example(framed(DEEP_BODY))
+    def test_any_bytes_are_frames_or_typed_errors(self, data):
+        stream = io.BytesIO(data)
+        try:
+            while read_frame(stream) is not None:
+                pass
+        except TransportError:
+            pass
+
+    @given(st.binary(max_size=256)
+           | st.text(alphabet='[]{}",:0123456789.-eE ntrufalsN\\',
+                     max_size=256).map(str.encode))
+    @settings(**SETTINGS)
+    @example(DEEP_BODY)
+    @example(INFINITE_POINT)
+    def test_any_body_behind_a_valid_header(self, body):
+        try:
+            frame = read_frame(io.BytesIO(framed(body)))
+        except TransportError:
+            return
+        assert isinstance(frame, dict)
+
+
+class TestDispatch:
+    @given(json_values | request_frames)
+    @settings(**DISPATCH_SETTINGS)
+    @example(UNHASHABLE_OP)
+    def test_handle_answers_every_object_and_never_raises(self, sink, frame):
+        if not isinstance(frame, dict):
+            frame = {"value": frame}
+        sink.service.open_session("s", make_session())
+        _assert_response_body(sink.handle(frame))
+
+    @given(st.builds(lambda frame: json.dumps(frame).encode(),
+                     json_values | request_frames))
+    @settings(**DISPATCH_SETTINGS)
+    @example(INFINITE_POINT)
+    def test_every_frame_read_is_answered(self, sink, body):
+        """The two decoders in series, as a connection runs them."""
+        try:
+            frame = read_frame(io.BytesIO(framed(body)))
+        except TransportError:
+            return
+        sink.service.open_session("s", make_session())
+        _assert_response_body(sink.handle(frame))
+
+    @given(bulk_items)
+    @settings(**DISPATCH_SETTINGS)
+    @example([("valid", [[0, 0]]), ("garbage", UNHASHABLE_OP),
+              ("valid", [[1, 2], [4, 5]])])
+    def test_bulk_answers_every_valid_item(self, sink, items):
+        sink.service.open_session("s", make_session())
+        requests = [encode_request("assign", "s", {"points": value})
+                    if kind == "valid" else value for kind, value in items]
+        response = sink.handle({"op": "bulk", "requests": requests})
+        _assert_response_body(response)
+        assert response["ok"] and len(response["results"]) == len(items)
+        direct = make_session()
+        for (kind, value), answer in zip(items, response["results"]):
+            assert answer.get("ok") in (True, False)
+            if kind == "valid":
+                assert answer["ok"], answer
+                expected = direct.assign([tuple(p) for p in value])
+                got = decode_result(answer["result"])
+                assert list(got.slots) == list(expected.slots)

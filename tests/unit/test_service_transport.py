@@ -13,6 +13,7 @@ rebalance.
 
 from __future__ import annotations
 
+import codecs
 import io
 import json
 import socket
@@ -482,6 +483,52 @@ class TestWireEndToEnd:
 
 
 # ----------------------------------------------------------------------
+def object_stream_that_creates(marker) -> str:
+    """A ``warm`` field as the retired warm handoff encoded it: a
+    protocol-0 serialized-object stream, in base-64 text, whose loading
+    calls ``builtins.open(marker, "w")`` and so creates the file."""
+    stream = (b"cbuiltins\nopen\n(V" + str(marker).encode("utf-8")
+              + b"\nVw\ntR.")
+    return codecs.encode(stream, "base_64").decode("ascii")
+
+
+class TestTrustBoundary:
+    """No frame a peer sends makes the server run code it was not asked
+    to run: ``open`` only ever reads its envelope as data."""
+
+    def test_warm_field_on_open_is_never_executed(self, wire, tmp_path):
+        client, service = wire
+        marker = tmp_path / "marker"
+        response = client.request_raw({"op": "open", "payload": {
+            "envelope": encode_session(make_tiling_session(), "s"),
+            "warm": object_stream_that_creates(marker)}})
+        assert response["ok"], response
+        assert not marker.exists()
+        with service.store.lease("s") as session:
+            assert session.cache_stats == (0, 0)  # opened cold
+        assert reports_equal(client.verify("s"),
+                             make_tiling_session().verify())
+        assert not marker.exists()
+
+    # The retired warm-handoff ops, named by their suffix.
+    @pytest.mark.parametrize("suffix", ["export", "import"])
+    def test_retired_handoff_ops_are_unknown(self, wire, tmp_path, suffix):
+        client, _ = wire
+        client.open_session("s", make_tiling_session())
+        marker = tmp_path / "marker"
+        response = client.request_raw({
+            "op": f"handoff_{suffix}", "session_id": "s", "payload": {
+                "envelope": encode_session(make_tiling_session(), "t"),
+                "warm": object_stream_that_creates(marker)}})
+        assert not response["ok"]
+        error = decode_error(response["error"])
+        assert isinstance(error, TransportError)
+        assert "unknown wire op" in str(error)
+        assert not marker.exists()
+        assert client.session_ids() == ["s"]
+
+
+# ----------------------------------------------------------------------
 class TestWorkerPool:
     def test_placement_is_consistent_and_fifo_per_session(self):
         with WorkerPool(workers=3) as pool, PoolClient(pool) as client:
@@ -545,6 +592,37 @@ class TestWorkerPool:
                 for session_id in sorted(moved) or ["s0"]:
                     assert reports_equal(client.verify(session_id),
                                          warm_expected)
+
+    def test_rebalance_shrink_keeps_every_session_warm(self):
+        """Shrinking to one worker keeps every session; each moved
+        session's next verify is bit-identical to a never-moved warm
+        session's second verify, and the retired workers stop
+        accepting connections."""
+        direct = make_tiling_session()
+        direct.verify()
+        warm_expected = direct.verify()
+        ids = [f"s{n}" for n in range(8)]
+        with WorkerPool(workers=3) as pool:
+            with PoolClient(pool) as client:
+                for session_id in ids:
+                    client.open_session(session_id, make_tiling_session())
+                    client.verify(session_id)
+                before = {session_id: pool.worker_for(session_id)
+                          for session_id in ids}
+                retired = [pool.address_of(name) for name in ("w1", "w2")]
+                moved = pool.rebalance(1)
+            assert pool.worker_names() == ["w0"]
+            assert moved == {session_id: "w0" for session_id in ids
+                             if before[session_id] != "w0"}
+            assert moved
+            with PoolClient(pool) as client:
+                assert sorted(client.session_ids()) == ids
+                for session_id in sorted(moved):
+                    assert reports_equal(client.verify(session_id),
+                                         warm_expected)
+            for address in retired:
+                with pytest.raises(TransportError):
+                    ServiceClient(*address, timeout=2)
 
     def test_merged_metrics_count_all_workers(self):
         with WorkerPool(workers=2) as pool, PoolClient(pool) as client:
