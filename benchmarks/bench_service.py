@@ -26,13 +26,13 @@ acceptance gate).
 
 from __future__ import annotations
 
-from repro.service.loadgen import build_workload, execute
+from repro.service.loadgen import build_workload, execute, execute_wire
 
 _SEED = 2008
-#: Batched-drain repetitions; the best run is scored (same convention
-#: as the bulk-assignment benchmark: scheduler noise only ever slows a
+#: Repetitions per mode; the best run is scored (same convention as
+#: the bulk-assignment benchmark: scheduler noise only ever slows a
 #: drain down, so min is the honest kernel cost).
-_REPEATS = 3
+_REPEATS = 15
 #: The acceptance gate on coalescing (ISSUE: >= 3x at ~1k small requests).
 _SPEEDUP_GATE = 3.0
 
@@ -44,14 +44,23 @@ def _gate_workload():
                           max_assign_points=4)
 
 
-def _best_drain(workload, *, max_batch: int):
-    best = None
+def _best_runs(run, *max_batches: int):
+    """The best of ``_REPEATS`` runs of ``run`` per ``max_batch``.
+
+    The modes alternate within each repetition, so every best-of
+    figure is drawn from the same phases of a shared, noisy host; a
+    ratio of two figures taken in separate stretches swings with
+    whatever else the host was doing in each.
+    """
+    best = [None] * len(max_batches)
     for _ in range(_REPEATS):
-        result = execute(workload, max_batch=max_batch)
-        assert result.failed == 0 and result.rejected == 0
-        assert result.completed == result.requests
-        if best is None or result.elapsed_s < best.elapsed_s:
-            best = result
+        for mode, max_batch in enumerate(max_batches):
+            result = run(max_batch=max_batch)
+            assert result.failed == 0 and result.rejected == 0
+            assert result.completed == result.requests
+            if best[mode] is None \
+                    or result.elapsed_s < best[mode].elapsed_s:
+                best[mode] = result
     return best
 
 
@@ -65,8 +74,8 @@ def test_batching_speedup_gate(report, record_scaling):
     amortizes.
     """
     workload = _gate_workload()
-    batched = _best_drain(workload, max_batch=64)
-    serial = _best_drain(workload, max_batch=1)
+    batched, serial = _best_runs(
+        lambda max_batch: execute(workload, max_batch=max_batch), 64, 1)
 
     assert batched.batched_dispatches > 0, "batched drain never coalesced"
     assert serial.batched_dispatches == 0, "max_batch=1 must not coalesce"
@@ -93,7 +102,8 @@ def test_batching_speedup_gate(report, record_scaling):
 def test_mixed_workload_latency(report, record_scaling):
     """p50/p99 service latency under the default assign/verify/edit mix."""
     workload = build_workload(_SEED)
-    result = _best_drain(workload, max_batch=64)
+    result, = _best_runs(
+        lambda max_batch: execute(workload, max_batch=max_batch), 64)
 
     histogram = None
     for endpoint in ("assign", "verify", "edit"):
@@ -132,22 +142,10 @@ def test_wire_throughput(report, record_scaling):
     absolute rps row tracks what serialization + loopback cost on top
     of the in-process ``service/throughput`` row.
     """
-    from repro.service.loadgen import execute_wire
-
     workload = _gate_workload()
-    batched = None
-    for _ in range(_REPEATS):
-        result = execute_wire(workload, max_batch=64, workers=1)
-        assert result.failed == 0 and result.rejected == 0
-        assert result.completed == result.requests
-        if batched is None or result.elapsed_s < batched.elapsed_s:
-            batched = result
-    serial = None
-    for _ in range(_REPEATS):
-        result = execute_wire(workload, max_batch=1, workers=1)
-        assert result.failed == 0 and result.completed == result.requests
-        if serial is None or result.elapsed_s < serial.elapsed_s:
-            serial = result
+    batched, serial = _best_runs(
+        lambda max_batch: execute_wire(workload, max_batch=max_batch,
+                                       workers=1), 64, 1)
 
     assert batched.batched_dispatches > 0, \
         "bulk frames never coalesced over the wire"
@@ -165,8 +163,12 @@ def test_wire_throughput(report, record_scaling):
            f"{batched.batched_dispatches} bulk dispatches), "
            f"per-request {serial.elapsed_s * 1e3:.0f} ms "
            f"({serial.throughput_rps:.0f} rps) — {speedup:.2f}x")
-    # Serialization dominates both modes on loopback, so the wire gate
-    # is looser than the in-process 3x: pipelined coalescing must not
-    # lose materially to per-request dispatch over the same socket
-    # (0.9 absorbs scheduler noise; the trend row above is the signal).
+    # Both modes pay the same wire costs on top of the dispatch that
+    # batching amortizes: every request and answer is JSON-encoded,
+    # framed and decoded on both ends, in the interpreter that also
+    # runs the service (a 1024-request run takes ~60 ms over the wire
+    # against ~10 ms drained in-process).  So the wire gate is looser
+    # than the in-process 3x: pipelined coalescing must not lose
+    # materially to per-request dispatch over the same socket (0.9
+    # absorbs scheduler noise; the trend row above is the signal).
     assert speedup >= 0.9

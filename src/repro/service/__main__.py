@@ -40,13 +40,11 @@ def _bench_report(args: argparse.Namespace) -> dict[str, Any]:
         args.seed, sessions=args.sessions, requests=args.requests)
     if args.transport == "wire":
         batched = loadgen.execute_wire(workload, max_batch=args.max_batch,
-                                       batch_window=args.batch_window,
                                        workers=args.wire_workers)
         unbatched = loadgen.execute_wire(workload, max_batch=1,
                                          workers=args.wire_workers)
     else:
-        batched = loadgen.execute(workload, max_batch=args.max_batch,
-                                  batch_window=args.batch_window)
+        batched = loadgen.execute(workload, max_batch=args.max_batch)
         unbatched = loadgen.execute(workload, max_batch=1)
     speedup = (batched.throughput_rps / unbatched.throughput_rps
                if unbatched.throughput_rps > 0 else 0.0)
@@ -112,7 +110,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = SchedulingService(
         SessionStore(capacity=args.capacity),
         max_queue=args.max_queue, max_batch=args.max_batch,
-        batch_window=args.batch_window,
         default_timeout=args.default_timeout)
     server = WireServer(service, host=args.host, port=args.port)
     host, port = server.address
@@ -144,7 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument("--sessions", type=int, default=8)
     bench.add_argument("--requests", type=int, default=512)
     bench.add_argument("--max-batch", type=int, default=64)
-    bench.add_argument("--batch-window", type=float, default=0.002)
     bench.add_argument("--transport", choices=("inproc", "wire"),
                        default="inproc",
                        help="inproc: drain mode on a paused service; "
@@ -183,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--port", type=int, default=0,
                        help="0 binds a free port (see --announce)")
     serve.add_argument("--max-batch", type=int, default=64)
-    serve.add_argument("--batch-window", type=float, default=0.002)
     serve.add_argument("--max-queue", type=int, default=1024)
     serve.add_argument("--default-timeout", type=float, default=None)
     serve.add_argument("--capacity", type=int, default=None,

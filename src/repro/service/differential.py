@@ -136,8 +136,7 @@ def replay_direct(spec: ScenarioSpec,
 
 def replay_specs(specs: list[ScenarioSpec],
                  config: EngineConfig | None = None, *,
-                 max_batch: int = 32,
-                 batch_window: float = 0.002) -> dict[str, list[Any]]:
+                 max_batch: int = 32) -> dict[str, list[Any]]:
     """Every spec's script through ONE shared service, canonicalized.
 
     All scripts submit before any response is awaited, so requests from
@@ -145,7 +144,6 @@ def replay_specs(specs: list[ScenarioSpec],
     batching) while each spec's own session stays strictly ordered.
     """
     service = SchedulingService(SessionStore(), max_batch=max_batch,
-                                batch_window=batch_window,
                                 max_queue=max(1024, 64 * len(specs)))
     try:
         pending: list[tuple[str, Any]] = []
@@ -170,7 +168,6 @@ def replay_specs(specs: list[ScenarioSpec],
 def replay_specs_wire(specs: list[ScenarioSpec],
                       config: EngineConfig | None = None, *,
                       max_batch: int = 32,
-                      batch_window: float = 0.002,
                       workers: int = 2) -> dict[str, list[Any]]:
     """Every spec's script over the socket front end, canonicalized.
 
@@ -189,7 +186,6 @@ def replay_specs_wire(specs: list[ScenarioSpec],
     from repro.service.transport.wire import encode_request
 
     pool = WorkerPool(workers, max_batch=max_batch,
-                      batch_window=batch_window,
                       max_queue=max(1024, 64 * len(specs)))
     client = PoolClient(pool)
     try:

@@ -194,7 +194,6 @@ class LoadResult:
 
 
 def execute(workload: Workload, *, max_batch: int = 64,
-            batch_window: float = 0.002,
             capacity: int | None = None,
             max_queue: int | None = None) -> LoadResult:
     """Run a workload in drain mode and time the drain.
@@ -211,7 +210,7 @@ def execute(workload: Workload, *, max_batch: int = 64,
         store,
         max_queue=max_queue if max_queue is not None
         else len(workload.ops) + 16,
-        max_batch=max_batch, batch_window=batch_window, autostart=False)
+        max_batch=max_batch, autostart=False)
     workload.open_sessions(service)
     futures = []
     rejected = 0
@@ -259,8 +258,7 @@ def _encode_op(op: Op) -> dict[str, Any]:
     return encode_request(op.op, op.session_id, payload)
 
 
-def execute_wire(workload: Workload, *, max_batch: int = 64,
-                 batch_window: float = 0.002, workers: int = 1,
+def execute_wire(workload: Workload, *, max_batch: int = 64, workers: int = 1,
                  pipeline_depth: int = 128) -> LoadResult:
     """Run a workload through the socket front end and time it.
 
@@ -285,7 +283,6 @@ def execute_wire(workload: Workload, *, max_batch: int = 64,
         raise ValueError(
             f"pipeline_depth must be >= 1, got {pipeline_depth!r}")
     pool = WorkerPool(workers, max_batch=max_batch,
-                      batch_window=batch_window,
                       max_queue=len(workload.ops) + 16)
     client = PoolClient(pool)
     try:

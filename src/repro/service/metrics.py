@@ -273,16 +273,17 @@ class MetricsRecorder:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + by
 
-    def observe(self, endpoint: str, seconds: float) -> None:
-        """Record one service-time observation for an endpoint."""
+    def observe(self, endpoint: str, *durations: float) -> None:
+        """Record service-time observations for an endpoint."""
         with self._lock:
             counts = self._latency_counts.get(endpoint)
             if counts is None:
                 counts = [0] * (len(_BOUNDS) + 1)
                 self._latency_counts[endpoint] = counts
                 self._latency_sums[endpoint] = 0.0
-            counts[bisect_left(_BOUNDS, seconds)] += 1
-            self._latency_sums[endpoint] += seconds
+            for seconds in durations:
+                counts[bisect_left(_BOUNDS, seconds)] += 1
+                self._latency_sums[endpoint] += seconds
 
     def snapshot(self, gauges: Mapping[str, int]) -> ServiceMetrics:
         """Freeze the accumulated state plus caller-supplied gauges."""

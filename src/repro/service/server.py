@@ -140,10 +140,10 @@ class SchedulingService:
             rejected with :class:`ServiceOverloadError`.
         max_batch: most requests one drain dispatches together
             (``1`` disables batching entirely: the per-request
-            reference mode the benchmark compares against).
-        batch_window: seconds the dispatcher waits for stragglers after
-            the first request of a drain (only while the queue is
-            empty; a backed-up queue batches at full speed).
+            reference mode the benchmark compares against).  A drain
+            takes what is already queued and never waits for more, so
+            a lone request is dispatched at once while a backed-up
+            queue batches at full speed.
         default_timeout: per-request deadline applied when ``submit``
             is not given one (``None``: requests never expire).
         retries: bulk-dispatch retries before the per-request fallback
@@ -155,7 +155,6 @@ class SchedulingService:
 
     def __init__(self, store: SessionStore | None = None, *,
                  max_queue: int = 1024, max_batch: int = 64,
-                 batch_window: float = 0.001,
                  default_timeout: float | None = None,
                  retries: int | None = None,
                  autostart: bool = True) -> None:
@@ -166,7 +165,6 @@ class SchedulingService:
         self._store = store if store is not None else SessionStore()
         self._max_queue = max_queue
         self._max_batch = max_batch
-        self._batch_window = batch_window
         self._default_timeout = default_timeout
         self._retries = _DEFAULT_RETRIES if retries is None else retries
         self._queue: Queue[_Request] = Queue(maxsize=max_queue)
@@ -377,9 +375,9 @@ class SchedulingService:
         finally:
             self._release_pending(session_id)
 
-    def _release_pending(self, session_id: str) -> None:
+    def _release_pending(self, session_id: str, count: int = 1) -> None:
         with self._pending_lock:
-            remaining = self._pending.get(session_id, 0) - 1
+            remaining = self._pending.get(session_id, 0) - count
             if remaining > 0:
                 self._pending[session_id] = remaining
             else:
@@ -397,6 +395,9 @@ class SchedulingService:
     def _next_batch(self) -> list[_Request] | None:
         """The next drain: up to ``max_batch`` requests, arrival order.
 
+        Blocks only for the first request; the rest is whatever is
+        already queued behind it.
+
         Returns ``None`` when the service is closed and drained (the
         dispatcher exits), an empty list on an idle poll.
         """
@@ -405,20 +406,9 @@ class SchedulingService:
         except Empty:
             return None if self._closed else []
         batch = [first]
-        if self._max_batch == 1:
-            return batch
-        window_closes = time.monotonic() + self._batch_window
         while len(batch) < self._max_batch:
             try:
                 batch.append(self._queue.get_nowait())
-                continue
-            except Empty:
-                pass
-            remaining = window_closes - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                batch.append(self._queue.get(timeout=remaining))
             except Empty:
                 break
         return batch
@@ -521,14 +511,16 @@ class SchedulingService:
             return
         self._metrics.bump("batch.batched_dispatches")
         self._metrics.bump("batch.coalesced_requests", len(requests))
+        served = []
         offset = 0
         for request, points in zip(requests, point_lists):
             slots = bulk.slots[offset:offset + len(points)]
             offset += len(points)
             if self._expire_if_late(request):
                 continue
-            self._complete(request, SlotAssignment(
-                points=points, slots=slots, num_slots=bulk.num_slots))
+            served.append((request, SlotAssignment(
+                points=points, slots=slots, num_slots=bulk.num_slots)))
+        self._complete_all(served)
 
     def _execute_single(self, session_id: str, session: Session,
                         request: _Request) -> Session:
@@ -597,12 +589,30 @@ class SchedulingService:
             self._complete(request, result)
 
     def _complete(self, request: _Request, result: Any) -> None:
-        self._metrics.bump(f"{request.op}.completed")
-        self._metrics.observe(request.op,
-                              time.monotonic() - request.submitted_at)
-        self._release_pending_if_queued(request)
-        if request.future.set_running_or_notify_cancel():
-            request.future.set_result(result)
+        self._complete_all([(request, result)])
+
+    def _complete_all(self, served: list[tuple[_Request, Any]]) -> None:
+        """Answer requests of one op and one session: the counters, the
+        latency histogram and the pending count are updated once for
+        the lot, so a coalesced run pays its bookkeeping per dispatch
+        rather than per request."""
+        if not served:
+            return
+        first = served[0][0]
+        now = time.monotonic()
+        self._metrics.bump(f"{first.op}.completed", len(served))
+        self._metrics.observe(
+            first.op, *[now - request.submitted_at for request, _ in served])
+        queued = 0
+        for request, _ in served:
+            if request.queued:
+                request.queued = False
+                queued += 1
+        if queued:
+            self._release_pending(first.session_id, queued)
+        for request, result in served:
+            if request.future.set_running_or_notify_cancel():
+                request.future.set_result(result)
 
     def _fail(self, request: _Request, error: BaseException, *,
               counted: bool = True) -> None:

@@ -69,6 +69,9 @@ class ServiceClient:
         except OSError as error:
             raise TransportError(
                 f"cannot connect to {host}:{port}: {error}") from error
+        # One request is one small frame; do not hold it back waiting
+        # for the ACK of the previous one (Nagle's algorithm).
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("rb")
         self._wfile = self._sock.makefile("wb")
         self._closed = False

@@ -105,18 +105,18 @@ class WorkerPool:
 
     Args:
         workers: initial worker count.
-        max_batch / batch_window / max_queue / default_timeout: passed
+        max_batch / max_queue / default_timeout: passed
             through to every worker's :class:`SchedulingService`.
     """
 
     def __init__(self, workers: int = 2, *, max_batch: int = 64,
-                 batch_window: float = 0.001, max_queue: int = 1024,
+                 max_queue: int = 1024,
                  default_timeout: float | None = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
         self._service_options = {
-            "max_batch": max_batch, "batch_window": batch_window,
-            "max_queue": max_queue, "default_timeout": default_timeout,
+            "max_batch": max_batch, "max_queue": max_queue,
+            "default_timeout": default_timeout,
         }
         self._lock = threading.Lock()
         self._workers: dict[str, _Worker] = {}

@@ -260,6 +260,10 @@ def _make_handler(sink: ServiceSink,
     """The per-connection frame loop, bound to one sink."""
 
     class _Handler(socketserver.StreamRequestHandler):
+        # TCP_NODELAY on the accepted socket: a reply frame goes out
+        # as soon as it is written.
+        disable_nagle_algorithm = True
+
         def handle(self) -> None:
             with wire_server._context_lock:
                 context = wire_server._context.run(

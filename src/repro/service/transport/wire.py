@@ -98,6 +98,11 @@ REQUEST_OPS = frozenset({
 def write_frame(stream: BinaryIO, payload: dict[str, Any]) -> None:
     """Serialize one frame onto a binary stream and flush it.
 
+    Header and body go out as one buffer in one ``write()``.  Two
+    writes onto an unbuffered socket writer are two segments, and the
+    second one waits on Nagle's algorithm until the peer's delayed ACK
+    fires: about 40 ms per frame on Linux loopback.
+
     Raises:
         TransportError: when the payload is not strict-JSON-able or
             the peer is gone (broken pipe, closed socket, timeout).
@@ -114,8 +119,8 @@ def write_frame(stream: BinaryIO, payload: dict[str, Any]) -> None:
             f"frame of {len(body)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte bound")
     try:
-        stream.write(_MAGIC + str(len(body)).encode("ascii") + b"\n")
-        stream.write(body)
+        stream.write(b"".join(
+            (_MAGIC, str(len(body)).encode("ascii"), b"\n", body)))
         stream.flush()
     except (OSError, ValueError) as error:
         raise TransportError(

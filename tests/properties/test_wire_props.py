@@ -119,8 +119,7 @@ def make_session() -> Session:
 
 @pytest.fixture(scope="module")
 def sink():
-    service = SchedulingService(SessionStore(), max_queue=256,
-                                batch_window=0.0)
+    service = SchedulingService(SessionStore(), max_queue=256)
     yield ServiceSink(service)
     service.close()
 

@@ -167,6 +167,44 @@ class TestBatching:
         assert canonical_slots(before) == canonical_slots(direct_before)
         assert canonical_slots(after) == canonical_slots(direct_after)
 
+    def test_concurrent_callers_coalesce_without_waiting(self):
+        """A running dispatcher coalesces what callers queue behind the
+        request it is serving, with no straggler wait, and answers
+        exactly what direct calls answer."""
+        svc = SchedulingService(SessionStore(), max_queue=256)
+        svc.open_session("s", make_tiling_session())
+        callers, steps = 4, 25
+        barrier = threading.Barrier(callers)
+        served = {}
+
+        def caller(index: int) -> None:
+            barrier.wait()
+            submitted = []
+            for step in range(steps):
+                points = [(index, step), (step, -index), (index, index)]
+                submitted.append((step, points, svc.submit(
+                    "assign", "s", {"points": points})))
+            for step, points, future in submitted:
+                served[index, step] = (points, future.result(timeout=30))
+
+        threads = [threading.Thread(target=caller, args=(index,))
+                   for index in range(callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "caller thread hung"
+        metrics = svc.metrics()
+        svc.close()
+        assert len(served) == callers * steps
+        assert metrics.counter("batch.coalesced_requests") > 0
+        direct = make_tiling_session()
+        for points, assignment in served.values():
+            expected = direct.assign(points)
+            assert list(assignment.points) == list(expected.points)
+            assert canonical_slots(assignment) == canonical_slots(expected)
+            assert assignment.num_slots == expected.num_slots
+
     def test_certificate_fast_path_serves_inline(self, service):
         service.open_session("s", make_tiling_session())
         first = service.verify("s")  # builds the certificate via scan

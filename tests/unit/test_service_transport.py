@@ -113,6 +113,34 @@ class TestFrames:
         with pytest.raises(TransportError):
             write_frame(io.BytesIO(), {"bad": float("inf")})
 
+    @pytest.mark.parametrize("buffered, pad", [
+        (False, 8),           # the server's unbuffered socket writer
+        (True, 64 * 1024),    # the client's buffered writer, overflowed
+    ])
+    def test_one_raw_write_per_frame(self, buffered, pad):
+        """Header and body leave as one buffer: two writes onto a
+        socket are two segments, and the second waits out the peer's
+        delayed ACK."""
+        class CountingRaw(io.RawIOBase):
+            def __init__(self):
+                self.writes = []
+
+            def writable(self):
+                return True
+
+            def write(self, data):
+                self.writes.append(bytes(data))
+                return len(data)
+
+        raw = CountingRaw()
+        stream = io.BufferedWriter(raw) if buffered else raw
+        payload = {"op": "ping", "pad": "x" * pad}
+        for frames in (1, 2, 3):
+            write_frame(stream, payload)
+            assert len(raw.writes) == frames
+        replay = io.BytesIO(b"".join(raw.writes))
+        assert [read_frame(replay) for _ in range(4)] == [payload] * 3 + [None]
+
     def test_closed_stream_is_typed(self):
         buffer = io.BytesIO()
         buffer.close()
@@ -435,6 +463,38 @@ class TestWireEndToEnd:
             service.close()
         assert metrics.counter("batch.certificate_fast_path") >= 1
         assert (queued.workers, inline.workers) == (2, 2)
+
+    def test_both_ends_disable_nagle(self):
+        service = SchedulingService(SessionStore(), max_queue=16)
+        server = WireServer(service)
+        accepted = []
+
+        class Probe(server._tcp.RequestHandlerClass):
+            def setup(self):
+                super().setup()
+                accepted.append(self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        server._tcp.RequestHandlerClass = Probe
+        server.start()
+        try:
+            with ServiceClient(*server.address, timeout=30) as client:
+                assert client.ping()
+                assert client._sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+        finally:
+            server.close()
+            service.close()
+        assert accepted == [1]
+
+    def test_sequential_round_trips_never_stall(self, wire):
+        """128 pings in a closed loop: a framing stall costs one
+        delayed-ACK period (~40 ms) per reply, about 5 s in all."""
+        client, _ = wire
+        started = time.perf_counter()
+        for _ in range(128):
+            assert client.ping()
+        assert time.perf_counter() - started < 1.0
 
     def test_garbage_bytes_answer_typed_then_disconnect(self, wire):
         client, _ = wire
