@@ -144,8 +144,8 @@ def test_wire_throughput(report, record_scaling):
     """
     workload = _gate_workload()
     batched, serial = _best_runs(
-        lambda max_batch: execute_wire(workload, max_batch=max_batch,
-                                       workers=1), 64, 1)
+        lambda max_batch: execute_wire(workload, max_batch=max_batch),
+        64, 1)
 
     assert batched.batched_dispatches > 0, \
         "bulk frames never coalesced over the wire"

@@ -9,16 +9,19 @@ Two reporting channels exist:
   report recorded in EXPERIMENTS.md (pytest captures ordinary stdout,
   so printing from inside tests would be invisible on success);
 * the ``record_scaling`` fixture collects *machine-readable* rows —
-  wall time, speedup, worker count — and the session
-  hook writes them (merged with the pytest-benchmark timings) to
-  ``BENCH_scaling.json`` at the repo root, so the perf trajectory is
-  tracked across PRs instead of living only in log output.
+  wall time, speedup, worker count — and the session hook appends
+  them (merged with the pytest-benchmark timings) as one run to
+  ``BENCH_scaling.json`` at the repo root.  Each run records the git
+  commit, host, CPU budget and Python version beside its rows, and
+  the file keeps the last ``_KEEP_RUNS`` runs, so the perf trajectory
+  is tracked across commits instead of living only in log output.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,7 @@ _REPORT_BLOCKS: dict[str, str] = {}
 _SCALING_ROWS: list[dict] = []
 
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
+_KEEP_RUNS = 20
 
 
 @pytest.fixture(scope="session")
@@ -92,17 +96,30 @@ def _benchmark_timing_rows(session) -> list[dict]:
     return rows
 
 
+def _git_sha() -> str | None:
+    try:
+        result = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=_JSON_PATH.parent,
+            capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return result.stdout.strip() if result.returncode == 0 else None
+
+
 def pytest_sessionfinish(session, exitstatus):
     rows = _SCALING_ROWS + _benchmark_timing_rows(session)
     if not rows:
         return
-    payload = {
-        "schema": 1,
-        "workers": shard_workers(),
+    runs = (json.loads(_JSON_PATH.read_text())["runs"]
+            if _JSON_PATH.exists() else [])
+    runs.append({
+        "git_sha": _git_sha(),
+        "host": platform.platform(),
         "cpus": cpu_budget(),
         "python": platform.python_version(),
         "rows": rows,
-    }
+    })
+    payload = {"schema": 2, "runs": runs[-_KEEP_RUNS:]}
     _JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 

@@ -253,9 +253,8 @@ def session_wire_to_json(schedule: Schedule, *, session_id: str,
     """Serialize a session for the wire: schedule + session state.
 
     The transport layer (:mod:`repro.service.transport`) ships whole
-    sessions between processes through this envelope — opening a
-    session on a remote worker, and moving sessions between workers
-    when the pool rebalances.  It extends the store's snapshot form
+    sessions between processes through this envelope, to open a
+    session on a remote server.  It extends the store's snapshot form
     with the *session* state a remote process cannot reconstruct from
     the schedule alone:
 

@@ -118,10 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     service.add_argument("--max-batch", type=int, default=32)
     service.add_argument("--transport", choices=("inproc", "wire"),
                          default="inproc",
-                         help="wire: replay through the socket front "
-                              "end over a consistent-hash worker pool")
-    service.add_argument("--wire-workers", type=int, default=2,
-                         help="pool size for --transport wire")
+                         help="wire: replay through the socket front end")
     service.add_argument("--json", metavar="PATH", default=None,
                          help="also write a JSON report")
 
@@ -188,8 +185,7 @@ def _run_service_command(parser, args) -> int:
 
     kwargs = {"seed": args.seed, "count": args.count,
               "max_batch": args.max_batch,
-              "transport": args.transport,
-              "wire_workers": args.wire_workers}
+              "transport": args.transport}
     if families:
         kwargs["families"] = families
     report = run_differential(**kwargs)
@@ -198,9 +194,8 @@ def _run_service_command(parser, args) -> int:
         print(f"[FAIL] {mismatch['spec']} "
               f"response={mismatch['response']}")
     status = "OK" if report["ok"] else "FAIL"
-    transport_note = (
-        f"wire transport, {report['wire_workers']} worker(s)"
-        if report["transport"] == "wire" else "in-process")
+    transport_note = ("wire transport" if report["transport"] == "wire"
+                      else "in-process")
     print(f"[{status}] {report['specs']} spec(s) ({transport_note}) — "
           f"{report['responses_compared']} responses compared, "
           f"{report['batched_dispatches']} batched dispatches, "

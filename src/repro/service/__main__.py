@@ -9,8 +9,7 @@ Commands:
   runs the same workload through the socket front end instead.
 * ``differential`` — replay a scenario corpus through the service and
   directly, diff every canonical response, exit 1 on any mismatch
-  (``--transport wire`` replays through the socket front end over a
-  consistent-hash worker pool).
+  (``--transport wire`` replays through the socket front end).
 * ``serve`` — bind a wire server over one scheduling service and
   serve until a ``shutdown`` op or SIGINT.  ``--announce`` prints a
   ``{"host": ..., "port": ...}`` JSON line once bound, for a parent
@@ -39,10 +38,8 @@ def _bench_report(args: argparse.Namespace) -> dict[str, Any]:
     workload = loadgen.build_workload(
         args.seed, sessions=args.sessions, requests=args.requests)
     if args.transport == "wire":
-        batched = loadgen.execute_wire(workload, max_batch=args.max_batch,
-                                       workers=args.wire_workers)
-        unbatched = loadgen.execute_wire(workload, max_batch=1,
-                                         workers=args.wire_workers)
+        batched = loadgen.execute_wire(workload, max_batch=args.max_batch)
+        unbatched = loadgen.execute_wire(workload, max_batch=1)
     else:
         batched = loadgen.execute(workload, max_batch=args.max_batch)
         unbatched = loadgen.execute(workload, max_batch=1)
@@ -55,8 +52,6 @@ def _bench_report(args: argparse.Namespace) -> dict[str, Any]:
         "requests": args.requests,
         "max_batch": args.max_batch,
         "transport": args.transport,
-        "wire_workers": (args.wire_workers
-                         if args.transport == "wire" else 0),
         "batched": batched.to_dict(),
         "unbatched": unbatched.to_dict(),
         "batching_speedup": speedup,
@@ -91,8 +86,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_differential(args: argparse.Namespace) -> int:
     report = differential.run_differential(
         families=tuple(args.families), seed=args.seed, count=args.count,
-        max_batch=args.max_batch,
-        transport=args.transport, wire_workers=args.wire_workers)
+        max_batch=args.max_batch, transport=args.transport)
     print(json.dumps(report, indent=None if args.json else 2,
                      sort_keys=True))
     if not report["ok"]:
@@ -146,8 +140,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="inproc: drain mode on a paused service; "
                             "wire: pipelined bursts over the socket "
                             "front end")
-    bench.add_argument("--wire-workers", type=int, default=1,
-                       help="pool size for --transport wire")
     bench.add_argument("--json", action="store_true",
                        help="single-line JSON output")
     bench.add_argument("--check", action="store_true",
@@ -166,10 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     diff.add_argument("--max-batch", type=int, default=32)
     diff.add_argument("--transport", choices=("inproc", "wire"),
                       default="inproc",
-                      help="wire: replay through the socket front end "
-                           "over a consistent-hash worker pool")
-    diff.add_argument("--wire-workers", type=int, default=2,
-                      help="pool size for --transport wire")
+                      help="wire: replay through the socket front end")
     diff.add_argument("--json", action="store_true")
     diff.set_defaults(run=_cmd_differential)
 

@@ -6,8 +6,9 @@ bit-identical to the same call made directly on the underlying
 (:mod:`repro.scenarios`) twice —
 
 * the **direct leg** drives a fresh session through the spec's script
-  (restrict → edit steps → one verify per drift round → a bulk assign
-  over the window → save) with plain method calls;
+  (restrict → edit steps → one verify per drift round → two
+  consecutive assigns over the window's halves → save) with plain
+  method calls;
 * the **service leg** opens an identically built session on a
   :class:`~repro.service.server.SchedulingService` and submits the same
   script as requests, *all specs interleaved on one service* so the
@@ -36,6 +37,9 @@ from repro.scenarios.generators import iter_corpus
 from repro.scenarios.spec import ScenarioSpec
 from repro.service.server import EditAck, RestrictAck, SchedulingService
 from repro.service.store import SessionStore
+from repro.service.transport.client import ServiceClient
+from repro.service.transport.server import WireServer
+from repro.service.transport.wire import encode_request
 
 __all__ = ["replay_direct", "replay_specs", "replay_specs_wire",
            "run_differential"]
@@ -99,7 +103,13 @@ def _script(spec: ScenarioSpec) -> list[tuple[str, dict[str, Any]]]:
             script.append(("edit", {"updates": dict(step)}))
     for window in spec.rounds():
         script.append(("verify", {"window": window}))
-    script.append(("assign", {"points": spec.window_points()}))
+    # Two consecutive assigns of one session: the dispatcher coalesces
+    # them into one engine call, so the oracle compares coalesced
+    # answers, not only single dispatches.
+    points = spec.window_points()
+    half = len(points) // 2
+    script.append(("assign", {"points": points[:half]}))
+    script.append(("assign", {"points": points[half:]}))
     script.append(("save", {}))
     return script
 
@@ -167,28 +177,23 @@ def replay_specs(specs: list[ScenarioSpec],
 
 def replay_specs_wire(specs: list[ScenarioSpec],
                       config: EngineConfig | None = None, *,
-                      max_batch: int = 32,
-                      workers: int = 2) -> dict[str, list[Any]]:
+                      max_batch: int = 32) -> dict[str, list[Any]]:
     """Every spec's script over the socket front end, canonicalized.
 
-    The wire twin of :func:`replay_specs`: sessions open on a
-    consistent-hash :class:`~repro.service.transport.pool.WorkerPool`
-    through the digest-checked wire envelope, and every script ships
-    as one pipelined burst per owning worker — submitted before any
-    result is awaited, so the dispatchers coalesce across sessions
-    over the wire exactly as in-process, while each session's stream
-    stays FIFO on its single owner.
+    The wire twin of :func:`replay_specs`, in the topology ``python -m
+    repro.service serve`` runs: one service behind one
+    :class:`~repro.service.transport.server.WireServer`, driven by one
+    :class:`~repro.service.transport.client.ServiceClient`.  Sessions
+    open through the digest-checked wire envelope, and every script
+    ships in one pipelined ``bulk`` frame whose requests the server
+    submits before awaiting any result, so the dispatcher coalesces
+    across sessions over the wire exactly as in-process while each
+    session's stream stays FIFO.
     """
-    # Imported here: the transport depends on this module's canonical
-    # forms at doc level only, but keeping the oracle importable
-    # without sockets is worth the local import.
-    from repro.service.transport.pool import PoolClient, WorkerPool
-    from repro.service.transport.wire import encode_request
-
-    pool = WorkerPool(workers, max_batch=max_batch,
-                      max_queue=max(1024, 64 * len(specs)))
-    client = PoolClient(pool)
-    try:
+    service = SchedulingService(SessionStore(), max_batch=max_batch,
+                                max_queue=max(1024, 64 * len(specs)))
+    with (service, WireServer(service).start() as server,
+          ServiceClient(*server.address) as client):
         requests: list[dict[str, Any]] = []
         order: list[str] = []
         for spec in specs:
@@ -208,23 +213,20 @@ def replay_specs_wire(specs: list[ScenarioSpec],
         batched = client.metrics().counter("batch.batched_dispatches")
         responses["__batched_dispatches__"] = [batched]
         return responses
-    finally:
-        client.close()
-        pool.close()
 
 
 def run_differential(*, families: tuple[str, ...] = _DEFAULT_FAMILIES,
                      seed: int = _DEFAULT_SEED, count: int = 2,
-                     max_batch: int = 32, transport: str = "inproc",
-                     wire_workers: int = 2) -> dict[str, Any]:
+                     max_batch: int = 32,
+                     transport: str = "inproc") -> dict[str, Any]:
     """Replay a corpus through both legs and diff.
 
     ``transport="inproc"`` exercises :func:`replay_specs` (direct
     submit on one service); ``transport="wire"`` exercises
-    :func:`replay_specs_wire` (the socket front end over a
-    ``wire_workers``-worker consistent-hash pool).  Either way the
-    oracle is the same: every canonical response must equal the direct
-    session's, field for field, counters included.
+    :func:`replay_specs_wire` (the same service behind the socket front
+    end).  Either way the oracle is the same: every canonical response
+    must equal the direct session's, field for field, counters
+    included.
 
     Returns a JSON-able report: the spec count, the number of compared
     responses, any mismatches (each naming the spec, response index and
@@ -238,8 +240,7 @@ def run_differential(*, families: tuple[str, ...] = _DEFAULT_FAMILIES,
     mismatches: list[dict[str, Any]] = []
     compared = 0
     if transport == "wire":
-        service_legs = replay_specs_wire(specs, max_batch=max_batch,
-                                         workers=wire_workers)
+        service_legs = replay_specs_wire(specs, max_batch=max_batch)
     else:
         service_legs = replay_specs(specs, max_batch=max_batch)
     batched = service_legs.pop("__batched_dispatches__")[0]
@@ -261,7 +262,6 @@ def run_differential(*, families: tuple[str, ...] = _DEFAULT_FAMILIES,
     return {
         "families": list(families), "seed": seed, "count": count,
         "transport": transport,
-        "wire_workers": wire_workers if transport == "wire" else 0,
         "specs": len(specs),
         "responses_compared": compared,
         "batched_dispatches": batched,

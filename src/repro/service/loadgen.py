@@ -35,6 +35,9 @@ from repro.service.errors import ServiceOverloadError
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import SchedulingService
 from repro.service.store import SessionStore
+from repro.service.transport.client import ServiceClient
+from repro.service.transport.server import WireServer
+from repro.service.transport.wire import encode_request
 from repro.utils.rng import StreamRNG, label_stream
 
 __all__ = ["Op", "Workload", "LoadResult", "build_workload", "execute",
@@ -246,7 +249,6 @@ def execute(workload: Workload, *, max_batch: int = 64,
 
 
 def _encode_op(op: Op) -> dict[str, Any]:
-    from repro.service.transport.wire import encode_request
     if op.op == "assign":
         payload: dict[str, Any] = {"points": list(op.payload)}
     elif op.op == "edit":
@@ -258,34 +260,32 @@ def _encode_op(op: Op) -> dict[str, Any]:
     return encode_request(op.op, op.session_id, payload)
 
 
-def execute_wire(workload: Workload, *, max_batch: int = 64, workers: int = 1,
+def execute_wire(workload: Workload, *, max_batch: int = 64,
                  pipeline_depth: int = 128) -> LoadResult:
     """Run a workload through the socket front end and time it.
 
-    The wire twin of :func:`execute`: sessions open on an in-process
-    :class:`~repro.service.transport.pool.WorkerPool` (``workers=1``
-    is a single service behind one socket), then the scripted requests
-    ship as pipelined bursts of ``pipeline_depth`` — each burst is one
-    ``bulk`` frame per owning worker, submitted server-side before any
-    result is awaited, so dispatcher coalescing fires over the wire.
-    The timer covers the whole streamed run, framing and routing
-    included, which is exactly what the ``service/wire-throughput``
-    benchmark row wants to price relative to in-process drain mode.
+    The wire twin of :func:`execute`: sessions open on one service
+    behind one :class:`~repro.service.transport.server.WireServer`,
+    then the scripted requests ship as pipelined bursts of
+    ``pipeline_depth`` — each burst is one ``bulk`` frame, submitted
+    server-side before any result is awaited, so dispatcher
+    coalescing fires over the wire.  The timer covers the whole
+    streamed run, framing included, which is exactly what the
+    ``service/wire-throughput`` benchmark row wants to price relative
+    to in-process drain mode.
 
     Typed failures (a deadline, an overload) count as ``failed``;
     transport-level failures count as ``failed`` too — the generator
-    only ever runs against a pool it just started, so any
+    only ever runs against a server it just started, so any
     ``TransportError`` here is a finding, not noise.
     """
-    from repro.service.transport.pool import PoolClient, WorkerPool
-
     if pipeline_depth < 1:
         raise ValueError(
             f"pipeline_depth must be >= 1, got {pipeline_depth!r}")
-    pool = WorkerPool(workers, max_batch=max_batch,
-                      max_queue=len(workload.ops) + 16)
-    client = PoolClient(pool)
-    try:
+    service = SchedulingService(SessionStore(), max_batch=max_batch,
+                                max_queue=len(workload.ops) + 16)
+    with (service, WireServer(service).start() as server,
+          ServiceClient(*server.address) as client):
         for session_id, kind in workload.session_kinds:
             client.open_session(session_id, _make_session(kind))
         encoded = [_encode_op(op) for op in workload.ops]
@@ -305,6 +305,3 @@ def execute_wire(workload: Workload, *, max_batch: int = 64, workers: int = 1,
             failed=failed, rejected=0, elapsed_s=elapsed,
             throughput_rps=completed / elapsed if elapsed > 0 else 0.0,
             metrics=metrics)
-    finally:
-        client.close()
-        pool.close()

@@ -18,12 +18,10 @@ import json
 import math
 import threading
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Mapping
 
-__all__ = ["LatencyHistogram", "ServiceMetrics", "MetricsRecorder",
-           "merge_metrics"]
+__all__ = ["LatencyHistogram", "ServiceMetrics", "MetricsRecorder"]
 
 
 def _log_bounds() -> tuple[float, ...]:
@@ -120,8 +118,8 @@ class LatencyHistogram:
         """JSON-able form, carrying the raw buckets.
 
         ``bounds``/``counts``/``sum_s`` make the payload lossless:
-        :meth:`from_dict` reconstructs the histogram exactly, which is
-        how cross-process metrics aggregation merges worker histograms
+        :meth:`from_dict` reconstructs the histogram exactly, so a
+        client can :meth:`merge` histograms fetched over the wire
         instead of averaging their quantiles.  Infinite quantiles (the
         rank fell in the overflow bucket) serialize as ``None`` —
         strict JSON has no ``Infinity`` — with the ``overflow`` count
@@ -233,31 +231,6 @@ class ServiceMetrics:
     @classmethod
     def from_json(cls, text: str) -> "ServiceMetrics":
         return cls.from_dict(json.loads(text))
-
-
-def merge_metrics(snapshots: Sequence[ServiceMetrics]) -> ServiceMetrics:
-    """One aggregate snapshot over many workers' snapshots.
-
-    Counters and gauges sum (every gauge the service emits — queue
-    depths, open sessions, cache counters — is additive across
-    workers); latency histograms merge bucket-wise, so the aggregate
-    p50/p99 are computed over the *combined* distribution rather than
-    averaging per-worker quantiles.
-    """
-    counters: dict[str, int] = {}
-    gauges: dict[str, int] = {}
-    latencies: dict[str, LatencyHistogram] = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.counters.items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in snapshot.gauges.items():
-            gauges[name] = gauges.get(name, 0) + value
-        for name, histogram in snapshot.latencies.items():
-            merged = latencies.get(name)
-            latencies[name] = (histogram if merged is None
-                               else merged.merge(histogram))
-    return ServiceMetrics(counters=counters, latencies=latencies,
-                          gauges=gauges)
 
 
 class MetricsRecorder:

@@ -1,10 +1,10 @@
-"""Wire transport for the scheduling service: sockets, clients, a pool.
+"""Wire transport for the scheduling service: sockets and a client.
 
 :mod:`repro.service` puts a concurrent :class:`~repro.service.
 server.SchedulingService` in front of the single-caller
 :class:`repro.api.Session`.  This package serves the same surface over
-a real socket, and shards sessions across a pool of in-process
-workers routed by the client.
+a real socket: one service behind one :class:`WireServer` per process
+(``python -m repro.service serve``).
 
 * :mod:`~repro.service.transport.wire` — the protocol: length-prefixed
   canonical-JSON frames, request/response/error encoding, and the typed
@@ -20,13 +20,6 @@ workers routed by the client.
   every typed service error round-trips the socket and re-raises as
   itself (``ServiceOverloadError`` keeps ``queue_depth``/``max_queue``,
   ``ServiceDeadlineError`` keeps ``timeout``, …).
-* :mod:`~repro.service.transport.pool` — :class:`WorkerPool` and
-  :class:`PoolClient`: in-process workers, each owning its
-  ``SessionStore`` behind its own loopback socket.  Sessions place by
-  consistent hash of ``session_id`` (so per-session FIFO order
-  survives sharding), the client routes each request to its owner,
-  and rebalancing hands live sessions, warm state included, from one
-  worker's store to another's.
 
 The acceptance gate is the service's: every response served over
 the wire is bit-identical to the same call made directly on the
@@ -36,12 +29,6 @@ session — pinned by the differential oracle's wire leg
 
 from repro.service.errors import TransportError
 from repro.service.transport.client import ServiceClient
-from repro.service.transport.pool import (
-    PoolClient,
-    WorkerPool,
-    hash_ring,
-    place,
-)
 from repro.service.transport.server import ServiceSink, WireServer
 from repro.service.transport.wire import (
     MAX_FRAME_BYTES,
@@ -57,20 +44,16 @@ from repro.service.transport.wire import (
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "PoolClient",
     "ServiceClient",
     "ServiceSink",
     "TransportError",
     "WireServer",
-    "WorkerPool",
     "decode_error",
     "decode_request",
     "decode_result",
     "encode_error",
     "encode_request",
     "encode_result",
-    "hash_ring",
-    "place",
     "read_frame",
     "write_frame",
 ]

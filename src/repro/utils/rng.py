@@ -77,10 +77,10 @@ def make_np_rng(seed: int | random.Random | None = None):
     """A seeded ``numpy.random.Generator`` from any accepted seed form.
 
     This is the *only* sanctioned route to numpy randomness — the
-    static determinism rule (``repro.analysis``) forbids
-    ``numpy.random`` everywhere outside this module, so every numpy
-    generator in the library is reproducible from a seed that flows
-    through here.  An integer seeds ``default_rng`` directly (so
+    ``determinism-random`` check in ``tests/unit/test_invariants.py``
+    forbids ``numpy.random`` everywhere outside this module, so every
+    numpy generator in the library is reproducible from a seed that
+    flows through here.  An integer seeds ``default_rng`` directly (so
     callers migrating from ``np.random.default_rng(n)`` keep their
     exact streams); ``None`` uses the library-wide default seed; a
     ``random.Random`` is digested from its state via

@@ -157,7 +157,7 @@ class TestWorkerResolutionOrder:
 
 # ----------------------------------------------------------------------
 # Concurrent config isolation: use_config is context-local, so threads
-# serving different sessions (the repro.service worker pool) cannot
+# serving different sessions (the repro.service wire handlers) cannot
 # cross-contaminate each other's resolution.
 # ----------------------------------------------------------------------
 class TestConcurrentConfigIsolation:

@@ -1,5 +1,5 @@
 """Tests for service metrics: quantile ranking, overflow honesty,
-lossless serialization, and cross-worker merging.
+lossless serialization, and histogram merging.
 
 Two regressions are pinned here.  First, quantile ranks are computed
 with ``math.ceil`` — the old ``int(q * total + 0.999999)`` additive
@@ -22,7 +22,6 @@ from repro.service.metrics import (
     LatencyHistogram,
     MetricsRecorder,
     ServiceMetrics,
-    merge_metrics,
 )
 
 
@@ -149,33 +148,3 @@ class TestMerge:
         c = histogram([1, 1, 1], [0.001, 1.0])
         with pytest.raises(ValueError):
             a.merge(c)
-
-    def test_merge_metrics_combines_distributions_not_quantiles(self):
-        fast, slow = MetricsRecorder(), MetricsRecorder()
-        for _ in range(99):
-            fast.observe("assign", 0.001)
-        slow.observe("assign", 30.0)
-        fast.bump("assign.completed", 99)
-        slow.bump("assign.completed", 1)
-        merged = merge_metrics([fast.snapshot({"sessions.open": 2}),
-                                slow.snapshot({"sessions.open": 3})])
-        assert merged.counter("assign.completed") == 100
-        assert merged.gauges["sessions.open"] == 5
-        h = merged.latencies["assign"]
-        assert h.total == 100
-        # The merged distribution keeps the slow worker's tail — the
-        # max (rank 100) lands in the 30s bucket, which no average of
-        # per-worker quantiles could represent.
-        assert h.p50 <= 0.01
-        assert h.quantile(1.0) >= 30.0
-
-    def test_merge_round_trips_through_json(self):
-        # The cross-process path: workers serialize, the pool merges
-        # the deserialized snapshots.
-        recorder = MetricsRecorder()
-        recorder.observe("verify", 0.5)
-        recorder.bump("verify.completed")
-        shipped = ServiceMetrics.from_json(recorder.snapshot({}).to_json())
-        merged = merge_metrics([shipped, shipped])
-        assert merged.counter("verify.completed") == 2
-        assert merged.latencies["verify"].total == 2

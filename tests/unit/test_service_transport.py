@@ -1,5 +1,5 @@
-"""Tests for the wire transport: frames, codecs, errors, the socket
-front end, and the consistent-hash worker pool.
+"""Tests for the wire transport: frames, codecs, errors and the socket
+front end.
 
 The transport's contract extends the service's: it changes *where*
 work runs, never *what* it answers.  Codec tests pin that every value
@@ -7,8 +7,7 @@ and every typed error survives the wire byte-for-byte; frame tests pin
 that garbage, truncation and dead peers always surface as a typed
 ``TransportError`` — never a hang, never a raw parser exception; the
 live-socket tests replay the in-process identity checks through
-``ServiceClient`` and the pool, including warm-state handoff across a
-rebalance.
+``ServiceClient``.
 """
 
 from __future__ import annotations
@@ -38,19 +37,15 @@ from repro.service import (
 from repro.service.metrics import MetricsRecorder
 from repro.service.transport import (
     MAX_FRAME_BYTES,
-    PoolClient,
     ServiceClient,
     TransportError,
     WireServer,
-    WorkerPool,
     decode_error,
     decode_request,
     decode_result,
     encode_error,
     encode_request,
     encode_result,
-    hash_ring,
-    place,
     read_frame,
     write_frame,
 )
@@ -307,49 +302,6 @@ class TestSessionEnvelope:
 
 
 # ----------------------------------------------------------------------
-class TestHashRing:
-    def test_ring_is_deterministic(self):
-        names = ["w0", "w1", "w2"]
-        assert hash_ring(names) == hash_ring(names)
-        ids = [f"session-{n}" for n in range(200)]
-        ring = hash_ring(names)
-        assert [place(i, ring) for i in ids] == \
-            [place(i, ring) for i in ids]
-
-    def test_every_worker_gets_a_share(self):
-        ring = hash_ring(["w0", "w1", "w2"])
-        owners = {place(f"session-{n}", ring) for n in range(200)}
-        assert owners == {"w0", "w1", "w2"}
-
-    def test_growth_moves_sessions_only_to_the_new_worker(self):
-        """The consistent-hash property: adding w3 never shuffles a
-        session between surviving workers."""
-        ids = [f"session-{n}" for n in range(300)]
-        before = hash_ring(["w0", "w1", "w2"])
-        after = hash_ring(["w0", "w1", "w2", "w3"])
-        moved = 0
-        for session_id in ids:
-            old, new = place(session_id, before), place(session_id, after)
-            if old != new:
-                assert new == "w3"
-                moved += 1
-        assert 0 < moved < len(ids) // 2  # a share moved, not a reshuffle
-
-    def test_shrink_moves_only_the_retired_workers_sessions(self):
-        ids = [f"session-{n}" for n in range(300)]
-        before = hash_ring(["w0", "w1", "w2"])
-        after = hash_ring(["w0", "w1"])
-        for session_id in ids:
-            old, new = place(session_id, before), place(session_id, after)
-            if old != "w2":
-                assert new == old
-
-    def test_empty_ring_is_an_error(self):
-        with pytest.raises(ValueError):
-            hash_ring([])
-
-
-# ----------------------------------------------------------------------
 @pytest.fixture
 def wire():
     """A live single-service WireServer + connected ServiceClient."""
@@ -441,6 +393,19 @@ class TestWireEndToEnd:
             make_tiling_session().assign([(0, 0)]))
         assert isinstance(results[1], UnknownSessionError)
         assert results[2] == make_tiling_session().save()
+
+    def test_pipelined_edits_stay_fifo_per_session(self, wire):
+        # Order-dependent edits on one session inside one bulk frame;
+        # the saved text proves they ran in submission order.
+        client, _ = wire
+        client.open_session("m", make_mapping_session())
+        results = client.pipeline([
+            encode_request("edit", "m", {"updates": {(0, 0): 1}}),
+            encode_request("edit", "m", {"updates": {(0, 0): 2}}),
+            encode_request("save", "m"),
+        ])
+        direct = make_mapping_session().edit({(0, 0): 1}).edit({(0, 0): 2})
+        assert results[2] == direct.save()
 
     def test_handler_threads_inherit_ambient_config(self):
         """Regression: the certificate fast path serves ``verify``
@@ -586,109 +551,3 @@ class TestTrustBoundary:
         assert "unknown wire op" in str(error)
         assert not marker.exists()
         assert client.session_ids() == ["s"]
-
-
-# ----------------------------------------------------------------------
-class TestWorkerPool:
-    def test_placement_is_consistent_and_fifo_per_session(self):
-        with WorkerPool(workers=3) as pool, PoolClient(pool) as client:
-            for n in range(6):
-                client.open_session(f"s{n}", make_mapping_session())
-            owners = {f"s{n}": pool.worker_for(f"s{n}") for n in range(6)}
-            assert set(owners.values()) <= set(pool.worker_names())
-            # Order-dependent edits on one session stay FIFO through
-            # the routed pipeline; the saved text proves the order.
-            results = client.pipeline([
-                encode_request("edit", "s0", {"updates": {(0, 0): 1}}),
-                encode_request("edit", "s0", {"updates": {(0, 0): 2}}),
-                encode_request("save", "s0"),
-            ])
-            direct = make_mapping_session()
-            direct = direct.edit({(0, 0): 1}).edit({(0, 0): 2})
-            assert results[2] == direct.save()
-            assert sorted(client.session_ids()) == \
-                [f"s{n}" for n in range(6)]
-
-    def test_pipeline_reassembles_across_workers_in_order(self):
-        with WorkerPool(workers=3) as pool, PoolClient(pool) as client:
-            for n in range(4):
-                client.open_session(f"s{n}", make_tiling_session())
-            requests, expected = [], []
-            direct = make_tiling_session()
-            for n in range(12):
-                points = [(n, n % 5)]
-                requests.append(encode_request(
-                    "assign", f"s{n % 4}", {"points": points}))
-                expected.append(canonical_slots(direct.assign(points)))
-            results = client.pipeline(requests)
-            assert [canonical_slots(r) for r in results] == expected
-
-    def test_rebalance_moves_sessions_warm(self):
-        """Growing the pool relocates only ownership-changed sessions,
-        and a moved session keeps its caches: the post-move verify is
-        bit-identical to a never-moved session's second verify."""
-        direct = make_tiling_session()
-        direct.verify()
-        warm_expected = direct.verify()
-        with WorkerPool(workers=2) as pool:
-            with PoolClient(pool) as client:
-                for n in range(8):
-                    client.open_session(f"s{n}", make_tiling_session())
-                    client.verify(f"s{n}")  # build caches + certificate
-                before = {f"s{n}": pool.worker_for(f"s{n}")
-                          for n in range(8)}
-                moved = pool.rebalance(3)
-                after = {f"s{n}": pool.worker_for(f"s{n}")
-                         for n in range(8)}
-                for session_id in before:
-                    if before[session_id] == after[session_id]:
-                        assert session_id not in moved
-                    else:
-                        assert moved[session_id] == after[session_id] \
-                            == "w2"
-            with PoolClient(pool) as client:
-                assert sorted(client.session_ids()) == \
-                    [f"s{n}" for n in range(8)]
-                for session_id in sorted(moved) or ["s0"]:
-                    assert reports_equal(client.verify(session_id),
-                                         warm_expected)
-
-    def test_rebalance_shrink_keeps_every_session_warm(self):
-        """Shrinking to one worker keeps every session; each moved
-        session's next verify is bit-identical to a never-moved warm
-        session's second verify, and the retired workers stop
-        accepting connections."""
-        direct = make_tiling_session()
-        direct.verify()
-        warm_expected = direct.verify()
-        ids = [f"s{n}" for n in range(8)]
-        with WorkerPool(workers=3) as pool:
-            with PoolClient(pool) as client:
-                for session_id in ids:
-                    client.open_session(session_id, make_tiling_session())
-                    client.verify(session_id)
-                before = {session_id: pool.worker_for(session_id)
-                          for session_id in ids}
-                retired = [pool.address_of(name) for name in ("w1", "w2")]
-                moved = pool.rebalance(1)
-            assert pool.worker_names() == ["w0"]
-            assert moved == {session_id: "w0" for session_id in ids
-                             if before[session_id] != "w0"}
-            assert moved
-            with PoolClient(pool) as client:
-                assert sorted(client.session_ids()) == ids
-                for session_id in sorted(moved):
-                    assert reports_equal(client.verify(session_id),
-                                         warm_expected)
-            for address in retired:
-                with pytest.raises(TransportError):
-                    ServiceClient(*address, timeout=2)
-
-    def test_merged_metrics_count_all_workers(self):
-        with WorkerPool(workers=2) as pool, PoolClient(pool) as client:
-            for n in range(4):
-                client.open_session(f"s{n}", make_tiling_session())
-                client.assign(f"s{n}", [(0, 0)])
-            merged = client.metrics()
-            assert merged.counter("assign.completed") == 4
-            assert merged.latencies["assign"].total == 4
