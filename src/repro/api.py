@@ -61,6 +61,7 @@ from repro.core.serialize import (
 from repro.core.theorem1 import schedule_from_prototile, schedule_from_tiling
 from repro.core.theorem2 import schedule_from_multi_tiling
 from repro.engine.config import EngineConfig, use_config
+from repro.engine.encode import PointBatch
 from repro.engine.parallel import shard_workers
 from repro.net.energy import UNIT_TX_MODEL, EnergyModel
 from repro.net.metrics import SimulationMetrics
@@ -128,6 +129,15 @@ class Box(NamedTuple):
         lo, hi = self._corners()
         return list(box_points(lo, hi))
 
+    def batch(self) -> PointBatch:
+        """The box as a dense :class:`~repro.engine.encode.PointBatch`.
+
+        Built from the corners with ``np.indices`` in the order of
+        :meth:`points`, so it needs no validation; same corner checks
+        as :meth:`points`.
+        """
+        return PointBatch.box(*self._corners())
+
     def volume(self) -> int:
         """Lattice-point count of the box, without materializing it.
 
@@ -150,11 +160,13 @@ class Box(NamedTuple):
 WindowLike = Any
 
 
-def _as_window(window: WindowLike) -> list[IntVec]:
-    """Normalize a window spec to a point list.
+def _as_window(window: WindowLike) -> PointBatch:
+    """Validate a window spec once, into a point batch.
 
-    A :class:`Box` expands to the full integer box; every other
-    iterable is treated as the points themselves.  The one exception is
+    A :class:`Box` becomes the dense batch of the full integer box;
+    every other iterable (or ``(n, d)`` integer array) is taken as the
+    points themselves, under the coordinate rule of
+    :func:`~repro.utils.vectors.as_intvec`.  The one exception is
     the legacy corner-pair spelling (a bare 2-tuple of int sequences),
     which used to mean a box: silently verifying just its two corner
     points would make old callers' reports vacuously collision-free, so
@@ -162,7 +174,7 @@ def _as_window(window: WindowLike) -> list[IntVec]:
     literal points.
     """
     if isinstance(window, Box):
-        return window.points()
+        return window.batch()
     if (isinstance(window, tuple) and len(window) == 2
             and all(isinstance(corner, (tuple, list)) and corner
                     and all(isinstance(c, int) for c in corner)
@@ -171,7 +183,7 @@ def _as_window(window: WindowLike) -> list[IntVec]:
             f"ambiguous window {window!r}: a bare corner-pair tuple "
             f"used to mean a box — pass Box{window!r} for the box, or "
             f"a list {list(window)!r} for two literal points")
-    return [as_intvec(p) for p in window]
+    return PointBatch.of(window)
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +444,7 @@ class Session:
     @property
     def window(self) -> list[IntVec] | None:
         """The session's default verification window, if any."""
-        return None if self._window is None else list(self._window)
+        return None if self._window is None else list(self._window.points)
 
     @property
     def cache_stats(self) -> tuple[int, int]:
@@ -496,20 +508,23 @@ class Session:
             cache.rebase(self._schedule)
 
     def _window_list(self, window: WindowLike | None) -> list[IntVec]:
+        return self._window_batch(window).points
+
+    def _window_batch(self, window: WindowLike | None) -> PointBatch:
         if window is not None:
             return _as_window(window)
         if self._window is not None:
             return self._window
         points = getattr(self._schedule, "points", None)
         if points is not None:
-            self._window = list(points)
+            self._window = PointBatch.of(points)
             return self._window
         raise ValueError(
             "this session has no default window; pass window= (a point "
             "iterable or a Box(lo, hi)) to the call or the Session "
             "constructor")
 
-    def _transferable_window(self) -> list[IntVec] | None:
+    def _transferable_window(self) -> PointBatch | None:
         """The window a derived session may inherit.
 
         Only a caller-supplied window transfers; one lazily derived
@@ -558,7 +573,7 @@ class Session:
         if isinstance(window, Box):
             window_size = window.volume()
         else:
-            window_size = len(self._window_list(window))
+            window_size = len(self._window_batch(window))
         if not self._certificate_served:
             self._certificate_served = True
             self._cache_misses += 1
@@ -582,16 +597,23 @@ class Session:
         Semantically ``[schedule.slot_of(p) for p in points]`` — pinned
         bit-identical by the equivalence suite — but dispatched through
         the schedule's vectorized ``slots_of`` under this session's
-        config.
+        config.  ``points`` (integer tuples or an ``(n, d)`` integer
+        array) is validated once, under the same coordinate rule as
+        :meth:`verify`.
+
+        Raises:
+            TypeError: for a boolean, non-integral or non-numeric
+                coordinate.
         """
+        batch = PointBatch.of(points)
         if not hasattr(points, "__len__"):
-            points = list(points)
+            points = batch.points
         with use_config(self._config):
             bulk = getattr(self._schedule, "slots_of", None)
             if bulk is not None:
-                slots = bulk(points)
+                slots = bulk(batch)
             else:
-                slots = [self._schedule.slot_of(p) for p in points]
+                slots = [self._schedule.slot_of(p) for p in batch.points]
         return SlotAssignment(points=points, slots=slots,
                               num_slots=self._schedule.num_slots)
 
@@ -620,10 +642,22 @@ class Session:
         and ``stream_chunk`` all bypass the certificate.
 
         ``stream_chunk`` requires a :class:`Box` window and scans it in
-        axis-0 slabs of about that many points via
-        :func:`~repro.core.certify.stream_box_collisions`, bounding
-        memory for out-of-core windows; the result is bit-identical to
-        the one-shot scan but is never cached.
+        axis-0 slabs of about that many points (plus the conflict-radius
+        halo) via :func:`~repro.core.certify.stream_box_collisions`,
+        bounding memory for out-of-core windows.  Each slab is built
+        from the box corners as a dense batch and checked by the
+        stencil scan — one comparison of shifted slot grids per
+        conflict offset — so no point tuple is ever materialized; the
+        result is bit-identical to the one-shot scan but is never
+        cached.
+
+        The window (a point iterable, an ``(n, d)`` integer array or a
+        :class:`Box`) is validated once, under the same coordinate rule
+        as :meth:`assign`.
+
+        Raises:
+            TypeError: for a boolean, non-integral or non-numeric
+                coordinate.
         """
         offset_list = self._offsets if offsets is None else list(offsets)
         if stream_chunk is not None:
@@ -650,19 +684,20 @@ class Session:
             certificate = self._certificate()
             if certificate is not None and certificate.collision_free:
                 return self._verify_from_certificate(certificate, window)
-        window_list = self._window_list(window)
+        batch = self._window_batch(window)
         neighborhood = self._require_neighborhood()
         if not use_cache:
             with use_config(self._config):
-                collisions = find_collisions(self._schedule, window_list,
+                collisions = find_collisions(self._schedule, batch,
                                              neighborhood, offset_list)
                 workers = shard_workers()
             return VerificationReport(
-                collisions=tuple(collisions), window_size=len(window_list),
-                source="scan", checked_points=len(window_list),
+                collisions=tuple(collisions), window_size=len(batch),
+                source="scan", checked_points=len(batch),
                 cache_hits=self._cache_hits,
                 cache_misses=self._cache_misses,
                 workers=workers)
+        window_list = batch.points
         key = (tuple(window_list),
                None if offset_list is None else tuple(sorted(offset_list)))
         cache = self._caches.get(key)
@@ -670,7 +705,7 @@ class Session:
             workers = shard_workers()
             if cache is None:
                 self._cache_misses += 1
-                cache = VerificationCache(self._schedule, window_list,
+                cache = VerificationCache(self._schedule, batch,
                                           neighborhood, offset_list)
                 collisions = cache.collisions()
                 self._caches[key] = cache
@@ -1039,12 +1074,12 @@ class Session:
         the same window answers identically.  Theorem 1/2 sessions are
         immutable; churn workloads restrict first, then edit.
         """
-        window_list = self._window_list(window)
-        slots = self.assign(window_list).slots
+        batch = self._window_batch(window)
+        slots = self.assign(batch).slots
         assignment = {point: int(slot)
-                      for point, slot in zip(window_list, slots)}
+                      for point, slot in zip(batch.points, slots)}
         return Session(MappingSchedule(assignment), config=self._config,
-                       window=window_list,
+                       window=batch,
                        neighborhood_of=self._neighborhood_of,
                        offsets=self._offsets)
 

@@ -29,8 +29,9 @@ fall back to the full scan.
 
 For windows too large to materialize (10^8+ points),
 :func:`stream_box_collisions` scans a box window in bounded memory:
-axis-0 slabs plus a conflict-radius halo, each chunk verified by the
-ordinary bulk engine, results concatenated in canonical order — bit
+axis-0 slabs plus a conflict-radius halo, each slab a dense
+:class:`~repro.engine.encode.PointBatch` verified by the stencil scan of
+the bulk engine, results concatenated in canonical order — bit
 identical to a one-shot :func:`~repro.core.schedule.find_collisions`
 over the whole box.
 """
@@ -49,12 +50,13 @@ from repro.core.schedule import (
     _bulk_slots,
     _default_offsets,
     _origin_shapes,
-    conflict_offsets,
+    _sorted_offsets,
     find_collisions,
 )
 from repro.core.serialize import CorruptSessionError, schedule_digest
+from repro.engine.encode import PointBatch
 from repro.lattice.sublattice import Sublattice
-from repro.utils.vectors import IntVec, as_intvec, box_points, vadd, vsub
+from repro.utils.vectors import IntVec, as_intvec, vadd, vsub
 
 __all__ = [
     "PeriodicCertificate",
@@ -196,7 +198,7 @@ class PeriodicCertificate:
         """
         if self.collision_free:
             return []
-        point_list = [as_intvec(p) for p in points]
+        point_list = PointBatch.of(points).points
         if not point_list:
             return []
         window = set(point_list)
@@ -344,14 +346,15 @@ def certify_periodic(schedule: Schedule, period: Sublattice,
     zero = (0,) * dimension
     if offsets is None:
         shapes, _ = _origin_shapes(representatives, neighborhood_of)
-        offset_list = _default_offsets(representatives, shapes)
+        offset_list = _default_offsets(tuple(shapes), dimension)
     else:
         offset_list = [as_intvec(d) for d in offsets]
     positive = sorted(d for d in set(offset_list) if d > zero)
     probes = [vadd(r, d) for r in representatives for d in positive]
-    domain = representatives + probes
+    domain = PointBatch.of(representatives + probes)
     shapes, shape_ids = _origin_shapes(domain, neighborhood_of)
-    slots = _bulk_slots(schedule, domain)
+    shape_ids = shape_ids.tolist()
+    slots = _bulk_slots(schedule, domain).tolist()
     differences: dict[tuple[int, int], frozenset[IntVec]] = {}
     colliding: list[tuple[IntVec, IntVec]] = []
     probe_index = len(representatives)
@@ -425,9 +428,14 @@ def certify_schedule(schedule: Schedule,
 def _schedule_offsets(schedule: Schedule) -> list[IntVec]:
     """Global conflict offsets derivable from a schedule's structure."""
     if isinstance(schedule, TilingSchedule):
-        return sorted(conflict_offsets([schedule.prototile]))
-    if isinstance(schedule, MultiTilingSchedule):
-        return sorted(conflict_offsets(schedule.multi.prototiles))
+        tiles = [schedule.prototile]
+    elif isinstance(schedule, MultiTilingSchedule):
+        tiles = schedule.multi.prototiles
+    else:
+        tiles = None
+    if tiles is not None:
+        return list(_sorted_offsets(tuple(tile.cells for tile in tiles),
+                                    tiles[0].dimension))
     raise ValueError(
         f"cannot derive conflict offsets for "
         f"{type(schedule).__name__}; pass offsets= explicitly to stream "
@@ -446,15 +454,19 @@ def stream_box_collisions(schedule: Schedule,
     ``find_collisions(schedule, box_points(lo, hi), neighborhood_of)``,
     but only ever materializes one axis-0 slab of about
     ``chunk_points`` points (plus a conflict-radius halo), so 10^8+
-    point windows verify in bounded memory.
+    point windows verify in bounded memory.  Each slab is a dense
+    :class:`~repro.engine.encode.PointBatch` built from the box corners,
+    so it is scanned by the stencil path without a point tuple in sight.
 
-    Chunking is sound because a lexicographically positive conflict
-    offset never decreases coordinate 0: every pair's left endpoint
-    falls in exactly one slab and its right endpoint within ``halo``
-    rows above it, so scanning each slab extended by the halo and
-    keeping pairs whose left endpoint lies in the slab partitions the
-    full result; slabs ascend along axis 0, so plain concatenation is
-    already the canonical sorted order.
+    Chunking is a tiling of the iteration space, and it is legal
+    because a lexicographically positive conflict offset never
+    decreases coordinate 0 (every dependence distance along the tiled
+    axis is non-negative): every pair's left endpoint falls in exactly
+    one slab and its right endpoint within ``halo`` rows above it, so
+    scanning each slab extended by the halo and keeping pairs whose
+    left endpoint lies in the slab partitions the full result; slabs
+    ascend along axis 0, so plain concatenation is already the
+    canonical sorted order.
 
     Args:
         schedule: slot assignment to check.
@@ -478,6 +490,7 @@ def stream_box_collisions(schedule: Schedule,
     if not positive:
         return []
     halo = max(d[0] for d in positive)
+    assert min(d[0] for d in positive) >= 0, "illegal axis-0 tiling"
     slab = 1
     for low, high in zip(lo_vec[1:], hi_vec[1:]):
         slab *= high - low + 1
@@ -486,8 +499,8 @@ def stream_box_collisions(schedule: Schedule,
     for first_row in range(lo_vec[0], hi_vec[0] + 1, rows_per_chunk):
         last_row = min(first_row + rows_per_chunk - 1, hi_vec[0])
         top_row = min(last_row + halo, hi_vec[0])
-        chunk = list(box_points((first_row,) + lo_vec[1:],
-                                (top_row,) + hi_vec[1:]))
+        chunk = PointBatch.box((first_row,) + lo_vec[1:],
+                               (top_row,) + hi_vec[1:])
         found = find_collisions(schedule, chunk, neighborhood_of,
                                 offsets=offset_list)
         collisions.extend(pair for pair in found

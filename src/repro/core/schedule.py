@@ -31,14 +31,17 @@ import hashlib
 from bisect import insort
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:
     from repro.core.certify import PeriodicCertificate
 
 from repro.engine.collisions import scan_collisions, scan_collisions_touching
-from repro.engine.encode import BoxEncoder
-from repro.engine.slots import CosetTable, as_point_batch
+from repro.engine.encode import PointBatch
+from repro.engine.slots import CosetTable
 from repro.tiles.prototile import Prototile
 from repro.tiling.base import Tiling
 from repro.tiling.multi import MultiTiling
@@ -139,6 +142,15 @@ class MappingSchedule(Schedule):
         except KeyError:
             raise KeyError(f"point {key} is not covered by this schedule") \
                 from None
+
+    def slots_of(self, points: Iterable[Sequence[int]]) -> list[int]:
+        """Slots of a window validated once: one dict probe per point."""
+        try:
+            return list(map(self._assignment.__getitem__,
+                            PointBatch.of(points).points))
+        except KeyError as error:
+            raise KeyError(f"point {error.args[0]} is not covered by this "
+                           f"schedule") from None
 
     @property
     def points(self) -> list[IntVec]:
@@ -248,8 +260,8 @@ class TilingSchedule(Schedule):
     def slots_of(self, points: Iterable[Sequence[int]]) -> list[int]:
         table = self._coset_table()
         if table is None:
-            return [self.slot_of(p) for p in points]
-        return table.lookup(as_point_batch(points))
+            return [self.slot_of(p) for p in PointBatch.of(points).points]
+        return table.lookup(points)
 
     def _coset_table(self) -> CosetTable | None:
         if not self._slot_table_ready:
@@ -314,13 +326,16 @@ class MultiTilingSchedule(Schedule):
         return self._slot_by_cell[cell]
 
     def slots_of(self, points: Iterable[Sequence[int]]) -> list[int]:
+        return self._coset_table().lookup(points)
+
+    def _coset_table(self) -> CosetTable:
         if self._slot_table is None:
             period, cell_by_representative = self.multi.coset_structure()
             self._slot_table = CosetTable(
                 period,
                 {representative: self._slot_by_cell[cell]
                  for representative, cell in cell_by_representative.items()})
-        return self._slot_table.lookup(as_point_batch(points))
+        return self._slot_table
 
     def neighborhood_of(self, point: Sequence[int]) -> frozenset[IntVec]:
         """Deployment-D1 interference set of the sensor at ``point``."""
@@ -366,14 +381,18 @@ def conflict_offsets(prototiles: Iterable[Prototile]) -> frozenset[IntVec]:
     tiles = list(prototiles)
     if not tiles:
         raise ValueError("need at least one prototile")
-    offsets: set[IntVec] = set()
-    for a in tiles:
-        for b in tiles:
-            for p in a.cells:
-                for q in b.cells:
-                    offsets.add(vsub(p, q))
-    offsets.discard((0,) * tiles[0].dimension)
-    return frozenset(offsets)
+    return frozenset(_sorted_offsets(
+        tuple(tile.cells for tile in tiles), tiles[0].dimension))
+
+
+@lru_cache(maxsize=64)
+def _sorted_offsets(cell_sets: tuple[frozenset[IntVec], ...],
+                    dimension: int) -> tuple[IntVec, ...]:
+    """Sorted nonzero differences between the cell sets, built once."""
+    offsets = {vsub(p, q) for a in cell_sets for b in cell_sets
+               for p in a for q in b}
+    offsets.discard((0,) * dimension)
+    return tuple(sorted(offsets))
 
 
 # Beyond this many distinct neighborhood shapes the pairwise difference
@@ -382,21 +401,23 @@ def conflict_offsets(prototiles: Iterable[Prototile]) -> frozenset[IntVec]:
 _MAX_SHAPE_CLASSES = 32
 
 
-def _origin_shapes(point_list: list[IntVec],
-                   neighborhood_of: NeighborhoodFn,
-                   ) -> tuple[list[frozenset[IntVec]], list[int]]:
+def _origin_shapes(points, neighborhood_of: NeighborhoodFn,
+                   ) -> tuple[list[frozenset[IntVec]], np.ndarray]:
     """Classify points by interference shape (neighborhood rebased to 0).
 
-    Returns ``(shapes, shape_ids)``.  Known homogeneous / deployment-D1
-    neighborhood functions are recognized so the classification itself is
-    O(1) or vectorized; arbitrary callables fall back to rebasing each
-    point's neighborhood.
+    Returns ``(shapes, shape_ids)``, the ids as an intp array.  Known
+    homogeneous / deployment-D1 neighborhood functions are recognized so
+    the classification itself is O(1) or one cover-table pass over the
+    batch array; arbitrary callables fall back to rebasing each point's
+    neighborhood.
     """
+    batch = PointBatch.of(points)
     owner = getattr(neighborhood_of, "__self__", None)
     func = getattr(neighborhood_of, "__func__", None)
     if (isinstance(owner, TilingSchedule)
             and func is TilingSchedule.neighborhood_of):
-        return [frozenset(owner.prototile.cells)], [0] * len(point_list)
+        return ([owner.prototile.cells],
+                np.zeros(len(batch), dtype=np.intp))
     multi = None
     if (isinstance(owner, MultiTilingSchedule)
             and func is MultiTilingSchedule.neighborhood_of):
@@ -404,12 +425,12 @@ def _origin_shapes(point_list: list[IntVec],
     elif isinstance(owner, MultiTiling) and func is MultiTiling.neighborhood_of:
         multi = owner
     if multi is not None:
-        shapes = [frozenset(tile.cells) for tile in multi.prototiles]
-        return shapes, multi.prototile_indices(point_list)
+        shapes = [tile.cells for tile in multi.prototiles]
+        return shapes, multi.prototile_index_array(batch)
     shapes = []
     shape_ids = []
     index: dict[frozenset[IntVec], int] = {}
-    for point in point_list:
+    for point in batch.points:
         shape = frozenset(vsub(cell, point)
                           for cell in neighborhood_of(point))
         shape_id = index.get(shape)
@@ -418,38 +439,49 @@ def _origin_shapes(point_list: list[IntVec],
             index[shape] = shape_id
             shapes.append(shape)
         shape_ids.append(shape_id)
-    return shapes, shape_ids
+    return shapes, np.asarray(shape_ids, dtype=np.intp)
 
 
-def _default_offsets(point_list: list[IntVec],
-                     shapes: Sequence[frozenset[IntVec]]) -> list[IntVec]:
+@lru_cache(maxsize=64)
+def _default_offsets(shapes: tuple[frozenset[IntVec], ...],
+                     dimension: int) -> tuple[IntVec, ...]:
     """Candidate offsets from the deduplicated window shapes.
 
-    A homogeneous window has one shape, a D1 deployment a few.
+    A homogeneous window has one shape, a D1 deployment a few; the
+    offsets of a shape tuple are built once.
     """
-    origin = (0,) * len(point_list[0])
-    unique = sorted({shape | {origin} for shape in shapes}, key=sorted)
-    prototiles = [Prototile(cells, name=f"window-{index}")
-                  for index, cells in enumerate(unique)]
-    return sorted(conflict_offsets(prototiles))
+    origin = (0,) * dimension
+    unique = {frozenset(shape | {origin}) for shape in shapes}
+    return _sorted_offsets(tuple(sorted(unique, key=sorted)), dimension)
 
 
-def _bulk_slots(schedule: Schedule, point_list: list[IntVec]) -> list[int]:
-    # ``schedule`` is duck-typed; only ``slot_of`` is required.
+def _bulk_slots(schedule: Schedule, points) -> np.ndarray:
+    """Slots of a window as an int64 array: the one internal lookup.
+
+    ``schedule`` is duck-typed; only ``slot_of`` is required.  Theorem
+    1/2 schedules answer from their coset table on the batch array;
+    anything else through its ``slots_of`` (or ``slot_of`` per point).
+    """
+    batch = PointBatch.of(points)
+    if isinstance(schedule, (TilingSchedule, MultiTilingSchedule)):
+        table = schedule._coset_table()
+        if table is not None:
+            return table.lookup_array(batch)
     bulk = getattr(schedule, "slots_of", None)
     if bulk is not None:
-        return bulk(point_list)
-    return [schedule.slot_of(p) for p in point_list]
+        return np.asarray(bulk(batch), dtype=np.int64)
+    return np.asarray([schedule.slot_of(p) for p in batch.points],
+                      dtype=np.int64)
 
 
-def _scan_window(point_list: list[IntVec],
-                 slots: list[int],
+def _scan_window(batch: PointBatch,
+                 slots: np.ndarray,
                  shapes: list[frozenset[IntVec]],
-                 shape_ids: list[int],
+                 shape_ids: np.ndarray,
                  offset_list: list[IntVec]) -> list[Collision]:
     """Full-window scan shared by find_collisions and the cache."""
     if len(shapes) <= _MAX_SHAPE_CLASSES:
-        return scan_collisions(point_list, slots, shape_ids, shapes,
+        return scan_collisions(batch, slots, shape_ids, shapes,
                                offset_list)
     # Degenerate windows with very many distinct shapes: same probing
     # structure as the bulk path — first-occurrence index, per-occurrence
@@ -458,7 +490,9 @@ def _scan_window(point_list: list[IntVec],
     # full |shapes|^2 table up front.  Keeping the two paths structurally
     # aligned (rather than re-deriving ranges through ``neighborhood_of``)
     # pins their duplicate-point and occurrence semantics together.
-    zero = (0,) * len(point_list[0])
+    point_list = batch.points
+    slots, shape_ids = slots.tolist(), shape_ids.tolist()
+    zero = (0,) * batch.dimension
     positive = [delta for delta in offset_list if delta > zero]
     point_index: dict[IntVec, int] = {}
     for i, point in enumerate(point_list):
@@ -545,15 +579,15 @@ def find_collisions(schedule: Schedule,
     if cache is not None:
         return cache.collisions_for(schedule, points, neighborhood_of,
                                     offsets)
-    point_list = [as_intvec(p) for p in points]
-    if not point_list:
+    batch = PointBatch.of(points)
+    if not len(batch):
         return []
     offset_list = None if offsets is None else list(offsets)
-    shapes, shape_ids = _origin_shapes(point_list, neighborhood_of)
+    shapes, shape_ids = _origin_shapes(batch, neighborhood_of)
     if offset_list is None:
-        offset_list = _default_offsets(point_list, shapes)
-    slots = _bulk_slots(schedule, point_list)
-    return _scan_window(point_list, slots, shapes, shape_ids, offset_list)
+        offset_list = _default_offsets(tuple(shapes), batch.dimension)
+    slots = _bulk_slots(schedule, batch)
+    return _scan_window(batch, slots, shapes, shape_ids, offset_list)
 
 
 def verify_collision_free(schedule: Schedule,
@@ -602,15 +636,18 @@ class VerificationCache:
                  points: Iterable[Sequence[int]],
                  neighborhood_of: NeighborhoodFn,
                  offsets: Iterable[IntVec] | None = None):
-        point_list = [as_intvec(p) for p in points]
-        require(len(point_list) > 0,
+        batch = PointBatch.of(points)
+        require(len(batch) > 0,
                 "a verification cache needs a nonempty window")
+        point_list = batch.points
+        self._batch = batch
         self._points = point_list
         self._neighborhood_of = neighborhood_of
-        self._shapes, self._shape_ids = _origin_shapes(point_list,
-                                                       neighborhood_of)
+        self._shapes, shape_ids = _origin_shapes(batch, neighborhood_of)
+        self._shape_ids = shape_ids.tolist()
         if offsets is None:
-            self._offsets = _default_offsets(point_list, self._shapes)
+            self._offsets = _default_offsets(tuple(self._shapes),
+                                             batch.dimension)
         else:
             self._offsets = list(offsets)
         self._index_of: dict[IntVec, int] = {}
@@ -619,13 +656,12 @@ class VerificationCache:
             self._index_of.setdefault(point, i)
             self._occurrences.setdefault(point, []).append(i)
         self._sorted_points = sorted(point_list)
-        encoder = BoxEncoder(point_list)
         #: Identity of the verified window: bounding box, size, and a
         #: content digest of the point multiset.  Two caches with equal
         #: keys verify the same sensors (up to ordering) — the digest
         #: keeps different point sets sharing a bounding box and count
         #: from aliasing in a cache-per-window registry.
-        self.window_key = (encoder.lo, encoder.hi, len(point_list),
+        self.window_key = (batch.lo, batch.hi, len(point_list),
                            _window_digest(self._sorted_points))
         self._schedule = schedule
         self._slots: list[int] | None = None
@@ -657,10 +693,11 @@ class VerificationCache:
         cached list (updated incrementally by :meth:`apply`).
         """
         if self._collisions is None:
-            self._slots = _bulk_slots(self._schedule, self._points)
+            slots = _bulk_slots(self._schedule, self._batch)
             self._collisions = _scan_window(
-                self._points, self._slots, self._shapes, self._shape_ids,
+                self._batch, slots, self._shapes, self._shape_ids,
                 self._offsets)
+            self._slots = slots.tolist()
         return list(self._collisions)
 
     def is_collision_free(self) -> bool:
@@ -696,8 +733,8 @@ class VerificationCache:
         touched = self.touched_in_window(delta.changed)
         if touched:
             assert self._slots is not None
-            for point, slot in zip(touched,
-                                   _bulk_slots(delta.schedule, touched)):
+            slots = _bulk_slots(delta.schedule, touched).tolist()
+            for point, slot in zip(touched, slots):
                 for i in self._occurrences[point]:
                     self._slots[i] = slot
             touched_set = frozenset(touched)
@@ -735,7 +772,7 @@ class VerificationCache:
         ordering anyway.
         """
         if points is not None and sorted(
-                as_intvec(p) for p in points) != self._sorted_points:
+                PointBatch.of(points).points) != self._sorted_points:
             raise ValueError(
                 "window mismatch: this cache verifies a different window "
                 f"(key {self.window_key})")

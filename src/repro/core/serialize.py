@@ -31,6 +31,7 @@ from repro.lattice.sublattice import Sublattice
 from repro.tiles.prototile import Prototile
 from repro.tiling.lattice_tiling import LatticeTiling
 from repro.tiling.multi import MultiTiling
+from repro.utils.vectors import as_intvec
 
 __all__ = ["CorruptSessionError",
            "schedule_to_dict", "schedule_from_dict",
@@ -276,9 +277,9 @@ def session_wire_to_json(schedule: Schedule, *, session_id: str,
     mis-scheduled.
     """
     if window is not None:
-        window = [[int(coord) for coord in point] for point in window]
+        window = [list(as_intvec(point)) for point in window]
     if offsets is not None:
-        offsets = [[int(coord) for coord in point] for point in offsets]
+        offsets = [list(as_intvec(point)) for point in offsets]
     if config is not None and not isinstance(config, dict):
         raise TypeError(
             f"config must be a JSON-able dict or None, "
@@ -351,18 +352,18 @@ def session_wire_from_json(
         raise CorruptSessionError(
             f"config must be an object or null, "
             f"got {type(config).__name__}", path=path)
+    # Points follow as_intvec's rule: a boolean, non-integral or string
+    # coordinate is refused, never rounded or parsed into another point.
     if window is not None:
         try:
-            window = [tuple(int(coord) for coord in point)
-                      for point in window]
-        except (TypeError, ValueError) as error:
+            window = [as_intvec(point) for point in window]
+        except TypeError as error:
             raise CorruptSessionError(
                 f"malformed window: {error}", path=path) from error
     if offsets is not None:
         try:
-            offsets = [tuple(int(coord) for coord in point)
-                       for point in offsets]
-        except (TypeError, ValueError) as error:
+            offsets = [as_intvec(point) for point in offsets]
+        except TypeError as error:
             raise CorruptSessionError(
                 f"malformed offsets: {error}", path=path) from error
     neighborhood = (None if neighborhood_data is None

@@ -14,14 +14,17 @@ brute-force reference in :mod:`repro.scenarios.reference`.
   override.  A session's or simulator's config outranks the enclosing
   :func:`use_config` block, which outranks the (lazily re-read)
   ``REPRO_ENGINE_WORKERS``; serial is the default.
-* :mod:`repro.engine.encode` — injective integer keys for lattice points
-  of a finite window, so membership tests become sorted-array lookups.
+* :mod:`repro.engine.encode` — :class:`PointBatch`, the one validated
+  form of a window (an int64 array, its bounding box, and whether it
+  fills that box), and injective integer keys for its points, so
+  membership tests become sorted-array lookups.
 * :mod:`repro.engine.slots` — :class:`CosetTable`, a vectorized form of
   the Hermite-normal-form coset reduction behind every tiling schedule:
   thousands of ``slot_of`` queries collapse into a handful of array ops.
 * :mod:`repro.engine.collisions` — the bulk collision scan used by
-  :func:`repro.core.schedule.find_collisions`, plus the dirty-region
-  rescan primitive behind incremental verification.
+  :func:`repro.core.schedule.find_collisions` (a stencil over the box
+  grid for dense windows, sorted keys for the rest), plus the
+  dirty-region rescan primitive behind incremental verification.
 * :mod:`repro.engine.parallel` — the multi-core sharding layer: worker
   resolution (``REPRO_ENGINE_WORKERS``), shard planning, and a
   fork-friendly process-pool runner.  Sharded kernels are required to
@@ -48,7 +51,7 @@ from repro.engine.collisions import (
     scan_collisions_touching,
 )
 from repro.engine.config import EngineConfig, use_config
-from repro.engine.encode import BoxEncoder
+from repro.engine.encode import BoxEncoder, PointBatch
 from repro.engine.parallel import (
     cpu_budget,
     plan_shards,
@@ -76,6 +79,7 @@ __all__ = [
     "scan_collisions",
     "scan_collisions_touching",
     "BoxEncoder",
+    "PointBatch",
     "AdjacencyIndex",
     "CosetTable",
     "uniform_block",

@@ -6,26 +6,35 @@ slot *and* have intersecting interference ranges?  Ranges enter through
 interference set rebased to the origin), and the ranges of ``x`` and
 ``y`` intersect iff ``y - x`` lies in the difference set
 ``S_x - S_y`` — so the whole geometric test collapses to a membership
-table over (shape pair, candidate offset).
+table over (shape pair, candidate offset).  That table is built once per
+``(shapes, offsets)`` and memoised, not once per call.
 
 The scan enumerates, for every lexicographically positive candidate
 offset ``delta``, the pairs ``(x, x + delta)`` present in the window,
-and keeps those with equal slots and an allowed shape pair — one
-sorted-key membership pass per offset over int64 keys.  The result is
-a list of ``(x, y)`` pairs with ``x < y``, sorted.
+and keeps those with equal slots and an allowed shape pair.  The result
+is a list of ``(x, y)`` pairs with ``x < y``, sorted.  The window, as a
+validated :class:`~repro.engine.encode.PointBatch`, selects one of three
+paths; no option does:
 
-An exact path (one dict probe per (point, offset)) answers the windows
-the int64 kernel cannot represent — coordinates or a padded bounding
-box too large for int64 keys — and the calls degraded by a kernel
-failure.  The input selects it; no option does.
+* **stencil** — a *dense* batch (the points fill their bounding box
+  exactly once, such as a :class:`~repro.api.Box`) puts slots and shape
+  ids on the box grid.  A point's neighbour at ``delta`` is then a fixed
+  index shift, so each offset is one comparison of two shifted slices,
+  and only the colliding index pairs are resolved to tuples.
+* **sorted keys** — any other batch with int64 coordinates: one
+  ``searchsorted`` membership pass per offset over padded
+  :class:`~repro.engine.encode.BoxEncoder` keys.
+* **exact** — one dict probe per (point, offset) for the windows the
+  int64 kernels cannot represent (coordinates or a padded bounding box
+  too large for int64 keys) and for calls degraded by a kernel failure.
 
 Two scaling layers sit on top of the serial scan:
 
 * **Sharding** (:mod:`repro.engine.parallel`): with workers enabled,
   large scans shard the *offset* axis across processes (each worker
-  reuses the presorted key arrays, inherited copy-on-write).  Merging
-  is concatenation followed by the same canonical sort, so the result
-  is bit-identical for any worker count.
+  inherits the grids or the presorted key arrays copy-on-write).
+  Merging is concatenation followed by the same canonical sort, so the
+  result is bit-identical for any worker count.
 * **Dirty-region rescans** (:func:`scan_collisions_touching`): after a
   slot edit only pairs with an edited endpoint can change, and every
   such pair lies within one conflict-offset of an edited point — the
@@ -35,12 +44,20 @@ Two scaling layers sit on top of the serial scan:
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Collection, Mapping, Sequence
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.engine.encode import BoxEncoder
+from repro.engine.encode import (
+    _MAX_KEYED_COORD,
+    BoxEncoder,
+    PointBatch,
+    _row_major_strides,
+)
 from repro.engine.parallel import plan_shards, run_sharded, shard_workers
 from repro.faults.injection import consume_numpy_failure
 from repro.utils.vectors import IntVec, vadd, vsub
@@ -49,8 +66,6 @@ __all__ = ["EngineDegradedWarning", "scan_collisions",
            "scan_collisions_touching"]
 
 Collision = tuple[IntVec, IntVec]
-
-
 class EngineDegradedWarning(RuntimeWarning):
     """The numpy kernel failed mid-call and the engine degraded.
 
@@ -74,7 +89,45 @@ class EngineDegradedWarning(RuntimeWarning):
 _MIN_PARALLEL_PROBES = 1 << 16
 
 
-def scan_collisions(points: Sequence[IntVec],
+class _PairTables(NamedTuple):
+    """The geometric test of one ``(shapes, offsets)`` pair."""
+
+    #: ``differences[a][b]`` is the difference set ``S_a - S_b``.
+    differences: list[list[frozenset[IntVec]]]
+    #: ``allowed[a, b, j]``: offset ``j`` lies in ``S_a - S_b``.
+    allowed: np.ndarray
+    #: The offsets as an ``(offsets, d)`` int64 array, or ``None`` when
+    #: some offset leaves no int64 headroom (only the exact scan takes
+    #: those).
+    offset_array: np.ndarray | None
+    #: Offset ``j`` is allowed for some shape pair / for every pair.
+    some_pair: np.ndarray
+    every_pair: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _pair_tables(shapes: tuple[frozenset[IntVec], ...],
+                 offsets: tuple[IntVec, ...]) -> _PairTables:
+    """Difference sets and the membership table, built on first use."""
+    differences = [[frozenset(vsub(p, q) for p in a for q in b)
+                    for b in shapes] for a in shapes]
+    allowed = np.zeros((len(shapes), len(shapes), len(offsets)), dtype=bool)
+    for a, row in enumerate(differences):
+        for b, difference in enumerate(row):
+            allowed[a, b] = [delta in difference for delta in offsets]
+    offset_array = None
+    if max(abs(c) for delta in offsets for c in delta) < _MAX_KEYED_COORD:
+        offset_array = np.asarray(offsets, dtype=np.int64)
+    some_pair = allowed.any(axis=(0, 1))
+    every_pair = allowed.all(axis=(0, 1))
+    for array in (allowed, offset_array, some_pair, every_pair):
+        if array is not None:
+            array.setflags(write=False)
+    return _PairTables(differences, allowed, offset_array, some_pair,
+                       every_pair)
+
+
+def scan_collisions(points: Sequence[IntVec] | PointBatch,
                     slots: Sequence[int],
                     shape_ids: Sequence[int],
                     shapes: Sequence[frozenset[IntVec]],
@@ -82,8 +135,10 @@ def scan_collisions(points: Sequence[IntVec],
     """All colliding pairs, sorted by ``(x, y)``.
 
     Args:
-        points: the window (integer tuples; duplicates follow the same
-            once-per-occurrence-of-``x`` semantics as the schedule layer).
+        points: the window — a :class:`~repro.engine.encode.PointBatch`
+            or any point collection it validates (duplicates follow the
+            same once-per-occurrence-of-``x`` semantics as the schedule
+            layer).
         slots: slot of each point, aligned with ``points``.
         shape_ids: index into ``shapes`` for each point.
         shapes: origin-rebased interference sets, one per shape class.
@@ -91,20 +146,19 @@ def scan_collisions(points: Sequence[IntVec],
             that are lexicographically nonpositive cannot produce a new
             ``x < y`` pair and are skipped.
     """
-    if not points or not offsets:
+    batch = PointBatch.of(points)
+    if not len(batch) or not offsets:
         return []
-    dimension = len(points[0])
-    zero = (0,) * dimension
-    positive = [delta for delta in offsets if delta > zero]
+    zero = (0,) * batch.dimension
+    positive = tuple(delta for delta in offsets if delta > zero)
     if not positive:
         return []
-    differences = [[frozenset(vsub(p, q) for p in a for q in b)
-                    for b in shapes] for a in shapes]
+    tables = _pair_tables(tuple(map(frozenset, shapes)), positive)
     collisions = None
     try:
         consume_numpy_failure()
-        collisions = _scan_numpy(points, slots, shape_ids, differences,
-                                 positive)
+        scan = _scan_dense if batch.dense else _scan_sorted
+        collisions = scan(batch, slots, shape_ids, tables, positive)
     except Exception as error:
         warnings.warn(
             EngineDegradedWarning(
@@ -113,8 +167,9 @@ def scan_collisions(points: Sequence[IntVec],
                 kernel="scan_collisions", reason=str(error)),
             stacklevel=2)
     if collisions is None:
-        collisions = _scan_exact(points, slots, shape_ids, differences,
-                                 positive)
+        collisions = _scan_exact(batch.points, np.asarray(slots).tolist(),
+                                 np.asarray(shape_ids).tolist(),
+                                 tables.differences, positive)
     collisions.sort()
     return collisions
 
@@ -136,6 +191,93 @@ def _scan_exact(points, slots, shape_ids, differences, offsets):
     return collisions
 
 
+# -- the stencil scan --------------------------------------------------
+def _dense_shard(payload, span):
+    """Offset passes ``span[0]..span[1]-1`` over the flat padded grids.
+
+    Each pass is ``(j, shift, check_shapes)``: equal slots are one
+    comparison of two views of the slot grid ``shift`` apart, and the
+    shape test gathers ``allowed`` only where the slots agree.  Returns
+    ``(j, flat grid positions of x)`` per offset with pairs — small, so
+    shard results pickle cheaply.
+    """
+    slots, shapes, allowed, passes = payload
+    size = len(slots)
+    found = []
+    for j, shift, check_shapes in passes[span[0]:span[1]]:
+        same = slots[:size - shift] == slots[shift:]
+        if not np.count_nonzero(same):
+            continue
+        where = np.flatnonzero(same)
+        if check_shapes:
+            where = where[allowed[shapes[where], shapes[where + shift], j]]
+            if not where.size:
+                continue
+        found.append((j, where))
+    return found
+
+
+def _scan_dense(batch, slots, shape_ids, tables, offsets):
+    """Stencil scan of a dense batch; ``None`` for int64-overflowing offsets.
+
+    Only offsets shorter than the box on every axis can pair two of
+    its points, so the others are dropped first.  The slot grid is
+    padded on the high side of every axis by the largest ``|delta|``
+    of the kept offsets (at most the box extent minus one, so the
+    grid stays under ``2**d`` times the batch), and the padding holds
+    distinct values below every slot.  In the flattened padded grid
+    the neighbour of ``x`` at ``delta`` is then ``x`` plus a fixed
+    shift.  A neighbour outside the box lands on padding — on the last
+    axis where it leaves the box, its index falls in that axis's pad —
+    and a pad value never equals a slot or another pad value.
+    """
+    offset_array = tables.offset_array
+    if offset_array is None:
+        return None
+    dims = batch.dims
+    reach = tables.some_pair & (np.abs(offset_array) < dims).all(axis=1)
+    if not reach.any():
+        return []
+    radius = np.abs(offset_array[reach]).max(axis=0).tolist()
+    padded = tuple(n + r for n, r in zip(dims, radius))
+    inner = tuple(slice(0, n) for n in dims)
+    slot_values = np.asarray(slots, dtype=np.int64)
+    below = min(0, int(slot_values.min())) - 1
+    slot_grid = below - np.arange(math.prod(padded), dtype=np.int64)
+    slot_grid = slot_grid.reshape(padded)
+    slot_grid[inner] = batch.on_grid(slot_values)
+    shape_grid = None
+    several = tables.allowed.shape[0] > 1
+    if several:
+        shape_grid = np.zeros(padded, dtype=np.intp)
+        shape_grid[inner] = batch.on_grid(np.asarray(shape_ids,
+                                                     dtype=np.intp))
+        shape_grid = shape_grid.ravel()
+    kept = np.flatnonzero(reach)
+    shifts = offset_array[kept] @ np.asarray(_row_major_strides(padded))
+    passes = [(j, shift, several and not tables.every_pair[j])
+              for j, shift in zip(kept.tolist(), shifts.tolist())]
+    payload = (slot_grid.ravel(), shape_grid, tables.allowed, passes)
+    workers = shard_workers()
+    spans = [(0, len(passes))]
+    if workers > 1 and len(batch) * len(passes) >= _MIN_PARALLEL_PROBES:
+        spans = plan_shards(len(passes), workers)
+    if len(spans) > 1:
+        parts = run_sharded(_dense_shard, payload, spans, workers)
+        found = [item for part in parts for item in part]
+    else:
+        found = _dense_shard(payload, spans[0])
+    lo = np.asarray(batch.lo, dtype=np.int64)
+    collisions: list[Collision] = []
+    for j, where in found:
+        xs = np.stack(np.unravel_index(where, padded), axis=1) + lo
+        ys = xs + offset_array[j]
+        collisions.extend(zip(map(tuple, xs.tolist()),
+                              map(tuple, ys.tolist())))
+    return collisions
+
+
+# -- the sorted-key scan -----------------------------------------------
 def _numpy_shard(payload, span):
     """Offset passes ``span[0]..span[1]-1`` over presorted keys.
 
@@ -161,45 +303,37 @@ def _numpy_shard(payload, span):
     return pairs
 
 
-def _scan_numpy(points, slots, shape_ids, differences, offsets):
-    """Vectorized scan; returns ``None`` when int64 keys cannot be used."""
-    try:
-        array = np.asarray(points, dtype=np.int64)
-    except OverflowError:
+def _scan_sorted(batch, slots, shape_ids, tables, offsets):
+    """Sorted-key scan; ``None`` when int64 keys cannot be used."""
+    if not batch.keyed:
         return None
     # Padding by the offset span makes shifted keys alias-free, so each
     # offset pass is a pure sorted-key membership test (no box mask).
-    dimension = array.shape[1]
     pad = [max(abs(delta[i]) for delta in offsets)
-           for i in range(dimension)]
-    encoder = BoxEncoder(points, pad=pad)
+           for i in range(batch.dimension)]
+    encoder = BoxEncoder(batch, pad=pad)
     if not encoder.fits_int64:
         return None
-    keys = encoder.keys_array(array)
+    keys = encoder.keys_array(batch.array)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     slot_arr = np.asarray(slots, dtype=np.int64)
-    shape_arr = np.asarray(shape_ids, dtype=np.int64)
-    num_shapes = len(differences)
-    allowed = np.zeros((num_shapes, num_shapes, len(offsets)), dtype=bool)
-    for a in range(num_shapes):
-        for b in range(num_shapes):
-            row = differences[a][b]
-            for j, delta in enumerate(offsets):
-                allowed[a, b, j] = delta in row
+    shape_arr = np.asarray(shape_ids, dtype=np.intp)
     offset_keys = [encoder.offset_key(delta) for delta in offsets]
-    payload = (keys, sorted_keys, order, slot_arr, shape_arr, allowed,
-               offset_keys)
+    payload = (keys, sorted_keys, order, slot_arr, shape_arr,
+               tables.allowed, offset_keys)
     workers = shard_workers()
-    if workers > 1 and len(points) * len(offsets) >= _MIN_PARALLEL_PROBES:
+    if workers > 1 and len(batch) * len(offsets) >= _MIN_PARALLEL_PROBES:
         # Each worker inherits the presorted key arrays (copy-on-write
         # under fork) and runs only its span of offset passes.
         spans = plan_shards(len(offsets), workers)
         if len(spans) > 1:
             parts = run_sharded(_numpy_shard, payload, spans, workers)
             pairs = [pair for part in parts for pair in part]
+            points = batch.points
             return [(points[i], points[j]) for i, j in pairs]
     pairs = _numpy_shard(payload, (0, len(offsets)))
+    points = batch.points
     return [(points[i], points[j]) for i, j in pairs]
 
 

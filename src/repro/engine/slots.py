@@ -11,9 +11,11 @@ instead of ``n`` Python loops — then resolves representatives through a
 dense ``index``-sized table of precomputed values.
 
 Batches the int64 kernel cannot represent (coordinates of ``2**40`` or
-more, non-integer or ragged input) take the exact path instead: one
-``sublattice.canonical_representative`` call per point, exactly what
-``slot_of`` does.  Both return the same list of Python ints.
+more) take the exact path instead: one ``canonical_representative``
+call per point, exactly what ``slot_of`` does.  Both give the same
+values.  Points arrive as a validated
+:class:`~repro.engine.encode.PointBatch` (any other collection is
+validated into one first), so the bound is checked once per batch.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.engine.encode import PointBatch
 from repro.engine.parallel import plan_shards, run_sharded, shard_workers
 from repro.utils.vectors import IntVec
 
-__all__ = ["CosetTable", "as_point_batch"]
+__all__ = ["CosetTable"]
 
 #: Batch sizes below this stay serial even with workers enabled — the
 #: reduction is a handful of array passes, so only very large windows
@@ -35,20 +38,9 @@ _MIN_PARALLEL_POINTS = 1 << 15
 
 def _lookup_shard(payload, span):
     """Serial lookup of one row span (runs in a worker process)."""
-    table, points = payload
+    table, rows, reducible = payload
     lo, hi = span
-    return table._lookup_serial(points[lo:hi])
-
-
-def as_point_batch(points):
-    """Normalize a point collection for a batch kernel.
-
-    Lists and array-likes (e.g. an ``(n, d)`` numpy window) pass through
-    untouched; only one-shot iterators are materialized.
-    """
-    if isinstance(points, list) or hasattr(points, "__array__"):
-        return points
-    return list(points)
+    return table._lookup_rows(rows[lo:hi], reducible)
 
 # Coordinate bound for the int64 fast path.  The HNF reduction subtracts
 # ``(x[i] // diag[i]) * column[i]``; with |x| < 2**40 and the modest
@@ -98,43 +90,54 @@ class CosetTable:
         """Scalar lookup (identical to the per-point schedule path)."""
         return self._values[self._sublattice.canonical_representative(point)]
 
-    def lookup(self, points: Sequence[Sequence[int]]) -> list[int]:
-        """Values for a batch of points.
+    def lookup(self, points) -> list[int]:
+        """Values for a batch of points, as a list of ints.
 
-        Accepts a list of integer tuples or a ready-made ``(n, d)``
-        integer numpy array.  Falls back to the exact path for inputs
-        the int64 kernel cannot represent.  Very large batches
-        shard across worker processes when workers are enabled
-        (:mod:`repro.engine.parallel`); the rows partition, so the
-        concatenated shard outputs equal the serial list exactly.
+        Accepts a :class:`~repro.engine.encode.PointBatch`, a list of
+        integer tuples or a ready-made ``(n, d)`` integer numpy array.
+        See :meth:`lookup_array`.
         """
-        workers = shard_workers()
-        if workers > 1 and len(points) >= _MIN_PARALLEL_POINTS:
-            spans = plan_shards(len(points), workers)
-            if len(spans) > 1:
-                parts = run_sharded(_lookup_shard, (self, points), spans,
-                                    workers)
-                return [value for part in parts for value in part]
-        return self._lookup_serial(points)
+        return self.lookup_array(points).tolist()
 
-    def _lookup_serial(self, points: Sequence[Sequence[int]]) -> list[int]:
-        array = np.asarray(points)
-        if (array.ndim == 2 and array.shape[1] == self.dimension
-                and array.dtype.kind in "iu"
-                and (array.size == 0
-                     or int(np.abs(array).max()) < _MAX_COORD)):
-            return self._lookup_numpy(array)
-        return self._lookup_exact(points)
+    def lookup_array(self, points) -> np.ndarray:
+        """Values for a batch of points, as an int64 array.
+
+        Falls back to the exact path for batches the int64 kernel
+        cannot represent.  Very large batches shard across worker
+        processes when workers are enabled
+        (:mod:`repro.engine.parallel`); the rows partition, so the
+        concatenated shard outputs equal the serial answer exactly.
+        """
+        batch = PointBatch.of(points)
+        if not len(batch):
+            return np.zeros(0, dtype=np.int64)
+        reducible = (batch.array is not None
+                     and batch.dimension == self.dimension
+                     and batch.magnitude < _MAX_COORD)
+        rows = batch.array if reducible else batch.points
+        workers = shard_workers()
+        if workers > 1 and len(batch) >= _MIN_PARALLEL_POINTS:
+            spans = plan_shards(len(batch), workers)
+            if len(spans) > 1:
+                parts = run_sharded(_lookup_shard, (self, rows, reducible),
+                                    spans, workers)
+                return np.concatenate(parts)
+        return self._lookup_rows(rows, reducible)
+
+    def _lookup_rows(self, rows, reducible: bool) -> np.ndarray:
+        if reducible:
+            return self._lookup_numpy(rows)
+        return np.asarray(self._lookup_exact(rows), dtype=np.int64)
 
     def _lookup_exact(self, points: Sequence[Sequence[int]]) -> list[int]:
         canonical = self._sublattice.canonical_representative
         values = self._values
         return [values[canonical(p)] for p in points]
 
-    def _lookup_numpy(self, array) -> list[int]:
+    def _lookup_numpy(self, array) -> np.ndarray:
         reduced = array.astype(np.int64, copy=True)
         for i in range(self.dimension):
             quotient = reduced[:, i] // self._diagonal[i]
             reduced[:, i:] -= quotient[:, None] * self._columns[i][i:]
         keys = reduced @ self._strides
-        return self._table[keys].tolist()
+        return self._table[keys]

@@ -48,6 +48,7 @@ from repro.service.errors import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import EditAck, LoadAck, RestrictAck
+from repro.utils.vectors import as_intvec
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -182,12 +183,26 @@ def read_frame(stream: BinaryIO) -> dict[str, Any] | None:
 
 
 # -- canonical value forms ---------------------------------------------
+# Coordinates cross the wire under as_intvec's rule, both ways: ints and
+# integral floats convert exactly; booleans, non-integral floats and
+# strings are refused instead of being rounded or parsed into another
+# point.
 def _canonical_points(points: Any) -> list[list[int]]:
-    return [[int(coord) for coord in point] for point in points]
+    """Points as JSON int lists (raises ``TypeError`` on a bad one)."""
+    return [list(as_intvec(point)) for point in points]
 
 
 def _decode_points(data: Any) -> list[tuple[int, ...]]:
-    return [tuple(int(coord) for coord in point) for point in data]
+    """Points from JSON; a bad coordinate is a :class:`TransportError`."""
+    try:
+        return [as_intvec(point) for point in data]
+    except TypeError as error:
+        raise TransportError(f"malformed point: {error}") from None
+
+
+def _decode_int(value: Any) -> int:
+    """One integer (a slot) from JSON, under the coordinate rule."""
+    return _decode_points([[value]])[0][0]
 
 
 def encode_window(window: Any) -> dict[str, Any] | None:
@@ -213,8 +228,8 @@ def decode_window(data: Any) -> Any:
             f"malformed window spec: expected an object or null, got "
             f"{type(data).__name__}")
     if "box" in data:
-        lo, hi = data["box"]
-        return Box(tuple(int(c) for c in lo), tuple(int(c) for c in hi))
+        lo, hi = _decode_points(data["box"])
+        return Box(lo, hi)
     if "points" in data:
         return _decode_points(data["points"])
     raise TransportError(
@@ -404,7 +419,7 @@ def _decode_payload(op: str, payload: dict[str, Any]) -> dict[str, Any]:
     if op == "restrict":
         return {"window": decode_window(payload.get("window"))}
     if op == "edit":
-        return {"updates": {tuple(int(c) for c in point): int(slot)
+        return {"updates": {_decode_points([point])[0]: _decode_int(slot)
                             for point, slot in payload.get("updates", ())}}
     if op == "load":
         return {"text": str(payload["text"]),

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.engine.slots import CosetTable
 from repro.lattice.sublattice import Sublattice
 from repro.tiles.prototile import Prototile
@@ -106,6 +108,7 @@ class MultiTiling:
         self.dimension = dimension
         self._entry_table: CosetTable | None = None
         self._entries: list[tuple[int, IntVec, IntVec]] = []
+        self._entry_kinds: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -152,6 +155,8 @@ class MultiTiling:
                 values[representative] = len(entries)
                 entries.append(entry)
             self._entries = entries
+            self._entry_kinds = np.array([k for k, _, _ in entries],
+                                         dtype=np.intp)
             self._entry_table = CosetTable(self._period, values)
         return self._entry_table
 
@@ -169,11 +174,16 @@ class MultiTiling:
 
     def prototile_indices(self, points: Iterable[Sequence[int]]) -> list[int]:
         """Prototile index of each point — the D1 neighborhood *types*."""
-        point_list = [as_intvec(p) for p in points]
+        return self.prototile_index_array(points).tolist()
+
+    def prototile_index_array(self, points) -> np.ndarray:
+        """:meth:`prototile_indices` as an intp array.
+
+        One cover-table pass over the whole batch array — the shape ids
+        of a collision scan.
+        """
         table = self._cover_table()
-        entries = self._entries
-        return [entries[entry_index][0]
-                for entry_index in table.lookup(point_list)]
+        return self._entry_kinds[table.lookup_array(points)]
 
     def coset_structure(self) -> tuple[Sublattice, dict[IntVec, IntVec]]:
         """Period sublattice plus the representative -> cell map.

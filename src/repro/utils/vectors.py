@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -46,7 +47,8 @@ def as_intvec(values: Iterable[int]) -> IntVec:
 
     Raises:
         TypeError: if any coordinate is not an integral number.  Floats with
-            integral values (``2.0``) are accepted and converted exactly.
+            integral values (``2.0``) and numpy integer scalars are
+            accepted and converted exactly; booleans and strings are not.
     """
     if type(values) is tuple and all(type(v) is int for v in values):
         return values
@@ -57,6 +59,8 @@ def as_intvec(values: Iterable[int]) -> IntVec:
         if isinstance(value, int):
             result.append(value)
         elif isinstance(value, float) and value.is_integer():
+            result.append(int(value))
+        elif isinstance(value, numbers.Integral):
             result.append(int(value))
         else:
             raise TypeError(f"coordinate is not an integer: {value!r}")

@@ -11,21 +11,39 @@ from repro.faults.injection import use_plan
 from repro.faults.plan import FaultPlan
 
 
-@pytest.fixture(params=["kernel", "exact"])
+@pytest.fixture(params=["dense", "sorted", "exact"])
 def scan_lane(request, monkeypatch):
-    """Answer the test's collision scans from the numpy kernel or exactly.
+    """Answer the test's collision scans from one of the engine's paths.
 
-    The ``exact`` lane arms a numpy-failure budget no test exhausts, so
-    every :func:`scan_collisions` call degrades and is answered by
-    ``_scan_exact`` — the path that serves windows beyond
-    int64 keys and calls degraded by a kernel failure.  A test taking
-    this fixture must hold on both lanes; on the exact lane the fixture
-    also checks that the exact scan really ran.
+    * ``dense`` — the engine's own choice: the stencil scan for windows
+      that fill their bounding box exactly once, the sorted-key scan for
+      the rest;
+    * ``sorted`` — the sorted-key scan for every window, dense or not;
+    * ``exact`` — arms a numpy-failure budget no test exhausts, so every
+      :func:`scan_collisions` call degrades and is answered by
+      ``_scan_exact`` — the path that serves windows beyond int64 keys
+      and calls degraded by a kernel failure.
+
+    A test taking this fixture must hold on every lane; on the
+    ``sorted`` and ``exact`` lanes the fixture also checks that the
+    forced scan really ran.
     """
-    if request.param == "kernel":
+    if request.param == "dense":
         yield request.param
         return
     calls = []
+    if request.param == "sorted":
+        sorted_scan = collisions_module._scan_sorted
+
+        def forced(*args):
+            calls.append(len(args[0]))
+            return sorted_scan(*args)
+
+        monkeypatch.setattr(collisions_module, "_scan_dense", forced)
+        monkeypatch.setattr(collisions_module, "_scan_sorted", forced)
+        yield request.param
+        assert calls, "no collision scan ran on the sorted lane"
+        return
     exact = collisions_module._scan_exact
 
     def counted(*args):

@@ -12,7 +12,11 @@ Three contracts, for arbitrary input:
   its connection;
 * **bulk isolation** — in a ``bulk`` frame mixing valid requests with
   garbage, every valid request is answered exactly as a direct
-  ``Session`` call answers it.
+  ``Session`` call answers it;
+* **exact coordinates** — a coordinate that is not an integer (a
+  boolean, a non-integral float, a string) is refused with a typed
+  error wherever a point crosses the wire, never rounded or parsed into
+  the slot of another point.
 
 Coordinates stay small: a legitimately huge window is real work for
 the engine, not a decoder fault, and these properties are about the
@@ -38,7 +42,11 @@ from repro.service.transport import (
     read_frame,
     write_frame,
 )
-from repro.service.transport.wire import REQUEST_OPS
+from repro.service.transport.wire import (
+    REQUEST_OPS,
+    decode_window,
+    encode_session,
+)
 
 SETTINGS = dict(max_examples=150, deadline=None)
 #: Dispatch examples go through a live service; fewer keep it quick.
@@ -107,6 +115,25 @@ bulk_items = st.lists(
     st.tuples(st.just("valid"), points) | st.tuples(st.just("garbage"),
                                                      garbage),
     min_size=1, max_size=8)
+
+
+#: Coordinates no integer rule accepts: each must be refused, not coerced.
+bad_coordinates = (st.booleans()
+                   | st.floats(-8, 8, allow_nan=False).filter(
+                       lambda value: not value.is_integer())
+                   | st.text(max_size=3)
+                   | st.sampled_from(["1", "-2", "7.0"]))
+
+
+@st.composite
+def points_with_a_bad_coordinate(draw):
+    """A small point list with one bad coordinate somewhere in it."""
+    pts = draw(st.lists(st.lists(small_ints, min_size=2, max_size=2),
+                        min_size=1, max_size=4))
+    row = draw(st.integers(0, len(pts) - 1))
+    column = draw(st.integers(0, 1))
+    pts[row][column] = draw(bad_coordinates)
+    return pts
 
 
 def framed(body: bytes) -> bytes:
@@ -202,3 +229,60 @@ class TestDispatch:
                 expected = direct.assign([tuple(p) for p in value])
                 got = decode_result(answer["result"])
                 assert list(got.slots) == list(expected.slots)
+
+
+class TestExactCoordinates:
+    @given(points_with_a_bad_coordinate(),
+           st.sampled_from(["assign", "verify-points", "verify-box",
+                            "restrict", "edit"]))
+    @settings(**DISPATCH_SETTINGS)
+    @example([[1.5, 2]], "assign")
+    @example([[True, 7]], "verify-points")
+    @example([[2.9, 0]], "verify-box")
+    @example([["7", 0]], "edit")
+    def test_bad_coordinate_gets_a_typed_error(self, sink, pts, where):
+        sink.service.open_session("s", make_session())
+        if where == "assign":
+            payload = {"points": pts}
+        elif where == "verify-points":
+            payload = {"window": {"points": pts}}
+        elif where == "verify-box":
+            corner = next(point for point in pts
+                          if any(type(c) is not int for c in point))
+            payload = {"window": {"box": [corner, [9, 9]]}}
+        elif where == "restrict":
+            payload = {"window": {"points": pts}}
+        else:
+            payload = {"updates": [[point, 0] for point in pts]}
+        op = where.split("-")[0]
+        response = sink.handle({"op": op, "session_id": "s",
+                                "payload": payload})
+        _assert_response_body(response)
+        assert response["ok"] is False
+        assert response["error"]["type"] == "TransportError"
+        if where != "edit":
+            window = payload.get("window", {"points": pts})
+            with pytest.raises(TransportError):
+                decode_window(window)
+
+    @given(points_with_a_bad_coordinate(),
+           st.sampled_from(["window", "offsets"]))
+    @settings(**DISPATCH_SETTINGS)
+    @example([[1.5, 2], [True, "7"]], "window")
+    @example([[0, 2.9]], "offsets")
+    def test_open_refuses_a_bad_envelope_coordinate(self, sink, pts,
+                                                    field):
+        envelope = json.loads(encode_session(make_session(), "opened"))
+        envelope[field] = pts
+        response = sink.handle({"op": "open", "payload": {
+            "envelope": json.dumps(envelope)}})
+        _assert_response_body(response)
+        assert response["ok"] is False
+        assert response["error"]["type"] == "CorruptSessionError"
+        assert "opened" not in sink.service.session_ids()
+
+    @given(points_with_a_bad_coordinate())
+    @settings(**SETTINGS)
+    def test_client_refuses_to_encode_a_bad_coordinate(self, pts):
+        with pytest.raises(TypeError):
+            encode_request("assign", "s", {"points": pts})

@@ -17,6 +17,7 @@ Two contracts are pinned here:
 import dataclasses
 import warnings
 
+import numpy as np
 import pytest
 
 import repro.engine.parallel as parallel_module
@@ -446,6 +447,51 @@ class TestSessionBasics:
     def test_repr(self):
         text = repr(Session.for_chebyshev(1, window=WINDOW))
         assert "TilingSchedule" in text and "slots=9" in text
+
+
+class TestSessionPointEdge:
+    """``assign`` and ``verify`` validate points once, by one rule."""
+
+    BAD = [[(1.5, 2)], [("1", 2)], [(True, 2)], [(0, 0), (1, None)]]
+
+    @pytest.mark.parametrize("points", BAD, ids=repr)
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_bad_coordinates_raise_the_same_type_error(self, points,
+                                                       use_cache):
+        session = Session.for_chebyshev(1)
+        with pytest.raises(TypeError) as assigned:
+            session.assign(points)
+        with pytest.raises(TypeError) as verified:
+            session.verify(points, use_cache=use_cache)
+        assert str(assigned.value) == str(verified.value)
+        assert "coordinate" in str(assigned.value)
+
+    def test_a_float_coordinate_is_never_truncated(self):
+        session = Session.for_chebyshev(1)
+        with pytest.raises(TypeError):
+            session.assign(np.array([[1.5, 2.0]]))
+        with pytest.raises(TypeError):
+            session.verify(np.array([[1.5, 2.0]]))
+        assert session.assign([(2.0, 3.0)]).slots == \
+            session.assign([(2, 3)]).slots
+
+    def test_arrays_and_tuples_are_the_same_window(self):
+        session = Session.for_chebyshev(1)
+        box = Box((-2, 1), (4, 6))
+        array = np.array(box.points())
+        assert session.assign(array).slots == \
+            session.assign(box.points()).slots
+        for use_cache in (True, False):
+            by_array = session.verify(array, use_cache=use_cache)
+            by_tuples = session.verify(box.points(), use_cache=use_cache)
+            assert by_array.collisions == by_tuples.collisions
+            assert by_array.window_size == by_tuples.window_size == 42
+
+    def test_ragged_points_are_a_value_error(self):
+        session = Session.for_chebyshev(1)
+        for call in (session.assign, session.verify):
+            with pytest.raises(ValueError, match="dimension"):
+                call([(0, 0), (1, 2, 3)])
 
 
 class TestSessionEdit:

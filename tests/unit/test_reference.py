@@ -6,9 +6,10 @@ the inputs that make the engine leave its int64 kernels — windows
 whose ``BoxEncoder`` keys overflow int64, coordinates of ``2**40`` or
 more, and an injected numpy kernel failure — and demand the reference
 answer from each.  A matrix of Theorem 1/2 schedules and random slot
-maps in one to three dimensions then holds collision scans (on the
-kernel and the exact lane), batch slot lookups (inside and beyond int64
-reach) and the simulator's reception counts to the reference.
+maps in one to three dimensions, over whole boxes and sparse windows,
+then holds collision scans (on the dense, sorted-key and exact lanes),
+batch slot lookups (inside and beyond int64 reach) and the simulator's
+reception counts to the reference.
 """
 
 import random
@@ -17,6 +18,7 @@ import pytest
 
 import repro.engine.collisions as collisions_module
 import repro.engine.slots as slots_module
+from repro.api import Box
 from repro.core.schedule import MappingSchedule, find_collisions
 from repro.core.theorem1 import schedule_from_prototile
 from repro.core.theorem2 import schedule_from_multi_tiling
@@ -116,6 +118,22 @@ class TestExactCollisionScan:
         assert any(x[0] < 2 ** 20 for x, _ in want)
         assert any(x[0] > 2 ** 20 for x, _ in want)
 
+    def test_box_window_beyond_int64_headroom(self, monkeypatch):
+        # A box whose corners leave no int64 headroom for keys is never
+        # laid out as a grid: its batch keeps tuples and scans exactly.
+        tile = chebyshev_ball(1)
+        lo, hi = (2 ** 62, -3), (2 ** 62 + 4, 2)
+        points = list(box_points(lo, hi))
+        rng = random.Random(9)
+        schedule = MappingSchedule({p: rng.randrange(3) for p in points})
+        exact = _spy(monkeypatch, collisions_module, "_scan_exact")
+
+        got = find_collisions(schedule, Box(lo, hi).batch(), tile.translate)
+
+        assert exact == ["_scan_exact"]
+        want = reference_collisions(points, schedule.slot_of, tile.translate)
+        assert want and got == want
+
 
 class TestExactCosetLookup:
     def test_coordinates_of_2_40_and_beyond(self, monkeypatch):
@@ -168,37 +186,51 @@ TILING_CASES = {
         figure5_mixed_tiling()), (-4, -4), (5, 5)),
 }
 
-# name -> (neighbourhood, window corners, slot count, seed).  Random
-# slot maps over 80% of the window, dense enough that each one collides.
+# name -> (neighbourhood, window corners, slot count, seed, fill).
+# Random slot maps over a share ``fill`` of the window, dense enough
+# that each one collides; a full window is a whole box, which the
+# engine scans with its stencil.
 RANDOM_CASES = {
     "random-line": (chebyshev_ball(2, dimension=1).translate,
-                    (0,), (40,), 3, 1),
-    "random-grid": (chebyshev_ball(1).translate, (-3, -3), (6, 6), 4, 2),
+                    (0,), (40,), 3, 1, 0.8),
+    "random-grid": (chebyshev_ball(1).translate, (-3, -3), (6, 6), 4, 2,
+                    0.8),
     "random-cube": (chebyshev_ball(1, dimension=3).translate,
-                    (0, 0, 0), (3, 3, 3), 5, 3),
+                    (0, 0, 0), (3, 3, 3), 5, 3, 0.8),
     "random-antenna": (directional_antenna().translate,
-                       (0, 0), (8, 8), 3, 4),
+                       (0, 0), (8, 8), 3, 4, 0.8),
     "random-figure5-hoods": (figure5_mixed_tiling().neighborhood_of,
-                             (-4, -4), (4, 4), 6, 5),
+                             (-4, -4), (4, 4), 6, 5, 0.8),
+    "random-grid-box": (chebyshev_ball(1).translate, (-3, -3), (6, 6), 4,
+                        6, 1.0),
+    "random-cube-box": (chebyshev_ball(1, dimension=3).translate,
+                        (0, 0, 0), (3, 3, 3), 5, 7, 1.0),
+    "random-figure5-box": (figure5_mixed_tiling().neighborhood_of,
+                           (-4, -4), (4, 4), 6, 8, 1.0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TILING_CASES) + sorted(RANDOM_CASES))
-def test_find_collisions_matches_reference(case, scan_lane):
+def test_find_collisions_matches_reference(case, scan_lane, monkeypatch):
     if case in TILING_CASES:
         build, lo, hi = TILING_CASES[case]
         schedule = build()
         points = list(box_points(lo, hi))
         neighborhood = schedule.neighborhood_of
+        whole_box = True
     else:
-        neighborhood, lo, hi, num_slots, seed = RANDOM_CASES[case]
+        neighborhood, lo, hi, num_slots, seed, fill = RANDOM_CASES[case]
         rng = random.Random(seed)
-        points = [p for p in box_points(lo, hi) if rng.random() < 0.8]
+        points = [p for p in box_points(lo, hi) if rng.random() < fill]
         schedule = MappingSchedule({p: rng.randrange(num_slots)
                                     for p in points})
+        whole_box = fill == 1.0
     want = reference_collisions(points, schedule.slot_of, neighborhood)
     assert bool(want) == (case in RANDOM_CASES)
+    stencil = _spy(monkeypatch, collisions_module, "_scan_dense")
     assert find_collisions(schedule, points, neighborhood) == want
+    if scan_lane == "dense":
+        assert bool(stencil) == whole_box
 
 
 @pytest.mark.parametrize("case", sorted(TILING_CASES))

@@ -187,10 +187,10 @@ class TestOracle:
         # cross-path comparison and (being a slot permutation) the
         # theorem invariants; only the brute-force reference sees it.
         from repro.engine.slots import CosetTable
-        lookup = CosetTable.lookup
+        lookup_array = CosetTable.lookup_array
         monkeypatch.setattr(
-            CosetTable, "lookup",
-            lambda self, points: [(s + 1) % 9 for s in lookup(self, points)])
+            CosetTable, "lookup_array",
+            lambda self, points: (lookup_array(self, points) + 1) % 9)
         report = run_oracle(_spec(), paths=CHEAP)
         assert any("per-point slot_of" in v for v in report.violations)
 
