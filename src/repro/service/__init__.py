@@ -6,11 +6,11 @@ this package puts a server in front of it:
 * :class:`~repro.service.store.SessionStore` — the session table:
   per-session locks, LRU spill-to-snapshot eviction, transparent
   restore with warm verification caches.
-* :class:`~repro.service.server.SchedulingService` — bounded-queue
-  admission control, a dispatcher that coalesces concurrent small
-  ``assign`` requests into bulk engine dispatches, per-request
-  deadlines, and a certificate fast path answering eligible verifies
-  O(1) on the submitting thread.
+* :class:`~repro.service.server.SchedulingService` — blocking calls
+  on idle sessions run to completion on the caller's thread; the rest
+  passes bounded-queue admission control to a dispatcher that
+  coalesces concurrent small ``assign`` requests into bulk engine
+  dispatches; per-request deadlines throughout.
 * :mod:`~repro.service.metrics` — typed counters / latency histograms /
   gauges behind a JSON metrics endpoint.
 * :mod:`~repro.service.loadgen` / ``python -m repro.service bench`` —

@@ -24,8 +24,6 @@ import math
 import sys
 from typing import Any
 
-from repro.service import differential, loadgen
-
 
 def _finite(value: float | None) -> float | None:
     """JSON-safe latency: ``inf`` (histogram overflow) becomes None."""
@@ -35,6 +33,10 @@ def _finite(value: float | None) -> float | None:
 
 
 def _bench_report(args: argparse.Namespace) -> dict[str, Any]:
+    # Imported per command, so ``serve`` never compiles the load
+    # generator or the oracle.
+    from repro.service import loadgen
+
     workload = loadgen.build_workload(
         args.seed, sessions=args.sessions, requests=args.requests)
     if args.transport == "wire":
@@ -84,8 +86,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_differential(args: argparse.Namespace) -> int:
+    from repro.service import differential
+
+    families = args.families or differential._DEFAULT_FAMILIES
     report = differential.run_differential(
-        families=tuple(args.families), seed=args.seed, count=args.count,
+        families=tuple(families), seed=args.seed, count=args.count,
         max_batch=args.max_batch, transport=args.transport)
     print(json.dumps(report, indent=None if args.json else 2,
                      sort_keys=True))
@@ -151,7 +156,8 @@ def main(argv: list[str] | None = None) -> int:
         "differential",
         help="service vs direct Session corpus replay (exit 1 on diff)")
     diff.add_argument("--families", nargs="+",
-                      default=list(differential._DEFAULT_FAMILIES))
+                      help="scenario families to replay (default: "
+                           "every family the oracle covers)")
     diff.add_argument("--seed", type=int, default=2008)
     diff.add_argument("--count", type=int, default=2,
                       help="specs per family")

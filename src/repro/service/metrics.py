@@ -179,9 +179,11 @@ class ServiceMetrics:
             ``rejected.closed``), and batcher activity
             (``batch.dispatches``, ``batch.batched_dispatches``,
             ``batch.coalesced_requests``,
-            ``batch.certificate_fast_path``).
+            ``batch.certificate_fast_path``, and ``batch.inline``:
+            requests run on the caller's thread rather than by the
+            dispatcher).
         latencies: per-endpoint service-time distributions, measured
-            submit-to-completion.
+            from admission (``submit`` or ``call``) to completion.
         gauges: point-in-time readings — ``queue.depth``,
             ``sessions.open``, ``sessions.evicted``, and the aggregate
             verification ``cache.hits`` / ``cache.misses`` over every

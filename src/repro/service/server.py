@@ -1,14 +1,34 @@
 """The scheduling server: admission, batching, dispatch, observability.
 
 One :class:`SchedulingService` owns a :class:`~repro.service.store.
-SessionStore` and a single dispatcher thread.  Clients submit typed
-requests from any thread and get a :class:`concurrent.futures.Future`
-back; the dispatcher drains the admission queue in arrival order,
-groups each drain into per-session runs, and **coalesces** consecutive
-``assign`` requests for a session into one bulk engine dispatch — the
-numpy kernels' fixed per-call overhead is paid once per batch instead
-of once per request, which is where the ``service/batching-speedup``
-benchmark row comes from.
+SessionStore`, a bounded admission queue and one dispatcher thread.
+Where a request runs follows one rule:
+
+* **Blocking calls on idle sessions run to completion on the caller's
+  thread.**  :meth:`SchedulingService.call` — and the synchronous
+  ``assign``/``verify``/``edit``/``restrict``/``save`` built on it, and
+  every single-request wire frame — serves a request for a session
+  with nothing queued or in flight, and whose lock is free, right
+  there: no queue, no dispatcher wake-up, no future handoff.  A
+  ``verify`` that a built, collision-free certificate answers is the
+  same lane, served O(1); it is the one inline case
+  :meth:`~SchedulingService.submit` takes too.
+* **Everything else queues and coalesces.**  ``submit`` returns a
+  :class:`concurrent.futures.Future`; a call on a busy session queues
+  behind what is there.  The dispatcher drains the queue in arrival
+  order, groups each drain into per-session runs, and **coalesces**
+  consecutive ``assign`` requests for a session into one bulk engine
+  dispatch — the numpy kernels' fixed per-call overhead is paid once
+  per batch instead of once per request, which is where the
+  ``service/batching-speedup`` benchmark row comes from.
+
+The lanes share one per-session reservation (a pending count) and the
+session's lock.  An inline request takes the lock without blocking and
+only then reserves the session, in one step
+(:meth:`~repro.service.store.SessionStore.try_lease`), so it can
+neither overtake a request queued before it nor be overtaken by one
+submitted after it.  The ``batch.inline`` counter shows how requests
+split between the two lanes.
 
 **Bit-identity.** Every response is identical to the same call made
 directly on the underlying :class:`repro.api.Session` (pinned by the
@@ -22,16 +42,11 @@ differential corpus replay in ``repro.service.differential``):
 * requests for one session always run in submission order (per-session
   FIFO); only requests for *different* sessions reorder.
 
-**Certificate fast path.** A ``verify`` against a session whose
-:class:`~repro.core.certify.PeriodicCertificate` is already built and
-collision-free — and that has no queued requests which must run first —
-is answered O(1) on the submitting thread, without entering the batch
-path at all.
-
-**Admission control.** The queue is bounded: a submit against a full
-queue raises :class:`~repro.service.errors.ServiceOverloadError`
-immediately (typed, never a hang, never a silent drop), and a request
-whose per-call deadline expires before dispatch fails its future with
+**Admission control.** The queue is bounded: a request that must queue
+against a full queue raises
+:class:`~repro.service.errors.ServiceOverloadError` immediately (typed,
+never a hang, never a silent drop), and a request whose per-call
+deadline expires before dispatch fails with
 :class:`~repro.service.errors.ServiceDeadlineError`.  The bulk-assign
 dispatch reuses the retry/backoff idiom of
 :mod:`repro.engine.parallel`: a failed bulk dispatch retries with
@@ -118,7 +133,7 @@ class LoadAck:
 
 @dataclass
 class _Request:
-    """One queued request: op + payload + its future and deadline."""
+    """One admitted request: op + payload + its future and deadline."""
 
     op: str
     session_id: str
@@ -126,9 +141,9 @@ class _Request:
     future: Future
     deadline: float | None
     submitted_at: float
-    #: True once the request holds a pending-count reservation that its
-    #: completion must release (fast-path requests release their own).
-    queued: bool = False
+    #: True while the request holds a pending-count reservation on its
+    #: session (queued, or claimed to run inline); completion releases it.
+    reserved: bool = False
 
 
 class SchedulingService:
@@ -264,76 +279,72 @@ class SchedulingService:
                timeout: float | None = None) -> Future:
         """Queue one request; the returned future completes off-thread.
 
+        The one exception is a ``verify`` that a built, collision-free
+        certificate answers: on an idle session it completes O(1) on
+        this thread before ``submit`` returns.
+
         Raises:
             ServiceClosedError: the service no longer admits requests.
             ServiceOverloadError: the admission queue is full.
             ValueError: for an unknown ``op``.
         """
-        if op not in _OPS:
-            raise ValueError(
-                f"unknown service op {op!r}; expected one of {_OPS}")
-        if self._closed:
-            self._metrics.bump("rejected.closed")
-            raise ServiceClosedError(
-                f"service is closed; {op!r} not admitted")
-        payload = dict(payload or {})
-        budget = self._default_timeout if timeout is None else timeout
-        now = time.monotonic()
-        request = _Request(
-            op=op, session_id=session_id, payload=payload,
-            future=Future(),
-            deadline=None if budget is None else now + budget,
-            submitted_at=now)
-        self._metrics.bump(f"{op}.submitted")
-        if op == "verify" and self._try_fast_path(request):
-            return request.future
-        with self._pending_lock:
-            self._pending[session_id] = self._pending.get(session_id, 0) + 1
-        request.queued = True
-        try:
-            self._queue.put_nowait(request)
-        except Full:
-            request.queued = False
-            self._release_pending(session_id)
-            self._metrics.bump("rejected.overload")
-            raise ServiceOverloadError(
-                f"admission queue is full ({self._max_queue} requests); "
-                f"{op!r} for session {session_id!r} rejected",
-                queue_depth=self._queue.qsize(),
-                max_queue=self._max_queue) from None
+        request = self._admit(op, session_id, payload, timeout)
+        if not (op == "verify" and _certifiable(request.payload)
+                and self._run_inline(request, certified_only=True)):
+            self._enqueue(request)
         return request.future
 
-    # Convenience synchronous endpoints: submit + wait.
+    def call(self, op: str, session_id: str,
+             payload: Mapping[str, Any] | None = None, *,
+             timeout: float | None = None) -> Any:
+        """Run one request and return its answer (or raise its error).
+
+        The blocking counterpart of :meth:`submit`.  When the session is
+        idle — the service is started, no request for it is queued or
+        in flight, and its lock is free — the request runs to
+        completion on the calling thread, with no dispatcher handoff.
+        Otherwise it queues behind what is there, exactly as
+        :meth:`submit` would.  ``load`` always queues.
+
+        Raises:
+            the request's own error, or what :meth:`submit` raises.
+        """
+        request = self._admit(op, session_id, payload, timeout)
+        if not (self._started and op != "load"
+                and self._run_inline(request)):
+            self._enqueue(request)
+        return request.future.result()
+
+    # Convenience synchronous endpoints.
     def assign(self, session_id: str, points: Iterable[Sequence[int]], *,
                timeout: float | None = None) -> SlotAssignment:
-        return self.submit("assign", session_id, {"points": list(points)},
-                           timeout=timeout).result()
+        return self.call("assign", session_id, {"points": list(points)},
+                         timeout=timeout)
 
     def verify(self, session_id: str, window: Any = None, *,
                offsets: Any = None, use_cache: bool = True,
                stream_chunk: int | None = None,
                timeout: float | None = None) -> Any:
-        return self.submit(
+        return self.call(
             "verify", session_id,
             {"window": window, "offsets": offsets, "use_cache": use_cache,
              "stream_chunk": stream_chunk},
-            timeout=timeout).result()
+            timeout=timeout)
 
     def edit(self, session_id: str,
              updates: Mapping[Sequence[int], int], *,
              timeout: float | None = None) -> EditAck:
-        return self.submit("edit", session_id, {"updates": dict(updates)},
-                           timeout=timeout).result()
+        return self.call("edit", session_id, {"updates": dict(updates)},
+                         timeout=timeout)
 
     def restrict(self, session_id: str, window: Any = None, *,
                  timeout: float | None = None) -> RestrictAck:
-        return self.submit("restrict", session_id, {"window": window},
-                           timeout=timeout).result()
+        return self.call("restrict", session_id, {"window": window},
+                         timeout=timeout)
 
     def save(self, session_id: str, *,
              timeout: float | None = None) -> str:
-        return self.submit("save", session_id, {},
-                           timeout=timeout).result()
+        return self.call("save", session_id, {}, timeout=timeout)
 
     def load(self, session_id: str, text: str, *, window: Any = None,
              timeout: float | None = None) -> LoadAck:
@@ -341,39 +352,90 @@ class SchedulingService:
                            {"text": text, "window": window},
                            timeout=timeout).result()
 
-    # -- certificate fast path -----------------------------------------
-    def _try_fast_path(self, request: _Request) -> bool:
-        """Serve a verify O(1) from a built certificate, FIFO-safely.
+    def _admit(self, op: str, session_id: str,
+               payload: Mapping[str, Any] | None,
+               timeout: float | None) -> _Request:
+        """A new request, past the op and closed-service checks."""
+        if op not in _OPS:
+            raise ValueError(
+                f"unknown service op {op!r}; expected one of {_OPS}")
+        if self._closed:
+            self._metrics.bump("rejected.closed")
+            raise ServiceClosedError(
+                f"service is closed; {op!r} not admitted")
+        budget = self._default_timeout if timeout is None else timeout
+        now = time.monotonic()
+        self._metrics.bump(f"{op}.submitted")
+        return _Request(
+            op=op, session_id=session_id, payload=dict(payload or {}),
+            future=Future(),
+            deadline=None if budget is None else now + budget,
+            submitted_at=now)
 
-        Eligible only when the session has no queued/in-flight requests
-        (so answering inline cannot overtake them) and its certificate
-        is already built and collision-free.  Runs on the *submitting*
-        thread; the batch path never sees the request.
-        """
-        payload = request.payload
-        if payload.get("offsets") is not None \
-                or not payload.get("use_cache", True) \
-                or payload.get("stream_chunk") is not None:
-            return False
+    def _enqueue(self, request: _Request) -> None:
         session_id = request.session_id
         with self._pending_lock:
-            if self._pending.get(session_id, 0):
-                return False
-            # Reserve the slot so a racing submit queues behind us.
-            self._pending[session_id] = 1
+            self._pending[session_id] = self._pending.get(session_id, 0) + 1
+        request.reserved = True
         try:
-            with self._store.lease(session_id) as session:
-                if not _certificate_ready(session):
+            self._queue.put_nowait(request)
+        except Full:
+            self._unreserve(request)
+            self._metrics.bump("rejected.overload")
+            raise ServiceOverloadError(
+                f"admission queue is full ({self._max_queue} requests); "
+                f"{request.op!r} for session {session_id!r} rejected",
+                queue_depth=self._queue.qsize(),
+                max_queue=self._max_queue) from None
+
+    # -- run to completion on the caller's thread ----------------------
+    def _run_inline(self, request: _Request, *,
+                    certified_only: bool = False) -> bool:
+        """Serve a request on this thread if its session is idle.
+
+        :meth:`SessionStore.try_lease` takes the session's lock without
+        blocking and only then reserves the session, so the check and
+        the reservation are one step: a request that runs here cannot
+        overtake one queued before it, nor be overtaken by one
+        submitted after it.  A ``verify`` that the session's built,
+        collision-free certificate answers is served from it in O(1)
+        (``batch.certificate_fast_path``); any other request runs
+        through the dispatcher's own :meth:`_execute_run`, unless
+        ``certified_only`` asks for the certificate answer alone.
+
+        Returns False, with nothing reserved, when the request must
+        queue instead.
+        """
+        session_id = request.session_id
+        try:
+            with self._store.try_lease(
+                    session_id, lambda: self._claim(request)) as session:
+                if session is None:
                     return False
-                self._complete(request,
-                               session.verify(payload.get("window")))
-                self._metrics.bump("batch.certificate_fast_path")
-                return True
-        except UnknownSessionError as error:
+                if request.op == "verify" \
+                        and _certifiable(request.payload) \
+                        and _certificate_ready(session):
+                    window = request.payload.get("window")
+                    self._finish(request, lambda: session.verify(window))
+                    self._metrics.bump("batch.certificate_fast_path")
+                elif certified_only:
+                    self._unreserve(request)
+                    return False
+                else:
+                    self._execute_run(session_id, session, [request])
+        except UnknownSessionError as error:  # a spilled session lost
             self._fail(request, error)
-            return True
-        finally:
-            self._release_pending(session_id)
+        self._metrics.bump("batch.inline")
+        return True
+
+    def _claim(self, request: _Request) -> bool:
+        """Reserve the request's session unless anything is pending."""
+        with self._pending_lock:
+            if request.session_id in self._pending:
+                return False
+            self._pending[request.session_id] = 1
+        request.reserved = True
+        return True
 
     def _release_pending(self, session_id: str, count: int = 1) -> None:
         with self._pending_lock:
@@ -603,13 +665,13 @@ class SchedulingService:
         self._metrics.bump(f"{first.op}.completed", len(served))
         self._metrics.observe(
             first.op, *[now - request.submitted_at for request, _ in served])
-        queued = 0
+        reserved = 0
         for request, _ in served:
-            if request.queued:
-                request.queued = False
-                queued += 1
-        if queued:
-            self._release_pending(first.session_id, queued)
+            if request.reserved:
+                request.reserved = False
+                reserved += 1
+        if reserved:
+            self._release_pending(first.session_id, reserved)
         for request, result in served:
             if request.future.set_running_or_notify_cancel():
                 request.future.set_result(result)
@@ -618,25 +680,29 @@ class SchedulingService:
               counted: bool = True) -> None:
         if counted:
             self._metrics.bump(f"{request.op}.failed")
-        self._release_pending_if_queued(request)
+        self._unreserve(request)
         if request.future.set_running_or_notify_cancel():
             request.future.set_exception(error)
 
-    def _release_pending_if_queued(self, request: _Request) -> None:
-        # Queued requests hold a pending-count reservation from submit
-        # time; fast-path requests release their own reservation in
-        # _try_fast_path's finally block.
-        if request.queued:
-            request.queued = False
+    def _unreserve(self, request: _Request) -> None:
+        if request.reserved:
+            request.reserved = False
             self._release_pending(request.session_id)
+
+
+def _certifiable(payload: Mapping[str, Any]) -> bool:
+    """True when a verify payload is one a certificate can answer."""
+    return (payload.get("offsets") is None
+            and payload.get("use_cache", True)
+            and payload.get("stream_chunk") is None)
 
 
 def _certificate_ready(session: Session) -> bool:
     """True when the session's certificate is built and collision-free.
 
-    Reads the session's private certificate slot on purpose: the fast
-    path must never *build* a certificate on the submitting thread —
-    only reuse one an earlier batched verify already paid for.
+    Reads the session's private certificate slot on purpose: ``submit``
+    stays O(1), so its fast path never *builds* a certificate — it only
+    reuses one an earlier verify already paid for.
     """
     certificate = session._certificate_value
     return certificate is not None and certificate.collision_free

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
@@ -116,19 +116,28 @@ class SessionStore:
 
     # -- basic table ops -----------------------------------------------
     def put(self, session_id: str, session: Session) -> None:
-        """Open (or replace) a session under an id."""
+        """Open (or replace) a session under an id.
+
+        Replacing waits for the id's lock, so a session is never
+        swapped under a request that is running on it.
+        """
         if not isinstance(session, Session):
             raise TypeError(
                 f"expected a Session, got {type(session).__name__}")
-        with self._lock:
-            record = self._records.get(session_id)
-            if record is None:
-                record = _Record()
-                self._records[session_id] = record
-            record.session = session
-            record.envelope = None
-            record.warm = None
-            self._records.move_to_end(session_id)
+        while True:
+            with self._lock:
+                record = self._records.get(session_id)
+                if record is None:
+                    self._records[session_id] = _Record(session=session)
+                    break
+            with record.lock, self._lock:
+                if self._records.get(session_id) is record:
+                    record.session = session
+                    record.envelope = None
+                    record.warm = None
+                    self._records.move_to_end(session_id)
+                    break
+            # Closed (perhaps reopened) while we waited: look again.
         self._enforce_capacity()
 
     def replace(self, session_id: str, session: Session) -> None:
@@ -178,20 +187,59 @@ class SessionStore:
         same id serialize, leases of different ids do not.  Leasing
         marks the session most recently used.
         """
+        record = self._touch(session_id)
+        if record is None:
+            raise UnknownSessionError(session_id)
+        with record.lock:
+            with self._held(session_id, record) as session:
+                yield session
+        self._enforce_capacity()
+
+    @contextmanager
+    def try_lease(self, session_id: str,
+                  claim: Callable[[], bool]) -> Iterator[Session | None]:
+        """The session, exclusively, if it is free right now; else None.
+
+        Never blocks: the session's lock is taken with
+        ``blocking=False``, and only with it held is ``claim`` asked to
+        reserve the session (the service's per-session pending count).
+        Taking the lock first makes "is it idle?" and "it is mine" one
+        step, so nothing can run on the session between the two.
+        Yields None for an unknown id, a lock another thread holds, or
+        a refused claim.
+        """
+        record = self._touch(session_id)
+        if record is None or not record.lock.acquire(blocking=False):
+            yield None
+            return
+        try:
+            if not claim():
+                yield None
+                return
+            with self._held(session_id, record) as session:
+                yield session
+        finally:
+            record.lock.release()
+        self._enforce_capacity()
+
+    def _touch(self, session_id: str) -> _Record | None:
+        """The id's record, marked most recently used (None if unknown)."""
         with self._lock:
             record = self._records.get(session_id)
-            if record is None:
-                raise UnknownSessionError(session_id)
-            self._records.move_to_end(session_id)
-        with record.lock:
-            record.busy += 1
-            try:
-                if record.session is None:
-                    self._restore(session_id, record)
-                yield record.session
-            finally:
-                record.busy -= 1
-        self._enforce_capacity()
+            if record is not None:
+                self._records.move_to_end(session_id)
+            return record
+
+    @contextmanager
+    def _held(self, session_id: str, record: _Record) -> Iterator[Session]:
+        """The live session of a record whose lock the caller holds."""
+        record.busy += 1
+        try:
+            if record.session is None:
+                self._restore(session_id, record)
+            yield record.session
+        finally:
+            record.busy -= 1
 
     # -- snapshot / evict / restore ------------------------------------
     def snapshot_json(self, session_id: str) -> str:

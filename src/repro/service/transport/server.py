@@ -3,12 +3,14 @@
 :class:`WireServer` owns the socket machinery only — accept loop,
 per-connection handler threads, frame I/O.  What a decoded request
 *means* is :class:`ServiceSink`'s business: it answers from a local
-:class:`~repro.service.server.SchedulingService`.  Session-scoped ops
-go through :meth:`~repro.service.server.SchedulingService.submit` —
-the same admission control, deadlines and batching as in-process
-callers — and a pipelined ``bulk`` frame submits every sub-request
-*before* awaiting any result, so the dispatcher's cross-session
-coalescing fires over the wire exactly as it does in-process.
+:class:`~repro.service.server.SchedulingService`.  A frame carrying one
+session-scoped op goes through
+:meth:`~repro.service.server.SchedulingService.call`, so a request for
+an idle session runs to completion on the connection thread; a
+pipelined ``bulk`` frame goes through ``submit`` — every sub-request
+queued *before* any result is awaited — so the dispatcher's
+cross-session coalescing fires over the wire exactly as it does
+in-process.  Both keep the service's admission control and deadlines.
 
 Error discipline mirrors the queue's: a decodable frame with a broken
 request (unknown op, malformed payload) gets a typed error *response*
@@ -45,8 +47,8 @@ from repro.service.transport.wire import (
 
 __all__ = ["ServiceSink", "WireServer"]
 
-#: Ops that queue through SchedulingService.submit (vs. admin ops the
-#: sink executes inline).
+#: Ops answered by the scheduling service (vs. admin ops the sink
+#: executes itself).
 _SESSION_OPS = frozenset(
     {"assign", "verify", "edit", "restrict", "save", "load"})
 
@@ -145,18 +147,16 @@ class ServiceSink:
 
     # -- execution -----------------------------------------------------
     def _submit(self, request: dict[str, Any]):
-        session_id = request["session_id"]
-        if session_id is None:
-            raise TransportError(
-                f"op {request['op']!r} requires a session_id")
-        return self._service.submit(request["op"], session_id,
+        return self._service.submit(request["op"], _session_id(request),
                                     request["payload"],
                                     timeout=request["timeout"])
 
     def _execute(self, request: dict[str, Any]) -> Any:
         op = request["op"]
         if op in _SESSION_OPS:
-            return self._submit(request).result()
+            return self._service.call(op, _session_id(request),
+                                      request["payload"],
+                                      timeout=request["timeout"])
         if op == "open":
             session_id, session = decode_session(
                 request["payload"]["envelope"])
@@ -178,6 +178,13 @@ class ServiceSink:
             self._shutdown.set()
             return None
         raise TransportError(f"op {op!r} not handled by this sink")
+
+
+def _session_id(request: dict[str, Any]) -> str:
+    session_id = request["session_id"]
+    if session_id is None:
+        raise TransportError(f"op {request['op']!r} requires a session_id")
+    return session_id
 
 
 class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
@@ -206,8 +213,8 @@ class WireServer:
         self._sink = ServiceSink(service)
         # Connection handler threads must resolve ambient engine config
         # (the contextvar-scoped use_config overlay) the way the thread
-        # that built the server does — the certificate fast path and
-        # admin ops execute on the *handler* thread, and a fresh thread
+        # that built the server does — inline session ops and admin
+        # ops execute on the *handler* thread, and a fresh thread
         # starts with an empty context, which would silently change how
         # sessions without an explicit config resolve workers.
         # Same contract as the dispatcher's snapshot in

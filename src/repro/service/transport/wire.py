@@ -86,8 +86,8 @@ def _reject_constant(name: str) -> None:
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-#: Session-scoped ops (queued through SchedulingService.submit) plus
-#: the transport's admin/control ops.
+#: Session-scoped ops (answered by the SchedulingService) plus the
+#: transport's admin/control ops.
 REQUEST_OPS = frozenset({
     "assign", "verify", "edit", "restrict", "save", "load",
     "open", "close_session", "session_ids", "metrics", "ping",

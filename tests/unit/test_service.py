@@ -100,7 +100,8 @@ class TestEndpointIdentity:
         without snapshotting the creating context, sessions with no
         explicit config would resolve workers differently
         through the service than through direct calls made in the
-        installing thread.
+        installing thread.  (``submit``, not ``verify``: a blocking call
+        on an idle session would run on this thread instead.)
         """
         from repro.api import EngineConfig, use_config
 
@@ -108,7 +109,7 @@ class TestEndpointIdentity:
             svc = SchedulingService(SessionStore(), max_queue=64)
             svc.open_session("s", make_tiling_session())
             direct = make_tiling_session().verify()
-            served = svc.verify("s")
+            served = svc.submit("verify", "s").result(timeout=30)
             svc.close()
         assert served.workers == direct.workers == 2
 

@@ -1,5 +1,6 @@
 """Tests for service metrics: quantile ranking, overflow honesty,
-lossless serialization, and histogram merging.
+lossless serialization, histogram merging, and the counters that split
+requests between the inline lane and the dispatcher.
 
 Two regressions are pinned here.  First, quantile ranks are computed
 with ``math.ceil`` — the old ``int(q * total + 0.999999)`` additive
@@ -15,9 +16,13 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+import time
 
 import pytest
 
+from repro.api import Box, Session
+from repro.service import SchedulingService, SessionStore
 from repro.service.metrics import (
     LatencyHistogram,
     MetricsRecorder,
@@ -148,3 +153,91 @@ class TestMerge:
         c = histogram([1, 1, 1], [0.001, 1.0])
         with pytest.raises(ValueError):
             a.merge(c)
+
+
+# ----------------------------------------------------------------------
+def _service_with(*session_ids: str) -> SchedulingService:
+    service = SchedulingService(SessionStore(), max_queue=64)
+    for session_id in session_ids:
+        service.open_session(session_id, Session.for_chebyshev(
+            1, window=Box((0, 0), (5, 5))))
+    return service
+
+
+class TestInlineCounters:
+    """How inline and dispatched requests show on the metrics endpoint.
+
+    ``server.batch_size`` is completed requests over
+    ``batch.dispatches``: an inline request is a dispatch of one, a
+    certificate fast-path answer is no dispatch at all, and
+    ``batch.inline`` counts both.
+    """
+
+    def test_inline_requests_count_as_dispatches(self):
+        service = _service_with("s")
+        for step in range(3):
+            service.assign("s", [(step, 0), (0, step)])
+        metrics = service.metrics()
+        service.close()
+        assert metrics.counter("assign.submitted") == 3
+        assert metrics.counter("assign.completed") == 3
+        assert metrics.counter("batch.dispatches") == 3
+        assert metrics.counter("batch.inline") == 3
+        assert metrics.latencies["assign"].total == 3
+
+    def test_certificate_answers_are_inline_but_not_dispatches(self):
+        service = _service_with("s")
+        service.verify("s")  # builds the certificate: one dispatch
+        service.verify("s")  # answered from it
+        metrics = service.metrics()
+        service.close()
+        assert metrics.counter("verify.completed") == 2
+        assert metrics.counter("batch.dispatches") == 1
+        assert metrics.counter("batch.certificate_fast_path") == 1
+        assert metrics.counter("batch.inline") == 2
+
+    def test_submit_never_counts_inline(self):
+        service = _service_with("s")
+        service.submit("assign", "s", {"points": [(0, 0)]}).result(
+            timeout=30)
+        metrics = service.metrics()
+        service.close()
+        assert metrics.counter("batch.dispatches") == 1
+        assert metrics.counter("batch.inline") == 0
+
+    def test_queued_call_counts_once_and_times_from_entry(self):
+        """A call that falls back to the queue bumps ``submitted`` once,
+        and its latency includes the wait for the busy session."""
+        service = _service_with("s")
+        held, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with service.store.lease("s"):
+                held.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(timeout=30)
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        started = time.monotonic()
+        service.assign("s", [(1, 1)])
+        waited = time.monotonic() - started
+        holder.join(timeout=30)
+        metrics = service.metrics()
+        service.close()
+        assert metrics.counter("assign.submitted") == 1
+        assert metrics.counter("assign.completed") == 1
+        assert metrics.counter("batch.inline") == 0
+        assert metrics.counter("batch.dispatches") == 1
+        observed = metrics.latencies["assign"]
+        assert observed.total == 1
+        assert 0.15 <= observed.sum_seconds <= waited
+
+    def test_inline_counter_is_on_the_json_endpoint(self):
+        service = _service_with("s")
+        service.assign("s", [(0, 0)])
+        payload = json.loads(service.metrics_json())
+        service.close()
+        assert payload["counters"]["batch.inline"] == 1

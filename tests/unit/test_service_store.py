@@ -72,6 +72,101 @@ class TestBasicTable:
             SessionStore(capacity=0)
 
 
+def _held_elsewhere(store: SessionStore, session_id: str):
+    """Hold a lease of ``session_id`` on another thread until released.
+
+    Returns the release event and the holding thread.
+    """
+    held, release = threading.Event(), threading.Event()
+
+    def hold() -> None:
+        with store.lease(session_id):
+            held.set()
+            release.wait(timeout=30)
+
+    thread = threading.Thread(target=hold)
+    thread.start()
+    assert held.wait(timeout=30)
+    return release, thread
+
+
+class TestTryLease:
+    """The non-blocking lease behind the service's inline lane."""
+
+    def test_free_session_is_leased_after_the_claim(self):
+        store = SessionStore()
+        session = make_tiling_session()
+        store.put("a", session)
+        claims = []
+        with store.try_lease("a", lambda: claims.append(1) or True) \
+                as leased:
+            assert leased is session
+        assert claims == [1]
+
+    def test_refused_claim_leases_nothing(self):
+        store = SessionStore()
+        store.put("a", make_tiling_session())
+        with store.try_lease("a", lambda: False) as leased:
+            assert leased is None
+        release, thread = _held_elsewhere(store, "a")
+        release.set()
+        thread.join(timeout=30)  # the lock was given back
+
+    def test_lock_held_by_another_thread_skips_the_claim(self):
+        store = SessionStore()
+        store.put("a", make_tiling_session())
+        release, thread = _held_elsewhere(store, "a")
+        claims = []
+        try:
+            with store.try_lease("a", lambda: claims.append(1) or True) \
+                    as leased:
+                assert leased is None
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert claims == []  # never reserve a session you cannot lock
+
+    def test_own_lease_reenters(self):
+        store = SessionStore()
+        session = make_tiling_session()
+        store.put("a", session)
+        with store.lease("a"):
+            with store.try_lease("a", lambda: True) as leased:
+                assert leased is session
+
+    def test_unknown_session_yields_none(self):
+        store = SessionStore()
+        with store.try_lease("ghost", lambda: True) as leased:
+            assert leased is None
+
+    def test_restores_a_spilled_session(self):
+        store = SessionStore(capacity=1)
+        store.put("a", make_tiling_session())
+        store.put("b", make_tiling_session())
+        assert not store.resident("a")
+        with store.try_lease("a", lambda: True) as leased:
+            assert leased is not None
+            assert store.resident("a")
+        assert store.stats().restores == 1
+
+    def test_put_waits_for_a_running_lease(self):
+        """Replacing a session never swaps it under a running request."""
+        store = SessionStore()
+        store.put("a", make_tiling_session())
+        replacement = make_mapping_session()
+        release, thread = _held_elsewhere(store, "a")
+        putter = threading.Thread(target=store.put,
+                                  args=("a", replacement))
+        putter.start()
+        putter.join(timeout=0.2)
+        assert putter.is_alive(), "put swapped a leased session"
+        release.set()
+        thread.join(timeout=30)
+        putter.join(timeout=30)
+        with store.lease("a") as leased:
+            assert leased is replacement
+
+
 class TestEviction:
     def test_lru_spills_over_capacity(self):
         store = SessionStore(capacity=2)

@@ -421,13 +421,13 @@ class TestWireEndToEnd:
             server = WireServer(service).start()
             with ServiceClient(*server.address, timeout=30) as client:
                 client.open_session("s", make_tiling_session())
-                queued = client.verify("s")   # dispatcher thread
-                inline = client.verify("s")   # fast path, handler thread
+                scanned = client.verify("s")    # builds the certificate
+                certified = client.verify("s")  # answered from it
             metrics = service.metrics()
             server.close()
             service.close()
         assert metrics.counter("batch.certificate_fast_path") >= 1
-        assert (queued.workers, inline.workers) == (2, 2)
+        assert (scanned.workers, certified.workers) == (2, 2)
 
     def test_both_ends_disable_nagle(self):
         service = SchedulingService(SessionStore(), max_queue=16)
