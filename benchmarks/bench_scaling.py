@@ -323,12 +323,15 @@ def test_streamed_dense_window_speedup(report, record_scaling,
                                        monkeypatch):
     """10^6 box points streamed in 10^4-point slabs: stencil vs sorted keys.
 
-    Every slab of a streamed ``Box`` is a dense batch, so the engine
-    scans it with the stencil (one comparison of shifted slot grids per
-    conflict offset).  The gate compares it, in the same run, with the
-    sorted-key scan of the very same slabs, so host noise cancels: the
-    stencil stream must be at least 3x faster and give the same answer.
+    A streamed ``Box`` of a Theorem 1 schedule runs on the slab plan:
+    one coset reduction per slab on open grids, then the stencil (one
+    comparison of shifted slot grids per conflict offset).  The gate
+    compares it, in the same run, with the sorted-key scan of the very
+    same slabs built as point batches (no plan), so host noise cancels:
+    the stencil stream must be at least 3x faster and give the same
+    answer.
     """
+    import repro.core.certify as certify_module
     import repro.engine.collisions as collisions_module
     from repro.core.certify import stream_box_collisions
 
@@ -346,6 +349,8 @@ def test_streamed_dense_window_speedup(report, record_scaling,
         dense = stream()
         dense_time = min(dense_time, time.perf_counter() - t0)
         with monkeypatch.context() as patch:
+            patch.setattr(certify_module, "_slab_plan",
+                          lambda *args: None)
             patch.setattr(collisions_module, "_scan_dense",
                           collisions_module._scan_sorted)
             t0 = time.perf_counter()

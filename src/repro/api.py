@@ -644,10 +644,11 @@ class Session:
         ``stream_chunk`` requires a :class:`Box` window and scans it in
         axis-0 slabs of about that many points (plus the conflict-radius
         halo) via :func:`~repro.core.certify.stream_box_collisions`,
-        bounding memory for out-of-core windows.  Each slab is built
-        from the box corners as a dense batch and checked by the
-        stencil scan — one comparison of shifted slot grids per
-        conflict offset — so no point tuple is ever materialized; the
+        bounding memory for out-of-core windows.  A Theorem 1/2
+        schedule streams on a slab plan: each slab is one coset
+        reduction of the box corners on open grids and the stencil
+        scan — one comparison of shifted slot grids per conflict
+        offset — so no point array or tuple is materialized; the
         result is bit-identical to the one-shot scan but is never
         cached.
 

@@ -49,12 +49,20 @@ from repro.core.schedule import (
     TilingSchedule,
     _bulk_slots,
     _default_offsets,
+    _known_shapes,
     _origin_shapes,
     _sorted_offsets,
     find_collisions,
 )
 from repro.core.serialize import CorruptSessionError, schedule_digest
+from repro.engine.collisions import (
+    _MAX_SHAPE_CLASSES,
+    StencilPlan,
+    _pair_tables,
+    scan_box_plan,
+)
 from repro.engine.encode import PointBatch
+from repro.engine.slots import _MAX_COORD, CosetTable
 from repro.lattice.sublattice import Sublattice
 from repro.utils.vectors import IntVec, as_intvec, vadd, vsub
 
@@ -442,6 +450,89 @@ def _schedule_offsets(schedule: Schedule) -> list[IntVec]:
         f"a box window")
 
 
+class _SlabPlan:
+    """What every slab of one streamed box shares, set up once per call.
+
+    The slot table's reduction gives each slab one key grid
+    (:meth:`~repro.engine.slots.CosetTable.box_keys`); slots and shape
+    ids are gathers from it into the box part of a
+    :class:`~repro.engine.collisions.StencilPlan`, one plan per slab
+    height (a stream has at most a few: full slabs and the short ones
+    at the top of the box).  A slab then costs one reduction, two
+    gathers and the offset passes — no point array, no tuple, no grid
+    or shift set-up.
+    """
+
+    def __init__(self, table: CosetTable, shape_source: tuple | None,
+                 tables, positive: tuple[IntVec, ...],
+                 inner_lo: IntVec, inner_dims: tuple[int, ...]) -> None:
+        self._table = table
+        self._slot_values = table.key_values
+        self._shape_source = shape_source
+        self._tables = tables
+        self._positive = positive
+        self._inner_lo = inner_lo
+        self._inner_dims = inner_dims
+        self._values = (int(self._slot_values.min()),
+                        int(self._slot_values.max()))
+        self._plans: dict[int, StencilPlan] = {}
+
+    def collisions(self, first_row: int, last_row: int,
+                   top_row: int) -> list[Collision]:
+        """Sorted pairs of the slab ``[first_row, top_row]`` whose left
+        endpoint lies in rows ``first_row..last_row``."""
+        height = top_row - first_row + 1
+        dims = (height,) + self._inner_dims
+        plan = self._plans.get(height)
+        if plan is None:
+            plan = StencilPlan(dims, self._tables, self._values)
+            self._plans[height] = plan
+        lo = (first_row,) + self._inner_lo
+        keys = self._table.box_keys(lo, dims)
+        plan.slots[...] = self._slot_values[keys]
+        if plan.shapes is not None:
+            shape_table, kinds = self._shape_source
+            if shape_table is not self._table:
+                keys = shape_table.box_keys(lo, dims)
+            plan.shapes[...] = kinds[keys]
+        return scan_box_plan(plan, lo, self._positive,
+                             last_row - first_row + 1)
+
+
+def _slab_plan(schedule: Schedule, neighborhood_of: NeighborhoodFn,
+               lo: IntVec, hi: IntVec,
+               positive: tuple[IntVec, ...]) -> _SlabPlan | None:
+    """The slab plan of a stream, or ``None`` when it does not apply.
+
+    It applies to a schedule answering from a coset table, under an
+    interference map whose shape classes :func:`_known_shapes`
+    recognises, on a box inside the int64 reduction bound and with
+    offsets that fit the stencil scan.  Everything else streams slab by
+    slab through :func:`~repro.core.schedule.find_collisions`.
+    """
+    if not isinstance(schedule, (TilingSchedule, MultiTilingSchedule)):
+        return None
+    table = schedule._coset_table()
+    known = _known_shapes(neighborhood_of)
+    if table is None or known is None \
+            or max(map(abs, lo + hi)) >= _MAX_COORD:
+        return None
+    shapes, multi = known
+    if len(shapes) > _MAX_SHAPE_CLASSES:
+        return None
+    tables = _pair_tables(tuple(map(frozenset, shapes)), positive)
+    if tables.offset_array is None:
+        return None
+    shape_source = None
+    if multi is not None:
+        shape_table, kinds = multi.prototile_key_table()
+        if shape_table.shares_reduction(table):
+            shape_table = table
+        shape_source = (shape_table, kinds)
+    dims = tuple(h - l + 1 for l, h in zip(lo[1:], hi[1:]))
+    return _SlabPlan(table, shape_source, tables, positive, lo[1:], dims)
+
+
 def stream_box_collisions(schedule: Schedule,
                           lo: Sequence[int], hi: Sequence[int],
                           neighborhood_of: NeighborhoodFn,
@@ -454,9 +545,7 @@ def stream_box_collisions(schedule: Schedule,
     ``find_collisions(schedule, box_points(lo, hi), neighborhood_of)``,
     but only ever materializes one axis-0 slab of about
     ``chunk_points`` points (plus a conflict-radius halo), so 10^8+
-    point windows verify in bounded memory.  Each slab is a dense
-    :class:`~repro.engine.encode.PointBatch` built from the box corners,
-    so it is scanned by the stencil path without a point tuple in sight.
+    point windows verify in bounded memory.
 
     Chunking is a tiling of the iteration space, and it is legal
     because a lexicographically positive conflict offset never
@@ -467,6 +556,22 @@ def stream_box_collisions(schedule: Schedule,
     left endpoint lies in the slab partitions the full result; slabs
     ascend along axis 0, so plain concatenation is already the
     canonical sorted order.
+
+    What the slabs share is hoisted out of the loop: a Theorem 1/2
+    schedule under its own (or another tiling's) interference map gets
+    a *slab plan* once per call — the memoised pair tables, the kept
+    offsets and their shifts, and padded slot and shape-id grids whose
+    pad is written once.  Each slab then reduces its box once on open
+    grids (:meth:`~repro.engine.slots.CosetTable.box_keys`), gathers
+    slots and shape ids from that one key grid into the grids, and
+    runs the stencil's offset passes; only colliding pairs become
+    tuples.  Every slab is still scanned, under the same fault seam
+    (a numpy failure degrades that slab to the exact scan with an
+    :class:`~repro.engine.collisions.EngineDegradedWarning`) and the
+    same worker sharding.  Other schedules, interference maps and
+    boxes beyond ``2**40`` verify each slab as a dense
+    :class:`~repro.engine.encode.PointBatch` through
+    :func:`~repro.core.schedule.find_collisions`.
 
     Args:
         schedule: slot assignment to check.
@@ -486,7 +591,7 @@ def stream_box_collisions(schedule: Schedule,
     offset_list = (_schedule_offsets(schedule) if offsets is None
                    else [as_intvec(d) for d in offsets])
     zero = (0,) * len(lo_vec)
-    positive = [d for d in offset_list if d > zero]
+    positive = tuple(d for d in offset_list if d > zero)
     if not positive:
         return []
     halo = max(d[0] for d in positive)
@@ -495,10 +600,14 @@ def stream_box_collisions(schedule: Schedule,
     for low, high in zip(lo_vec[1:], hi_vec[1:]):
         slab *= high - low + 1
     rows_per_chunk = max(1, chunk_points // slab)
+    plan = _slab_plan(schedule, neighborhood_of, lo_vec, hi_vec, positive)
     collisions: list[Collision] = []
     for first_row in range(lo_vec[0], hi_vec[0] + 1, rows_per_chunk):
         last_row = min(first_row + rows_per_chunk - 1, hi_vec[0])
         top_row = min(last_row + halo, hi_vec[0])
+        if plan is not None:
+            collisions.extend(plan.collisions(first_row, last_row, top_row))
+            continue
         chunk = PointBatch.box((first_row,) + lo_vec[1:],
                                (top_row,) + hi_vec[1:])
         found = find_collisions(schedule, chunk, neighborhood_of,

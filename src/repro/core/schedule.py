@@ -39,7 +39,11 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.core.certify import PeriodicCertificate
 
-from repro.engine.collisions import scan_collisions, scan_collisions_touching
+from repro.engine.collisions import (
+    _MAX_SHAPE_CLASSES,
+    scan_collisions,
+    scan_collisions_touching,
+)
 from repro.engine.encode import PointBatch
 from repro.engine.slots import CosetTable
 from repro.tiles.prototile import Prototile
@@ -395,10 +399,28 @@ def _sorted_offsets(cell_sets: tuple[frozenset[IntVec], ...],
     return tuple(sorted(offsets))
 
 
-# Beyond this many distinct neighborhood shapes the pairwise difference
-# sets the bulk scan precomputes stop paying off; verification then keeps
-# the direct per-pair range-intersection test.
-_MAX_SHAPE_CLASSES = 32
+def _known_shapes(neighborhood_of: NeighborhoodFn,
+                  ) -> tuple[list[frozenset[IntVec]], MultiTiling | None] | None:
+    """The shape classes of a recognised interference map, else ``None``.
+
+    Returns ``(shapes, multi)``: a homogeneous map (a Theorem 1
+    schedule's own ``neighborhood_of``) has one shape and ``multi`` is
+    ``None``; a deployment-D1 map has one shape per prototile, and
+    ``multi`` is the :class:`~repro.tiling.multi.MultiTiling` whose
+    cover table tells which one a point carries.
+    """
+    owner = getattr(neighborhood_of, "__self__", None)
+    func = getattr(neighborhood_of, "__func__", None)
+    if (isinstance(owner, TilingSchedule)
+            and func is TilingSchedule.neighborhood_of):
+        return [owner.prototile.cells], None
+    if (isinstance(owner, MultiTilingSchedule)
+            and func is MultiTilingSchedule.neighborhood_of):
+        owner = owner.multi
+    elif not (isinstance(owner, MultiTiling)
+              and func is MultiTiling.neighborhood_of):
+        return None
+    return [tile.cells for tile in owner.prototiles], owner
 
 
 def _origin_shapes(points, neighborhood_of: NeighborhoodFn,
@@ -412,20 +434,11 @@ def _origin_shapes(points, neighborhood_of: NeighborhoodFn,
     neighborhood.
     """
     batch = PointBatch.of(points)
-    owner = getattr(neighborhood_of, "__self__", None)
-    func = getattr(neighborhood_of, "__func__", None)
-    if (isinstance(owner, TilingSchedule)
-            and func is TilingSchedule.neighborhood_of):
-        return ([owner.prototile.cells],
-                np.zeros(len(batch), dtype=np.intp))
-    multi = None
-    if (isinstance(owner, MultiTilingSchedule)
-            and func is MultiTilingSchedule.neighborhood_of):
-        multi = owner.multi
-    elif isinstance(owner, MultiTiling) and func is MultiTiling.neighborhood_of:
-        multi = owner
-    if multi is not None:
-        shapes = [tile.cells for tile in multi.prototiles]
+    known = _known_shapes(neighborhood_of)
+    if known is not None:
+        shapes, multi = known
+        if multi is None:
+            return shapes, np.zeros(len(batch), dtype=np.intp)
         return shapes, multi.prototile_index_array(batch)
     shapes = []
     shape_ids = []

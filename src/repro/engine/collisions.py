@@ -48,6 +48,7 @@ import math
 import warnings
 from collections.abc import Collection, Mapping, Sequence
 from functools import lru_cache
+from operator import add, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -62,8 +63,8 @@ from repro.engine.parallel import plan_shards, run_sharded, shard_workers
 from repro.faults.injection import consume_numpy_failure
 from repro.utils.vectors import IntVec, vadd, vsub
 
-__all__ = ["EngineDegradedWarning", "scan_collisions",
-           "scan_collisions_touching"]
+__all__ = ["EngineDegradedWarning", "StencilPlan", "scan_box_plan",
+           "scan_collisions", "scan_collisions_touching"]
 
 Collision = tuple[IntVec, IntVec]
 class EngineDegradedWarning(RuntimeWarning):
@@ -84,9 +85,20 @@ class EngineDegradedWarning(RuntimeWarning):
         self.kernel = kernel
         self.reason = reason
 
+#: Beyond this many distinct interference shapes the full pair tables
+#: (``|shapes|**2`` difference sets) stop paying off: full scans keep
+#: a per-pair test (``core.schedule._scan_window``) and dirty-region
+#: rescans build difference sets per pair, on demand.
+_MAX_SHAPE_CLASSES = 32
+
 #: (points x offsets) probes below which a scan stays serial even when
 #: workers are enabled — process dispatch costs more than the scan.
 _MIN_PARALLEL_PROBES = 1 << 16
+
+#: Slot comparisons per block of stencil offset passes: large enough
+#: that a small grid runs all its offsets in one block, small enough
+#: that a block's gathered rows stay a few hundred KiB.
+_PASS_BLOCK = 1 << 16
 
 
 class _PairTables(NamedTuple):
@@ -103,6 +115,9 @@ class _PairTables(NamedTuple):
     #: Offset ``j`` is allowed for some shape pair / for every pair.
     some_pair: np.ndarray
     every_pair: np.ndarray
+    #: Stencil layouts of the box shapes scanned so far, by extents
+    #: (see :func:`_stencil_layout`).
+    layouts: dict[tuple[int, ...], _StencilLayout]
 
 
 @lru_cache(maxsize=64)
@@ -124,7 +139,7 @@ def _pair_tables(shapes: tuple[frozenset[IntVec], ...],
         if array is not None:
             array.setflags(write=False)
     return _PairTables(differences, allowed, offset_array, some_pair,
-                       every_pair)
+                       every_pair, {})
 
 
 def scan_collisions(points: Sequence[IntVec] | PointBatch,
@@ -160,18 +175,23 @@ def scan_collisions(points: Sequence[IntVec] | PointBatch,
         scan = _scan_dense if batch.dense else _scan_sorted
         collisions = scan(batch, slots, shape_ids, tables, positive)
     except Exception as error:
-        warnings.warn(
-            EngineDegradedWarning(
-                f"numpy collision scan failed ({error}); degrading to "
-                f"the exact scan",
-                kernel="scan_collisions", reason=str(error)),
-            stacklevel=2)
+        _warn_degraded(error)
     if collisions is None:
         collisions = _scan_exact(batch.points, np.asarray(slots).tolist(),
                                  np.asarray(shape_ids).tolist(),
                                  tables.differences, positive)
     collisions.sort()
     return collisions
+
+
+def _warn_degraded(error: Exception) -> None:
+    """Report a numpy kernel failure the exact scan is answering for."""
+    warnings.warn(
+        EngineDegradedWarning(
+            f"numpy collision scan failed ({error}); degrading to the "
+            f"exact scan",
+            kernel="scan_collisions", reason=str(error)),
+        stacklevel=3)
 
 
 def _scan_exact(points, slots, shape_ids, differences, offsets):
@@ -195,86 +215,238 @@ def _scan_exact(points, slots, shape_ids, differences, offsets):
 def _dense_shard(payload, span):
     """Offset passes ``span[0]..span[1]-1`` over the flat padded grids.
 
-    Each pass is ``(j, shift, check_shapes)``: equal slots are one
-    comparison of two views of the slot grid ``shift`` apart, and the
-    shape test gathers ``allowed`` only where the slots agree.  Returns
-    ``(j, flat grid positions of x)`` per offset with pairs — small, so
-    shard results pickle cheaply.
+    Each pass is ``(j, shift, check_shapes)``: ``x`` and its neighbour
+    at offset ``j`` sit ``shift`` apart in the flat slot grid, and only
+    the first ``limit`` positions (the rows whose pairs are wanted) are
+    ``x``.  Passes run in blocks of about ``_PASS_BLOCK`` comparisons:
+    the block's shifted rows of the slot grid are gathered at once and
+    compared with the ``x`` row in one operation, so a small grid pays
+    per block, not per offset.  Offsets with equal slots then gather
+    ``allowed`` where the shape test applies.  Returns ``(j, flat grid
+    positions of x)`` per offset with pairs — small, so shard results
+    pickle cheaply.
     """
-    slots, shapes, allowed, passes = payload
-    size = len(slots)
+    slots, shapes, allowed, passes, limit = payload
+    step = slots.itemsize
+    shifted_rows = np.ndarray((len(slots) - limit + 1, limit),
+                              dtype=slots.dtype, buffer=slots,
+                              strides=(step, step))
+    x_slots = slots[:limit]
+    block = max(1, _PASS_BLOCK // limit)
     found = []
-    for j, shift, check_shapes in passes[span[0]:span[1]]:
-        same = slots[:size - shift] == slots[shift:]
-        if not np.count_nonzero(same):
+    for start in range(span[0], span[1], block):
+        chunk = passes[start:min(start + block, span[1])]
+        if len(chunk) == 1:
+            same = (shifted_rows[chunk[0][1]] == x_slots)[None]
+        else:
+            same = shifted_rows[[shift for _, shift, _ in chunk]] == x_slots
+        if not same.any():
             continue
-        where = np.flatnonzero(same)
-        if check_shapes:
-            where = where[allowed[shapes[where], shapes[where + shift], j]]
-            if not where.size:
-                continue
-        found.append((j, where))
+        for row in np.flatnonzero(same.any(axis=1)).tolist():
+            j, shift, check_shapes = chunk[row]
+            where = np.flatnonzero(same[row])
+            if check_shapes:
+                where = where[allowed[shapes[where], shapes[where + shift],
+                                      j]]
+                if not where.size:
+                    continue
+            found.append((j, where))
     return found
 
 
-def _scan_dense(batch, slots, shape_ids, tables, offsets):
-    """Stencil scan of a dense batch; ``None`` for int64-overflowing offsets.
+class _StencilLayout(NamedTuple):
+    """Where the stencil scan of one box shape looks."""
 
-    Only offsets shorter than the box on every axis can pair two of
-    its points, so the others are dropped first.  The slot grid is
-    padded on the high side of every axis by the largest ``|delta|``
-    of the kept offsets (at most the box extent minus one, so the
-    grid stays under ``2**d`` times the batch), and the padding holds
-    distinct values below every slot.  In the flattened padded grid
-    the neighbour of ``x`` at ``delta`` is then ``x`` plus a fixed
-    shift.  A neighbour outside the box lands on padding — on the last
-    axis where it leaves the box, its index falls in that axis's pad —
-    and a pad value never equals a slot or another pad value.
+    #: Extents of the padded grid, its cell count, and the flat cells
+    #: per axis-0 row.
+    padded: tuple[int, ...]
+    size: int
+    row: int
+    #: Pad cells past the grid, so every shifted row stays in the buffer.
+    tail: int
+    #: One ``(j, shift, check_shapes)`` per offset that fits the box.
+    passes: list[tuple[int, int, bool]]
+
+
+#: Layouts kept per pair table; a table that has seen more box shapes
+#: starts over.
+_MAX_LAYOUTS = 32
+
+
+def _stencil_layout(tables: _PairTables,
+                    dims: tuple[int, ...]) -> _StencilLayout:
+    """The padding, kept offsets and shifts of a box shape, memoised.
+
+    Only offsets shorter than the box on every axis can pair two of its
+    points, so the others are dropped.  The grid is padded on the high
+    side of every axis by the largest ``|delta|`` of the kept offsets
+    (at most the box extent minus one, so the grid stays under ``2**d``
+    times the box), which makes the neighbour of ``x`` at ``delta`` a
+    fixed flat shift away.
     """
-    offset_array = tables.offset_array
-    if offset_array is None:
-        return None
-    dims = batch.dims
-    reach = tables.some_pair & (np.abs(offset_array) < dims).all(axis=1)
-    if not reach.any():
-        return []
-    radius = np.abs(offset_array[reach]).max(axis=0).tolist()
+    layout = tables.layouts.get(dims)
+    if layout is not None:
+        return layout
+    magnitudes = np.abs(tables.offset_array)
+    kept = np.flatnonzero(tables.some_pair
+                          & (magnitudes < dims).all(axis=1))
+    radius = (magnitudes[kept].max(axis=0).tolist() if kept.size
+              else [0] * len(dims))
     padded = tuple(n + r for n, r in zip(dims, radius))
-    inner = tuple(slice(0, n) for n in dims)
-    slot_values = np.asarray(slots, dtype=np.int64)
-    below = min(0, int(slot_values.min())) - 1
-    slot_grid = below - np.arange(math.prod(padded), dtype=np.int64)
-    slot_grid = slot_grid.reshape(padded)
-    slot_grid[inner] = batch.on_grid(slot_values)
-    shape_grid = None
+    strides = _row_major_strides(padded)
+    shifts = (tables.offset_array[kept] @ np.asarray(strides)).tolist()
     several = tables.allowed.shape[0] > 1
-    if several:
-        shape_grid = np.zeros(padded, dtype=np.intp)
-        shape_grid[inner] = batch.on_grid(np.asarray(shape_ids,
-                                                     dtype=np.intp))
-        shape_grid = shape_grid.ravel()
-    kept = np.flatnonzero(reach)
-    shifts = offset_array[kept] @ np.asarray(_row_major_strides(padded))
-    passes = [(j, shift, several and not tables.every_pair[j])
-              for j, shift in zip(kept.tolist(), shifts.tolist())]
-    payload = (slot_grid.ravel(), shape_grid, tables.allowed, passes)
-    workers = shard_workers()
-    spans = [(0, len(passes))]
-    if workers > 1 and len(batch) * len(passes) >= _MIN_PARALLEL_PROBES:
-        spans = plan_shards(len(passes), workers)
-    if len(spans) > 1:
-        parts = run_sharded(_dense_shard, payload, spans, workers)
-        found = [item for part in parts for item in part]
-    else:
-        found = _dense_shard(payload, spans[0])
-    lo = np.asarray(batch.lo, dtype=np.int64)
-    collisions: list[Collision] = []
-    for j, where in found:
-        xs = np.stack(np.unravel_index(where, padded), axis=1) + lo
-        ys = xs + offset_array[j]
-        collisions.extend(zip(map(tuple, xs.tolist()),
-                              map(tuple, ys.tolist())))
+    every_pair = tables.every_pair.tolist()
+    layout = _StencilLayout(
+        padded, math.prod(padded), strides[0], max(shifts, default=0),
+        [(j, shift, several and not every_pair[j])
+         for j, shift in zip(kept.tolist(), shifts)])
+    if len(tables.layouts) >= _MAX_LAYOUTS:
+        tables.layouts.clear()
+    tables.layouts[dims] = layout
+    return layout
+
+
+class StencilPlan:
+    """The stencil scan of one box shape, set up once and run many times.
+
+    The grids are laid out by :func:`_stencil_layout`, and the slot
+    grid's padding holds distinct values below every slot.  In the
+    flattened padded grid the neighbour of ``x`` at ``delta`` is ``x``
+    plus a fixed shift.  A neighbour outside the box lands on padding
+    — on the last axis where it leaves the box, its index falls in
+    that axis's pad — and a pad value never equals a slot or another
+    pad value.  The grids use the narrowest integer type that holds
+    the pad and slot values, so the offset passes move less memory.
+
+    The pad is written once, here.  A caller fills the box part of the
+    grids through the :attr:`slots` and :attr:`shapes` views and calls
+    :meth:`pairs`; refilling and rescanning reuses the buffers, the
+    kept offsets and their shifts, which is how a streamed box scans
+    slab after slab of the same shape.
+
+    Args:
+        dims: the box extents.
+        tables: the memoised pair tables of the scan's shapes and
+            positive offsets (their ``offset_array`` must exist).
+        values: the least and greatest slot the grids will hold.
+
+    Attributes:
+        slots: the box part of the padded slot grid, to fill.
+        shapes: the box part of the padded shape-id grid, or ``None``
+            with a single shape class.
+        passes: one ``(j, shift, check_shapes)`` per kept offset.
+    """
+
+    def __init__(self, dims: Sequence[int], tables: _PairTables,
+                 values: tuple[int, int]) -> None:
+        dims = tuple(dims)
+        layout = _stencil_layout(tables, dims)
+        below = min(0, values[0]) - 1
+        floor = below - (layout.size + layout.tail) + 1
+        dtype = next(kind for kind in (np.int16, np.int32, np.int64)
+                     if np.iinfo(kind).min <= floor
+                     and values[1] <= np.iinfo(kind).max)
+        flat_slots = np.arange(below, floor - 1, -1, dtype=dtype)
+        inner = tuple(slice(0, n) for n in dims)
+        self.dims = dims
+        self.slots = flat_slots[:layout.size].reshape(layout.padded)[inner]
+        self.shapes = None
+        flat_shapes = None
+        if tables.allowed.shape[0] > 1:
+            flat_shapes = np.zeros(layout.size, dtype=np.intp)
+            self.shapes = flat_shapes.reshape(layout.padded)[inner]
+        self.passes = layout.passes
+        self._tables = tables
+        self._layout = layout
+        self._flat = (flat_slots, flat_shapes)
+
+    def pairs(self, lo: Sequence[int],
+              rows: int | None = None) -> list[Collision]:
+        """Colliding pairs of the filled grids, the box corner at ``lo``.
+
+        Only pairs whose ``x`` lies in the first ``rows`` axis-0 rows
+        are resolved (all rows when ``None``); the list is unsorted.
+        """
+        passes = self.passes
+        slots, shapes = self._flat
+        layout = self._layout
+        limit = layout.size if rows is None else rows * layout.row
+        payload = (slots, shapes, self._tables.allowed, passes, limit)
+        workers = shard_workers()
+        spans = [(0, len(passes))]
+        if workers > 1 \
+                and math.prod(self.dims) * len(passes) >= _MIN_PARALLEL_PROBES:
+            spans = plan_shards(len(passes), workers)
+        if len(spans) > 1:
+            parts = run_sharded(_dense_shard, payload, spans, workers)
+            found = [item for part in parts for item in part]
+        else:
+            found = _dense_shard(payload, spans[0])
+        offset_array = self._tables.offset_array
+        corner = np.asarray(lo, dtype=np.int64)
+        collisions: list[Collision] = []
+        for j, where in found:
+            xs = np.stack(np.unravel_index(where, layout.padded), axis=1)
+            xs += corner
+            ys = xs + offset_array[j]
+            collisions.extend(zip(map(tuple, xs.tolist()),
+                                  map(tuple, ys.tolist())))
+        return collisions
+
+    def exact_pairs(self, lo: Sequence[int], offsets: Sequence[IntVec],
+                    rows: int | None = None) -> list[Collision]:
+        """:meth:`pairs` by the exact scan, from the same filled grids."""
+        hi = tuple(low + n - 1 for low, n in zip(lo, self.dims))
+        slots = self.slots.ravel().tolist()
+        shape_ids = (self.shapes.ravel().tolist() if self.shapes is not None
+                     else [0] * len(slots))
+        collisions = _scan_exact(PointBatch.box(lo, hi).points, slots,
+                                 shape_ids, self._tables.differences,
+                                 offsets)
+        if rows is None:
+            return collisions
+        end = lo[0] + rows
+        return [pair for pair in collisions if pair[0][0] < end]
+
+
+def scan_box_plan(plan: StencilPlan, lo: Sequence[int],
+                  offsets: Sequence[IntVec],
+                  rows: int | None = None) -> list[Collision]:
+    """Sorted colliding pairs of a filled :class:`StencilPlan`.
+
+    The box-shaped counterpart of :func:`scan_collisions`, with the
+    same fault seam: a numpy failure degrades this one call to the
+    exact scan with an :class:`EngineDegradedWarning`.  ``offsets`` are
+    the positive offsets the plan's tables were built from; ``rows``
+    keeps the pairs whose ``x`` lies in the first axis-0 rows.
+    """
+    collisions = None
+    try:
+        consume_numpy_failure()
+        collisions = plan.pairs(lo, rows)
+    except Exception as error:
+        _warn_degraded(error)
+    if collisions is None:
+        collisions = plan.exact_pairs(lo, offsets, rows)
+    collisions.sort()
     return collisions
+
+
+def _scan_dense(batch, slots, shape_ids, tables, offsets):
+    """Stencil scan of a dense batch; ``None`` for int64-overflowing offsets."""
+    if tables.offset_array is None:
+        return None
+    slot_values = np.asarray(slots, dtype=np.int64)
+    plan = StencilPlan(batch.dims, tables, (int(slot_values.min()),
+                                            int(slot_values.max())))
+    if not plan.passes:
+        return []
+    plan.slots[...] = batch.on_grid(slot_values)
+    if plan.shapes is not None:
+        plan.shapes[...] = batch.on_grid(np.asarray(shape_ids,
+                                                    dtype=np.intp))
+    return plan.pairs(batch.lo)
 
 
 # -- the sorted-key scan -----------------------------------------------
@@ -350,11 +522,13 @@ def scan_collisions_touching(points: Sequence[IntVec],
 
     Exactly the subset of :func:`scan_collisions` output whose ``x`` or
     ``y`` lies in ``touched`` — the dirty-region rescan behind
-    incremental verification.  A pair can only involve an edited point
-    if its left endpoint is the edited point itself or sits one
-    (lexicographically positive) conflict offset below it, so the scan
-    probes just that dilation: ``O(|touched| * |offsets|^2)`` work in
-    the worst case, independent of the window size.
+    incremental verification.  Such a pair is ``(c, c + delta)`` or
+    ``(c - delta, c)`` for an edited point ``c`` and a lexicographically
+    positive offset ``delta``, so the scan probes just those two
+    neighbours per (edited point, offset): ``O(|touched| * |offsets|)``
+    work, independent of the window size.  A pair with both ends edited
+    is taken from its left end only.  The shape test reads the
+    memoised difference sets of :func:`_pair_tables`.
 
     Args:
         points, slots, shape_ids, shapes, offsets: as for
@@ -372,7 +546,7 @@ def scan_collisions_touching(points: Sequence[IntVec],
         return []
     dimension = len(points[0])
     zero = (0,) * dimension
-    positive = [delta for delta in offsets if delta > zero]
+    positive = tuple(delta for delta in offsets if delta > zero)
     if not positive:
         return []
     if index_of is None or occurrences is None:
@@ -382,35 +556,50 @@ def scan_collisions_touching(points: Sequence[IntVec],
             index_of.setdefault(point, i)
             occurrence_lists.setdefault(point, []).append(i)
         occurrences = occurrence_lists
+    differences = _differences(shapes, positive)
     touched_set = frozenset(touched)
-    # Candidate left endpoints: the touched points, plus every window
-    # point one positive offset below a touched point.
-    candidates = {c for c in touched_set if c in index_of}
-    for c in touched_set:
-        for delta in positive:
-            x = vsub(c, delta)
-            if x in index_of:
-                candidates.add(x)
-    differences: dict[tuple[int, int], frozenset[IntVec]] = {}
     collisions: list[Collision] = []
-    for x in candidates:
-        for i in occurrences[x]:
-            slot = slots[i]
-            a = shape_ids[i]
-            for delta in positive:
-                j = index_of.get(vadd(x, delta))
-                if j is None or slots[j] != slot:
-                    continue
-                y = points[j]
-                if x not in touched_set and y not in touched_set:
-                    continue
-                b = shape_ids[j]
-                row = differences.get((a, b))
-                if row is None:
-                    row = frozenset(vsub(p, q)
-                                    for p in shapes[a] for q in shapes[b])
-                    differences[(a, b)] = row
-                if delta in row:
-                    collisions.append((x, y))
+    for c in touched_set:
+        k = index_of.get(c)
+        if k is None:
+            continue
+        slot, shape = slots[k], shape_ids[k]
+        own = occurrences[c]
+        for delta in positive:
+            # c as the left end, once per occurrence of c ...
+            j = index_of.get(tuple(map(add, c, delta)))
+            if j is not None:
+                for i in own:
+                    if slots[i] == slots[j] and delta in differences(
+                            shape_ids[i], shape_ids[j]):
+                        collisions.append((c, points[j]))
+            # ... and as the right end, unless the left end is edited
+            # too (its own forward probe finds the pair).
+            x = tuple(map(sub, c, delta))
+            if x in touched_set:
+                continue
+            for i in occurrences.get(x, ()):
+                if slots[i] == slot \
+                        and delta in differences(shape_ids[i], shape):
+                    collisions.append((x, points[k]))
     collisions.sort()
     return collisions
+
+
+def _differences(shapes: Sequence[frozenset[IntVec]],
+                 positive: tuple[IntVec, ...]):
+    """``differences(a, b)``: the difference set ``S_a - S_b``."""
+    if len(shapes) <= _MAX_SHAPE_CLASSES:
+        rows = _pair_tables(tuple(map(frozenset, shapes)),
+                            positive).differences
+        return lambda a, b: rows[a][b]
+    built: dict[tuple[int, int], frozenset[IntVec]] = {}
+
+    def difference(a: int, b: int) -> frozenset[IntVec]:
+        row = built.get((a, b))
+        if row is None:
+            row = frozenset(vsub(p, q) for p in shapes[a] for q in shapes[b])
+            built[(a, b)] = row
+        return row
+
+    return difference

@@ -16,6 +16,15 @@ call per point, exactly what ``slot_of`` does.  Both give the same
 values.  Points arrive as a validated
 :class:`~repro.engine.encode.PointBatch` (any other collection is
 validated into one first), so the bound is checked once per batch.
+
+A whole box needs no point array at all: :meth:`CosetTable.box_keys`
+runs the same reduction on broadcast ``np.arange`` open grids, one per
+axis.  Coordinate ``i`` of the reduction depends only on axes ``0..i``
+(the basis is lower triangular), so the early steps work on small
+arrays and only the last ones on the full grid; a diagonal period
+(``[4, 2]``) is one ``%`` per axis and a broadcast sum.  The key grid
+serves any table on the same period with one gather each — slots and
+shape ids of a streamed slab share one reduction.
 """
 
 from __future__ import annotations
@@ -59,6 +68,12 @@ class CosetTable:
         values: one integer per canonical coset representative — a slot
             number, a prototile index, a cover-entry index...  Must cover
             every coset (tilings guarantee this by construction).
+
+    Point batches go through :meth:`lookup_array`; a whole box inside
+    the int64 bound through the box kernel, :meth:`box_keys` (reduced
+    keys on open grids, no point array).  ``key_values[keys]`` turns
+    keys into values, so tables on the same period
+    (:meth:`shares_reduction`) read one key grid.
     """
 
     def __init__(self, sublattice, values: Mapping[IntVec, int]):
@@ -79,11 +94,25 @@ class CosetTable:
             key = sum(r * s for r, s in zip(representative, strides))
             table[key] = value
         self.dimension = dimension
+        self._basis = tuple(tuple(column) for column in basis)
         self._diagonal = diagonal
         self._columns = [np.asarray(column, dtype=np.int64)
                          for column in basis]
         self._strides = np.asarray(strides, dtype=np.int64)
+        self._stride_list = strides
         self._table = np.asarray(table, dtype=np.int64)
+        self._table.setflags(write=False)
+
+    @property
+    def key_values(self) -> np.ndarray:
+        """The value of each reduced key (read-only): ``key_values[k]``
+        is the value of the coset whose reduced key is ``k``."""
+        return self._table
+
+    def shares_reduction(self, other: CosetTable) -> bool:
+        """True when ``other`` reduces by the same basis, so one key
+        grid serves both tables."""
+        return self._basis == other._basis
 
     # ------------------------------------------------------------------
     def value_of(self, point: Sequence[int]) -> int:
@@ -133,6 +162,45 @@ class CosetTable:
         canonical = self._sublattice.canonical_representative
         values = self._values
         return [values[canonical(p)] for p in points]
+
+    def box_keys(self, lo: Sequence[int], dims: Sequence[int]) -> np.ndarray:
+        """Reduced keys of the box with corner ``lo`` and extents
+        ``dims``, as an int64 grid of shape ``dims``.
+
+        The caller keeps the box inside ``|x| < 2**40`` (the bound of
+        the int64 kernel); ``key_values[box_keys(...)]`` is then the
+        box's :meth:`lookup_array` on the grid.  Each HNF step reduces
+        one coordinate on open grids, skipping the zero entries of its
+        column, so a coordinate's array only spans the axes it depends
+        on.
+        """
+        d = self.dimension
+        reduced = [np.arange(low, low + n, dtype=np.int64).reshape(
+                       [n if axis == i else 1 for axis in range(d)])
+                   for i, (low, n) in enumerate(zip(lo, dims))]
+        keys = None
+        for i in range(d):
+            diagonal = self._diagonal[i]
+            column = self._basis[i]
+            coordinate = reduced[i]
+            updates = [k for k in range(i + 1, d) if column[k]]
+            if updates:
+                quotient = (coordinate if diagonal == 1
+                            else coordinate // diagonal)
+                for k in updates:
+                    reduced[k] = reduced[k] - quotient * column[k]
+            if diagonal == 1:
+                continue  # the remainder is 0 and adds nothing
+            term = coordinate % diagonal
+            if self._stride_list[i] != 1:
+                term *= self._stride_list[i]
+            keys = term if keys is None else keys + term
+        dims = tuple(dims)
+        if keys is None:
+            return np.zeros(dims, dtype=np.int64)
+        if keys.shape != dims:  # an axis no key coordinate depends on
+            keys = np.broadcast_to(keys, dims)
+        return keys
 
     def _lookup_numpy(self, array) -> np.ndarray:
         reduced = array.astype(np.int64, copy=True)

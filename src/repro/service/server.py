@@ -71,7 +71,6 @@ from repro.service.errors import (
     ServiceClosedError,
     ServiceDeadlineError,
     ServiceOverloadError,
-    UnknownSessionError,
 )
 from repro.service.metrics import MetricsRecorder, ServiceMetrics
 from repro.service.store import SessionStore
@@ -188,6 +187,12 @@ class SchedulingService:
         self._started = False
         self._pending: dict[str, int] = {}
         self._pending_lock = threading.Lock()
+        # Enqueueing and the dispatcher's decision to exit take this
+        # lock, so no request can land in the queue after the
+        # dispatcher saw it empty and left (``_drained``).  The inline
+        # lane never takes it.
+        self._exit_lock = threading.Lock()
+        self._drained = False
         # The dispatcher must resolve ambient engine config (the
         # contextvar-scoped use_config overlay) the way the thread that
         # built the service does — a fresh thread starts with an empty
@@ -223,6 +228,8 @@ class SchedulingService:
         """
         self._closed = True
         if not self._started:
+            with self._exit_lock:
+                self._drained = True
             while True:
                 try:
                     request = self._queue.get_nowait()
@@ -377,16 +384,26 @@ class SchedulingService:
         with self._pending_lock:
             self._pending[session_id] = self._pending.get(session_id, 0) + 1
         request.reserved = True
-        try:
-            self._queue.put_nowait(request)
-        except Full:
-            self._unreserve(request)
-            self._metrics.bump("rejected.overload")
-            raise ServiceOverloadError(
-                f"admission queue is full ({self._max_queue} requests); "
-                f"{request.op!r} for session {session_id!r} rejected",
-                queue_depth=self._queue.qsize(),
-                max_queue=self._max_queue) from None
+        with self._exit_lock:
+            if self._drained:
+                # Admitted just as close() ran, after the dispatcher
+                # left: nothing would ever serve it.
+                self._unreserve(request)
+                self._metrics.bump("rejected.closed")
+                raise ServiceClosedError(
+                    f"service closed while admitting {request.op!r} for "
+                    f"session {session_id!r}")
+            try:
+                self._queue.put_nowait(request)
+            except Full:
+                self._unreserve(request)
+                self._metrics.bump("rejected.overload")
+                raise ServiceOverloadError(
+                    f"admission queue is full ({self._max_queue} "
+                    f"requests); {request.op!r} for session "
+                    f"{session_id!r} rejected",
+                    queue_depth=self._queue.qsize(),
+                    max_queue=self._max_queue) from None
 
     # -- run to completion on the caller's thread ----------------------
     def _run_inline(self, request: _Request, *,
@@ -423,8 +440,9 @@ class SchedulingService:
                     return False
                 else:
                     self._execute_run(session_id, session, [request])
-        except UnknownSessionError as error:  # a spilled session lost
-            self._fail(request, error)
+        except Exception as error:  # unknown, or a spill that won't restore
+            if not request.future.done():
+                self._fail(request, error)
         self._metrics.bump("batch.inline")
         return True
 
@@ -466,7 +484,13 @@ class SchedulingService:
         try:
             first = self._queue.get(timeout=0.05)
         except Empty:
-            return None if self._closed else []
+            if not self._closed:
+                return []
+            with self._exit_lock:
+                if self._queue.empty():
+                    self._drained = True
+                    return None
+            return []
         batch = [first]
         while len(batch) < self._max_batch:
             try:
@@ -502,9 +526,13 @@ class SchedulingService:
             try:
                 with self._store.lease(session_id) as session:
                     self._execute_run(session_id, session, run)
-            except UnknownSessionError as error:
+            except Exception as error:
+                # An unknown session, or a spilled one whose snapshot
+                # fails to restore (CorruptSessionError): the run fails
+                # typed and the dispatcher lives on.
                 for queued in run:
-                    self._fail(queued, error)
+                    if not queued.future.done():
+                        self._fail(queued, error)
 
     def _execute_run(self, session_id: str, session: Session,
                      run: list[_Request]) -> None:

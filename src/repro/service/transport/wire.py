@@ -201,8 +201,26 @@ def _decode_points(data: Any) -> list[tuple[int, ...]]:
 
 
 def _decode_int(value: Any) -> int:
-    """One integer (a slot) from JSON, under the coordinate rule."""
-    return _decode_points([[value]])[0][0]
+    """One integer (a slot, a count) from JSON, under the coordinate
+    rule: ``"3"``, ``1.5`` and ``true`` are a :class:`TransportError`."""
+    if type(value) is int:
+        return value
+    return _decode_ints([value])[0]
+
+
+def _decode_ints(values: Any) -> list[int]:
+    """A JSON list of integers under the coordinate rule.
+
+    One type pass accepts the plain-int list every encoder sends; any
+    other element goes through ``as_intvec``, which converts integral
+    floats exactly and refuses the rest.
+    """
+    if type(values) is list and set(map(type, values)) <= {int}:
+        return values
+    try:
+        return list(as_intvec(values))
+    except TypeError as error:
+        raise TransportError(f"malformed integer: {error}") from None
 
 
 def encode_window(window: Any) -> dict[str, Any] | None:
@@ -411,11 +429,16 @@ def _decode_payload(op: str, payload: dict[str, Any]) -> dict[str, Any]:
     if op == "verify":
         offsets = payload.get("offsets")
         chunk = payload.get("stream_chunk")
+        use_cache = payload.get("use_cache", True)
+        if type(use_cache) is not bool:  # "false" is not True
+            raise TransportError(
+                f"use_cache must be a JSON boolean, got {use_cache!r}")
         return {"window": decode_window(payload.get("window")),
                 "offsets": (None if offsets is None
                             else _decode_points(offsets)),
-                "use_cache": bool(payload.get("use_cache", True)),
-                "stream_chunk": None if chunk is None else int(chunk)}
+                "use_cache": use_cache,
+                "stream_chunk": (None if chunk is None
+                                 else _decode_int(chunk))}
     if op == "restrict":
         return {"window": decode_window(payload.get("window"))}
     if op == "edit":
@@ -478,34 +501,52 @@ def encode_result(result: Any) -> dict[str, Any]:
 
 
 def decode_result(data: dict[str, Any]) -> Any:
-    """A response body back into the typed value the service returned."""
+    """A response body back into the typed value the service returned.
+
+    Integers (slots, counts) follow the coordinate rule, as on the
+    request side.
+
+    Raises:
+        TransportError: for an unknown kind, a missing field or a value
+            of the wrong type.
+    """
+    try:
+        return _decode_result(data)
+    except TransportError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
+        raise TransportError(
+            f"malformed response body: {error!r}") from error
+
+
+def _decode_result(data: dict[str, Any]) -> Any:
     kind = data.get("kind")
     if kind == "assign":
         return SlotAssignment(
             points=_decode_points(data["points"]),
-            slots=[int(slot) for slot in data["slots"]],
-            num_slots=int(data["num_slots"]))
+            slots=_decode_ints(data["slots"]),
+            num_slots=_decode_int(data["num_slots"]))
     if kind == "verify":
         return VerificationReport(
             collisions=tuple(
                 (tuple(_decode_points(pair)[0]),
                  tuple(_decode_points(pair)[1]))
                 for pair in data["collisions"]),
-            window_size=int(data["window_size"]),
+            window_size=_decode_int(data["window_size"]),
             source=data["source"],
-            checked_points=int(data["checked_points"]),
-            cache_hits=int(data["cache_hits"]),
-            cache_misses=int(data["cache_misses"]),
-            workers=int(data["workers"]))
+            checked_points=_decode_int(data["checked_points"]),
+            cache_hits=_decode_int(data["cache_hits"]),
+            cache_misses=_decode_int(data["cache_misses"]),
+            workers=_decode_int(data["workers"]))
     if kind == "edit":
-        return EditAck(points_changed=int(data["points_changed"]),
-                       num_slots=int(data["num_slots"]))
+        return EditAck(points_changed=_decode_int(data["points_changed"]),
+                       num_slots=_decode_int(data["num_slots"]))
     if kind == "restrict":
-        return RestrictAck(window_size=int(data["window_size"]),
-                           num_slots=int(data["num_slots"]))
+        return RestrictAck(window_size=_decode_int(data["window_size"]),
+                           num_slots=_decode_int(data["num_slots"]))
     if kind == "load":
         return LoadAck(session_id=data["session_id"],
-                       num_slots=int(data["num_slots"]))
+                       num_slots=_decode_int(data["num_slots"]))
     if kind == "metrics":
         return ServiceMetrics.from_dict(data["data"])
     if kind == "save":

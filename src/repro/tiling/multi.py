@@ -185,6 +185,13 @@ class MultiTiling:
         table = self._cover_table()
         return self._entry_kinds[table.lookup_array(points)]
 
+    def prototile_key_table(self) -> tuple[CosetTable, np.ndarray]:
+        """The cover coset table and the prototile index of each of its
+        reduced keys: ``kinds[table.box_keys(...)]`` classifies a whole
+        box (:meth:`CosetTable.box_keys`)."""
+        table = self._cover_table()
+        return table, self._entry_kinds[table.key_values]
+
     def coset_structure(self) -> tuple[Sublattice, dict[IntVec, IntVec]]:
         """Period sublattice plus the representative -> cell map.
 

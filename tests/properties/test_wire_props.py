@@ -16,7 +16,10 @@ Three contracts, for arbitrary input:
 * **exact coordinates** — a coordinate that is not an integer (a
   boolean, a non-integral float, a string) is refused with a typed
   error wherever a point crosses the wire, never rounded or parsed into
-  the slot of another point.
+  the slot of another point;
+* **exact scalars** — the same rule holds for ``stream_chunk`` and for
+  the slots and counts of a response, and ``use_cache`` must be a JSON
+  boolean (``"false"`` is not ``True``).
 
 Coordinates stay small: a legitimately huge window is real work for
 the engine, not a decoder fault, and these properties are about the
@@ -37,8 +40,10 @@ from repro.service import SchedulingService, SessionStore
 from repro.service.transport import (
     ServiceSink,
     TransportError,
+    decode_request,
     decode_result,
     encode_request,
+    encode_result,
     read_frame,
     write_frame,
 )
@@ -286,3 +291,85 @@ class TestExactCoordinates:
     def test_client_refuses_to_encode_a_bad_coordinate(self, pts):
         with pytest.raises(TypeError):
             encode_request("assign", "s", {"points": pts})
+
+
+#: JSON values that are not a boolean: each must be refused as use_cache.
+not_booleans = json_values.filter(lambda value: type(value) is not bool)
+
+
+def _verify_frame(**payload):
+    return {"op": "verify", "session_id": "s", "payload": payload}
+
+
+def _results_with_a_bad_integer(draw_bad, field):
+    """An encoded response with one integer field replaced."""
+    session = make_session()
+    if field in ("slots", "num_slots"):
+        body = encode_result(session.assign([(0, 0), (1, 2)]))
+    else:
+        body = encode_result(session.verify())
+    if field == "slots":
+        body["slots"][1] = draw_bad
+    else:
+        body[field] = draw_bad
+    return body
+
+
+class TestExactScalars:
+    """Flags and integers are refused, never coerced, in both directions."""
+
+    @given(not_booleans)
+    @settings(**SETTINGS)
+    @example("false")
+    @example(0)
+    @example(None)
+    def test_use_cache_must_be_a_boolean(self, value):
+        with pytest.raises(TransportError):
+            decode_request(_verify_frame(use_cache=value))
+
+    @given(st.booleans())
+    @settings(**SETTINGS)
+    def test_a_boolean_use_cache_is_kept(self, value):
+        decoded = decode_request(_verify_frame(use_cache=value))
+        assert decoded["payload"]["use_cache"] is value
+
+    @given(bad_coordinates | st.lists(small_ints, max_size=2)
+           | st.dictionaries(st.text(max_size=2), small_ints, max_size=1))
+    @settings(**SETTINGS)
+    @example(1.5)
+    @example("1024")
+    @example(True)
+    def test_stream_chunk_follows_the_coordinate_rule(self, value):
+        with pytest.raises(TransportError):
+            decode_request(_verify_frame(stream_chunk=value))
+
+    @given(st.integers(1, 10**6), st.booleans())
+    @settings(**SETTINGS)
+    def test_integral_stream_chunk_is_exact(self, chunk, as_float):
+        value = float(chunk) if as_float else chunk
+        decoded = decode_request(_verify_frame(stream_chunk=value))
+        assert decoded["payload"]["stream_chunk"] == chunk
+        assert type(decoded["payload"]["stream_chunk"]) is int
+
+    @given(bad_coordinates,
+           st.sampled_from(["slots", "num_slots", "window_size",
+                            "checked_points", "cache_hits", "workers"]))
+    @settings(**SETTINGS)
+    @example("3", "slots")
+    @example(1.5, "slots")
+    @example(True, "slots")
+    @example("9", "num_slots")
+    def test_result_integers_are_refused_not_coerced(self, bad, field):
+        body = _results_with_a_bad_integer(bad, field)
+        with pytest.raises(TransportError):
+            decode_result(body)
+
+    @given(st.sampled_from(["slots", "num_slots", "window_size"]))
+    @settings(**SETTINGS)
+    def test_result_missing_field_is_typed(self, field):
+        session = make_session()
+        body = (encode_result(session.assign([(0, 0)]))
+                if field != "window_size" else encode_result(session.verify()))
+        del body[field]
+        with pytest.raises(TransportError):
+            decode_result(body)

@@ -19,6 +19,7 @@ from repro.core.schedule import (
     verify_collision_free,
 )
 from repro.core.theorem1 import schedule_from_prototile
+from repro.engine.collisions import scan_collisions, scan_collisions_touching
 from repro.scenarios.reference import reference_collisions
 from repro.tiles.shapes import chebyshev_ball, rectangle_tile
 from repro.utils.vectors import box_points
@@ -30,10 +31,18 @@ def _neighborhood(point):
     return _TILE.translate(point)
 
 
-def _tiled_mapping(side):
+_CUBE = chebyshev_ball(1, 3)
+
+
+def _cube_neighborhood(point):
+    return _CUBE.translate(point)
+
+
+def _tiled_mapping(side, tile=_TILE):
     """A collision-free MappingSchedule copied from the tiling schedule."""
-    base = schedule_from_prototile(_TILE)
-    points = list(box_points((0, 0), (side - 1, side - 1)))
+    base = schedule_from_prototile(tile)
+    points = list(box_points((0,) * tile.dimension,
+                             (side - 1,) * tile.dimension))
     return points, MappingSchedule(dict(zip(points, base.slots_of(points))))
 
 
@@ -134,18 +143,20 @@ class TestVerificationCache:
 
     def test_random_edit_sequences_match_full_rescan(self, scan_lane):
         rng = random.Random(91)
-        points, schedule = _tiled_mapping(12)
-        cache = VerificationCache(schedule, points, _neighborhood)
-        current = schedule
-        for _ in range(40):
-            edits = {rng.choice(points): rng.randrange(9)
-                     for _ in range(rng.randrange(1, 5))}
-            delta = current.with_updates(edits)
-            assert cache.apply(delta) == find_collisions(
-                delta.schedule, points, _neighborhood)
-            current = delta.schedule
-        assert cache.collisions() == reference_collisions(
-            points, current.slot_of, _neighborhood)
+        cases = [(*_tiled_mapping(12), _neighborhood, 9),
+                 (*_tiled_mapping(5, _CUBE), _cube_neighborhood, 27)]
+        for points, schedule, neighborhood, num_slots in cases:
+            cache = VerificationCache(schedule, points, neighborhood)
+            current = schedule
+            for _ in range(40):
+                edits = {rng.choice(points): rng.randrange(num_slots)
+                         for _ in range(rng.randrange(1, 5))}
+                delta = current.with_updates(edits)
+                assert cache.apply(delta) == find_collisions(
+                    delta.schedule, points, neighborhood)
+                current = delta.schedule
+            assert cache.collisions() == reference_collisions(
+                points, current.slot_of, neighborhood)
 
     def test_handmade_delta_is_honored(self):
         # Any code constructing deltas by hand gets the same fast lane,
@@ -321,3 +332,63 @@ class TestDegenerateScanParity:
         degenerate = find_collisions(edited, window, _neighborhood)
         assert degenerate == bulk
         assert bulk  # the differential saw real collisions
+
+
+class _CountingIndex(dict):
+    """A point index that counts its ``get`` probes."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+class TestTouchingScan:
+    """The dirty-region rescan is the full scan filtered to edited ends."""
+
+    @pytest.mark.parametrize("num_shapes", [1, 3, 40])
+    def test_equals_the_filtered_full_scan(self, num_shapes):
+        rng = random.Random(num_shapes)
+        box = list(box_points((0, 0), (7, 7)))
+        for _ in range(20):
+            # duplicates, few slots (many equal pairs), random shapes
+            points = box + rng.sample(box, 6)
+            slot_of = {p: rng.randrange(3) for p in box}
+            shape_of = {p: rng.randrange(num_shapes) for p in box}
+            shapes = [frozenset({(0, 0)} | {(rng.randint(-1, 1),
+                                            rng.randint(-1, 1))
+                                           for _ in range(3)})
+                      for _ in range(num_shapes)]
+            offsets = sorted({(a - c, b - d) for a, b in [(0, 0), (1, 1)]
+                              for c, d in [(-1, 1), (1, -1), (0, 0)]}
+                             | {(0, 1), (1, 0), (2, 2)})
+            slots = [slot_of[p] for p in points]
+            shape_ids = [shape_of[p] for p in points]
+            touched = set(rng.sample(box, rng.randint(1, 10)))
+            touched.add((9, 9))  # outside the window: ignored
+            full = scan_collisions(points, slots, shape_ids, shapes,
+                                   offsets)
+            want = [pair for pair in full
+                    if pair[0] in touched or pair[1] in touched]
+            assert scan_collisions_touching(
+                points, slots, shape_ids, shapes, offsets,
+                touched) == want
+
+    def test_probes_two_neighbours_per_offset(self):
+        points, schedule = _tiled_mapping(12)
+        index_of = _CountingIndex()
+        occurrences = _CountingIndex()
+        for i, point in enumerate(points):
+            index_of.setdefault(point, i)
+            occurrences.setdefault(point, []).append(i)
+        offsets = sorted({(a, b) for a in range(-2, 3)
+                          for b in range(-2, 3)} - {(0, 0)})
+        positive = [delta for delta in offsets if delta > (0, 0)]
+        scan_collisions_touching(
+            points, schedule.slots_of(points), [0] * len(points),
+            [_TILE.cells], offsets, {(5, 5)}, index_of, occurrences)
+        # one lookup of the edited point, then one forward and one
+        # backward neighbour per positive offset
+        assert index_of.probes == 1 + len(positive)
+        assert occurrences.probes == len(positive)

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.api import Box, Session
+from repro.core.serialize import CorruptSessionError
 from repro.service import (
     EditAck,
     LoadAck,
@@ -302,6 +303,52 @@ class TestAdmissionControl:
         svc.close()
         with pytest.raises(ServiceClosedError):
             future.result(timeout=10)
+
+    def test_request_admitted_while_close_runs_is_answered(self):
+        """Admission and close() race: the request passed the closed
+        check, then the dispatcher saw an empty queue and exited before
+        the request was queued.  It must get a typed answer, not a
+        future nothing will ever complete."""
+        svc = SchedulingService(SessionStore(), max_queue=16)
+        svc.open_session("s", make_tiling_session())
+        admit = svc._admit
+
+        def admit_then_close(*args):
+            request = admit(*args)
+            svc.close()  # the dispatcher drains an empty queue and exits
+            return request
+
+        svc._admit = admit_then_close
+        with pytest.raises(ServiceClosedError):
+            svc.submit("assign", "s", {"points": [(0, 0)]}).result(
+                timeout=5)
+        assert svc.metrics().counter("rejected.closed") == 1
+
+    def test_session_that_fails_to_restore_fails_typed(self):
+        """A spilled session whose snapshot no longer restores fails its
+        requests with CorruptSessionError, on both lanes, and the
+        dispatcher keeps serving every other session."""
+        store = SessionStore()
+        svc = SchedulingService(store, max_queue=16)
+        try:
+            svc.open_session("bad", make_tiling_session())
+            svc.open_session("good", make_tiling_session())
+            assert store.evict("bad")
+            store._records["bad"].envelope = "{truncated"
+            queued = svc.submit("assign", "bad", {"points": [(0, 0)]})
+            with pytest.raises(CorruptSessionError):
+                queued.result(timeout=5)
+            with pytest.raises(CorruptSessionError):
+                svc.assign("bad", [(0, 0)])  # the inline lane
+            direct = make_tiling_session().assign([(1, 2)])
+            served = svc.submit("assign", "good",
+                                {"points": [(1, 2)]}).result(timeout=5)
+            assert canonical_slots(served) == canonical_slots(direct)
+            assert canonical_slots(svc.assign("good", [(1, 2)])) \
+                == canonical_slots(direct)
+            assert svc.metrics().counter("assign.failed") == 2
+        finally:
+            svc.close()
 
     def test_saturation_never_hangs_or_drops(self):
         """Every submit either returns a future that resolves, or raises
