@@ -1,15 +1,15 @@
 """Fault layer: the unarmed injection seams must cost nothing measurable.
 
 The injection seams (``repro.faults.injection.active_plan`` consulted by
-the collision scan, the shard workers and the simulator step loop) sit
-on the hottest engine paths.  Unarmed, each seam is one module-attribute
+the collision scan dispatch and the simulator step loop) sit on the
+hottest engine paths.  Unarmed, each seam is one module-attribute
 load compared against ``None``; this benchmark pins that claim with a
 row in ``BENCH_scaling.json``.
 
 Measurement: a mixed workload (a full collision scan plus a random-MAC
 simulation — both seam-bearing paths) timed interleaved, once with the
 fault layer unarmed and once with an armed *inert* plan (all rates zero,
-no worker/kernel sites).  The armed-inert run executes a strict superset
+no kernel-failure budget).  The armed-inert run executes a strict superset
 of the unarmed run's work — every seam additionally loads the plan and
 checks its site fields — so gating the relative difference bounds the
 seam cost from above.

@@ -17,7 +17,8 @@ Quickstart (the typed facade)::
 Engine configuration is one explicit, typed value — ``EngineConfig(
 workers=4)`` — passed per session or simulator, or installed for a
 block with :func:`use_config`; the ``REPRO_ENGINE_WORKERS`` env var
-keeps working as a lazily-resolved fallback.  The worker count is the
+keeps working as a lazily-resolved fallback.  The worker count — how
+many threads of the engine's one shard pool a kernel may use — is the
 engine's only knob: it changes how fast an answer comes, never the
 answer.  The engine runs on numpy (a hard dependency); the test
 suite holds it to the brute-force reference in

@@ -14,7 +14,7 @@ pairs.
 
 Verification comes in three speeds.  :func:`find_collisions` /
 :func:`verify_collision_free` rescan a whole window (on the bulk
-engine, sharded across worker processes when enabled).  Under *churn* —
+engine, sharded across the engine's threads when enabled).  Under *churn* —
 repeated small edits to a schedule — a :class:`VerificationCache`
 tracks one window and, given the :class:`ScheduleDelta` describing an
 edit (:meth:`MappingSchedule.with_updates`), re-verifies only the dirty
@@ -544,8 +544,8 @@ def find_collisions(schedule: Schedule,
     interference ranges intersect — the exact condition the paper's
     schedules must avoid.  The scan runs on the bulk engine
     (:mod:`repro.engine.collisions`): vectorized with numpy, sharded
-    across worker processes when enabled, with identical results on
-    every path.
+    across the engine's thread pool when enabled, with identical
+    results on every path.
 
     Args:
         schedule: slot assignment to check.

@@ -26,10 +26,10 @@ brute-force reference in :mod:`repro.scenarios.reference`.
   grid for dense windows, sorted keys for the rest), plus the
   dirty-region rescan primitive behind incremental verification.
 * :mod:`repro.engine.parallel` — the multi-core sharding layer: worker
-  resolution (``REPRO_ENGINE_WORKERS``), shard planning, and a
-  fork-friendly process-pool runner.  Sharded kernels are required to
-  return bit-identical results for any worker count; serial stays the
-  default and the reference.
+  resolution (``REPRO_ENGINE_WORKERS``), shard planning, and one
+  persistent thread pool that runs the shards.  Sharded kernels are
+  required to return bit-identical results for any worker count;
+  serial stays the default and the reference.
 * :mod:`repro.engine.simindex` — CSR-style receiver adjacency over dense
   integer ids, the data structure behind the simulator fast path.
 * :mod:`repro.engine.randmac` — bulk decision kernels for the random MAC

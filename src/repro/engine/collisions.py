@@ -31,8 +31,8 @@ paths; no option does:
 Two scaling layers sit on top of the serial scan:
 
 * **Sharding** (:mod:`repro.engine.parallel`): with workers enabled,
-  large scans shard the *offset* axis across processes (each worker
-  inherits the grids or the presorted key arrays copy-on-write).
+  large scans shard the *offset* axis across the engine's thread pool
+  (every shard reads the same grids or presorted key arrays).
   Merging is concatenation followed by the same canonical sort, so the
   result is bit-identical for any worker count.
 * **Dirty-region rescans** (:func:`scan_collisions_touching`): after a
@@ -91,9 +91,16 @@ class EngineDegradedWarning(RuntimeWarning):
 #: rescans build difference sets per pair, on demand.
 _MAX_SHAPE_CLASSES = 32
 
-#: (points x offsets) probes below which a scan stays serial even when
-#: workers are enabled — process dispatch costs more than the scan.
-_MIN_PARALLEL_PROBES = 1 << 16
+#: (points x offsets) probes below which a sorted-key scan stays serial
+#: even when workers are enabled: on 2 threads it is slower at 2^14
+#: probes and faster from 2^15.
+_MIN_PARALLEL_PROBES = 1 << 15
+
+#: Box cells below which a stencil scan stays serial even when workers
+#: are enabled.  A stencil pass costs far less per cell than a sorted
+#: probe, so the cut-off counts grid cells: on 2 threads the scan is
+#: slower below about 2^16 cells, for any radius or dimension tried.
+_MIN_PARALLEL_GRID = 1 << 16
 
 #: Slot comparisons per block of stencil offset passes: large enough
 #: that a small grid runs all its offsets in one block, small enough
@@ -375,8 +382,7 @@ class StencilPlan:
         payload = (slots, shapes, self._tables.allowed, passes, limit)
         workers = shard_workers()
         spans = [(0, len(passes))]
-        if workers > 1 \
-                and math.prod(self.dims) * len(passes) >= _MIN_PARALLEL_PROBES:
+        if workers > 1 and math.prod(self.dims) >= _MIN_PARALLEL_GRID:
             spans = plan_shards(len(passes), workers)
         if len(spans) > 1:
             parts = run_sharded(_dense_shard, payload, spans, workers)
@@ -453,8 +459,8 @@ def _scan_dense(batch, slots, shape_ids, tables, offsets):
 def _numpy_shard(payload, span):
     """Offset passes ``span[0]..span[1]-1`` over presorted keys.
 
-    Returns index pairs (not point tuples) so worker results stay small;
-    the driver resolves them against the original window.
+    Returns index pairs (not point tuples); the driver resolves them
+    against the original window.
     """
     keys, sorted_keys, order, slot_arr, shape_arr, allowed, offset_keys = \
         payload
@@ -496,8 +502,8 @@ def _scan_sorted(batch, slots, shape_ids, tables, offsets):
                tables.allowed, offset_keys)
     workers = shard_workers()
     if workers > 1 and len(batch) * len(offsets) >= _MIN_PARALLEL_PROBES:
-        # Each worker inherits the presorted key arrays (copy-on-write
-        # under fork) and runs only its span of offset passes.
+        # Each shard reads the shared presorted key arrays and runs only
+        # its span of offset passes.
         spans = plan_shards(len(offsets), workers)
         if len(spans) > 1:
             parts = run_sharded(_numpy_shard, payload, spans, workers)

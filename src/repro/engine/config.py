@@ -3,7 +3,8 @@
 A sensor's slot depends only on which coset of the tiling lattice it
 sits in, so no engine setting may change an answer.  The one setting
 that earns its place is how many cores compute it: the shard worker
-count.  :class:`EngineConfig` carries it as a typed, validated value
+count, the number of threads of the engine's shard pool one kernel
+call may use.  :class:`EngineConfig` carries it as a typed, validated value
 that sessions, simulators and wire envelopes pass around.
 
 :func:`repro.engine.parallel.shard_workers` resolves the count in one
@@ -15,6 +16,9 @@ place, in this order:
 2. the innermost :func:`use_config` block,
 3. ``REPRO_ENGINE_WORKERS``, re-read lazily at resolution time,
 4. ``1`` — serial.
+
+Each thread of the shard pool pins its own scoped count to ``1`` when
+it starts, so a kernel that shards again runs serially.
 
 The module lives in :mod:`repro.engine` so that the engine and the
 network simulator can accept ``config=`` parameters without importing
@@ -93,7 +97,7 @@ def use_config(config: EngineConfig | None) -> Iterator[None]:
     """Install a config for a block (sessions, tests, CI legs, requests).
 
     Context-local: the install is visible to the current thread or task
-    (and to anything it forks) but never to concurrently running ones.
+    but never to concurrently running ones.
     A config without a worker count, or ``None``, installs nothing and
     leaves the enclosing block or the env var in charge — which is how
     sessions and simulators enter their own config around every call.

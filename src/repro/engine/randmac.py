@@ -19,8 +19,8 @@ agree bit-for-bit with the scalar implementation.
 Because each cell is a pure function of ``(seed, sensor, slot)``, the
 sensor axis shards freely: the ``*_range`` variants evaluate only
 sensors ``lo..hi-1``, and the public block functions dispatch large
-windows across worker processes (:mod:`repro.engine.parallel`) and
-reassemble the columns — the merged matrix is identical to the serial
+windows across the engine's shard threads (:mod:`repro.engine.parallel`)
+and reassemble the columns — the merged matrix is identical to the serial
 one for any worker count.
 """
 
@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 #: Decision cells (sensors x slots) below which a block stays serial
-#: even when workers are enabled — process dispatch costs more than the
-#: kernel below this size.
+#: even when workers are enabled: on 2 threads a block is flat at 2^15
+#: cells and faster from 2^16.
 _MIN_PARALLEL_CELLS = 1 << 16
 
 
@@ -58,8 +58,8 @@ def _np_mix64(x):
 # The per-sensor base hashes depend only on (root, lo, hi), not on the
 # slot window, so carrier-sensing protocols — dispatched one slot at a
 # time — reuse them across every slot of a simulation instead of
-# rehashing sensor ids per call, and each shard worker caches the bases
-# for its own sensor span.  Cached arrays are never mutated.
+# rehashing sensor ids per call, and each shard caches the bases for
+# its own sensor span.  Cached arrays are never mutated.
 @lru_cache(maxsize=32)
 def _np_bases(root: int, lo: int, hi: int):
     with np.errstate(over="ignore"):
@@ -90,10 +90,10 @@ def bernoulli_block_range(rng: StreamRNG, lo: int, hi: int,
 
 
 # ----------------------------------------------------------------------
-# Sharded dispatch: split the sensor axis across worker processes.
+# Sharded dispatch: split the sensor axis across shard threads.
 # ----------------------------------------------------------------------
 def _block_shard(payload, span):
-    """One sensor-span shard of a decision block (runs in a worker)."""
+    """One sensor-span shard of a decision block (runs on a shard thread)."""
     rng, t0, t1, mode, p, muted = payload
     lo, hi = span
     if mode == "uniform":
@@ -108,9 +108,9 @@ def _dispatch_block(rng: StreamRNG, num_streams: int, t0: int, t1: int,
                     mode: str, p: float, muted):
     workers = shard_workers()
     # Single-slot windows never shard: carrier-sensing protocols request
-    # one of these per simulated slot, and paying a process-pool spawn
-    # per slot to split a one-row kernel is strictly slower than serial
-    # no matter how many sensors the row holds.
+    # one of these per simulated slot, and paying a pool handoff per
+    # slot to split a one-row kernel is slower than serial for the
+    # sensor counts a simulation holds.
     if (workers > 1 and t1 - t0 > 1
             and num_streams * (t1 - t0) >= _MIN_PARALLEL_CELLS):
         spans = plan_shards(num_streams, workers)

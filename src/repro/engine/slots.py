@@ -40,13 +40,14 @@ from repro.utils.vectors import IntVec
 __all__ = ["CosetTable"]
 
 #: Batch sizes below this stay serial even with workers enabled — the
-#: reduction is a handful of array passes, so only very large windows
-#: amortize a process pool.
+#: reduction is a handful of array passes: on 2 threads an int64 batch
+#: gains from 2^14 points, a tuple batch (whose conversion stays
+#: serial) breaks even from 2^15.
 _MIN_PARALLEL_POINTS = 1 << 15
 
 
 def _lookup_shard(payload, span):
-    """Serial lookup of one row span (runs in a worker process)."""
+    """Serial lookup of one row span (runs on a shard thread)."""
     table, rows, reducible = payload
     lo, hi = span
     return table._lookup_rows(rows[lo:hi], reducible)
@@ -132,8 +133,8 @@ class CosetTable:
         """Values for a batch of points, as an int64 array.
 
         Falls back to the exact path for batches the int64 kernel
-        cannot represent.  Very large batches shard across worker
-        processes when workers are enabled
+        cannot represent.  Large batches shard across the engine's
+        thread pool when workers are enabled
         (:mod:`repro.engine.parallel`); the rows partition, so the
         concatenated shard outputs equal the serial answer exactly.
         """

@@ -28,14 +28,12 @@ from repro.faults.plan import (
     FaultPlan,
     InjectedFault,
     InjectedKernelFault,
-    InjectedWorkerCrash,
 )
 
 __all__ = [
     "FaultPlan",
     "InjectedFault",
     "InjectedKernelFault",
-    "InjectedWorkerCrash",
     "active_plan",
     "arm_plan",
     "disarm_plan",

@@ -26,8 +26,8 @@ def plan_for_spec(spec: Any, **overrides: Any) -> FaultPlan:
     Reads the spec's ``fault_seed`` / ``fault_byzantine`` /
     ``fault_flaky`` fields (the percentages become probabilities);
     keyword overrides replace any :class:`FaultPlan` field, letting the
-    chaos oracle additionally arm the resilience-only sites (worker
-    kill, numpy kernel failures) that the spec itself does not carry.
+    chaos oracle additionally arm the resilience-only site (numpy
+    kernel failures) that the spec itself does not carry.
     """
     knobs: dict[str, Any] = {
         "seed": spec.fault_seed,

@@ -2,8 +2,8 @@
 
 The armed :class:`~repro.faults.plan.FaultPlan` (plus its per-arming
 counters) lives in an :class:`_Arming` holder; the seams in
-:mod:`repro.engine.parallel`, :mod:`repro.engine.collisions` and
-:mod:`repro.net.simulator` read it through :func:`active_plan`.  Two
+:mod:`repro.engine.collisions` and :mod:`repro.net.simulator` read it
+through :func:`active_plan`.  Two
 stores back it: the imperative :func:`arm_plan`/:func:`disarm_plan`
 API arms the *process* (one global slot, visible to every thread),
 while the scoped :func:`use_plan` arms the *calling context* (a
@@ -16,11 +16,10 @@ load against ``None`` — no allocation, no draw, no call into the plan —
 which is what keeps the fault layer free when nothing is armed (gated
 by the ``fault-injection/overhead-unarmed`` benchmark row).
 
-Worker processes started by ``fork`` inherit the forking thread's
-context (and the globals) at fork time, so a plan armed in the parent
-injects inside shard workers too; the per-arming counters live in the
-parent only (the numpy-failure budget is decremented where the kernel
-dispatch happens).
+Every seam runs in the calling thread, before any work is sharded:
+the numpy-failure budget is consumed where the collision kernel is
+dispatched, so shard threads of the engine pool (which start with a
+fresh context) never need to see the plan.
 """
 
 from __future__ import annotations
@@ -100,8 +99,8 @@ def use_plan(plan: FaultPlan) -> Iterator[FaultPlan]:
     The canonical way tests and the chaos oracle inject: the plan is
     guaranteed disarmed (or the outer plan restored) on exit, so no
     fault leaks past the block even when it raises.  Context-local —
-    the arming is visible to the current thread/task and to shard
-    workers forked under it, never to concurrently running contexts.
+    the arming is visible to the current thread or task, never to
+    concurrently running contexts.
     """
     token = _armed_override.set(_Arming(plan))
     try:

@@ -1,17 +1,18 @@
 """The deterministic :class:`FaultPlan`: every fault a counter-rng value.
 
 A fault plan describes *which* faults to inject — byzantine slot
-reports, per-round flaky transmitters, shard-worker crashes and hangs,
-mid-call numpy kernel failures — as a frozen value whose every decision
-is a pure function of ``(seed, site, draw)`` through the counter-based
+reports, per-round flaky transmitters, mid-call numpy kernel failures
+— as a frozen value whose every decision is a pure function of
+``(seed, site, draw)`` through the counter-based
 :class:`repro.utils.rng.StreamRNG`.  Nothing is consumed and nothing
 advances: the same plan replayed over the same workload injects the
-very same faults, for any worker count, in any call order.  That is what lets the chaos oracle compare a faulted
-run against the fault-free reference and demand a deterministic
-verdict (masked, or detected-and-repaired) instead of a flaky one.
+very same faults, for any worker count, in any call order.  That is
+what lets the chaos oracle compare a faulted run against the
+fault-free reference and demand a deterministic verdict (masked, or
+detected-and-repaired) instead of a flaky one.
 
-Sites are *named* (``"byzantine"``, ``"flaky"``, ``"worker"``,
-``"numpy"``); each name addresses its own counter stream via
+Sites are *named* (``"byzantine"``, ``"flaky"``, ``"numpy"``); each
+name addresses its own counter stream via
 :func:`repro.utils.rng.label_stream`, so adding a site never shifts the
 draws of the existing ones — exactly the scheme the scenario
 generators use for their field-keyed draws.
@@ -28,17 +29,12 @@ from repro.utils.vectors import IntVec
 __all__ = [
     "FaultPlan",
     "InjectedFault",
-    "InjectedWorkerCrash",
     "InjectedKernelFault",
 ]
 
 
 class InjectedFault(RuntimeError):
     """Base class for every deliberately injected failure."""
-
-
-class InjectedWorkerCrash(InjectedFault):
-    """A shard worker made to crash by an armed :class:`FaultPlan`."""
 
 
 class InjectedKernelFault(InjectedFault):
@@ -51,8 +47,9 @@ class FaultPlan:
 
     Every rate/choice below is evaluated through the plan's own
     :class:`StreamRNG` keyed by a per-site stream label, so injected
-    faults replay identically across worker counts and call orders.  A field left at its default injects nothing at that site;
-    an all-default plan is inert (arming it changes no observable
+    faults replay identically across worker counts and call orders.
+    A field left at its default injects nothing at that site; an
+    all-default plan is inert (arming it changes no observable
     behavior).
 
     Attributes:
@@ -62,19 +59,6 @@ class FaultPlan:
             slot with a uniformly drawn wrong one.
         flaky: per-``(sensor, slot)`` probability that a scheduled
             transmission is silently dropped by the simulator seam.
-        kill_shard: shard index whose worker raises
-            :class:`InjectedWorkerCrash` (``None`` disables).
-        kill_attempts: how many attempts of ``kill_shard`` crash before
-            the worker succeeds — ``1`` exercises the retry lane, a
-            large value exhausts retries and forces the serial-fallback
-            lane.
-        hang_shard: shard index whose worker sleeps ``hang_seconds``
-            per attempt (``None`` disables) — exercises the per-shard
-            timeout path.
-        hang_seconds: how long a hung worker sleeps per attempt.
-        shard_timeout: per-shard timeout (seconds) installed while this
-            plan is armed when the caller passes none — keeps a hung
-            worker bounded by timeout + backoff instead of blocking.
         numpy_failures: how many numpy collision-kernel calls fail with
             :class:`InjectedKernelFault` after arming (counted per
             armed plan) — exercises the degrade-to-exact path.
@@ -83,11 +67,6 @@ class FaultPlan:
     seed: int = 0
     byzantine: float = 0.0
     flaky: float = 0.0
-    kill_shard: int | None = None
-    kill_attempts: int = 1
-    hang_shard: int | None = None
-    hang_seconds: float = 0.5
-    shard_timeout: float = 0.1
     numpy_failures: int = 0
 
     def __post_init__(self) -> None:
@@ -96,13 +75,6 @@ class FaultPlan:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(
                     f"{name} must be a probability in [0, 1], got {rate!r}")
-        for name in ("hang_seconds", "shard_timeout"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        if self.kill_attempts < 1:
-            raise ValueError(
-                f"kill_attempts must be >= 1, got {self.kill_attempts!r}")
         if self.numpy_failures < 0:
             raise ValueError(
                 f"numpy_failures must be >= 0, got {self.numpy_failures!r}")
@@ -155,24 +127,8 @@ class FaultPlan:
         return [sensor for sensor in transmitters
                 if not self.drops_transmission(sensor, slot)]
 
-    # -- site: shard workers -------------------------------------------
-    def crashes_shard(self, shard: int, attempt: int) -> bool:
-        """True when this ``(shard, attempt)`` must crash its worker."""
-        return (self.kill_shard is not None and shard == self.kill_shard
-                and attempt < self.kill_attempts)
-
-    def hangs_shard(self, shard: int, attempt: int) -> bool:
-        """True when this ``(shard, attempt)`` must hang its worker."""
-        return self.hang_shard is not None and shard == self.hang_shard
-
-    @property
-    def wants_worker_faults(self) -> bool:
-        """True when any shard-worker site is active."""
-        return self.kill_shard is not None or self.hang_shard is not None
-
     @property
     def inert(self) -> bool:
         """True when arming this plan injects nothing anywhere."""
         return (self.byzantine == 0.0 and self.flaky == 0.0
-                and not self.wants_worker_faults
                 and self.numpy_failures == 0)

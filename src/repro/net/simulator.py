@@ -36,9 +36,8 @@ simulator to it slot by slot.
 With workers enabled (the simulator's ``config=``, an enclosing
 :func:`~repro.engine.config.use_config` block or ``REPRO_ENGINE_WORKERS``)
 large decision windows additionally shard their sensor axis across
-worker processes inside the randmac kernels, and the simulator widens
-the precomputed window to amortize the dispatch; because every decision
-is keyed by ``(seed, sensor, slot)``, the resulting
+the engine's thread pool inside the randmac kernels; because every
+decision is keyed by ``(seed, sensor, slot)``, the resulting
 :class:`SimulationMetrics` are bit-identical for any worker count.
 """
 
@@ -49,7 +48,6 @@ from collections import deque
 import numpy as np
 
 from repro.engine.config import EngineConfig, use_config
-from repro.engine.parallel import shard_workers
 from repro.faults.injection import active_plan as _active_plan
 from repro.net.energy import UNIT_TX_MODEL, EnergyModel
 from repro.net.metrics import SimulationMetrics
@@ -65,24 +63,6 @@ __all__ = ["BroadcastSimulator", "simulate", "compare_protocols"]
 #: for protocols that do not carrier-sense.  Purely a batching knob: the
 #: counter-based rng makes the results independent of the window size.
 _DECISION_WINDOW = 128
-
-#: Cap on (sensors x slots) cells per precomputed window when workers
-#: widen it — bounds the decision matrix to a few tens of MB.
-_MAX_DECISION_CELLS = 1 << 24
-
-
-def _decision_window_for(num_sensors: int) -> int:
-    """Window length for non-carrier-sense protocols.
-
-    With sharded decisions enabled, wider windows amortize the
-    per-window worker dispatch; the counter-based rng keeps results
-    identical for every window size, so this is purely a batching
-    decision derived from :func:`~repro.engine.parallel.shard_workers`.
-    """
-    window = _DECISION_WINDOW * shard_workers()
-    if num_sensors > 0:
-        window = min(window, _MAX_DECISION_CELLS // num_sensors)
-    return max(_DECISION_WINDOW, window)
 
 
 class BroadcastSimulator:
@@ -104,8 +84,8 @@ class BroadcastSimulator:
 
         ``config`` pins this simulator's worker count; without one (or
         with ``workers=None``) the enclosing resolution applies.  The
-        config is entered around construction and every :meth:`step`,
-        so the kernels the MAC protocols dispatch into see it too.
+        config is entered around every :meth:`step` and :meth:`run`, so
+        the kernels the MAC protocols dispatch into see it too.
         """
         require_positive(packet_interval, "packet_interval")
         self._config = config
@@ -157,11 +137,8 @@ class BroadcastSimulator:
         self._stream = StreamRNG(seed)
         if bulk_decisions:
             self._decision_block = protocol.decision_block
-            if protocol.uses_carrier_sense:
-                self._decision_window = 1
-            else:
-                with use_config(config):
-                    self._decision_window = _decision_window_for(self._n)
+            self._decision_window = (1 if protocol.uses_carrier_sense
+                                     else _DECISION_WINDOW)
         else:
             self._decision_block = (
                 lambda *args: MACProtocol.decision_block(protocol, *args))

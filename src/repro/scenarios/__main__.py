@@ -100,8 +100,6 @@ def main(argv: list[str] | None = None) -> int:
     chaos.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     chaos.add_argument("--count", type=int, default=4,
                        help="specs per family (indices 0..count-1)")
-    chaos.add_argument("--skip-exec-probe", action="store_true",
-                       help="skip the sharded execution-lane probe")
     chaos.add_argument("--json", metavar="PATH", default=None,
                        help="also write a JSON report")
 
@@ -210,7 +208,7 @@ def _run_service_command(parser, args) -> int:
 
 
 def _run_chaos_command(parser, args) -> int:
-    from repro.scenarios.chaos import run_chaos_corpus, run_exec_probe
+    from repro.scenarios.chaos import run_chaos_corpus
 
     families = args.families.split(",")
     unknown = [name for name in families if name not in FAMILIES]
@@ -222,19 +220,11 @@ def _run_chaos_command(parser, args) -> int:
 
     start = time.perf_counter()
     reports = run_chaos_corpus(specs)
-    probe_violations: list[str] = []
-    if not args.skip_exec_probe:
-        probe_violations = run_exec_probe()
     elapsed = time.perf_counter() - start
 
     for report in reports:
         print(report.summary())
-    for violation in probe_violations:
-        print(f"[FAIL] exec-probe\n  violation: {violation}")
-    if not args.skip_exec_probe and not probe_violations:
-        print("[OK] exec-probe: retry / serial-fallback / timeout lanes "
-              "all reproduced the serial reference")
-    failures = sum(not r.ok for r in reports) + len(probe_violations)
+    failures = sum(not r.ok for r in reports)
     masked = sum(r.ok and r.masked for r in reports)
     print(f"{len(reports)} spec(s) in {elapsed:.1f}s — {masked} masked, "
           f"{sum(r.ok and not r.masked for r in reports)} repaired, "
@@ -246,8 +236,6 @@ def _run_chaos_command(parser, args) -> int:
             "specs": len(reports),
             "masked": masked,
             "repaired": sum(r.ok and not r.masked for r in reports),
-            "exec_probe": ("skipped" if args.skip_exec_probe
-                           else "ok" if not probe_violations else "fail"),
             "elapsed_s": round(elapsed, 3),
             "results": [
                 {

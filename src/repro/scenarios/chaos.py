@@ -8,11 +8,10 @@ demands a deterministic verdict —
 * **masked** — the faulted run produced the bit-identical observation
   (slots, collision lists, simulation metrics) as the fault-free
   reference, whose slots and collisions in turn equal the brute-force
-  answers of :mod:`repro.scenarios.reference`.  Resilience-only faults
-  (worker crashes, injected numpy kernel failures) *must* land here:
-  the retry/serial-fallback lanes of ``run_sharded`` and the
-  degrade-to-exact path of the collision scan exist precisely so
-  these faults never reach an answer.
+  answers of :mod:`repro.scenarios.reference`.  The resilience-only
+  fault (an injected numpy kernel failure) *must* land here: the
+  degrade-to-exact path of the collision scan exists precisely so it
+  never reaches an answer.
 * **detected and repaired** — the faulted run diverged (flaky
   transmitters dropping sends, byzantine slot reports corrupting the
   simulator's table).  Divergence alone is legal only when a fault
@@ -22,12 +21,6 @@ demands a deterministic verdict —
   :meth:`repro.api.Session.repair`, asserts the repair succeeded, and
   then demands a clean verification of the repaired schedule on every
   path of the 4-path engine matrix and from the brute-force reference.
-
-:func:`run_exec_probe` additionally drives the sharded execution lanes
-end to end on a window large enough to engage the process pool: a
-crash-then-retry plan, a crash-always plan (serial fallback) and a
-hung-worker plan (per-shard timeout) must each reproduce the unarmed
-serial answer bit for bit.
 """
 
 from __future__ import annotations
@@ -36,9 +29,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field
 
-from repro.api import EngineConfig, Session, use_config
-from repro.core.schedule import find_collisions
-from repro.core.theorem1 import schedule_from_prototile
+from repro.api import Session
 from repro.engine.collisions import EngineDegradedWarning
 from repro.faults.chaos import corrupt_session, plan_for_spec
 from repro.faults.injection import use_plan
@@ -46,14 +37,11 @@ from repro.faults.plan import FaultPlan
 from repro.scenarios.oracle import EnginePath, _brute_force, full_matrix
 from repro.scenarios.reference import reference_collisions
 from repro.scenarios.spec import ScenarioSpec
-from repro.tiles.shapes import chebyshev_ball
-from repro.utils.vectors import box_points
 
 __all__ = [
     "ChaosReport",
     "run_chaos",
     "run_chaos_corpus",
-    "run_exec_probe",
 ]
 
 
@@ -185,8 +173,8 @@ def run_chaos(spec: ScenarioSpec,
     0. *Reference*: the fault-free slots and collisions equal the
        brute-force answers.
     1. *Resilience masking*: the spec run with only the resilience
-       sites armed (worker crash on shard 0, one injected numpy kernel
-       failure) must reproduce the fault-free observation bit for bit.
+       site armed (one injected numpy kernel failure) must reproduce
+       the fault-free observation bit for bit.
     2. *Observable faults*: the fully armed plan may diverge — but only
        when the spec actually carries an observable site (byzantine or
        flaky); an unexplained divergence is a violation.
@@ -207,16 +195,14 @@ def run_chaos(spec: ScenarioSpec,
             "the brute-force answers")
 
     resilience = plan_for_spec(spec, byzantine=0.0, flaky=0.0,
-                               kill_shard=0, numpy_failures=1)
+                               numpy_failures=1)
     shielded = _observe(spec, resilience)
     if shielded != clean:
         report.violations.append(
-            "resilience faults (worker crash, numpy kernel failure) were "
-            "not masked: the shielded run diverged from the fault-free "
-            "reference")
+            "resilience fault (numpy kernel failure) was not masked: the "
+            "shielded run diverged from the fault-free reference")
 
-    armed = _observe(spec, plan_for_spec(spec, kill_shard=0,
-                                         numpy_failures=1))
+    armed = _observe(spec, plan_for_spec(spec, numpy_failures=1))
     report.masked = armed == clean
     if not report.masked and plan.byzantine == 0.0 and plan.flaky == 0.0:
         report.violations.append(
@@ -249,54 +235,3 @@ def run_chaos_corpus(specs, paths: tuple[EnginePath, ...] | None = None,
     """The chaos oracle over a spec corpus (the CLI / CI chaos leg)."""
     return [run_chaos(spec, paths=paths) for spec in specs]
 
-
-# ----------------------------------------------------------------------
-# The execution-lane probe
-# ----------------------------------------------------------------------
-def run_exec_probe() -> list[str]:
-    """Drive the resilient ``run_sharded`` lanes on a pool-sized window.
-
-    The corpus windows are small enough that the collision scan stays
-    on its serial fast path, so worker faults there are masked
-    trivially.  This probe verifies an 80x80 Chebyshev window — 6400
-    points times the 12 positive conflict offsets is past the scan's
-    2^16-probe sharding cutoff — under three plans: crash once then retry,
-    crash always (serial-fallback lane), hang shard 0 (per-shard
-    timeout lane) — and demands each reproduce the unarmed one-worker
-    answer bit for bit.  Returns human-readable violations (empty means
-    the lanes held).
-    """
-    window = list(box_points((0, 0), (79, 79)))
-    violations: list[str] = []
-
-    def _collisions(plan: FaultPlan | None, workers: int) -> tuple:
-        # The raw scan, not Session.verify: the facade would answer
-        # O(fundamental-domain) from the periodicity certificate and
-        # never reach the sharded kernel this probe exists to stress.
-        arming = use_plan(plan) if plan is not None else nullcontext()
-        with use_config(EngineConfig(workers=workers)), arming, \
-                warnings.catch_warnings():
-            # The retry/serial-fallback lanes announce themselves with
-            # structured RuntimeWarnings; the probe asserts on the
-            # *answer*, so the announcements stay out of CI logs.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            schedule = schedule_from_prototile(chebyshev_ball(1))
-            got = find_collisions(schedule, window,
-                                  schedule.neighborhood_of)
-        return tuple((tuple(x), tuple(y)) for x, y in got)
-
-    reference = _collisions(None, 1)
-    lanes = {
-        "retry": FaultPlan(seed=7, kill_shard=0, kill_attempts=1),
-        "serial-fallback": FaultPlan(seed=7, kill_shard=0,
-                                     kill_attempts=99),
-        "timeout": FaultPlan(seed=7, hang_shard=0, hang_seconds=0.5,
-                             shard_timeout=0.05),
-    }
-    for name, plan in lanes.items():
-        got = _collisions(plan, 2)
-        if got != reference:
-            violations.append(
-                f"exec-probe/{name}: sharded answer diverged from the "
-                f"serial reference under an armed worker fault")
-    return violations

@@ -5,8 +5,9 @@ seed 2008 — across the complete engine matrix ``{1, 2 workers} x
 {full, incremental}`` (4 paths per spec) and tolerates zero divergences, invariant violations or departures from the
 brute-force reference.  The
 ``grid_sweep`` picks include the two *stress* cycle entries (indices 14
-and 15), whose windows are large enough to push the sharded kernels
-past their serial cutoffs, so the 2-worker column genuinely forks.
+and 15), whose windows are large enough that the 2-worker column
+genuinely runs a sharded kernel (the random-MAC decision blocks) on
+the shard thread pool.
 
 A failing parametrization prints the exact ``python -m repro.scenarios
 run ...`` command that replays the offending spec standalone.
@@ -52,8 +53,8 @@ class TestCorpusShape:
         assert {p.mode for p in MATRIX} == {"full", "incremental"}
 
     def test_stress_specs_exercise_the_sharded_kernels(self):
-        # At least one corpus member must clear the 2^16-cell cutoff
-        # below which every sharded kernel stays serial.
+        # At least one corpus member must clear the sorted-key scan's
+        # probe cutoff, below which that kernel stays serial.
         from repro.engine.collisions import _MIN_PARALLEL_PROBES
         biggest = 0
         for family, index in CORPUS:

@@ -90,7 +90,7 @@ class TestEngineConfig:
 
 # ----------------------------------------------------------------------
 # Worker-count resolution: session/simulator config > use_config > env
-# > 1, capped at 64, and 1 inside a shard worker.
+# > 1, capped at 64, and 1 inside a shard thread.
 # ----------------------------------------------------------------------
 class TestWorkerResolutionOrder:
     NETWORK = Network.homogeneous(list(box_points((0, 0), (3, 3))),
@@ -101,11 +101,19 @@ class TestWorkerResolutionOrder:
         return session.verify(use_cache=False).workers
 
     def _simulator_workers(self, config=None):
-        # A non-carrier-sense simulator widens its decision window by
-        # the worker count it resolved (128 slots per worker).
-        simulator = BroadcastSimulator(self.NETWORK, SlottedAloha(0.2),
-                                       seed=1, config=config)
-        return simulator._decision_window // 128
+        # The protocol's decision kernel runs inside the simulator's
+        # config scope, so it sees the count the simulator resolved.
+        seen = []
+
+        class Probe(SlottedAloha):
+            def decision_block(self, *args):
+                seen.append(shard_workers())
+                return super().decision_block(*args)
+
+        simulator = BroadcastSimulator(self.NETWORK, Probe(0.2), seed=1,
+                                       config=config)
+        simulator.step()
+        return seen[0]
 
     def test_builtin_default_is_serial(self, clean_engine):
         assert shard_workers() == 1

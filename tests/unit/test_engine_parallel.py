@@ -2,22 +2,24 @@
 
 The contract of :mod:`repro.engine.parallel` is that sharding is purely
 a performance decision — every kernel must return exactly the serial
-result for 1, 2 or 4 workers.  The thresholds
-that keep small inputs serial are monkeypatched down so the sharded
-dispatch genuinely runs on test-sized inputs.
+result for 1, 2 or 4 workers, on one persistent thread pool.  The
+thresholds that keep small inputs serial are monkeypatched down so the
+sharded dispatch genuinely runs on test-sized inputs.
 """
 
-import multiprocessing
 import random
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import repro.engine.collisions as collisions_module
+import repro.engine.parallel as parallel_module
 import repro.engine.randmac as randmac_module
 import repro.engine.slots as slots_module
+from repro.api import Box, Session
 from repro.core.theorem1 import schedule_from_prototile
 from repro.engine.config import EngineConfig, use_config
 from repro.engine.parallel import (
@@ -36,7 +38,9 @@ from repro.engine.randmac import (
 from repro.engine.collisions import scan_collisions
 from repro.net.model import Network
 from repro.net.protocols import CSMALike, SlottedAloha
-from repro.net.simulator import BroadcastSimulator, _decision_window_for
+from repro.net.simulator import BroadcastSimulator
+from repro.service import SchedulingService, SessionStore
+from repro.service.transport import ServiceClient, WireServer
 from repro.tiles.shapes import chebyshev_ball
 from repro.utils.rng import StreamRNG
 from repro.utils.vectors import box_points
@@ -48,6 +52,7 @@ WORKER_COUNTS = [1, 2, 4]
 def force_sharding(monkeypatch):
     """Drop the serial-below-this thresholds so tiny inputs shard too."""
     monkeypatch.setattr(collisions_module, "_MIN_PARALLEL_PROBES", 1)
+    monkeypatch.setattr(collisions_module, "_MIN_PARALLEL_GRID", 1)
     monkeypatch.setattr(slots_module, "_MIN_PARALLEL_POINTS", 1)
     monkeypatch.setattr(randmac_module, "_MIN_PARALLEL_CELLS", 1)
 
@@ -135,8 +140,119 @@ class TestRunSharded:
         assert run_sharded(_square, [3], [(0, 1)], workers=8) == [[9]]
 
 
-def _sleepy(payload, span):
-    time.sleep(payload)
+class _KernelBug(ValueError):
+    pass
+
+
+def _fails_on_first(payload, span):
+    if span[0] == 0:
+        raise _KernelBug(f"shard {span} is broken")
+    return span
+
+
+def _where(payload, span):
+    return id(payload), threading.current_thread().name, shard_workers()
+
+
+class TestThreadPool:
+    """One persistent pool: no thread or pool per call, payloads by
+    reference, kernel errors as themselves."""
+
+    def test_sequential_calls_reuse_the_pool(self):
+        data = list(range(40))
+        spans = plan_shards(len(data), 2)
+        serial = [_square(data, span) for span in spans]
+        before = threading.active_count()
+        for _ in range(50):
+            assert run_sharded(_square, data, spans, workers=2) == serial
+        pool_threads = [thread for thread in threading.enumerate()
+                        if thread.name.startswith("repro-shard")]
+        pool_size = parallel_module._pool_size()
+        assert 1 <= len(pool_threads) <= pool_size
+        assert threading.active_count() <= before + pool_size
+
+    def test_concurrent_first_use_builds_one_pool(self, monkeypatch):
+        built = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_module, "_pool", None)
+        monkeypatch.setattr(parallel_module, "ThreadPoolExecutor",
+                            CountingPool)
+        data = list(range(30))
+        spans = plan_shards(len(data), 2)
+        serial = [_square(data, span) for span in spans]
+        start = threading.Barrier(8)
+        results = []
+
+        def call():
+            start.wait(timeout=30)
+            results.append(run_sharded(_square, data, spans, workers=2))
+
+        threads = [threading.Thread(target=call) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the first uses finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(built) == 1
+        assert results == [serial] * 8
+        built[0].shutdown()
+
+    def test_payload_is_shared_by_reference(self):
+        payload = object()
+        seen = run_sharded(_where, payload, [(0, 1), (1, 2)], workers=2)
+        assert [ident for ident, _, _ in seen] == [id(payload)] * 2
+        assert all(name.startswith("repro-shard") for _, name, _ in seen)
+
+    def test_pool_threads_stay_serial_under_the_env(self, monkeypatch):
+        # The initializer pins the scoped count, which outranks the env.
+        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "4")
+        seen = run_sharded(_where, None, [(0, 1), (1, 2)], workers=2)
+        assert [workers for _, _, workers in seen] == [1, 1]
+
+    def test_more_shards_than_workers_keep_their_order(self):
+        data = list(range(23))
+        spans = plan_shards(len(data), 7)
+        serial = [_square(data, span) for span in spans]
+        for workers in WORKER_COUNTS:
+            assert run_sharded(_square, data, spans, workers=workers) \
+                == serial
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kernel_error_surfaces_as_itself(self, workers):
+        with pytest.raises(_KernelBug, match="is broken") as caught:
+            run_sharded(_fails_on_first, None, [(0, 1), (1, 2)],
+                        workers=workers)
+        assert type(caught.value) is _KernelBug
+
+    def test_error_waits_for_every_shard(self):
+        finished = []
+
+        def record(payload, span):
+            if span[0] == 0:
+                raise _KernelBug("first shard fails at once")
+            time.sleep(payload)
+            finished.append(span)
+            return span
+
+        with pytest.raises(_KernelBug):
+            run_sharded(record, 0.2, [(0, 1), (1, 2)], workers=2)
+        assert finished == [(1, 2)]
+
+
+def _held(payload, span):
+    running, seconds = payload
+    running.set()
+    time.sleep(seconds)
     return span
 
 
@@ -147,16 +263,18 @@ class TestConcurrentShardedCalls:
     def test_worker_count_holds_while_another_threads_pool_runs(self):
         spans = [(0, 1), (1, 2)]
         results = {}
+        running = threading.Event()
 
         def hold_pool_open():
-            results["spans"] = run_sharded(_sleepy, 0.6, spans, workers=2)
+            results["spans"] = run_sharded(_held, (running, 0.6), spans,
+                                           workers=2)
 
         holder = threading.Thread(target=hold_pool_open)
         seen = []
         with use_config(EngineConfig(workers=2)):
             holder.start()
             while holder.is_alive():
-                if multiprocessing.active_children():
+                if running.is_set():
                     seen.append(shard_workers())
                 time.sleep(0.005)
         holder.join(timeout=30)
@@ -304,10 +422,36 @@ class TestShardedSimulator:
             with use_config(EngineConfig(workers=workers)):
                 assert run() == reference
 
-    def test_decision_window_widens_with_workers(self):
-        with use_config(EngineConfig(workers=1)):
-            assert _decision_window_for(100) == 128
-        with use_config(EngineConfig(workers=4)):
-            assert _decision_window_for(100) == 512
-            # the cell cap bounds the widened window for huge networks
-            assert _decision_window_for(1 << 22) == 128
+
+class TestServedSharding:
+    def test_wire_verify_above_the_grid_cutoff_matches_serial(
+            self, monkeypatch):
+        side = 260
+        assert side * side >= collisions_module._MIN_PARALLEL_GRID
+        box = Box((0, 0), (side - 1, side - 1))
+        serial = Session.for_chebyshev(
+            2, config=EngineConfig(workers=1)).verify(box, use_cache=False)
+        sharded_calls = []
+        real_run_sharded = collisions_module.run_sharded
+
+        def counted(*args, **kwargs):
+            sharded_calls.append(args[3])
+            return real_run_sharded(*args, **kwargs)
+
+        monkeypatch.setattr(collisions_module, "run_sharded", counted)
+        with use_config(EngineConfig(workers=2)):
+            service = SchedulingService(SessionStore(), max_queue=16)
+            server = WireServer(service).start()
+        try:
+            with ServiceClient(*server.address, timeout=60) as client:
+                client.open_session("s", Session.for_chebyshev(2))
+                served = client.verify("s", box, use_cache=False)
+        finally:
+            server.close()
+            service.close()
+        assert sharded_calls == [2]
+        assert served.workers == 2 and serial.workers == 1
+        assert (served.collisions, served.window_size, served.source,
+                served.checked_points) == \
+            (serial.collisions, serial.window_size, serial.source,
+             serial.checked_points)

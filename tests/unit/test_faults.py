@@ -45,7 +45,6 @@ from repro.faults.plan import (
     FaultPlan,
     InjectedFault,
     InjectedKernelFault,
-    InjectedWorkerCrash,
 )
 from repro.scenarios.generators import generate
 from repro.scenarios.reference import reference_collisions
@@ -65,16 +64,11 @@ class TestFaultPlanValidation:
         assert FaultPlan(seed=99).inert
         assert not FaultPlan(byzantine=0.1).inert
         assert not FaultPlan(flaky=0.1).inert
-        assert not FaultPlan(kill_shard=0).inert
-        assert not FaultPlan(hang_shard=1).inert
         assert not FaultPlan(numpy_failures=1).inert
 
     @pytest.mark.parametrize("field,value", [
         ("byzantine", -0.1), ("byzantine", 1.5),
         ("flaky", -1e-9), ("flaky", 2.0),
-        ("hang_seconds", 0.0), ("hang_seconds", -1.0),
-        ("shard_timeout", 0.0),
-        ("kill_attempts", 0),
         ("numpy_failures", -1),
     ])
     def test_bad_knobs_rejected(self, field, value):
@@ -82,19 +76,8 @@ class TestFaultPlanValidation:
             FaultPlan(**{field: value})
 
     def test_exception_taxonomy(self):
-        assert issubclass(InjectedWorkerCrash, InjectedFault)
         assert issubclass(InjectedKernelFault, InjectedFault)
         assert issubclass(InjectedFault, RuntimeError)
-
-    def test_worker_sites(self):
-        plan = FaultPlan(kill_shard=1, kill_attempts=2)
-        assert plan.wants_worker_faults
-        assert plan.crashes_shard(1, 0) and plan.crashes_shard(1, 1)
-        assert not plan.crashes_shard(1, 2)  # attempts exhausted
-        assert not plan.crashes_shard(0, 0)  # other shards untouched
-        hang = FaultPlan(hang_shard=0, hang_seconds=0.01)
-        assert hang.hangs_shard(0, 0) and hang.hangs_shard(0, 5)
-        assert not hang.hangs_shard(2, 0)
 
 
 class TestFaultPlanDeterminism:
@@ -333,9 +316,9 @@ class TestChaosHelpers:
 
     def test_plan_for_spec_overrides(self):
         spec = generate("faulty_flaky", 2008, 1)
-        plan = plan_for_spec(spec, flaky=0.0, kill_shard=0)
+        plan = plan_for_spec(spec, flaky=0.0, numpy_failures=1)
         assert plan.flaky == 0.0
-        assert plan.kill_shard == 0
+        assert plan.numpy_failures == 1
         assert plan.seed == spec.fault_seed
 
     def test_corrupt_session_requires_a_window(self):
