@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.api import Box, EngineConfig, Session
+from repro.core.certify import certify_schedule
 from repro.core.schedule import find_collisions
 from repro.engine import cpu_budget
 from repro.experiments.base import format_rows
@@ -18,8 +19,12 @@ from repro.experiments.systems_experiments import run_scaling
 from repro.graphs.coloring import dsatur_coloring
 from repro.graphs.interference import conflict_graph_homogeneous
 from repro.lattice.region import box_region
+from repro.tiles import exactness
 from repro.tiles.shapes import chebyshev_ball
+from repro.tiling.lattice_tiling import LatticeTiling
 from repro.utils.vectors import box_points
+from tests.properties.test_certify_props import scalar_certify
+from tests.properties.test_exactness_props import scalar_first_tiling
 
 _TILE = chebyshev_ball(1)
 _SCHEDULE = Session.for_prototile(_TILE).schedule
@@ -314,6 +319,71 @@ def test_certificate_reverification_speedup(report, record_scaling):
            f"{certificate_time * 1e6:.0f} us ({speedup:.0f}x), verdicts "
            f"identical")
     assert speedup >= 50
+
+
+def test_session_setup(report, record_scaling):
+    """Theorem 1 set-up in 3-D against the scalar search and scan.
+
+    ``Session.for_chebyshev(r, 3)`` finds its tiling with the blocked
+    search of :mod:`repro.tiles.exactness`; the reference builds the
+    same session from the first hit of the scalar loop
+    (``tiles_by_sublattice`` over every candidate, warm family).
+    ``certify_schedule`` runs the array scan; the reference is the
+    per-probe loop.  Each pair must agree exactly.  The gate is the
+    warm r=2 construction speedup, a ratio within one process, so it
+    does not depend on the host's speed.  The cold r=2 construction
+    (candidate array not yet built) is recorded once.
+    """
+    exactness._candidate_bases.cache_clear()
+    t0 = time.perf_counter()
+    Session.for_chebyshev(2, 3)
+    cold_time = time.perf_counter() - t0
+
+    lines = []
+    speedups = {}
+    fields = {}
+    for radius, rounds in ((1, 15), (2, 5)):
+        ball = chebyshev_ball(radius, 3)
+
+        def scalar_session():
+            tiling = LatticeTiling(ball, scalar_first_tiling(ball))
+            return Session.for_tiling(tiling)
+
+        fast, slow = Session.for_chebyshev(radius, 3), scalar_session()
+        assert fast.schedule.tiling.sublattice.hnf_matrix \
+            == slow.schedule.tiling.sublattice.hnf_matrix
+        search_slow, search_fast = _interleaved_min(
+            scalar_session, lambda: Session.for_chebyshev(radius, 3), rounds)
+
+        schedule = fast.schedule
+        certificate = certify_schedule(schedule)
+        assert (certificate.offsets, certificate.colliding_classes,
+                certificate.checked_points) == scalar_certify(
+            schedule, certificate.period, schedule.neighborhood_of)
+        scan_slow, scan_fast = _interleaved_min(
+            lambda: scalar_certify(schedule, certificate.period,
+                                   schedule.neighborhood_of),
+            lambda: certify_schedule(schedule), rounds)
+
+        speedups[radius] = search_slow / search_fast
+        fields.update({
+            f"r{radius}_search_s": round(search_fast, 6),
+            f"r{radius}_search_reference_s": round(search_slow, 6),
+            f"r{radius}_certify_s": round(scan_fast, 6),
+            f"r{radius}_certify_reference_s": round(scan_slow, 6)})
+        lines.append(
+            f"r={radius}: for_chebyshev {search_slow * 1e3:.1f} -> "
+            f"{search_fast * 1e3:.2f} ms ({speedups[radius]:.1f}x), "
+            f"certify {scan_slow * 1e3:.1f} -> {scan_fast * 1e3:.2f} ms "
+            f"({scan_slow / scan_fast:.1f}x)")
+    record_scaling("session-setup/theorem1-3d",
+                   seconds=fields["r2_search_s"], speedup=speedups[2],
+                   cold_r2_s=round(cold_time, 6), **fields)
+    report("Engine — Theorem 1 session set-up, 3-D",
+           "\n".join(lines) + f"\ncold r=2 construction "
+           f"{cold_time * 1e3:.0f} ms; sublattices and certificates "
+           f"identical")
+    assert speedups[2] >= 5
 
 
 def test_streamed_window_bounded_memory(report, record_scaling):

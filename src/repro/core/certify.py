@@ -41,6 +41,8 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.core.schedule import (
     Collision,
     MultiTilingSchedule,
@@ -338,6 +340,14 @@ def certify_periodic(schedule: Schedule, period: Sublattice,
     canonical representative per coset plus the conflict-radius
     boundary around each.
 
+    The scan runs on arrays: the probes are one broadcast
+    ``representatives + offsets`` array (representatives first, then
+    the probes row-major), slots and shape ids come back as arrays, and
+    one comparison finds the probes that share their representative's
+    slot.  Only those go through the shape-difference test in Python.
+    A domain whose coordinates reach the engine's int64 bound builds
+    its probes as tuples instead, with the same order and verdict.
+
     Args:
         schedule: the slot assignment (duck-typed; ``slots_of`` /
             ``slot_of`` is all that is required).
@@ -358,28 +368,33 @@ def certify_periodic(schedule: Schedule, period: Sublattice,
     else:
         offset_list = [as_intvec(d) for d in offsets]
     positive = sorted(d for d in set(offset_list) if d > zero)
-    probes = [vadd(r, d) for r in representatives for d in positive]
-    domain = PointBatch.of(representatives + probes)
+    reach = max((abs(c) for d in positive for c in d), default=0)
+    if max(map(max, representatives)) + reach < _MAX_COORD:
+        origins = np.asarray(representatives, dtype=np.int64)
+        steps = np.asarray(positive, dtype=np.int64).reshape(-1, dimension)
+        probes = (origins[:, None] + steps[None, :]).reshape(-1, dimension)
+        domain = PointBatch.of(np.concatenate((origins, probes)))
+    else:
+        domain = PointBatch.of(representatives + [
+            vadd(r, d) for r in representatives for d in positive])
     shapes, shape_ids = _origin_shapes(domain, neighborhood_of)
-    shape_ids = shape_ids.tolist()
-    slots = _bulk_slots(schedule, domain).tolist()
+    slots = _bulk_slots(schedule, domain)
+    count = len(representatives)
+    # (representative, offset) pairs whose probe shares the slot of its
+    # representative, in row-major order.
+    rows, columns = np.nonzero(
+        slots[count:].reshape(count, len(positive)) == slots[:count, None])
+    probe_shapes = shape_ids[count:].reshape(count, len(positive))
     differences: dict[tuple[int, int], frozenset[IntVec]] = {}
     colliding: list[tuple[IntVec, IntVec]] = []
-    probe_index = len(representatives)
-    for i, representative in enumerate(representatives):
-        slot = slots[i]
-        a = shape_ids[i]
-        for delta in positive:
-            if slots[probe_index] == slot:
-                b = shape_ids[probe_index]
-                row = differences.get((a, b))
-                if row is None:
-                    row = frozenset(vsub(p, q)
-                                    for p in shapes[a] for q in shapes[b])
-                    differences[(a, b)] = row
-                if delta in row:
-                    colliding.append((representative, delta))
-            probe_index += 1
+    for i, j in zip(rows.tolist(), columns.tolist()):
+        a, b = int(shape_ids[i]), int(probe_shapes[i, j])
+        row = differences.get((a, b))
+        if row is None:
+            row = frozenset(vsub(p, q) for p in shapes[a] for q in shapes[b])
+            differences[(a, b)] = row
+        if positive[j] in row:
+            colliding.append((representatives[i], positive[j]))
     try:
         digest = schedule_digest(schedule)
     except TypeError:

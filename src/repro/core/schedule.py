@@ -615,15 +615,24 @@ def verify_collision_free(schedule: Schedule,
                                cache=cache, certificate=certificate)
 
 
-def _window_digest(sorted_points: list[IntVec]) -> str:
+def _window_digest(batch: PointBatch) -> str:
     """Order-insensitive content digest of a window's point multiset.
 
-    Fed the *sorted* point list, so any permutation of the same window
-    digests identically while any substitution changes it.
+    Hashes the lexsorted int64 array of the batch, with its shape, in
+    one update; a batch with no array (coordinates beyond int64) hashes
+    the ``repr`` of each of its sorted points.  Either way any
+    permutation of the same window digests identically while any
+    substitution changes it.  The digest is an in-memory key only.
     """
     digest = hashlib.blake2b(digest_size=8)
-    for point in sorted_points:
-        digest.update(repr(point).encode("ascii"))
+    array = batch.array
+    if array is not None:
+        ordered = array[np.lexsort(array.T[::-1])]
+        digest.update(repr(ordered.shape).encode("ascii")
+                      + ordered.tobytes())
+    else:
+        for point in sorted(batch.points):
+            digest.update(repr(point).encode("ascii"))
     return digest.hexdigest()
 
 
@@ -675,7 +684,7 @@ class VerificationCache:
         #: keeps different point sets sharing a bounding box and count
         #: from aliasing in a cache-per-window registry.
         self.window_key = (batch.lo, batch.hi, len(point_list),
-                           _window_digest(self._sorted_points))
+                           _window_digest(batch))
         self._schedule = schedule
         self._slots: list[int] | None = None
         self._collisions: list[Collision] | None = None

@@ -5,10 +5,11 @@ Every tiling schedule in this library answers ``slot_of(x)`` by reducing
 (the tiling's translate set or period) and looking the representative up
 in a finite table.  :class:`CosetTable` packages that two-step lookup for
 *batches* of points: it runs the same Hermite-normal-form reduction as
-:meth:`repro.utils.intlin.CosetSpace.canonical`, but column by column over
-an ``(n, d)`` int64 array — ``d`` passes of vectorized floor division
-instead of ``n`` Python loops — then resolves representatives through a
-dense ``index``-sized table of precomputed values.
+:meth:`repro.utils.intlin.CosetSpace.canonical`, but one coordinate at
+a time over an ``(n, d)`` int64 array — ``d`` passes of vectorized
+floor division instead of ``n`` Python loops — then resolves
+representatives through a dense ``index``-sized table of precomputed
+values.
 
 Batches the int64 kernel cannot represent (coordinates of ``2**40`` or
 more) take the exact path instead: one ``canonical_representative``
@@ -16,6 +17,11 @@ call per point, exactly what ``slot_of`` does.  Both give the same
 values.  Points arrive as a validated
 :class:`~repro.engine.encode.PointBatch` (any other collection is
 validated into one first), so the bound is checked once per batch.
+
+:func:`coset_keys` runs the same reduction against a stack of bases:
+one call reduces a point set modulo many sublattices at once (the
+Theorem 1 tiling search tests a block of candidate sublattices this
+way, :mod:`repro.tiles.exactness`).
 
 A whole box needs no point array at all: :meth:`CosetTable.box_keys`
 runs the same reduction on broadcast ``np.arange`` open grids, one per
@@ -37,7 +43,7 @@ from repro.engine.encode import PointBatch
 from repro.engine.parallel import plan_shards, run_sharded, shard_workers
 from repro.utils.vectors import IntVec
 
-__all__ = ["CosetTable"]
+__all__ = ["CosetTable", "coset_keys"]
 
 #: Batch sizes below this stay serial even with workers enabled — the
 #: reduction is a handful of array passes: on 2 threads an int64 batch
@@ -57,6 +63,34 @@ def _lookup_shard(payload, span):
 # diagonals/columns of real tilings every intermediate stays far inside
 # int64.  Larger coordinates silently use the exact path.
 _MAX_COORD = 2 ** 40
+
+
+def coset_keys(points: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Reduced coset keys of ``points`` modulo each of ``bases``.
+
+    ``points`` is an ``(n, d)`` int64 array and ``bases`` a ``(k, d, d)``
+    int64 stack of lower-triangular HNF matrices (column ``j`` of basis
+    ``b`` is ``bases[b, :, j]``, positive diagonal).  Returns the
+    ``(k, n)`` int64 keys: row ``b`` holds, for every point, the
+    mixed-radix key of its canonical representative modulo basis ``b``
+    — the same floor-division steps as
+    :meth:`~repro.utils.intlin.CosetSpace.canonical`, so two points
+    share a key iff they share a coset.  Keys lie in
+    ``range(index)``.  The caller keeps every intermediate inside
+    int64 (see ``_MAX_COORD``).  Each coordinate is its own ``(k, n)``
+    plane, so every step is a contiguous array pass.
+    """
+    dimension = points.shape[1]
+    reduced = [points[:, axis] for axis in range(dimension)]
+    keys = np.zeros((len(bases), len(points)), dtype=np.int64)
+    for i in range(dimension):
+        diagonal = bases[:, i, i, None]
+        quotient = reduced[i] // diagonal
+        for axis in range(i + 1, dimension):
+            reduced[axis] = reduced[axis] - quotient * bases[:, axis, i, None]
+        keys *= diagonal
+        keys += reduced[i] - quotient * diagonal
+    return keys
 
 
 class CosetTable:
@@ -97,9 +131,6 @@ class CosetTable:
         self.dimension = dimension
         self._basis = tuple(tuple(column) for column in basis)
         self._diagonal = diagonal
-        self._columns = [np.asarray(column, dtype=np.int64)
-                         for column in basis]
-        self._strides = np.asarray(strides, dtype=np.int64)
         self._stride_list = strides
         self._table = np.asarray(table, dtype=np.int64)
         self._table.setflags(write=False)
@@ -176,9 +207,25 @@ class CosetTable:
         on.
         """
         d = self.dimension
-        reduced = [np.arange(low, low + n, dtype=np.int64).reshape(
-                       [n if axis == i else 1 for axis in range(d)])
-                   for i, (low, n) in enumerate(zip(lo, dims))]
+        keys = self._reduce([np.arange(low, low + n, dtype=np.int64).reshape(
+                                 [n if axis == i else 1 for axis in range(d)])
+                             for i, (low, n) in enumerate(zip(lo, dims))])
+        dims = tuple(dims)
+        if keys is None:
+            return np.zeros(dims, dtype=np.int64)
+        if keys.shape != dims:  # an axis no key coordinate depends on
+            keys = np.broadcast_to(keys, dims)
+        return keys
+
+    def _reduce(self, reduced: list[np.ndarray]) -> np.ndarray | None:
+        """Reduced keys of broadcastable coordinate arrays (one per
+        axis; consumed), or ``None`` when every key is 0 (index 1).
+
+        Shared by :meth:`box_keys` (open grids) and the point lookup
+        (the columns of an ``(n, d)`` array); each step skips the zero
+        entries of its column and the remainder of a unit diagonal.
+        """
+        d = self.dimension
         keys = None
         for i in range(d):
             diagonal = self._diagonal[i]
@@ -196,17 +243,10 @@ class CosetTable:
             if self._stride_list[i] != 1:
                 term *= self._stride_list[i]
             keys = term if keys is None else keys + term
-        dims = tuple(dims)
-        if keys is None:
-            return np.zeros(dims, dtype=np.int64)
-        if keys.shape != dims:  # an axis no key coordinate depends on
-            keys = np.broadcast_to(keys, dims)
         return keys
 
     def _lookup_numpy(self, array) -> np.ndarray:
-        reduced = array.astype(np.int64, copy=True)
-        for i in range(self.dimension):
-            quotient = reduced[:, i] // self._diagonal[i]
-            reduced[:, i:] -= quotient[:, None] * self._columns[i][i:]
-        keys = reduced @ self._strides
+        keys = self._reduce([array[:, axis] for axis in range(self.dimension)])
+        if keys is None:
+            return np.full(len(array), self._table[0])
         return self._table[keys]

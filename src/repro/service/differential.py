@@ -56,8 +56,7 @@ def _canonical_points(points: Any) -> list[list[int]]:
 def _canonical_verify(report: VerificationReport) -> dict[str, Any]:
     return {
         "kind": "verify",
-        "collisions": [[_canonical_points(pair)[0],
-                        _canonical_points(pair)[1]]
+        "collisions": [_canonical_points(pair)
                        for pair in report.collisions],
         "window_size": int(report.window_size),
         "source": report.source,

@@ -200,6 +200,12 @@ def _decode_points(data: Any) -> list[tuple[int, ...]]:
         raise TransportError(f"malformed point: {error}") from None
 
 
+def _decode_pair(data: Any) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One colliding pair from JSON: exactly two points."""
+    first, second = _decode_points(data)
+    return first, second
+
+
 def _decode_int(value: Any) -> int:
     """One integer (a slot, a count) from JSON, under the coordinate
     rule: ``"3"``, ``1.5`` and ``true`` are a :class:`TransportError`."""
@@ -467,8 +473,7 @@ def encode_result(result: Any) -> dict[str, Any]:
                 "num_slots": int(result.num_slots)}
     if isinstance(result, VerificationReport):
         return {"kind": "verify",
-                "collisions": [[_canonical_points(pair)[0],
-                                _canonical_points(pair)[1]]
+                "collisions": [_canonical_points(pair)
                                for pair in result.collisions],
                 "window_size": int(result.window_size),
                 "source": result.source,
@@ -528,10 +533,8 @@ def _decode_result(data: dict[str, Any]) -> Any:
             num_slots=_decode_int(data["num_slots"]))
     if kind == "verify":
         return VerificationReport(
-            collisions=tuple(
-                (tuple(_decode_points(pair)[0]),
-                 tuple(_decode_points(pair)[1]))
-                for pair in data["collisions"]),
+            collisions=tuple(_decode_pair(pair)
+                             for pair in data["collisions"]),
             window_size=_decode_int(data["window_size"]),
             source=data["source"],
             checked_points=_decode_int(data["checked_points"]),

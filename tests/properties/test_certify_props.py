@@ -19,10 +19,19 @@ from repro.core.certify import (
     certify_periodic,
     certify_schedule,
 )
-from repro.core.schedule import find_collisions
-from repro.core.theorem1 import schedule_from_tiling
+from repro.core.schedule import (
+    _bulk_slots,
+    _default_offsets,
+    _origin_shapes,
+    find_collisions,
+)
+from repro.core.theorem1 import schedule_from_prototile, schedule_from_tiling
+from repro.engine.encode import PointBatch
+from repro.lattice.sublattice import diagonal_sublattice
+from repro.tiles.shapes import chebyshev_ball, rectangle_tile
 from repro.tiling.lattice_tiling import LatticeTiling
-from repro.utils.vectors import box_points
+from repro.tiling.multi import MultiTiling
+from repro.utils.vectors import as_intvec, box_points, vadd, vsub
 from tests.properties.strategies import transversal_prototiles
 
 SETTINGS = dict(max_examples=25, deadline=None)
@@ -102,3 +111,127 @@ class TestCertificateEqualsFullScan:
                               use_cache=False)
         assert scan.source == "scan"
         assert scan.collisions == report.collisions == ()
+
+
+def scalar_certify(schedule, period, neighborhood_of, offsets=None):
+    """The scalar reference of ``certify_periodic``: one tuple probe and
+    one slot comparison per (representative, offset), in row-major
+    order.  Returns ``(offsets, colliding_classes, checked_points)``.
+    """
+    representatives = sorted(period.coset_representatives())
+    dimension = period.dimension
+    zero = (0,) * dimension
+    if offsets is None:
+        shapes, _ = _origin_shapes(representatives, neighborhood_of)
+        offset_list = _default_offsets(tuple(shapes), dimension)
+    else:
+        offset_list = [as_intvec(d) for d in offsets]
+    positive = sorted(d for d in set(offset_list) if d > zero)
+    probes = [vadd(r, d) for r in representatives for d in positive]
+    domain = PointBatch.of(representatives + probes)
+    shapes, shape_ids = _origin_shapes(domain, neighborhood_of)
+    shape_ids = shape_ids.tolist()
+    slots = _bulk_slots(schedule, domain).tolist()
+    colliding = []
+    probe_index = len(representatives)
+    for i, representative in enumerate(representatives):
+        for delta in positive:
+            if slots[probe_index] == slots[i]:
+                a, b = shape_ids[i], shape_ids[probe_index]
+                if delta in {vsub(p, q) for p in shapes[a]
+                             for q in shapes[b]}:
+                    colliding.append((representative, delta))
+            probe_index += 1
+    return tuple(positive), tuple(sorted(colliding)), len(domain)
+
+
+def assert_matches_scalar(certificate, schedule, period, neighborhood_of,
+                          offsets=None):
+    want = scalar_certify(schedule, period, neighborhood_of, offsets)
+    assert (certificate.offsets, certificate.colliding_classes,
+            certificate.checked_points) == want
+
+
+def respectable_city():
+    return MultiTiling([rectangle_tile(2, 2), rectangle_tile(1, 2)],
+                       [[(0, 0)], [(2, 0), (3, 0)]],
+                       diagonal_sublattice((4, 2)))
+
+
+class TestArrayScanEqualsScalarScan:
+    """The array scan of ``certify_periodic`` against its scalar loop."""
+
+    @given(transversal_prototiles(max_index=8), st.integers(0, 2**32))
+    @settings(**SETTINGS)
+    def test_planted_colliding_classes(self, pair, table_seed):
+        prototile, sublattice = pair
+        base = schedule_from_tiling(LatticeTiling(prototile, sublattice))
+        rng = random.Random(table_seed)
+        table = [rng.randrange(base.num_slots)
+                 for _ in range(base.num_slots)]
+        schedule = _Remapped(base, table)
+        certificate = certify_periodic(schedule, sublattice,
+                                       base.neighborhood_of)
+        assert_matches_scalar(certificate, schedule, sublattice,
+                              base.neighborhood_of)
+
+    @given(transversal_prototiles(max_index=8))
+    @settings(**SETTINGS)
+    def test_clean_schedules(self, pair):
+        prototile, sublattice = pair
+        schedule = schedule_from_tiling(LatticeTiling(prototile, sublattice))
+        certificate = certify_schedule(schedule)
+        assert certificate.collision_free
+        assert_matches_scalar(certificate, schedule, certificate.period,
+                              schedule.neighborhood_of)
+
+    @given(transversal_prototiles(max_index=6),
+           st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    max_size=6),
+           st.integers(0, 2**32))
+    @settings(**SETTINGS)
+    def test_explicit_offsets(self, pair, offsets, table_seed):
+        prototile, sublattice = pair
+        base = schedule_from_tiling(LatticeTiling(prototile, sublattice))
+        rng = random.Random(table_seed)
+        schedule = _Remapped(base, [rng.randrange(2)
+                                    for _ in range(base.num_slots)])
+        certificate = certify_periodic(schedule, sublattice,
+                                       base.neighborhood_of,
+                                       offsets=offsets)
+        assert_matches_scalar(certificate, schedule, sublattice,
+                              base.neighborhood_of, offsets)
+
+    def test_chebyshev_cubes_and_a_multi_tiling(self):
+        for schedule in (schedule_from_prototile(chebyshev_ball(1, 3)),
+                         schedule_from_prototile(chebyshev_ball(2, 3)),
+                         Session.for_multi_tiling(
+                             respectable_city()).schedule):
+            certificate = certify_schedule(schedule)
+            assert certificate.collision_free
+            assert_matches_scalar(certificate, schedule,
+                                  certificate.period,
+                                  schedule.neighborhood_of)
+
+    def test_merged_slots_on_a_cube(self):
+        base = schedule_from_prototile(chebyshev_ball(1, 3))
+        schedule = _Remapped(base, [slot % 5
+                                    for slot in range(base.num_slots)])
+        period = base.tiling.coset_structure()[0]
+        certificate = certify_periodic(schedule, period,
+                                       base.neighborhood_of)
+        assert certificate.colliding_classes
+        assert_matches_scalar(certificate, schedule, period,
+                              base.neighborhood_of)
+
+    def test_offsets_past_the_int64_bound(self):
+        # The probes are built as tuples: no int64 array can hold them.
+        base = schedule_from_prototile(chebyshev_ball(1))
+        period = base.tiling.coset_structure()[0]
+        offsets = [(1, 0), (0, 1), (2 ** 63, 5)]
+        schedule = _Remapped(base, [0] * base.num_slots)
+        certificate = certify_periodic(schedule, period,
+                                       base.neighborhood_of,
+                                       offsets=offsets)
+        assert_matches_scalar(certificate, schedule, period,
+                              base.neighborhood_of, offsets)

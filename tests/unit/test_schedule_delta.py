@@ -315,6 +315,22 @@ class TestWindowIdentity:
         b = VerificationCache(schedule, shuffled, _neighborhood)
         assert a.window_key == b.window_key
 
+    def test_window_key_beyond_int64_keeps_both_properties(self):
+        # Coordinates past int64 leave the batch without an array; the
+        # digest then hashes the sorted tuples.
+        far = 2 ** 64
+        points = [(far + x, y) for x in range(3) for y in range(3)]
+        schedule = MappingSchedule({p: 0 for p in points})
+        shuffled = list(points)
+        random.Random(5).shuffle(shuffled)
+        substituted = points[:-2] + [points[0], points[-1]]
+        a = VerificationCache(schedule, points, _neighborhood)
+        b = VerificationCache(schedule, shuffled, _neighborhood)
+        c = VerificationCache(schedule, substituted, _neighborhood)
+        assert a.window_key == b.window_key
+        assert a.window_key[:3] == c.window_key[:3]
+        assert a.window_key != c.window_key
+
 
 class TestDegenerateScanParity:
     """The many-shape fallback must mirror the bulk path exactly."""

@@ -233,6 +233,14 @@ class TestResultCodec:
         with pytest.raises(TransportError):
             decode_result({"kind": "mystery"})
 
+    @pytest.mark.parametrize("pair", [
+        [[0, 0]], [[0, 0], [1, 0], [2, 0]], [[0, 0], [1, True]]])
+    def test_collision_pair_of_wrong_shape_is_typed(self, pair):
+        body = encode_result(make_tiling_session().verify())
+        body["collisions"] = [pair]
+        with pytest.raises(TransportError):
+            decode_result(body)
+
 
 # ----------------------------------------------------------------------
 class TestErrorCodec:
