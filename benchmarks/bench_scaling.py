@@ -6,13 +6,15 @@ The bulk cases stress the engine's vectorized slot assignment on a
 ~10^5-sensor window against the per-point ``slot_of`` loop.
 """
 
+import random
 import time
 
 import pytest
 
 from repro.api import Box, EngineConfig, Session
 from repro.core.certify import certify_schedule
-from repro.core.schedule import find_collisions
+from repro.core.schedule import MappingSchedule, find_collisions
+from repro.core.serialize import schedule_digest
 from repro.engine import cpu_budget
 from repro.experiments.base import format_rows
 from repro.experiments.systems_experiments import run_scaling
@@ -384,6 +386,94 @@ def test_session_setup(report, record_scaling):
            f"{cold_time * 1e3:.0f} ms; sublattices and certificates "
            f"identical")
     assert speedups[2] >= 5
+
+
+def _dict_restrict(base, box):
+    """``base.restrict(box)`` with the point -> slot dict of the dict
+    form: one tuple and one dict entry per sensor."""
+    batch = box.batch()
+    table = dict(zip(batch.points, base.assign(batch).slots))
+    return Session(MappingSchedule(table), window=batch,
+                   neighborhood_of=base.neighborhood_of)
+
+
+def test_mapping_session(report, record_scaling):
+    """Restricted sessions on a slot grid against the dict form.
+
+    ``Session.restrict(Box)`` lays the box out as a slot grid
+    (``MappingSchedule.from_batch``); the reference builds the dict
+    form of the same table.  Timed for a 60x60 and a 200x200 box: the
+    restrict, the first verify (the cache build), and 200 single-point
+    edits each followed by its delta verify.  Schedules (by digest)
+    and every report must be identical.  The gate is the 60x60
+    restrict speedup, a ratio within one process.
+    """
+    base = Session.for_chebyshev(1)
+    rng = random.Random(25)
+    lines = []
+    fields = {}
+    speedups = {}
+    for side, rounds in ((60, 15), (200, 5)):
+        box = Box((0, 0), (side - 1, side - 1))
+        grid, table = base.restrict(box), _dict_restrict(base, box)
+        assert grid.schedule._grid is not None
+        assert schedule_digest(grid.schedule) \
+            == schedule_digest(table.schedule)
+        restrict_slow, restrict_fast = _interleaved_min(
+            lambda: _dict_restrict(base, box), lambda: base.restrict(box),
+            rounds)
+
+        def first_verify(make):
+            session = make()
+            t0 = time.perf_counter()
+            session.verify()
+            return time.perf_counter() - t0
+
+        verify_fast = verify_slow = float("inf")
+        for _ in range(rounds):
+            verify_slow = min(verify_slow,
+                              first_verify(lambda: _dict_restrict(base, box)))
+            verify_fast = min(verify_fast,
+                              first_verify(lambda: base.restrict(box)))
+        assert grid.verify() == table.verify()
+
+        points = box.points()
+        script = [{rng.choice(points): rng.randrange(base.num_slots)}
+                  for _ in range(200)]
+        edit_time = {}
+        reports = {}
+        for name, session in (("grid", grid), ("dict", table)):
+            t0 = time.perf_counter()
+            answers = []
+            for updates in script:
+                session = session.edit(updates)
+                answers.append(session.verify())
+            edit_time[name] = time.perf_counter() - t0
+            reports[name] = answers
+        assert reports["grid"] == reports["dict"]
+        assert any(report.source == "delta" for report in reports["grid"])
+
+        speedups[side] = restrict_slow / restrict_fast
+        fields.update({
+            f"s{side}_restrict_s": round(restrict_fast, 6),
+            f"s{side}_restrict_dict_s": round(restrict_slow, 6),
+            f"s{side}_first_verify_s": round(verify_fast, 6),
+            f"s{side}_first_verify_dict_s": round(verify_slow, 6),
+            f"s{side}_edit_verify_s": round(edit_time["grid"] / 200, 6),
+            f"s{side}_edit_verify_dict_s": round(edit_time["dict"] / 200,
+                                                 6)})
+        lines.append(
+            f"{side}x{side}: restrict {restrict_slow * 1e3:.2f} -> "
+            f"{restrict_fast * 1e3:.2f} ms ({speedups[side]:.1f}x), first "
+            f"verify {verify_slow * 1e3:.2f} -> {verify_fast * 1e3:.2f} ms, "
+            f"edit + delta verify {edit_time['dict'] / 200 * 1e3:.3f} -> "
+            f"{edit_time['grid'] / 200 * 1e3:.3f} ms")
+    record_scaling("mapping-session/restrict-edit",
+                   seconds=fields["s60_restrict_s"], speedup=speedups[60],
+                   **fields)
+    report("Engine — restricted mapping sessions on a slot grid",
+           "\n".join(lines) + "\nschedules and reports identical")
+    assert speedups[60] >= 3
 
 
 def test_streamed_window_bounded_memory(report, record_scaling):

@@ -51,6 +51,7 @@ from repro.core.schedule import (
     ScheduleDelta,
     TilingSchedule,
     VerificationCache,
+    _bulk_slots,
     find_collisions,
 )
 from repro.core.serialize import (
@@ -184,6 +185,18 @@ def _as_window(window: WindowLike) -> PointBatch:
             f"used to mean a box — pass Box{window!r} for the box, or "
             f"a list {list(window)!r} for two literal points")
     return PointBatch.of(window)
+
+
+def _window_key(batch: PointBatch) -> tuple[object, ...]:
+    """The point sequence of a window, as a dict key.
+
+    A dense row-major window is its box corners (the sequence is the
+    box's row-major order); any other is the tuple of its points.  The
+    marker keeps the two forms apart.
+    """
+    if batch.row_major:
+        return ("box", batch.lo, batch.hi)
+    return tuple(batch.points)
 
 
 # ----------------------------------------------------------------------
@@ -698,8 +711,7 @@ class Session:
                 cache_hits=self._cache_hits,
                 cache_misses=self._cache_misses,
                 workers=workers)
-        window_list = batch.points
-        key = (tuple(window_list),
+        key = (_window_key(batch),
                None if offset_list is None else tuple(sorted(offset_list)))
         cache = self._caches.get(key)
         with use_config(self._config):
@@ -711,7 +723,7 @@ class Session:
                 collisions = cache.collisions()
                 self._caches[key] = cache
                 source = "scan"
-                checked = len(window_list)
+                checked = len(batch)
             else:
                 self._cache_hits += 1
                 collisions = cache.collisions_for(self._schedule,
@@ -724,7 +736,7 @@ class Session:
                     source = "cache"
                     checked = 0
         return VerificationReport(
-            collisions=tuple(collisions), window_size=len(window_list),
+            collisions=tuple(collisions), window_size=len(batch),
             source=source, checked_points=checked,
             cache_hits=self._cache_hits, cache_misses=self._cache_misses,
             workers=workers)
@@ -1073,13 +1085,15 @@ class Session:
         supports :meth:`edit` — while keeping this session's
         interference model, conflict offsets and config, so a verify of
         the same window answers identically.  Theorem 1/2 sessions are
-        immutable; churn workloads restrict first, then edit.
+        immutable; churn workloads restrict first, then edit.  A window
+        that fills its bounding box once (a :class:`Box`) becomes a slot
+        grid (:meth:`~repro.core.schedule.MappingSchedule.from_batch`).
         """
         batch = self._window_batch(window)
-        slots = self.assign(batch).slots
-        assignment = {point: int(slot)
-                      for point, slot in zip(batch.points, slots)}
-        return Session(MappingSchedule(assignment), config=self._config,
+        with use_config(self._config):
+            slots = _bulk_slots(self._schedule, batch)
+        return Session(MappingSchedule.from_batch(batch, slots),
+                       config=self._config,
                        window=batch,
                        neighborhood_of=self._neighborhood_of,
                        offsets=self._offsets)

@@ -28,10 +28,11 @@ certified.  All speeds produce identical collision lists.
 from __future__ import annotations
 
 import hashlib
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter, sub
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,13 +44,14 @@ from repro.engine.collisions import (
     _MAX_SHAPE_CLASSES,
     scan_collisions,
     scan_collisions_touching,
+    scan_grid_touching,
 )
-from repro.engine.encode import PointBatch
-from repro.engine.slots import CosetTable
+from repro.engine.encode import BoxEncoder, PointBatch
+from repro.engine.slots import _MAX_COORD, CosetTable
 from repro.tiles.prototile import Prototile
 from repro.tiling.base import Tiling
 from repro.tiling.multi import MultiTiling
-from repro.utils.vectors import IntVec, as_intvec, vadd, vsub
+from repro.utils.vectors import IntVec, as_intvec, box_points, vadd, vsub
 from repro.utils.validation import require
 
 __all__ = [
@@ -122,48 +124,189 @@ class Schedule:
         return list(self.slot_buckets(points).get(slot, []))
 
 
+#: Point lists up to this long are looked up on a slot grid one point
+#: at a time: validating them into a batch costs more than the
+#: arithmetic.
+_SCALAR_POINTS = 8
+
+
 class MappingSchedule(Schedule):
     """A finite schedule backed by an explicit point -> slot mapping.
 
     Produced by the graph-coloring baselines and by restriction of an
-    infinite schedule to a finite region.
+    infinite schedule to a finite region.  The table takes one of two
+    forms, chosen by its content.  The constructor keeps a dict.
+    :meth:`from_batch` lays a domain that fills its bounding box exactly
+    once out as a *slot grid*: the box (a
+    :class:`~repro.engine.encode.BoxEncoder`) and a read-only row-major
+    int64 slot array, so a restricted ``Box`` costs one array instead of
+    a tuple and a dict entry per sensor.  Both forms answer every query
+    identically.
     """
 
     def __init__(self, assignment: Mapping[IntVec, int]):
+        self._adopt(dict(assignment))
+
+    def _adopt(self, assignment: dict[IntVec, int]) -> None:
         require(len(assignment) > 0, "assignment must not be empty")
-        slots = set(assignment.values())
-        require(all(s >= 0 for s in slots), "slots must be nonnegative")
-        super().__init__(max(slots) + 1)
-        self._assignment = dict(assignment)
+        require(min(assignment.values()) >= 0, "slots must be nonnegative")
+        super().__init__(max(assignment.values()) + 1)
+        self._assignment: dict[IntVec, int] | None = assignment
+        self._box: BoxEncoder | None = None
+        self._grid: np.ndarray | None = None
         # Domain points bucketed by slot (sorted order), built lazily by
         # _domain_buckets and derived incrementally by with_updates.
         self._domain_bucket_cache: dict[int, list[IntVec]] | None = None
 
+    @classmethod
+    def _of_dict(cls, assignment: dict[IntVec, int]) -> MappingSchedule:
+        """The dict form over ``assignment`` itself (not a copy)."""
+        schedule = cls.__new__(cls)
+        schedule._adopt(assignment)
+        return schedule
+
+    @classmethod
+    def _of_grid(cls, box: BoxEncoder, grid: np.ndarray) -> MappingSchedule:
+        """The grid form over ``grid`` (nonnegative, made read-only)."""
+        schedule = cls.__new__(cls)
+        Schedule.__init__(schedule, int(grid.max()) + 1)
+        grid.setflags(write=False)
+        schedule._assignment = None
+        schedule._box = box
+        schedule._grid = grid
+        schedule._domain_bucket_cache = None
+        return schedule
+
+    @classmethod
+    def from_batch(cls, batch: PointBatch,
+                   slots: Sequence[int] | np.ndarray) -> MappingSchedule:
+        """The schedule giving point ``i`` of ``batch`` slot ``slots[i]``.
+
+        A batch that fills its bounding box exactly once (``dense``,
+        every coordinate below ``2**40``) with plain-int slots, or an
+        integer array of them, becomes a slot grid.  Anything else
+        becomes the dict ``dict(zip(batch.points, slots))``: a repeated
+        point keeps its last slot, and an array's slots are stored as
+        ints.
+
+        Raises:
+            ValueError: for an empty batch, a negative slot, or a slot
+                count other than the point count.
+        """
+        require(len(slots) == len(batch), "need one slot per point")
+        fits = len(batch) > 0 and batch.dense \
+            and batch.magnitude < _MAX_COORD
+        values = None
+        if isinstance(slots, np.ndarray):
+            if fits:
+                values = slots.astype(np.int64)
+            else:
+                slots = slots.tolist()
+        elif fits and set(map(type, slots)) <= {int}:
+            try:
+                values = np.array(slots, dtype=np.int64)
+            except OverflowError:
+                pass
+        if values is None:
+            return cls._of_dict(dict(zip(batch.points, slots)))
+        require(int(values.min()) >= 0, "slots must be nonnegative")
+        return cls._of_grid(BoxEncoder(batch), batch.on_grid(values).ravel())
+
     def slot_of(self, point: Sequence[int]) -> int:
         key = as_intvec(point)
-        try:
-            return self._assignment[key]
-        except KeyError:
-            raise KeyError(f"point {key} is not covered by this schedule") \
-                from None
+        if self._grid is None:
+            slot = self._assignment.get(key)
+        else:
+            position = self._box.position(key)
+            slot = None if position is None else self._grid.item(position)
+        if slot is None:
+            raise KeyError(f"point {key} is not covered by this schedule")
+        return slot
 
     def slots_of(self, points: Iterable[Sequence[int]]) -> list[int]:
-        """Slots of a window validated once: one dict probe per point."""
-        try:
-            return list(map(self._assignment.__getitem__,
-                            PointBatch.of(points).points))
-        except KeyError as error:
-            raise KeyError(f"point {error.args[0]} is not covered by this "
-                           f"schedule") from None
+        """Slots of a window validated once.
+
+        The dict form makes one dict probe per point.  The grid form
+        looks a short list of integer tuples up point by point, and any
+        other window with one bounds-checked gather.
+        """
+        if self._grid is None:
+            try:
+                return list(map(self._assignment.__getitem__,
+                                PointBatch.of(points).points))
+            except KeyError as error:
+                raise KeyError(f"point {error.args[0]} is not covered by "
+                               f"this schedule") from None
+        if type(points) in (list, tuple) and len(points) <= _SCALAR_POINTS:
+            slots = self._scalar_slots(points)
+            if slots is not None:
+                return slots
+        return self._gather(PointBatch.of(points)).tolist()
+
+    def _scalar_slots(self, points: Sequence) -> list[int] | None:
+        """Grid slots of a few points, or ``None`` unless every point is
+        a tuple of plain ints of the grid's dimension (the points a batch
+        takes as they are)."""
+        box = self._box
+        for point in points:
+            if type(point) is not tuple or len(point) != box.dimension \
+                    or not all(type(x) is int for x in point):
+                return None
+        slots = []
+        for point in points:
+            position = box.position(point)
+            if position is None:
+                raise KeyError(
+                    f"point {point} is not covered by this schedule")
+            slots.append(self._grid.item(position))
+        return slots
+
+    def _gather(self, batch: PointBatch) -> np.ndarray:
+        """Grid slots of a batch as an int64 array (read-only when it is
+        the grid itself), or the ``KeyError`` of its first point outside
+        the box."""
+        box, grid = self._box, self._grid
+        array = batch.array
+        if not len(batch):
+            return np.zeros(0, dtype=np.int64)
+        if array is not None and array.shape[1] == box.dimension:
+            if len(array) == len(grid) and batch.row_major \
+                    and (batch.lo, batch.hi) == (box.lo, box.hi):
+                return grid
+            inside = ((array >= box.lo) & (array <= box.hi)).all(axis=1)
+            if inside.all():
+                return grid[box.keys_array(array)]
+            missing = int(np.argmin(inside))
+        else:
+            missing = next(i for i, point in enumerate(batch.points)
+                           if box.position(point) is None)
+        raise KeyError(f"point {batch.points[missing]} is not covered by "
+                       f"this schedule")
 
     @property
     def points(self) -> list[IntVec]:
-        """The finite domain of the schedule."""
-        return sorted(self._assignment)
+        """The finite domain of the schedule, sorted."""
+        if self._grid is None:
+            return sorted(self._assignment)
+        return list(box_points(self._box.lo, self._box.hi))
 
     def used_slots(self) -> int:
         """Number of distinct slots actually used."""
-        return len(set(self._assignment.values()))
+        if self._grid is None:
+            return len(set(self._assignment.values()))
+        return len(np.unique(self._grid))
+
+    def _sorted_items(self) -> list[tuple[IntVec, int]]:
+        """``(point, slot_of(point))`` over the domain, sorted by point."""
+        if self._grid is None:
+            return sorted((point, self.slot_of(point))
+                          for point in self._assignment)
+        return list(zip(self.points, self._grid.tolist()))
+
+    def _covers(self, point: IntVec) -> bool:
+        if self._grid is None:
+            return point in self._assignment
+        return self._box.position(point) is not None
 
     def with_updates(self, updates: Mapping[Sequence[int], int],
                      ) -> ScheduleDelta:
@@ -174,9 +317,17 @@ class MappingSchedule(Schedule):
         the set of points whose slot actually changed — the dirty set
         that :meth:`VerificationCache.apply` re-verifies incrementally.
         No-op entries (a point already on the requested slot) are
-        excluded from the dirty set.
+        excluded from the dirty set.  A grid stays a grid (a copy of
+        the slot array) unless an update leaves the box or its slot is
+        not a plain int; the new schedule then has the dict form.
         """
-        new_assignment = dict(self._assignment)
+        if self._grid is not None:
+            delta = self._grid_updates(updates)
+            if delta is not None:
+                return delta
+            new_assignment = dict(self._sorted_items())
+        else:
+            new_assignment = dict(self._assignment)
         changed: set[IntVec] = set()
         for point, slot in updates.items():
             key = as_intvec(point)
@@ -184,7 +335,31 @@ class MappingSchedule(Schedule):
             if new_assignment.get(key) != slot:
                 new_assignment[key] = slot
                 changed.add(key)
-        schedule = MappingSchedule(new_assignment)
+        schedule = MappingSchedule._of_dict(new_assignment)
+        self._seed_domain_buckets(schedule, changed)
+        return ScheduleDelta(base=self, schedule=schedule,
+                             changed=frozenset(changed))
+
+    def _grid_updates(self, updates: Mapping[Sequence[int], int],
+                      ) -> ScheduleDelta | None:
+        """:meth:`with_updates` on the slot grid, or ``None`` when an
+        update leaves the box or its slot is not a plain int."""
+        box, grid = self._box, self._grid
+        cells: list[tuple[int, IntVec, int]] = []
+        for point, slot in updates.items():
+            key = as_intvec(point)
+            require(slot >= 0, "slots must be nonnegative")
+            position = box.position(key)
+            if position is None or type(slot) is not int:
+                return None
+            if grid.item(position) != slot:
+                cells.append((position, key, slot))
+        if cells:
+            grid = grid.copy()
+            for position, _, slot in cells:
+                grid[position] = slot
+        changed = {key for _, key, _ in cells}
+        schedule = MappingSchedule._of_grid(box, grid)
         self._seed_domain_buckets(schedule, changed)
         return ScheduleDelta(base=self, schedule=schedule,
                              changed=frozenset(changed))
@@ -193,8 +368,13 @@ class MappingSchedule(Schedule):
         """Domain points grouped by slot (each bucket sorted), cached."""
         if self._domain_bucket_cache is None:
             buckets: dict[int, list[IntVec]] = {}
-            for point in self.points:
-                buckets.setdefault(self._assignment[point], []).append(point)
+            if self._grid is None:
+                for point in self.points:
+                    buckets.setdefault(self._assignment[point],
+                                       []).append(point)
+            else:
+                for point, slot in self._sorted_items():
+                    buckets.setdefault(slot, []).append(point)
             self._domain_bucket_cache = buckets
         return self._domain_bucket_cache
 
@@ -209,15 +389,15 @@ class MappingSchedule(Schedule):
         never migrate, only a corrected copy does.
         """
         source = self._domain_bucket_cache
-        if source is None or any(p not in self._assignment for p in changed):
+        if source is None or not all(map(self._covers, changed)):
             return
         derived = {slot: list(members) for slot, members in source.items()}
         for point in changed:
-            old_slot = self._assignment[point]
+            old_slot = self.slot_of(point)
             derived[old_slot].remove(point)
             if not derived[old_slot]:
                 del derived[old_slot]
-            insort(derived.setdefault(child._assignment[point], []), point)
+            insort(derived.setdefault(child.slot_of(point), []), point)
         child._domain_bucket_cache = derived
 
     def senders_at(self, time: int,
@@ -472,19 +652,30 @@ def _bulk_slots(schedule: Schedule, points) -> np.ndarray:
     """Slots of a window as an int64 array: the one internal lookup.
 
     ``schedule`` is duck-typed; only ``slot_of`` is required.  Theorem
-    1/2 schedules answer from their coset table on the batch array;
-    anything else through its ``slots_of`` (or ``slot_of`` per point).
+    1/2 schedules answer from their coset table on the batch array,
+    a slot grid with one gather; anything else through its
+    ``slots_of`` (or ``slot_of`` per point).
     """
     batch = PointBatch.of(points)
     if isinstance(schedule, (TilingSchedule, MultiTilingSchedule)):
         table = schedule._coset_table()
         if table is not None:
             return table.lookup_array(batch)
+    if isinstance(schedule, MappingSchedule) and schedule._grid is not None:
+        return schedule._gather(batch)
     bulk = getattr(schedule, "slots_of", None)
     if bulk is not None:
         return np.asarray(bulk(batch), dtype=np.int64)
     return np.asarray([schedule.slot_of(p) for p in batch.points],
                       dtype=np.int64)
+
+
+def _slot_list(schedule: Schedule, points: list[IntVec]) -> list[int]:
+    """Slots of a few window points: a slot grid answers point by point,
+    anything else through :func:`_bulk_slots`."""
+    if isinstance(schedule, MappingSchedule) and schedule._grid is not None:
+        return schedule.slots_of(points)
+    return _bulk_slots(schedule, points).tolist()
 
 
 def _scan_window(batch: PointBatch,
@@ -627,7 +818,8 @@ def _window_digest(batch: PointBatch) -> str:
     digest = hashlib.blake2b(digest_size=8)
     array = batch.array
     if array is not None:
-        ordered = array[np.lexsort(array.T[::-1])]
+        ordered = array if batch.row_major \
+            else array[np.lexsort(array.T[::-1])]
         digest.update(repr(ordered.shape).encode("ascii")
                       + ordered.tobytes())
     else:
@@ -639,13 +831,17 @@ def _window_digest(batch: PointBatch) -> str:
 class VerificationCache:
     """Incremental collision verification for one sensor window.
 
-    The cache normalizes the window once — points, first-occurrence
-    index, per-point occurrence lists, interference shape classes,
-    conflict offsets, and the box-encoded window key — and remembers the
-    full collision list of the schedule it tracks.  After an edit,
-    :meth:`apply` takes the :class:`ScheduleDelta` and re-verifies only
-    the *dirty region* (the edited points dilated by the conflict-offset
-    radius) in ``O(|edit| * |offsets|^2 + |collisions|)`` time, instead
+    The cache normalizes the window once — the point index,
+    interference shape classes and conflict offsets — and remembers the
+    full collision list of the schedule it tracks.  A dense window in
+    row-major order (a :class:`~repro.api.Box`) is indexed by box
+    arithmetic: point ``k`` sits at grid position ``k``, so the cache
+    keeps no point tuples.  Any other window keeps a first-occurrence
+    dict, plus per-point occurrence lists when a point repeats.  After
+    an edit, :meth:`apply` takes the :class:`ScheduleDelta` and
+    re-verifies only the *dirty region* (the edited points dilated by
+    the conflict-offset radius) in ``O(|edit| * |offsets| * log
+    |collisions|)`` time plus one copy of the collision list, instead
     of the ``O(|window| * |offsets|)`` full rescan — while producing a
     collision list identical to :func:`find_collisions` on the edited
     schedule.
@@ -661,9 +857,7 @@ class VerificationCache:
         batch = PointBatch.of(points)
         require(len(batch) > 0,
                 "a verification cache needs a nonempty window")
-        point_list = batch.points
         self._batch = batch
-        self._points = point_list
         self._neighborhood_of = neighborhood_of
         self._shapes, shape_ids = _origin_shapes(batch, neighborhood_of)
         self._shape_ids = shape_ids.tolist()
@@ -672,22 +866,44 @@ class VerificationCache:
                                              batch.dimension)
         else:
             self._offsets = list(offsets)
-        self._index_of: dict[IntVec, int] = {}
-        self._occurrences: dict[IntVec, list[int]] = {}
-        for i, point in enumerate(point_list):
-            self._index_of.setdefault(point, i)
-            self._occurrences.setdefault(point, []).append(i)
-        self._sorted_points = sorted(point_list)
-        #: Identity of the verified window: bounding box, size, and a
-        #: content digest of the point multiset.  Two caches with equal
-        #: keys verify the same sensors (up to ordering) — the digest
-        #: keeps different point sets sharing a bounding box and count
-        #: from aliasing in a cache-per-window registry.
-        self.window_key = (batch.lo, batch.hi, len(point_list),
-                           _window_digest(batch))
+        zero = (0,) * batch.dimension
+        self._positive = sorted({delta for delta in self._offsets
+                                 if delta > zero})
+        self._grid: BoxEncoder | None = None
+        self._index_of: dict[IntVec, int] | None = None
+        self._occurrences: dict[IntVec, list[int]] | None = None
+        if batch.row_major and batch.magnitude < _MAX_COORD:
+            self._grid = BoxEncoder(batch)
+        else:
+            point_list = batch.points
+            self._index_of = dict(zip(point_list, range(len(point_list))))
+            if len(self._index_of) < len(point_list):
+                self._index_of = {}
+                self._occurrences = {}
+                for i, point in enumerate(point_list):
+                    self._index_of.setdefault(point, i)
+                    self._occurrences.setdefault(point, []).append(i)
+        self._sorted_points: list[IntVec] | None = None
+        self._window_key: tuple | None = None
         self._schedule = schedule
         self._slots: list[int] | None = None
         self._collisions: list[Collision] | None = None
+
+    @property
+    def window_key(self) -> tuple:
+        """Identity of the verified window: bounding box, size, and a
+        content digest of the point multiset.
+
+        Two caches with equal keys verify the same sensors (up to
+        ordering) — the digest keeps different point sets sharing a
+        bounding box and count from aliasing in a cache-per-window
+        registry.
+        """
+        if self._window_key is None:
+            batch = self._batch
+            self._window_key = (batch.lo, batch.hi, len(batch),
+                                _window_digest(batch))
+        return self._window_key
 
     @property
     def schedule(self) -> Schedule:
@@ -696,6 +912,8 @@ class VerificationCache:
 
     def __contains__(self, point: object) -> bool:
         """True when ``point`` is part of the verified window."""
+        if self._grid is not None:
+            return self._grid.position(point) is not None
         return point in self._index_of
 
     def touched_in_window(self, changed: Iterable[IntVec]) -> list[IntVec]:
@@ -706,7 +924,7 @@ class VerificationCache:
         points a delta actually touched in this window) share it with
         :meth:`apply` instead of re-deriving membership.
         """
-        return [p for p in changed if p in self._index_of]
+        return [p for p in changed if p in self]
 
     def collisions(self) -> list[Collision]:
         """Colliding pairs of the tracked schedule over the window.
@@ -740,6 +958,10 @@ class VerificationCache:
     def apply(self, delta: ScheduleDelta) -> list[Collision]:
         """Track the delta's schedule, re-verifying only the dirty region.
 
+        The cached pairs with an edited endpoint are dropped and the
+        rescanned ones merged in, so the list keeps its sorted order
+        without a re-sort.
+
         Raises:
             ValueError: when ``delta.base`` is not the schedule this
                 cache tracks — deltas must be applied in order (or the
@@ -755,21 +977,62 @@ class VerificationCache:
         touched = self.touched_in_window(delta.changed)
         if touched:
             assert self._slots is not None
-            slots = _bulk_slots(delta.schedule, touched).tolist()
-            for point, slot in zip(touched, slots):
-                for i in self._occurrences[point]:
+            for point, slot in zip(touched,
+                                   _slot_list(delta.schedule, touched)):
+                for i in self._positions(point):
                     self._slots[i] = slot
             touched_set = frozenset(touched)
-            kept = [pair for pair in self._collisions
-                    if pair[0] not in touched_set
-                    and pair[1] not in touched_set]
-            kept.extend(scan_collisions_touching(
-                self._points, self._slots, self._shape_ids, self._shapes,
-                self._offsets, touched_set, self._index_of,
-                self._occurrences))
-            kept.sort()
-            self._collisions = kept
+            self._drop_pairs(touched_set)
+            if self._grid is not None:
+                found = scan_grid_touching(
+                    self._grid, self._slots, self._shape_ids, self._shapes,
+                    self._offsets, touched_set)
+            else:
+                found = scan_collisions_touching(
+                    self._batch.points, self._slots, self._shape_ids,
+                    self._shapes, self._offsets, touched_set,
+                    self._index_of, self._occurrences)
+            for pair in found:
+                insort(self._collisions, pair)
         return list(self._collisions)
+
+    def _positions(self, point: IntVec) -> Sequence[int]:
+        """Window indices of a point of the window (every occurrence)."""
+        if self._grid is not None:
+            return (self._grid.position(point),)
+        if self._occurrences is not None:
+            return self._occurrences[point]
+        return (self._index_of[point],)
+
+    def _drop_pairs(self, touched: frozenset[IntVec]) -> None:
+        """Remove the cached pairs with an endpoint in ``touched``.
+
+        Every cached pair is ``(x, x + delta)`` for a positive offset
+        ``delta``, and the list is sorted: the pairs of ``c`` as the
+        left end are one run, found by bisection on the left end; as
+        the right end they are the runs equal to ``(c - delta, c)``.
+        """
+        pairs = self._collisions
+        left = itemgetter(0)
+        spans = []
+        for c in touched:
+            spans.append((bisect_left(pairs, c, key=left),
+                          bisect_right(pairs, c, key=left)))
+            for delta in self._positive:
+                x = tuple(map(sub, c, delta))
+                if x in touched:
+                    continue  # in x's own run
+                start = bisect_left(pairs, (x, c))
+                if start < len(pairs) and pairs[start] == (x, c):
+                    spans.append((start, bisect_right(pairs, (x, c),
+                                                      start)))
+        for start, stop in sorted(spans, reverse=True):
+            del pairs[start:stop]
+
+    def _sorted_window(self) -> list[IntVec]:
+        if self._sorted_points is None:
+            self._sorted_points = sorted(self._batch.points)
+        return self._sorted_points
 
     def collisions_for(self, schedule: Schedule,
                        points: Iterable[Sequence[int]] | None = None,
@@ -794,7 +1057,7 @@ class VerificationCache:
         ordering anyway.
         """
         if points is not None and sorted(
-                PointBatch.of(points).points) != self._sorted_points:
+                PointBatch.of(points).points) != self._sorted_window():
             raise ValueError(
                 "window mismatch: this cache verifies a different window "
                 f"(key {self.window_key})")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 
 from repro.core.schedule import (
     MappingSchedule,
@@ -27,6 +28,7 @@ from repro.core.schedule import (
     Schedule,
     TilingSchedule,
 )
+from repro.engine.encode import PointBatch
 from repro.lattice.sublattice import Sublattice
 from repro.tiles.prototile import Prototile
 from repro.tiling.lattice_tiling import LatticeTiling
@@ -97,9 +99,7 @@ def schedule_to_dict(schedule: Schedule) -> dict:
         return {
             "kind": "mapping",
             "assignment": [[list(point), slot]
-                           for point, slot in sorted(
-                               (p, schedule.slot_of(p))
-                               for p in schedule.points)],
+                           for point, slot in schedule._sorted_items()],
         }
     raise TypeError(f"cannot serialize {type(schedule).__name__}")
 
@@ -149,9 +149,21 @@ def _schedule_from_dict(data: dict) -> Schedule:
         cells = [tuple(c) for c in data["cells"]]
         return MultiTilingSchedule(multi, cells)
     if kind == "mapping":
-        return MappingSchedule({tuple(point): slot
-                                for point, slot in data["assignment"]})
+        rows = data["assignment"]
+        points = [tuple(point) for point, _ in rows]
+        slots = [slot for _, slot in rows]
+        if _plain_points(points):
+            return MappingSchedule.from_batch(PointBatch.of(points), slots)
+        return MappingSchedule(dict(zip(points, slots)))
     raise ValueError(f"unknown schedule kind: {kind!r}")
+
+
+def _plain_points(points: list[tuple[object, ...]]) -> bool:
+    """True when the points are nonempty tuples of plain ints, all of
+    one length: the rows a point batch takes as they are.  Other rows
+    keep the table exactly as written."""
+    return len(set(map(len, points))) == 1 and len(points[0]) > 0 \
+        and set(map(type, chain.from_iterable(points))) <= {int}
 
 
 def schedule_to_json(schedule: Schedule) -> str:

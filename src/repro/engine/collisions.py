@@ -48,7 +48,7 @@ import math
 import warnings
 from collections.abc import Collection, Mapping, Sequence
 from functools import lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +64,8 @@ from repro.faults.injection import consume_numpy_failure
 from repro.utils.vectors import IntVec, vadd, vsub
 
 __all__ = ["EngineDegradedWarning", "StencilPlan", "scan_box_plan",
-           "scan_collisions", "scan_collisions_touching"]
+           "scan_collisions", "scan_collisions_touching",
+           "scan_grid_touching"]
 
 Collision = tuple[IntVec, IntVec]
 class EngineDegradedWarning(RuntimeWarning):
@@ -546,7 +547,8 @@ def scan_collisions_touching(points: Sequence[IntVec],
             (precomputed by a cache); derived from ``points`` if omitted.
         occurrences: optional all-occurrence indices per point, matching
             the once-per-occurrence-of-``x`` duplicate semantics of the
-            full scan; derived from ``points`` if omitted.
+            full scan.  With ``index_of`` given, ``None`` means no point
+            repeats; otherwise it is derived from ``points``.
     """
     if not points or not offsets or not touched:
         return []
@@ -555,7 +557,7 @@ def scan_collisions_touching(points: Sequence[IntVec],
     positive = tuple(delta for delta in offsets if delta > zero)
     if not positive:
         return []
-    if index_of is None or occurrences is None:
+    if index_of is None:
         index_of = {}
         occurrence_lists: dict[IntVec, list[int]] = {}
         for i, point in enumerate(points):
@@ -570,7 +572,7 @@ def scan_collisions_touching(points: Sequence[IntVec],
         if k is None:
             continue
         slot, shape = slots[k], shape_ids[k]
-        own = occurrences[c]
+        own = (k,) if occurrences is None else occurrences[c]
         for delta in positive:
             # c as the left end, once per occurrence of c ...
             j = index_of.get(tuple(map(add, c, delta)))
@@ -584,12 +586,79 @@ def scan_collisions_touching(points: Sequence[IntVec],
             x = tuple(map(sub, c, delta))
             if x in touched_set:
                 continue
-            for i in occurrences.get(x, ()):
+            if occurrences is None:
+                i = index_of.get(x)
+                lefts: Sequence[int] = () if i is None else (i,)
+            else:
+                lefts = occurrences.get(x, ())
+            for i in lefts:
                 if slots[i] == slot \
                         and delta in differences(shape_ids[i], shape):
                     collisions.append((x, points[k]))
     collisions.sort()
     return collisions
+
+
+def scan_grid_touching(box: BoxEncoder,
+                       slots: Sequence[int],
+                       shape_ids: Sequence[int],
+                       shapes: Sequence[frozenset[IntVec]],
+                       offsets: Sequence[IntVec],
+                       touched: Collection[IntVec]) -> list[Collision]:
+    """:func:`scan_collisions_touching` over a dense row-major window.
+
+    Point ``k`` of the window is the point at key ``k`` of ``box``, so
+    the neighbour of ``c`` at ``delta`` is index ``position(c) +
+    offset_key(delta)`` once it passes a per-axis bounds check, and the
+    probed point itself is the pair's other end: no point list and no
+    index dict.  A point at least the offset reach away from every face
+    of the box skips the bounds checks.
+    """
+    zero = (0,) * box.dimension
+    positive = tuple(delta for delta in offsets if delta > zero)
+    if not positive or not touched:
+        return []
+    differences = _differences(shapes, positive)
+    steps, reach = _grid_steps(box.strides, positive)
+    touched_set = frozenset(touched)
+    collisions: list[Collision] = []
+    for c in touched_set:
+        k = box.position(c)
+        if k is None:
+            continue
+        slot, shape = slots[k], shape_ids[k]
+        inner = all(r <= x - low < n - r for x, low, n, r
+                    in zip(c, box.lo, box.dims, reach))
+        for delta, step in steps:
+            if inner:
+                i, j = k - step, k + step
+            else:
+                i = box.position(tuple(map(sub, c, delta)))
+                j = box.position(tuple(map(add, c, delta)))
+            # c as the left end ...
+            if j is not None and slots[j] == slot \
+                    and delta in differences(shape, shape_ids[j]):
+                collisions.append((c, tuple(map(add, c, delta))))
+            # ... and as the right end, unless the left end is edited
+            # too (its own forward probe finds the pair).
+            if i is not None and slots[i] == slot \
+                    and delta in differences(shape_ids[i], shape):
+                left = tuple(map(sub, c, delta))
+                if left not in touched_set:
+                    collisions.append((left, c))
+    collisions.sort()
+    return collisions
+
+
+@lru_cache(maxsize=64)
+def _grid_steps(strides: tuple[int, ...], positive: tuple[IntVec, ...],
+                ) -> tuple[list[tuple[IntVec, int]], list[int]]:
+    """Each offset with its flat index shift on a row-major grid of
+    these strides, and the largest ``|delta|`` per axis."""
+    steps = [(delta, sum(map(mul, delta, strides))) for delta in positive]
+    reach = [max(abs(delta[axis]) for delta in positive)
+             for axis in range(len(strides))]
+    return steps, reach
 
 
 def _differences(shapes: Sequence[frozenset[IntVec]],

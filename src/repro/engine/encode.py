@@ -265,6 +265,13 @@ class PointBatch:
         self._grid_index = keys
         return True
 
+    @property
+    def row_major(self) -> bool:
+        """True for a dense batch whose order is the box's row-major
+        order (as :meth:`box` builds it): point ``k`` then sits at flat
+        grid position ``k``."""
+        return self.dense and self._grid_index is None
+
     def on_grid(self, values: np.ndarray) -> np.ndarray:
         """Per-point ``values`` laid out on the box grid (dense only)."""
         if not self.dense:
@@ -293,11 +300,12 @@ class BoxEncoder:
         points: the window (a :class:`PointBatch` brings its box along);
             its tight bounding box anchors the keys.
         pad: optional per-coordinate padding.  Enlarging the box by the
-            span of a set of offsets makes ``key(x) + offset_key(delta)``
-            equal ``key(x + delta)`` for *every* in-box ``x`` — even when
-            ``x + delta`` leaves the tight box — so shifted-key membership
-            needs no per-coordinate validity mask (a shifted point outside
-            the tight box gets a key no window point can have).
+            span of a set of offsets makes ``position(x) +
+            offset_key(delta)`` equal ``position(x + delta)`` for *every*
+            in-box ``x`` — even when ``x + delta`` leaves the tight box —
+            so shifted-key membership needs no per-coordinate validity
+            mask (a shifted point outside the tight box gets a key no
+            window point can have).
     """
 
     def __init__(self, points: Sequence[IntVec],
@@ -322,18 +330,23 @@ class BoxEncoder:
         """True when every key (and key difference) fits in int64."""
         return self.volume < _MAX_VOLUME
 
-    def contains(self, point: IntVec) -> bool:
-        """Membership in the closed box ``[lo, hi]``."""
-        return all(l <= x <= h
-                   for l, x, h in zip(self.lo, point, self.hi))
-
-    def key(self, point: IntVec) -> int:
-        """The linear key of an in-box point."""
-        return sum((x - l) * s
-                   for x, l, s in zip(point, self.lo, self.strides))
+    def position(self, point: IntVec) -> int | None:
+        """The linear key of ``point``, or ``None`` when it lies outside
+        the closed box ``[lo, hi]`` (or has another dimension)."""
+        if len(point) != self.dimension:
+            return None
+        key = 0
+        for x, low, n, stride in zip(point, self.lo, self.dims,
+                                     self.strides):
+            i = x - low
+            if i < 0 or i >= n:
+                return None
+            key += i * stride
+        return key
 
     def offset_key(self, delta: IntVec) -> int:
-        """Key difference ``key(x + delta) - key(x)`` for in-box pairs."""
+        """Key difference ``position(x + delta) - position(x)`` for
+        in-box pairs."""
         return sum(d * s for d, s in zip(delta, self.strides))
 
     def keys_array(self, array):

@@ -640,9 +640,8 @@ class SchedulingService:
                 restricted = session.restrict(request.payload.get("window"))
                 self._store.replace(session_id, restricted)
                 session = restricted
-                window = restricted.window
                 self._complete(request, RestrictAck(
-                    window_size=0 if window is None else len(window),
+                    window_size=len(restricted._window),
                     num_slots=restricted.num_slots))
             else:  # pragma: no cover - submit() validates ops
                 raise ValueError(f"unknown service op {op!r}")

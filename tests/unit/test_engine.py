@@ -101,9 +101,11 @@ class TestBoxEncoder:
     def test_keys_are_bijective_and_lexicographic(self):
         points = list(box_points((-2, 1), (1, 3)))
         encoder = BoxEncoder(points)
-        keys = [encoder.key(p) for p in points]
+        keys = [encoder.position(p) for p in points]
         assert len(set(keys)) == len(points)
         assert keys == sorted(keys)  # box_points yields lexicographically
+        for outside in [(-3, 1), (2, 1), (0, 0), (0, 4), (0, 1, 0)]:
+            assert encoder.position(outside) is None
 
     def test_offset_key_matches_shift(self):
         points = list(box_points((0, 0), (4, 4)))
@@ -111,8 +113,8 @@ class TestBoxEncoder:
         delta = (1, 2)
         for p in [(0, 0), (2, 1), (3, 2)]:
             shifted = (p[0] + delta[0], p[1] + delta[1])
-            assert encoder.key(p) + encoder.offset_key(delta) \
-                == encoder.key(shifted)
+            assert encoder.position(p) + encoder.offset_key(delta) \
+                == encoder.position(shifted)
 
     def test_padding_keeps_shifted_keys_injective(self):
         points = [(0, 0), (1, 0)]
@@ -122,7 +124,7 @@ class TestBoxEncoder:
         seen = set()
         for p in points:
             for delta in [(-2, 0), (2, 0), (0, -2), (0, 2)]:
-                key = encoder.key(p) + encoder.offset_key(delta)
+                key = encoder.position(p) + encoder.offset_key(delta)
                 assert key not in seen
                 seen.add(key)
 

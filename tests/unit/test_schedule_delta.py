@@ -19,7 +19,12 @@ from repro.core.schedule import (
     verify_collision_free,
 )
 from repro.core.theorem1 import schedule_from_prototile
-from repro.engine.collisions import scan_collisions, scan_collisions_touching
+from repro.engine.collisions import (
+    scan_collisions,
+    scan_collisions_touching,
+    scan_grid_touching,
+)
+from repro.engine.encode import BoxEncoder, PointBatch
 from repro.scenarios.reference import reference_collisions
 from repro.tiles.shapes import chebyshev_ball, rectangle_tile
 from repro.utils.vectors import box_points
@@ -157,6 +162,34 @@ class TestVerificationCache:
                 current = delta.schedule
             assert cache.collisions() == reference_collisions(
                 points, current.slot_of, neighborhood)
+
+    @pytest.mark.parametrize("order", ["box", "shuffled"])
+    def test_long_edit_chain_matches_a_fresh_scan_at_every_step(self, order):
+        # 2,000 single- and multi-point edits of a grid-backed schedule;
+        # the box window is indexed by arithmetic, the shuffled one by a
+        # dict.  Every delta answer must equal a fresh full scan.
+        side = 10
+        batch = PointBatch.box((0, 0), (side - 1, side - 1))
+        base = schedule_from_prototile(_TILE)
+        schedule = MappingSchedule.from_batch(batch, base.slots_of(batch))
+        assert schedule._grid is not None
+        points = list(batch.points)
+        rng = random.Random(2000)
+        window = batch
+        if order == "shuffled":
+            window = list(points)
+            rng.shuffle(window)
+        neighborhood = base.neighborhood_of
+        cache = VerificationCache(schedule, window, neighborhood)
+        cache.collisions()
+        for _ in range(2000):
+            edits = {rng.choice(points): rng.randrange(9)
+                     for _ in range(rng.choice((1, 1, 1, 2, 3)))}
+            delta = schedule.with_updates(edits)
+            assert cache.apply(delta) == find_collisions(
+                delta.schedule, batch, neighborhood)
+            schedule = delta.schedule
+        assert schedule._grid is not None
 
     def test_handmade_delta_is_honored(self):
         # Any code constructing deltas by hand gets the same fast lane,
@@ -390,6 +423,34 @@ class TestTouchingScan:
             assert scan_collisions_touching(
                 points, slots, shape_ids, shapes, offsets,
                 touched) == want
+
+    @pytest.mark.parametrize("num_shapes", [1, 3, 40])
+    def test_grid_scan_equals_the_filtered_full_scan(self, num_shapes):
+        rng = random.Random(100 + num_shapes)
+        for dims in [(9,), (7, 7), (3, 4, 5), (2, 9)]:
+            lo = tuple(rng.randint(-3, 3) for _ in dims)
+            hi = tuple(low + n - 1 for low, n in zip(lo, dims))
+            box = BoxEncoder(PointBatch.box(lo, hi))
+            points = list(box_points(lo, hi))
+            d = len(dims)
+            shapes = [frozenset({(0,) * d} | {tuple(rng.randint(-1, 1)
+                                                    for _ in dims)
+                                              for _ in range(3)})
+                      for _ in range(num_shapes)]
+            offsets = sorted({tuple(rng.randint(-2, 2) for _ in dims)
+                              for _ in range(12)} - {(0,) * d})
+            for _ in range(10):
+                slots = [rng.randrange(3) for _ in points]
+                shape_ids = [rng.randrange(num_shapes) for _ in points]
+                touched = set(rng.sample(points, rng.randint(1, 6)))
+                touched.add(tuple(h + 1 for h in hi))  # outside: ignored
+                full = scan_collisions(points, slots, shape_ids, shapes,
+                                       offsets)
+                want = [pair for pair in full
+                        if pair[0] in touched or pair[1] in touched]
+                assert scan_grid_touching(
+                    box, slots, shape_ids, shapes, offsets,
+                    touched) == want
 
     def test_probes_two_neighbours_per_offset(self):
         points, schedule = _tiled_mapping(12)

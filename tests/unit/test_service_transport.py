@@ -18,9 +18,10 @@ import json
 import socket
 import time
 
+import numpy as np
 import pytest
 
-from repro.api import Box, Session
+from repro.api import Box, Session, SlotAssignment
 from repro.core.serialize import CorruptSessionError
 from repro.service import (
     EditAck,
@@ -199,6 +200,16 @@ class TestResultCodec:
         again = decode_result(encode_result(direct))
         assert canonical_slots(again) == canonical_slots(direct)
         assert again.num_slots == direct.num_slots
+
+    @pytest.mark.parametrize("slots", [
+        [3, 1, 0], [np.int64(3), True, 0], np.array([3, 1, 0]), (3, 1, 0)])
+    def test_assignment_slots_encode_as_plain_ints(self, slots):
+        direct = SlotAssignment(points=[(0, 0), (1, 0), (2, 0)],
+                                slots=slots, num_slots=4)
+        body = encode_result(direct)
+        assert body["slots"] == [3, 1, 0]
+        assert set(map(type, body["slots"])) == {int}
+        assert body["slots"] is not slots
 
     def test_verification_round_trip_counters_included(self):
         session = make_tiling_session()
