@@ -129,6 +129,8 @@ class Schedule:
 #: arithmetic.
 _SCALAR_POINTS = 8
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class MappingSchedule(Schedule):
     """A finite schedule backed by an explicit point -> slot mapping.
@@ -184,10 +186,11 @@ class MappingSchedule(Schedule):
 
         A batch that fills its bounding box exactly once (``dense``,
         every coordinate below ``2**40``) with plain-int slots, or an
-        integer array of them, becomes a slot grid.  Anything else
-        becomes the dict ``dict(zip(batch.points, slots))``: a repeated
-        point keeps its last slot, and an array's slots are stored as
-        ints.
+        integer array whose dtype casts safely to int64, becomes a slot
+        grid.  Anything else becomes the dict ``dict(zip(batch.points,
+        slots))``: a repeated point keeps its last slot, and an array's
+        slots are stored as ``tolist()`` gives them (a float array keeps
+        its floats).
 
         Raises:
             ValueError: for an empty batch, a negative slot, or a slot
@@ -198,7 +201,8 @@ class MappingSchedule(Schedule):
             and batch.magnitude < _MAX_COORD
         values = None
         if isinstance(slots, np.ndarray):
-            if fits:
+            if fits and slots.dtype.kind in "iu" \
+                    and np.can_cast(slots.dtype, np.int64):
                 values = slots.astype(np.int64)
             else:
                 slots = slots.tolist()
@@ -319,7 +323,8 @@ class MappingSchedule(Schedule):
         No-op entries (a point already on the requested slot) are
         excluded from the dirty set.  A grid stays a grid (a copy of
         the slot array) unless an update leaves the box or its slot is
-        not a plain int; the new schedule then has the dict form.
+        not a plain int of int64 range; the new schedule then has the
+        dict form.
         """
         if self._grid is not None:
             delta = self._grid_updates(updates)
@@ -343,14 +348,16 @@ class MappingSchedule(Schedule):
     def _grid_updates(self, updates: Mapping[Sequence[int], int],
                       ) -> ScheduleDelta | None:
         """:meth:`with_updates` on the slot grid, or ``None`` when an
-        update leaves the box or its slot is not a plain int."""
+        update leaves the box or its slot is not a plain int of int64
+        range."""
         box, grid = self._box, self._grid
         cells: list[tuple[int, IntVec, int]] = []
         for point, slot in updates.items():
             key = as_intvec(point)
             require(slot >= 0, "slots must be nonnegative")
             position = box.position(key)
-            if position is None or type(slot) is not int:
+            if position is None or type(slot) is not int \
+                    or slot > _INT64_MAX:
                 return None
             if grid.item(position) != slot:
                 cells.append((position, key, slot))
@@ -837,7 +844,7 @@ class VerificationCache:
     row-major order (a :class:`~repro.api.Box`) is indexed by box
     arithmetic: point ``k`` sits at grid position ``k``, so the cache
     keeps no point tuples.  Any other window keeps a first-occurrence
-    dict, plus per-point occurrence lists when a point repeats.  After
+    dict and per-point occurrence lists.  After
     an edit, :meth:`apply` takes the :class:`ScheduleDelta` and
     re-verifies only the *dirty region* (the edited points dilated by
     the conflict-offset radius) in ``O(|edit| * |offsets| * log
@@ -870,19 +877,14 @@ class VerificationCache:
         self._positive = sorted({delta for delta in self._offsets
                                  if delta > zero})
         self._grid: BoxEncoder | None = None
-        self._index_of: dict[IntVec, int] | None = None
-        self._occurrences: dict[IntVec, list[int]] | None = None
+        self._index_of: dict[IntVec, int] = {}
+        self._occurrences: dict[IntVec, list[int]] = {}
         if batch.row_major and batch.magnitude < _MAX_COORD:
             self._grid = BoxEncoder(batch)
         else:
-            point_list = batch.points
-            self._index_of = dict(zip(point_list, range(len(point_list))))
-            if len(self._index_of) < len(point_list):
-                self._index_of = {}
-                self._occurrences = {}
-                for i, point in enumerate(point_list):
-                    self._index_of.setdefault(point, i)
-                    self._occurrences.setdefault(point, []).append(i)
+            for i, point in enumerate(batch.points):
+                self._index_of.setdefault(point, i)
+                self._occurrences.setdefault(point, []).append(i)
         self._sorted_points: list[IntVec] | None = None
         self._window_key: tuple | None = None
         self._schedule = schedule
@@ -912,9 +914,13 @@ class VerificationCache:
 
     def __contains__(self, point: object) -> bool:
         """True when ``point`` is part of the verified window."""
-        if self._grid is not None:
-            return self._grid.position(point) is not None
-        return point in self._index_of
+        if self._grid is None:
+            return point in self._index_of
+        try:
+            key = as_intvec(point)
+        except TypeError:
+            return False
+        return self._grid.position(key) is not None
 
     def touched_in_window(self, changed: Iterable[IntVec]) -> list[IntVec]:
         """The subset of ``changed`` that :meth:`apply` would rescan.
@@ -1000,9 +1006,7 @@ class VerificationCache:
         """Window indices of a point of the window (every occurrence)."""
         if self._grid is not None:
             return (self._grid.position(point),)
-        if self._occurrences is not None:
-            return self._occurrences[point]
-        return (self._index_of[point],)
+        return self._occurrences[point]
 
     def _drop_pairs(self, touched: frozenset[IntVec]) -> None:
         """Remove the cached pairs with an endpoint in ``touched``.

@@ -547,8 +547,7 @@ def scan_collisions_touching(points: Sequence[IntVec],
             (precomputed by a cache); derived from ``points`` if omitted.
         occurrences: optional all-occurrence indices per point, matching
             the once-per-occurrence-of-``x`` duplicate semantics of the
-            full scan.  With ``index_of`` given, ``None`` means no point
-            repeats; otherwise it is derived from ``points``.
+            full scan; derived from ``points`` if omitted.
     """
     if not points or not offsets or not touched:
         return []
@@ -557,7 +556,7 @@ def scan_collisions_touching(points: Sequence[IntVec],
     positive = tuple(delta for delta in offsets if delta > zero)
     if not positive:
         return []
-    if index_of is None:
+    if index_of is None or occurrences is None:
         index_of = {}
         occurrence_lists: dict[IntVec, list[int]] = {}
         for i, point in enumerate(points):
@@ -572,7 +571,7 @@ def scan_collisions_touching(points: Sequence[IntVec],
         if k is None:
             continue
         slot, shape = slots[k], shape_ids[k]
-        own = (k,) if occurrences is None else occurrences[c]
+        own = occurrences[c]
         for delta in positive:
             # c as the left end, once per occurrence of c ...
             j = index_of.get(tuple(map(add, c, delta)))
@@ -586,12 +585,7 @@ def scan_collisions_touching(points: Sequence[IntVec],
             x = tuple(map(sub, c, delta))
             if x in touched_set:
                 continue
-            if occurrences is None:
-                i = index_of.get(x)
-                lefts: Sequence[int] = () if i is None else (i,)
-            else:
-                lefts = occurrences.get(x, ())
-            for i in lefts:
+            for i in occurrences.get(x, ()):
                 if slots[i] == slot \
                         and delta in differences(shape_ids[i], shape):
                     collisions.append((x, points[k]))

@@ -467,14 +467,9 @@ def encode_result(result: Any) -> dict[str, Any]:
     is byte-for-byte the value the oracle compares.
     """
     if isinstance(result, SlotAssignment):
-        slots = result.slots
-        if type(slots) is list and set(map(type, slots)) <= {int}:
-            slots = list(slots)
-        else:
-            slots = [int(slot) for slot in slots]
         return {"kind": "assign",
                 "points": _canonical_points(result.points),
-                "slots": slots,
+                "slots": list(map(int, result.slots)),
                 "num_slots": int(result.num_slots)}
     if isinstance(result, VerificationReport):
         return {"kind": "verify",

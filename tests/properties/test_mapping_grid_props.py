@@ -111,7 +111,12 @@ def assert_same_answers(grid, table, lo, hi, rng):
     for window in windows:
         assert outcome(lambda: grid.slots_of(window)) \
             == outcome(lambda: table.slots_of(window))
-    for time in range(int(table.num_slots) + 1):
+    # Every used slot and a wrap-around, without walking up to a huge
+    # slot count.
+    used = sorted({int(slot) for slot in table.slots_of(domain)})
+    times = set(range(min(int(table.num_slots), 8) + 1)) | set(used) \
+        | {int(table.num_slots) + slot for slot in used[:2]}
+    for time in sorted(times):
         assert grid.senders_at(time) == table.senders_at(time)
         assert grid.senders_at(time, shuffled) \
             == table.senders_at(time, shuffled)
@@ -126,7 +131,7 @@ def random_update(lo, hi, schedule, rng):
     domain = list(box_points(lo, hi))
     point = rng.choice(domain)
     kind = rng.choice(["inside", "inside", "outside", "noop", "bool",
-                       "float", "numpy", "negative", "list"])
+                       "float", "numpy", "negative", "huge", "list"])
     if kind == "outside":
         return {outside(lo, hi, rng): rng.randrange(4)}
     if kind == "noop" and outcome(lambda: schedule.slot_of(point))[0] == "ok":
@@ -139,6 +144,8 @@ def random_update(lo, hi, schedule, rng):
         return {point: np.int64(rng.randrange(4))}
     if kind == "negative":
         return {point: -1}
+    if kind == "huge":  # past int64: the grid falls back to the dict
+        return {point: 2 ** 64}
     if kind == "list":
         return {rng.choice(domain): rng.randrange(5),
                 rng.choice(domain): rng.randrange(5)}
@@ -202,8 +209,23 @@ class TestGridEqualsDict:
             schedule = MappingSchedule.from_batch(dense, slots)
             assert schedule._grid is None
             assert schedule.slot_of((0, 0)) is slots[0]
-        assert MappingSchedule.from_batch(
-            dense, np.ones(16, dtype=np.int64))._grid is not None
+        for array in (np.full(16, 1.7), np.full(16, -0.5),
+                      np.ones(16, dtype=bool),
+                      np.full(16, 2 ** 63, dtype=np.uint64)):
+            got = outcome(lambda: MappingSchedule.from_batch(dense, array))
+            want = outcome(lambda: MappingSchedule.from_batch(
+                sparse, array[:-1]))
+            assert got[0] == want[0]
+            if got[0] == "error":
+                assert got == want
+                continue
+            assert got[1]._grid is None
+            assert got[1].slot_of((0, 0)) == want[1].slot_of((0, 0))
+            assert type(got[1].slot_of((0, 0))) \
+                is type(want[1].slot_of((0, 0))) is type(array.tolist()[0])
+        for dtype in (np.int64, np.int32, np.uint8):
+            assert MappingSchedule.from_batch(
+                dense, np.ones(16, dtype=dtype))._grid is not None
         with pytest.raises(ValueError, match="nonnegative"):
             MappingSchedule.from_batch(dense, [-1] + [0] * 15)
         with pytest.raises(ValueError, match="empty"):
@@ -309,9 +331,9 @@ class TestDenseCacheIndex:
         caches = [VerificationCache(grid, box, tile.translate),
                   VerificationCache(table, shuffled, tile.translate),
                   VerificationCache(grid, repeated, tile.translate)]
-        assert caches[0]._grid is not None and caches[0]._index_of is None
+        assert caches[0]._grid is not None and not caches[0]._index_of
         assert caches[1]._grid is None or shuffled == box.points
-        assert caches[2]._occurrences is not None
+        assert caches[2]._grid is None
         schedules = [grid, table, grid]
         for step in range(11):
             if step:
@@ -333,3 +355,6 @@ class TestDenseCacheIndex:
                 assert answer == find_collisions(schedules[1], window,
                                                  tile.translate)
         assert caches[0].window_key == caches[1].window_key
+        for probe in (tuple(x + 0.5 for x in lo), tuple(map(float, lo)),
+                      lo[0], "ab", None):
+            assert (probe in caches[0]) == (probe in caches[1])
