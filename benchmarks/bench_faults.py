@@ -7,15 +7,14 @@ load compared against ``None``; this benchmark pins that claim with a
 row in ``BENCH_scaling.json``.
 
 Measurement: a mixed workload (a full collision scan plus a random-MAC
-simulation — both seam-bearing paths) timed interleaved, once with the
-fault layer unarmed and once with an armed *inert* plan (all rates zero,
+simulation — both seam-bearing paths) timed in ABBA-ordered pairs
+(``paired_overhead`` in ``conftest.py``), once with the fault layer
+unarmed and once with an armed *inert* plan (all rates zero,
 no kernel-failure budget).  The armed-inert run executes a strict superset
 of the unarmed run's work — every seam additionally loads the plan and
 checks its site fields — so gating the relative difference bounds the
 seam cost from above.
 """
-
-import time
 
 from repro.core.schedule import find_collisions
 from repro.core.theorem1 import schedule_from_prototile
@@ -35,6 +34,8 @@ _SIM_NETWORK = Network.homogeneous(list(box_points((0, 0), (39, 39))),
 _SIM_SLOTS = 40
 #: All-default rates: arming this plan must change no behavior at all.
 _INERT_PLAN = FaultPlan(seed=1)
+#: Timed pairs of the overhead estimate (``paired_overhead``).
+_PAIRS = 201
 
 
 def _workload():
@@ -48,34 +49,16 @@ def _armed_workload():
         return _workload()
 
 
-def _interleaved_min(unarmed, armed, rounds):
-    """Min wall time of two callables, measured alternately.
-
-    Interleaving keeps clock drift and cache warmth from favoring
-    whichever path happens to run second.
-    """
-    best_unarmed = best_armed = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        unarmed()
-        best_unarmed = min(best_unarmed, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        armed()
-        best_armed = min(best_armed, time.perf_counter() - t0)
-    return best_unarmed, best_armed
-
-
-def test_unarmed_seam_overhead(report, record_scaling):
+def test_unarmed_seam_overhead(report, record_scaling, paired_overhead):
     assert _INERT_PLAN.inert, "the comparison plan must inject nothing"
     # One warm-up pass each, and the inert plan must not change results.
     assert _armed_workload() == _workload()
 
-    unarmed_time, armed_time = _interleaved_min(_workload,
-                                                _armed_workload, 9)
-    overhead = armed_time / unarmed_time - 1.0
+    overhead, unarmed_time, armed_time = paired_overhead(
+        _workload, _armed_workload, pairs=_PAIRS)
     record_scaling("fault-injection/overhead-unarmed",
                    seconds=unarmed_time, overhead=round(overhead, 4),
-                   sensors=len(_SCAN_WINDOW))
+                   pairs=_PAIRS, sensors=len(_SCAN_WINDOW))
     report("Fault layer — unarmed seam overhead",
            f"{len(_SCAN_WINDOW)}-sensor scan + {_SIM_SLOTS}-slot "
            f"simulation: {unarmed_time * 1e3:.2f} ms unarmed vs "

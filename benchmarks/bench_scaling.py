@@ -581,14 +581,19 @@ def _interleaved_min(direct, facade, rounds):
     return best_direct, best_facade
 
 
-def test_facade_overhead(report, record_scaling):
+#: Timed pairs of each facade overhead estimate (``paired_overhead``).
+_FACADE_PAIRS = 101
+
+
+def test_facade_overhead(report, record_scaling, paired_overhead):
     """repro.api.Session must be free: <5% over the raw engine calls.
 
     ``Session.assign`` wraps ``schedule.slots_of`` and ``Session.verify``
     wraps ``find_collisions``; the typed responses and config plumbing
     are allowed to cost microseconds, not a perceptible fraction of a
-    10^5-point bulk request.  Interleaved min-of-N timing keeps the
-    gate robust against scheduler noise.
+    10^5-point bulk request.  The median ratio of ABBA-ordered timed
+    pairs (``paired_overhead``) keeps the gate robust against
+    scheduler noise.
     """
     points = _window(_BULK_SIDE)
     session = Session(_SCHEDULE, window=points)
@@ -598,24 +603,22 @@ def test_facade_overhead(report, record_scaling):
     _SCHEDULE.slots_of(points)
     session.assign(points)
 
-    assign_direct, assign_facade = _interleaved_min(
+    assign_overhead, assign_direct, assign_facade = paired_overhead(
         lambda: _SCHEDULE.slots_of(points),
-        lambda: session.assign(points), 9)
-    assign_overhead = assign_facade / assign_direct - 1.0
+        lambda: session.assign(points), pairs=_FACADE_PAIRS)
 
     find_collisions(_SCHEDULE, points, neighborhood)
     session.verify(use_cache=False)
-    verify_direct, verify_facade = _interleaved_min(
+    verify_overhead, verify_direct, verify_facade = paired_overhead(
         lambda: find_collisions(_SCHEDULE, points, neighborhood),
-        lambda: session.verify(use_cache=False), 5)
-    verify_overhead = verify_facade / verify_direct - 1.0
+        lambda: session.verify(use_cache=False), pairs=_FACADE_PAIRS)
 
     record_scaling("facade-overhead/assign", seconds=assign_facade,
                    overhead=round(assign_overhead, 4),
-                   sensors=len(points))
+                   pairs=_FACADE_PAIRS, sensors=len(points))
     record_scaling("facade-overhead/verify", seconds=verify_facade,
                    overhead=round(verify_overhead, 4),
-                   sensors=len(points))
+                   pairs=_FACADE_PAIRS, sensors=len(points))
     report("API — facade overhead",
            f"{len(points)} sensors: assign {assign_direct * 1e3:.2f} ms "
            f"direct vs {assign_facade * 1e3:.2f} ms via Session "

@@ -15,13 +15,19 @@ Two reporting channels exist:
   commit, host, CPU budget and Python version beside its rows, and
   the file keeps the last ``_KEEP_RUNS`` runs, so the perf trajectory
   is tracked across commits instead of living only in log output.
+
+The relative gates (an overhead bound of a few percent, not a speedup)
+share one estimator, :func:`paired_overhead`, offered as the
+``paired_overhead`` fixture.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import statistics
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -68,6 +74,41 @@ def record_scaling():
         _SCALING_ROWS.append(row)
 
     return _record
+
+
+def paired_overhead(baseline, candidate, *, pairs: int):
+    """The candidate's relative overhead over the baseline.
+
+    Runs ``pairs`` timed pairs.  A pair runs the baseline, the
+    candidate, the candidate again and the baseline again (ABBA
+    order), and gives one ratio: the candidate's two times over the
+    baseline's two.  The estimate is the median ratio minus 1.  Both
+    halves of a pair see the host in the same state, so a slow stretch
+    of a shared host scales a ratio's numerator and denominator
+    together, ABBA order cancels whatever running first or second
+    gains, and the median ignores the few pairs a burst splits.
+
+    Returns ``(overhead, baseline_s, candidate_s)``: the estimate and
+    each side's median time per run.
+    """
+    ratios, times = [], ([], [])
+    for _ in range(pairs):
+        spent = [0.0, 0.0]
+        for side in (0, 1, 1, 0):
+            began = time.perf_counter()
+            (baseline, candidate)[side]()
+            elapsed = time.perf_counter() - began
+            spent[side] += elapsed
+            times[side].append(elapsed)
+        ratios.append(spent[1] / spent[0])
+    return (statistics.median(ratios) - 1.0,
+            statistics.median(times[0]), statistics.median(times[1]))
+
+
+@pytest.fixture(name="paired_overhead", scope="session")
+def _paired_overhead_fixture():
+    """:func:`paired_overhead`, for the benchmark modules."""
+    return paired_overhead
 
 
 def _benchmark_timing_rows(session) -> list[dict]:

@@ -113,7 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     service.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     service.add_argument("--count", type=int, default=2,
                          help="specs per family (indices 0..count-1)")
-    service.add_argument("--max-batch", type=int, default=32)
     service.add_argument("--transport", choices=("inproc", "wire"),
                          default="inproc",
                          help="wire: replay through the socket front end")
@@ -182,7 +181,6 @@ def _run_service_command(parser, args) -> int:
                 f"{', '.join(family_names())}")
 
     kwargs = {"seed": args.seed, "count": args.count,
-              "max_batch": args.max_batch,
               "transport": args.transport}
     if families:
         kwargs["families"] = families

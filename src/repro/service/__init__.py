@@ -6,11 +6,11 @@ this package puts a server in front of it:
 * :class:`~repro.service.store.SessionStore` — the session table:
   per-session locks, LRU spill-to-snapshot eviction, transparent
   restore with warm verification caches.
-* :class:`~repro.service.server.SchedulingService` — blocking calls
-  on idle sessions run to completion on the caller's thread; the rest
-  passes bounded-queue admission control to a dispatcher that
-  coalesces concurrent small ``assign`` requests into bulk engine
-  dispatches; per-request deadlines throughout.
+* :class:`~repro.service.server.SchedulingService` — every request
+  runs on the caller's thread under its session's lease; ``bulk``
+  groups many requests by session and coalesces consecutive small
+  ``assign`` requests into one bulk engine dispatch; per-request
+  deadlines throughout.
 * :mod:`~repro.service.metrics` — typed counters / latency histograms /
   gauges behind a JSON metrics endpoint.
 * :mod:`~repro.service.loadgen` / ``python -m repro.service bench`` —
@@ -28,7 +28,6 @@ from repro.service.errors import (
     ServiceClosedError,
     ServiceDeadlineError,
     ServiceError,
-    ServiceOverloadError,
     UnknownSessionError,
 )
 from repro.service.metrics import (
@@ -55,7 +54,6 @@ __all__ = [
     "ServiceDeadlineError",
     "ServiceError",
     "ServiceMetrics",
-    "ServiceOverloadError",
     "SessionStore",
     "StoreStats",
     "UnknownSessionError",

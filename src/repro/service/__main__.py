@@ -2,11 +2,13 @@
 
 Commands:
 
-* ``bench`` — run the deterministic load generator in drain mode,
-  batched and unbatched, and report throughput/latency/speedup (the
-  CI smoke leg runs this with ``--check``: non-zero batched dispatches,
-  zero failures, clean shutdown, or exit 1).  ``--transport wire``
-  runs the same workload through the socket front end instead.
+* ``bench`` — run the deterministic load generator batched (one
+  ``bulk``) and unbatched (one ``call`` per request), and report
+  throughput/latency/speedup (the CI smoke leg runs this with
+  ``--check``: non-zero batched dispatches, zero failures, clean
+  shutdown, or exit 1).  ``--transport wire`` runs the same workload
+  through the socket front end instead (pipelined ``bulk`` frames
+  against one frame per request).
 * ``differential`` — replay a scenario corpus through the service and
   directly, diff every canonical response, exit 1 on any mismatch
   (``--transport wire`` replays through the socket front end).
@@ -39,12 +41,10 @@ def _bench_report(args: argparse.Namespace) -> dict[str, Any]:
 
     workload = loadgen.build_workload(
         args.seed, sessions=args.sessions, requests=args.requests)
-    if args.transport == "wire":
-        batched = loadgen.execute_wire(workload, max_batch=args.max_batch)
-        unbatched = loadgen.execute_wire(workload, max_batch=1)
-    else:
-        batched = loadgen.execute(workload, max_batch=args.max_batch)
-        unbatched = loadgen.execute(workload, max_batch=1)
+    run = loadgen.execute_wire if args.transport == "wire" \
+        else loadgen.execute
+    batched = run(workload)
+    unbatched = run(workload, bulk=False)
     speedup = (batched.throughput_rps / unbatched.throughput_rps
                if unbatched.throughput_rps > 0 else 0.0)
     verify_latency = batched.metrics.latencies.get("assign")
@@ -52,7 +52,6 @@ def _bench_report(args: argparse.Namespace) -> dict[str, Any]:
         "seed": args.seed,
         "sessions": args.sessions,
         "requests": args.requests,
-        "max_batch": args.max_batch,
         "transport": args.transport,
         "batched": batched.to_dict(),
         "unbatched": unbatched.to_dict(),
@@ -91,7 +90,7 @@ def _cmd_differential(args: argparse.Namespace) -> int:
     families = args.families or differential._DEFAULT_FAMILIES
     report = differential.run_differential(
         families=tuple(families), seed=args.seed, count=args.count,
-        max_batch=args.max_batch, transport=args.transport)
+        transport=args.transport)
     print(json.dumps(report, indent=None if args.json else 2,
                      sort_keys=True))
     if not report["ok"]:
@@ -106,10 +105,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.store import SessionStore
     from repro.service.transport.server import WireServer
 
-    service = SchedulingService(
-        SessionStore(capacity=args.capacity),
-        max_queue=args.max_queue, max_batch=args.max_batch,
-        default_timeout=args.default_timeout)
+    service = SchedulingService(SessionStore(capacity=args.capacity),
+                                default_timeout=args.default_timeout)
     server = WireServer(service, host=args.host, port=args.port)
     host, port = server.address
     if args.announce:
@@ -135,15 +132,15 @@ def main(argv: list[str] | None = None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
 
     bench = commands.add_parser(
-        "bench", help="drain a deterministic workload, batched vs not")
+        "bench", help="serve a deterministic workload, batched vs not")
     bench.add_argument("--seed", type=int, default=2008)
     bench.add_argument("--sessions", type=int, default=8)
     bench.add_argument("--requests", type=int, default=512)
-    bench.add_argument("--max-batch", type=int, default=64)
     bench.add_argument("--transport", choices=("inproc", "wire"),
                        default="inproc",
-                       help="inproc: drain mode on a paused service; "
-                            "wire: pipelined bursts over the socket "
+                       help="inproc: one bulk call vs one call per "
+                            "request; wire: pipelined bulk frames vs "
+                            "one frame per request over the socket "
                             "front end")
     bench.add_argument("--json", action="store_true",
                        help="single-line JSON output")
@@ -161,7 +158,6 @@ def main(argv: list[str] | None = None) -> int:
     diff.add_argument("--seed", type=int, default=2008)
     diff.add_argument("--count", type=int, default=2,
                       help="specs per family")
-    diff.add_argument("--max-batch", type=int, default=32)
     diff.add_argument("--transport", choices=("inproc", "wire"),
                       default="inproc",
                       help="wire: replay through the socket front end")
@@ -173,8 +169,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="0 binds a free port (see --announce)")
-    serve.add_argument("--max-batch", type=int, default=64)
-    serve.add_argument("--max-queue", type=int, default=1024)
     serve.add_argument("--default-timeout", type=float, default=None)
     serve.add_argument("--capacity", type=int, default=None,
                        help="session-store LRU capacity (default: "

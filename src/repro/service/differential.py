@@ -10,10 +10,10 @@ bit-identical to the same call made directly on the underlying
   consecutive assigns over the window's halves → save) with plain
   method calls;
 * the **service leg** opens an identically built session on a
-  :class:`~repro.service.server.SchedulingService` and submits the same
-  script as requests, *all specs interleaved on one service* so the
-  dispatcher actually batches across sessions while each session's own
-  stream stays FIFO —
+  :class:`~repro.service.server.SchedulingService` and sends the same
+  script as requests, *all specs in one ``bulk`` call on one service*,
+  so consecutive assigns coalesce while each session's own stream
+  stays in order —
 
 and compares the canonicalized response streams field by field:
 collision lists, verification ``source`` ("scan"/"delta"/"cache"/
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.api import Session, SlotAssignment, VerificationReport
+from repro.api import SlotAssignment, VerificationReport
 from repro.engine.config import EngineConfig
 from repro.scenarios.generators import iter_corpus
 from repro.scenarios.spec import ScenarioSpec
@@ -102,7 +102,7 @@ def _script(spec: ScenarioSpec) -> list[tuple[str, dict[str, Any]]]:
             script.append(("edit", {"updates": dict(step)}))
     for window in spec.rounds():
         script.append(("verify", {"window": window}))
-    # Two consecutive assigns of one session: the dispatcher coalesces
+    # Two consecutive assigns of one session: the service coalesces
     # them into one engine call, so the oracle compares coalesced
     # answers, not only single dispatches.
     points = spec.window_points()
@@ -144,39 +144,33 @@ def replay_direct(spec: ScenarioSpec,
 
 
 def replay_specs(specs: list[ScenarioSpec],
-                 config: EngineConfig | None = None, *,
-                 max_batch: int = 32) -> dict[str, list[Any]]:
+                 config: EngineConfig | None = None,
+                 ) -> dict[str, list[Any]]:
     """Every spec's script through ONE shared service, canonicalized.
 
-    All scripts submit before any response is awaited, so requests from
-    different specs interleave in the dispatcher's drains (cross-session
-    batching) while each spec's own session stays strictly ordered.
+    All scripts go to the service as one ``bulk`` call, so requests
+    from different specs share it (each spec's session is one group)
+    while each spec's own session stays strictly ordered.
     """
-    service = SchedulingService(SessionStore(), max_batch=max_batch,
-                                max_queue=max(1024, 64 * len(specs)))
+    service = SchedulingService(SessionStore())
     try:
-        pending: list[tuple[str, Any]] = []
+        items: list[tuple[str, str, dict[str, Any], None]] = []
         for spec in specs:
             session_id = spec.label()
             service.open_session(session_id,
                                  spec.base_session(config=config))
-            for op, payload in _script(spec):
-                pending.append((session_id,
-                                service.submit(op, session_id, payload)))
-        responses: dict[str, list[Any]] = {}
-        for session_id, future in pending:
-            responses.setdefault(session_id, []).append(
-                _canonical_response(future.result(timeout=120)))
-        batched = service.metrics().counter("batch.batched_dispatches")
-        responses["__batched_dispatches__"] = [batched]
-        return responses
+            items += [(op, session_id, payload, None)
+                      for op, payload in _script(spec)]
+        return _collect(
+            [session_id for _, session_id, _, _ in items],
+            service.bulk(items), service.metrics())
     finally:
         service.close()
 
 
 def replay_specs_wire(specs: list[ScenarioSpec],
-                      config: EngineConfig | None = None, *,
-                      max_batch: int = 32) -> dict[str, list[Any]]:
+                      config: EngineConfig | None = None,
+                      ) -> dict[str, list[Any]]:
     """Every spec's script over the socket front end, canonicalized.
 
     The wire twin of :func:`replay_specs`, in the topology ``python -m
@@ -184,13 +178,12 @@ def replay_specs_wire(specs: list[ScenarioSpec],
     :class:`~repro.service.transport.server.WireServer`, driven by one
     :class:`~repro.service.transport.client.ServiceClient`.  Sessions
     open through the digest-checked wire envelope, and every script
-    ships in one pipelined ``bulk`` frame whose requests the server
-    submits before awaiting any result, so the dispatcher coalesces
-    across sessions over the wire exactly as in-process while each
-    session's stream stays FIFO.
+    ships in one pipelined ``bulk`` frame, which the server hands to
+    the service as one ``bulk`` call, so consecutive assigns coalesce
+    over the wire exactly as in-process while each session's stream
+    stays in order.
     """
-    service = SchedulingService(SessionStore(), max_batch=max_batch,
-                                max_queue=max(1024, 64 * len(specs)))
+    service = SchedulingService(SessionStore())
     with (service, WireServer(service).start() as server,
           ServiceClient(*server.address) as client):
         requests: list[dict[str, Any]] = []
@@ -202,26 +195,34 @@ def replay_specs_wire(specs: list[ScenarioSpec],
             for op, payload in _script(spec):
                 requests.append(encode_request(op, session_id, payload))
                 order.append(session_id)
-        results = client.pipeline(requests)
-        responses: dict[str, list[Any]] = {}
-        for session_id, result in zip(order, results):
-            if isinstance(result, BaseException):
-                raise result
-            responses.setdefault(session_id, []).append(
-                _canonical_response(result))
-        batched = client.metrics().counter("batch.batched_dispatches")
-        responses["__batched_dispatches__"] = [batched]
-        return responses
+        return _collect(order, client.pipeline(requests), client.metrics())
+
+
+def _collect(order: list[str], results: list[Any],
+             metrics: Any) -> dict[str, list[Any]]:
+    """Canonical responses per session id, plus the coalescing count.
+
+    Raises the first failed request's error: the script is valid, so
+    any failure is a finding.
+    """
+    responses: dict[str, list[Any]] = {}
+    for session_id, result in zip(order, results):
+        if isinstance(result, BaseException):
+            raise result
+        responses.setdefault(session_id, []).append(
+            _canonical_response(result))
+    batched = metrics.counter("batch.batched_dispatches")
+    responses["__batched_dispatches__"] = [batched]
+    return responses
 
 
 def run_differential(*, families: tuple[str, ...] = _DEFAULT_FAMILIES,
                      seed: int = _DEFAULT_SEED, count: int = 2,
-                     max_batch: int = 32,
                      transport: str = "inproc") -> dict[str, Any]:
     """Replay a corpus through both legs and diff.
 
-    ``transport="inproc"`` exercises :func:`replay_specs` (direct
-    submit on one service); ``transport="wire"`` exercises
+    ``transport="inproc"`` exercises :func:`replay_specs` (one
+    ``bulk`` call on one service); ``transport="wire"`` exercises
     :func:`replay_specs_wire` (the same service behind the socket front
     end).  Either way the oracle is the same: every canonical response
     must equal the direct session's, field for field, counters
@@ -239,9 +240,9 @@ def run_differential(*, families: tuple[str, ...] = _DEFAULT_FAMILIES,
     mismatches: list[dict[str, Any]] = []
     compared = 0
     if transport == "wire":
-        service_legs = replay_specs_wire(specs, max_batch=max_batch)
+        service_legs = replay_specs_wire(specs)
     else:
-        service_legs = replay_specs(specs, max_batch=max_batch)
+        service_legs = replay_specs(specs)
     batched = service_legs.pop("__batched_dispatches__")[0]
     for spec in specs:
         direct = replay_direct(spec)

@@ -1,9 +1,9 @@
 """Typed errors of the scheduling service.
 
-Every admission-control decision surfaces as one of these — a rejected
-request *always* fails its future with a typed error, never by hanging
-and never by silently dropping the request (pinned by the saturating
-load test in ``tests/unit/test_service.py``).
+Every request the service refuses or cannot finish surfaces as one of
+these — a rejected request *always* fails with a typed error, never by
+hanging and never by silently dropping the request (pinned by the
+saturating load test in ``tests/unit/test_service.py``).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ __all__ = [
     "ServiceError",
     "ServiceClosedError",
     "ServiceDeadlineError",
-    "ServiceOverloadError",
     "TransportError",
     "UnknownSessionError",
 ]
@@ -22,22 +21,8 @@ class ServiceError(RuntimeError):
     """Base class of every scheduling-service error."""
 
 
-class ServiceOverloadError(ServiceError):
-    """The admission queue is full; the request was rejected up front.
-
-    Attributes:
-        queue_depth: requests queued when admission was refused.
-        max_queue: the service's admission bound.
-    """
-
-    def __init__(self, message: str, *, queue_depth: int, max_queue: int):
-        super().__init__(message)
-        self.queue_depth = queue_depth
-        self.max_queue = max_queue
-
-
 class ServiceDeadlineError(ServiceError):
-    """The request's deadline expired before it could be dispatched.
+    """The request's deadline expired before it could be served.
 
     Attributes:
         timeout: the per-request budget, in seconds.

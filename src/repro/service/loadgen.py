@@ -4,7 +4,7 @@ The workload is a pure function of ``(seed,)``: session population, op
 mix, point batches and edit scripts all come from counter-based
 :class:`~repro.utils.rng.StreamRNG` draws keyed by
 :func:`~repro.utils.rng.label_stream` names, so two runs with one seed
-submit byte-identical request streams — the property the CI smoke leg
+send byte-identical request streams — the property the CI smoke leg
 and ``benchmarks/bench_service.py`` build on (measure the *service*
 under identical load, not the load under an identical service).
 
@@ -12,16 +12,18 @@ Sessions alternate between two populations:
 
 * **tiling** sessions (Theorem 1 schedules over the radius-1 Chebyshev
   ball) absorb the assign traffic — their numpy ``slots_of`` kernel has
-  a fixed per-dispatch overhead, which is exactly what request
+  a fixed per-dispatch overhead, which is exactly what assign
   coalescing amortizes;
 * **mapping** sessions (the tiling restricted to a finite window)
   absorb the edit traffic, since only mapping-backed sessions support
   :meth:`~repro.api.Session.edit`.
 
-:func:`execute` runs a workload in *drain* mode: every request is
-pre-enqueued against a paused service, then the dispatcher starts and
-the drain is timed.  Batched throughput divided by the same drain at
-``max_batch=1`` is the ``service/batching-speedup`` benchmark row.
+:func:`execute` times a workload served in-process, either as one
+:meth:`~repro.service.server.SchedulingService.bulk` call or one
+``call`` per request; the ratio of the two is the
+``service/batching-speedup`` benchmark row.  :func:`execute_wire` does
+the same over the socket front end (pipelined ``bulk`` frames against
+one frame per request).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.api import Box, Session
-from repro.service.errors import ServiceOverloadError
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import SchedulingService
 from repro.service.store import SessionStore
@@ -69,6 +70,15 @@ class Op:
     session_id: str
     payload: tuple
 
+    def request_payload(self) -> dict[str, Any]:
+        """The payload as ``SchedulingService.call`` takes it."""
+        if self.op == "assign":
+            return {"points": [tuple(point) for point in self.payload]}
+        if self.op == "edit":
+            return {"updates": {tuple(point): slot
+                                for point, slot in self.payload}}
+        return {}
+
 
 @dataclass(frozen=True)
 class Workload:
@@ -78,7 +88,7 @@ class Workload:
         seed: the generating seed (for reports).
         session_kinds: ``(session_id, kind)`` pairs, kind in
             ``{"tiling", "mapping"}``.
-        ops: the scripted requests, in submission order.
+        ops: the scripted requests, in order.
     """
 
     seed: int
@@ -155,22 +165,19 @@ def build_workload(seed: int, *, sessions: int = 8, requests: int = 512,
 
 @dataclass(frozen=True)
 class LoadResult:
-    """Outcome of one drained workload run.
+    """Outcome of one timed workload run.
 
     Attributes:
-        requests: scripted requests submitted.
-        completed / failed / rejected: request outcomes (rejected =
-            refused at admission, before getting a future).
-        elapsed_s: wall-clock seconds for the dispatcher to drain every
-            admitted request.
-        throughput_rps: completed requests per drained second.
+        requests: scripted requests sent.
+        completed / failed: request outcomes.
+        elapsed_s: wall-clock seconds to serve every request.
+        throughput_rps: completed requests per second.
         metrics: the service's final metrics snapshot.
     """
 
     requests: int
     completed: int
     failed: int
-    rejected: int
     elapsed_s: float
     throughput_rps: float
     metrics: ServiceMetrics
@@ -184,7 +191,6 @@ class LoadResult:
             "requests": self.requests,
             "completed": self.completed,
             "failed": self.failed,
-            "rejected": self.rejected,
             "elapsed_s": self.elapsed_s,
             "throughput_rps": self.throughput_rps,
             "batch_dispatches": self.metrics.counter("batch.dispatches"),
@@ -196,112 +202,98 @@ class LoadResult:
         }
 
 
-def execute(workload: Workload, *, max_batch: int = 64,
-            capacity: int | None = None,
-            max_queue: int | None = None) -> LoadResult:
-    """Run a workload in drain mode and time the drain.
+def execute(workload: Workload, *, bulk: bool = True,
+            capacity: int | None = None) -> LoadResult:
+    """Run a workload in-process and time it.
 
-    Every scripted request is pre-enqueued against a paused service
-    (``autostart=False``), then the dispatcher starts and the timer
-    covers exactly the drain — so two calls differing only in
-    ``max_batch`` isolate the batching speedup from submission costs.
-    A ``max_queue`` smaller than the workload exercises admission
-    control: refused requests count as ``rejected``.
+    Sessions open first, untimed.  The timer covers serving every
+    scripted request: as one :meth:`SchedulingService.bulk` call
+    (``bulk=True``, which coalesces each session's consecutive
+    assigns), or one :meth:`SchedulingService.call` per request — so
+    two runs differing only in ``bulk`` isolate what coalescing buys.
     """
-    store = SessionStore(capacity=capacity)
-    service = SchedulingService(
-        store,
-        max_queue=max_queue if max_queue is not None
-        else len(workload.ops) + 16,
-        max_batch=max_batch, autostart=False)
+    service = SchedulingService(SessionStore(capacity=capacity))
     workload.open_sessions(service)
-    futures = []
-    rejected = 0
-    for op in workload.ops:
-        payload: dict[str, Any]
-        if op.op == "assign":
-            payload = {"points": [tuple(point) for point in op.payload]}
-        elif op.op == "edit":
-            payload = {"updates": {tuple(point): slot
-                                   for point, slot in op.payload}}
-        else:
-            payload = {}
-        try:
-            futures.append(service.submit(op.op, op.session_id, payload))
-        except ServiceOverloadError:
-            rejected += 1
+    items = [(op.op, op.session_id, op.request_payload(), None)
+             for op in workload.ops]
     started = time.perf_counter()
-    service.start()
-    completed = failed = 0
-    for future in futures:
-        if future.exception() is None:
-            completed += 1
-        else:
-            failed += 1
+    if bulk:
+        outcomes = service.bulk(items)
+    else:
+        outcomes = [_call(service, *item) for item in items]
     elapsed = time.perf_counter() - started
     metrics = service.metrics()
     service.close()
+    return _result(workload, outcomes, elapsed, metrics)
+
+
+def _call(service: SchedulingService, op: str, session_id: str,
+          payload: dict[str, Any], timeout: float | None) -> Any:
+    """The answer of one ``call``, or the error it raised."""
+    try:
+        return service.call(op, session_id, payload, timeout=timeout)
+    except Exception as error:
+        return error
+
+
+def _result(workload: Workload, outcomes: list[Any], elapsed: float,
+            metrics: ServiceMetrics) -> LoadResult:
+    failed = sum(isinstance(outcome, BaseException) for outcome in outcomes)
+    completed = len(outcomes) - failed
     return LoadResult(
         requests=len(workload.ops), completed=completed, failed=failed,
-        rejected=rejected, elapsed_s=elapsed,
+        elapsed_s=elapsed,
         throughput_rps=completed / elapsed if elapsed > 0 else 0.0,
         metrics=metrics)
 
 
 def _encode_op(op: Op) -> dict[str, Any]:
-    if op.op == "assign":
-        payload: dict[str, Any] = {"points": list(op.payload)}
-    elif op.op == "edit":
-        payload = {"updates": {tuple(point): slot
-                               for point, slot in op.payload}}
+    if op.op == "verify":
+        payload: dict[str, Any] = {"window": None, "offsets": None,
+                                   "use_cache": True, "stream_chunk": None}
     else:
-        payload = {"window": None, "offsets": None, "use_cache": True,
-                   "stream_chunk": None}
+        payload = op.request_payload()
     return encode_request(op.op, op.session_id, payload)
 
 
-def execute_wire(workload: Workload, *, max_batch: int = 64,
+def execute_wire(workload: Workload, *, bulk: bool = True,
                  pipeline_depth: int = 128) -> LoadResult:
     """Run a workload through the socket front end and time it.
 
     The wire twin of :func:`execute`: sessions open on one service
     behind one :class:`~repro.service.transport.server.WireServer`,
-    then the scripted requests ship as pipelined bursts of
-    ``pipeline_depth`` — each burst is one ``bulk`` frame, submitted
-    server-side before any result is awaited, so dispatcher
-    coalescing fires over the wire.  The timer covers the whole
-    streamed run, framing included, which is exactly what the
-    ``service/wire-throughput`` benchmark row wants to price relative
-    to in-process drain mode.
+    then the scripted requests ship either as pipelined bursts of
+    ``pipeline_depth`` — each burst one ``bulk`` frame, so coalescing
+    fires over the wire — or (``bulk=False``) as one frame per
+    request.  The timer covers the whole streamed run, framing
+    included, which is what the ``service/wire-throughput`` benchmark
+    row compares.
 
-    Typed failures (a deadline, an overload) count as ``failed``;
-    transport-level failures count as ``failed`` too — the generator
-    only ever runs against a server it just started, so any
+    Typed failures (a deadline, an unknown session) count as
+    ``failed``; transport-level failures count as ``failed`` too — the
+    generator only ever runs against a server it just started, so any
     ``TransportError`` here is a finding, not noise.
     """
     if pipeline_depth < 1:
         raise ValueError(
             f"pipeline_depth must be >= 1, got {pipeline_depth!r}")
-    service = SchedulingService(SessionStore(), max_batch=max_batch,
-                                max_queue=len(workload.ops) + 16)
+    service = SchedulingService(SessionStore())
     with (service, WireServer(service).start() as server,
           ServiceClient(*server.address) as client):
         for session_id, kind in workload.session_kinds:
             client.open_session(session_id, _make_session(kind))
         encoded = [_encode_op(op) for op in workload.ops]
-        completed = failed = 0
+        outcomes: list[Any] = []
         started = time.perf_counter()
-        for begin in range(0, len(encoded), pipeline_depth):
-            burst = encoded[begin:begin + pipeline_depth]
-            for result in client.pipeline(burst):
-                if isinstance(result, BaseException):
-                    failed += 1
-                else:
-                    completed += 1
+        if bulk:
+            for begin in range(0, len(encoded), pipeline_depth):
+                outcomes += client.pipeline(
+                    encoded[begin:begin + pipeline_depth])
+        else:
+            for frame in encoded:
+                try:
+                    outcomes.append(client.request(frame))
+                except Exception as error:
+                    outcomes.append(error)
         elapsed = time.perf_counter() - started
-        metrics = client.metrics()
-        return LoadResult(
-            requests=len(workload.ops), completed=completed,
-            failed=failed, rejected=0, elapsed_s=elapsed,
-            throughput_rps=completed / elapsed if elapsed > 0 else 0.0,
-            metrics=metrics)
+        return _result(workload, outcomes, elapsed, client.metrics())

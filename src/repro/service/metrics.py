@@ -2,7 +2,7 @@
 
 The service records per-endpoint request counters, service-time
 histograms (log-spaced buckets, so p50/p99 stay meaningful from
-microseconds to seconds), and point-in-time gauges (queue depth, open
+microseconds to seconds), and point-in-time gauges (open and resident
 sessions, aggregate verification cache hits).  A :class:`ServiceMetrics`
 snapshot freezes all of it into one typed, JSON-able value — the
 service's ``metrics`` endpoint is exactly ``ServiceMetrics.to_json``.
@@ -174,20 +174,21 @@ class ServiceMetrics:
 
     Attributes:
         counters: monotonically increasing event counts — per-endpoint
-            ``{endpoint}.submitted/completed/failed``, admission
-            rejections (``rejected.overload``, ``rejected.deadline``,
-            ``rejected.closed``), and batcher activity
-            (``batch.dispatches``, ``batch.batched_dispatches``,
-            ``batch.coalesced_requests``,
-            ``batch.certificate_fast_path``, and ``batch.inline``:
-            requests run on the caller's thread rather than by the
-            dispatcher).
+            ``{endpoint}.admitted/completed/failed``, rejections
+            (``rejected.deadline``, ``rejected.closed``), and batcher
+            activity: ``batch.dispatches`` (engine dispatches — a
+            coalesced assign run is one), ``batch.batched_dispatches``
+            (dispatches that coalesced more than one assign),
+            ``batch.coalesced_requests`` (assigns answered by those)
+            and ``batch.certificate_fast_path`` (verifies answered
+            from a built, collision-free certificate, no dispatch).
         latencies: per-endpoint service-time distributions, measured
-            from admission (``submit`` or ``call``) to completion.
-        gauges: point-in-time readings — ``queue.depth``,
-            ``sessions.open``, ``sessions.evicted``, and the aggregate
+            from admission (``call`` or ``bulk``) to completion.
+        gauges: point-in-time readings — ``sessions.open``,
+            ``sessions.resident``, ``sessions.evictions``,
+            ``sessions.restores``, and the aggregate
             verification ``cache.hits`` / ``cache.misses`` over every
-            resident session.
+            open session.
     """
 
     counters: Mapping[str, int]

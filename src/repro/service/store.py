@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api import Session
 from repro.core.serialize import snapshot_from_json, snapshot_to_json
-from repro.service.errors import UnknownSessionError
+from repro.service.errors import ServiceDeadlineError, UnknownSessionError
 
 __all__ = ["SessionStore", "StoreStats"]
 
@@ -144,7 +144,8 @@ class SessionStore:
         """Swap the session object behind an id (the edit/restrict path).
 
         The caller must hold the session's lease; the record keeps its
-        lock (queued requests keep their ordering) and LRU position.
+        lock (requests waiting for it keep waiting on it) and LRU
+        position.
         """
         with self._lock:
             record = self._records.get(session_id)
@@ -180,42 +181,29 @@ class SessionStore:
 
     # -- leasing -------------------------------------------------------
     @contextmanager
-    def lease(self, session_id: str) -> Iterator[Session]:
+    def lease(self, session_id: str, *,
+              timeout: float | None = None) -> Iterator[Session]:
         """The session, exclusively, restored from its snapshot if spilled.
 
         Yields under the session's own lock — concurrent leases of the
         same id serialize, leases of different ids do not.  Leasing
-        marks the session most recently used.
+        marks the session most recently used.  ``timeout`` bounds the
+        wait for the lock (``None``: wait as long as it takes).
+
+        Raises:
+            UnknownSessionError: no session is open under the id.
+            ServiceDeadlineError: the lock stayed held for ``timeout``
+                seconds.
         """
         record = self._touch(session_id)
         if record is None:
             raise UnknownSessionError(session_id)
-        with record.lock:
-            with self._held(session_id, record) as session:
-                yield session
-        self._enforce_capacity()
-
-    @contextmanager
-    def try_lease(self, session_id: str,
-                  claim: Callable[[], bool]) -> Iterator[Session | None]:
-        """The session, exclusively, if it is free right now; else None.
-
-        Never blocks: the session's lock is taken with
-        ``blocking=False``, and only with it held is ``claim`` asked to
-        reserve the session (the service's per-session pending count).
-        Taking the lock first makes "is it idle?" and "it is mine" one
-        step, so nothing can run on the session between the two.
-        Yields None for an unknown id, a lock another thread holds, or
-        a refused claim.
-        """
-        record = self._touch(session_id)
-        if record is None or not record.lock.acquire(blocking=False):
-            yield None
-            return
+        if not record.lock.acquire(
+                timeout=-1 if timeout is None else max(0.0, timeout)):
+            raise ServiceDeadlineError(
+                f"session {session_id!r} stayed busy for the whole "
+                f"{timeout:.3f}s lease wait", timeout=timeout)
         try:
-            if not claim():
-                yield None
-                return
             with self._held(session_id, record) as session:
                 yield session
         finally:

@@ -11,15 +11,16 @@ a real socket: one service behind one :class:`WireServer` per process
   :class:`~repro.service.errors.TransportError` contract (a malformed
   or truncated frame is always a typed error, never a hang).
 * :mod:`~repro.service.transport.server` — :class:`WireServer`: a
-  threaded TCP front end that dispatches decoded requests into a local
-  :class:`~repro.service.server.SchedulingService` (pipelined frames
-  reach the dispatcher together, so cross-session coalescing works
-  over the wire too).
+  threaded TCP front end that serves decoded requests from a local
+  :class:`~repro.service.server.SchedulingService` on each
+  connection's own thread (a pipelined frame's session ops reach the
+  service as one ``bulk`` call, so assign coalescing works over the
+  wire too).
 * :mod:`~repro.service.transport.client` — :class:`ServiceClient`: the
   typed client, method-for-method the `SchedulingService` surface;
   every typed service error round-trips the socket and re-raises as
-  itself (``ServiceOverloadError`` keeps ``queue_depth``/``max_queue``,
-  ``ServiceDeadlineError`` keeps ``timeout``, …).
+  itself (``ServiceDeadlineError`` keeps ``timeout``,
+  ``UnknownSessionError`` keeps ``session_id``, …).
 
 The acceptance gate is the service's: every response served over
 the wire is bit-identical to the same call made directly on the

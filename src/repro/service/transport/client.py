@@ -6,10 +6,10 @@ SchedulingService` method-for-method — ``assign`` / ``verify`` /
 returns the same typed values (:class:`~repro.api.SlotAssignment`,
 :class:`~repro.api.VerificationReport`, the ack dataclasses,
 :class:`~repro.service.metrics.ServiceMetrics`).  Typed service errors
-round-trip: an overloaded server raises
-:class:`~repro.service.errors.ServiceOverloadError` *here*, with its
-``queue_depth``/``max_queue`` intact; a deadline miss raises
-:class:`~repro.service.errors.ServiceDeadlineError` with ``timeout``;
+round-trip: a deadline miss raises
+:class:`~repro.service.errors.ServiceDeadlineError` *here*, with its
+``timeout`` intact; an unknown session raises
+:class:`~repro.service.errors.UnknownSessionError` with its id;
 and anything wrong with the wire itself — refused connection, dead
 peer, garbage frame, read timeout — is a
 :class:`~repro.service.errors.TransportError`, never a hang.
@@ -18,8 +18,8 @@ One client holds one connection and serializes its own requests under
 a lock (the protocol has no frame ids, so responses pair with requests
 by order).  For concurrency, open more clients — connections are
 cheap; or batch with :meth:`ServiceClient.pipeline`, which ships many
-requests in one frame so the server submits them together and the
-dispatcher's cross-session coalescing kicks in.
+requests in one frame so the server serves them together and
+coalesces each session's consecutive assigns.
 """
 
 from __future__ import annotations
@@ -121,7 +121,13 @@ class ServiceClient:
                 f"the connection before replying")
         return response
 
-    def _request(self, request: dict[str, Any]) -> Any:
+    def request(self, request: dict[str, Any]) -> Any:
+        """One encoded request frame out, its decoded answer back.
+
+        Raises:
+            the request's typed error, re-raised as itself; or
+            TransportError, as :meth:`request_raw`.
+        """
         response = self.request_raw(request)
         if response.get("ok"):
             result = response.get("result")
@@ -141,10 +147,12 @@ class ServiceClient:
                  ) -> list[Any]:
         """Ship many encoded requests in one ``bulk`` frame.
 
-        The server submits every sub-request before awaiting any
-        result — the wire equivalent of the in-process async client's
-        submit-all-then-gather pattern, and what lets the dispatcher
-        coalesce across a pipelined burst.
+        The server serves the frame's items in order, handing each
+        run of session ops to
+        :meth:`~repro.service.server.SchedulingService.bulk` — the wire
+        equivalent of an in-process ``bulk`` call, and what lets the
+        service coalesce a session's consecutive assigns across a
+        pipelined burst.
 
         Returns one entry per request, *in order*: the decoded result,
         or the typed exception instance that request failed with (not
@@ -177,7 +185,7 @@ class ServiceClient:
     # -- the SchedulingService surface ---------------------------------
     def assign(self, session_id: str, points: Iterable[Sequence[int]],
                *, timeout: float | None = None) -> SlotAssignment:
-        return self._request(encode_request(
+        return self.request(encode_request(
             "assign", session_id, {"points": list(points)},
             timeout=timeout))
 
@@ -185,7 +193,7 @@ class ServiceClient:
                offsets: Any = None, use_cache: bool = True,
                stream_chunk: int | None = None,
                timeout: float | None = None) -> VerificationReport:
-        return self._request(encode_request(
+        return self.request(encode_request(
             "verify", session_id,
             {"window": window, "offsets": offsets,
              "use_cache": use_cache, "stream_chunk": stream_chunk},
@@ -194,23 +202,23 @@ class ServiceClient:
     def edit(self, session_id: str,
              updates: Mapping[Sequence[int], int], *,
              timeout: float | None = None) -> EditAck:
-        return self._request(encode_request(
+        return self.request(encode_request(
             "edit", session_id, {"updates": dict(updates)},
             timeout=timeout))
 
     def restrict(self, session_id: str, window: Any = None, *,
                  timeout: float | None = None) -> RestrictAck:
-        return self._request(encode_request(
+        return self.request(encode_request(
             "restrict", session_id, {"window": window}, timeout=timeout))
 
     def save(self, session_id: str, *,
              timeout: float | None = None) -> str:
-        return self._request(encode_request("save", session_id,
+        return self.request(encode_request("save", session_id,
                                             timeout=timeout))
 
     def load(self, session_id: str, text: str, *, window: Any = None,
              timeout: float | None = None) -> LoadAck:
-        return self._request(encode_request(
+        return self.request(encode_request(
             "load", session_id, {"text": text, "window": window},
             timeout=timeout))
 
@@ -223,26 +231,26 @@ class ServiceClient:
         model (offsets, or the owning schedule's description).  The
         session opens cold: caches and counters do not travel.
         """
-        self._request(encode_request(
+        self.request(encode_request(
             "open", payload={"envelope": encode_session(session,
                                                         session_id)}))
 
     def close_session(self, session_id: str) -> None:
-        self._request(encode_request("close_session", session_id))
+        self.request(encode_request("close_session", session_id))
 
     def session_ids(self) -> list[str]:
-        return list(self._request(encode_request("session_ids")))
+        return list(self.request(encode_request("session_ids")))
 
     def metrics(self) -> ServiceMetrics:
-        return self._request(encode_request("metrics"))
+        return self.request(encode_request("metrics"))
 
     def metrics_json(self) -> str:
         """The JSON metrics endpoint (same shape as the server's)."""
         return self.metrics().to_json()
 
     def ping(self) -> bool:
-        return bool(self._request(encode_request("ping")))
+        return bool(self.request(encode_request("ping")))
 
     def shutdown(self) -> bool:
         """Ask the server to stop accepting after this reply."""
-        return bool(self._request(encode_request("shutdown")))
+        return bool(self.request(encode_request("shutdown")))

@@ -3,23 +3,24 @@
 :class:`WireServer` owns the socket machinery only — accept loop,
 per-connection handler threads, frame I/O.  What a decoded request
 *means* is :class:`ServiceSink`'s business: it answers from a local
-:class:`~repro.service.server.SchedulingService`.  A frame carrying one
-session-scoped op goes through
-:meth:`~repro.service.server.SchedulingService.call`, so a request for
-an idle session runs to completion on the connection thread; a
-pipelined ``bulk`` frame goes through ``submit`` — every sub-request
-queued *before* any result is awaited — so the dispatcher's
-cross-session coalescing fires over the wire exactly as it does
-in-process.  Both keep the service's admission control and deadlines.
+:class:`~repro.service.server.SchedulingService`, on the connection's
+own thread.  A frame carrying one session-scoped op goes through
+:meth:`~repro.service.server.SchedulingService.call`.  A pipelined
+``bulk`` frame is served in frame order: each run of consecutive
+session ops goes through
+:meth:`~repro.service.server.SchedulingService.bulk` — so consecutive
+assigns of a session coalesce over the wire exactly as they do
+in-process — and each admin op (``open``, ``close_session``,
+``metrics``, …) runs at its place between those runs.  Both keep the
+service's deadlines.
 
-Error discipline mirrors the queue's: a decodable frame with a broken
-request (unknown op, malformed payload) gets a typed error *response*
-and the connection lives on; an undecodable byte stream (bad magic,
-truncated body) gets a best-effort error frame and the connection
-closes, because framing is lost.  A request that fails inside the
-service answers with its typed error — ``ServiceOverloadError``,
-``ServiceDeadlineError``, ``UnknownSessionError``, … — re-raised
-as itself on the client side.
+Error discipline: a decodable frame with a broken request (unknown
+op, malformed payload) gets a typed error *response* and the
+connection lives on; an undecodable byte stream (bad magic, truncated
+body) gets a best-effort error frame and the connection closes,
+because framing is lost.  A request that fails inside the service
+answers with its typed error — ``ServiceDeadlineError``,
+``UnknownSessionError``, … — re-raised as itself on the client side.
 
 ``open`` ships a whole session by value through the self-checking
 wire envelope (:func:`repro.core.serialize.session_wire_to_json`):
@@ -87,70 +88,61 @@ class ServiceSink:
 
     def _handle_single(self, request: dict[str, Any]) -> dict[str, Any]:
         try:
-            result = self._execute(request)
-            return {"ok": True, "result": encode_result(result)}
+            return _response(self._execute(request))
         except Exception as error:
-            return {"ok": False, "error": encode_error(error)}
+            return _response(error)
 
     def _handle_bulk(self, raw_requests: list[Any]) -> dict[str, Any]:
-        """Submit-all-then-gather, so coalescing crosses the wire.
+        """Serve a frame's items in frame order, one answer per item.
 
-        Items answer independently: one rejected or deadline-expired
-        sub-request becomes that item's error body while its
-        batchmates still carry results.
+        Each run of consecutive session ops goes to the service as one
+        ``bulk`` call; an admin op ends the run before it and runs at
+        its own place.  Items answer independently: one rejected or
+        deadline-expired sub-request becomes that item's error body
+        while its batchmates still carry results.
         """
-        staged: list[tuple[str, Any]] = []
-        for raw in raw_requests:
-            if not isinstance(raw, dict):
-                staged.append(("error", TransportError(
-                    f"bulk item must be a request object, got "
-                    f"{type(raw).__name__}")))
-                continue
+        outcomes: list[Any] = [None] * len(raw_requests)
+        run: list[tuple[int, tuple[str, str, Any, Any]]] = []
+        for index, raw in enumerate(raw_requests):
             try:
+                if not isinstance(raw, dict):
+                    raise TransportError(
+                        f"bulk item must be a request object, got "
+                        f"{type(raw).__name__}")
                 request = decode_request(raw)
-            except TransportError as error:
-                staged.append(("error", error))
-                continue
-            if request["op"] == "bulk":
-                staged.append(("error", TransportError(
-                    "bulk frames do not nest")))
-            elif request["op"] in _SESSION_OPS:
-                try:
-                    staged.append(("future", self._submit(request)))
-                except Exception as error:
-                    staged.append(("error", error))
-            else:
-                try:
-                    staged.append(("result", self._execute(request)))
-                except Exception as error:
-                    staged.append(("error", error))
-        results = []
-        for kind, value in staged:
-            if kind == "future":
-                try:
-                    value = value.result()
-                except Exception as error:
-                    results.append({"ok": False,
-                                    "error": encode_error(error)})
+                if request["op"] == "bulk":
+                    raise TransportError("bulk frames do not nest")
+                if request["op"] in _SESSION_OPS:
+                    run.append((index, (
+                        request["op"], _session_id(request),
+                        request["payload"], request["timeout"])))
                     continue
-                kind = "result"
-            if kind == "result":
-                try:
-                    results.append({"ok": True,
-                                    "result": encode_result(value)})
-                except Exception as error:
-                    results.append({"ok": False,
-                                    "error": encode_error(error)})
-            else:
-                results.append({"ok": False, "error": encode_error(value)})
-        return {"ok": True, "results": results}
+            except TransportError as error:
+                outcomes[index] = error
+                continue
+            self._run_bulk(run, outcomes)
+            try:
+                outcomes[index] = self._execute(request)
+            except Exception as error:
+                outcomes[index] = error
+        self._run_bulk(run, outcomes)
+        return {"ok": True, "results": [_response(outcome)
+                                        for outcome in outcomes]}
+
+    def _run_bulk(self, run: list[tuple[int, tuple[str, str, Any, Any]]],
+                  outcomes: list[Any]) -> None:
+        """Serve a run of session ops as one service ``bulk``; empty it."""
+        if not run:
+            return
+        try:
+            answers = self._service.bulk([item for _, item in run])
+        except Exception as error:
+            answers = [error] * len(run)
+        for (index, _), answer in zip(run, answers):
+            outcomes[index] = answer
+        run.clear()
 
     # -- execution -----------------------------------------------------
-    def _submit(self, request: dict[str, Any]):
-        return self._service.submit(request["op"], _session_id(request),
-                                    request["payload"],
-                                    timeout=request["timeout"])
-
     def _execute(self, request: dict[str, Any]) -> Any:
         op = request["op"]
         if op in _SESSION_OPS:
@@ -178,6 +170,16 @@ class ServiceSink:
             self._shutdown.set()
             return None
         raise TransportError(f"op {op!r} not handled by this sink")
+
+
+def _response(outcome: Any) -> dict[str, Any]:
+    """The response body of an answer, or of the error it failed with."""
+    if not isinstance(outcome, BaseException):
+        try:
+            return {"ok": True, "result": encode_result(outcome)}
+        except Exception as error:
+            outcome = error
+    return {"ok": False, "error": encode_error(outcome)}
 
 
 def _session_id(request: dict[str, Any]) -> str:
@@ -213,13 +215,12 @@ class WireServer:
         self._sink = ServiceSink(service)
         # Connection handler threads must resolve ambient engine config
         # (the contextvar-scoped use_config overlay) the way the thread
-        # that built the server does — inline session ops and admin
-        # ops execute on the *handler* thread, and a fresh thread
-        # starts with an empty context, which would silently change how
-        # sessions without an explicit config resolve workers.
-        # Same contract as the dispatcher's snapshot in
-        # SchedulingService.__init__; each connection runs in its own
-        # copy because one Context cannot be entered concurrently.
+        # that built the server does — every session op and admin op
+        # executes on the *handler* thread, and a fresh thread starts
+        # with an empty context, which would silently change how
+        # sessions without an explicit config resolve workers.  Each
+        # connection runs in its own copy because one Context cannot
+        # be entered concurrently.
         self._context = contextvars.copy_context()
         self._context_lock = threading.Lock()
         self._tcp = _ThreadedTCPServer((host, port),

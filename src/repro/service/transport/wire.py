@@ -12,7 +12,7 @@ Everything that crosses the socket is built from the library's
 existing canonical serial forms:
 
 * **requests** carry the same ``(op, session_id, payload)`` triple
-  :meth:`~repro.service.server.SchedulingService.submit` takes, with
+  :meth:`~repro.service.server.SchedulingService.call` takes, with
   points/windows/updates reduced to plain int lists (a ``Box`` window
   stays a box — two corners — so huge windows never materialize on the
   wire);
@@ -42,7 +42,6 @@ from repro.service.errors import (
     ServiceClosedError,
     ServiceDeadlineError,
     ServiceError,
-    ServiceOverloadError,
     TransportError,
     UnknownSessionError,
 )
@@ -372,9 +371,10 @@ def encode_request(op: str, session_id: str | None = None,
 def encode_bulk(requests: list[dict[str, Any]]) -> dict[str, Any]:
     """A pipelined frame: many already-encoded requests, one round trip.
 
-    The receiving server submits every sub-request before awaiting any
-    result, so the dispatcher's cross-session coalescing fires over
-    the wire exactly as it does in-process.
+    The receiving server hands each run of session requests to
+    :meth:`~repro.service.server.SchedulingService.bulk`, so
+    consecutive assigns of a session coalesce over the wire exactly as
+    they do in-process.
     """
     return {"op": "bulk", "requests": list(requests)}
 
@@ -383,7 +383,7 @@ def decode_request(data: dict[str, Any]) -> dict[str, Any]:
     """Validate and decode one request frame into native payload values.
 
     Returns ``{"op", "session_id", "payload", "timeout"}`` with payload
-    values decoded back to what :meth:`SchedulingService.submit`
+    values decoded back to what :meth:`SchedulingService.call`
     expects (tuples for points, a ``Box``/point-list for windows, a
     dict for updates).
 
@@ -566,10 +566,7 @@ def encode_error(error: BaseException) -> dict[str, Any]:
     """An exception as a wire error body (typed attrs preserved)."""
     body: dict[str, Any] = {"type": type(error).__name__,
                             "message": str(error)}
-    if isinstance(error, ServiceOverloadError):
-        body["queue_depth"] = error.queue_depth
-        body["max_queue"] = error.max_queue
-    elif isinstance(error, ServiceDeadlineError):
+    if isinstance(error, ServiceDeadlineError):
         body["timeout"] = error.timeout
     elif isinstance(error, UnknownSessionError):
         body["session_id"] = error.session_id
@@ -591,10 +588,6 @@ def decode_error(data: dict[str, Any]) -> BaseException:
     error_type = data.get("type")
     message = str(data.get("message", ""))
     try:
-        if error_type == "ServiceOverloadError":
-            return ServiceOverloadError(
-                message, queue_depth=int(data["queue_depth"]),
-                max_queue=int(data["max_queue"]))
         if error_type == "ServiceDeadlineError":
             return ServiceDeadlineError(message,
                                         timeout=float(data["timeout"]))

@@ -39,7 +39,7 @@ def corpus():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_service_replay_bit_identical_to_direct(corpus, workers):
     config = EngineConfig(workers=workers)
-    service_legs = replay_specs(corpus, config, max_batch=32)
+    service_legs = replay_specs(corpus, config)
     service_legs.pop("__batched_dispatches__")
     for spec in corpus:
         direct = replay_direct(spec, config)
@@ -67,7 +67,7 @@ def test_wire_transport_replay_bit_identical_to_direct(corpus):
     serialized through the wire envelope, requests pipelined in one
     bulk frame — must still answer bit for bit what direct ``Session``
     calls answer, counters included."""
-    wire_legs = replay_specs_wire(corpus, max_batch=32)
+    wire_legs = replay_specs_wire(corpus)
     wire_legs.pop("__batched_dispatches__")
     for spec in corpus:
         direct = replay_direct(spec)

@@ -151,7 +151,7 @@ def make_session() -> Session:
 
 @pytest.fixture(scope="module")
 def sink():
-    service = SchedulingService(SessionStore(), max_queue=256)
+    service = SchedulingService(SessionStore())
     yield ServiceSink(service)
     service.close()
 

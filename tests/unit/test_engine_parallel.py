@@ -440,7 +440,7 @@ class TestServedSharding:
 
         monkeypatch.setattr(collisions_module, "run_sharded", counted)
         with use_config(EngineConfig(workers=2)):
-            service = SchedulingService(SessionStore(), max_queue=16)
+            service = SchedulingService(SessionStore())
             server = WireServer(service).start()
         try:
             with ServiceClient(*server.address, timeout=60) as client:

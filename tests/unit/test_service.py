@@ -2,10 +2,10 @@
 
 The contract under test: the service changes *when* work runs, never
 *what* it answers.  Identity tests compare service responses against
-direct ``Session`` calls; admission tests pin that overload, deadlines
-and shutdown always surface as typed errors (never a hang, never a
-silent drop); batching tests assert coalescing actually happens and
-stays bit-identical to per-request dispatch.
+direct ``Session`` calls; admission tests pin that deadlines and
+shutdown always surface as typed errors (never a hang, never a silent
+drop); batching tests assert that ``bulk`` coalesces consecutive
+assigns and stays bit-identical to per-request dispatch.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.service import (
     SchedulingService,
     ServiceClosedError,
     ServiceDeadlineError,
-    ServiceOverloadError,
     SessionStore,
     UnknownSessionError,
 )
@@ -41,7 +40,7 @@ def make_mapping_session() -> Session:
 
 @pytest.fixture
 def service():
-    svc = SchedulingService(SessionStore(), max_queue=256)
+    svc = SchedulingService(SessionStore())
     yield svc
     svc.close()
 
@@ -95,34 +94,39 @@ class TestEndpointIdentity:
             == canonical_slots(service.assign("s", points))
 
     def test_dispatcher_inherits_ambient_config(self):
-        """A service built under use_config resolves like its creator.
-
-        The dispatcher thread starts with an empty contextvar context;
-        without snapshotting the creating context, sessions with no
-        explicit config would resolve workers differently
-        through the service than through direct calls made in the
-        installing thread.  (``submit``, not ``verify``: a blocking call
-        on an idle session would run on this thread instead.)
-        """
+        """A request resolves ambient engine config on the thread that
+        asked: sessions with no explicit config resolve workers through
+        the service exactly as through direct calls in that thread,
+        whether or not the service was built under the same config."""
         from repro.api import EngineConfig, use_config
 
+        svc = SchedulingService(SessionStore())
+        svc.open_session("s", make_tiling_session())
         with use_config(EngineConfig(workers=2)):
-            svc = SchedulingService(SessionStore(), max_queue=64)
-            svc.open_session("s", make_tiling_session())
             direct = make_tiling_session().verify()
-            served = svc.submit("verify", "s").result(timeout=30)
-            svc.close()
-        assert served.workers == direct.workers == 2
+            served = svc.call("verify", "s")
+            [bulk] = svc.bulk([("verify", "s", {"use_cache": False}, None)])
+        svc.close()
+        assert served.workers == direct.workers == bulk.workers == 2
 
     def test_unknown_session_is_typed(self, service):
-        future = service.submit("assign", "ghost", {"points": [(0, 0)]})
-        with pytest.raises(UnknownSessionError) as excinfo:
-            future.result(timeout=10)
-        assert excinfo.value.session_id == "ghost"
+        [outcome] = service.bulk([("assign", "ghost",
+                                   {"points": [(0, 0)]}, None)])
+        assert isinstance(outcome, UnknownSessionError)
+        assert outcome.session_id == "ghost"
+        with pytest.raises(UnknownSessionError):
+            service.call("assign", "ghost", {"points": [(0, 0)]})
 
     def test_unknown_op_rejected_at_submit(self, service):
         with pytest.raises(ValueError, match="unknown service op"):
-            service.submit("reticulate", "s", {})
+            service.call("reticulate", "s", {})
+        [outcome] = service.bulk([("reticulate", "s", {}, None)])
+        assert isinstance(outcome, ValueError)
+
+
+def assign_items(session_id: str, point_lists, timeout=None) -> list:
+    return [("assign", session_id, {"points": points}, timeout)
+            for points in point_lists]
 
 
 class TestBatching:
@@ -132,48 +136,45 @@ class TestBatching:
         direct = make_tiling_session()
         expected = [canonical_slots(direct.assign(points))
                     for points in point_lists]
-        svc = SchedulingService(SessionStore(), max_queue=256,
-                                max_batch=16, autostart=False)
+        svc = SchedulingService(SessionStore())
         svc.open_session("s", make_tiling_session())
-        futures = [svc.submit("assign", "s", {"points": points})
-                   for points in point_lists]
-        svc.start()
-        served = [canonical_slots(f.result(timeout=30)) for f in futures]
+        served = [canonical_slots(answer)
+                  for answer in svc.bulk(assign_items("s", point_lists))]
         metrics = svc.metrics()
         svc.close()
         assert served == expected
-        assert metrics.counter("batch.batched_dispatches") > 0
+        assert metrics.counter("batch.batched_dispatches") == 1
         assert metrics.counter("batch.coalesced_requests") \
             + metrics.counter("batch.dispatches") \
             - metrics.counter("batch.batched_dispatches") \
             == len(point_lists)
 
     def test_per_session_fifo_with_interleaved_edits(self):
-        """Edits between assigns split batches but keep order."""
-        svc = SchedulingService(SessionStore(), max_queue=256,
-                                autostart=False)
+        """Edits between assigns split coalesced runs but keep order,
+        and sessions interleaved in one bulk keep their own order."""
+        svc = SchedulingService(SessionStore())
         svc.open_session("s", make_mapping_session())
+        svc.open_session("t", make_tiling_session())
         direct = make_mapping_session()
-        futures = []
-        futures.append(svc.submit("assign", "s", {"points": [(0, 0)]}))
-        futures.append(svc.submit("edit", "s", {"updates": {(0, 0): 1}}))
-        futures.append(svc.submit("assign", "s", {"points": [(0, 0)]}))
-        svc.start()
-        before = futures[0].result(timeout=30)
-        futures[1].result(timeout=30)
-        after = futures[2].result(timeout=30)
+        before, other, _, after = svc.bulk([
+            ("assign", "s", {"points": [(0, 0)]}, None),
+            ("assign", "t", {"points": [(0, 0)]}, None),
+            ("edit", "s", {"updates": {(0, 0): 1}}, None),
+            ("assign", "s", {"points": [(0, 0)]}, None),
+        ])
         svc.close()
         direct_before = direct.assign([(0, 0)])
         direct = direct.edit({(0, 0): 1})
         direct_after = direct.assign([(0, 0)])
         assert canonical_slots(before) == canonical_slots(direct_before)
         assert canonical_slots(after) == canonical_slots(direct_after)
+        assert canonical_slots(other) == canonical_slots(
+            make_tiling_session().assign([(0, 0)]))
 
     def test_concurrent_callers_coalesce_without_waiting(self):
-        """A running dispatcher coalesces what callers queue behind the
-        request it is serving, with no straggler wait, and answers
-        exactly what direct calls answer."""
-        svc = SchedulingService(SessionStore(), max_queue=256)
+        """Concurrent ``bulk`` callers on one session each coalesce
+        their own assigns, and answer exactly what direct calls do."""
+        svc = SchedulingService(SessionStore())
         svc.open_session("s", make_tiling_session())
         callers, steps = 4, 25
         barrier = threading.Barrier(callers)
@@ -181,13 +182,12 @@ class TestBatching:
 
         def caller(index: int) -> None:
             barrier.wait()
-            submitted = []
-            for step in range(steps):
-                points = [(index, step), (step, -index), (index, index)]
-                submitted.append((step, points, svc.submit(
-                    "assign", "s", {"points": points})))
-            for step, points, future in submitted:
-                served[index, step] = (points, future.result(timeout=30))
+            point_lists = [[(index, step), (step, -index), (index, index)]
+                           for step in range(steps)]
+            answers = svc.bulk(assign_items("s", point_lists))
+            for step, (points, answer) in enumerate(
+                    zip(point_lists, answers)):
+                served[index, step] = (points, answer)
 
         threads = [threading.Thread(target=caller, args=(index,))
                    for index in range(callers)]
@@ -199,7 +199,7 @@ class TestBatching:
         metrics = svc.metrics()
         svc.close()
         assert len(served) == callers * steps
-        assert metrics.counter("batch.coalesced_requests") > 0
+        assert metrics.counter("batch.coalesced_requests") == callers * steps
         direct = make_tiling_session()
         for points, assignment in served.values():
             expected = direct.assign(points)
@@ -222,46 +222,73 @@ class TestBatching:
         assert fast.source == expected.source
         assert fast.cache_hits == expected.cache_hits
 
-
-class TestAdmissionControl:
-    def test_overload_returns_typed_error(self):
-        svc = SchedulingService(SessionStore(), max_queue=4,
-                                autostart=False)
+    def test_one_bad_assign_fails_alone(self):
+        """A coalesced run with one wrong-dimension point: that request
+        gets its typed error, the other seven the direct answers."""
+        point_lists = [[(step, 1), (2, step)] for step in range(8)]
+        point_lists[5] = [(1, 2, 3)]
+        svc = SchedulingService(SessionStore())
         svc.open_session("s", make_tiling_session())
-        admitted = []
-        with pytest.raises(ServiceOverloadError) as excinfo:
-            for _ in range(10):
-                admitted.append(
-                    svc.submit("assign", "s", {"points": [(0, 0)]}))
-        assert len(admitted) == 4
-        assert excinfo.value.max_queue == 4
-        assert excinfo.value.queue_depth == 4
-        svc.start()
-        for future in admitted:
-            assert future.result(timeout=30) is not None
-        svc.close()
-
-    def test_expired_deadline_fails_future_typed(self):
-        svc = SchedulingService(SessionStore(), max_queue=16,
-                                autostart=False)
-        svc.open_session("s", make_tiling_session())
-        future = svc.submit("assign", "s", {"points": [(0, 0)]},
-                            timeout=0.001)
-        time.sleep(0.05)  # let the deadline lapse before dispatch
-        svc.start()
-        with pytest.raises(ServiceDeadlineError) as excinfo:
-            future.result(timeout=30)
-        assert excinfo.value.timeout == pytest.approx(0.001)
+        answers = svc.bulk(assign_items("s", point_lists))
         metrics = svc.metrics()
         svc.close()
-        assert metrics.counter("rejected.deadline") == 1
+        direct = make_tiling_session()
+        with pytest.raises(Exception) as excinfo:
+            direct.assign(point_lists[5])
+        assert type(answers[5]) is type(excinfo.value)
+        assert str(answers[5]) == str(excinfo.value)
+        for index, points in enumerate(point_lists):
+            if index != 5:
+                assert canonical_slots(answers[index]) == \
+                    canonical_slots(direct.assign(points))
+        assert metrics.counter("assign.completed") == 7
+        assert metrics.counter("assign.failed") == 1
+        assert metrics.counter("batch.batched_dispatches") == 0
+
+
+def hold_lease(store: SessionStore, session_id: str):
+    """Hold ``session_id``'s lease on a helper thread until released."""
+    held, release = threading.Event(), threading.Event()
+
+    def hold() -> None:
+        with store.lease(session_id):
+            held.set()
+            release.wait(timeout=30)
+
+    thread = threading.Thread(target=hold)
+    thread.start()
+    assert held.wait(timeout=30)
+    return release, thread
+
+
+class TestAdmissionControl:
+    def test_expired_deadline_fails_future_typed(self):
+        """A request whose session stays busy past its deadline fails
+        typed when the lease wait runs out, and never runs."""
+        svc = SchedulingService(SessionStore(), default_timeout=0.05)
+        svc.open_session("s", make_tiling_session())
+        release, holder = hold_lease(svc.store, "s")
+        try:
+            with pytest.raises(ServiceDeadlineError) as excinfo:
+                svc.assign("s", [(0, 0)])
+            assert excinfo.value.timeout == pytest.approx(0.05)
+            late, = svc.bulk([("assign", "s", {"points": [(0, 0)]}, 0.001)])
+            assert isinstance(late, ServiceDeadlineError)
+            assert late.timeout == pytest.approx(0.001)
+        finally:
+            release.set()
+            holder.join(timeout=30)
+        metrics = svc.metrics()
+        svc.close()
+        assert metrics.counter("rejected.deadline") == 2
+        assert metrics.counter("batch.dispatches") == 0
 
     def test_deadline_enforced_inside_coalesced_run(self):
-        """A deadline that lapses *mid-batch* must fail the request.
+        """A deadline that lapses *mid-run* must fail the request.
 
-        Regression: the dispatcher checked deadlines only on entry to a
-        run, so a request admitted in time but stuck behind a slow
-        coalesced bulk dispatch was served late instead of raising
+        Regression: deadlines were checked only on entry to a run, so a
+        request admitted in time but stuck behind a slow coalesced
+        bulk dispatch was served late instead of raising
         ``ServiceDeadlineError``.  The slicing loop now re-checks each
         request after the bulk answer lands."""
         class SlowSession(Session):
@@ -269,19 +296,16 @@ class TestAdmissionControl:
                 time.sleep(0.2)  # slower than the 50ms deadline below
                 return super().assign(points)
 
-        svc = SchedulingService(SessionStore(), max_queue=16,
-                                max_batch=8, autostart=False)
+        svc = SchedulingService(SessionStore())
         svc.open_session("s", SlowSession.for_chebyshev(1, window=WINDOW))
-        patient = svc.submit("assign", "s", {"points": [(0, 0)]})
-        hurried = svc.submit("assign", "s", {"points": [(1, 1)]},
-                             timeout=0.05)
-        svc.start()
+        patient, hurried = svc.bulk([
+            ("assign", "s", {"points": [(0, 0)]}, None),
+            ("assign", "s", {"points": [(1, 1)]}, 0.05),
+        ])
         direct = make_tiling_session().assign([(0, 0)])
-        assert canonical_slots(patient.result(timeout=30)) == \
-            canonical_slots(direct)
-        with pytest.raises(ServiceDeadlineError) as excinfo:
-            hurried.result(timeout=30)
-        assert excinfo.value.timeout == pytest.approx(0.05)
+        assert canonical_slots(patient) == canonical_slots(direct)
+        assert isinstance(hurried, ServiceDeadlineError)
+        assert hurried.timeout == pytest.approx(0.05)
         metrics = svc.metrics()
         svc.close()
         assert metrics.counter("rejected.deadline") == 1
@@ -293,57 +317,65 @@ class TestAdmissionControl:
         service.open_session("s", make_tiling_session())
         service.close()
         with pytest.raises(ServiceClosedError):
-            service.submit("assign", "s", {"points": [(0, 0)]})
-
-    def test_close_without_start_fails_queued_futures(self):
-        svc = SchedulingService(SessionStore(), max_queue=16,
-                                autostart=False)
-        svc.open_session("s", make_tiling_session())
-        future = svc.submit("assign", "s", {"points": [(0, 0)]})
-        svc.close()
+            service.call("assign", "s", {"points": [(0, 0)]})
         with pytest.raises(ServiceClosedError):
-            future.result(timeout=10)
+            service.bulk(assign_items("s", [[(0, 0)], [(1, 1)]]))
+        metrics = service.metrics()
+        assert metrics.counter("rejected.closed") == 3
+        assert metrics.counter("assign.admitted") == 0
 
     def test_request_admitted_while_close_runs_is_answered(self):
-        """Admission and close() race: the request passed the closed
-        check, then the dispatcher saw an empty queue and exited before
-        the request was queued.  It must get a typed answer, not a
-        future nothing will ever complete."""
-        svc = SchedulingService(SessionStore(), max_queue=16)
-        svc.open_session("s", make_tiling_session())
-        admit = svc._admit
+        """A request in flight when close() runs is answered, and
+        close() returns only after it; later requests are refused."""
+        running, finish = threading.Event(), threading.Event()
 
-        def admit_then_close(*args):
-            request = admit(*args)
-            svc.close()  # the dispatcher drains an empty queue and exits
-            return request
+        class SlowSession(Session):
+            def assign(self, points):
+                running.set()
+                finish.wait(timeout=30)
+                return super().assign(points)
 
-        svc._admit = admit_then_close
+        svc = SchedulingService(SessionStore())
+        svc.open_session("s", SlowSession.for_chebyshev(1, window=WINDOW))
+        answers = []
+        caller = threading.Thread(target=lambda: answers.append(
+            svc.assign("s", [(0, 0)])))
+        caller.start()
+        assert running.wait(timeout=30)
+        closer = threading.Thread(target=svc.close)
+        closer.start()
+        closer.join(timeout=0.2)
+        assert closer.is_alive(), "close() returned with a request running"
         with pytest.raises(ServiceClosedError):
-            svc.submit("assign", "s", {"points": [(0, 0)]}).result(
-                timeout=5)
+            svc.assign("s", [(1, 1)])
+        finish.set()
+        closer.join(timeout=30)
+        caller.join(timeout=30)
+        assert not closer.is_alive()
+        assert canonical_slots(answers[0]) == canonical_slots(
+            make_tiling_session().assign([(0, 0)]))
         assert svc.metrics().counter("rejected.closed") == 1
 
     def test_session_that_fails_to_restore_fails_typed(self):
         """A spilled session whose snapshot no longer restores fails its
-        requests with CorruptSessionError, on both lanes, and the
-        dispatcher keeps serving every other session."""
+        requests with CorruptSessionError, through ``call`` and
+        ``bulk``, and the service keeps serving every other session."""
         store = SessionStore()
-        svc = SchedulingService(store, max_queue=16)
+        svc = SchedulingService(store)
         try:
             svc.open_session("bad", make_tiling_session())
             svc.open_session("good", make_tiling_session())
             assert store.evict("bad")
             store._records["bad"].envelope = "{truncated"
-            queued = svc.submit("assign", "bad", {"points": [(0, 0)]})
-            with pytest.raises(CorruptSessionError):
-                queued.result(timeout=5)
-            with pytest.raises(CorruptSessionError):
-                svc.assign("bad", [(0, 0)])  # the inline lane
             direct = make_tiling_session().assign([(1, 2)])
-            served = svc.submit("assign", "good",
-                                {"points": [(1, 2)]}).result(timeout=5)
-            assert canonical_slots(served) == canonical_slots(direct)
+            bad, good = svc.bulk([
+                ("assign", "bad", {"points": [(0, 0)]}, None),
+                ("assign", "good", {"points": [(1, 2)]}, None),
+            ])
+            assert isinstance(bad, CorruptSessionError)
+            assert canonical_slots(good) == canonical_slots(direct)
+            with pytest.raises(CorruptSessionError):
+                svc.assign("bad", [(0, 0)])
             assert canonical_slots(svc.assign("good", [(1, 2)])) \
                 == canonical_slots(direct)
             assert svc.metrics().counter("assign.failed") == 2
@@ -351,25 +383,26 @@ class TestAdmissionControl:
             svc.close()
 
     def test_saturation_never_hangs_or_drops(self):
-        """Every submit either returns a future that resolves, or raises
-        typed — across a saturating burst from many threads."""
-        svc = SchedulingService(SessionStore(), max_queue=32)
-        svc.open_session("s", make_tiling_session())
+        """Many threads on few sessions, mixing ``call`` and ``bulk``:
+        every request is answered, none hangs, none is dropped."""
+        svc = SchedulingService(SessionStore())
+        for session_id in ("a", "b"):
+            svc.open_session(session_id, make_tiling_session())
         outcomes = []
         lock = threading.Lock()
 
         def client(index: int) -> None:
-            for _ in range(20):
-                try:
-                    future = svc.submit("assign", "s",
-                                        {"points": [(index, 0)]})
-                except ServiceOverloadError:
-                    with lock:
-                        outcomes.append("rejected")
-                    continue
-                result = future.result(timeout=60)
+            session_id = "ab"[index % 2]
+            for step in range(20):
+                points = [(index, step)]
+                if step % 2:
+                    answers = [svc.assign(session_id, points)]
+                else:
+                    answers = svc.bulk(assign_items(
+                        session_id, [points, [(step, index)]]))
                 with lock:
-                    outcomes.append(canonical_slots(result))
+                    outcomes.extend(canonical_slots(answer)
+                                    for answer in answers)
 
         threads = [threading.Thread(target=client, args=(i,))
                    for i in range(8)]
@@ -378,10 +411,86 @@ class TestAdmissionControl:
         for thread in threads:
             thread.join(timeout=120)
             assert not thread.is_alive(), "client thread hung"
+        metrics = svc.metrics()
         svc.close()
-        assert len(outcomes) == 8 * 20  # nothing dropped
-        served = [o for o in outcomes if o != "rejected"]
-        assert served, "saturation rejected everything"
+        assert len(outcomes) == 8 * (10 + 2 * 10)  # nothing dropped
+        assert metrics.counter("assign.completed") == len(outcomes)
+        assert metrics.counter("assign.failed") == 0
+
+
+class TestBulk:
+    def test_load_then_assign_in_one_bulk(self, service):
+        """A ``load`` and the requests after it for the same id run in
+        item order, so the loaded session serves them."""
+        text = make_tiling_session().save()
+        ack, served = service.bulk([
+            ("load", "copy", {"text": text}, None),
+            ("assign", "copy", {"points": [(2, 2)]}, None),
+        ])
+        assert ack == LoadAck(session_id="copy",
+                              num_slots=make_tiling_session().num_slots)
+        assert canonical_slots(served) == canonical_slots(
+            make_tiling_session().assign([(2, 2)]))
+
+    def test_empty_bulk_answers_nothing(self, service):
+        assert service.bulk([]) == []
+        assert service.metrics().counters == {}
+
+    def test_unknown_op_item_fails_alone(self, service):
+        service.open_session("s", make_tiling_session())
+        first, bad, last = service.bulk([
+            ("assign", "s", {"points": [(0, 0)]}, None),
+            ("reticulate", "s", {}, None),
+            ("assign", "s", {"points": [(1, 1)]}, None),
+        ])
+        assert isinstance(bad, ValueError)
+        direct = make_tiling_session()
+        assert canonical_slots(first) == canonical_slots(
+            direct.assign([(0, 0)]))
+        assert canonical_slots(last) == canonical_slots(
+            direct.assign([(1, 1)]))
+
+    def test_default_timeout_applies_to_bulk_items(self):
+        svc = SchedulingService(SessionStore(), default_timeout=0.05)
+        svc.open_session("s", make_tiling_session())
+        release, holder = hold_lease(svc.store, "s")
+        try:
+            [late] = svc.bulk(assign_items("s", [[(0, 0)]]))
+        finally:
+            release.set()
+            holder.join(timeout=30)
+        svc.close()
+        assert isinstance(late, ServiceDeadlineError)
+        assert late.timeout == pytest.approx(0.05)
+
+    def test_lease_wait_ends_at_the_last_deadline(self):
+        """A group waits for its lease as long as its latest deadline
+        allows; items whose own deadline passed meanwhile expire, the
+        rest are served."""
+        svc = SchedulingService(SessionStore())
+        svc.open_session("s", make_tiling_session())
+        release, holder = hold_lease(svc.store, "s")
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        try:
+            hurried, patient = svc.bulk([
+                ("assign", "s", {"points": [(0, 0)]}, 0.05),
+                ("assign", "s", {"points": [(1, 1)]}, 30.0),
+            ])
+        finally:
+            timer.join(timeout=30)
+            holder.join(timeout=30)
+        metrics = svc.metrics()
+        svc.close()
+        assert isinstance(hurried, ServiceDeadlineError)
+        assert canonical_slots(patient) == canonical_slots(
+            make_tiling_session().assign([(1, 1)]))
+        assert metrics.counter("rejected.deadline") == 1
+
+    def test_close_is_idempotent(self, service):
+        service.close()
+        service.close()
+        assert service.closed
 
 
 class TestMetrics:
@@ -390,13 +499,12 @@ class TestMetrics:
         service.assign("s", [(0, 0), (1, 1)])
         service.verify("s")
         metrics = service.metrics()
-        assert metrics.counter("assign.submitted") == 1
+        assert metrics.counter("assign.admitted") == 1
         assert metrics.counter("assign.completed") == 1
         assert metrics.counter("verify.completed") == 1
         assert metrics.latencies["assign"].total == 1
         assert metrics.latencies["assign"].p99 > 0
         assert metrics.gauges["sessions.open"] == 1
-        assert metrics.gauges["queue.depth"] == 0
 
     def test_metrics_json_is_valid_and_sorted(self, service):
         import json

@@ -1,13 +1,13 @@
-"""Tests for the service's inline lane: blocking calls on idle sessions.
+"""Tests for the service's one lane: every request on the caller's thread.
 
-``SchedulingService.call`` runs a request for an idle session to
-completion on the calling thread; anything else queues behind what is
-there.  The lane must change *where* a request runs, never *what* it
-answers or in which order a session's requests take effect.  These
-tests pin the three things that could go wrong: an answer that differs
-from a direct ``Session`` replay, a request that overtakes one
-reserved before it (the certificate fast-path race), and context — the
-ambient engine config — lost on the thread that runs it.
+``SchedulingService.call`` and ``bulk`` lease the session and run the
+request to completion on the calling thread; a busy session makes the
+caller wait for its lease.  The lane must never change *what* a
+request answers or in which order a session's requests take effect.
+These tests pin the three things that could go wrong: an answer that
+differs from a direct ``Session`` replay, a request that overtakes one
+already running on its session, and context — the ambient engine
+config — lost on the thread that runs it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import sys
 import threading
-from concurrent.futures import wait
 
 import pytest
 
@@ -53,9 +52,21 @@ class RecordingSession(Session):
         return super().assign(points)
 
 
+class RecordingPut:
+    """Wraps ``SessionStore.put``, recording the thread of each call."""
+
+    def __init__(self, put) -> None:
+        self._put = put
+        self.threads: list[str] = []
+
+    def __call__(self, session_id, session) -> None:
+        self.threads.append(threading.current_thread().name)
+        self._put(session_id, session)
+
+
 @pytest.fixture
 def service():
-    svc = SchedulingService(SessionStore(), max_queue=256)
+    svc = SchedulingService(SessionStore())
     yield svc
     svc.close()
 
@@ -84,26 +95,18 @@ class TestCall:
             make_tiling_session().assign([(0, 0), (2, 3)]))
         assert session.seen == [(threading.current_thread().name,
                                  shard_workers())]
-        assert service.metrics().counter("batch.inline") == 1
-
-    def test_submit_still_queues_to_the_dispatcher(self, service):
-        session = RecordingSession.for_chebyshev(1, window=WINDOW)
-        service.open_session("s", session)
-        service.submit("assign", "s", {"points": [(0, 0)]}).result(
-            timeout=30)
-        assert session.seen == [("repro-service-dispatcher",
-                                 shard_workers())]
-        assert service.metrics().counter("batch.inline") == 0
+        assert service.metrics().counter("batch.dispatches") == 1
 
     def test_held_lease_forces_the_queue(self, service):
         """(c) A session whose lock is taken is not idle: the call
-        queues, waits for the lock, and still answers correctly."""
+        waits for the lock on its own thread, then answers correctly."""
         session = RecordingSession.for_chebyshev(1, window=WINDOW)
         service.open_session("s", session)
         release, holder = hold_lease(service.store, "s")
         answers = []
         caller = threading.Thread(target=lambda: answers.append(
-            service.call("assign", "s", {"points": [(4, 1)]})))
+            service.call("assign", "s", {"points": [(4, 1)]})),
+            name="waiting-caller")
         caller.start()
         caller.join(timeout=0.2)
         assert caller.is_alive(), "call ran under a held lease"
@@ -112,50 +115,46 @@ class TestCall:
         caller.join(timeout=30)
         assert canonical_slots(answers[0]) == canonical_slots(
             make_tiling_session().assign([(4, 1)]))
-        assert session.seen == [("repro-service-dispatcher",
-                                 shard_workers())]
-        assert service.metrics().counter("batch.inline") == 0
+        assert session.seen == [("waiting-caller", shard_workers())]
 
     def test_call_queues_behind_pending_requests(self, service):
-        """A call never overtakes a request queued before it."""
+        """A call never overtakes a request already running on its
+        session: a verify sent while an edit holds the lease waits for
+        it and answers for the edited schedule."""
         service.open_session("m", make_mapping_session())
-        release, holder = hold_lease(service.store, "m")
-        edited = service.submit("edit", "m", {"updates": {(0, 0): 1}})
+        replace = service.store.replace
+        in_edit, finish_edit = threading.Event(), threading.Event()
+
+        def slow_replace(session_id, session):
+            in_edit.set()
+            finish_edit.wait(timeout=30)
+            replace(session_id, session)
+
+        service.store.replace = slow_replace
+        editor = threading.Thread(target=service.edit,
+                                  args=("m", {(0, 0): 1}))
+        editor.start()
+        assert in_edit.wait(timeout=30)
         answers = []
         caller = threading.Thread(target=lambda: answers.append(
             service.call("verify", "m")))
         caller.start()
         caller.join(timeout=0.1)
-        release.set()
-        holder.join(timeout=30)
+        assert caller.is_alive(), "verify overtook the running edit"
+        finish_edit.set()
+        editor.join(timeout=30)
         caller.join(timeout=30)
-        edited.result(timeout=30)
         direct = make_mapping_session().edit({(0, 0): 1})
         assert encode_result(answers[0]) == encode_result(direct.verify())
         assert answers[0].collisions, "verify ran before the edit"
 
-    def test_unstarted_service_queues_the_call(self):
-        svc = SchedulingService(SessionStore(), max_queue=16,
-                                autostart=False)
-        svc.open_session("s", make_tiling_session())
-        answers = []
-        caller = threading.Thread(target=lambda: answers.append(
-            svc.call("assign", "s", {"points": [(1, 1)]})))
-        caller.start()
-        caller.join(timeout=0.1)
-        assert caller.is_alive(), "call ran on a paused service"
-        svc.start()
-        caller.join(timeout=30)
-        metrics = svc.metrics()
-        svc.close()
-        assert canonical_slots(answers[0]) == canonical_slots(
-            make_tiling_session().assign([(1, 1)]))
-        assert metrics.counter("batch.inline") == 0
-
-    def test_load_always_queues(self, service):
-        service.open_session("s", make_tiling_session())
-        service.load("copy", make_tiling_session().save())
-        assert service.metrics().counter("batch.inline") == 0
+    def test_load_runs_on_the_calling_thread(self, service):
+        """``load`` takes the same lane as every other op."""
+        service.store.put = RecordingPut(service.store.put)
+        ack = service.load("copy", make_tiling_session().save())
+        assert ack.session_id == "copy"
+        assert service.store.put.threads == [
+            threading.current_thread().name]
         assert canonical_slots(service.assign("copy", [(2, 2)])) == \
             canonical_slots(make_tiling_session().assign([(2, 2)]))
 
@@ -170,68 +169,53 @@ class TestCall:
         with pytest.raises(TypeError, match="immutable"):
             service.edit("t", {(0, 0): 1})
         service.assign("t", [(0, 0)])
-        assert service.metrics().counter("batch.inline") == 2
-
-
-class _PauseAfterFirstRelease:
-    """A lock wrapper that parks one thread right after its first
-    release — for the service's pending lock, right after that thread
-    reserved its session."""
-
-    def __init__(self, lock) -> None:
-        self._lock = lock
-        self.target: threading.Thread | None = None
-        self.parked = threading.Event()
-        self.resume = threading.Event()
-
-    def __enter__(self):
-        self._lock.acquire()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._lock.release()
-        if threading.current_thread() is self.target \
-                and not self.parked.is_set():
-            self.parked.set()
-            self.resume.wait(timeout=30)
+        metrics = service.metrics()
+        assert metrics.counter("edit.failed") == 1
+        assert metrics.counter("assign.completed") == 1
 
 
 class TestFastPathOrdering:
     def test_reserved_verify_is_not_overtaken_by_a_later_restrict(self):
-        """Regression: the certificate fast path reserved the session,
-        dropped the pending lock, and only then waited for the session
-        lock.  A ``restrict`` submitted in that window queued, the
-        dispatcher ran it first, and the earlier verify answered for
-        the restricted schedule.  Parking the verify right after its
-        reservation forces that interleaving; the verify must still
-        answer for the schedule it was submitted against.
+        """A certificate-answered verify that holds its session's lease
+        is not overtaken by a ``restrict`` sent while it runs: the
+        restrict waits, and the verify answers for the schedule it
+        leased.
 
         (``restrict`` rather than ``edit``: only a certificate-backed
         session takes the fast path, and such a session is immutable —
         ``restrict`` is the op that changes what it answers.)"""
-        svc = SchedulingService(SessionStore(), max_queue=64)
-        svc.open_session("s", make_tiling_session())
+        parked, resume = threading.Event(), threading.Event()
+
+        class ParkingSession(Session):
+            def verify(self, *args, **kwargs):
+                if self._certificate_value is not None:
+                    parked.set()
+                    resume.wait(timeout=30)
+                return super().verify(*args, **kwargs)
+
+        svc = SchedulingService(SessionStore())
+        svc.open_session("s", ParkingSession.for_chebyshev(1, window=WINDOW))
         assert svc.verify("s").source == "certificate"  # built now
-        pause = _PauseAfterFirstRelease(svc._pending_lock)
-        svc._pending_lock = pause
         answers = []
         verifier = threading.Thread(target=lambda: answers.append(
-            svc.submit("verify", "s").result(timeout=30)))
-        pause.target = verifier
+            svc.verify("s")))
         verifier.start()
-        assert pause.parked.wait(timeout=30)
-        restricted = svc.submit("restrict", "s",
-                                {"window": Box((0, 0), (2, 2))})
-        wait([restricted], timeout=0.5)
-        pause.resume.set()
+        assert parked.wait(timeout=30)
+        acks = []
+        restricter = threading.Thread(target=lambda: acks.append(
+            svc.restrict("s", Box((0, 0), (2, 2)))))
+        restricter.start()
+        restricter.join(timeout=0.2)
+        assert restricter.is_alive(), "restrict overtook the verify"
+        resume.set()
         verifier.join(timeout=30)
-        ack = restricted.result(timeout=30)
+        restricter.join(timeout=30)
         metrics = svc.metrics()
         svc.close()
         report = answers[0]
         assert report.source == "certificate"
         assert report.window_size == WINDOW.volume()
-        assert ack.window_size == 9
+        assert acks[0].window_size == 9
         assert metrics.counter("batch.certificate_fast_path") == 1
 
 
@@ -241,7 +225,7 @@ def _script(rng: random.Random, steps: int) -> list[tuple[str, str, dict]]:
     shares; the other ops address the thread's own mapping session."""
     script = []
     for _ in range(steps):
-        lane = rng.choice(("call", "submit"))
+        lane = rng.choice(("call", "bulk"))
         roll = rng.random()
         # The shared tiling covers the plane; a mapping session only
         # its window.
@@ -287,12 +271,14 @@ def _canonical(answer):
 
 
 class TestConcurrentLanes:
-    def test_mixed_call_and_submit_match_direct_replay(self):
-        """(b) Threads mix call and submit: each owns a mapping session
-        (edit/verify/assign), all share one tiling session (assigns
-        only — pointwise-pure).  Every answer equals a direct replay."""
+    def test_mixed_call_and_bulk_match_direct_replay(self):
+        """(b) Threads mix ``call`` and ``bulk`` (each run of
+        bulk-lane requests goes as one ``bulk``): each thread owns a
+        mapping session (edit/verify/assign), all share one tiling
+        session (assigns only — pointwise-pure).  Every answer equals
+        a direct replay."""
         threads_count, steps = 4, 40
-        svc = SchedulingService(SessionStore(), max_queue=1024)
+        svc = SchedulingService(SessionStore())
         svc.open_session("shared", make_tiling_session())
         scripts = {}
         for index in range(threads_count):
@@ -305,19 +291,17 @@ class TestConcurrentLanes:
 
         def worker(index: int) -> None:
             barrier.wait(timeout=30)
-            pending = []
+            answers, run = [], []
             for lane, op, payload in scripts[index]:
                 session_id = "shared" if op == "shared" else f"m{index}"
                 real_op = "assign" if op == "shared" else op
-                if lane == "call":
-                    pending.append((lane, svc.call(
-                        real_op, session_id, payload)))
-                else:
-                    pending.append((lane, svc.submit(
-                        real_op, session_id, payload)))
-            served[index] = [answer.result(timeout=60)
-                             if lane == "submit" else answer
-                             for lane, answer in pending]
+                if lane == "bulk":
+                    run.append((real_op, session_id, payload, None))
+                    continue
+                answers += svc.bulk(run)
+                run = []
+                answers.append(svc.call(real_op, session_id, payload))
+            served[index] = answers + svc.bulk(run)
 
         workers = [threading.Thread(target=worker, args=(index,))
                    for index in range(threads_count)]
@@ -339,15 +323,15 @@ class TestConcurrentLanes:
         total = threads_count * steps
         assert sum(metrics.counter(f"{op}.completed")
                    for op in ("assign", "verify", "edit")) == total
-        assert 0 < metrics.counter("batch.inline") < total
+        assert metrics.counter("batch.batched_dispatches") > 0
 
 
 class TestWire:
     def test_single_frames_run_inline_and_match_direct_replay(self):
         """(a) A closed loop of one request per frame: every session op
-        runs inline on the connection thread, bit-identical to a
-        direct ``Session`` replay."""
-        svc = SchedulingService(SessionStore(), max_queue=64)
+        runs on the connection thread, bit-identical to a direct
+        ``Session`` replay."""
+        svc = SchedulingService(SessionStore())
         with WireServer(svc).start() as server, \
                 ServiceClient(*server.address, timeout=30) as client:
             client.open_session("t", make_tiling_session())
@@ -371,18 +355,17 @@ class TestWire:
             sent += 1
             metrics = client.metrics()
         svc.close()
-        assert metrics.counter("batch.inline") == sent
         assert metrics.counter("batch.dispatches") \
             + metrics.counter("batch.certificate_fast_path") == sent
         assert metrics.counter("batch.certificate_fast_path") == 9
 
     def test_inline_requests_resolve_ambient_config(self):
-        """(d) Inline requests run on the connection's handler thread,
-        which must resolve the server's ambient engine config the way
-        the dispatcher does."""
+        """(d) Requests run on the connection's handler thread, which
+        must resolve the server's ambient engine config the way the
+        thread that built the server does."""
         session = RecordingSession.for_chebyshev(1, window=WINDOW)
         with use_config(EngineConfig(workers=2)):
-            svc = SchedulingService(SessionStore(), max_queue=64)
+            svc = SchedulingService(SessionStore())
             server = WireServer(svc).start()
             svc.open_session("t", session)
             with ServiceClient(*server.address, timeout=30) as client:
@@ -393,7 +376,7 @@ class TestWire:
             server.close()
             svc.close()
         [(thread_name, workers)] = session.seen
-        assert thread_name != "repro-service-dispatcher"
+        assert thread_name != threading.current_thread().name
         assert workers == 2
         assert report.workers == 2
-        assert metrics.counter("batch.inline") == 2
+        assert metrics.counter("batch.dispatches") == 2

@@ -1,6 +1,6 @@
 """Tests for service metrics: quantile ranking, overflow honesty,
-lossless serialization, histogram merging, and the counters that split
-requests between the inline lane and the dispatcher.
+lossless serialization, histogram merging, and the dispatch counters
+of requests served on the caller's thread.
 
 Two regressions are pinned here.  First, quantile ranks are computed
 with ``math.ceil`` — the old ``int(q * total + 0.999999)`` additive
@@ -135,7 +135,7 @@ class TestSerialization:
         recorder.bump("assign.completed", 3)
         recorder.observe("assign", 0.002)
         recorder.observe("assign", 0.004)
-        snapshot = recorder.snapshot({"queue.depth": 1})
+        snapshot = recorder.snapshot({"sessions.open": 1})
         again = ServiceMetrics.from_json(snapshot.to_json())
         assert again.counters == dict(snapshot.counters)
         assert again.gauges == dict(snapshot.gauges)
@@ -157,7 +157,7 @@ class TestMerge:
 
 # ----------------------------------------------------------------------
 def _service_with(*session_ids: str) -> SchedulingService:
-    service = SchedulingService(SessionStore(), max_queue=64)
+    service = SchedulingService(SessionStore())
     for session_id in session_ids:
         service.open_session(session_id, Session.for_chebyshev(
             1, window=Box((0, 0), (5, 5))))
@@ -165,12 +165,12 @@ def _service_with(*session_ids: str) -> SchedulingService:
 
 
 class TestInlineCounters:
-    """How inline and dispatched requests show on the metrics endpoint.
+    """How requests served on the caller's thread show on the metrics
+    endpoint.
 
     ``server.batch_size`` is completed requests over
-    ``batch.dispatches``: an inline request is a dispatch of one, a
-    certificate fast-path answer is no dispatch at all, and
-    ``batch.inline`` counts both.
+    ``batch.dispatches``: a ``call`` is a dispatch of one, and a
+    certificate fast-path answer is no dispatch at all.
     """
 
     def test_inline_requests_count_as_dispatches(self):
@@ -179,10 +179,9 @@ class TestInlineCounters:
             service.assign("s", [(step, 0), (0, step)])
         metrics = service.metrics()
         service.close()
-        assert metrics.counter("assign.submitted") == 3
+        assert metrics.counter("assign.admitted") == 3
         assert metrics.counter("assign.completed") == 3
         assert metrics.counter("batch.dispatches") == 3
-        assert metrics.counter("batch.inline") == 3
         assert metrics.latencies["assign"].total == 3
 
     def test_certificate_answers_are_inline_but_not_dispatches(self):
@@ -194,20 +193,27 @@ class TestInlineCounters:
         assert metrics.counter("verify.completed") == 2
         assert metrics.counter("batch.dispatches") == 1
         assert metrics.counter("batch.certificate_fast_path") == 1
-        assert metrics.counter("batch.inline") == 2
 
-    def test_submit_never_counts_inline(self):
+    def test_bulk_counts_one_dispatch_per_coalesced_run(self):
         service = _service_with("s")
-        service.submit("assign", "s", {"points": [(0, 0)]}).result(
-            timeout=30)
+        items = [("assign", "s", {"points": [(step, 0)]}, None)
+                 for step in range(3)]
+        items.append(("verify", "s", {}, None))
+        items += [("assign", "s", {"points": [(0, step)]}, None)
+                  for step in range(2)]
+        answers = service.bulk(items)
         metrics = service.metrics()
         service.close()
-        assert metrics.counter("batch.dispatches") == 1
-        assert metrics.counter("batch.inline") == 0
+        assert not any(isinstance(a, BaseException) for a in answers)
+        assert metrics.counter("assign.completed") == 5
+        assert metrics.counter("batch.dispatches") == 3
+        assert metrics.counter("batch.batched_dispatches") == 2
+        assert metrics.counter("batch.coalesced_requests") == 5
+        assert metrics.latencies["assign"].total == 5
 
     def test_queued_call_counts_once_and_times_from_entry(self):
-        """A call that falls back to the queue bumps ``submitted`` once,
-        and its latency includes the wait for the busy session."""
+        """A call that waits for a busy session bumps ``admitted``
+        once, and its latency includes the wait for the lease."""
         service = _service_with("s")
         held, release = threading.Event(), threading.Event()
 
@@ -227,17 +233,9 @@ class TestInlineCounters:
         holder.join(timeout=30)
         metrics = service.metrics()
         service.close()
-        assert metrics.counter("assign.submitted") == 1
+        assert metrics.counter("assign.admitted") == 1
         assert metrics.counter("assign.completed") == 1
-        assert metrics.counter("batch.inline") == 0
         assert metrics.counter("batch.dispatches") == 1
         observed = metrics.latencies["assign"]
         assert observed.total == 1
         assert 0.15 <= observed.sum_seconds <= waited
-
-    def test_inline_counter_is_on_the_json_endpoint(self):
-        service = _service_with("s")
-        service.assign("s", [(0, 0)])
-        payload = json.loads(service.metrics_json())
-        service.close()
-        assert payload["counters"]["batch.inline"] == 1

@@ -17,7 +17,11 @@ import pytest
 
 from repro.api import Box, Session
 from repro.core.serialize import CorruptSessionError, snapshot_from_json
-from repro.service import SessionStore, UnknownSessionError
+from repro.service import (
+    ServiceDeadlineError,
+    SessionStore,
+    UnknownSessionError,
+)
 from repro.service.store import StoreStats
 from repro.utils.rng import StreamRNG, label_stream
 
@@ -91,60 +95,45 @@ def _held_elsewhere(store: SessionStore, session_id: str):
 
 
 class TestTryLease:
-    """The non-blocking lease behind the service's inline lane."""
+    """Leases with a bounded wait: ``lease(session_id, timeout=...)``."""
 
-    def test_free_session_is_leased_after_the_claim(self):
-        store = SessionStore()
-        session = make_tiling_session()
-        store.put("a", session)
-        claims = []
-        with store.try_lease("a", lambda: claims.append(1) or True) \
-                as leased:
-            assert leased is session
-        assert claims == [1]
-
-    def test_refused_claim_leases_nothing(self):
-        store = SessionStore()
-        store.put("a", make_tiling_session())
-        with store.try_lease("a", lambda: False) as leased:
-            assert leased is None
-        release, thread = _held_elsewhere(store, "a")
-        release.set()
-        thread.join(timeout=30)  # the lock was given back
-
-    def test_lock_held_by_another_thread_skips_the_claim(self):
+    def test_busy_session_times_out_typed(self):
         store = SessionStore()
         store.put("a", make_tiling_session())
         release, thread = _held_elsewhere(store, "a")
-        claims = []
+        entered = []
         try:
-            with store.try_lease("a", lambda: claims.append(1) or True) \
-                    as leased:
-                assert leased is None
+            with pytest.raises(ServiceDeadlineError) as excinfo:
+                with store.lease("a", timeout=0.05):
+                    entered.append(1)
+            assert excinfo.value.timeout == pytest.approx(0.05)
         finally:
             release.set()
             thread.join(timeout=30)
-        assert claims == []  # never reserve a session you cannot lock
+        assert entered == []  # nothing ran under a lease it never got
+        with store.lease("a", timeout=0) as leased:
+            assert leased is not None  # the lock was given back
+
+    def test_unknown_session_raises_before_waiting(self):
+        store = SessionStore()
+        with pytest.raises(UnknownSessionError):
+            with store.lease("ghost", timeout=30):
+                pass
 
     def test_own_lease_reenters(self):
         store = SessionStore()
         session = make_tiling_session()
         store.put("a", session)
         with store.lease("a"):
-            with store.try_lease("a", lambda: True) as leased:
+            with store.lease("a", timeout=0) as leased:
                 assert leased is session
-
-    def test_unknown_session_yields_none(self):
-        store = SessionStore()
-        with store.try_lease("ghost", lambda: True) as leased:
-            assert leased is None
 
     def test_restores_a_spilled_session(self):
         store = SessionStore(capacity=1)
         store.put("a", make_tiling_session())
         store.put("b", make_tiling_session())
         assert not store.resident("a")
-        with store.try_lease("a", lambda: True) as leased:
+        with store.lease("a", timeout=0) as leased:
             assert leased is not None
             assert store.resident("a")
         assert store.stats().restores == 1

@@ -31,7 +31,6 @@ from repro.service import (
     ServiceClosedError,
     ServiceDeadlineError,
     ServiceError,
-    ServiceOverloadError,
     SessionStore,
     UnknownSessionError,
 )
@@ -235,7 +234,7 @@ class TestResultCodec:
         recorder = MetricsRecorder()
         recorder.bump("assign.completed")
         recorder.observe("assign", 0.002)
-        snapshot = recorder.snapshot({"queue.depth": 0})
+        snapshot = recorder.snapshot({"sessions.open": 0})
         again = decode_result(encode_result(snapshot))
         assert again.counters == dict(snapshot.counters)
         assert again.latencies["assign"] == snapshot.latencies["assign"]
@@ -258,8 +257,8 @@ class TestErrorCodec:
     """Every typed service error survives the wire as itself."""
 
     @pytest.mark.parametrize("error,attrs", [
-        (ServiceOverloadError("full", queue_depth=9, max_queue=8),
-         {"queue_depth": 9, "max_queue": 8}),
+        (CorruptSessionError("not a snapshot envelope"),
+         {"reason": "not a snapshot envelope", "path": None}),
         (ServiceDeadlineError("late", timeout=0.25), {"timeout": 0.25}),
         (ServiceClosedError("closed"), {}),
         (UnknownSessionError("ghost"), {"session_id": "ghost"}),
@@ -281,10 +280,10 @@ class TestErrorCodec:
         assert "KeyboardInterrupt" in str(again)
 
     def test_known_type_with_mangled_attrs_degrades(self):
-        again = decode_error({"type": "ServiceOverloadError",
-                              "message": "full"})  # attrs missing
+        again = decode_error({"type": "ServiceDeadlineError",
+                              "message": "late"})  # attrs missing
         assert isinstance(again, ServiceError)
-        assert not isinstance(again, ServiceOverloadError)
+        assert not isinstance(again, ServiceDeadlineError)
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +323,7 @@ class TestSessionEnvelope:
 @pytest.fixture
 def wire():
     """A live single-service WireServer + connected ServiceClient."""
-    service = SchedulingService(SessionStore(), max_queue=256)
+    service = SchedulingService(SessionStore())
     server = WireServer(service).start()
     client = ServiceClient(*server.address, timeout=30)
     yield client, service
@@ -426,17 +425,71 @@ class TestWireEndToEnd:
         direct = make_mapping_session().edit({(0, 0): 1}).edit({(0, 0): 2})
         assert results[2] == direct.save()
 
+    def test_admin_ops_in_a_bulk_frame_run_in_frame_order(self, wire):
+        """Regression: admin ops in a ``bulk`` frame ran while the frame
+        was staged, ahead of the session ops before them, so
+        ``[assign s, close_session s]`` answered the assign with
+        ``UnknownSessionError``.  Each item now runs at its place."""
+        client, _ = wire
+        client.open_session("s", make_tiling_session())
+        results = client.pipeline([
+            encode_request("assign", "s", {"points": [(0, 0)]}),
+            encode_request("close_session", "s"),
+            encode_request("assign", "s", {"points": [(1, 1)]}),
+            encode_request("open", payload={"envelope": encode_session(
+                make_tiling_session(), "s")}),
+            encode_request("assign", "s", {"points": [(2, 2)]}),
+        ])
+        direct = make_tiling_session()
+        assert canonical_slots(results[0]) == canonical_slots(
+            direct.assign([(0, 0)]))
+        assert results[1] is True
+        assert isinstance(results[2], UnknownSessionError)
+        assert results[3] is True
+        assert canonical_slots(results[4]) == canonical_slots(
+            direct.assign([(2, 2)]))
+
+    def test_undecodable_item_does_not_split_a_coalesced_run(self, wire):
+        client, service = wire
+        client.open_session("s", make_tiling_session())
+        first, broken, last = client.pipeline([
+            encode_request("assign", "s", {"points": [(0, 0)]}),
+            {"op": "assign", "session_id": "s",
+             "payload": {"points": [["x", "y"]]}},
+            encode_request("assign", "s", {"points": [(1, 1)]}),
+        ])
+        assert isinstance(broken, TransportError)
+        direct = make_tiling_session()
+        assert canonical_slots(first) == canonical_slots(
+            direct.assign([(0, 0)]))
+        assert canonical_slots(last) == canonical_slots(
+            direct.assign([(1, 1)]))
+        assert service.metrics().counter("batch.batched_dispatches") == 1
+
+    def test_closed_service_answers_each_bulk_item_typed(self, wire):
+        client, service = wire
+        client.open_session("s", make_tiling_session())
+        service.close()
+        results = client.pipeline([
+            encode_request("assign", "s", {"points": [(0, 0)]}),
+            encode_request("save", "s"),
+            encode_request("ping"),
+        ])
+        assert isinstance(results[0], ServiceClosedError)
+        assert isinstance(results[1], ServiceClosedError)
+        assert results[2] is True
+
     def test_handler_threads_inherit_ambient_config(self):
-        """Regression: the certificate fast path serves ``verify``
-        inline on the *handler* thread, which starts with an empty
-        contextvar context — without the server's context snapshot, a
-        session with no explicit config silently resolved
-        workers differently on the fast path than on the
-        dispatcher path."""
+        """Regression: every request, the certificate fast path
+        included, runs on the *handler* thread, which starts with an
+        empty contextvar context — without the server's context
+        snapshot, a session with no explicit config silently resolved
+        workers differently over the wire than in the thread that
+        built the server."""
         from repro.api import EngineConfig, use_config
 
         with use_config(EngineConfig(workers=2)):
-            service = SchedulingService(SessionStore(), max_queue=64)
+            service = SchedulingService(SessionStore())
             server = WireServer(service).start()
             with ServiceClient(*server.address, timeout=30) as client:
                 client.open_session("s", make_tiling_session())
@@ -449,7 +502,7 @@ class TestWireEndToEnd:
         assert (scanned.workers, certified.workers) == (2, 2)
 
     def test_both_ends_disable_nagle(self):
-        service = SchedulingService(SessionStore(), max_queue=16)
+        service = SchedulingService(SessionStore())
         server = WireServer(service)
         accepted = []
 
@@ -510,7 +563,7 @@ class TestWireEndToEnd:
             ServiceClient("127.0.0.1", dead_port, timeout=2)
 
     def test_shutdown_op_stops_the_accept_loop(self):
-        service = SchedulingService(SessionStore(), max_queue=64)
+        service = SchedulingService(SessionStore())
         server = WireServer(service).start()
         with ServiceClient(*server.address, timeout=10) as client:
             assert client.shutdown()
