@@ -15,6 +15,7 @@ from repro.api import Box, EngineConfig, Session
 from repro.core.certify import certify_schedule
 from repro.core.schedule import MappingSchedule, find_collisions
 from repro.core.serialize import schedule_digest
+from repro.engine.encode import PointBatch
 from repro.engine import cpu_budget
 from repro.experiments.base import format_rows
 from repro.experiments.systems_experiments import run_scaling
@@ -27,6 +28,11 @@ from repro.tiling.lattice_tiling import LatticeTiling
 from repro.utils.vectors import box_points
 from tests.properties.test_certify_props import scalar_certify
 from tests.properties.test_exactness_props import scalar_first_tiling
+from tests.properties.test_repair_props import (
+    corrupt,
+    report_fields,
+    scalar_repair,
+)
 
 _TILE = chebyshev_ball(1)
 _SCHEDULE = Session.for_prototile(_TILE).schedule
@@ -476,6 +482,51 @@ def test_mapping_session(report, record_scaling):
     assert speedups[60] >= 3
 
 
+def test_repair_restricted_box(report, record_scaling):
+    """Repair from the verification cache against the cover-index repair.
+
+    A 200x200 Chebyshev radius-1 box, restricted, with 40 seeded slot
+    corruptions (``corrupt``: half copy a neighbour's slot).
+    ``Session.repair`` reads each round's closures from the cache its
+    verify built; the reference, ``scalar_repair``, rebuilds a
+    point -> slot dict and a cover index over the window every round.
+    Each run repairs a fresh copy of the corrupted session (the first
+    verify's scan is timed on both sides), the two alternating in one
+    process.  Reports and repaired schedules must be identical; the
+    gate is the speedup, a ratio within one process.
+    """
+    base = Session.for_chebyshev(1)
+    box = Box((0, 0), (199, 199))
+    best = {"scalar": float("inf"), "context": float("inf")}
+    results = {}
+    for _ in range(3):
+        for name, repair in (("scalar", scalar_repair),
+                             ("context", Session.repair)):
+            corrupted = corrupt(base.restrict(box), random.Random(28), 40)
+            t0 = time.perf_counter()
+            results[name] = repair(corrupted)
+            best[name] = min(best[name], time.perf_counter() - t0)
+    window = box.points()
+    assert report_fields(results["context"], window) \
+        == report_fields(results["scalar"], window)
+    outcome = results["context"]
+    assert outcome.repaired and outcome.faults_found > 0
+    speedup = best["scalar"] / best["context"]
+    record_scaling("repair/restricted-box", seconds=best["context"],
+                   speedup=speedup, scalar_s=round(best["scalar"], 6),
+                   faults_found=outcome.faults_found,
+                   points_rescheduled=outcome.points_rescheduled,
+                   rounds=outcome.rounds)
+    report("Self-healing — repair of a corrupted 200x200 box",
+           f"{outcome.faults_found} colliding pairs, "
+           f"{outcome.points_rescheduled} sensors moved in "
+           f"{outcome.rounds} round(s): cover-index repair "
+           f"{best['scalar'] * 1e3:.0f} ms, repair from the cache "
+           f"{best['context'] * 1e3:.1f} ms ({speedup:.0f}x); reports "
+           f"and schedules identical")
+    assert speedup >= 4
+
+
 def test_streamed_window_bounded_memory(report, record_scaling):
     """A 10^7-point window verified out-of-core under a hard memory cap.
 
@@ -596,7 +647,12 @@ def test_facade_overhead(report, record_scaling, paired_overhead):
     scheduler noise.
     """
     points = _window(_BULK_SIDE)
-    session = Session(_SCHEDULE, window=points)
+    # Both verify sides scan the one batch, converted here, outside the
+    # timed calls: the session's window is validated once at
+    # construction, so handing find_collisions the tuple list instead
+    # would time its conversion against a facade that never converts.
+    batch = PointBatch.of(points)
+    session = Session(_SCHEDULE, window=batch)
     neighborhood = _SCHEDULE.neighborhood_of
 
     # Warm both paths (coset table, conflict offsets, engine imports).
@@ -607,10 +663,10 @@ def test_facade_overhead(report, record_scaling, paired_overhead):
         lambda: _SCHEDULE.slots_of(points),
         lambda: session.assign(points), pairs=_FACADE_PAIRS)
 
-    find_collisions(_SCHEDULE, points, neighborhood)
+    find_collisions(_SCHEDULE, batch, neighborhood)
     session.verify(use_cache=False)
     verify_overhead, verify_direct, verify_facade = paired_overhead(
-        lambda: find_collisions(_SCHEDULE, points, neighborhood),
+        lambda: find_collisions(_SCHEDULE, batch, neighborhood),
         lambda: session.verify(use_cache=False), pairs=_FACADE_PAIRS)
 
     record_scaling("facade-overhead/assign", seconds=assign_facade,

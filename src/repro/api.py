@@ -47,6 +47,7 @@ from repro.core.schedule import (
     Collision,
     MappingSchedule,
     MultiTilingSchedule,
+    RepairContext,
     Schedule,
     ScheduleDelta,
     TilingSchedule,
@@ -197,6 +198,13 @@ def _window_key(batch: PointBatch) -> tuple[object, ...]:
     if batch.row_major:
         return ("box", batch.lo, batch.hi)
     return tuple(batch.points)
+
+
+def _cache_key(batch: PointBatch,
+               offsets: list[IntVec] | None) -> tuple[object, ...]:
+    """The key of a window's verification cache in ``Session._caches``."""
+    return (_window_key(batch),
+            None if offsets is None else tuple(sorted(offsets)))
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +376,7 @@ class Session:
         self._neighborhood_of = neighborhood_of
         self._offsets = None if offsets is None else list(offsets)
         self._caches: dict[tuple, VerificationCache] = {}
-        self._networks: dict[tuple[IntVec, ...], Network] = {}
+        self._networks: dict[tuple[object, ...], Network] = {}
         self._cache_hits = 0
         self._cache_misses = 0
         #: Lazily-built PeriodicCertificate for lattice-periodic
@@ -519,9 +527,6 @@ class Session:
                 setattr(self, name, warm[name])
         for cache in self._caches.values():
             cache.rebase(self._schedule)
-
-    def _window_list(self, window: WindowLike | None) -> list[IntVec]:
-        return self._window_batch(window).points
 
     def _window_batch(self, window: WindowLike | None) -> PointBatch:
         if window is not None:
@@ -711,8 +716,7 @@ class Session:
                 cache_hits=self._cache_hits,
                 cache_misses=self._cache_misses,
                 workers=workers)
-        key = (_window_key(batch),
-               None if offset_list is None else tuple(sorted(offset_list)))
+        key = _cache_key(batch, offset_list)
         cache = self._caches.get(key)
         with use_config(self._config):
             workers = shard_workers()
@@ -814,7 +818,9 @@ class Session:
         (default ``max(4, num_slots)``).  Each round is an ordinary
         :meth:`edit`, so the warm caches transfer to the repaired
         session and the re-verification cost is the dirty set, not the
-        window.
+        window.  A round reads its closures and slots from the cache
+        its verify answered from, probing the conflict offsets around
+        each point: O(faults x offsets) per round, not O(window).
 
         Only mapping-backed schedules support edits; :meth:`restrict`
         an immutable session to a window first.  The greedy recoloring
@@ -836,15 +842,17 @@ class Session:
         rounds = 0
         rescheduled = 0
         limit = max(4, self.num_slots) if max_rounds is None else max_rounds
+        if report.collisions:
+            key = _cache_key(self._window_batch(window), self._offsets)
         while report.collisions and rounds < limit:
-            updates = session._repair_updates(report.collisions, window)
-            if not updates:
-                # Greedy recoloring stalled: every slot around the
-                # remaining collisions is taken.  Solve the stuck
-                # clusters exactly (bounded backtracking, expanding a
-                # cluster to pull in wrongly-slotted but locally
-                # consistent neighbors when needed).
-                updates = session._repair_exact(report.collisions, window)
+            context = RepairContext(session._caches[key])
+            # Greedy recoloring first; when it stalls (every slot around
+            # the remaining collisions is taken), solve the stuck
+            # clusters exactly (bounded backtracking, expanding a
+            # cluster to pull in wrongly-slotted but locally consistent
+            # neighbors when needed).
+            updates = (session._repair_updates(report.collisions, context)
+                       or session._repair_exact(report.collisions, context))
             if not updates:
                 break
             session = session.edit(updates)
@@ -859,88 +867,53 @@ class Session:
             collisions=report.collisions)
 
     def _repair_updates(self, collisions: Sequence[Collision],
-                        window: WindowLike | None) -> dict[IntVec, int]:
+                        context: RepairContext) -> dict[IntVec, int]:
         """One greedy recoloring round: victim -> free slot, deterministic.
 
         For every colliding pair (sorted order) the later endpoint is
         moved to the smallest slot not used inside its interference
         closure — the window points whose ranges intersect the
-        victim's, found through a cover index built once per round.  An
-        endpoint already moved this round is not moved again, and a
-        victim with no free slot falls back to the other endpoint (or
-        is left for the next round).
+        victim's.  An endpoint already moved this round is not moved
+        again, and a victim with no free slot falls back to the other
+        endpoint (or is left for the next round).  The moves go into
+        ``context.updates``.
         """
-        window_list = self._window_list(window)
-        neighborhood = self._require_neighborhood()
-        slot_of: dict[IntVec, int] = {
-            point: int(slot)
-            for point, slot in zip(window_list,
-                                   self.assign(window_list).slots)}
-        cover: dict[IntVec, list[IntVec]] = {}
-        for point in slot_of:
-            for cell in neighborhood(point):
-                cover.setdefault(cell, []).append(point)
         num_slots = self.num_slots
-        updates: dict[IntVec, int] = {}
+        updates = context.updates
 
-        def conflicts_by_slot(victim: IntVec) -> dict[int, list[IntVec]]:
-            """Interference-closure members of ``victim``, keyed by slot."""
-            partners: set[IntVec] = set()
-            for cell in neighborhood(victim):
-                partners.update(cover.get(cell, ()))
-            partners.discard(victim)
-            by_slot: dict[int, list[IntVec]] = {}
-            for other in sorted(partners):
-                by_slot.setdefault(slot_of[other], []).append(other)
-            return by_slot
+        def move_to_free(victim: IntVec) -> bool:
+            taken = context.closure_slots(victim)
+            free = next((s for s in range(num_slots) if s not in taken),
+                        None)
+            if free is not None:
+                updates[victim] = free
+            return free is not None
 
-        def move(victim: IntVec, slot: int) -> None:
-            updates[victim] = slot
-            slot_of[victim] = slot
+        def move_by_chain(victim: IntVec) -> bool:
+            by_slot = context.closure_slots(victim)
+            previous = context.slot(victim)
+            for slot in range(num_slots):
+                occupants = by_slot.get(slot, [])
+                if slot == previous or len(occupants) != 1 \
+                        or occupants[0] in updates:
+                    continue
+                updates[victim] = slot
+                if move_to_free(occupants[0]):
+                    return True
+                del updates[victim]
+            return False
 
         for x, y in sorted(collisions):
-            if slot_of.get(x) != slot_of.get(y):
+            if context.slot(x) != context.slot(y):
                 continue  # an earlier move this round already split them
-            moved = False
+            victims = [victim for victim in (y, x) if victim not in updates]
             # First choice: a slot entirely free within the closure.
-            for victim in (y, x):
-                if victim in updates or victim not in slot_of:
-                    continue
-                by_slot = conflicts_by_slot(victim)
-                free = next((s for s in range(num_slots)
-                             if s not in by_slot), None)
-                if free is not None:
-                    move(victim, free)
-                    moved = True
-                    break
-            if moved:
-                continue
             # Fallback: a length-2 chain — the victim takes a slot held
             # by exactly one closure member that can itself move to a
             # slot free in *its* closure.  Resolves the deadlock where
             # every slot around a collision is taken exactly once.
-            for victim in (y, x):
-                if moved or victim in updates or victim not in slot_of:
-                    continue
-                by_slot = conflicts_by_slot(victim)
-                previous = slot_of[victim]
-                for slot in range(num_slots):
-                    occupants = by_slot.get(slot, [])
-                    if slot == previous or len(occupants) != 1:
-                        continue
-                    blocker = occupants[0]
-                    if blocker in updates:
-                        continue
-                    move(victim, slot)
-                    blocker_slots = conflicts_by_slot(blocker)
-                    free = next((s for s in range(num_slots)
-                                 if s not in blocker_slots), None)
-                    if free is None:
-                        slot_of[victim] = previous
-                        del updates[victim]
-                        continue
-                    move(blocker, free)
-                    moved = True
+            for move in (move_to_free, move_by_chain):
+                if any(move(victim) for victim in victims):
                     break
         return updates
 
@@ -949,7 +922,7 @@ class Session:
     _REPAIR_MAX_NODES = 200_000
 
     def _repair_exact(self, collisions: Sequence[Collision],
-                      window: WindowLike | None) -> dict[IntVec, int]:
+                      context: RepairContext) -> dict[IntVec, int]:
         """Exact repair of stuck collision clusters, deterministic.
 
         Groups the colliding endpoints into clusters (closure-adjacent
@@ -962,76 +935,38 @@ class Session:
         locally consistent neighbor — the cluster is expanded by one
         closure ring and re-solved, up to a bounded size.
         """
-        window_list = self._window_list(window)
-        neighborhood = self._require_neighborhood()
-        slot_of: dict[IntVec, int] = {
-            point: int(slot)
-            for point, slot in zip(window_list,
-                                   self.assign(window_list).slots)}
-        cover: dict[IntVec, list[IntVec]] = {}
-        for point in slot_of:
-            for cell in neighborhood(point):
-                cover.setdefault(cell, []).append(point)
-        num_slots = self.num_slots
-
-        closure_cache: dict[IntVec, list[IntVec]] = {}
-
-        def closure(point: IntVec) -> list[IntVec]:
-            cached = closure_cache.get(point)
-            if cached is None:
-                partners: set[IntVec] = set()
-                for cell in neighborhood(point):
-                    partners.update(cover.get(cell, ()))
-                partners.discard(point)
-                cached = sorted(partners)
-                closure_cache[point] = cached
-            return cached
-
-        endpoints = sorted({p for pair in collisions for p in pair
-                            if p in slot_of})
-        clusters: list[list[IntVec]] = []
+        endpoints = sorted({p for pair in collisions for p in pair})
         unassigned = set(endpoints)
         for start in endpoints:
             if start not in unassigned:
                 continue
-            cluster = []
+            members = []
             queue = [start]
             unassigned.discard(start)
             while queue:
                 point = queue.pop()
-                cluster.append(point)
-                for other in closure(point):
+                members.append(point)
+                for other in context.closure(point):
                     if other in unassigned:
                         unassigned.discard(other)
                         queue.append(other)
-            clusters.append(sorted(cluster))
-
-        updates: dict[IntVec, int] = {}
-        for cluster in clusters:
-            members = list(cluster)
-            solution = None
+            members.sort()
+            solution = self._solve_cluster(members, context)
             while solution is None:
-                solution = self._solve_cluster(members, slot_of, closure,
-                                               num_slots)
-                if solution is not None:
-                    break
-                ring = sorted({q for p in members for q in closure(p)}
-                              - set(members))
+                ring = {q for p in members for q in context.closure(p)} \
+                    - set(members)
                 if not ring or (len(members) + len(ring)
                                 > self._REPAIR_MAX_CLUSTER):
                     break
-                members = sorted(set(members) | set(ring))
-            if solution is not None:
-                for point, slot in solution.items():
-                    if slot != slot_of[point]:
-                        updates[point] = slot
-                        slot_of[point] = slot
-        return updates
+                members = sorted(ring.union(members))
+                solution = self._solve_cluster(members, context)
+            for point, slot in (solution or {}).items():
+                if slot != context.slot(point):
+                    context.updates[point] = slot
+        return context.updates
 
     def _solve_cluster(self, members: Sequence[IntVec],
-                       slot_of: Mapping[IntVec, int],
-                       closure: Callable[[IntVec], list[IntVec]],
-                       num_slots: int) -> dict[IntVec, int] | None:
+                       context: RepairContext) -> dict[IntVec, int] | None:
         """Backtracking slot search for one cluster, or ``None``.
 
         Members are assigned most-constrained-first; candidate slots
@@ -1043,10 +978,10 @@ class Session:
         member_set = set(members)
         domains: dict[IntVec, list[int]] = {}
         for point in members:
-            fixed = {slot_of[q] for q in closure(point)
+            fixed = {context.slot(q) for q in context.closure(point)
                      if q not in member_set}
-            current = slot_of[point]
-            candidates = [s for s in range(num_slots) if s not in fixed]
+            current = context.slot(point)
+            candidates = [s for s in range(self.num_slots) if s not in fixed]
             candidates.sort(key=lambda s: (s != current, s))
             if not candidates:
                 return None
@@ -1060,7 +995,7 @@ class Session:
             if depth == len(order):
                 return True
             point = order[depth]
-            neighbors = [q for q in closure(point) if q in member_set]
+            neighbors = [q for q in context.closure(point) if q in member_set]
             for slot in domains[point]:
                 nodes += 1
                 if nodes > self._REPAIR_MAX_NODES:
@@ -1106,10 +1041,11 @@ class Session:
         or deployment; other schedules use the session's
         ``neighborhood_of``.
         """
-        window_list = self._window_list(window)
-        key = tuple(window_list)
+        batch = self._window_batch(window)
+        key = _window_key(batch)
         network = self._networks.get(key)
         if network is None:
+            window_list = batch.points
             schedule = self._schedule
             if isinstance(schedule, TilingSchedule):
                 network = Network.homogeneous(window_list, schedule.prototile)

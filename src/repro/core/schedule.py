@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,6 +42,8 @@ if TYPE_CHECKING:
 
 from repro.engine.collisions import (
     _MAX_SHAPE_CLASSES,
+    _differences,
+    offset_neighbours,
     scan_collisions,
     scan_collisions_touching,
     scan_grid_touching,
@@ -62,6 +64,7 @@ __all__ = [
     "Collision",
     "ScheduleDelta",
     "VerificationCache",
+    "RepairContext",
     "conflict_offsets",
     "find_collisions",
     "verify_collision_free",
@@ -694,39 +697,15 @@ def _scan_window(batch: PointBatch,
     if len(shapes) <= _MAX_SHAPE_CLASSES:
         return scan_collisions(batch, slots, shape_ids, shapes,
                                offset_list)
-    # Degenerate windows with very many distinct shapes: same probing
-    # structure as the bulk path — first-occurrence index, per-occurrence
-    # slot/shape tables, emitted pairs ``(x, points[j])`` — but with
-    # difference rows built lazily per touched shape pair instead of the
-    # full |shapes|^2 table up front.  Keeping the two paths structurally
-    # aligned (rather than re-deriving ranges through ``neighborhood_of``)
-    # pins their duplicate-point and occurrence semantics together.
-    point_list = batch.points
-    slots, shape_ids = slots.tolist(), shape_ids.tolist()
-    zero = (0,) * batch.dimension
-    positive = [delta for delta in offset_list if delta > zero]
-    point_index: dict[IntVec, int] = {}
-    for i, point in enumerate(point_list):
-        point_index.setdefault(point, i)
-    differences: dict[tuple[int, int], frozenset[IntVec]] = {}
-    collisions: list[Collision] = []
-    for i, x in enumerate(point_list):
-        slot = slots[i]
-        a = shape_ids[i]
-        for delta in positive:
-            j = point_index.get(vadd(x, delta))
-            if j is None or slots[j] != slot:
-                continue
-            b = shape_ids[j]
-            row = differences.get((a, b))
-            if row is None:
-                row = frozenset(vsub(p, q)
-                                for p in shapes[a] for q in shapes[b])
-                differences[(a, b)] = row
-            if delta in row:
-                collisions.append((x, point_list[j]))
-    collisions.sort()
-    return collisions
+    # Degenerate windows with very many distinct shapes skip the
+    # |shapes|^2 pair tables: every pair has its left end in the window,
+    # so the dirty-region rescan with every point touched is the full
+    # scan (duplicate points included), its difference sets built per
+    # shape pair on demand.
+    points = batch.points
+    return scan_collisions_touching(
+        points, np.asarray(slots).tolist(), np.asarray(shape_ids).tolist(),
+        shapes, offset_list, points)
 
 
 def find_collisions(schedule: Schedule,
@@ -1080,3 +1059,64 @@ class VerificationCache:
             self._slots = None
             self._collisions = None
         return self.collisions()
+
+
+class RepairContext:
+    """One repair round's view of a verified window.
+
+    It reads the window index, shape classes and current slots of the
+    :class:`VerificationCache` the round's verify answered from, so a
+    round builds no point -> slot dict and no cover index.  The closure
+    of ``x`` is the window points ``y != x`` whose ranges meet ``x``'s,
+    ``y - x`` in ``S_x - S_y``: the collision condition without the
+    slot test, probed at ``x - delta`` and ``x + delta`` over the
+    positive offsets of the window's own shapes (not a session's
+    narrower ``offsets=``), ``O(|offsets|)`` per point.  ``updates``
+    holds the round's moves, point -> new slot; :meth:`slot` reads
+    through them, and the cache keeps the slots it verified.
+    """
+
+    def __init__(self, cache: VerificationCache) -> None:
+        self.updates: dict[IntVec, int] = {}
+        self._cache = cache
+        dimension = cache._batch.dimension
+        zero = (0,) * dimension
+        self._positive = tuple(delta for delta in _default_offsets(
+            tuple(cache._shapes), dimension) if delta > zero)
+        self._differences = _differences(cache._shapes, self._positive)
+        self._index = (cache._grid if cache._grid is not None
+                       else (cache._index_of, cache._occurrences))
+        self._closures: dict[IntVec, list[IntVec]] = {}
+
+    def slot(self, point: IntVec) -> int:
+        """The slot of a window point, this round's moves applied."""
+        slot = self.updates.get(point)
+        if slot is None:
+            slot = self._cache._slots[self._cache._positions(point)[0]]
+        return slot
+
+    def closure(self, point: IntVec) -> list[IntVec]:
+        """The sorted interference closure of a window point (memoised)."""
+        partners = self._closures.get(point)
+        if partners is None:
+            shape_ids, differences = self._cache._shape_ids, self._differences
+            k = self._cache._positions(point)[0]
+            partners = []
+            for delta, i, j in offset_neighbours(self._index, point, k,
+                                                 self._positive):
+                if j is not None and delta in differences(shape_ids[k],
+                                                          shape_ids[j]):
+                    partners.append(tuple(map(add, point, delta)))
+                if i is not None and delta in differences(shape_ids[i],
+                                                          shape_ids[k]):
+                    partners.append(tuple(map(sub, point, delta)))
+            partners.sort()
+            self._closures[point] = partners
+        return partners
+
+    def closure_slots(self, point: IntVec) -> dict[int, list[IntVec]]:
+        """The closure of ``point`` by current slot, each group sorted."""
+        by_slot: dict[int, list[IntVec]] = {}
+        for other in self.closure(point):
+            by_slot.setdefault(self.slot(other), []).append(other)
+        return by_slot

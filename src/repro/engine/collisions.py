@@ -63,8 +63,8 @@ from repro.engine.parallel import plan_shards, run_sharded, shard_workers
 from repro.faults.injection import consume_numpy_failure
 from repro.utils.vectors import IntVec, vadd, vsub
 
-__all__ = ["EngineDegradedWarning", "StencilPlan", "scan_box_plan",
-           "scan_collisions", "scan_collisions_touching",
+__all__ = ["EngineDegradedWarning", "StencilPlan", "offset_neighbours",
+           "scan_box_plan", "scan_collisions", "scan_collisions_touching",
            "scan_grid_touching"]
 
 Collision = tuple[IntVec, IntVec]
@@ -572,23 +572,22 @@ def scan_collisions_touching(points: Sequence[IntVec],
             continue
         slot, shape = slots[k], shape_ids[k]
         own = occurrences[c]
-        for delta in positive:
+        for delta, i, j in offset_neighbours((index_of, occurrences), c, k,
+                                             positive):
             # c as the left end, once per occurrence of c ...
-            j = index_of.get(tuple(map(add, c, delta)))
             if j is not None:
-                for i in own:
-                    if slots[i] == slots[j] and delta in differences(
-                            shape_ids[i], shape_ids[j]):
+                for o in own:
+                    if slots[o] == slots[j] and delta in differences(
+                            shape_ids[o], shape_ids[j]):
                         collisions.append((c, points[j]))
             # ... and as the right end, unless the left end is edited
             # too (its own forward probe finds the pair).
-            x = tuple(map(sub, c, delta))
-            if x in touched_set:
+            if i is None or points[i] in touched_set:
                 continue
-            for i in occurrences.get(x, ()):
-                if slots[i] == slot \
-                        and delta in differences(shape_ids[i], shape):
-                    collisions.append((x, points[k]))
+            for o in occurrences[points[i]]:
+                if slots[o] == slot \
+                        and delta in differences(shape_ids[o], shape):
+                    collisions.append((points[i], points[k]))
     collisions.sort()
     return collisions
 
@@ -602,18 +601,15 @@ def scan_grid_touching(box: BoxEncoder,
     """:func:`scan_collisions_touching` over a dense row-major window.
 
     Point ``k`` of the window is the point at key ``k`` of ``box``, so
-    the neighbour of ``c`` at ``delta`` is index ``position(c) +
-    offset_key(delta)`` once it passes a per-axis bounds check, and the
-    probed point itself is the pair's other end: no point list and no
-    index dict.  A point at least the offset reach away from every face
-    of the box skips the bounds checks.
+    :func:`offset_neighbours` finds the neighbour of ``c`` at ``delta``
+    by box arithmetic, and the probed point itself is the pair's other
+    end: no point list and no index dict.
     """
     zero = (0,) * box.dimension
     positive = tuple(delta for delta in offsets if delta > zero)
     if not positive or not touched:
         return []
     differences = _differences(shapes, positive)
-    steps, reach = _grid_steps(box.strides, positive)
     touched_set = frozenset(touched)
     collisions: list[Collision] = []
     for c in touched_set:
@@ -621,14 +617,7 @@ def scan_grid_touching(box: BoxEncoder,
         if k is None:
             continue
         slot, shape = slots[k], shape_ids[k]
-        inner = all(r <= x - low < n - r for x, low, n, r
-                    in zip(c, box.lo, box.dims, reach))
-        for delta, step in steps:
-            if inner:
-                i, j = k - step, k + step
-            else:
-                i = box.position(tuple(map(sub, c, delta)))
-                j = box.position(tuple(map(add, c, delta)))
+        for delta, i, j in offset_neighbours(box, c, k, positive):
             # c as the left end ...
             if j is not None and slots[j] == slot \
                     and delta in differences(shape, shape_ids[j]):
@@ -642,6 +631,39 @@ def scan_grid_touching(box: BoxEncoder,
                     collisions.append((left, c))
     collisions.sort()
     return collisions
+
+
+def offset_neighbours(index: BoxEncoder | tuple[Mapping[IntVec, int],
+                                                 Mapping[IntVec,
+                                                         Sequence[int]]],
+                      c: IntVec, k: int, positive: tuple[IntVec, ...],
+                      ) -> list[tuple[IntVec, int | None, int | None]]:
+    """``(delta, i, j)`` for each positive offset ``delta``: the window
+    indices of ``c - delta`` and ``c + delta`` (first occurrences), or
+    ``None`` outside the window; ``k`` is the index of ``c``.
+
+    ``index`` is the :class:`BoxEncoder` of a dense row-major window
+    (point ``k`` at key ``k``), else the window's first-occurrence dict
+    and occurrence lists.  On a box, a point at least the offset reach
+    away from every face takes fixed index shifts, without bounds
+    checks.  Both dirty-region rescans and the repair closures
+    (:class:`repro.core.schedule.RepairContext`) probe through here.
+    """
+    if isinstance(index, BoxEncoder):
+        steps, reach = _grid_steps(index.strides, positive)
+        if all(r <= x - low < n - r for x, low, n, r
+               in zip(c, index.lo, index.dims, reach)):
+            return [(delta, k - step, k + step) for delta, step in steps]
+        return [(delta, index.position(tuple(map(sub, c, delta))),
+                 index.position(tuple(map(add, c, delta))))
+                for delta in positive]
+    index_of, occurrences = index
+    found = []
+    for delta in positive:
+        before = occurrences.get(tuple(map(sub, c, delta)))
+        found.append((delta, before[0] if before else None,
+                      index_of.get(tuple(map(add, c, delta)))))
+    return found
 
 
 @lru_cache(maxsize=64)

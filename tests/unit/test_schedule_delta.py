@@ -382,6 +382,19 @@ class TestDegenerateScanParity:
         assert degenerate == bulk
         assert bulk  # the differential saw real collisions
 
+    def test_cache_takes_the_many_shape_path(self, monkeypatch):
+        # The cache hands the scan its shape ids as a list, not an array.
+        import repro.core.schedule as schedule_module
+        points, schedule = _tiled_mapping(5)
+        window = points + points[:4]
+        edited = schedule.with_updates(
+            {(1, 1): schedule.slot_of((1, 2))}).schedule
+        bulk = find_collisions(edited, window, _neighborhood)
+        monkeypatch.setattr(schedule_module, "_MAX_SHAPE_CLASSES", -1)
+        cache = VerificationCache(edited, window, _neighborhood)
+        assert cache.collisions() == bulk
+        assert bulk
+
 
 class _CountingIndex(dict):
     """A point index that counts its ``get`` probes."""
