@@ -188,7 +188,7 @@ def _as_window(window: WindowLike) -> PointBatch:
     return PointBatch.of(window)
 
 
-def _window_key(batch: PointBatch) -> tuple[object, ...]:
+def _window_id(batch: PointBatch) -> tuple[object, ...]:
     """The point sequence of a window, as a dict key.
 
     A dense row-major window is its box corners (the sequence is the
@@ -203,7 +203,7 @@ def _window_key(batch: PointBatch) -> tuple[object, ...]:
 def _cache_key(batch: PointBatch,
                offsets: list[IntVec] | None) -> tuple[object, ...]:
     """The key of a window's verification cache in ``Session._caches``."""
-    return (_window_key(batch),
+    return (_window_id(batch),
             None if offsets is None else tuple(sorted(offsets)))
 
 
@@ -587,11 +587,20 @@ class Session:
         astronomically large windows stay O(1).  The certifying scan's
         cost (``certificate.checked_points``) is charged to the first
         served verify as a cache miss; every later serve is a free hit.
+
+        Raises:
+            ValueError: for a nonempty window whose dimension is not
+                the period lattice's.
         """
         if isinstance(window, Box):
-            window_size = window.volume()
+            dimension, window_size = len(window.lo), window.volume()
         else:
-            window_size = len(self._window_batch(window))
+            batch = self._window_batch(window)
+            dimension, window_size = batch.dimension, len(batch)
+        if window_size and dimension != certificate.period.dimension:
+            raise ValueError(
+                f"window dimension {dimension} != lattice dimension "
+                f"{certificate.period.dimension}")
         if not self._certificate_served:
             self._certificate_served = True
             self._cache_misses += 1
@@ -730,8 +739,7 @@ class Session:
                 checked = len(batch)
             else:
                 self._cache_hits += 1
-                collisions = cache.collisions_for(self._schedule,
-                                                  offsets=offset_list)
+                collisions = cache.collisions_for(self._schedule)
                 delta_points = self._pending_delta.pop(key, None)
                 if delta_points is not None:
                     source = "delta"
@@ -1042,7 +1050,7 @@ class Session:
         ``neighborhood_of``.
         """
         batch = self._window_batch(window)
-        key = _window_key(batch)
+        key = _window_id(batch)
         network = self._networks.get(key)
         if network is None:
             window_list = batch.points

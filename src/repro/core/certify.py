@@ -11,17 +11,10 @@ Scanning the ``[Z^d : P]`` coset representatives against the
 conflict-radius boundary therefore decides collision-freeness of the
 *infinite* schedule — every window of every size — in one pass over the
 fundamental domain.  :func:`certify_schedule` runs that scan and emits a
-:class:`PeriodicCertificate`:
-
-* **collision-free** certificates answer any congruent window in O(1)
-  (``verify_points`` / ``verify_box`` return ``[]`` without touching the
-  window);
-* a **colliding** certificate stores the colliding ``(representative,
-  offset)`` classes, from which the concrete colliding pairs of any
-  window are enumerated — still without rescanning slots;
-* certificates serialize (:meth:`PeriodicCertificate.to_json`) and
-  re-attach to a reloaded schedule by content digest
-  (:meth:`PeriodicCertificate.covers`).
+:class:`PeriodicCertificate`: its verdict ``collision_free``, and the
+colliding ``(representative, offset)`` classes when there are any.
+:meth:`repro.api.Session.verify` answers every window of a
+collision-free schedule from that verdict in O(1).
 
 Aperiodic :class:`~repro.core.schedule.MappingSchedule` regions have no
 period to exploit; :func:`certify_schedule` returns ``None`` and callers
@@ -38,7 +31,6 @@ over the whole box.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -56,7 +48,6 @@ from repro.core.schedule import (
     _sorted_offsets,
     find_collisions,
 )
-from repro.core.serialize import CorruptSessionError, schedule_digest
 from repro.engine.collisions import (
     _MAX_SHAPE_CLASSES,
     StencilPlan,
@@ -72,8 +63,6 @@ __all__ = [
     "PeriodicCertificate",
     "certify_periodic",
     "certify_schedule",
-    "certificate_from_dict",
-    "certificate_from_json",
     "stream_box_collisions",
 ]
 
@@ -92,48 +81,14 @@ def _validated_box(lo: Sequence[int],
     return lo_vec, hi_vec
 
 
-def _coset_points_in_box(period: Sublattice, representative: IntVec,
-                         lo: IntVec, hi: IntVec) -> list[IntVec]:
-    """All points of ``representative + period`` inside ``[lo, hi]``.
-
-    The HNF basis is lower triangular (coefficient of basis vector
-    ``j`` only affects coordinates ``>= j``), so coefficients are
-    enumerated one axis at a time against the remaining coordinate
-    slack — O(d) per emitted point, no scan over the box.
-    """
-    basis = period.basis
-    dimension = period.dimension
-    points: list[IntVec] = []
-
-    def descend(axis: int, partial: list[int]) -> None:
-        if axis == dimension:
-            points.append(tuple(partial))
-            return
-        diagonal = basis[axis][axis]
-        low = lo[axis] - partial[axis]
-        high = hi[axis] - partial[axis]
-        first = -((-low) // diagonal)    # ceil(low / diagonal)
-        last = high // diagonal          # floor(high / diagonal)
-        column = basis[axis]
-        for coefficient in range(first, last + 1):
-            extended = list(partial)
-            for i in range(axis, dimension):
-                extended[i] += coefficient * column[i]
-            descend(axis + 1, extended)
-
-    descend(0, list(representative))
-    return points
-
-
 class PeriodicCertificate:
-    """Proof object for a lattice-periodic schedule's collision status.
+    """Verdict of one fundamental-domain scan of a periodic schedule.
 
-    Produced by :func:`certify_schedule` / :func:`certify_periodic`;
-    records the verdict of one fundamental-domain scan.  A certificate
-    with no ``colliding_classes`` proves the schedule collision-free
-    over *every* window; otherwise ``colliding_classes`` holds the
-    ``(representative, offset)`` pairs from which the colliding pairs
-    of any concrete window are enumerated.
+    Produced by :func:`certify_schedule` / :func:`certify_periodic`.
+    A certificate with no ``colliding_classes`` proves the schedule
+    collision-free over *every* window; otherwise every colliding pair
+    ``(x, y)`` of any window reduces to the class
+    ``(canonical(x), y - x)``.
 
     Attributes:
         period: the period sublattice the scan quotiented by.
@@ -146,122 +101,22 @@ class PeriodicCertificate:
         checked_points: lattice points the certifying scan actually
             looked at — the representatives plus one boundary probe per
             (representative, offset).
-        schedule_digest: content digest of the certified schedule's
-            serial form (``None`` when the schedule has none); lets a
-            deserialized certificate re-attach via :meth:`covers`.
     """
 
     def __init__(self, *, period: Sublattice, num_slots: int,
                  offsets: tuple[IntVec, ...],
                  colliding_classes: tuple[tuple[IntVec, IntVec], ...],
-                 checked_points: int,
-                 schedule_digest: str | None = None,
-                 schedule: Schedule | None = None) -> None:
+                 checked_points: int) -> None:
         self.period = period
         self.num_slots = num_slots
         self.offsets = offsets
         self.colliding_classes = colliding_classes
         self.checked_points = checked_points
-        self.schedule_digest = schedule_digest
-        self._schedule = schedule
-        self._deltas_cache: dict[IntVec, tuple[IntVec, ...]] | None = None
 
-    # -- verdicts ------------------------------------------------------
     @property
     def collision_free(self) -> bool:
         """True when the certified schedule never collides, anywhere."""
         return not self.colliding_classes
-
-    def covers(self, schedule: Schedule) -> bool:
-        """True when this certificate speaks for ``schedule``.
-
-        The schedule it was built from is covered by identity; any
-        other schedule must match by serialized content digest (so a
-        save/load round-trip keeps its certificate).  Schedules without
-        a serial form only ever match by identity.
-        """
-        if self._schedule is not None and schedule is self._schedule:
-            return True
-        if self.schedule_digest is None:
-            return False
-        try:
-            return schedule_digest(schedule) == self.schedule_digest
-        except TypeError:
-            return False
-
-    def _deltas_by_representative(self) -> dict[IntVec, tuple[IntVec, ...]]:
-        if self._deltas_cache is None:
-            grouped: dict[IntVec, list[IntVec]] = {}
-            for representative, delta in self.colliding_classes:
-                grouped.setdefault(representative, []).append(delta)
-            self._deltas_cache = {r: tuple(ds) for r, ds in grouped.items()}
-        return self._deltas_cache
-
-    def verify_points(self,
-                      points: Iterable[Sequence[int]]) -> list[Collision]:
-        """The certified schedule's colliding pairs among ``points``.
-
-        Bit-identical to :func:`~repro.core.schedule.find_collisions`
-        over the same window (same pair order, same duplicate-window
-        semantics) — O(1) when the certificate is collision-free,
-        O(|window|) class enumeration otherwise, never a slot rescan.
-        """
-        if self.collision_free:
-            return []
-        point_list = PointBatch.of(points).points
-        if not point_list:
-            return []
-        window = set(point_list)
-        canonical = self.period.canonical_representative
-        deltas = self._deltas_by_representative()
-        collisions: list[Collision] = []
-        for x in point_list:
-            for delta in deltas.get(canonical(x), ()):
-                y = vadd(x, delta)
-                if y in window:
-                    collisions.append((x, y))
-        collisions.sort()
-        return collisions
-
-    def verify_box(self, lo: Sequence[int],
-                   hi: Sequence[int]) -> list[Collision]:
-        """Colliding pairs inside the closed box ``[lo, hi]``.
-
-        Never materializes the box: the colliding cosets are enumerated
-        directly from the period basis, so a clean certificate answers
-        a 10^8-point box in O(1) and a colliding one in O(|output|).
-        """
-        lo_vec, hi_vec = _validated_box(lo, hi)
-        if self.collision_free:
-            return []
-        collisions: list[Collision] = []
-        for representative, delta in self.colliding_classes:
-            for x in _coset_points_in_box(self.period, representative,
-                                          lo_vec, hi_vec):
-                y = vadd(x, delta)
-                if all(l <= c <= h for c, l, h in zip(y, lo_vec, hi_vec)):
-                    collisions.append((x, y))
-        collisions.sort()
-        return collisions
-
-    # -- serialization -------------------------------------------------
-    def to_dict(self) -> dict:
-        """A JSON-able description (round-trips via
-        :func:`certificate_from_dict`)."""
-        return {
-            "kind": "periodic-certificate",
-            "period_basis": [list(v) for v in self.period.basis],
-            "num_slots": self.num_slots,
-            "offsets": [list(d) for d in self.offsets],
-            "colliding_classes": [[list(r), list(d)]
-                                  for r, d in self.colliding_classes],
-            "checked_points": self.checked_points,
-            "schedule_digest": self.schedule_digest,
-        }
-
-    def to_json(self) -> str:
-        """Serialize to a JSON string."""
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def __repr__(self) -> str:
         verdict = ("collision-free" if self.collision_free
@@ -269,60 +124,6 @@ class PeriodicCertificate:
         return (f"PeriodicCertificate({verdict}, "
                 f"period_index={self.period.index}, "
                 f"checked_points={self.checked_points})")
-
-
-def certificate_from_dict(data: dict, *,
-                          path: str | None = None) -> PeriodicCertificate:
-    """Rebuild a certificate from :meth:`PeriodicCertificate.to_dict`.
-
-    Raises:
-        CorruptSessionError: when the payload is not a well-formed
-            certificate description (missing fields, wrong types, wrong
-            kind), carrying ``path`` when given.
-    """
-    try:
-        return _certificate_from_dict(data)
-    except CorruptSessionError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as error:
-        reason = (f"missing required field {error.args[0]!r}"
-                  if isinstance(error, KeyError)
-                  else str(error) or type(error).__name__)
-        raise CorruptSessionError(reason, path=path) from error
-
-
-def _certificate_from_dict(data: dict) -> PeriodicCertificate:
-    if not isinstance(data, dict):
-        raise TypeError(
-            f"expected a JSON object, got {type(data).__name__}")
-    if data.get("kind") != "periodic-certificate":
-        raise ValueError(f"unknown certificate kind: {data.get('kind')!r}")
-    period = Sublattice([tuple(v) for v in data["period_basis"]])
-    return PeriodicCertificate(
-        period=period,
-        num_slots=int(data["num_slots"]),
-        offsets=tuple(tuple(d) for d in data["offsets"]),
-        colliding_classes=tuple(
-            (tuple(r), tuple(d)) for r, d in data["colliding_classes"]),
-        checked_points=int(data["checked_points"]),
-        schedule_digest=data.get("schedule_digest"),
-    )
-
-
-def certificate_from_json(text: str, *,
-                          path: str | None = None) -> PeriodicCertificate:
-    """Rebuild a certificate from :meth:`PeriodicCertificate.to_json`.
-
-    Raises:
-        CorruptSessionError: on truncated/garbage JSON or a payload
-            missing required fields, carrying ``path`` when given.
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise CorruptSessionError(
-            f"invalid JSON: {error}", path=path) from error
-    return certificate_from_dict(data, path=path)
 
 
 def certify_periodic(schedule: Schedule, period: Sublattice,
@@ -395,15 +196,10 @@ def certify_periodic(schedule: Schedule, period: Sublattice,
             differences[(a, b)] = row
         if positive[j] in row:
             colliding.append((representatives[i], positive[j]))
-    try:
-        digest = schedule_digest(schedule)
-    except TypeError:
-        digest = None
     return PeriodicCertificate(
         period=period, num_slots=schedule.num_slots,
         offsets=tuple(positive), colliding_classes=tuple(sorted(colliding)),
-        checked_points=len(domain), schedule_digest=digest,
-        schedule=schedule)
+        checked_points=len(domain))
 
 
 def _uses_own_neighborhood(schedule: Schedule) -> bool:

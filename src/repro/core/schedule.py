@@ -20,25 +20,21 @@ tracks one window and, given the :class:`ScheduleDelta` describing an
 edit (:meth:`MappingSchedule.with_updates`), re-verifies only the dirty
 region: the edited points dilated by the conflict-offset radius.  And
 for lattice-periodic schedules, a
-:class:`~repro.core.certify.PeriodicCertificate` (the ``certificate=``
-hook) answers from one fundamental-domain scan — O(1) per window once
-certified.  All speeds produce identical collision lists.
+:class:`~repro.core.certify.PeriodicCertificate` decides every window
+from one fundamental-domain scan; :meth:`repro.api.Session.verify`
+answers a collision-free schedule from it in O(1).  All speeds produce
+identical collision lists.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, itemgetter, sub
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.core.certify import PeriodicCertificate
 
 from repro.engine.collisions import (
     _MAX_SHAPE_CLASSES,
@@ -712,8 +708,6 @@ def find_collisions(schedule: Schedule,
                     points: Iterable[Sequence[int]],
                     neighborhood_of: NeighborhoodFn,
                     offsets: Iterable[IntVec] | None = None,
-                    cache: VerificationCache | None = None,
-                    certificate: PeriodicCertificate | None = None,
                     ) -> list[Collision]:
     """All colliding sensor pairs among ``points`` under the schedule.
 
@@ -733,42 +727,12 @@ def find_collisions(schedule: Schedule,
             neighborhoods of the points when omitted.  Any iterable is
             accepted — a one-shot generator is materialized up front, so
             it is scanned in full for every point.
-        cache: optional :class:`VerificationCache` over the same window.
-            When the schedule is the one the cache tracks (kept current
-            via :meth:`VerificationCache.apply`) the cached collision
-            list is returned without rescanning; an unknown schedule
-            rescans in full and rebinds the cache to it.
-        certificate: optional
-            :class:`~repro.core.certify.PeriodicCertificate` covering
-            the schedule; the window is then answered from the
-            certificate's fundamental-domain verdict — O(1) when
-            collision-free — instead of scanning.  ``neighborhood_of``
-            and ``offsets`` are not consulted on this path (the
-            certificate's geometry was fixed at certification).
-            Mutually exclusive with ``cache``.
 
     Returns:
         The colliding pairs, each ordered ``x < y`` and the list sorted —
         a canonical order independent of worker count and input
         ordering.
-
-    Raises:
-        ValueError: when both ``cache`` and ``certificate`` are given,
-            or when ``certificate`` does not cover ``schedule``.
     """
-    if certificate is not None:
-        if cache is not None:
-            raise ValueError(
-                "pass either cache= or certificate=, not both")
-        if not certificate.covers(schedule):
-            raise ValueError(
-                "certificate mismatch: this certificate was issued for a "
-                "different schedule — re-certify with "
-                "repro.core.certify.certify_schedule")
-        return certificate.verify_points(points)
-    if cache is not None:
-        return cache.collisions_for(schedule, points, neighborhood_of,
-                                    offsets)
     batch = PointBatch.of(points)
     if not len(batch):
         return []
@@ -784,34 +748,9 @@ def verify_collision_free(schedule: Schedule,
                           points: Iterable[Sequence[int]],
                           neighborhood_of: NeighborhoodFn,
                           offsets: Iterable[IntVec] | None = None,
-                          cache: VerificationCache | None = None,
-                          certificate: PeriodicCertificate | None = None,
                           ) -> bool:
     """True when no pair of sensors in ``points`` collides."""
-    return not find_collisions(schedule, points, neighborhood_of, offsets,
-                               cache=cache, certificate=certificate)
-
-
-def _window_digest(batch: PointBatch) -> str:
-    """Order-insensitive content digest of a window's point multiset.
-
-    Hashes the lexsorted int64 array of the batch, with its shape, in
-    one update; a batch with no array (coordinates beyond int64) hashes
-    the ``repr`` of each of its sorted points.  Either way any
-    permutation of the same window digests identically while any
-    substitution changes it.  The digest is an in-memory key only.
-    """
-    digest = hashlib.blake2b(digest_size=8)
-    array = batch.array
-    if array is not None:
-        ordered = array if batch.row_major \
-            else array[np.lexsort(array.T[::-1])]
-        digest.update(repr(ordered.shape).encode("ascii")
-                      + ordered.tobytes())
-    else:
-        for point in sorted(batch.points):
-            digest.update(repr(point).encode("ascii"))
-    return digest.hexdigest()
+    return not find_collisions(schedule, points, neighborhood_of, offsets)
 
 
 class VerificationCache:
@@ -844,7 +783,6 @@ class VerificationCache:
         require(len(batch) > 0,
                 "a verification cache needs a nonempty window")
         self._batch = batch
-        self._neighborhood_of = neighborhood_of
         self._shapes, shape_ids = _origin_shapes(batch, neighborhood_of)
         self._shape_ids = shape_ids.tolist()
         if offsets is None:
@@ -864,27 +802,9 @@ class VerificationCache:
             for i, point in enumerate(batch.points):
                 self._index_of.setdefault(point, i)
                 self._occurrences.setdefault(point, []).append(i)
-        self._sorted_points: list[IntVec] | None = None
-        self._window_key: tuple | None = None
         self._schedule = schedule
         self._slots: list[int] | None = None
         self._collisions: list[Collision] | None = None
-
-    @property
-    def window_key(self) -> tuple:
-        """Identity of the verified window: bounding box, size, and a
-        content digest of the point multiset.
-
-        Two caches with equal keys verify the same sensors (up to
-        ordering) — the digest keeps different point sets sharing a
-        bounding box and count from aliasing in a cache-per-window
-        registry.
-        """
-        if self._window_key is None:
-            batch = self._batch
-            self._window_key = (batch.lo, batch.hi, len(batch),
-                                _window_digest(batch))
-        return self._window_key
 
     @property
     def schedule(self) -> Schedule:
@@ -1012,48 +932,14 @@ class VerificationCache:
         for start, stop in sorted(spans, reverse=True):
             del pairs[start:stop]
 
-    def _sorted_window(self) -> list[IntVec]:
-        if self._sorted_points is None:
-            self._sorted_points = sorted(self._batch.points)
-        return self._sorted_points
-
-    def collisions_for(self, schedule: Schedule,
-                       points: Iterable[Sequence[int]] | None = None,
-                       neighborhood_of: NeighborhoodFn | None = None,
-                       offsets: Iterable[IntVec] | None = None,
-                       ) -> list[Collision]:
-        """:func:`find_collisions` through the cache (the ``cache=`` hook).
+    def collisions_for(self, schedule: Schedule) -> list[Collision]:
+        """The collisions of ``schedule`` over the cached window.
 
         The tracked schedule answers from the cache; an unknown schedule
         triggers a full rescan and rebinds the cache to it (the
         :class:`ScheduleDelta` path via :meth:`apply` is the incremental
-        lane).  A ``points``/``neighborhood_of``/``offsets`` argument
-        that disagrees with the cached window is an error, not a silent
-        rescan — every scan this cache answers uses the geometry fixed
-        at construction.  (Bound methods compare by target, so passing
-        ``schedule.neighborhood_of`` again is fine; a freshly created
-        but equivalent lambda is rejected because equivalence of
-        arbitrary callables is undecidable — reuse the original.)
-        ``points`` is compared as a multiset: sharded or streamed
-        callers may hand the window back in any order, since the
-        collision list is canonically sorted and independent of window
-        ordering anyway.
+        lane).  Every scan uses the geometry fixed at construction.
         """
-        if points is not None and sorted(
-                PointBatch.of(points).points) != self._sorted_window():
-            raise ValueError(
-                "window mismatch: this cache verifies a different window "
-                f"(key {self.window_key})")
-        if neighborhood_of is not None \
-                and neighborhood_of != self._neighborhood_of:
-            raise ValueError(
-                "neighborhood mismatch: this cache was built with a "
-                "different neighborhood function (the window geometry is "
-                "fixed at construction — build a new cache to change it)")
-        if offsets is not None and set(offsets) != set(self._offsets):
-            raise ValueError(
-                "offsets mismatch: this cache was built with different "
-                "conflict offsets")
         if schedule is not self._schedule:
             self._schedule = schedule
             self._slots = None

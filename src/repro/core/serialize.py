@@ -43,7 +43,7 @@ __all__ = ["CorruptSessionError",
 
 
 class CorruptSessionError(ValueError):
-    """A session/schedule/certificate file failed to deserialize.
+    """A session or schedule file failed to deserialize.
 
     Raised instead of the raw :class:`json.JSONDecodeError` /
     :class:`KeyError` / :class:`TypeError` soup when loading truncated
@@ -387,9 +387,8 @@ def schedule_digest(schedule: Schedule) -> str:
     """Content digest (hex) of a schedule's canonical serial form.
 
     Two schedules digest equal iff :func:`schedule_to_dict` describes
-    them identically — the identity a
-    :class:`~repro.core.certify.PeriodicCertificate` uses to re-attach
-    to a save/load round-tripped schedule.
+    them identically — the identity the snapshot and wire envelopes
+    check a deserialized schedule against.
 
     Raises:
         TypeError: for schedule types without a serial form.

@@ -1,15 +1,14 @@
-"""CLI: ``python -m repro.scenarios {list | show | run | corpus | chaos | service}``.
+"""CLI: ``python -m repro.scenarios {list | show | run | corpus | chaos}``.
 
 The scenario subsystem's command line — list the generator families,
 print the spec at a ``(family, seed, index)`` coordinate, replay one
 spec through the differential oracle, sweep a whole corpus and write a
-machine-readable JSON report, run the chaos oracle (fault injection
-+ self-healing verdicts) over the ``faulty_*`` corpus, or replay a
-corpus through the scheduling service's differential oracle
-(:mod:`repro.service.differential` — service responses vs direct
-``Session`` calls).  Every oracle failure prints the exact ``run``
-command that reproduces it standalone, which is also what the
-integration suite embeds in its assertion messages.
+machine-readable JSON report, or run the chaos oracle (fault injection
++ self-healing verdicts) over the ``faulty_*`` corpus.  (The service's
+differential oracle runs as ``python -m repro.service differential``.)
+Every oracle failure prints the exact ``run`` command that reproduces
+it standalone, which is also what the integration suite embeds in its
+assertion messages.
 """
 
 from __future__ import annotations
@@ -103,22 +102,6 @@ def main(argv: list[str] | None = None) -> int:
     chaos.add_argument("--json", metavar="PATH", default=None,
                        help="also write a JSON report")
 
-    service = sub.add_parser(
-        "service",
-        help="replay a corpus through the scheduling service and diff "
-             "against direct Session calls")
-    service.add_argument("--families", default=None,
-                         help="comma list (default: the service "
-                              "differential's corpus)")
-    service.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    service.add_argument("--count", type=int, default=2,
-                         help="specs per family (indices 0..count-1)")
-    service.add_argument("--transport", choices=("inproc", "wire"),
-                         default="inproc",
-                         help="wire: replay through the socket front end")
-    service.add_argument("--json", metavar="PATH", default=None,
-                         help="also write a JSON report")
-
     args = parser.parse_args(argv)
 
     if args.command == "list":
@@ -133,9 +116,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "chaos":
         return _run_chaos_command(parser, args)
-
-    if args.command == "service":
-        return _run_service_command(parser, args)
 
     matrix = _matrix_from_args(args)
     if args.command == "run":
@@ -167,42 +147,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.json}")
 
     return 1 if failures else 0
-
-
-def _run_service_command(parser, args) -> int:
-    from repro.service.differential import run_differential
-
-    families = tuple(args.families.split(",")) if args.families else None
-    if families:
-        unknown = [name for name in families if name not in FAMILIES]
-        if unknown:
-            parser.error(
-                f"unknown families: {', '.join(unknown)}; known: "
-                f"{', '.join(family_names())}")
-
-    kwargs = {"seed": args.seed, "count": args.count,
-              "transport": args.transport}
-    if families:
-        kwargs["families"] = families
-    report = run_differential(**kwargs)
-
-    for mismatch in report["mismatches"]:
-        print(f"[FAIL] {mismatch['spec']} "
-              f"response={mismatch['response']}")
-    status = "OK" if report["ok"] else "FAIL"
-    transport_note = ("wire transport" if report["transport"] == "wire"
-                      else "in-process")
-    print(f"[{status}] {report['specs']} spec(s) ({transport_note}) — "
-          f"{report['responses_compared']} responses compared, "
-          f"{report['batched_dispatches']} batched dispatches, "
-          f"{len(report['mismatches'])} mismatch(es)")
-
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-
-    return 0 if report["ok"] else 1
 
 
 def _run_chaos_command(parser, args) -> int:

@@ -22,16 +22,16 @@ JSON.  Counters matching means the service didn't just get the right
 answers — it took the *same* cache/certificate/delta paths the direct
 session took.
 
-Responses are canonicalized to plain ints/lists first: numpy slot
-arrays compare ambiguously under ``==``, so both legs are reduced to
-builtin types before the equality check.
+Both legs are canonicalized by the wire codec's
+:func:`~repro.service.transport.wire.encode_result` — plain ints and
+lists, so numpy slot arrays compare unambiguously under ``==`` — which
+makes the comparison form the form a response takes on the wire.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.api import SlotAssignment, VerificationReport
 from repro.engine.config import EngineConfig
 from repro.scenarios.generators import iter_corpus
 from repro.scenarios.spec import ScenarioSpec
@@ -39,57 +39,13 @@ from repro.service.server import EditAck, RestrictAck, SchedulingService
 from repro.service.store import SessionStore
 from repro.service.transport.client import ServiceClient
 from repro.service.transport.server import WireServer
-from repro.service.transport.wire import encode_request
+from repro.service.transport.wire import encode_request, encode_result
 
 __all__ = ["replay_direct", "replay_specs", "replay_specs_wire",
            "run_differential"]
 
 _DEFAULT_FAMILIES = ("grid_sweep", "churn", "mobile")
 _DEFAULT_SEED = 2008
-
-
-# -- canonical forms ---------------------------------------------------
-def _canonical_points(points: Any) -> list[list[int]]:
-    return [[int(coord) for coord in point] for point in points]
-
-
-def _canonical_verify(report: VerificationReport) -> dict[str, Any]:
-    return {
-        "kind": "verify",
-        "collisions": [_canonical_points(pair)
-                       for pair in report.collisions],
-        "window_size": int(report.window_size),
-        "source": report.source,
-        "checked_points": int(report.checked_points),
-        "cache_hits": int(report.cache_hits),
-        "cache_misses": int(report.cache_misses),
-        "workers": int(report.workers),
-    }
-
-
-def _canonical_assign(assignment: SlotAssignment) -> dict[str, Any]:
-    return {
-        "kind": "assign",
-        "points": _canonical_points(assignment.points),
-        "slots": [int(slot) for slot in assignment.slots],
-        "num_slots": int(assignment.num_slots),
-    }
-
-
-def _canonical_response(response: Any) -> Any:
-    if isinstance(response, VerificationReport):
-        return _canonical_verify(response)
-    if isinstance(response, SlotAssignment):
-        return _canonical_assign(response)
-    if isinstance(response, EditAck):
-        return {"kind": "edit", "points_changed": response.points_changed,
-                "num_slots": response.num_slots}
-    if isinstance(response, RestrictAck):
-        return {"kind": "restrict", "window_size": response.window_size,
-                "num_slots": response.num_slots}
-    if isinstance(response, str):  # save: the schedule JSON itself
-        return {"kind": "save", "text": response}
-    raise TypeError(f"unexpected response {type(response).__name__}")
 
 
 # -- the script both legs play ----------------------------------------
@@ -122,24 +78,24 @@ def replay_direct(spec: ScenarioSpec,
         if op == "restrict":
             session = session.restrict(payload["window"])
             window = session.window
-            responses.append(_canonical_response(RestrictAck(
+            responses.append(encode_result(RestrictAck(
                 window_size=0 if window is None else len(window),
                 num_slots=session.num_slots)))
         elif op == "edit":
             updates = {tuple(point): int(slot)
                        for point, slot in payload["updates"].items()}
             session = session.edit(updates)
-            responses.append(_canonical_response(EditAck(
+            responses.append(encode_result(EditAck(
                 points_changed=len(updates),
                 num_slots=session.num_slots)))
         elif op == "verify":
-            responses.append(_canonical_response(
+            responses.append(encode_result(
                 session.verify(payload["window"])))
         elif op == "assign":
-            responses.append(_canonical_response(
+            responses.append(encode_result(
                 session.assign(payload["points"])))
         else:
-            responses.append(_canonical_response(session.save()))
+            responses.append(encode_result(session.save()))
     return responses
 
 
@@ -210,7 +166,7 @@ def _collect(order: list[str], results: list[Any],
         if isinstance(result, BaseException):
             raise result
         responses.setdefault(session_id, []).append(
-            _canonical_response(result))
+            encode_result(result))
     batched = metrics.counter("batch.batched_dispatches")
     responses["__batched_dispatches__"] = [batched]
     return responses

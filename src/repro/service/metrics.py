@@ -176,12 +176,14 @@ class ServiceMetrics:
         counters: monotonically increasing event counts — per-endpoint
             ``{endpoint}.admitted/completed/failed``, rejections
             (``rejected.deadline``, ``rejected.closed``), and batcher
-            activity: ``batch.dispatches`` (engine dispatches — a
-            coalesced assign run is one), ``batch.batched_dispatches``
-            (dispatches that coalesced more than one assign),
-            ``batch.coalesced_requests`` (assigns answered by those)
-            and ``batch.certificate_fast_path`` (verifies answered
-            from a built, collision-free certificate, no dispatch).
+            activity: ``batch.dispatches`` (requests run outside a
+            coalesced assign run, plus one per coalesced run),
+            ``batch.batched_dispatches`` (dispatches that coalesced
+            more than one assign), ``batch.coalesced_requests``
+            (assigns answered by those) and
+            ``batch.certificate_fast_path`` (verifies answered from a
+            certificate an earlier verify built: ``source ==
+            "certificate"`` with no point checked).
         latencies: per-endpoint service-time distributions, measured
             from admission (``call`` or ``bulk``) to completion.
         gauges: point-in-time readings — ``sessions.open``,

@@ -9,9 +9,7 @@ and no dispatcher thread:
 * :meth:`SchedulingService.call` — and the synchronous
   ``assign``/``verify``/``edit``/``restrict``/``save``/``load`` built
   on it, and every single-request wire frame — leases the session,
-  runs the op and returns its answer (or raises its error).  A
-  ``verify`` that a built, collision-free certificate answers is
-  served from it in O(1).
+  runs the op and returns its answer (or raises its error).
 * :meth:`SchedulingService.bulk` takes many requests at once.  It
   groups them by session, keeping each session's requests in order,
   runs each group under one lease, and **coalesces** every run of
@@ -377,13 +375,7 @@ class SchedulingService:
                     index += 1
                 self._dispatch_assigns(session, coalesced)
                 continue
-            if request.op == "verify" and _certifiable(request.payload) \
-                    and _certificate_ready(session):
-                window = request.payload.get("window")
-                self._finish(request, lambda: session.verify(window))
-                self._metrics.bump("batch.certificate_fast_path")
-            else:
-                session = self._execute_single(session_id, session, request)
+            session = self._execute_single(session_id, session, request)
             index += 1
 
     def _dispatch_assigns(self, session: Session,
@@ -440,11 +432,16 @@ class SchedulingService:
         try:
             if op == "verify":
                 payload = request.payload
-                self._complete(request, session.verify(
+                report = session.verify(
                     payload.get("window"),
                     offsets=payload.get("offsets"),
                     use_cache=payload.get("use_cache", True),
-                    stream_chunk=payload.get("stream_chunk")))
+                    stream_chunk=payload.get("stream_chunk"))
+                if report.source == "certificate" \
+                        and not report.checked_points:
+                    # A certificate an earlier verify built answered.
+                    self._metrics.bump("batch.certificate_fast_path")
+                self._complete(request, report)
             elif op == "save":
                 self._complete(request, session.save())
             elif op == "edit":
@@ -521,21 +518,3 @@ class SchedulingService:
     def _fail(self, request: _Request, error: BaseException) -> None:
         self._metrics.bump(f"{request.op}.failed")
         request.outcome = error
-
-
-def _certifiable(payload: Mapping[str, Any]) -> bool:
-    """True when a verify payload is one a certificate can answer."""
-    return (payload.get("offsets") is None
-            and payload.get("use_cache", True)
-            and payload.get("stream_chunk") is None)
-
-
-def _certificate_ready(session: Session) -> bool:
-    """True when the session's certificate is built and collision-free.
-
-    Reads the session's private certificate slot on purpose: the fast
-    path never *builds* a certificate — it only reuses one an earlier
-    verify already paid for.
-    """
-    certificate = session._certificate_value
-    return certificate is not None and certificate.collision_free

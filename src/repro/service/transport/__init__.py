@@ -25,7 +25,7 @@ a real socket: one service behind one :class:`WireServer` per process
 The acceptance gate is the service's: every response served over
 the wire is bit-identical to the same call made directly on the
 session — pinned by the differential oracle's wire leg
-(``python -m repro.scenarios service --transport wire``).
+(``python -m repro.service differential --transport wire``).
 """
 
 from repro.service.errors import TransportError

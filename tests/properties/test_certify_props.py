@@ -1,11 +1,14 @@
 """Property-based tests for certificate verification.
 
 The certificate layer's one theorem: for a schedule periodic under
-``P``, the verdict of the fundamental-domain scan equals the verdict of
-a full window scan — on *every* window, translated arbitrarily.  The
-strategies draw random transversal tilings (so random periods and slot
-counts), randomly remap their slots to manufacture collisions while
-preserving periodicity, and randomly translate the verification window.
+``P``, the colliding classes of the fundamental-domain scan are the
+classes ``(canonical(x), y - x)`` of the brute-force colliding pairs of
+any window that holds a whole fundamental domain plus the conflict
+reach — and the certificate is collision-free exactly when there are
+none.  The strategies draw random transversal tilings (so random
+periods and slot counts), randomly remap their slots to manufacture
+collisions while preserving periodicity, and randomly translate the
+verification window.
 """
 
 import random
@@ -14,11 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Box, Session
-from repro.core.certify import (
-    certificate_from_json,
-    certify_periodic,
-    certify_schedule,
-)
+from repro.core.certify import certify_periodic, certify_schedule
 from repro.core.schedule import (
     _bulk_slots,
     _default_offsets,
@@ -28,6 +27,7 @@ from repro.core.schedule import (
 from repro.core.theorem1 import schedule_from_prototile, schedule_from_tiling
 from repro.engine.encode import PointBatch
 from repro.lattice.sublattice import diagonal_sublattice
+from repro.scenarios.reference import reference_collisions
 from repro.tiles.shapes import chebyshev_ball, rectangle_tile
 from repro.tiling.lattice_tiling import LatticeTiling
 from repro.tiling.multi import MultiTiling
@@ -58,6 +58,26 @@ class _Remapped:
         return [self._table[int(s)] for s in self._base.slots_of(points)]
 
 
+def reference_classes(certificate, schedule, prototile, shift):
+    """``{(canonical(x), y - x)}`` over the brute-force colliding pairs
+    of a window that covers every coset and the conflict reach.
+
+    The window is the canonical coset representatives translated by
+    ``shift`` (still one point per coset) together with every point
+    ``N - N`` away from one of them: both ends of every pair that can
+    collide from a representative.
+    """
+    period = certificate.period
+    cells = prototile.cells
+    reach = {vsub(p, q) for p in cells for q in cells}
+    domain = [vadd(r, shift) for r in period.coset_representatives()]
+    window = set(domain) | {vadd(x, d) for x in domain for d in reach}
+    pairs = reference_collisions(sorted(window), schedule.slot_of,
+                                 prototile.translate)
+    canonical = period.canonical_representative
+    return {(canonical(x), vsub(y, x)) for x, y in pairs}
+
+
 class TestCertificateEqualsFullScan:
     @given(transversal_prototiles(max_index=8),
            st.integers(-30, 30), st.integers(-30, 30),
@@ -72,13 +92,10 @@ class TestCertificateEqualsFullScan:
         schedule = _Remapped(base, table)
         certificate = certify_periodic(schedule, sublattice,
                                        base.neighborhood_of)
-        lo, hi = (dx, dy), (dx + 6, dy + 6)
-        window = list(box_points(lo, hi))
-        want = find_collisions(schedule, window, base.neighborhood_of)
-        assert certificate.verify_points(window) == want
-        assert certificate.verify_box(lo, hi) == want
-        rebuilt = certificate_from_json(certificate.to_json())
-        assert rebuilt.verify_points(window) == want
+        classes = reference_classes(certificate, schedule, prototile,
+                                    (dx, dy))
+        assert classes == set(certificate.colliding_classes)
+        assert certificate.collision_free == (not classes)
 
     @given(transversal_prototiles(max_index=8),
            st.integers(-50, 50), st.integers(-50, 50))
@@ -89,12 +106,11 @@ class TestCertificateEqualsFullScan:
             LatticeTiling(prototile, sublattice))
         certificate = certify_schedule(schedule)
         assert certificate is not None and certificate.collision_free
-        lo, hi = (dx, dy), (dx + 5, dy + 5)
-        window = list(box_points(lo, hi))
+        window = list(box_points((dx, dy), (dx + 5, dy + 5)))
         assert find_collisions(schedule, window,
                                schedule.neighborhood_of) == []
-        assert certificate.verify_points(window) == []
-        assert certificate.verify_box(lo, hi) == []
+        assert reference_classes(certificate, schedule, prototile,
+                                 (dx, dy)) == set()
 
     @given(transversal_prototiles(max_index=6),
            st.integers(-40, 40), st.integers(-40, 40))

@@ -167,8 +167,8 @@ def test_edit_chain_equivalence(workers):
 
     A chain of edits on a restricted session, verified incrementally
     after each step, equals the free-function chain: ``with_updates``
-    deltas fed to one :class:`VerificationCache` and answered through
-    ``find_collisions(cache=)``.
+    deltas fed to one :class:`VerificationCache`, each answer the
+    return value of :meth:`VerificationCache.apply`.
     """
     config = EngineConfig(workers=workers)
     window = list(box_points((0, 0), (7, 7)))
@@ -189,14 +189,11 @@ def test_edit_chain_equivalence(workers):
             current = MappingSchedule(
                 {p: schedule.slot_of(p) for p in window})
             cache = VerificationCache(current, window, neighborhood)
-            legacy = [tuple(find_collisions(current, window, neighborhood,
-                                            cache=cache))]
+            legacy = [tuple(cache.collisions())]
             for step in steps:
                 delta = current.with_updates(step)
-                cache.apply(delta)
+                legacy.append(tuple(cache.apply(delta)))
                 current = delta.schedule
-                legacy.append(tuple(find_collisions(
-                    current, window, neighborhood, cache=cache)))
     assert facade == legacy
     assert any(facade)  # the chain must actually collide somewhere
 

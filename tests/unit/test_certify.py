@@ -1,24 +1,23 @@
 """Certificate verification tests: repro.core.certify.
 
-The certificate's contract is exactness: for any window whatsoever,
-``verify_points`` / ``verify_box`` must equal a full
-:func:`find_collisions` scan bit for bit — the fundamental-domain scan
-is an optimization grounded in periodicity, never an approximation.
-These tests drive clean (Theorem 1/2) and deliberately colliding
-periodic schedules through certification, serialization round-trips,
-the ``find_collisions(certificate=)`` hook and the out-of-core
-streaming scanner, and hold the colliding verdicts to the brute-force
-reference.
+The certificate's contract is exactness: for a periodic schedule, the
+colliding classes of the fundamental-domain scan are exactly the
+classes ``(canonical(x), y - x)`` of a full window scan's pairs, and a
+collision-free certificate lets :meth:`repro.api.Session.verify` answer
+any window with no collisions — the fundamental-domain scan is an
+optimization grounded in periodicity, never an approximation.  These
+tests drive clean (Theorem 1/2) and deliberately colliding periodic
+schedules through certification, the certificate lane of
+``Session.verify`` and the out-of-core streaming scanner, and hold the
+colliding verdicts to the brute-force reference.
 """
 
 import tracemalloc
 
 import pytest
 
+from repro.api import Box, Session
 from repro.core.certify import (
-    PeriodicCertificate,
-    certificate_from_dict,
-    certificate_from_json,
     certify_periodic,
     certify_schedule,
     stream_box_collisions,
@@ -26,18 +25,20 @@ from repro.core.certify import (
 from repro.core.schedule import (
     MappingSchedule,
     TilingSchedule,
-    VerificationCache,
     find_collisions,
     verify_collision_free,
 )
-from repro.core.serialize import schedule_from_json, schedule_to_json
 from repro.core.theorem1 import schedule_from_prototile
 from repro.core.theorem2 import schedule_from_multi_tiling
 from repro.lattice.sublattice import diagonal_sublattice
 from repro.scenarios.reference import reference_collisions
+from repro.service.server import SchedulingService
+from repro.service.store import SessionStore
+from repro.service.transport.client import ServiceClient
+from repro.service.transport.server import WireServer
 from repro.tiles.shapes import chebyshev_ball
 from repro.tiling.construct import alternating_column_tiling
-from repro.utils.vectors import box_points
+from repro.utils.vectors import box_points, vsub
 
 _TILE = chebyshev_ball(1)
 
@@ -72,12 +73,16 @@ class TestCleanSchedules:
         assert certificate.collision_free
         assert certificate.num_slots == schedule.num_slots
         assert certificate.checked_points > 0
-        # O(1) verdicts agree with the scan on any window, including
-        # a translated (congruent) one
+        # The certificate answers any window, including a translated
+        # (congruent) one, as the scan does
+        session = Session(schedule)
         for lo, hi in (((0, 0), (9, 9)), ((-17, 31), (-8, 40))):
             window = list(box_points(lo, hi))
-            assert certificate.verify_points(window) == []
-            assert certificate.verify_box(lo, hi) == []
+            for spec in (Box(lo, hi), window):
+                report = session.verify(spec)
+                assert report.source == "certificate"
+                assert report.collisions == ()
+                assert report.window_size == len(window)
             assert find_collisions(schedule, window,
                                    schedule.neighborhood_of) == []
 
@@ -88,7 +93,8 @@ class TestCleanSchedules:
         assert certificate is not None
         assert certificate.collision_free
         window = list(box_points((-5, -5), (6, 6)))
-        assert certificate.verify_points(window) == []
+        report = Session(schedule).verify(window)
+        assert (report.source, report.collisions) == ("certificate", ())
         assert find_collisions(schedule, window,
                                schedule.neighborhood_of) == []
 
@@ -98,23 +104,17 @@ class TestCollidingSchedules:
         schedule, certificate = _colliding_certificate()
         assert not certificate.collision_free
         assert certificate.colliding_classes
+        canonical = certificate.period.canonical_representative
+        # Both windows hold a whole fundamental domain plus the
+        # conflict reach, so every class shows up in each.
         for lo, hi in (((0, 0), (6, 6)), ((-9, 4), (-2, 11))):
             window = list(box_points(lo, hi))
             want = find_collisions(schedule, window, _flat_neighborhood)
             assert want  # the differential saw real collisions
             assert want == reference_collisions(window, schedule.slot_of,
                                                 _flat_neighborhood)
-            assert certificate.verify_points(window) == want
-            assert certificate.verify_box(lo, hi) == want
-
-    def test_verify_points_follows_window_membership(self):
-        schedule, certificate = _colliding_certificate()
-        # a sparse, unordered window: only pairs with both endpoints
-        # present may appear
-        window = [(4, 4), (0, 0), (1, 1), (0, 1), (5, 0)]
-        want = find_collisions(schedule, window, _flat_neighborhood)
-        assert certificate.verify_points(window) == want
-        assert certificate.verify_points([]) == []
+            assert {(canonical(x), vsub(y, x)) for x, y in want} \
+                == set(certificate.colliding_classes)
 
 
 class TestFallbacks:
@@ -135,38 +135,7 @@ class TestFallbacks:
 
 
 class TestSerialization:
-    def test_json_round_trip_preserves_the_verdict(self):
-        schedule, certificate = _colliding_certificate()
-        rebuilt = certificate_from_json(certificate.to_json())
-        assert rebuilt.colliding_classes == certificate.colliding_classes
-        assert rebuilt.offsets == certificate.offsets
-        assert rebuilt.checked_points == certificate.checked_points
-        assert rebuilt.period.basis == certificate.period.basis
-        window = list(box_points((0, 0), (5, 5)))
-        assert rebuilt.verify_points(window) == \
-            certificate.verify_points(window)
-
-    def test_covers_by_identity_and_by_digest(self):
-        schedule = schedule_from_prototile(_TILE)
-        certificate = certify_schedule(schedule)
-        assert certificate.covers(schedule)
-        # a save/load round-trip keeps its certificate via the digest
-        reloaded = schedule_from_json(schedule_to_json(schedule))
-        assert certificate.covers(reloaded)
-        rebuilt = certificate_from_json(certificate.to_json())
-        assert rebuilt.covers(schedule)
-        other = schedule_from_prototile(chebyshev_ball(2))
-        assert not certificate.covers(other)
-
-    def test_unserializable_schedules_cover_by_identity_only(self):
-        schedule, certificate = _colliding_certificate()
-        assert certificate.schedule_digest is None
-        assert certificate.covers(schedule)
-        assert not certificate.covers(_Flat())
-
-    def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError, match="certificate kind"):
-            certificate_from_dict({"kind": "mystery"})
+    """The certificate's one text form is its ``repr``."""
 
     def test_repr_names_the_verdict(self):
         schedule = schedule_from_prototile(_TILE)
@@ -176,32 +145,60 @@ class TestSerialization:
 
 
 class TestFindCollisionsHook:
+    """``find_collisions`` and the certificate lane of ``Session.verify``
+    agree on a certified schedule."""
+
     def test_certificate_answers_find_collisions(self):
         schedule = schedule_from_prototile(_TILE)
-        certificate = certify_schedule(schedule)
         window = list(box_points((0, 0), (7, 7)))
-        assert find_collisions(schedule, window, schedule.neighborhood_of,
-                               certificate=certificate) == []
+        report = Session(schedule).verify(window)
+        assert report.source == "certificate"
+        assert list(report.collisions) == find_collisions(
+            schedule, window, schedule.neighborhood_of) == []
         assert verify_collision_free(schedule, window,
-                                     schedule.neighborhood_of,
-                                     certificate=certificate)
+                                     schedule.neighborhood_of)
 
-    def test_mismatched_certificate_is_an_error(self):
-        certificate = certify_schedule(schedule_from_prototile(_TILE))
-        other = schedule_from_prototile(chebyshev_ball(2))
-        with pytest.raises(ValueError, match="certificate mismatch"):
-            find_collisions(other, [(0, 0)], other.neighborhood_of,
-                            certificate=certificate)
 
-    def test_cache_and_certificate_are_mutually_exclusive(self):
-        schedule = schedule_from_prototile(_TILE)
-        certificate = certify_schedule(schedule)
-        window = list(box_points((0, 0), (4, 4)))
-        cache = VerificationCache(schedule, window,
-                                  schedule.neighborhood_of)
-        with pytest.raises(ValueError, match="not both"):
-            find_collisions(schedule, window, schedule.neighborhood_of,
-                            cache=cache, certificate=certificate)
+_WRONG_DIMENSION = {
+    "box": Box((0, 0, 0), (3, 3, 3)),
+    "box1d": Box((0,), (5,)),
+    "list": [(0, 0, 0), (1, 1, 1)],
+}
+_LANES = {
+    "certificate": {},
+    "scan": {"use_cache": False},
+    "stream": {"stream_chunk": 10},
+}
+
+
+class TestWindowDimension:
+    """A window of the wrong dimension is refused on every lane."""
+
+    @pytest.mark.parametrize("lane, form", [
+        (lane, form) for lane in sorted(_LANES)
+        for form in sorted(_WRONG_DIMENSION)
+        # stream_chunk takes only a Box
+        if lane != "stream" or form != "list"])
+    def test_every_lane_refuses_it(self, lane, form):
+        session = Session.for_chebyshev(1, 2)
+        with pytest.raises(ValueError):
+            session.verify(_WRONG_DIMENSION[form], **_LANES[lane])
+
+    def test_certificate_lane_names_both_dimensions(self):
+        session = Session.for_chebyshev(1, 2)
+        with pytest.raises(ValueError, match="dimension 3 != .*dimension 2"):
+            session.verify(Box((0, 0, 0), (3, 3, 3)))
+        assert session.verify(Box((0, 0), (3, 3))).source == "certificate"
+        assert session.verify([]).window_size == 0
+
+    def test_service_over_the_wire_refuses_it(self):
+        service = SchedulingService(SessionStore())
+        with service, WireServer(service).start() as server, \
+                ServiceClient(*server.address, timeout=30) as client:
+            client.open_session("s", Session.for_chebyshev(1, 2))
+            with pytest.raises(ValueError, match="dimension"):
+                client.verify("s", Box((0, 0, 0), (3, 3, 3)))
+            assert client.verify("s", Box((0, 0), (3, 3))).collision_free
 
 
 class TestStreaming:

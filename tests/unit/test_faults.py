@@ -29,7 +29,6 @@ from repro.api import (
     Session,
     use_config,
 )
-from repro.core.certify import certificate_from_json
 from repro.core.schedule import find_collisions
 from repro.core.theorem1 import schedule_from_prototile
 from repro.engine.collisions import EngineDegradedWarning
@@ -246,13 +245,6 @@ class TestCorruptSessionError:
     def test_is_a_value_error(self):
         # Pre-PR callers catching ValueError keep working.
         assert issubclass(CorruptSessionError, ValueError)
-
-    def test_certificate_round_trip_corruption(self):
-        with pytest.raises(CorruptSessionError, match="invalid JSON"):
-            certificate_from_json('{"kind": "periodic-cert')
-        with pytest.raises(CorruptSessionError,
-                           match="unknown certificate kind"):
-            certificate_from_json(json.dumps({"kind": "mapping"}))
 
     def test_clean_round_trip_still_loads(self):
         session = Session.for_chebyshev(radius=1, window=WINDOW).restrict()

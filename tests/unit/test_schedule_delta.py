@@ -215,47 +215,21 @@ class TestCacheWiring:
         delta = schedule.with_updates({(3, 3): 0, (3, 4): 0})
         cache.apply(delta)
         want = find_collisions(delta.schedule, points, _neighborhood)
-        assert find_collisions(delta.schedule, points, _neighborhood,
-                               cache=cache) == want
-        assert verify_collision_free(delta.schedule, points, _neighborhood,
-                                     cache=cache) == (not want)
+        assert want
+        assert cache.collisions_for(delta.schedule) == want
+        assert cache.schedule is delta.schedule
+        assert cache.is_collision_free() == (not want)
+        assert verify_collision_free(delta.schedule, points,
+                                     _neighborhood) == (not want)
 
     def test_unknown_schedule_rebinds_with_full_rescan(self):
         points, schedule = _tiled_mapping(8)
         cache = VerificationCache(schedule, points, _neighborhood)
         cache.collisions()
         other = MappingSchedule({p: 0 for p in points})
-        got = find_collisions(other, points, _neighborhood, cache=cache)
+        got = cache.collisions_for(other)
         assert got == find_collisions(other, points, _neighborhood)
         assert cache.schedule is other
-
-    def test_window_mismatch_is_an_error(self):
-        points, schedule = _tiled_mapping(8)
-        cache = VerificationCache(schedule, points, _neighborhood)
-        with pytest.raises(ValueError):
-            find_collisions(schedule, points[:-1], _neighborhood,
-                            cache=cache)
-
-    def test_offsets_mismatch_is_an_error(self):
-        points, schedule = _tiled_mapping(8)
-        cache = VerificationCache(schedule, points, _neighborhood)
-        with pytest.raises(ValueError):
-            find_collisions(schedule, points, _neighborhood,
-                            offsets=[(1, 0)], cache=cache)
-
-    def test_neighborhood_mismatch_is_an_error(self):
-        points, schedule = _tiled_mapping(8)
-        cache = VerificationCache(schedule, points, _neighborhood)
-        other_tile = rectangle_tile(3, 3)
-        with pytest.raises(ValueError):
-            find_collisions(schedule, points,
-                            lambda p: other_tile.translate(p), cache=cache)
-        # the geometry check also guards the unknown-schedule rebind path
-        other_schedule = MappingSchedule({p: 0 for p in points})
-        with pytest.raises(ValueError):
-            find_collisions(other_schedule, points,
-                            lambda p: other_tile.translate(p), cache=cache)
-        assert cache.schedule is schedule  # rebind never happened
 
 
 class TestSlotBuckets:
@@ -307,62 +281,20 @@ class TestSlotBuckets:
 
 
 class TestWindowIdentity:
-    """The cache's window-identity fixes: multiset compare + digest key."""
+    """A cache's collisions do not depend on the order of its window."""
 
     def test_collisions_for_accepts_a_permuted_window(self):
-        # Sharded/streamed callers hand the window back reordered; the
+        # Sharded/streamed callers hand the window over reordered; the
         # collision list is canonically sorted, so order must not matter.
-        points, schedule = _tiled_mapping(6)
-        cache = VerificationCache(schedule, points, _neighborhood)
-        want = cache.collisions()
+        points, _ = _tiled_mapping(6)
+        schedule = MappingSchedule({p: 0 for p in points})
+        want = VerificationCache(schedule, points,
+                                 _neighborhood).collisions()
+        assert want
         shuffled = list(points)
         random.Random(7).shuffle(shuffled)
-        assert cache.collisions_for(schedule, points=shuffled) == want
-
-    def test_collisions_for_still_rejects_a_different_window(self):
-        points, schedule = _tiled_mapping(6)
-        cache = VerificationCache(schedule, points, _neighborhood)
-        with pytest.raises(ValueError, match="window mismatch"):
-            cache.collisions_for(schedule,
-                                 points=points[:-1] + [(99, 99)])
-        # same multiset size, same bounding box, different content
-        swapped = points[:-1] + [points[-2]]
-        with pytest.raises(ValueError, match="window mismatch"):
-            cache.collisions_for(schedule, points=swapped)
-
-    def test_window_key_is_a_content_digest(self):
-        # Two windows with the same bounding box and size must not alias
-        # as "equal windows" in a cache registry.
-        points, schedule = _tiled_mapping(6)
-        same_box_same_size = points[:-2] + [points[0], points[-1]]
-        a = VerificationCache(schedule, points, _neighborhood)
-        b = VerificationCache(schedule, same_box_same_size, _neighborhood)
-        assert a.window_key[:3] == b.window_key[:3]  # box + count agree
-        assert a.window_key != b.window_key          # digest disagrees
-
-    def test_window_key_ignores_point_order(self):
-        points, schedule = _tiled_mapping(6)
-        shuffled = list(points)
-        random.Random(13).shuffle(shuffled)
-        a = VerificationCache(schedule, points, _neighborhood)
-        b = VerificationCache(schedule, shuffled, _neighborhood)
-        assert a.window_key == b.window_key
-
-    def test_window_key_beyond_int64_keeps_both_properties(self):
-        # Coordinates past int64 leave the batch without an array; the
-        # digest then hashes the sorted tuples.
-        far = 2 ** 64
-        points = [(far + x, y) for x in range(3) for y in range(3)]
-        schedule = MappingSchedule({p: 0 for p in points})
-        shuffled = list(points)
-        random.Random(5).shuffle(shuffled)
-        substituted = points[:-2] + [points[0], points[-1]]
-        a = VerificationCache(schedule, points, _neighborhood)
-        b = VerificationCache(schedule, shuffled, _neighborhood)
-        c = VerificationCache(schedule, substituted, _neighborhood)
-        assert a.window_key == b.window_key
-        assert a.window_key[:3] == c.window_key[:3]
-        assert a.window_key != c.window_key
+        cache = VerificationCache(schedule, shuffled, _neighborhood)
+        assert cache.collisions_for(schedule) == want
 
 
 class TestDegenerateScanParity:

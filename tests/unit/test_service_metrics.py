@@ -169,8 +169,8 @@ class TestInlineCounters:
     endpoint.
 
     ``server.batch_size`` is completed requests over
-    ``batch.dispatches``: a ``call`` is a dispatch of one, and a
-    certificate fast-path answer is no dispatch at all.
+    ``batch.dispatches``: a ``call`` is a dispatch of one, a verify
+    answered from a built certificate included.
     """
 
     def test_inline_requests_count_as_dispatches(self):
@@ -184,14 +184,14 @@ class TestInlineCounters:
         assert metrics.counter("batch.dispatches") == 3
         assert metrics.latencies["assign"].total == 3
 
-    def test_certificate_answers_are_inline_but_not_dispatches(self):
+    def test_certificate_answers_count_as_dispatches(self):
         service = _service_with("s")
-        service.verify("s")  # builds the certificate: one dispatch
+        service.verify("s")  # builds the certificate
         service.verify("s")  # answered from it
         metrics = service.metrics()
         service.close()
         assert metrics.counter("verify.completed") == 2
-        assert metrics.counter("batch.dispatches") == 1
+        assert metrics.counter("batch.dispatches") == 2
         assert metrics.counter("batch.certificate_fast_path") == 1
 
     def test_bulk_counts_one_dispatch_per_coalesced_run(self):
