@@ -498,36 +498,6 @@ class Session:
                 f"slots={self._schedule.num_slots}, window={window})")
 
     # -- internals -----------------------------------------------------
-    #: The warm session state the schedule's serial form leaves out:
-    #: verification caches, networks, hit/miss counters, the certificate
-    #: and pending incremental deltas.  It moves as one unit through
-    #: :meth:`_detach_warm` and :meth:`_attach_warm`.
-    _WARM_ATTRIBUTES = (
-        "_caches", "_networks", "_cache_hits", "_cache_misses",
-        "_certificate_value", "_certificate_tried", "_certificate_served",
-        "_pending_delta",
-    )
-
-    def _detach_warm(self) -> dict[str, Any]:
-        """The warm state, by attribute name, for a session that is about
-        to be dropped (spilled or handed off); the values are shared, not
-        copied."""
-        return {name: getattr(self, name) for name in self._WARM_ATTRIBUTES}
-
-    def _attach_warm(self, warm: Mapping[str, Any]) -> None:
-        """Adopt warm state detached from a content-identical session.
-
-        Missing attributes stay cold.  The caches still track the other
-        session's schedule object, and the delta chain in
-        :meth:`~repro.core.schedule.VerificationCache.apply` checks
-        identity, so they are re-pointed at this session's schedule.
-        """
-        for name in self._WARM_ATTRIBUTES:
-            if name in warm:
-                setattr(self, name, warm[name])
-        for cache in self._caches.values():
-            cache.rebase(self._schedule)
-
     def _window_batch(self, window: WindowLike | None) -> PointBatch:
         if window is not None:
             return _as_window(window)
@@ -560,6 +530,25 @@ class Session:
                 "the Session with neighborhood_of=")
         return self._neighborhood_of
 
+    def _check_dimension(self, dimension: int, window_size: int) -> None:
+        """Refuse a nonempty window whose dimension is not the lattice's.
+
+        Every verify lane calls this before it scans, so a wrong window
+        fails with one message instead of an error from deep in a scan.
+        A schedule that does not say its dimension is not checked.
+        """
+        schedule = self._schedule
+        if isinstance(schedule, (TilingSchedule, MultiTilingSchedule)):
+            lattice: int | None = len(schedule.cells[0])
+        elif isinstance(schedule, MappingSchedule):
+            lattice = schedule.dimension
+        else:
+            lattice = None
+        if window_size and lattice is not None and dimension != lattice:
+            raise ValueError(
+                f"window dimension {dimension} != lattice dimension "
+                f"{lattice}")
+
     def _certificate(self) -> PeriodicCertificate | None:
         """The schedule's periodicity certificate, built at most once.
 
@@ -590,17 +579,14 @@ class Session:
 
         Raises:
             ValueError: for a nonempty window whose dimension is not
-                the period lattice's.
+                the lattice's.
         """
         if isinstance(window, Box):
             dimension, window_size = len(window.lo), window.volume()
         else:
             batch = self._window_batch(window)
             dimension, window_size = batch.dimension, len(batch)
-        if window_size and dimension != certificate.period.dimension:
-            raise ValueError(
-                f"window dimension {dimension} != lattice dimension "
-                f"{certificate.period.dimension}")
+        self._check_dimension(dimension, window_size)
         if not self._certificate_served:
             self._certificate_served = True
             self._cache_misses += 1
@@ -686,6 +672,8 @@ class Session:
         Raises:
             TypeError: for a boolean, non-integral or non-numeric
                 coordinate.
+            ValueError: for a nonempty window whose dimension is not
+                the lattice's, on every lane and before any scan.
         """
         offset_list = self._offsets if offsets is None else list(offsets)
         if stream_chunk is not None:
@@ -694,9 +682,10 @@ class Session:
                     "stream_chunk= requires a Box window; point iterables "
                     "are already materialized, so stream a Box(lo, hi) "
                     "instead")
-            neighborhood = self._require_neighborhood()
             lo, hi = window._corners()
             volume = window.volume()
+            self._check_dimension(len(lo), volume)
+            neighborhood = self._require_neighborhood()
             with use_config(self._config):
                 collisions = stream_box_collisions(
                     self._schedule, lo, hi, neighborhood,
@@ -713,6 +702,7 @@ class Session:
             if certificate is not None and certificate.collision_free:
                 return self._verify_from_certificate(certificate, window)
         batch = self._window_batch(window)
+        self._check_dimension(batch.dimension, len(batch))
         neighborhood = self._require_neighborhood()
         if not use_cache:
             with use_config(self._config):

@@ -293,6 +293,13 @@ class MappingSchedule(Schedule):
             return sorted(self._assignment)
         return list(box_points(self._box.lo, self._box.hi))
 
+    @property
+    def dimension(self) -> int:
+        """The dimension of the domain's points."""
+        if self._grid is None:
+            return len(next(iter(self._assignment)))
+        return self._box.dimension
+
     def used_slots(self) -> int:
         """Number of distinct slots actually used."""
         if self._grid is None:
@@ -848,17 +855,6 @@ class VerificationCache:
     def is_collision_free(self) -> bool:
         """True when the tracked schedule has no colliding pair."""
         return not self.collisions()
-
-    def rebase(self, schedule: Schedule) -> None:
-        """Swap the tracked schedule for a content-identical copy.
-
-        The delta chain in :meth:`apply` checks schedule *identity*, so
-        a cache handed across a serialize/deserialize boundary (session
-        snapshot restore) must be re-pointed at the deserialized object
-        before the next edit.  The caller guarantees the replacement
-        assigns the same slots — the cached collision state is kept.
-        """
-        self._schedule = schedule
 
     def apply(self, delta: ScheduleDelta) -> list[Collision]:
         """Track the delta's schedule, re-verifying only the dirty region.

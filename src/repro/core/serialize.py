@@ -38,7 +38,6 @@ from repro.utils.vectors import as_intvec
 __all__ = ["CorruptSessionError",
            "schedule_to_dict", "schedule_from_dict",
            "schedule_to_json", "schedule_from_json", "schedule_digest",
-           "snapshot_to_json", "snapshot_from_json",
            "session_wire_to_json", "session_wire_from_json"]
 
 
@@ -186,74 +185,6 @@ def schedule_from_json(text: str, *, path: str | None = None) -> Schedule:
     return schedule_from_dict(data, path=path)
 
 
-#: Envelope format version for :func:`snapshot_to_json`.
-_SNAPSHOT_VERSION = 1
-
-
-def snapshot_to_json(schedule: Schedule, *, session_id: str) -> str:
-    """Serialize one service-session snapshot as a self-checking envelope.
-
-    The :class:`repro.service.store.SessionStore` spills evicted
-    sessions through this form: the schedule's canonical description
-    plus its content digest, so a snapshot that was truncated or edited
-    on disk is rejected at restore time instead of silently
-    mis-scheduling a fleet.  Warm verification caches are *not* part of
-    the envelope — they are session state the store keeps in memory
-    across the evict/restore cycle (the same handoff semantics
-    :meth:`repro.api.Session.edit` uses).
-    """
-    return json.dumps({
-        "kind": "session-snapshot",
-        "version": _SNAPSHOT_VERSION,
-        "session_id": session_id,
-        "schedule": schedule_to_dict(schedule),
-        "digest": schedule_digest(schedule),
-    }, sort_keys=True)
-
-
-def snapshot_from_json(text: str, *,
-                       path: str | None = None) -> tuple[str, Schedule]:
-    """Rebuild ``(session_id, schedule)`` from :func:`snapshot_to_json`.
-
-    Raises:
-        CorruptSessionError: on garbage JSON, a wrong envelope kind or
-            version, or a digest mismatch (the schedule payload does not
-            hash to the digest recorded at snapshot time).
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise CorruptSessionError(
-            f"invalid JSON: {error}", path=path) from error
-    if not isinstance(data, dict) or data.get("kind") != "session-snapshot":
-        raise CorruptSessionError(
-            f"not a session snapshot (kind={data.get('kind')!r} "
-            f"if it is an object at all)" if isinstance(data, dict)
-            else f"expected a JSON object, got {type(data).__name__}",
-            path=path)
-    if data.get("version") != _SNAPSHOT_VERSION:
-        raise CorruptSessionError(
-            f"unsupported snapshot version {data.get('version')!r} "
-            f"(this build reads version {_SNAPSHOT_VERSION})", path=path)
-    try:
-        session_id = data["session_id"]
-        schedule = schedule_from_dict(data["schedule"], path=path)
-        recorded = data["digest"]
-    except KeyError as error:
-        raise CorruptSessionError(
-            f"missing required field {error.args[0]!r}", path=path) from error
-    actual = schedule_digest(schedule)
-    if recorded != actual:
-        raise CorruptSessionError(
-            f"schedule digest mismatch: envelope records {recorded!r} but "
-            f"the payload hashes to {actual!r}", path=path)
-    if not isinstance(session_id, str):
-        raise CorruptSessionError(
-            f"session_id must be a string, got {type(session_id).__name__}",
-            path=path)
-    return session_id, schedule
-
-
 #: Envelope format version for :func:`session_wire_to_json`.
 _WIRE_VERSION = 1
 
@@ -267,9 +198,9 @@ def session_wire_to_json(schedule: Schedule, *, session_id: str,
 
     The transport layer (:mod:`repro.service.transport`) ships whole
     sessions between processes through this envelope, to open a
-    session on a remote server.  It extends the store's snapshot form
-    with the *session* state a remote process cannot reconstruct from
-    the schedule alone:
+    session on a remote server.  Next to the schedule's canonical
+    description and its content digest, it carries the *session* state
+    a remote process cannot reconstruct from the schedule alone:
 
     * the default verification window (a list of points, or ``None``);
     * the engine config (an opaque JSON object produced by
@@ -284,9 +215,8 @@ def session_wire_to_json(schedule: Schedule, *, session_id: str,
       ``neighborhood_of`` on the content-identical reconstruction
       yields the same model.
 
-    Same self-checking digest as :func:`snapshot_to_json`: a truncated
-    or edited envelope is rejected at decode time, never silently
-    mis-scheduled.
+    The digest makes the envelope self-checking: a truncated or edited
+    envelope is rejected at decode time, never silently mis-scheduled.
     """
     if window is not None:
         window = [list(as_intvec(point)) for point in window]
@@ -387,8 +317,8 @@ def schedule_digest(schedule: Schedule) -> str:
     """Content digest (hex) of a schedule's canonical serial form.
 
     Two schedules digest equal iff :func:`schedule_to_dict` describes
-    them identically — the identity the snapshot and wire envelopes
-    check a deserialized schedule against.
+    them identically — the identity the wire envelope checks a
+    deserialized schedule against.
 
     Raises:
         TypeError: for schedule types without a serial form.

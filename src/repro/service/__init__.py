@@ -4,8 +4,7 @@ The library's :class:`repro.api.Session` answers one caller at a time;
 this package puts a server in front of it:
 
 * :class:`~repro.service.store.SessionStore` — the session table:
-  per-session locks, LRU spill-to-snapshot eviction, transparent
-  restore with warm verification caches.
+  one record per open session, each with its own lock.
 * :class:`~repro.service.server.SchedulingService` — every request
   runs on the caller's thread under its session's lease; ``bulk``
   groups many requests by session and coalesces consecutive small

@@ -105,7 +105,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.store import SessionStore
     from repro.service.transport.server import WireServer
 
-    service = SchedulingService(SessionStore(capacity=args.capacity),
+    service = SchedulingService(SessionStore(),
                                 default_timeout=args.default_timeout)
     server = WireServer(service, host=args.host, port=args.port)
     host, port = server.address
@@ -170,9 +170,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--port", type=int, default=0,
                        help="0 binds a free port (see --announce)")
     serve.add_argument("--default-timeout", type=float, default=None)
-    serve.add_argument("--capacity", type=int, default=None,
-                       help="session-store LRU capacity (default: "
-                            "never evict)")
     serve.add_argument("--announce", action="store_true",
                        help="print a {host, port} JSON line once bound")
     serve.set_defaults(run=_cmd_serve)

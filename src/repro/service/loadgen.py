@@ -202,8 +202,7 @@ class LoadResult:
         }
 
 
-def execute(workload: Workload, *, bulk: bool = True,
-            capacity: int | None = None) -> LoadResult:
+def execute(workload: Workload, *, bulk: bool = True) -> LoadResult:
     """Run a workload in-process and time it.
 
     Sessions open first, untimed.  The timer covers serving every
@@ -212,7 +211,7 @@ def execute(workload: Workload, *, bulk: bool = True,
     assigns), or one :meth:`SchedulingService.call` per request — so
     two runs differing only in ``bulk`` isolate what coalescing buys.
     """
-    service = SchedulingService(SessionStore(capacity=capacity))
+    service = SchedulingService(SessionStore())
     workload.open_sessions(service)
     items = [(op.op, op.session_id, op.request_payload(), None)
              for op in workload.ops]

@@ -2,8 +2,8 @@
 
 The service records per-endpoint request counters, service-time
 histograms (log-spaced buckets, so p50/p99 stay meaningful from
-microseconds to seconds), and point-in-time gauges (open and resident
-sessions, aggregate verification cache hits).  A :class:`ServiceMetrics`
+microseconds to seconds), and point-in-time gauges (open sessions,
+aggregate verification cache hits).  A :class:`ServiceMetrics`
 snapshot freezes all of it into one typed, JSON-able value — the
 service's ``metrics`` endpoint is exactly ``ServiceMetrics.to_json``.
 
@@ -187,10 +187,8 @@ class ServiceMetrics:
         latencies: per-endpoint service-time distributions, measured
             from admission (``call`` or ``bulk``) to completion.
         gauges: point-in-time readings — ``sessions.open``,
-            ``sessions.resident``, ``sessions.evictions``,
-            ``sessions.restores``, and the aggregate
-            verification ``cache.hits`` / ``cache.misses`` over every
-            open session.
+            and the aggregate verification ``cache.hits`` /
+            ``cache.misses`` over every open session.
     """
 
     counters: Mapping[str, int]

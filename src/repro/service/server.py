@@ -183,9 +183,6 @@ class SchedulingService:
         stats = self._store.stats()
         return self._metrics.snapshot({
             "sessions.open": stats.open_sessions,
-            "sessions.resident": stats.resident_sessions,
-            "sessions.evictions": stats.evictions,
-            "sessions.restores": stats.restores,
             "cache.hits": stats.cache_hits,
             "cache.misses": stats.cache_misses,
         })
@@ -346,9 +343,8 @@ class SchedulingService:
             with self._store.lease(session_id, timeout=wait) as session:
                 self._execute_run(session_id, session, run)
         except Exception as error:
-            # The session stayed busy past every deadline, is unknown,
-            # or is a spilled one whose snapshot fails to restore
-            # (CorruptSessionError): what is unanswered fails typed.
+            # The session stayed busy past every deadline or is
+            # unknown: what is unanswered fails typed.
             for request in run:
                 if request.outcome is not _UNANSWERED:
                     continue

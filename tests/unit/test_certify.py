@@ -167,12 +167,14 @@ _WRONG_DIMENSION = {
 _LANES = {
     "certificate": {},
     "scan": {"use_cache": False},
+    "restricted": {},
     "stream": {"stream_chunk": 10},
 }
 
 
 class TestWindowDimension:
-    """A window of the wrong dimension is refused on every lane."""
+    """A window of the wrong dimension is refused on every lane, before
+    any scan, with one message naming both dimensions."""
 
     @pytest.mark.parametrize("lane, form", [
         (lane, form) for lane in sorted(_LANES)
@@ -180,9 +182,15 @@ class TestWindowDimension:
         # stream_chunk takes only a Box
         if lane != "stream" or form != "list"])
     def test_every_lane_refuses_it(self, lane, form):
-        session = Session.for_chebyshev(1, 2)
-        with pytest.raises(ValueError):
-            session.verify(_WRONG_DIMENSION[form], **_LANES[lane])
+        session = Session.for_chebyshev(1, 2, window=Box((0, 0), (5, 5)))
+        if lane == "restricted":  # a slot grid's cached lane
+            session = session.restrict()
+        window = _WRONG_DIMENSION[form]
+        dimension = (len(window.lo) if isinstance(window, Box)
+                     else len(window[0]))
+        with pytest.raises(ValueError, match=(
+                f"^window dimension {dimension} != lattice dimension 2$")):
+            session.verify(window, **_LANES[lane])
 
     def test_certificate_lane_names_both_dimensions(self):
         session = Session.for_chebyshev(1, 2)

@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro.api import Box, Session
-from repro.core.serialize import CorruptSessionError
 from repro.service import (
     EditAck,
     LoadAck,
@@ -110,12 +109,22 @@ class TestEndpointIdentity:
         assert served.workers == direct.workers == bulk.workers == 2
 
     def test_unknown_session_is_typed(self, service):
-        [outcome] = service.bulk([("assign", "ghost",
-                                   {"points": [(0, 0)]}, None)])
-        assert isinstance(outcome, UnknownSessionError)
-        assert outcome.session_id == "ghost"
+        """An unknown id fails its own requests typed, through ``call``
+        and ``bulk``; its batchmates answer as if it were not there."""
+        service.open_session("good", make_tiling_session())
+        direct = make_tiling_session().assign([(1, 2)])
+        ghost, good = service.bulk([
+            ("assign", "ghost", {"points": [(0, 0)]}, None),
+            ("assign", "good", {"points": [(1, 2)]}, None),
+        ])
+        assert isinstance(ghost, UnknownSessionError)
+        assert ghost.session_id == "ghost"
+        assert canonical_slots(good) == canonical_slots(direct)
         with pytest.raises(UnknownSessionError):
             service.call("assign", "ghost", {"points": [(0, 0)]})
+        assert canonical_slots(service.assign("good", [(1, 2)])) \
+            == canonical_slots(direct)
+        assert service.metrics().counter("assign.failed") == 2
 
     def test_unknown_op_rejected_at_submit(self, service):
         with pytest.raises(ValueError, match="unknown service op"):
@@ -355,32 +364,6 @@ class TestAdmissionControl:
         assert canonical_slots(answers[0]) == canonical_slots(
             make_tiling_session().assign([(0, 0)]))
         assert svc.metrics().counter("rejected.closed") == 1
-
-    def test_session_that_fails_to_restore_fails_typed(self):
-        """A spilled session whose snapshot no longer restores fails its
-        requests with CorruptSessionError, through ``call`` and
-        ``bulk``, and the service keeps serving every other session."""
-        store = SessionStore()
-        svc = SchedulingService(store)
-        try:
-            svc.open_session("bad", make_tiling_session())
-            svc.open_session("good", make_tiling_session())
-            assert store.evict("bad")
-            store._records["bad"].envelope = "{truncated"
-            direct = make_tiling_session().assign([(1, 2)])
-            bad, good = svc.bulk([
-                ("assign", "bad", {"points": [(0, 0)]}, None),
-                ("assign", "good", {"points": [(1, 2)]}, None),
-            ])
-            assert isinstance(bad, CorruptSessionError)
-            assert canonical_slots(good) == canonical_slots(direct)
-            with pytest.raises(CorruptSessionError):
-                svc.assign("bad", [(0, 0)])
-            assert canonical_slots(svc.assign("good", [(1, 2)])) \
-                == canonical_slots(direct)
-            assert svc.metrics().counter("assign.failed") == 2
-        finally:
-            svc.close()
 
     def test_saturation_never_hangs_or_drops(self):
         """Many threads on few sessions, mixing ``call`` and ``bulk``:

@@ -1,11 +1,8 @@
-"""Tests for the SessionStore: locking, LRU eviction, warm restore.
+"""Tests for the SessionStore: the table, leases, per-session locking.
 
-The store's contract is *transparency*: a session that was spilled to
-its snapshot envelope and restored must answer every request — and
-carry every counter — bit-identically to a session that never left
-memory.  The stress test drives interleaved operations on disjoint
-sessions from a thread pool and demands the final state match a serial
-replay of the same per-session scripts.
+The stress test drives interleaved operations on disjoint sessions from
+a thread pool and demands the final state match a serial replay of the
+same per-session scripts.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import Box, Session
-from repro.core.serialize import CorruptSessionError, snapshot_from_json
 from repro.service import (
     ServiceDeadlineError,
     SessionStore,
@@ -71,9 +67,17 @@ class TestBasicTable:
         with pytest.raises(UnknownSessionError):
             store.replace("a", make_tiling_session())
 
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError, match="capacity"):
-            SessionStore(capacity=0)
+    def test_stats_sum_every_session(self):
+        store = SessionStore()
+        store.put("a", make_mapping_session())
+        store.put("b", make_mapping_session())
+        with store.lease("a") as session:
+            session.verify()
+            session.verify()
+        with store.lease("b") as session:
+            session.verify()
+        assert store.stats() == StoreStats(open_sessions=2, cache_hits=1,
+                                           cache_misses=2)
 
 
 def _held_elsewhere(store: SessionStore, session_id: str):
@@ -94,8 +98,10 @@ def _held_elsewhere(store: SessionStore, session_id: str):
     return release, thread
 
 
-class TestTryLease:
-    """Leases with a bounded wait: ``lease(session_id, timeout=...)``."""
+class TestLease:
+    """Exclusive leases: a bounded wait (``lease(session_id,
+    timeout=...)``), re-entry on the holding thread, and ``put``
+    waiting for a running lease."""
 
     def test_busy_session_times_out_typed(self):
         store = SessionStore()
@@ -128,16 +134,6 @@ class TestTryLease:
             with store.lease("a", timeout=0) as leased:
                 assert leased is session
 
-    def test_restores_a_spilled_session(self):
-        store = SessionStore(capacity=1)
-        store.put("a", make_tiling_session())
-        store.put("b", make_tiling_session())
-        assert not store.resident("a")
-        with store.lease("a", timeout=0) as leased:
-            assert leased is not None
-            assert store.resident("a")
-        assert store.stats().restores == 1
-
     def test_put_waits_for_a_running_lease(self):
         """Replacing a session never swaps it under a running request."""
         store = SessionStore()
@@ -154,164 +150,6 @@ class TestTryLease:
         putter.join(timeout=30)
         with store.lease("a") as leased:
             assert leased is replacement
-
-
-class TestEviction:
-    def test_lru_spills_over_capacity(self):
-        store = SessionStore(capacity=2)
-        for name in ("a", "b", "c"):
-            store.put(name, make_tiling_session())
-        stats = store.stats()
-        assert stats.open_sessions == 3
-        assert stats.resident_sessions == 2
-        assert stats.evictions == 1
-        assert not store.resident("a")  # least recently used spilled
-        assert store.resident("c")
-
-    def test_lease_restores_spilled_session(self):
-        store = SessionStore(capacity=1)
-        store.put("a", make_tiling_session())
-        store.put("b", make_tiling_session())
-        assert not store.resident("a")
-        with store.lease("a") as session:
-            assert isinstance(session, Session)
-        assert store.stats().restores == 1
-
-    def test_explicit_evict_and_snapshot(self):
-        store = SessionStore()
-        store.put("a", make_tiling_session())
-        envelope = store.snapshot_json("a")
-        session_id, schedule = snapshot_from_json(envelope)
-        assert session_id == "a"
-        assert schedule.num_slots == make_tiling_session().num_slots
-        assert store.evict("a") is True
-        assert store.evict("a") is False  # already spilled
-        assert not store.resident("a")
-
-    def test_corrupt_envelope_rejected_at_restore(self):
-        store = SessionStore()
-        store.put("a", make_tiling_session())
-        envelope = store.snapshot_json("a")
-        bad_digest = envelope.replace('"digest": "', '"digest": "beef', 1)
-        assert bad_digest != envelope
-        with pytest.raises(CorruptSessionError, match="digest mismatch"):
-            snapshot_from_json(bad_digest)
-        # Structural tampering is caught by schedule revalidation even
-        # before the digest comparison runs.
-        bad_cells = envelope.replace('"cells": [[-1, -1]',
-                                     '"cells": [[-1, -2]')
-        assert bad_cells != envelope
-        with pytest.raises(CorruptSessionError):
-            snapshot_from_json(bad_cells)
-
-    def test_busy_session_never_spilled(self):
-        store = SessionStore(capacity=1)
-        store.put("a", make_tiling_session())
-        with store.lease("a"):
-            store.put("b", make_tiling_session())
-            # "a" is mid-lease: the store must spill "b"-side or nothing,
-            # never the session the caller holds.
-            assert store.resident("a")
-
-
-class TestWarmRestore:
-    """Evict/restore must be invisible: caches, counters, certificate."""
-
-    def test_verification_cache_survives_eviction(self):
-        store = SessionStore()
-        store.put("a", make_mapping_session())
-        with store.lease("a") as session:
-            first = session.verify()
-        assert store.evict("a")
-        with store.lease("a") as session:
-            second = session.verify()
-        reference = make_mapping_session()
-        ref_first = reference.verify()
-        ref_second = reference.verify()
-        assert first.source == ref_first.source
-        assert second.source == ref_second.source  # cache, not rescan
-        assert second.cache_hits == ref_second.cache_hits
-        assert second.cache_misses == ref_second.cache_misses
-        assert second.collisions == ref_second.collisions
-
-    def test_certificate_survives_eviction(self):
-        store = SessionStore()
-        store.put("a", make_tiling_session())
-        with store.lease("a") as session:
-            assert session.verify().source == "certificate"
-        assert store.evict("a")
-        with store.lease("a") as session:
-            report = session.verify()
-        reference = make_tiling_session()
-        reference.verify()
-        expected = reference.verify()
-        assert report.source == expected.source
-        assert report.checked_points == expected.checked_points
-        assert report.cache_hits == expected.cache_hits
-
-    def test_restored_session_window_preserved(self):
-        store = SessionStore()
-        store.put("a", make_tiling_session())
-        assert store.evict("a")
-        with store.lease("a") as session:
-            report = session.verify()
-        assert report.window_size == make_tiling_session().verify().window_size
-
-    def test_eviction_preserves_edit_pending_delta(self):
-        store = SessionStore()
-        store.put("a", make_mapping_session())
-        with store.lease("a") as session:
-            session.verify()
-        with store.lease("a") as session:
-            edited = session.edit({(0, 0): 1})
-            store.replace("a", edited)
-        assert store.evict("a")
-        with store.lease("a") as session:
-            report = session.verify()
-        reference = make_mapping_session()
-        reference.verify()
-        reference = reference.edit({(0, 0): 1})
-        expected = reference.verify()
-        assert report.source == expected.source  # "delta", not a rescan
-        assert report.collisions == expected.collisions
-        assert report.checked_points == expected.checked_points
-
-    def test_edit_after_restore_rebases_warm_caches(self):
-        """An edit right after a restore must extend the delta chain.
-
-        The warm caches track the spilled schedule by identity; without
-        rebasing them onto the deserialized schedule, the first
-        post-restore ``edit`` raises in ``VerificationCache.apply``.
-        """
-        store = SessionStore()
-        store.put("a", make_mapping_session())
-        with store.lease("a") as session:
-            session.verify()
-        assert store.evict("a")
-        with store.lease("a") as session:
-            edited = session.edit({(1, 1): 2})
-            store.replace("a", edited)
-        with store.lease("a") as session:
-            report = session.verify()
-        reference = make_mapping_session()
-        reference.verify()
-        reference = reference.edit({(1, 1): 2})
-        expected = reference.verify()
-        assert report.source == expected.source
-        assert report.collisions == expected.collisions
-        assert report.checked_points == expected.checked_points
-
-    def test_stats_count_warm_state_of_spilled_sessions(self):
-        store = SessionStore()
-        store.put("a", make_mapping_session())
-        with store.lease("a") as session:
-            session.verify()
-            session.verify()
-        assert store.evict("a")
-        stats = store.stats()
-        assert isinstance(stats, StoreStats)
-        assert stats.cache_hits == 1
-        assert stats.cache_misses == 1
 
 
 OPS_PER_SESSION = 12
@@ -362,7 +200,7 @@ def _replay_on_store(store: SessionStore, session_id: str,
                 edited = session.edit(step[1])
                 store.replace(session_id, edited)
                 responses.append(("edited", edited.num_slots))
-            else:  # save_load: snapshot text digest stands in for state
+            else:  # save_load: the saved text's length stands in for state
                 responses.append(("saved", len(session.save())))
     return responses
 
@@ -388,16 +226,14 @@ def _replay_serial(script: list[tuple]) -> list:
 
 
 class TestConcurrentStress:
-    @pytest.mark.parametrize("capacity", [None, 3])
-    def test_interleaved_disjoint_sessions_match_serial_replay(
-            self, capacity):
-        """Thread-pooled interleaving (with and without eviction churn)
-        answers bit-identically to a serial replay per session."""
+    def test_interleaved_disjoint_sessions_match_serial_replay(self):
+        """Thread-pooled interleaving answers bit-identically to a
+        serial replay per session."""
         session_count = 8
         rng = StreamRNG(20080807)
         scripts = {f"s{i}": _session_script(rng, i)
                    for i in range(session_count)}
-        store = SessionStore(capacity=capacity)
+        store = SessionStore()
         for session_id in scripts:
             store.put(session_id, make_mapping_session())
         barrier = threading.Barrier(session_count)
@@ -416,10 +252,6 @@ class TestConcurrentStress:
 
         for session_id, script in scripts.items():
             assert results[session_id] == _replay_serial(script), session_id
-        if capacity is not None:
-            assert store.stats().evictions > 0, \
-                "stress run never exercised eviction"
-            assert store.stats().restores > 0
 
     def test_same_session_contention_stays_ordered(self):
         """Leases of one session serialize; counters never tear."""
