@@ -45,6 +45,7 @@ from repro.core.certify import (
 )
 from repro.core.schedule import (
     Collision,
+    Interference,
     MappingSchedule,
     MultiTilingSchedule,
     RepairContext,
@@ -201,7 +202,7 @@ def _window_id(batch: PointBatch) -> tuple[object, ...]:
 
 
 def _cache_key(batch: PointBatch,
-               offsets: list[IntVec] | None) -> tuple[object, ...]:
+               offsets: Sequence[IntVec] | None) -> tuple[object, ...]:
     """The key of a window's verification cache in ``Session._caches``."""
     return (_window_id(batch),
             None if offsets is None else tuple(sorted(offsets)))
@@ -348,6 +349,9 @@ class Session:
         neighborhood_of: interference map used for verification and
             network construction; defaults to the schedule's own
             ``neighborhood_of`` when it has one (Theorem 1/2 schedules).
+            Its :class:`~repro.core.schedule.Interference` model is
+            built once and handed on by :meth:`edit`,
+            :meth:`with_config` and :meth:`restrict`.
         offsets: optional conflict-offset override forwarded to the
             verifier.
     """
@@ -373,8 +377,16 @@ class Session:
         self._window_explicit = window is not None
         if neighborhood_of is None:
             neighborhood_of = getattr(schedule, "neighborhood_of", None)
-        self._neighborhood_of = neighborhood_of
-        self._offsets = None if offsets is None else list(offsets)
+        #: The interference model; it holds the explicit offsets, so a
+        #: derived session passing both back reuses it.
+        self._neighborhood_of: Interference | None = None
+        self._offsets: Sequence[IntVec] | None = (
+            None if offsets is None else list(offsets))
+        if neighborhood_of is not None:
+            self._neighborhood_of = Interference.of(neighborhood_of,
+                                                    offsets)
+            if offsets is not None:
+                self._offsets = self._neighborhood_of.offsets
         self._caches: dict[tuple, VerificationCache] = {}
         self._networks: dict[tuple[object, ...], Network] = {}
         self._cache_hits = 0
@@ -474,14 +486,15 @@ class Session:
 
     @property
     def neighborhood_of(self) -> NeighborhoodFn | None:
-        """The interference model requests run under, if any.
+        """The interference map requests run under, if any.
 
         The model is session state, not schedule state — ``save()``
         does not serialize it — so callers reloading a mapping-backed
         schedule pass this to :meth:`load` to restore verification:
         ``Session.load(text, neighborhood_of=old.neighborhood_of)``.
         """
-        return self._neighborhood_of
+        model = self._neighborhood_of
+        return None if model is None else model.neighborhood_of
 
     def with_config(self, config: EngineConfig | None) -> Session:
         """The same schedule and window under a different config."""
@@ -523,12 +536,16 @@ class Session:
         """
         return self._window if self._window_explicit else None
 
-    def _require_neighborhood(self) -> NeighborhoodFn:
+    def _require_neighborhood(self,
+                              offsets: Sequence[IntVec] | None = None,
+                              ) -> Interference:
+        """The model a verify runs under: the session's own, with a
+        call's explicit ``offsets`` when they differ."""
         if self._neighborhood_of is None:
             raise ValueError(
                 "this schedule carries no interference model; construct "
                 "the Session with neighborhood_of=")
-        return self._neighborhood_of
+        return Interference.of(self._neighborhood_of, offsets)
 
     def _check_dimension(self, dimension: int, window_size: int) -> None:
         """Refuse a nonempty window whose dimension is not the lattice's.
@@ -553,15 +570,15 @@ class Session:
         """The schedule's periodicity certificate, built at most once.
 
         Only a session whose interference model is the schedule's *own*
-        bound ``neighborhood_of`` method is eligible — a caller-supplied
-        neighborhood function is not what the certifying scan covers.
-        Schedules without lattice structure (or with overridden
+        stock ``neighborhood_of`` (the model's owner is the schedule) is
+        eligible — any other map is not what the certifying scan
+        covers.  Schedules without lattice structure (or with overridden
         neighborhoods) yield ``None`` and the attempt is not repeated.
         """
         if not self._certificate_tried:
             self._certificate_tried = True
-            bound_to = getattr(self._neighborhood_of, "__self__", None)
-            if bound_to is self._schedule:
+            model = self._neighborhood_of
+            if model is not None and model.owner is self._schedule:
                 with use_config(self._config):
                     self._certificate_value = certify_schedule(
                         self._schedule)
@@ -663,7 +680,13 @@ class Session:
         scan — one comparison of shifted slot grids per conflict
         offset — so no point array or tuple is materialized; the
         result is bit-identical to the one-shot scan but is never
-        cached.
+        cached.  A map the interference model does not recognise
+        streams only with explicit ``offsets``.
+
+        Every lane reads the session's one
+        :class:`~repro.core.schedule.Interference` model, so every lane
+        finds the same collisions.  An empty window is answered as the
+        ``use_cache=False`` lane answers it, before any cache.
 
         The window (a point iterable, an ``(n, d)`` integer array or a
         :class:`Box`) is validated once, under the same coordinate rule
@@ -685,11 +708,11 @@ class Session:
             lo, hi = window._corners()
             volume = window.volume()
             self._check_dimension(len(lo), volume)
-            neighborhood = self._require_neighborhood()
+            model = self._require_neighborhood(offset_list)
             with use_config(self._config):
                 collisions = stream_box_collisions(
-                    self._schedule, lo, hi, neighborhood,
-                    offsets=offset_list, chunk_points=stream_chunk)
+                    self._schedule, lo, hi, model,
+                    chunk_points=stream_chunk)
                 workers = shard_workers()
             return VerificationReport(
                 collisions=tuple(collisions), window_size=volume,
@@ -703,11 +726,10 @@ class Session:
                 return self._verify_from_certificate(certificate, window)
         batch = self._window_batch(window)
         self._check_dimension(batch.dimension, len(batch))
-        neighborhood = self._require_neighborhood()
-        if not use_cache:
+        model = self._require_neighborhood(offset_list)
+        if not use_cache or not len(batch):
             with use_config(self._config):
-                collisions = find_collisions(self._schedule, batch,
-                                             neighborhood, offset_list)
+                collisions = find_collisions(self._schedule, batch, model)
                 workers = shard_workers()
             return VerificationReport(
                 collisions=tuple(collisions), window_size=len(batch),
@@ -721,8 +743,7 @@ class Session:
             workers = shard_workers()
             if cache is None:
                 self._cache_misses += 1
-                cache = VerificationCache(self._schedule, batch,
-                                          neighborhood, offset_list)
+                cache = VerificationCache(self._schedule, batch, model)
                 collisions = cache.collisions()
                 self._caches[key] = cache
                 source = "scan"
@@ -1017,10 +1038,11 @@ class Session:
         :class:`~repro.core.schedule.MappingSchedule` — the form that
         supports :meth:`edit` — while keeping this session's
         interference model, conflict offsets and config, so a verify of
-        the same window answers identically.  Theorem 1/2 sessions are
-        immutable; churn workloads restrict first, then edit.  A window
-        that fills its bounding box once (a :class:`Box`) becomes a slot
-        grid (:meth:`~repro.core.schedule.MappingSchedule.from_batch`).
+        the same window answers identically on every lane.  Theorem 1/2
+        sessions are immutable; churn workloads restrict first, then
+        edit.  A window that fills its bounding box once (a
+        :class:`Box`) becomes a slot grid
+        (:meth:`~repro.core.schedule.MappingSchedule.from_batch`).
         """
         batch = self._window_batch(window)
         with use_config(self._config):
@@ -1035,24 +1057,26 @@ class Session:
     def network(self, window: WindowLike | None = None) -> Network:
         """The sensor network over a window, built once per window.
 
-        Theorem 1/2 schedules derive interference from their prototile
-        or deployment; other schedules use the session's
-        ``neighborhood_of``.
+        Interference comes from the model :meth:`verify` reads: a
+        Theorem 1 schedule's own map builds
+        :meth:`~repro.net.model.Network.homogeneous`, deployment D1
+        :meth:`~repro.net.model.Network.from_multi_tiling`, any other
+        map one node per point.
         """
         batch = self._window_batch(window)
         key = _window_id(batch)
         network = self._networks.get(key)
         if network is None:
             window_list = batch.points
-            schedule = self._schedule
-            if isinstance(schedule, TilingSchedule):
-                network = Network.homogeneous(window_list, schedule.prototile)
-            elif isinstance(schedule, MultiTilingSchedule):
+            model = self._require_neighborhood()
+            if model.cover is not None:
                 network = Network.from_multi_tiling(window_list,
-                                                    schedule.multi)
+                                                    model.cover)
+            elif isinstance(model.owner, TilingSchedule):
+                network = Network.homogeneous(window_list,
+                                              model.owner.prototile)
             else:
-                neighborhood = self._require_neighborhood()
-                network = Network(SensorNode(p, neighborhood(p))
+                network = Network(SensorNode(p, model(p))
                                   for p in window_list)
             self._networks[key] = network
         return network

@@ -37,27 +37,24 @@ import numpy as np
 
 from repro.core.schedule import (
     Collision,
+    Interference,
     MultiTilingSchedule,
     NeighborhoodFn,
     Schedule,
     TilingSchedule,
     _bulk_slots,
-    _default_offsets,
-    _known_shapes,
-    _origin_shapes,
-    _sorted_offsets,
     find_collisions,
 )
 from repro.engine.collisions import (
-    _MAX_SHAPE_CLASSES,
     StencilPlan,
-    _pair_tables,
+    _differences,
+    _scan_tables,
     scan_box_plan,
 )
 from repro.engine.encode import PointBatch
 from repro.engine.slots import _MAX_COORD, CosetTable
 from repro.lattice.sublattice import Sublattice
-from repro.utils.vectors import IntVec, as_intvec, vadd, vsub
+from repro.utils.vectors import IntVec, as_intvec, vadd
 
 __all__ = [
     "PeriodicCertificate",
@@ -160,15 +157,13 @@ def certify_periodic(schedule: Schedule, period: Sublattice,
             :func:`~repro.core.schedule.find_collisions`, an explicit
             narrower set narrows the verdict's scope.
     """
+    model = Interference.of(neighborhood_of, offsets)
     representatives = sorted(period.coset_representatives())
     dimension = period.dimension
-    zero = (0,) * dimension
-    if offsets is None:
-        shapes, _ = _origin_shapes(representatives, neighborhood_of)
-        offset_list = _default_offsets(tuple(shapes), dimension)
-    else:
-        offset_list = [as_intvec(d) for d in offsets]
-    positive = sorted(d for d in set(offset_list) if d > zero)
+    positive = model.positive
+    if positive is None:
+        _, positive = model.window_offsets(
+            model.classify(representatives)[0], dimension)
     reach = max((abs(c) for d in positive for c in d), default=0)
     if max(map(max, representatives)) + reach < _MAX_COORD:
         origins = np.asarray(representatives, dtype=np.int64)
@@ -178,7 +173,7 @@ def certify_periodic(schedule: Schedule, period: Sublattice,
     else:
         domain = PointBatch.of(representatives + [
             vadd(r, d) for r in representatives for d in positive])
-    shapes, shape_ids = _origin_shapes(domain, neighborhood_of)
+    shapes, shape_ids = model.classify(domain)
     slots = _bulk_slots(schedule, domain)
     count = len(representatives)
     # (representative, offset) pairs whose probe shares the slot of its
@@ -186,36 +181,16 @@ def certify_periodic(schedule: Schedule, period: Sublattice,
     rows, columns = np.nonzero(
         slots[count:].reshape(count, len(positive)) == slots[:count, None])
     probe_shapes = shape_ids[count:].reshape(count, len(positive))
-    differences: dict[tuple[int, int], frozenset[IntVec]] = {}
+    differences = _differences(shapes, positive) if positive else None
     colliding: list[tuple[IntVec, IntVec]] = []
     for i, j in zip(rows.tolist(), columns.tolist()):
-        a, b = int(shape_ids[i]), int(probe_shapes[i, j])
-        row = differences.get((a, b))
-        if row is None:
-            row = frozenset(vsub(p, q) for p in shapes[a] for q in shapes[b])
-            differences[(a, b)] = row
-        if positive[j] in row:
+        if positive[j] in differences(int(shape_ids[i]),
+                                      int(probe_shapes[i, j])):
             colliding.append((representatives[i], positive[j]))
     return PeriodicCertificate(
         period=period, num_slots=schedule.num_slots,
-        offsets=tuple(positive), colliding_classes=tuple(sorted(colliding)),
+        offsets=positive, colliding_classes=tuple(sorted(colliding)),
         checked_points=len(domain))
-
-
-def _uses_own_neighborhood(schedule: Schedule) -> bool:
-    """True when the schedule's interference map is the stock one.
-
-    A subclass overriding ``neighborhood_of`` voids the periodicity
-    guarantee the certificate rests on, so such schedules are not
-    auto-certified.
-    """
-    if isinstance(schedule, TilingSchedule):
-        return type(schedule).neighborhood_of \
-            is TilingSchedule.neighborhood_of
-    if isinstance(schedule, MultiTilingSchedule):
-        return type(schedule).neighborhood_of \
-            is MultiTilingSchedule.neighborhood_of
-    return False
 
 
 def certify_schedule(schedule: Schedule,
@@ -226,39 +201,22 @@ def certify_schedule(schedule: Schedule,
     Returns ``None`` for schedules the certificate layer cannot prove
     periodic — aperiodic :class:`~repro.core.schedule.MappingSchedule`
     regions, tilings without ``coset_structure()``, and subclasses that
-    override ``neighborhood_of`` — callers then fall back to the full
-    window scan.
+    override ``neighborhood_of`` (their
+    :class:`~repro.core.schedule.Interference` model has no owner) —
+    callers then fall back to the full window scan.
     """
-    if not _uses_own_neighborhood(schedule):
+    model = Interference.of(getattr(schedule, "neighborhood_of", None),
+                            offsets)
+    if model.owner is not schedule:
         return None
     if isinstance(schedule, TilingSchedule):
         structure = schedule.tiling.coset_structure()
         if structure is None:
             return None
         period = structure[0]
-    elif isinstance(schedule, MultiTilingSchedule):
+    else:
         period = schedule.multi.coset_structure()[0]
-    else:
-        return None
-    return certify_periodic(schedule, period, schedule.neighborhood_of,
-                            offsets=offsets)
-
-
-def _schedule_offsets(schedule: Schedule) -> list[IntVec]:
-    """Global conflict offsets derivable from a schedule's structure."""
-    if isinstance(schedule, TilingSchedule):
-        tiles = [schedule.prototile]
-    elif isinstance(schedule, MultiTilingSchedule):
-        tiles = schedule.multi.prototiles
-    else:
-        tiles = None
-    if tiles is not None:
-        return list(_sorted_offsets(tuple(tile.cells for tile in tiles),
-                                    tiles[0].dimension))
-    raise ValueError(
-        f"cannot derive conflict offsets for "
-        f"{type(schedule).__name__}; pass offsets= explicitly to stream "
-        f"a box window")
+    return certify_periodic(schedule, period, model)
 
 
 class _SlabPlan:
@@ -310,33 +268,29 @@ class _SlabPlan:
                              last_row - first_row + 1)
 
 
-def _slab_plan(schedule: Schedule, neighborhood_of: NeighborhoodFn,
+def _slab_plan(schedule: Schedule, model: Interference,
                lo: IntVec, hi: IntVec,
                positive: tuple[IntVec, ...]) -> _SlabPlan | None:
     """The slab plan of a stream, or ``None`` when it does not apply.
 
     It applies to a schedule answering from a coset table, under an
-    interference map whose shape classes :func:`_known_shapes`
-    recognises, on a box inside the int64 reduction bound and with
-    offsets that fit the stencil scan.  Everything else streams slab by
-    slab through :func:`~repro.core.schedule.find_collisions`.
+    interference model that recognises its map's shape classes, on a
+    box inside the int64 reduction bound and with offsets and shapes
+    that fit the stencil scan.  Everything else streams slab by slab
+    through :func:`~repro.core.schedule.find_collisions`.
     """
     if not isinstance(schedule, (TilingSchedule, MultiTilingSchedule)):
         return None
     table = schedule._coset_table()
-    known = _known_shapes(neighborhood_of)
-    if table is None or known is None \
+    if table is None or model.shapes is None \
             or max(map(abs, lo + hi)) >= _MAX_COORD:
         return None
-    shapes, multi = known
-    if len(shapes) > _MAX_SHAPE_CLASSES:
-        return None
-    tables = _pair_tables(tuple(map(frozenset, shapes)), positive)
-    if tables.offset_array is None:
+    tables = _scan_tables(model.shapes, positive)
+    if tables is None or tables.offset_array is None:
         return None
     shape_source = None
-    if multi is not None:
-        shape_table, kinds = multi.prototile_key_table()
+    if model.cover is not None:
+        shape_table, kinds = model.cover.prototile_key_table()
         if shape_table.shares_reduction(table):
             shape_table = table
         shape_source = (shape_table, kinds)
@@ -389,20 +343,25 @@ def stream_box_collisions(schedule: Schedule,
         lo, hi: closed box corners (``lo <= hi`` per dimension).
         neighborhood_of: interference map (the schedule's own for
             Theorem 1/2 schedules).
-        offsets: conflict offsets valid over the whole box; derived
-            from the schedule's prototile structure when omitted
-            (schedules without one need them passed explicitly —
-            per-chunk shape derivation could miss cross-chunk offsets).
+        offsets: conflict offsets valid over the whole box; taken from
+            the interference model
+            (:class:`~repro.core.schedule.Interference`) when omitted.
+            A map the model does not recognise needs them passed
+            explicitly: the slab halo comes from the offsets, so they
+            must be known before the first slab.
         chunk_points: target points per slab (>= 1); the actual bound
             is one slab of rows plus the halo.
     """
     lo_vec, hi_vec = _validated_box(lo, hi)
     if chunk_points < 1:
         raise ValueError("chunk_points must be >= 1")
-    offset_list = (_schedule_offsets(schedule) if offsets is None
-                   else [as_intvec(d) for d in offsets])
-    zero = (0,) * len(lo_vec)
-    positive = tuple(d for d in offset_list if d > zero)
+    model = Interference.of(neighborhood_of, offsets)
+    if model.offsets is None:
+        raise ValueError(
+            f"cannot derive conflict offsets for the interference map "
+            f"{model.neighborhood_of!r}; pass offsets= explicitly to "
+            f"stream a box window")
+    positive = model.positive
     if not positive:
         return []
     halo = max(d[0] for d in positive)
@@ -411,7 +370,7 @@ def stream_box_collisions(schedule: Schedule,
     for low, high in zip(lo_vec[1:], hi_vec[1:]):
         slab *= high - low + 1
     rows_per_chunk = max(1, chunk_points // slab)
-    plan = _slab_plan(schedule, neighborhood_of, lo_vec, hi_vec, positive)
+    plan = _slab_plan(schedule, model, lo_vec, hi_vec, positive)
     collisions: list[Collision] = []
     for first_row in range(lo_vec[0], hi_vec[0] + 1, rows_per_chunk):
         last_row = min(first_row + rows_per_chunk - 1, hi_vec[0])
@@ -421,8 +380,7 @@ def stream_box_collisions(schedule: Schedule,
             continue
         chunk = PointBatch.box((first_row,) + lo_vec[1:],
                                (top_row,) + hi_vec[1:])
-        found = find_collisions(schedule, chunk, neighborhood_of,
-                                offsets=offset_list)
+        found = find_collisions(schedule, chunk, model)
         collisions.extend(pair for pair in found
                           if pair[0][0] <= last_row)
     return collisions

@@ -33,11 +33,11 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, itemgetter, sub
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.engine.collisions import (
-    _MAX_SHAPE_CLASSES,
     _differences,
     offset_neighbours,
     scan_collisions,
@@ -58,6 +58,7 @@ __all__ = [
     "TilingSchedule",
     "MultiTilingSchedule",
     "Collision",
+    "Interference",
     "ScheduleDelta",
     "VerificationCache",
     "RepairContext",
@@ -592,73 +593,113 @@ def _sorted_offsets(cell_sets: tuple[frozenset[IntVec], ...],
     return tuple(sorted(offsets))
 
 
-def _known_shapes(neighborhood_of: NeighborhoodFn,
-                  ) -> tuple[list[frozenset[IntVec]], MultiTiling | None] | None:
-    """The shape classes of a recognised interference map, else ``None``.
+class Interference(NamedTuple):
+    """A session's interference model, derived once from its map.
 
-    Returns ``(shapes, multi)``: a homogeneous map (a Theorem 1
-    schedule's own ``neighborhood_of``) has one shape and ``multi`` is
-    ``None``; a deployment-D1 map has one shape per prototile, and
-    ``multi`` is the :class:`~repro.tiling.multi.MultiTiling` whose
-    cover table tells which one a point carries.
+    Two sensors of a Theorem 1/2 schedule collide exactly when they
+    share a slot and ``y - x`` lies in ``N_k - N_l`` (arXiv:0806.1271),
+    so the model is the *shape classes* (neighbourhoods rebased to the
+    origin), how a point's class is found, and the conflict offsets.
+    Every verify lane, the repair closures, the session's network and
+    the wire read it; it is itself a ``NeighborhoodFn``.  The stock
+    ``neighborhood_of`` of a :class:`TilingSchedule` (one shape), a
+    :class:`MultiTilingSchedule` or a
+    :class:`~repro.tiling.multi.MultiTiling` (deployment D1: a class
+    per prototile, read from the cover table) is *recognised*; any
+    other map, an overriding method included, is classified per window
+    by rebasing each point's neighbourhood.
     """
-    owner = getattr(neighborhood_of, "__self__", None)
-    func = getattr(neighborhood_of, "__func__", None)
-    if (isinstance(owner, TilingSchedule)
-            and func is TilingSchedule.neighborhood_of):
-        return [owner.prototile.cells], None
-    if (isinstance(owner, MultiTilingSchedule)
-            and func is MultiTilingSchedule.neighborhood_of):
-        owner = owner.multi
-    elif not (isinstance(owner, MultiTiling)
-              and func is MultiTiling.neighborhood_of):
-        return None
-    return [tile.cells for tile in owner.prototiles], owner
 
+    neighborhood_of: NeighborhoodFn
+    #: The schedule or tiling of a recognised map, else ``None``.
+    owner: object | None
+    #: The shape classes of a recognised map, else ``None``.
+    shapes: tuple[frozenset[IntVec], ...] | None
+    #: The multi-tiling whose cover table classifies points (D1).
+    cover: MultiTiling | None
+    #: Explicit offsets exactly as passed, else those of ``shapes``
+    #: (:meth:`offsets_of`); ``None`` when they depend on the window.
+    offsets: Sequence[IntVec] | None
+    #: The positive half of ``offsets``, sorted and unique.
+    positive: tuple[IntVec, ...] | None
 
-def _origin_shapes(points, neighborhood_of: NeighborhoodFn,
-                   ) -> tuple[list[frozenset[IntVec]], np.ndarray]:
-    """Classify points by interference shape (neighborhood rebased to 0).
+    def __call__(self, point: Sequence[int]) -> frozenset[IntVec]:
+        return self.neighborhood_of(point)
 
-    Returns ``(shapes, shape_ids)``, the ids as an intp array.  Known
-    homogeneous / deployment-D1 neighborhood functions are recognized so
-    the classification itself is O(1) or one cover-table pass over the
-    batch array; arbitrary callables fall back to rebasing each point's
-    neighborhood.
-    """
-    batch = PointBatch.of(points)
-    known = _known_shapes(neighborhood_of)
-    if known is not None:
-        shapes, multi = known
-        if multi is None:
-            return shapes, np.zeros(len(batch), dtype=np.intp)
-        return shapes, multi.prototile_index_array(batch)
-    shapes = []
-    shape_ids = []
-    index: dict[frozenset[IntVec], int] = {}
-    for point in batch.points:
-        shape = frozenset(vsub(cell, point)
-                          for cell in neighborhood_of(point))
-        shape_id = index.get(shape)
-        if shape_id is None:
-            shape_id = len(shapes)
-            index[shape] = shape_id
-            shapes.append(shape)
-        shape_ids.append(shape_id)
-    return shapes, np.asarray(shape_ids, dtype=np.intp)
+    @classmethod
+    def of(cls, neighborhood_of: NeighborhoodFn,
+           offsets: Iterable[IntVec] | None = None) -> Interference:
+        """The model of a map, with explicit ``offsets`` if given; a
+        model comes back unchanged unless the offsets differ."""
+        model = neighborhood_of
+        if not isinstance(model, Interference):
+            owner = getattr(neighborhood_of, "__self__", None)
+            method = getattr(neighborhood_of, "__func__", None)
+            shapes = cover = None
+            if isinstance(owner, TilingSchedule) \
+                    and method is TilingSchedule.neighborhood_of:
+                shapes = (owner.prototile.cells,)
+            elif isinstance(owner, MultiTilingSchedule) \
+                    and method is MultiTilingSchedule.neighborhood_of:
+                cover = owner.multi
+            elif isinstance(owner, MultiTiling) \
+                    and method is MultiTiling.neighborhood_of:
+                cover = owner
+            else:
+                owner = None
+            if cover is not None:
+                shapes = tuple(tile.cells for tile in cover.prototiles)
+            derived = (None, None) if shapes is None else cls.offsets_of(
+                shapes, len(next(iter(shapes[0]))))
+            model = cls(neighborhood_of, owner, shapes, cover, *derived)
+        if offsets is None or offsets is model.offsets:
+            return model
+        offsets = list(offsets)
+        positive = {delta for delta in map(as_intvec, offsets)
+                    if delta > (0,) * len(delta)}
+        return model._replace(offsets=offsets,
+                              positive=tuple(sorted(positive)))
 
+    @staticmethod
+    @lru_cache(maxsize=64)
+    def offsets_of(shapes: tuple[frozenset[IntVec], ...], dimension: int,
+                   ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+        """``(offsets, positive)`` of some shape classes: the nonzero
+        differences ``S_a - S_b``, each shape taken with the origin."""
+        origin = (0,) * dimension
+        unique = {frozenset(shape | {origin}) for shape in shapes}
+        offsets = _sorted_offsets(tuple(sorted(unique, key=sorted)),
+                                  dimension)
+        return offsets, offsets[bisect_right(offsets, origin):]
 
-@lru_cache(maxsize=64)
-def _default_offsets(shapes: tuple[frozenset[IntVec], ...],
-                     dimension: int) -> tuple[IntVec, ...]:
-    """Candidate offsets from the deduplicated window shapes.
+    def classify(self, points,
+                 ) -> tuple[Sequence[frozenset[IntVec]], np.ndarray]:
+        """``(shapes, shape_ids)`` of a window, the ids an intp array;
+        an unrecognised map lists the window's classes as first seen."""
+        batch = PointBatch.of(points)
+        if self.cover is not None:
+            return self.shapes, self.cover.prototile_index_array(batch)
+        if self.shapes is not None:
+            return self.shapes, np.zeros(len(batch), dtype=np.intp)
+        shapes: list[frozenset[IntVec]] = []
+        shape_ids = []
+        index: dict[frozenset[IntVec], int] = {}
+        for point in batch.points:
+            shape = frozenset(vsub(cell, point)
+                              for cell in self.neighborhood_of(point))
+            shape_id = index.setdefault(shape, len(shapes))
+            if shape_id == len(shapes):
+                shapes.append(shape)
+            shape_ids.append(shape_id)
+        return shapes, np.asarray(shape_ids, dtype=np.intp)
 
-    A homogeneous window has one shape, a D1 deployment a few; the
-    offsets of a shape tuple are built once.
-    """
-    origin = (0,) * dimension
-    unique = {frozenset(shape | {origin}) for shape in shapes}
-    return _sorted_offsets(tuple(sorted(unique, key=sorted)), dimension)
+    def window_offsets(self, shapes: Sequence[frozenset[IntVec]],
+                       dimension: int,
+                       ) -> tuple[Sequence[IntVec], tuple[IntVec, ...]]:
+        """``(offsets, positive)`` over a window of these classes."""
+        if self.offsets is not None:
+            return self.offsets, self.positive
+        return self.offsets_of(tuple(shapes), dimension)
 
 
 def _bulk_slots(schedule: Schedule, points) -> np.ndarray:
@@ -689,26 +730,6 @@ def _slot_list(schedule: Schedule, points: list[IntVec]) -> list[int]:
     if isinstance(schedule, MappingSchedule) and schedule._grid is not None:
         return schedule.slots_of(points)
     return _bulk_slots(schedule, points).tolist()
-
-
-def _scan_window(batch: PointBatch,
-                 slots: np.ndarray,
-                 shapes: list[frozenset[IntVec]],
-                 shape_ids: np.ndarray,
-                 offset_list: list[IntVec]) -> list[Collision]:
-    """Full-window scan shared by find_collisions and the cache."""
-    if len(shapes) <= _MAX_SHAPE_CLASSES:
-        return scan_collisions(batch, slots, shape_ids, shapes,
-                               offset_list)
-    # Degenerate windows with very many distinct shapes skip the
-    # |shapes|^2 pair tables: every pair has its left end in the window,
-    # so the dirty-region rescan with every point touched is the full
-    # scan (duplicate points included), its difference sets built per
-    # shape pair on demand.
-    points = batch.points
-    return scan_collisions_touching(
-        points, np.asarray(slots).tolist(), np.asarray(shape_ids).tolist(),
-        shapes, offset_list, points)
 
 
 def find_collisions(schedule: Schedule,
@@ -743,12 +764,11 @@ def find_collisions(schedule: Schedule,
     batch = PointBatch.of(points)
     if not len(batch):
         return []
-    offset_list = None if offsets is None else list(offsets)
-    shapes, shape_ids = _origin_shapes(batch, neighborhood_of)
-    if offset_list is None:
-        offset_list = _default_offsets(tuple(shapes), batch.dimension)
-    slots = _bulk_slots(schedule, batch)
-    return _scan_window(batch, slots, shapes, shape_ids, offset_list)
+    model = Interference.of(neighborhood_of, offsets)
+    shapes, shape_ids = model.classify(batch)
+    offset_list, _ = model.window_offsets(shapes, batch.dimension)
+    return scan_collisions(batch, _bulk_slots(schedule, batch), shape_ids,
+                           shapes, offset_list)
 
 
 def verify_collision_free(schedule: Schedule,
@@ -790,16 +810,11 @@ class VerificationCache:
         require(len(batch) > 0,
                 "a verification cache needs a nonempty window")
         self._batch = batch
-        self._shapes, shape_ids = _origin_shapes(batch, neighborhood_of)
+        model = Interference.of(neighborhood_of, offsets)
+        self._shapes, shape_ids = model.classify(batch)
         self._shape_ids = shape_ids.tolist()
-        if offsets is None:
-            self._offsets = _default_offsets(tuple(self._shapes),
-                                             batch.dimension)
-        else:
-            self._offsets = list(offsets)
-        zero = (0,) * batch.dimension
-        self._positive = sorted({delta for delta in self._offsets
-                                 if delta > zero})
+        self._offsets, self._positive = model.window_offsets(
+            self._shapes, batch.dimension)
         self._grid: BoxEncoder | None = None
         self._index_of: dict[IntVec, int] = {}
         self._occurrences: dict[IntVec, list[int]] = {}
@@ -846,8 +861,8 @@ class VerificationCache:
         """
         if self._collisions is None:
             slots = _bulk_slots(self._schedule, self._batch)
-            self._collisions = _scan_window(
-                self._batch, slots, self._shapes, self._shape_ids,
+            self._collisions = scan_collisions(
+                self._batch, slots, self._shape_ids, self._shapes,
                 self._offsets)
             self._slots = slots.tolist()
         return list(self._collisions)
@@ -961,10 +976,8 @@ class RepairContext:
     def __init__(self, cache: VerificationCache) -> None:
         self.updates: dict[IntVec, int] = {}
         self._cache = cache
-        dimension = cache._batch.dimension
-        zero = (0,) * dimension
-        self._positive = tuple(delta for delta in _default_offsets(
-            tuple(cache._shapes), dimension) if delta > zero)
+        _, self._positive = Interference.offsets_of(
+            tuple(cache._shapes), cache._batch.dimension)
         self._differences = _differences(cache._shapes, self._positive)
         self._index = (cache._grid if cache._grid is not None
                        else (cache._index_of, cache._occurrences))

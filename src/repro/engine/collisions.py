@@ -24,9 +24,12 @@ paths; no option does:
 * **sorted keys** — any other batch with int64 coordinates: one
   ``searchsorted`` membership pass per offset over padded
   :class:`~repro.engine.encode.BoxEncoder` keys.
-* **exact** — one dict probe per (point, offset) for the windows the
+* **exact** — :func:`scan_collisions_touching` with every point
+  touched: one dict probe per (point, offset), for the windows the
   int64 kernels cannot represent (coordinates or a padded bounding box
-  too large for int64 keys) and for calls degraded by a kernel failure.
+  too large for int64 keys), for windows of more than
+  ``_MAX_SHAPE_CLASSES`` shapes, and for calls degraded by a kernel
+  failure.
 
 Two scaling layers sit on top of the serial scan:
 
@@ -61,7 +64,7 @@ from repro.engine.encode import (
 )
 from repro.engine.parallel import plan_shards, run_sharded, shard_workers
 from repro.faults.injection import consume_numpy_failure
-from repro.utils.vectors import IntVec, vadd, vsub
+from repro.utils.vectors import IntVec, vsub
 
 __all__ = ["EngineDegradedWarning", "StencilPlan", "offset_neighbours",
            "scan_box_plan", "scan_collisions", "scan_collisions_touching",
@@ -87,9 +90,9 @@ class EngineDegradedWarning(RuntimeWarning):
         self.reason = reason
 
 #: Beyond this many distinct interference shapes the full pair tables
-#: (``|shapes|**2`` difference sets) stop paying off: full scans keep
-#: a per-pair test (``core.schedule._scan_window``) and dirty-region
-#: rescans build difference sets per pair, on demand.
+#: (``|shapes|**2`` difference sets) stop paying off: full scans take
+#: the exact path and every scan builds difference sets per pair, on
+#: demand (see :func:`_scan_tables` and :func:`_differences`).
 _MAX_SHAPE_CLASSES = 32
 
 #: (points x offsets) probes below which a sorted-key scan stays serial
@@ -112,6 +115,8 @@ _PASS_BLOCK = 1 << 16
 class _PairTables(NamedTuple):
     """The geometric test of one ``(shapes, offsets)`` pair."""
 
+    #: The shape classes the tables were built from.
+    shapes: tuple[frozenset[IntVec], ...]
     #: ``differences[a][b]`` is the difference set ``S_a - S_b``.
     differences: list[list[frozenset[IntVec]]]
     #: ``allowed[a, b, j]``: offset ``j`` lies in ``S_a - S_b``.
@@ -146,8 +151,17 @@ def _pair_tables(shapes: tuple[frozenset[IntVec], ...],
     for array in (allowed, offset_array, some_pair, every_pair):
         if array is not None:
             array.setflags(write=False)
-    return _PairTables(differences, allowed, offset_array, some_pair,
-                       every_pair, {})
+    return _PairTables(shapes, differences, allowed, offset_array,
+                       some_pair, every_pair, {})
+
+
+def _scan_tables(shapes: Sequence[frozenset[IntVec]],
+                 positive: tuple[IntVec, ...]) -> _PairTables | None:
+    """The pair tables of a bulk scan, or ``None`` for a window of more
+    than ``_MAX_SHAPE_CLASSES`` shapes (those take the exact path)."""
+    if len(shapes) > _MAX_SHAPE_CLASSES:
+        return None
+    return _pair_tables(tuple(map(frozenset, shapes)), positive)
 
 
 def scan_collisions(points: Sequence[IntVec] | PointBatch,
@@ -176,18 +190,22 @@ def scan_collisions(points: Sequence[IntVec] | PointBatch,
     positive = tuple(delta for delta in offsets if delta > zero)
     if not positive:
         return []
-    tables = _pair_tables(tuple(map(frozenset, shapes)), positive)
+    tables = _scan_tables(shapes, positive)
     collisions = None
-    try:
-        consume_numpy_failure()
-        scan = _scan_dense if batch.dense else _scan_sorted
-        collisions = scan(batch, slots, shape_ids, tables, positive)
-    except Exception as error:
-        _warn_degraded(error)
+    if tables is not None:
+        try:
+            consume_numpy_failure()
+            scan = _scan_dense if batch.dense else _scan_sorted
+            collisions = scan(batch, slots, shape_ids, tables, positive)
+        except Exception as error:
+            _warn_degraded(error)
     if collisions is None:
-        collisions = _scan_exact(batch.points, np.asarray(slots).tolist(),
-                                 np.asarray(shape_ids).tolist(),
-                                 tables.differences, positive)
+        # Every pair has its left end in the window: the dirty-region
+        # rescan with every point touched is the full scan.
+        points = batch.points
+        return scan_collisions_touching(
+            points, np.asarray(slots).tolist(),
+            np.asarray(shape_ids).tolist(), shapes, positive, points)
     collisions.sort()
     return collisions
 
@@ -200,23 +218,6 @@ def _warn_degraded(error: Exception) -> None:
             f"exact scan",
             kernel="scan_collisions", reason=str(error)),
         stacklevel=3)
-
-
-def _scan_exact(points, slots, shape_ids, differences, offsets):
-    """One dict probe per (point, offset): exact for any integer size."""
-    index_of: dict[IntVec, int] = {}
-    for i, point in enumerate(points):
-        index_of.setdefault(point, i)
-    collisions: list[Collision] = []
-    for x, slot, shape in zip(points, slots, shape_ids):
-        row = differences[shape]
-        for delta in offsets:
-            j = index_of.get(vadd(x, delta))
-            if j is None or slots[j] != slot:
-                continue
-            if delta in row[shape_ids[j]]:
-                collisions.append((x, points[j]))
-    return collisions
 
 
 # -- the stencil scan --------------------------------------------------
@@ -401,21 +402,6 @@ class StencilPlan:
                                   map(tuple, ys.tolist())))
         return collisions
 
-    def exact_pairs(self, lo: Sequence[int], offsets: Sequence[IntVec],
-                    rows: int | None = None) -> list[Collision]:
-        """:meth:`pairs` by the exact scan, from the same filled grids."""
-        hi = tuple(low + n - 1 for low, n in zip(lo, self.dims))
-        slots = self.slots.ravel().tolist()
-        shape_ids = (self.shapes.ravel().tolist() if self.shapes is not None
-                     else [0] * len(slots))
-        collisions = _scan_exact(PointBatch.box(lo, hi).points, slots,
-                                 shape_ids, self._tables.differences,
-                                 offsets)
-        if rows is None:
-            return collisions
-        end = lo[0] + rows
-        return [pair for pair in collisions if pair[0][0] < end]
-
 
 def scan_box_plan(plan: StencilPlan, lo: Sequence[int],
                   offsets: Sequence[IntVec],
@@ -424,20 +410,31 @@ def scan_box_plan(plan: StencilPlan, lo: Sequence[int],
 
     The box-shaped counterpart of :func:`scan_collisions`, with the
     same fault seam: a numpy failure degrades this one call to the
-    exact scan with an :class:`EngineDegradedWarning`.  ``offsets`` are
-    the positive offsets the plan's tables were built from; ``rows``
-    keeps the pairs whose ``x`` lies in the first axis-0 rows.
+    exact scan (:func:`scan_collisions_touching` over the filled grids,
+    every point touched) with an :class:`EngineDegradedWarning`.
+    ``offsets`` are the positive offsets the plan's tables were built
+    from; ``rows`` keeps the pairs whose ``x`` lies in the first axis-0
+    rows.
     """
-    collisions = None
     try:
         consume_numpy_failure()
         collisions = plan.pairs(lo, rows)
     except Exception as error:
         _warn_degraded(error)
-    if collisions is None:
-        collisions = plan.exact_pairs(lo, offsets, rows)
-    collisions.sort()
-    return collisions
+    else:
+        collisions.sort()
+        return collisions
+    hi = tuple(low + n - 1 for low, n in zip(lo, plan.dims))
+    points = PointBatch.box(lo, hi).points
+    slots = plan.slots.ravel().tolist()
+    shape_ids = (plan.shapes.ravel().tolist() if plan.shapes is not None
+                 else [0] * len(slots))
+    collisions = scan_collisions_touching(
+        points, slots, shape_ids, plan._tables.shapes, offsets, points)
+    if rows is None:
+        return collisions
+    end = lo[0] + rows
+    return [pair for pair in collisions if pair[0][0] < end]
 
 
 def _scan_dense(batch, slots, shape_ids, tables, offsets):
@@ -680,9 +677,9 @@ def _grid_steps(strides: tuple[int, ...], positive: tuple[IntVec, ...],
 def _differences(shapes: Sequence[frozenset[IntVec]],
                  positive: tuple[IntVec, ...]):
     """``differences(a, b)``: the difference set ``S_a - S_b``."""
-    if len(shapes) <= _MAX_SHAPE_CLASSES:
-        rows = _pair_tables(tuple(map(frozenset, shapes)),
-                            positive).differences
+    tables = _scan_tables(shapes, positive)
+    if tables is not None:
+        rows = tables.differences
         return lambda a, b: rows[a][b]
     built: dict[tuple[int, int], frozenset[IntVec]] = {}
 

@@ -32,6 +32,7 @@ import json
 from typing import Any, BinaryIO
 
 from repro.api import Box, Session, SlotAssignment, VerificationReport
+from repro.core.schedule import Schedule
 from repro.core.serialize import (
     CorruptSessionError,
     session_wire_from_json,
@@ -266,31 +267,33 @@ def encode_session(session: Session, session_id: str) -> str:
 
     Ships everything a remote process can reconstruct the session from
     as *data*: schedule, explicit window, engine config, explicit
-    interference offsets, and — when the interference model is another
-    schedule's bound ``neighborhood_of`` (the restrict path) — that
+    interference offsets, and — when the session's
+    :class:`~repro.core.schedule.Interference` model recognises another
+    schedule's stock ``neighborhood_of`` (the restrict path) — that
     owner schedule's canonical description, rebound on arrival.
 
     Raises:
-        TypeError: when the interference model is an arbitrary Python
-            function; functions cannot cross the wire — verify with
+        TypeError: when the model does not recognise the interference
+            map (an arbitrary function, or a method overriding the
+            stock one); functions cannot cross the wire — verify with
             explicit ``offsets`` instead, or keep such sessions local.
     """
     window = session._window if session._window_explicit else None
     config = (None if session._config is None
               else session._config.to_dict())
-    neighborhood = session._neighborhood_of
-    owner = getattr(neighborhood, "__self__", None)
-    if neighborhood is None or owner is session.schedule:
+    model = session._neighborhood_of
+    if model is None or model.owner is session.schedule:
         # None, or the schedule's own method: the reconstruction
         # rebinds it for free.
         neighborhood_schedule = None
-    elif owner is not None and hasattr(owner, "slot_of"):
-        neighborhood_schedule = owner  # serialized by the envelope
+    elif isinstance(model.owner, Schedule):
+        neighborhood_schedule = model.owner  # serialized by the envelope
     else:
         raise TypeError(
             f"session {session_id!r} carries a custom interference "
-            f"function ({neighborhood!r}); functions cannot cross the "
-            f"wire — pass explicit offsets, or keep the session local")
+            f"function ({model.neighborhood_of!r}); functions cannot "
+            f"cross the wire — pass explicit offsets, or keep the session "
+            f"local")
     return session_wire_to_json(
         session.schedule, session_id=session_id, window=window,
         config=config, offsets=session._offsets,

@@ -20,9 +20,11 @@ def scan_lane(request, monkeypatch):
       the rest;
     * ``sorted`` — the sorted-key scan for every window, dense or not;
     * ``exact`` — arms a numpy-failure budget no test exhausts, so every
-      :func:`scan_collisions` call degrades and is answered by
-      ``_scan_exact`` — the path that serves windows beyond int64 keys
-      and calls degraded by a kernel failure.
+      :func:`scan_collisions` call degrades with an
+      :class:`EngineDegradedWarning` and is answered by the exact scan
+      (:func:`scan_collisions_touching` with every point touched) — the
+      path that serves windows beyond int64 keys and calls degraded by a
+      kernel failure.
 
     A test taking this fixture must hold on every lane; on the
     ``sorted`` and ``exact`` lanes the fixture also checks that the
@@ -44,18 +46,13 @@ def scan_lane(request, monkeypatch):
         yield request.param
         assert calls, "no collision scan ran on the sorted lane"
         return
-    exact = collisions_module._scan_exact
-
-    def counted(*args):
-        calls.append(len(args[0]))
-        return exact(*args)
-
-    monkeypatch.setattr(collisions_module, "_scan_exact", counted)
     with use_plan(FaultPlan(numpy_failures=1 << 30)), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", EngineDegradedWarning)
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", EngineDegradedWarning)
         yield request.param
-    assert calls, "no collision scan ran on the exact lane"
+    assert any(isinstance(warning.message, EngineDegradedWarning)
+               for warning in caught), \
+        "no collision scan degraded on the exact lane"
 
 
 @pytest.fixture(params=["int64", "exact"])

@@ -18,12 +18,7 @@ from hypothesis import strategies as st
 
 from repro.api import Box, Session
 from repro.core.certify import certify_periodic, certify_schedule
-from repro.core.schedule import (
-    _bulk_slots,
-    _default_offsets,
-    _origin_shapes,
-    find_collisions,
-)
+from repro.core.schedule import Interference, _bulk_slots, find_collisions
 from repro.core.theorem1 import schedule_from_prototile, schedule_from_tiling
 from repro.engine.encode import PointBatch
 from repro.lattice.sublattice import diagonal_sublattice
@@ -137,15 +132,16 @@ def scalar_certify(schedule, period, neighborhood_of, offsets=None):
     representatives = sorted(period.coset_representatives())
     dimension = period.dimension
     zero = (0,) * dimension
+    model = Interference.of(neighborhood_of)
     if offsets is None:
-        shapes, _ = _origin_shapes(representatives, neighborhood_of)
-        offset_list = _default_offsets(tuple(shapes), dimension)
+        shapes, _ = model.classify(representatives)
+        offset_list, _ = Interference.offsets_of(tuple(shapes), dimension)
     else:
         offset_list = [as_intvec(d) for d in offsets]
     positive = sorted(d for d in set(offset_list) if d > zero)
     probes = [vadd(r, d) for r in representatives for d in positive]
     domain = PointBatch.of(representatives + probes)
-    shapes, shape_ids = _origin_shapes(domain, neighborhood_of)
+    shapes, shape_ids = model.classify(domain)
     shape_ids = shape_ids.tolist()
     slots = _bulk_slots(schedule, domain).tolist()
     colliding = []

@@ -106,12 +106,13 @@ class TestExactCollisionScan:
         offsets = sorted({tuple(a - b for a, b in zip(p, q))
                           for p in shape for q in shape} - {(0, 0, 0)})
         assert not BoxEncoder(points, pad=(2, 2, 2)).fits_int64
-        exact = _spy(monkeypatch, collisions_module, "_scan_exact")
+        exact = _spy(monkeypatch, collisions_module,
+                     "scan_collisions_touching")
 
         got = scan_collisions(points, [slot[p] for p in points],
                               [0] * len(points), [shape], offsets)
 
-        assert exact == ["_scan_exact"]
+        assert exact == ["scan_collisions_touching"]
         want = reference_collisions(points, slot.__getitem__, tile.translate)
         assert got == want
         # planted collisions in both clusters
@@ -126,11 +127,12 @@ class TestExactCollisionScan:
         points = list(box_points(lo, hi))
         rng = random.Random(9)
         schedule = MappingSchedule({p: rng.randrange(3) for p in points})
-        exact = _spy(monkeypatch, collisions_module, "_scan_exact")
+        exact = _spy(monkeypatch, collisions_module,
+                     "scan_collisions_touching")
 
         got = find_collisions(schedule, Box(lo, hi).batch(), tile.translate)
 
-        assert exact == ["_scan_exact"]
+        assert exact == ["scan_collisions_touching"]
         want = reference_collisions(points, schedule.slot_of, tile.translate)
         assert want and got == want
 

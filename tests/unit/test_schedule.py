@@ -170,32 +170,34 @@ class TestManyShapeClassesFallback:
         return points, neighborhood
 
     def test_window_exceeds_shape_class_bound(self):
-        import repro.core.schedule as schedule_module
+        import repro.engine.collisions as collisions_module
+        from repro.core.schedule import Interference
 
         points, neighborhood = self._degenerate_window()
-        shapes, _ = schedule_module._origin_shapes(points, neighborhood)
-        assert len(shapes) == len(points) > schedule_module._MAX_SHAPE_CLASSES
+        shapes, _ = Interference.of(neighborhood).classify(points)
+        assert len(shapes) == len(points) \
+            > collisions_module._MAX_SHAPE_CLASSES
 
     def test_fallback_matches_bulk_engine_path(self, monkeypatch, scan_lane):
-        import repro.core.schedule as schedule_module
+        import repro.engine.collisions as collisions_module
 
         points, neighborhood = self._degenerate_window()
         schedule = MappingSchedule({p: p[0] % 2 if p[0] < 20 else 0
                                     for p in points})
         fallback = find_collisions(schedule, points, neighborhood)
-        monkeypatch.setattr(schedule_module, "_MAX_SHAPE_CLASSES", 10_000)
+        monkeypatch.setattr(collisions_module, "_MAX_SHAPE_CLASSES", 10_000)
         bulk = find_collisions(schedule, points, neighborhood)
         assert fallback == bulk
         assert fallback  # the all-slot-0 half must produce collisions
 
     def test_fallback_respects_explicit_offsets(self, monkeypatch):
-        import repro.core.schedule as schedule_module
+        import repro.engine.collisions as collisions_module
 
         points, neighborhood = self._degenerate_window()
         schedule = MappingSchedule({p: 0 for p in points})
         offsets = [(1, 0), (-1, 0)]
         fallback = find_collisions(schedule, points, neighborhood, offsets)
-        monkeypatch.setattr(schedule_module, "_MAX_SHAPE_CLASSES", 10_000)
+        monkeypatch.setattr(collisions_module, "_MAX_SHAPE_CLASSES", 10_000)
         bulk = find_collisions(schedule, points, neighborhood, offsets)
         assert fallback == bulk
         assert fallback == [((i, 0), (i + 1, 0)) for i in range(39)]

@@ -301,7 +301,7 @@ class TestDegenerateScanParity:
     """The many-shape fallback must mirror the bulk path exactly."""
 
     def test_duplicate_points_match_bulk_path(self, monkeypatch, scan_lane):
-        import repro.core.schedule as schedule_module
+        import repro.engine.collisions as collisions_module
         points, schedule = _tiled_mapping(5)
         # duplicated points, plus a forced collision to make the lists
         # non-trivial
@@ -309,20 +309,20 @@ class TestDegenerateScanParity:
         edited = schedule.with_updates(
             {(1, 1): schedule.slot_of((1, 2))}).schedule
         bulk = find_collisions(edited, window, _neighborhood)
-        monkeypatch.setattr(schedule_module, "_MAX_SHAPE_CLASSES", -1)
+        monkeypatch.setattr(collisions_module, "_MAX_SHAPE_CLASSES", -1)
         degenerate = find_collisions(edited, window, _neighborhood)
         assert degenerate == bulk
         assert bulk  # the differential saw real collisions
 
     def test_cache_takes_the_many_shape_path(self, monkeypatch):
         # The cache hands the scan its shape ids as a list, not an array.
-        import repro.core.schedule as schedule_module
+        import repro.engine.collisions as collisions_module
         points, schedule = _tiled_mapping(5)
         window = points + points[:4]
         edited = schedule.with_updates(
             {(1, 1): schedule.slot_of((1, 2))}).schedule
         bulk = find_collisions(edited, window, _neighborhood)
-        monkeypatch.setattr(schedule_module, "_MAX_SHAPE_CLASSES", -1)
+        monkeypatch.setattr(collisions_module, "_MAX_SHAPE_CLASSES", -1)
         cache = VerificationCache(edited, window, _neighborhood)
         assert cache.collisions() == bulk
         assert bulk
