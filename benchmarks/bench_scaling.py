@@ -25,7 +25,7 @@ from repro.lattice.region import box_region
 from repro.tiles import exactness
 from repro.tiles.shapes import chebyshev_ball
 from repro.tiling.lattice_tiling import LatticeTiling
-from repro.utils.vectors import box_points
+from repro.utils.vectors import as_intvec, box_points
 from tests.properties.test_certify_props import scalar_certify
 from tests.properties.test_exactness_props import scalar_first_tiling
 from tests.properties.test_repair_props import (
@@ -683,3 +683,42 @@ def test_facade_overhead(report, record_scaling, paired_overhead):
            f"({verify_overhead:+.1%})")
     assert assign_overhead < 0.05
     assert verify_overhead < 0.05
+
+
+#: 158 x 158 = 24964 tuple points: one ``Session.assign`` round of the
+#: window benchmark.
+_INTAKE_SIDE = 158
+#: Timed pairs of the intake estimate (``paired_overhead``).
+_INTAKE_PAIRS = 21
+
+
+def test_point_intake(report, record_scaling, paired_overhead):
+    """``PointBatch.of`` of a tuple grid against the per-point reference.
+
+    The batch converts the grid in one typed fill; the reference,
+    ``np.array([as_intvec(p) for p in points])``, reads each point
+    through the coordinate rule.  Both run with the garbage collector
+    on, over a heap of live tuples, so an intake that allocates an
+    object per point pays for it here.  The coordinates must agree; the
+    gate is the median ratio of ABBA-ordered pairs.
+    """
+    import numpy as np
+
+    points = [(x, y) for x in range(_INTAKE_SIDE)
+              for y in range(_INTAKE_SIDE)]
+
+    def reference():
+        return np.array([as_intvec(point) for point in points])
+
+    assert PointBatch.of(points).array.tolist() == reference().tolist()
+    overhead, batch_s, reference_s = paired_overhead(
+        lambda: PointBatch.of(points), reference, pairs=_INTAKE_PAIRS)
+    speedup = 1.0 + overhead
+    record_scaling("intake/tuples", seconds=batch_s, speedup=speedup,
+                   reference_seconds=round(reference_s, 6),
+                   pairs=_INTAKE_PAIRS, sensors=len(points))
+    report("Engine — point intake",
+           f"{len(points)} tuple points: per-point reference "
+           f"{reference_s * 1e3:.2f} ms, PointBatch.of "
+           f"{batch_s * 1e3:.2f} ms ({speedup:.1f}x)")
+    assert speedup >= 2

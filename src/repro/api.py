@@ -217,7 +217,9 @@ class SlotAssignment:
 
     ``points`` and ``slots`` are aligned; both are stored as handed back
     by the engine (no copies on the hot path) and must be treated as
-    immutable.
+    immutable.  ``points`` is the collection the caller passed, or a
+    :class:`~repro.engine.encode.PointBatch` (an assign decoded from the
+    wire, or an unsized iterable); either iterates as integer tuples.
 
     Attributes:
         points: the queried sensors, in request order.

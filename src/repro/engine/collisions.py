@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from functools import lru_cache
 from operator import add, mul, sub
 from typing import NamedTuple
@@ -187,7 +187,7 @@ def scan_collisions(points: Sequence[IntVec] | PointBatch,
     if not len(batch) or not offsets:
         return []
     zero = (0,) * batch.dimension
-    positive = tuple(delta for delta in offsets if delta > zero)
+    positive = _positive_half(offsets, zero)
     if not positive:
         return []
     tables = _scan_tables(shapes, positive)
@@ -208,6 +208,14 @@ def scan_collisions(points: Sequence[IntVec] | PointBatch,
             np.asarray(shape_ids).tolist(), shapes, positive, points)
     collisions.sort()
     return collisions
+
+
+def _positive_half(offsets: Iterable[IntVec],
+                   zero: IntVec) -> tuple[IntVec, ...]:
+    """The lexicographically positive offsets, each once, in order: a
+    repeated offset would probe, and report, every pair it finds
+    twice."""
+    return tuple(dict.fromkeys(delta for delta in offsets if delta > zero))
 
 
 def _warn_degraded(error: Exception) -> None:
@@ -550,7 +558,7 @@ def scan_collisions_touching(points: Sequence[IntVec],
         return []
     dimension = len(points[0])
     zero = (0,) * dimension
-    positive = tuple(delta for delta in offsets if delta > zero)
+    positive = _positive_half(offsets, zero)
     if not positive:
         return []
     if index_of is None or occurrences is None:
@@ -603,7 +611,7 @@ def scan_grid_touching(box: BoxEncoder,
     end: no point list and no index dict.
     """
     zero = (0,) * box.dimension
-    positive = tuple(delta for delta in offsets if delta > zero)
+    positive = _positive_half(offsets, zero)
     if not positive or not touched:
         return []
     differences = _differences(shapes, positive)

@@ -21,9 +21,11 @@ Two properties make this the engine's workhorse:
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+import struct
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -112,6 +114,12 @@ class PointBatch:
         :func:`~repro.utils.vectors.as_intvec`: ints, numpy integers
         and integral floats are accepted exactly.
 
+        Points of plain ints take one typed fill (:func:`_typed_fill`,
+        which also reads a 0-d integer array through ``__index__``);
+        whatever that fill refuses goes point by point through
+        ``as_intvec``, which converts what its rule accepts and words
+        the refusal of the rest.
+
         Raises:
             TypeError: for a boolean, non-integral or non-numeric
                 coordinate.
@@ -125,35 +133,38 @@ class PointBatch:
             else list(points)
         if not items:
             return cls(np.empty((0, 0), dtype=np.int64), [])
-        tuples = None
-        try:
-            lengths = set(map(len, items))
-        except TypeError:
-            lengths = None
-        flat = None
-        if lengths is not None and len(lengths) == 1:
-            flat = list(chain.from_iterable(items))
-            if not set(map(type, flat)) <= {int}:
-                flat = None
-        if flat is None:
-            # Anything but plain int coordinates goes point by point
-            # through as_intvec, which converts what its rule accepts and
-            # raises TypeError on the rest (a bare array conversion would
-            # truncate 1.5 to 1 and parse "1" as 1).
-            tuples = [as_intvec(p) for p in items]
-            lengths = set(map(len, tuples))
-            flat = list(chain.from_iterable(tuples))
+        array = _typed_fill(items)
+        if array is not None:
+            return cls(array)
+        # A bare array conversion would truncate 1.5 to 1 and parse "1"
+        # as 1: the refused points go through as_intvec one by one.
+        tuples = [as_intvec(p) for p in items]
+        lengths = set(map(len, tuples))
         if len(lengths) != 1:
             raise ValueError("points have mismatched dimensions")
         if 0 in lengths:
             raise ValueError("points need at least one coordinate")
+        flat = list(chain.from_iterable(tuples))
         try:
             array = np.fromiter(flat, dtype=np.int64, count=len(flat))
         except OverflowError:
-            if tuples is None:
-                tuples = [tuple(p) for p in items]
             return cls(None, tuples, dense=False)
-        return cls(array.reshape(len(items), -1), tuples)
+        return cls(array.reshape(len(tuples), -1), tuples)
+
+    @classmethod
+    def concat(cls, batches: Sequence[PointBatch]) -> PointBatch:
+        """Every point of ``batches``, in order, as one batch.
+
+        The arrays are joined as they are; batches without one (beyond
+        int64) or of differing dimensions go through :meth:`of`.
+        """
+        arrays = [batch.array for batch in batches if len(batch)]
+        if not arrays:
+            return cls.of([])
+        if all(array is not None and array.shape[1] == arrays[0].shape[1]
+               for array in arrays):
+            return cls(np.concatenate(arrays))
+        return cls.of([point for batch in batches for point in batch])
 
     @classmethod
     def _of_array(cls, array: np.ndarray) -> PointBatch:
@@ -284,6 +295,55 @@ class PointBatch:
 
     def __repr__(self) -> str:
         return f"PointBatch(n={len(self)}, lo={self.lo}, hi={self.hi})"
+
+
+#: Up to this many coordinates, the boolean check of :func:`_typed_fill`
+#: reads every coordinate's type; above it, only those that hold 0 or 1
+#: (numpy's fixed cost per call outweighs a short scan).
+_TYPE_SCAN_LIMIT = 16
+
+
+@functools.cache
+def _packer(dimension: int) -> Callable[..., bytes]:
+    """Pack one point of ``dimension`` coordinates as native int64s."""
+    return struct.Struct(f"{dimension}q").pack
+
+
+def _typed_fill(items: Sequence[Sequence[int]]) -> np.ndarray | None:
+    """``items`` as an ``(n, d)`` int64 array in one typed pass, or
+    ``None`` when the fill refuses them.
+
+    ``struct`` packs each point into one buffer: a point of another
+    length than the first, a float, a string, ``None``, a ``numpy.bool_``
+    or a value past int64 is refused there.  A ``bool`` packs as 0 or
+    1, so only the coordinates holding those need their type read;
+    such a coordinate is read back by index, which only a ``tuple`` or
+    a ``list`` is sure to answer as its iteration did, so a 0 or 1 in
+    any other kind of point sends the points to ``as_intvec``.
+    The packer reads a non-``int`` through ``__index__``: a numpy
+    integer is taken exactly, as ``as_intvec`` takes it, and so is an
+    object that has ``__index__`` without being a ``numbers.Integral``
+    (a 0-d integer array), which ``as_intvec`` refuses.
+    """
+    try:
+        dimension = len(items[0])
+        buffer = bytearray().join(starmap(_packer(dimension), items))
+    except (struct.error, TypeError):
+        return None
+    if not dimension:
+        return None
+    array = np.ndarray((len(items), dimension), np.int64, buffer)
+    if array.size <= _TYPE_SCAN_LIMIT:
+        if bool in map(type, chain.from_iterable(items)):
+            return None
+    else:
+        suspects = (array.reshape(-1).view(np.uint64) < 2).nonzero()[0]
+        for k in suspects.tolist():
+            point = items[k // dimension]
+            if type(point) not in (tuple, list) \
+                    or type(point[k % dimension]) is bool:
+                return None
+    return array
 
 
 def _row_major_strides(dims: Sequence[int]) -> list[int]:

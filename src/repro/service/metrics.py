@@ -186,9 +186,11 @@ class ServiceMetrics:
             "certificate"`` with no point checked).
         latencies: per-endpoint service-time distributions, measured
             from admission (``call`` or ``bulk``) to completion.
-        gauges: point-in-time readings — ``sessions.open``,
-            and the aggregate verification ``cache.hits`` /
-            ``cache.misses`` over every open session.
+        gauges: point-in-time readings — ``sessions.open``, the
+            aggregate verification ``cache.hits`` / ``cache.misses``
+            over every open session, and ``process.cpu_us``, the CPU
+            time the serving process has used (``time.process_time``,
+            in whole microseconds).
     """
 
     counters: Mapping[str, int]

@@ -23,9 +23,9 @@ and no dispatcher thread:
 directly on the underlying :class:`repro.api.Session` (pinned by the
 differential corpus replay in ``repro.service.differential``):
 
-* coalesced assigns concatenate the point lists, dispatch once, and
-  slice the bulk result — ``slots_of`` is pointwise-pure, so the slices
-  are exactly the per-request answers;
+* coalesced assigns concatenate their point batches' arrays, dispatch
+  once, and slice the bulk result — ``slots_of`` is pointwise-pure, so
+  the slices are exactly the per-request answers;
 * ``verify``/``edit`` are stateful (cache counters, incremental
   deltas), so they execute sequentially per session, never merged;
 * a session's requests run in the order they were given; only
@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.api import Session, SlotAssignment
+from repro.engine.encode import PointBatch
 from repro.service.errors import ServiceClosedError, ServiceDeadlineError
 from repro.service.metrics import MetricsRecorder, ServiceMetrics
 from repro.service.store import SessionStore
@@ -185,6 +186,7 @@ class SchedulingService:
             "sessions.open": stats.open_sessions,
             "cache.hits": stats.cache_hits,
             "cache.misses": stats.cache_misses,
+            "process.cpu_us": time.process_time_ns() // 1000,
         })
 
     def metrics_json(self) -> str:
@@ -252,7 +254,7 @@ class SchedulingService:
     # Convenience synchronous endpoints.
     def assign(self, session_id: str, points: Iterable[Sequence[int]], *,
                timeout: float | None = None) -> SlotAssignment:
-        return self.call("assign", session_id, {"points": list(points)},
+        return self.call("assign", session_id, {"points": points},
                          timeout=timeout)
 
     def verify(self, session_id: str, window: Any = None, *,
@@ -378,11 +380,13 @@ class SchedulingService:
                           requests: list[_Request]) -> None:
         """One bulk engine dispatch for a coalesced assign run.
 
-        The concatenated point list dispatches once; ``slots_of`` is
-        pointwise-pure, so slicing the bulk answer reproduces each
-        per-request answer exactly.  If the bulk dispatch fails, one
-        dispatch per request isolates the failure to the request that
-        caused it.
+        Each request's points are one
+        :class:`~repro.engine.encode.PointBatch` (a wire request's
+        already is), their arrays are concatenated and dispatch once;
+        ``slots_of`` is pointwise-pure, so slicing the bulk answer
+        reproduces each per-request answer exactly.  If the bulk
+        dispatch fails, one dispatch per request isolates the failure
+        to the request that caused it.
 
         Deadlines are re-checked when the bulk result is sliced back
         per request (and before each per-request dispatch): a request
@@ -392,17 +396,17 @@ class SchedulingService:
         served late.  Assigns are pointwise-pure, so failing after the
         bulk dispatch ran loses nothing.
         """
-        point_lists = [list(r.payload.get("points", ())) for r in requests]
+        point_sets = [_assign_points(request) for request in requests]
         self._metrics.bump("batch.dispatches")
         if len(requests) == 1:
             self._finish(requests[0],
-                         lambda: session.assign(point_lists[0]))
+                         lambda: session.assign(point_sets[0]))
             return
-        flat = [point for points in point_lists for point in points]
         try:
-            bulk = session.assign(flat)
+            batches = [PointBatch.of(points) for points in point_sets]
+            bulk = session.assign(PointBatch.concat(batches))
         except Exception:
-            for request, points in zip(requests, point_lists):
+            for request, points in zip(requests, point_sets):
                 if not self._expire_if_late(request):
                     self._finish(
                         request, lambda points=points: session.assign(points))
@@ -411,9 +415,9 @@ class SchedulingService:
         self._metrics.bump("batch.coalesced_requests", len(requests))
         served = []
         offset = 0
-        for request, points in zip(requests, point_lists):
-            slots = bulk.slots[offset:offset + len(points)]
-            offset += len(points)
+        for request, points, batch in zip(requests, point_sets, batches):
+            slots = bulk.slots[offset:offset + len(batch)]
+            offset += len(batch)
             if self._expire_if_late(request):
                 continue
             served.append((request, SlotAssignment(
@@ -514,3 +518,10 @@ class SchedulingService:
     def _fail(self, request: _Request, error: BaseException) -> None:
         self._metrics.bump(f"{request.op}.failed")
         request.outcome = error
+
+
+def _assign_points(request: _Request) -> Any:
+    """An assign's points as given, without a copy; an unsized iterable
+    is read once into a list."""
+    points = request.payload.get("points", ())
+    return points if hasattr(points, "__len__") else list(points)

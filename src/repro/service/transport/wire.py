@@ -29,6 +29,7 @@ existing canonical serial forms:
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, BinaryIO
 
 from repro.api import Box, Session, SlotAssignment, VerificationReport
@@ -39,6 +40,7 @@ from repro.core.serialize import (
     session_wire_to_json,
 )
 from repro.engine.config import EngineConfig
+from repro.engine.encode import PointBatch
 from repro.service.errors import (
     ServiceClosedError,
     ServiceDeadlineError,
@@ -48,7 +50,7 @@ from repro.service.errors import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import EditAck, LoadAck, RestrictAck
-from repro.utils.vectors import as_intvec
+from repro.utils.vectors import IntVec, as_intvec
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -183,27 +185,60 @@ def read_frame(stream: BinaryIO) -> dict[str, Any] | None:
 
 
 # -- canonical value forms ---------------------------------------------
-# Coordinates cross the wire under as_intvec's rule, both ways: ints and
-# integral floats convert exactly; booleans, non-integral floats and
-# strings are refused instead of being rounded or parsed into another
-# point.
+# Coordinates cross the wire under as_intvec's rule, both ways, and are
+# checked once per side: each point list is one PointBatch.of, whose
+# typed fill converts plain ints in one pass.  Ints and integral floats
+# convert exactly; booleans, non-integral floats and strings are refused
+# instead of being rounded or parsed into another point.  A batch goes
+# back out as one array.tolist().
+def _point_batch(points: Any) -> PointBatch | list[IntVec]:
+    """Points under the coordinate rule, as one batch.
+
+    Points of differing dimensions are not the codec's to refuse: they
+    stay tuples, and the session answers them with its ``ValueError``.
+
+    Raises:
+        TypeError: for a bad coordinate, or points that are not a
+            collection of sequences.
+    """
+    items = points if isinstance(points, (list, tuple, PointBatch)) \
+        else list(points)
+    try:
+        return PointBatch.of(items)
+    except ValueError:
+        return [as_intvec(point) for point in items]
+
+
 def _canonical_points(points: Any) -> list[list[int]]:
     """Points as JSON int lists (raises ``TypeError`` on a bad one)."""
-    return [list(as_intvec(point)) for point in points]
+    batch = _point_batch(points)
+    if isinstance(batch, PointBatch) and batch.array is not None:
+        return batch.array.tolist()
+    return [list(point) for point in batch]
 
 
-def _decode_points(data: Any) -> list[tuple[int, ...]]:
+def _canonical_pairs(pairs: Any) -> list[list[list[int]]]:
+    """Colliding pairs as JSON, every end point in one batch."""
+    ends = iter(_canonical_points(list(chain.from_iterable(pairs))))
+    return [[first, second] for first, second in zip(ends, ends)]
+
+
+def _decode_points(data: Any) -> PointBatch | list[IntVec]:
     """Points from JSON; a bad coordinate is a :class:`TransportError`."""
     try:
-        return [as_intvec(point) for point in data]
+        return _point_batch(data)
     except TypeError as error:
         raise TransportError(f"malformed point: {error}") from None
 
 
-def _decode_pair(data: Any) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One colliding pair from JSON: exactly two points."""
-    first, second = _decode_points(data)
-    return first, second
+def _decode_pairs(data: Any) -> tuple[tuple[IntVec, IntVec], ...]:
+    """Colliding pairs from JSON: exactly two points each, every end
+    point in one batch."""
+    pairs = list(data)
+    if any(len(pair) != 2 for pair in pairs):
+        raise TransportError("a colliding pair holds exactly two points")
+    ends = iter(_decode_points(list(chain.from_iterable(pairs))))
+    return tuple(zip(ends, ends))
 
 
 def _decode_int(value: Any) -> int:
@@ -239,8 +274,7 @@ def encode_window(window: Any) -> dict[str, Any] | None:
     if window is None:
         return None
     if isinstance(window, Box):
-        return {"box": [_canonical_points([window.lo])[0],
-                        _canonical_points([window.hi])[0]]}
+        return {"box": _canonical_points([window.lo, window.hi])}
     return {"points": _canonical_points(window)}
 
 
@@ -349,9 +383,10 @@ def encode_request(op: str, session_id: str | None = None,
     elif op in ("restrict",):
         encoded["window"] = encode_window(payload.get("window"))
     elif op == "edit":
+        updates = dict(payload.get("updates", {}))
         encoded["updates"] = [
-            [_canonical_points([point])[0], int(slot)]
-            for point, slot in dict(payload.get("updates", {})).items()]
+            [point, int(slot)] for point, slot
+            in zip(_canonical_points(list(updates)), updates.values())]
     elif op == "load":
         encoded["text"] = str(payload["text"])
         encoded["window"] = encode_window(payload.get("window"))
@@ -387,8 +422,10 @@ def decode_request(data: dict[str, Any]) -> dict[str, Any]:
 
     Returns ``{"op", "session_id", "payload", "timeout"}`` with payload
     values decoded back to what :meth:`SchedulingService.call`
-    expects (tuples for points, a ``Box``/point-list for windows, a
-    dict for updates).
+    expects: a :class:`~repro.engine.encode.PointBatch` for assign
+    points and offsets, a ``Box`` or a batch for windows, a dict for
+    updates.  The session takes each batch as it is, so a point is
+    checked once on its way in.
 
     Raises:
         TransportError: on an unknown op or a structurally malformed
@@ -451,8 +488,11 @@ def _decode_payload(op: str, payload: dict[str, Any]) -> dict[str, Any]:
     if op == "restrict":
         return {"window": decode_window(payload.get("window"))}
     if op == "edit":
-        return {"updates": {_decode_points([point])[0]: _decode_int(slot)
-                            for point, slot in payload.get("updates", ())}}
+        updates = [(point, slot)
+                   for point, slot in payload.get("updates", ())]
+        points = _decode_points([point for point, _ in updates])
+        return {"updates": {point: _decode_int(slot)
+                            for point, (_, slot) in zip(points, updates)}}
     if op == "load":
         return {"text": str(payload["text"]),
                 "window": decode_window(payload.get("window"))}
@@ -476,8 +516,7 @@ def encode_result(result: Any) -> dict[str, Any]:
                 "num_slots": int(result.num_slots)}
     if isinstance(result, VerificationReport):
         return {"kind": "verify",
-                "collisions": [_canonical_points(pair)
-                               for pair in result.collisions],
+                "collisions": _canonical_pairs(result.collisions),
                 "window_size": int(result.window_size),
                 "source": result.source,
                 "checked_points": int(result.checked_points),
@@ -536,8 +575,7 @@ def _decode_result(data: dict[str, Any]) -> Any:
             num_slots=_decode_int(data["num_slots"]))
     if kind == "verify":
         return VerificationReport(
-            collisions=tuple(_decode_pair(pair)
-                             for pair in data["collisions"]),
+            collisions=_decode_pairs(data["collisions"]),
             window_size=_decode_int(data["window_size"]),
             source=data["source"],
             checked_points=_decode_int(data["checked_points"]),

@@ -14,7 +14,11 @@ import random
 import pytest
 
 from repro.api import Box, Session
-from repro.core.schedule import Interference, TilingSchedule
+from repro.core.schedule import (
+    Interference,
+    TilingSchedule,
+    find_collisions,
+)
 from repro.lattice.sublattice import diagonal_sublattice
 from repro.scenarios.reference import reference_collisions
 from repro.service.transport.wire import decode_session, encode_session
@@ -101,6 +105,23 @@ def test_every_lane_answers_the_reference(kind, lane, window):
     # a second verify (a cache or certificate hit) answers the same
     assert session.verify(spec, **LANES[lane]).collisions \
         == report.collisions
+
+
+@pytest.mark.parametrize("lane", sorted(LANES))
+def test_a_repeated_offset_reports_each_pair_once(lane):
+    # Every pair (x, x + (1, 0)) of a one-slot row, probed through an
+    # offset listed twice: three pairs, not six, on every lane.
+    row = Box((0, 0), (3, 0))
+    session = Session.for_mapping({point: 0 for point in row.points()},
+                                  neighborhood_of=chebyshev_ball(1).translate,
+                                  offsets=[(1, 0), (1, 0)])
+    want = [((i, 0), (i + 1, 0)) for i in range(3)]
+    assert list(session.verify(row, **LANES[lane]).collisions) == want
+    assert find_collisions(session.schedule, row.points(),
+                           chebyshev_ball(1).translate,
+                           offsets=[(1, 0), (1, 0)]) == want
+    # the cached lane's dirty-region rescan after an edit, too
+    assert list(session.edit({(0, 0): 0}).verify(row).collisions) == want
 
 
 def test_planted_windows_really_collide():

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.api import Box, Session
+from repro.engine.encode import PointBatch
 from repro.service import (
     EditAck,
     LoadAck,
@@ -157,6 +158,26 @@ class TestBatching:
             + metrics.counter("batch.dispatches") \
             - metrics.counter("batch.batched_dispatches") \
             == len(point_lists)
+
+    def test_coalesced_batches_are_carried_as_they_are(self):
+        """Batches, a list, a batch past int64 and an empty one coalesce
+        into one dispatch; each answer holds its request's own points."""
+        far = 2 ** 70
+        point_sets = [PointBatch.of([(0, 0), (1, 2)]), [(4, 5), (-3, 7)],
+                      PointBatch.of([(far, 1), (0, -far)]),
+                      PointBatch.of([]), PointBatch.of([(2, 2)])]
+        direct = make_tiling_session()
+        expected = [canonical_slots(direct.assign(points))
+                    for points in point_sets]
+        svc = SchedulingService(SessionStore())
+        svc.open_session("s", make_tiling_session())
+        answers = svc.bulk(assign_items("s", point_sets))
+        metrics = svc.metrics()
+        svc.close()
+        assert [canonical_slots(answer) for answer in answers] == expected
+        assert all(answer.points is points
+                   for answer, points in zip(answers, point_sets))
+        assert metrics.counter("batch.batched_dispatches") == 1
 
     def test_per_session_fifo_with_interleaved_edits(self):
         """Edits between assigns split coalesced runs but keep order,

@@ -23,6 +23,7 @@ import pytest
 
 from repro.api import Box, Session, SlotAssignment
 from repro.core.serialize import CorruptSessionError
+from repro.engine.encode import PointBatch
 from repro.service import (
     EditAck,
     LoadAck,
@@ -151,9 +152,12 @@ class TestRequestCodec:
         frame = encode_request("assign", "s", {"points": [(0, 0), (-3, 7)]},
                                timeout=0.25)
         decoded = decode_request(frame)
+        points = decoded["payload"].pop("points")
         assert decoded == {"op": "assign", "session_id": "s",
-                           "payload": {"points": [(0, 0), (-3, 7)]},
-                           "timeout": 0.25}
+                           "payload": {}, "timeout": 0.25}
+        # Decoded once, into the batch the session takes as it is.
+        assert isinstance(points, PointBatch)
+        assert list(points) == [(0, 0), (-3, 7)]
 
     def test_verify_box_window_stays_two_corners(self):
         big = Box((0, 0), (10 ** 6, 10 ** 6))
@@ -173,8 +177,9 @@ class TestRequestCodec:
     def test_restrict_explicit_points_window(self):
         frame = encode_request("restrict", "s",
                                {"window": [(0, 0), (1, 1)]})
-        decoded = decode_request(frame)
-        assert decoded["payload"]["window"] == [(0, 0), (1, 1)]
+        window = decode_request(frame)["payload"]["window"]
+        assert isinstance(window, PointBatch)
+        assert list(window) == [(0, 0), (1, 1)]
 
     @pytest.mark.parametrize("frame", [
         {"op": "reticulate"},
@@ -350,6 +355,15 @@ class TestWireEndToEnd:
         client.close_session("copy")
         assert client.session_ids() == ["s"]
         assert client.ping()
+
+    def test_metrics_carry_the_server_cpu_time(self, wire):
+        client, _ = wire
+        client.open_session("s", make_tiling_session())
+        first = client.metrics().gauges["process.cpu_us"]
+        client.assign("s", [(x, y) for x in range(40) for y in range(40)])
+        second = client.metrics().gauges["process.cpu_us"]
+        assert type(first) is int and type(second) is int
+        assert 0 < first <= second
 
     def test_edit_restrict_round_trip(self, wire):
         client, _ = wire
