@@ -566,16 +566,26 @@ def test_streamed_dense_window_speedup(report, record_scaling,
     """10^6 box points streamed in 10^4-point slabs: stencil vs sorted keys.
 
     A streamed ``Box`` of a Theorem 1 schedule runs on the slab plan:
-    one coset reduction per slab on open grids, then the stencil (one
-    comparison of shifted slot grids per conflict offset).  The gate
-    compares it, in the same run, with the sorted-key scan of the very
-    same slabs built as point batches (no plan), so host noise cancels:
-    the stencil stream must be at least 3x faster and give the same
-    answer.
+    one key grid per stream (the schedule repeats every 3 rows along
+    axis 0, so one reduction of a period plus a slab serves every
+    slab), then the stencil (one comparison of shifted slot grids per
+    conflict offset).  Two gates compare it, in the same run, so host
+    noise cancels:
+
+    * with the sorted-key scan of the very same slabs built as point
+      batches (no plan): the stencil stream must be at least 3x faster;
+    * with the same plan reducing each slab's own keys (the key grid
+      switched off by giving the table a period longer than any slab):
+      the key grid must be at least 2x faster.
+
+    All three give the same answer.  Two small streams, the shapes of
+    the ``window-verify`` benchmark's ``stream2d`` and ``stream3d``
+    calls, are recorded without a gate.
     """
     import repro.core.certify as certify_module
     import repro.engine.collisions as collisions_module
     from repro.core.certify import stream_box_collisions
+    from repro.engine.slots import CosetTable
 
     side, chunk = 1000, 10_000
     neighborhood = _SCHEDULE.neighborhood_of
@@ -585,11 +595,17 @@ def test_streamed_dense_window_speedup(report, record_scaling,
                                      neighborhood, chunk_points=chunk)
 
     stream()  # warm: coset table and memoised offset tables
-    dense_time = sorted_time = float("inf")
+    dense_time = sorted_time = per_slab_time = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
         dense = stream()
         dense_time = min(dense_time, time.perf_counter() - t0)
+        with monkeypatch.context() as patch:
+            patch.setattr(CosetTable, "row_period",
+                          property(lambda table: 2 ** 62))
+            t0 = time.perf_counter()
+            per_slab = stream()
+            per_slab_time = min(per_slab_time, time.perf_counter() - t0)
         with monkeypatch.context() as patch:
             patch.setattr(certify_module, "_slab_plan",
                           lambda *args: None)
@@ -598,21 +614,59 @@ def test_streamed_dense_window_speedup(report, record_scaling,
             t0 = time.perf_counter()
             sorted_key = stream()
             sorted_time = min(sorted_time, time.perf_counter() - t0)
-    assert dense == sorted_key == []
+    assert dense == per_slab == sorted_key == []
 
     speedup = sorted_time / dense_time
+    grid_speedup = per_slab_time / dense_time
     record_scaling("streamed-verification/dense-1e6/sorted-key",
                    seconds=sorted_time, sensors=side * side,
                    chunk_points=chunk)
-    record_scaling("streamed-verification/dense-1e6", seconds=dense_time,
-                   speedup=speedup, sensors=side * side,
+    record_scaling("streamed-verification/dense-1e6/per-slab-keys",
+                   seconds=per_slab_time, sensors=side * side,
                    chunk_points=chunk)
+    record_scaling("streamed-verification/dense-1e6", seconds=dense_time,
+                   speedup=speedup, key_grid_speedup=round(grid_speedup, 2),
+                   sensors=side * side, chunk_points=chunk)
+    small = _small_streams()
+    for name, (seconds, sensors, small_chunk) in small.items():
+        record_scaling(f"streamed-verification/{name}", seconds=seconds,
+                       sensors=sensors, chunk_points=small_chunk)
     report("Engine — streamed dense window",
            f"{side * side} box points in {chunk}-point slabs: stencil "
-           f"scan {dense_time * 1e3:.0f} ms, sorted-key scan of the same "
-           f"slabs {sorted_time * 1e3:.0f} ms ({speedup:.1f}x), answers "
-           f"identical")
+           f"scan {dense_time * 1e3:.1f} ms, per-slab keys "
+           f"{per_slab_time * 1e3:.1f} ms ({grid_speedup:.1f}x), sorted-"
+           f"key scan of the same slabs {sorted_time * 1e3:.0f} ms "
+           f"({speedup:.1f}x), answers identical; small streams "
+           + ", ".join(f"{name} {seconds * 1e3:.3f} ms"
+                       for name, (seconds, _, _) in small.items()))
     assert speedup >= 3
+    assert grid_speedup >= 2
+
+
+def _small_streams() -> dict[str, tuple[float, int, int]]:
+    """Best-of times of two small streamed verifies: a 64x48 box of a
+    Theorem 2 city in 1024-point slabs and a 24x8x8 box of the 3-D
+    Chebyshev radius-1 schedule in 512-point slabs."""
+    from repro.lattice.sublattice import diagonal_sublattice
+    from repro.tiles.shapes import rectangle_tile
+    from repro.tiling.multi import MultiTiling
+
+    city = Session.for_multi_tiling(MultiTiling(
+        [rectangle_tile(2, 2), rectangle_tile(1, 2)],
+        [[(0, 0)], [(2, 0), (3, 0)]], diagonal_sublattice((4, 2))))
+    cases = {"small-2d": (city, Box((0, 0), (63, 47)), 1024),
+             "small-3d": (Session.for_chebyshev(1, 3),
+                          Box((0, 0, 0), (23, 7, 7)), 512)}
+    timings = {}
+    for name, (session, box, chunk) in cases.items():
+        assert session.verify(box, stream_chunk=chunk).collisions == ()
+        best = float("inf")
+        for _ in range(200):
+            t0 = time.perf_counter()
+            session.verify(box, stream_chunk=chunk)
+            best = min(best, time.perf_counter() - t0)
+        timings[name] = (best, box.volume(), chunk)
+    return timings
 
 
 def _interleaved_min(direct, facade, rounds):

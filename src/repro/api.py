@@ -33,6 +33,7 @@ the facade adds typing and lifecycle, never different answers.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -677,13 +678,15 @@ class Session:
         axis-0 slabs of about that many points (plus the conflict-radius
         halo) via :func:`~repro.core.certify.stream_box_collisions`,
         bounding memory for out-of-core windows.  A Theorem 1/2
-        schedule streams on a slab plan: each slab is one coset
-        reduction of the box corners on open grids and the stencil
-        scan — one comparison of shifted slot grids per conflict
-        offset — so no point array or tuple is materialized; the
-        result is bit-identical to the one-shot scan but is never
-        cached.  A map the interference model does not recognise
-        streams only with explicit ``offsets``.
+        schedule streams on a slab plan: the schedule's period along
+        axis 0 lets one coset reduction on open grids serve every
+        slab (or each slab reduces its own rows when the period is
+        longer than a slab), then the stencil scan — one comparison
+        of shifted slot grids per conflict offset — runs per slab, so
+        no point array or tuple is materialized; the result is
+        bit-identical to the one-shot scan but is never cached.  A map
+        the interference model does not recognise streams only with
+        explicit ``offsets``.
 
         Every lane reads the session's one
         :class:`~repro.core.schedule.Interference` model, so every lane
@@ -708,7 +711,7 @@ class Session:
                     "are already materialized, so stream a Box(lo, hi) "
                     "instead")
             lo, hi = window._corners()
-            volume = window.volume()
+            volume = math.prod(h - l + 1 for l, h in zip(lo, hi))
             self._check_dimension(len(lo), volume)
             model = self._require_neighborhood(offset_list)
             with use_config(self._config):

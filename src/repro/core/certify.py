@@ -31,6 +31,7 @@ over the whole box.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -222,62 +223,97 @@ def certify_schedule(schedule: Schedule,
 class _SlabPlan:
     """What every slab of one streamed box shares, set up once per call.
 
-    The slot table's reduction gives each slab one key grid
-    (:meth:`~repro.engine.slots.CosetTable.box_keys`); slots and shape
-    ids are gathers from it into the box part of a
-    :class:`~repro.engine.collisions.StencilPlan`, one plan per slab
-    height (a stream has at most a few: full slabs and the short ones
-    at the top of the box).  A slab then costs one reduction, two
-    gathers and the offset passes — no point array, no tuple, no grid
-    or shift set-up.
+    Slots and shape ids are gathers from reduced keys
+    (:meth:`~repro.engine.slots.CosetTable.box_keys`) into the box part
+    of a :class:`~repro.engine.collisions.StencilPlan`, one plan per
+    slab height (a stream has at most a few: full slabs and the short
+    ones at the top of the box).
+
+    The schedule is periodic under its sublattice, so along axis 0 its
+    slot grid repeats every ``P`` rows: the lcm of the slot table's
+    :attr:`~repro.engine.slots.CosetTable.row_period` and, when the
+    shape table has its own reduction, the shape table's.  When ``P``
+    is at most the full slab height ``H`` (its rows plus the halo), the
+    plan reduces and gathers one *key grid* at set-up, rows
+    ``[lo_0, lo_0 + P + H - 1)`` (no more than the box has), and a slab
+    starting at ``first_row`` copies its rows from offset
+    ``(first_row - lo_0) mod P`` — so it holds at most two slabs of
+    rows.  A longer period reduces each slab's own keys instead.
+    Either way a slab costs no point array, no tuple and no grid or
+    shift set-up, and each slab is scanned on its own, under its own
+    fault seam (:func:`~repro.engine.collisions.scan_box_plan`).
     """
 
     def __init__(self, table: CosetTable, shape_source: tuple | None,
                  tables, positive: tuple[IntVec, ...],
-                 inner_lo: IntVec, inner_dims: tuple[int, ...]) -> None:
+                 lo: IntVec, hi: IntVec, height: int) -> None:
         self._table = table
         self._slot_values = table.key_values
         self._shape_source = shape_source
         self._tables = tables
         self._positive = positive
-        self._inner_lo = inner_lo
-        self._inner_dims = inner_dims
-        self._values = (int(self._slot_values.min()),
-                        int(self._slot_values.max()))
+        self._inner_lo = lo[1:]
+        self._inner_dims = tuple(h - l + 1 for l, h in zip(lo[1:], hi[1:]))
+        self._values = table.value_range
         self._plans: dict[int, StencilPlan] = {}
+        self._first = lo[0]
+        period = table.row_period
+        if shape_source is not None and shape_source[0] is not table:
+            period = math.lcm(period, shape_source[0].row_period)
+        self._period = period
+        self._grids = None
+        if period <= height:
+            rows = min(period + height - 1, hi[0] - lo[0] + 1)
+            self._grids = self._gather(lo, (rows,) + self._inner_dims)
+
+    def _gather(self, lo: IntVec, dims: tuple[int, ...]):
+        """``(slots, shape ids or None)`` of the box at ``lo``."""
+        keys = self._table.box_keys(lo, dims)
+        slots = self._slot_values[keys]
+        if self._shape_source is None:
+            return slots, None
+        shape_table, kinds = self._shape_source
+        if shape_table is not self._table:
+            keys = shape_table.box_keys(lo, dims)
+        return slots, kinds[keys]
 
     def collisions(self, first_row: int, last_row: int,
                    top_row: int) -> list[Collision]:
         """Sorted pairs of the slab ``[first_row, top_row]`` whose left
         endpoint lies in rows ``first_row..last_row``."""
         height = top_row - first_row + 1
-        dims = (height,) + self._inner_dims
         plan = self._plans.get(height)
         if plan is None:
-            plan = StencilPlan(dims, self._tables, self._values)
+            plan = StencilPlan((height,) + self._inner_dims, self._tables,
+                               self._values)
             self._plans[height] = plan
         lo = (first_row,) + self._inner_lo
-        keys = self._table.box_keys(lo, dims)
-        plan.slots[...] = self._slot_values[keys]
+        if self._grids is None:
+            slots, shapes = self._gather(lo, plan.dims)
+        else:
+            start = (first_row - self._first) % self._period
+            rows = slice(start, start + height)
+            slots, shapes = self._grids
+            slots = slots[rows]
+            shapes = None if shapes is None else shapes[rows]
+        plan.slots[...] = slots
         if plan.shapes is not None:
-            shape_table, kinds = self._shape_source
-            if shape_table is not self._table:
-                keys = shape_table.box_keys(lo, dims)
-            plan.shapes[...] = kinds[keys]
+            plan.shapes[...] = shapes
         return scan_box_plan(plan, lo, self._positive,
                              last_row - first_row + 1)
 
 
 def _slab_plan(schedule: Schedule, model: Interference,
-               lo: IntVec, hi: IntVec,
-               positive: tuple[IntVec, ...]) -> _SlabPlan | None:
+               lo: IntVec, hi: IntVec, positive: tuple[IntVec, ...],
+               height: int) -> _SlabPlan | None:
     """The slab plan of a stream, or ``None`` when it does not apply.
 
     It applies to a schedule answering from a coset table, under an
     interference model that recognises its map's shape classes, on a
     box inside the int64 reduction bound and with offsets and shapes
     that fit the stencil scan.  Everything else streams slab by slab
-    through :func:`~repro.core.schedule.find_collisions`.
+    through :func:`~repro.core.schedule.find_collisions`.  ``height``
+    is the full slab height, halo included.
     """
     if not isinstance(schedule, (TilingSchedule, MultiTilingSchedule)):
         return None
@@ -289,13 +325,12 @@ def _slab_plan(schedule: Schedule, model: Interference,
     if tables is None or tables.offset_array is None:
         return None
     shape_source = None
-    if model.cover is not None:
+    if model.cover is not None and tables.allowed.shape[0] > 1:
         shape_table, kinds = model.cover.prototile_key_table()
         if shape_table.shares_reduction(table):
             shape_table = table
         shape_source = (shape_table, kinds)
-    dims = tuple(h - l + 1 for l, h in zip(lo[1:], hi[1:]))
-    return _SlabPlan(table, shape_source, tables, positive, lo[1:], dims)
+    return _SlabPlan(table, shape_source, tables, positive, lo, hi, height)
 
 
 def stream_box_collisions(schedule: Schedule,
@@ -325,13 +360,18 @@ def stream_box_collisions(schedule: Schedule,
     What the slabs share is hoisted out of the loop: a Theorem 1/2
     schedule under its own (or another tiling's) interference map gets
     a *slab plan* once per call — the memoised pair tables, the kept
-    offsets and their shifts, and padded slot and shape-id grids whose
-    pad is written once.  Each slab then reduces its box once on open
-    grids (:meth:`~repro.engine.slots.CosetTable.box_keys`), gathers
-    slots and shape ids from that one key grid into the grids, and
-    runs the stencil's offset passes; only colliding pairs become
-    tuples.  Every slab is still scanned, under the same fault seam
-    (a numpy failure degrades that slab to the exact scan with an
+    offsets and their shifts, and padded slot and shape-id grids (with
+    the worker count) per slab height, their pad written once.  The
+    schedule is periodic, so its slot grid repeats every ``P`` rows
+    along axis 0; when ``P`` is at most a full slab with its halo, the
+    plan reduces one key grid of ``P`` rows plus a slab on open grids
+    (:meth:`~repro.engine.slots.CosetTable.box_keys`) and gathers its
+    slots and shape ids once, and each slab copies its rows out of it
+    (see :class:`_SlabPlan`); a longer period reduces each slab's own
+    keys.  Each slab then runs the stencil's offset passes; only
+    colliding pairs become tuples.  Every slab is still scanned, under
+    the same fault seam (a numpy failure degrades that slab to the
+    exact scan with an
     :class:`~repro.engine.collisions.EngineDegradedWarning`) and the
     same worker sharding.  Other schedules, interference maps and
     boxes beyond ``2**40`` verify each slab as a dense
@@ -364,13 +404,16 @@ def stream_box_collisions(schedule: Schedule,
     positive = model.positive
     if not positive:
         return []
-    halo = max(d[0] for d in positive)
-    assert min(d[0] for d in positive) >= 0, "illegal axis-0 tiling"
+    # The model's positive offsets are sorted, so the first and last
+    # bound coordinate 0.
+    halo = positive[-1][0]
+    assert positive[0][0] >= 0, "illegal axis-0 tiling"
     slab = 1
     for low, high in zip(lo_vec[1:], hi_vec[1:]):
         slab *= high - low + 1
     rows_per_chunk = max(1, chunk_points // slab)
-    plan = _slab_plan(schedule, model, lo_vec, hi_vec, positive)
+    plan = _slab_plan(schedule, model, lo_vec, hi_vec, positive,
+                      rows_per_chunk + halo)
     collisions: list[Collision] = []
     for first_row in range(lo_vec[0], hi_vec[0] + 1, rows_per_chunk):
         last_row = min(first_row + rows_per_chunk - 1, hi_vec[0])

@@ -125,9 +125,8 @@ class _PairTables(NamedTuple):
     #: some offset leaves no int64 headroom (only the exact scan takes
     #: those).
     offset_array: np.ndarray | None
-    #: Offset ``j`` is allowed for some shape pair / for every pair.
+    #: Offset ``j`` is allowed for some shape pair.
     some_pair: np.ndarray
-    every_pair: np.ndarray
     #: Stencil layouts of the box shapes scanned so far, by extents
     #: (see :func:`_stencil_layout`).
     layouts: dict[tuple[int, ...], _StencilLayout]
@@ -147,12 +146,11 @@ def _pair_tables(shapes: tuple[frozenset[IntVec], ...],
     if max(abs(c) for delta in offsets for c in delta) < _MAX_KEYED_COORD:
         offset_array = np.asarray(offsets, dtype=np.int64)
     some_pair = allowed.any(axis=(0, 1))
-    every_pair = allowed.all(axis=(0, 1))
-    for array in (allowed, offset_array, some_pair, every_pair):
+    for array in (allowed, offset_array, some_pair):
         if array is not None:
             array.setflags(write=False)
     return _PairTables(shapes, differences, allowed, offset_array,
-                       some_pair, every_pair, {})
+                       some_pair, {})
 
 
 def _scan_tables(shapes: Sequence[frozenset[IntVec]],
@@ -232,62 +230,81 @@ def _warn_degraded(error: Exception) -> None:
 def _dense_shard(payload, span):
     """Offset passes ``span[0]..span[1]-1`` over the flat padded grids.
 
-    Each pass is ``(j, shift, check_shapes)``: ``x`` and its neighbour
-    at offset ``j`` sit ``shift`` apart in the flat slot grid, and only
-    the first ``limit`` positions (the rows whose pairs are wanted) are
-    ``x``.  Passes run in blocks of about ``_PASS_BLOCK`` comparisons:
-    the block's shifted rows of the slot grid are gathered at once and
-    compared with the ``x`` row in one operation, so a small grid pays
-    per block, not per offset.  Offsets with equal slots then gather
-    ``allowed`` where the shape test applies.  Returns ``(j, flat grid
-    positions of x)`` per offset with pairs — small, so shard results
-    pickle cheaply.
+    Pass ``k`` compares each ``x`` with its neighbour ``shifts[k]``
+    further on in the flat slot grid; only the first ``limit``
+    positions (the rows whose pairs are wanted) are ``x``.  Passes run
+    in blocks of about ``_PASS_BLOCK`` comparisons: the block's shifted
+    rows of the slot grid are gathered at once and compared with the
+    ``x`` row in one operation; a block with an equal slot then takes
+    one ``flatnonzero`` of that comparison, split by ``divmod`` by
+    ``limit``, which gives every equal-slot hit of the block as (pass,
+    position).  With several shape classes
+    one gather of ``allowed`` then tests all the block's hits at once
+    (an offset allowed for every shape pair passes it anyway, so no
+    hit needs to be told apart).  Returns the ``(pass, flat grid
+    position of x)`` of every pair as two intp arrays.
     """
-    slots, shapes, allowed, passes, limit = payload
+    slots, shapes, allowed, shifts, limit = payload
     step = slots.itemsize
     shifted_rows = np.ndarray((len(slots) - limit + 1, limit),
                               dtype=slots.dtype, buffer=slots,
                               strides=(step, step))
     x_slots = slots[:limit]
     block = max(1, _PASS_BLOCK // limit)
-    found = []
+    passes, positions = [], []
     for start in range(span[0], span[1], block):
-        chunk = passes[start:min(start + block, span[1])]
-        if len(chunk) == 1:
-            same = (shifted_rows[chunk[0][1]] == x_slots)[None]
-        else:
-            same = shifted_rows[[shift for _, shift, _ in chunk]] == x_slots
+        stop = min(start + block, span[1])
+        # a one-pass block (a large grid) compares a view, not a copy
+        shifted = (shifted_rows[shifts[start]] if stop - start == 1
+                   else shifted_rows[shifts[start:stop]])
+        same = shifted == x_slots
         if not same.any():
             continue
-        for row in np.flatnonzero(same.any(axis=1)).tolist():
-            j, shift, check_shapes = chunk[row]
-            where = np.flatnonzero(same[row])
-            if check_shapes:
-                where = where[allowed[shapes[where], shapes[where + shift],
-                                      j]]
-                if not where.size:
-                    continue
-            found.append((j, where))
-    return found
+        rows, where = np.divmod(np.flatnonzero(same), limit)
+        rows += start
+        if shapes is not None:
+            keep = allowed[shapes[where], shapes[where + shifts[rows]], rows]
+            rows, where = rows[keep], where[keep]
+        passes.append(rows)
+        positions.append(where)
+    return _joined(passes), _joined(positions)
+
+
+#: The hits of no pass; read-only, so every caller can share it.
+_NO_HITS = np.zeros(0, dtype=np.intp)
+_NO_HITS.setflags(write=False)
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    if len(arrays) > 1:
+        return np.concatenate(arrays)
+    return arrays[0] if arrays else _NO_HITS
 
 
 class _StencilLayout(NamedTuple):
     """Where the stencil scan of one box shape looks."""
 
     #: Extents of the padded grid, its cell count, and the flat cells
-    #: per axis-0 row.
+    #: per axis-0 row; ``inner`` indexes the box part of the grid.
     padded: tuple[int, ...]
     size: int
     row: int
+    inner: tuple[slice, ...]
     #: Pad cells past the grid, so every shifted row stays in the buffer.
     tail: int
-    #: One ``(j, shift, check_shapes)`` per offset that fits the box.
-    passes: list[tuple[int, int, bool]]
+    #: One pass per offset that fits the box (read-only arrays): its
+    #: flat shift and its ``allowed[a, b]`` column.
+    shifts: np.ndarray
+    allowed: np.ndarray
 
 
 #: Layouts kept per pair table; a table that has seen more box shapes
 #: starts over.
 _MAX_LAYOUTS = 32
+
+#: The slot grid's integer types, narrowest first, with their bounds.
+_GRID_TYPES = tuple((kind, int(np.iinfo(kind).min), int(np.iinfo(kind).max))
+                    for kind in (np.int16, np.int32, np.int64))
 
 
 def _stencil_layout(tables: _PairTables,
@@ -311,13 +328,15 @@ def _stencil_layout(tables: _PairTables,
               else [0] * len(dims))
     padded = tuple(n + r for n, r in zip(dims, radius))
     strides = _row_major_strides(padded)
-    shifts = (tables.offset_array[kept] @ np.asarray(strides)).tolist()
-    several = tables.allowed.shape[0] > 1
-    every_pair = tables.every_pair.tolist()
+    shifts = (tables.offset_array[kept]
+              @ np.asarray(strides, dtype=np.int64)).astype(np.intp)
+    allowed = tables.allowed[:, :, kept]
+    for array in (shifts, allowed):
+        array.setflags(write=False)
     layout = _StencilLayout(
-        padded, math.prod(padded), strides[0], max(shifts, default=0),
-        [(j, shift, several and not every_pair[j])
-         for j, shift in zip(kept.tolist(), shifts)])
+        padded, math.prod(padded), strides[0],
+        tuple(slice(0, n) for n in dims),
+        int(shifts.max()) if shifts.size else 0, shifts, allowed)
     if len(tables.layouts) >= _MAX_LAYOUTS:
         tables.layouts.clear()
     tables.layouts[dims] = layout
@@ -336,11 +355,13 @@ class StencilPlan:
     pad value.  The grids use the narrowest integer type that holds
     the pad and slot values, so the offset passes move less memory.
 
-    The pad is written once, here.  A caller fills the box part of the
-    grids through the :attr:`slots` and :attr:`shapes` views and calls
-    :meth:`pairs`; refilling and rescanning reuses the buffers, the
-    kept offsets and their shifts, which is how a streamed box scans
-    slab after slab of the same shape.
+    The pad is written once, here, into buffers of the plan's own, so
+    plans on different threads never share one; the shard worker count
+    (:func:`shard_workers`) is read here too.  A caller fills the box
+    part of the grids through the :attr:`slots` and :attr:`shapes`
+    views and calls :meth:`pairs`; refilling and rescanning reuses the
+    buffers, the kept offsets and their shifts, which is how a streamed
+    box scans slab after slab of the same shape.
 
     Args:
         dims: the box extents.
@@ -352,7 +373,7 @@ class StencilPlan:
         slots: the box part of the padded slot grid, to fill.
         shapes: the box part of the padded shape-id grid, or ``None``
             with a single shape class.
-        passes: one ``(j, shift, check_shapes)`` per kept offset.
+        passes: the number of kept offsets (one pass each).
     """
 
     def __init__(self, dims: Sequence[int], tables: _PairTables,
@@ -361,19 +382,19 @@ class StencilPlan:
         layout = _stencil_layout(tables, dims)
         below = min(0, values[0]) - 1
         floor = below - (layout.size + layout.tail) + 1
-        dtype = next(kind for kind in (np.int16, np.int32, np.int64)
-                     if np.iinfo(kind).min <= floor
-                     and values[1] <= np.iinfo(kind).max)
+        dtype = next(kind for kind, least, most in _GRID_TYPES
+                     if least <= floor and values[1] <= most)
         flat_slots = np.arange(below, floor - 1, -1, dtype=dtype)
-        inner = tuple(slice(0, n) for n in dims)
         self.dims = dims
-        self.slots = flat_slots[:layout.size].reshape(layout.padded)[inner]
+        self.slots = flat_slots[:layout.size].reshape(
+            layout.padded)[layout.inner]
         self.shapes = None
         flat_shapes = None
         if tables.allowed.shape[0] > 1:
             flat_shapes = np.zeros(layout.size, dtype=np.intp)
-            self.shapes = flat_shapes.reshape(layout.padded)[inner]
-        self.passes = layout.passes
+            self.shapes = flat_shapes.reshape(layout.padded)[layout.inner]
+        self.passes = len(layout.shifts)
+        self._workers = shard_workers()
         self._tables = tables
         self._layout = layout
         self._flat = (flat_slots, flat_shapes)
@@ -384,31 +405,34 @@ class StencilPlan:
 
         Only pairs whose ``x`` lies in the first ``rows`` axis-0 rows
         are resolved (all rows when ``None``); the list is unsorted.
+        The hits of every pass are resolved together:
+        ``x`` and ``y`` (``x`` plus the pass's shift) in one
+        ``unravel_index``, moved to ``lo`` in one add and turned into
+        tuples from one ``tolist``.
         """
-        passes = self.passes
         slots, shapes = self._flat
         layout = self._layout
         limit = layout.size if rows is None else rows * layout.row
-        payload = (slots, shapes, self._tables.allowed, passes, limit)
-        workers = shard_workers()
-        spans = [(0, len(passes))]
+        payload = (slots, shapes, layout.allowed, layout.shifts, limit)
+        workers = self._workers
+        spans = [(0, self.passes)]
         if workers > 1 and math.prod(self.dims) >= _MIN_PARALLEL_GRID:
-            spans = plan_shards(len(passes), workers)
+            spans = plan_shards(self.passes, workers)
         if len(spans) > 1:
             parts = run_sharded(_dense_shard, payload, spans, workers)
-            found = [item for part in parts for item in part]
+            passes = _joined([part[0] for part in parts])
+            where = _joined([part[1] for part in parts])
         else:
-            found = _dense_shard(payload, spans[0])
-        offset_array = self._tables.offset_array
-        corner = np.asarray(lo, dtype=np.int64)
-        collisions: list[Collision] = []
-        for j, where in found:
-            xs = np.stack(np.unravel_index(where, layout.padded), axis=1)
-            xs += corner
-            ys = xs + offset_array[j]
-            collisions.extend(zip(map(tuple, xs.tolist()),
-                                  map(tuple, ys.tolist())))
-        return collisions
+            passes, where = _dense_shard(payload, spans[0])
+        count = where.size
+        if not count:
+            return []
+        ends = np.array(np.unravel_index(
+            np.concatenate((where, where + layout.shifts[passes])),
+            layout.padded))
+        ends += np.asarray(lo, dtype=np.int64)[:, None]
+        points = list(zip(*ends.tolist()))
+        return list(zip(points[:count], points[count:]))
 
 
 def scan_box_plan(plan: StencilPlan, lo: Sequence[int],

@@ -31,6 +31,12 @@ arrays and only the last ones on the full grid; a diagonal period
 (``[4, 2]``) is one ``%`` per axis and a broadcast sum.  The key grid
 serves any table on the same period with one gather each — slots and
 shape ids of a streamed slab share one reduction.
+
+The keys are periodic under the sublattice, so along axis 0 a key grid
+repeats every :attr:`CosetTable.row_period` rows (the order of ``e_0``
+in ``Z^d / L``).  A streamed box reduces one grid of a period plus a
+slab and copies every slab's rows out of it
+(:class:`repro.core.certify._SlabPlan`).
 """
 
 from __future__ import annotations
@@ -109,6 +115,9 @@ class CosetTable:
     keys on open grids, no point array).  ``key_values[keys]`` turns
     keys into values, so tables on the same period
     (:meth:`shares_reduction`) read one key grid.
+
+    Attributes:
+        value_range: the least and the greatest value, as ints.
     """
 
     def __init__(self, sublattice, values: Mapping[IntVec, int]):
@@ -134,12 +143,31 @@ class CosetTable:
         self._stride_list = strides
         self._table = np.asarray(table, dtype=np.int64)
         self._table.setflags(write=False)
+        self.value_range = (min(table), max(table))
+        self._row_period: int | None = None
 
     @property
     def key_values(self) -> np.ndarray:
         """The value of each reduced key (read-only): ``key_values[k]``
         is the value of the coset whose reduced key is ``k``."""
         return self._table
+
+    @property
+    def row_period(self) -> int:
+        """The axis-0 period of the keys: the least ``m > 0`` with
+        ``m * e_0`` in the sublattice, so a box shifted by ``m`` rows
+        along axis 0 has the same :meth:`box_keys` (memoised).
+
+        It divides the index: ``m * e_0`` for ``m = 1..index`` is
+        reduced in one pass and the first zero key is the period.
+        """
+        if self._row_period is None:
+            steps = np.arange(1, self._sublattice.index + 1, dtype=np.int64)
+            zero = np.zeros(1, dtype=np.int64)
+            keys = self._reduce([steps] + [zero] * (self.dimension - 1))
+            self._row_period = (1 if keys is None
+                                else int(np.flatnonzero(keys == 0)[0]) + 1)
+        return self._row_period
 
     def shares_reduction(self, other: CosetTable) -> bool:
         """True when ``other`` reduces by the same basis, so one key

@@ -185,7 +185,11 @@ class ServiceMetrics:
             certificate an earlier verify built: ``source ==
             "certificate"`` with no point checked).
         latencies: per-endpoint service-time distributions, measured
-            from admission (``call`` or ``bulk``) to completion.
+            from admission (``call`` or ``bulk``) to completion.  An
+            endpoint ``{op}`` times the answered requests; a failed or
+            deadline-expired request is timed under ``{op}.failed``
+            instead, so failures never skew an answered endpoint (a
+            merge of every endpoint does take them in).
         gauges: point-in-time readings — ``sessions.open``, the
             aggregate verification ``cache.hits`` / ``cache.misses``
             over every open session, and ``process.cpu_us``, the CPU

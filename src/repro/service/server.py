@@ -483,6 +483,7 @@ class SchedulingService:
     def _expire(self, request: _Request) -> None:
         budget = request.deadline - request.admitted_at
         self._metrics.bump("rejected.deadline")
+        self._time_failure(request)
         request.outcome = ServiceDeadlineError(
             f"{request.op!r} for session {request.session_id!r} missed "
             f"its {budget:.3f}s deadline before dispatch",
@@ -517,7 +518,14 @@ class SchedulingService:
 
     def _fail(self, request: _Request, error: BaseException) -> None:
         self._metrics.bump(f"{request.op}.failed")
+        self._time_failure(request)
         request.outcome = error
+
+    def _time_failure(self, request: _Request) -> None:
+        """Time a failed or expired request under its own
+        ``{op}.failed`` endpoint, apart from the answered ones."""
+        self._metrics.observe(f"{request.op}.failed",
+                              time.monotonic() - request.admitted_at)
 
 
 def _assign_points(request: _Request) -> Any:

@@ -186,11 +186,14 @@ def read_frame(stream: BinaryIO) -> dict[str, Any] | None:
 
 # -- canonical value forms ---------------------------------------------
 # Coordinates cross the wire under as_intvec's rule, both ways, and are
-# checked once per side: each point list is one PointBatch.of, whose
-# typed fill converts plain ints in one pass.  Ints and integral floats
-# convert exactly; booleans, non-integral floats and strings are refused
-# instead of being rounded or parsed into another point.  A batch goes
-# back out as one array.tolist().
+# checked once per side.  Ints and integral floats convert exactly;
+# booleans, non-integral floats and strings are refused instead of being
+# rounded or parsed into another point.  The service decodes a request's
+# points into the one PointBatch its session takes (the engine's typed
+# fill), and sends a batch back out as one array.tolist().  Every other
+# point list (a client's, a verify's pairs) builds no batch: each point
+# is copied into a list (to send) or a tuple (to return), and one type
+# check over the copies passes plain ints, the form every encoder sends.
 def _point_batch(points: Any) -> PointBatch | list[IntVec]:
     """Points under the coordinate rule, as one batch.
 
@@ -209,35 +212,61 @@ def _point_batch(points: Any) -> PointBatch | list[IntVec]:
         return [as_intvec(point) for point in items]
 
 
+def _point_copies(points: Any, copy: type) -> list[Any]:
+    """Points under the coordinate rule without a batch, each copied by
+    ``copy`` (``list`` to send, ``tuple`` to return).
+
+    One type check over the copies passes plain ints; any other
+    coordinate sends its point through ``as_intvec``.
+
+    Raises:
+        TypeError: for a bad coordinate, or points that are not a
+            collection of sequences.
+    """
+    copies = list(map(copy, points))
+    if set(map(type, chain.from_iterable(copies))) <= {int}:
+        return copies
+    return [copy(as_intvec(point)) for point in copies]
+
+
 def _canonical_points(points: Any) -> list[list[int]]:
     """Points as JSON int lists (raises ``TypeError`` on a bad one)."""
-    batch = _point_batch(points)
-    if isinstance(batch, PointBatch) and batch.array is not None:
-        return batch.array.tolist()
-    return [list(point) for point in batch]
+    if isinstance(points, PointBatch) and points.array is not None:
+        return points.array.tolist()
+    return _point_copies(points, list)
 
 
 def _canonical_pairs(pairs: Any) -> list[list[list[int]]]:
-    """Colliding pairs as JSON, every end point in one batch."""
+    """Colliding pairs as JSON, every end point checked in one pass."""
     ends = iter(_canonical_points(list(chain.from_iterable(pairs))))
     return [[first, second] for first, second in zip(ends, ends)]
 
 
 def _decode_points(data: Any) -> PointBatch | list[IntVec]:
-    """Points from JSON; a bad coordinate is a :class:`TransportError`."""
+    """A request's points from JSON, as the batch the session takes; a
+    bad coordinate is a :class:`TransportError`."""
     try:
         return _point_batch(data)
     except TypeError as error:
         raise TransportError(f"malformed point: {error}") from None
 
 
+def _decode_tuples(data: Any) -> list[IntVec]:
+    """A response's points from JSON, as int tuples; a bad coordinate
+    is a :class:`TransportError`."""
+    try:
+        return _point_copies(data, tuple)
+    except TypeError as error:
+        raise TransportError(f"malformed point: {error}") from None
+
+
 def _decode_pairs(data: Any) -> tuple[tuple[IntVec, IntVec], ...]:
-    """Colliding pairs from JSON: exactly two points each, every end
-    point in one batch."""
+    """Colliding pairs of a response from JSON: exactly two points
+    each, every end point checked in one pass."""
     pairs = list(data)
     if any(len(pair) != 2 for pair in pairs):
         raise TransportError("a colliding pair holds exactly two points")
-    ends = iter(_decode_points(list(chain.from_iterable(pairs))))
+    ends = iter(_decode_tuples(list(chain.from_iterable(pairs))))
     return tuple(zip(ends, ends))
 
 
@@ -570,7 +599,7 @@ def _decode_result(data: dict[str, Any]) -> Any:
     kind = data.get("kind")
     if kind == "assign":
         return SlotAssignment(
-            points=_decode_points(data["points"]),
+            points=_decode_tuples(data["points"]),
             slots=_decode_ints(data["slots"]),
             num_slots=_decode_int(data["num_slots"]))
     if kind == "verify":

@@ -1,15 +1,26 @@
 """Property-based tests: the streamed slab plan answers like one scan.
 
 :func:`~repro.core.certify.stream_box_collisions` verifies a Theorem
-1/2 schedule on a *slab plan*: one coset reduction per slab on open
-grids (:meth:`~repro.engine.slots.CosetTable.box_keys`), slots and
-shape ids gathered from that key grid into reused stencil buffers.
-These properties hold it to the paths it replaces:
+1/2 schedule on a *slab plan*: coset reductions on open grids
+(:meth:`~repro.engine.slots.CosetTable.box_keys`), slots and shape ids
+gathered from the key grid into reused stencil buffers.  The slot grid
+repeats along axis 0 every ``P`` rows (the lcm of the slot and shape
+tables' :attr:`~repro.engine.slots.CosetTable.row_period`), so when
+``P`` is at most the full slab height ``H`` the plan gathers one key
+grid of ``P + H - 1`` rows per stream and copies each slab out of it;
+otherwise each slab reduces its own keys.  These properties hold it to
+the paths it replaces:
 
 * the box kernel equals :meth:`CosetTable.lookup_array` of the same box
   as a point batch, for random HNF sublattices (non-diagonal ones
   included) and negative corners; a box straddling ``2**40`` streams
   without a plan, on the exact lookup path;
+* shifting a box by ``row_period`` rows along axis 0 keeps its keys,
+  and no shorter shift does;
+* a stream on the key grid and one on per-slab keys both equal the
+  one-shot scan: ``P > H`` (the per-slab fallback), ``P = H``, negative
+  ``lo[0]``, and a multi-tiling map whose shape table does not share
+  the slot table's reduction (``P`` is then the lcm of the two);
 * a streamed box equals the one-shot
   :func:`~repro.core.schedule.find_collisions` for any chunk size —
   one row per slab, partial top slabs, boxes narrower than the conflict
@@ -19,14 +30,17 @@ These properties hold it to the paths it replaces:
   explicit offsets;
 * an armed ``repro.faults`` numpy failure still degrades the slabs it
   hits, each with a typed :class:`EngineDegradedWarning`, and the
-  answer does not change.
+  answer does not change — on the key grid and on per-slab keys.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 import warnings
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +49,11 @@ import repro.core.certify as certify_module
 import repro.engine.slots as slots_module
 from repro.api import Session
 from repro.core.certify import stream_box_collisions
-from repro.core.schedule import conflict_offsets, find_collisions
+from repro.core.schedule import (
+    Interference,
+    conflict_offsets,
+    find_collisions,
+)
 from repro.core.theorem1 import schedule_from_prototile, schedule_from_tiling
 from repro.core.theorem2 import schedule_from_multi_tiling
 from repro.engine.collisions import EngineDegradedWarning
@@ -112,6 +130,28 @@ def _planned_slabs():
         certify_module._SlabPlan.collisions = original
 
 
+@contextlib.contextmanager
+def _slab_plans():
+    """Collect the slab plans the streams build."""
+    plans = []
+    original = certify_module._SlabPlan.__init__
+
+    def recorded(self, *args):
+        original(self, *args)
+        plans.append(self)
+
+    certify_module._SlabPlan.__init__ = recorded
+    try:
+        yield plans
+    finally:
+        certify_module._SlabPlan.__init__ = original
+
+
+def _on_key_grid(plan) -> bool:
+    """True when the plan copies its slabs out of one key grid."""
+    return plan._grids is not None
+
+
 @st.composite
 def hnf_sublattices(draw):
     """A random 1-3-D sublattice of small index, often non-diagonal."""
@@ -148,6 +188,126 @@ class TestBoxKernel:
         keys = table.box_keys(lo, dims)
         assert keys.shape == dims
         assert table.key_values[keys].ravel().tolist() == want.tolist()
+
+
+class TestRowPeriod:
+    @given(st.just(_CUBE_PERIOD) | hnf_sublattices(), st.data())
+    @settings(**SETTINGS)
+    def test_least_shift_that_keeps_the_keys(self, sublattice, data):
+        table = CosetTable(sublattice, {
+            r: 0 for r in sublattice.coset_representatives()})
+        lo, hi = data.draw(boxes(sublattice.dimension))
+        dims = tuple(h - l + 1 for l, h in zip(lo, hi))
+        keys = table.box_keys(lo, dims)
+
+        def shifted(m):
+            return table.box_keys((lo[0] + m,) + lo[1:], dims)
+
+        period = table.row_period
+        assert sublattice.index % period == 0
+        assert np.array_equal(shifted(period), keys)
+        assert np.array_equal(shifted(-period), keys)
+        assert not any(np.array_equal(shifted(m), keys)
+                       for m in range(1, period))
+
+
+def _stream_and_plan(schedule, lo, hi, neighborhood_of, offsets, chunk):
+    """The streamed answer and the one slab plan it ran on."""
+    with _slab_plans() as plans:
+        got = stream_box_collisions(schedule, lo, hi, neighborhood_of,
+                                    offsets=offsets, chunk_points=chunk)
+    assert len(plans) == 1
+    return got, plans[0]
+
+
+class TestKeyGrid:
+    """Streams on the key grid and on per-slab keys, one-shot equal."""
+
+    @given(st.sampled_from(["cube", "chebyshev-1", "T"]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_period_longer_than_a_slab_reduces_each_slab(self, name,
+                                                         data):
+        """One row per slab, so H = 1 + halo = 3: the cube (P = 9) and
+        T (P = 4) reduce each slab, chebyshev-1 (P = 3) is on the
+        key grid."""
+        schedule = _schedule(name)
+        dimension = 3 if name == "cube" else 2
+        lo, hi = data.draw(boxes(dimension, spread=20, max_extent=6))
+        lo = (data.draw(st.integers(-40, -1)),) + lo[1:]
+        hi = (lo[0] + data.draw(st.integers(0, 20)),) + hi[1:]
+        width = math.prod(h - l + 1 for l, h in zip(lo[1:], hi[1:]))
+        want = find_collisions(schedule, list(box_points(lo, hi)),
+                               schedule.neighborhood_of)
+        got, plan = _stream_and_plan(schedule, lo, hi,
+                                     schedule.neighborhood_of, None,
+                                     width)
+        assert got == want
+        assert _on_key_grid(plan) == (name == "chebyshev-1")
+
+    @given(st.sampled_from([("chebyshev-1", None), ("S", None),
+                            ("city", None), ("cube", None),
+                            ("line", None), ("S", "columns"),
+                            ("domino", "city"), ("plus", "columns")]),
+           st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_period_equal_to_the_slab_height(self, pair, data):
+        name, wider = pair
+        schedule = _schedule(name)
+        interference = schedule if wider is None else _schedule(wider)
+        neighborhood_of = interference.neighborhood_of
+        offsets = None
+        if wider is not None:
+            offsets = sorted(conflict_offsets(interference.multi.prototiles))
+        dimension = {"cube": 3, "line": 1}.get(name, 2)
+        lo, hi = data.draw(boxes(dimension, spread=30,
+                                 max_extent=4 if name == "cube" else 8))
+        # P from a one-point stream's plan; the halo is the largest
+        # axis-0 step of the positive offsets
+        _, probe = _stream_and_plan(schedule, lo, lo, neighborhood_of,
+                                    offsets, 1)
+        period = probe._period
+        halo = Interference.of(neighborhood_of, offsets).positive[-1][0]
+        rows = period - halo
+        assert rows >= 1
+        # slabs start every P - halo rows, so most copy rows from a
+        # nonzero offset into the key grid
+        lo = (data.draw(st.integers(-60, 10)),) + lo[1:]
+        hi = (lo[0] + data.draw(st.integers(0, 4 * period)),) + hi[1:]
+        width = math.prod(h - l + 1 for l, h in zip(lo[1:], hi[1:]))
+        want = find_collisions(schedule, list(box_points(lo, hi)),
+                               neighborhood_of, offsets=offsets)
+        got, plan = _stream_and_plan(schedule, lo, hi, neighborhood_of,
+                                     offsets, rows * width)
+        assert got == want
+        assert _on_key_grid(plan)
+        assert len(plan._grids[0]) <= period + rows + halo - 1
+
+    @given(st.sampled_from(["chebyshev-1", "plus"]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_shape_table_on_another_reduction(self, name, data):
+        """A schedule under a multi-tiling's map: the shape ids come
+        from the cover table's own reduction, P = lcm(3 or 5, 4)."""
+        schedule = _schedule(name)
+        wider = _schedule("columns")
+        offsets = sorted(conflict_offsets(wider.multi.prototiles))
+        shape_table, _ = wider.multi.prototile_key_table()
+        assert not shape_table.shares_reduction(schedule._coset_table())
+        lo, hi = data.draw(boxes(2, spread=30, max_extent=6))
+        lo = (data.draw(st.integers(-50, 0)),) + lo[1:]
+        hi = (lo[0] + data.draw(st.integers(0, 60)),) + hi[1:]
+        width = hi[1] - lo[1] + 1
+        rows = data.draw(st.integers(1, 30))
+        want = find_collisions(schedule, list(box_points(lo, hi)),
+                               wider.neighborhood_of, offsets=offsets)
+        got, plan = _stream_and_plan(schedule, lo, hi,
+                                     wider.neighborhood_of, offsets,
+                                     rows * width)
+        assert got == want
+        period = math.lcm(schedule._coset_table().row_period, 4)
+        assert plan._period == period
+        assert _on_key_grid(plan) == (period <= rows + 2)
+        if name == "plus" and hi[0] - lo[0] >= 4 and width >= 4:
+            assert want  # the plus schedule collides under this map
 
 
 class TestStreamedEqualsOneShot:
@@ -298,7 +458,7 @@ class TestArmedFaults:
         want = stream_box_collisions(schedule, lo, hi,
                                      wider.neighborhood_of,
                                      offsets=offsets, chunk_points=chunk)
-        with _planned_slabs() as slabs, \
+        with _planned_slabs() as slabs, _slab_plans() as plans, \
                 use_plan(FaultPlan(numpy_failures=failures)), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", EngineDegradedWarning)
@@ -311,3 +471,6 @@ class TestArmedFaults:
         assert want  # a colliding stream: the exact path finds pairs
         assert [w.kernel for w in degraded] \
             == ["scan_collisions"] * min(failures, len(slabs))
+        # 2-D: P = 3 or 4 <= H (halo 4), one key grid; the cube's
+        # P = 9 exceeds every slab of these chunks: per-slab keys
+        assert [_on_key_grid(plan) for plan in plans] == [name != "cube"]

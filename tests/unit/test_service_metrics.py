@@ -239,3 +239,50 @@ class TestInlineCounters:
         observed = metrics.latencies["assign"]
         assert observed.total == 1
         assert 0.15 <= observed.sum_seconds <= waited
+
+
+class TestFailureLatencies:
+    """A failed or expired request is timed under ``{op}.failed``; the
+    answered requests' histogram does not see it."""
+
+    def test_deadline_and_unknown_session_failures_are_timed(self):
+        from repro.service.errors import (
+            ServiceDeadlineError,
+            UnknownSessionError,
+        )
+
+        service = _service_with("s")
+        service.assign("s", [(0, 0)])
+        with pytest.raises(UnknownSessionError):
+            service.assign("missing", [(1, 1)])
+        held, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with service.store.lease("s"):
+                held.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(timeout=30)
+        started = time.monotonic()
+        try:
+            with pytest.raises(ServiceDeadlineError):
+                service.call("verify", "s", {}, timeout=0.1)
+        finally:
+            waited = time.monotonic() - started
+            release.set()
+            holder.join(timeout=30)
+        metrics = service.metrics()
+        service.close()
+        assert metrics.counter("assign.failed") == 1
+        assert metrics.counter("rejected.deadline") == 1
+        assert metrics.latencies["assign"].total == 1
+        assert metrics.latencies["assign.failed"].total == 1
+        assert "verify" not in metrics.latencies
+        expired = metrics.latencies["verify.failed"]
+        assert expired.total == 1
+        assert 0.08 <= expired.sum_seconds <= waited
+        # the failure endpoints survive the JSON metrics payload
+        assert ServiceMetrics.from_json(metrics.to_json()).latencies[
+            "verify.failed"].total == 1
