@@ -65,7 +65,7 @@ from repro.core.serialize import (
 from repro.core.theorem1 import schedule_from_prototile, schedule_from_tiling
 from repro.core.theorem2 import schedule_from_multi_tiling
 from repro.engine.config import EngineConfig, use_config
-from repro.engine.encode import PointBatch
+from repro.engine.encode import PointBatch, box_corners
 from repro.engine.parallel import shard_workers
 from repro.net.energy import UNIT_TX_MODEL, EnergyModel
 from repro.net.metrics import SimulationMetrics
@@ -115,12 +115,7 @@ class Box(NamedTuple):
     hi: tuple[int, ...]
 
     def _corners(self) -> tuple[IntVec, IntVec]:
-        lo, hi = as_intvec(self.lo), as_intvec(self.hi)
-        if len(lo) != len(hi) or any(l > h for l, h in zip(lo, hi)):
-            raise ValueError(
-                f"Box corners must satisfy lo <= hi per dimension; got "
-                f"lo={lo}, hi={hi}")
-        return lo, hi
+        return box_corners(self.lo, self.hi)
 
     def points(self) -> list[IntVec]:
         """Every lattice point of the box, in box_points order.
@@ -140,7 +135,7 @@ class Box(NamedTuple):
         :meth:`points`, so it needs no validation; same corner checks
         as :meth:`points`.
         """
-        return PointBatch.box(*self._corners())
+        return PointBatch.box(self.lo, self.hi)
 
     def volume(self) -> int:
         """Lattice-point count of the box, without materializing it.
@@ -149,11 +144,7 @@ class Box(NamedTuple):
         sizes for boxes far too large to expand; same corner
         validation as :meth:`points`.
         """
-        lo, hi = self._corners()
-        volume = 1
-        for low, high in zip(lo, hi):
-            volume *= high - low + 1
-        return volume
+        return math.prod(h - l + 1 for l, h in zip(*self._corners()))
 
 
 #: Window specifications accepted by Session: an iterable of points
@@ -515,10 +506,21 @@ class Session:
 
     # -- internals -----------------------------------------------------
     def _window_batch(self, window: WindowLike | None) -> PointBatch:
+        """The batch of a call's window, or of the session's default.
+
+        A :class:`Box` whose corners are those of the session's own
+        row-major window *is* that window: it is answered with the
+        session's batch, not a rebuilt one.
+        """
+        own = self._window
         if window is not None:
+            if isinstance(window, Box) and own is not None \
+                    and window._corners() == (own.lo, own.hi) \
+                    and own.row_major:
+                return own
             return _as_window(window)
-        if self._window is not None:
-            return self._window
+        if own is not None:
+            return own
         points = getattr(self._schedule, "points", None)
         if points is not None:
             self._window = PointBatch.of(points)
@@ -615,13 +617,20 @@ class Session:
             self._cache_hits += 1
             checked = 0
         with use_config(self._config):
-            workers = shard_workers()
+            return self._report((), window_size, "certificate", checked)
+
+    def _report(self, collisions: Iterable[Collision], window_size: int,
+                source: str, checked: int) -> VerificationReport:
+        """A verify lane's answer, with the session's cache counters.
+
+        Called inside the lane's ``use_config(self._config)`` block, so
+        ``workers`` is the count that block resolves to.
+        """
         return VerificationReport(
-            collisions=(), window_size=window_size,
-            source="certificate", checked_points=checked,
-            cache_hits=self._cache_hits,
-            cache_misses=self._cache_misses,
-            workers=workers)
+            collisions=tuple(collisions), window_size=window_size,
+            source=source, checked_points=checked,
+            cache_hits=self._cache_hits, cache_misses=self._cache_misses,
+            workers=shard_workers())
 
     # -- lifecycle: assign ---------------------------------------------
     def assign(self, points: Iterable[Sequence[int]]) -> SlotAssignment:
@@ -710,21 +719,14 @@ class Session:
                     "stream_chunk= requires a Box window; point iterables "
                     "are already materialized, so stream a Box(lo, hi) "
                     "instead")
-            lo, hi = window._corners()
-            volume = math.prod(h - l + 1 for l, h in zip(lo, hi))
-            self._check_dimension(len(lo), volume)
+            volume = window.volume()
+            self._check_dimension(len(window.lo), volume)
             model = self._require_neighborhood(offset_list)
             with use_config(self._config):
                 collisions = stream_box_collisions(
-                    self._schedule, lo, hi, model,
+                    self._schedule, window.lo, window.hi, model,
                     chunk_points=stream_chunk)
-                workers = shard_workers()
-            return VerificationReport(
-                collisions=tuple(collisions), window_size=volume,
-                source="scan", checked_points=volume,
-                cache_hits=self._cache_hits,
-                cache_misses=self._cache_misses,
-                workers=workers)
+                return self._report(collisions, volume, "scan", volume)
         if use_cache and offset_list is None:
             certificate = self._certificate()
             if certificate is not None and certificate.collision_free:
@@ -735,17 +737,11 @@ class Session:
         if not use_cache or not len(batch):
             with use_config(self._config):
                 collisions = find_collisions(self._schedule, batch, model)
-                workers = shard_workers()
-            return VerificationReport(
-                collisions=tuple(collisions), window_size=len(batch),
-                source="scan", checked_points=len(batch),
-                cache_hits=self._cache_hits,
-                cache_misses=self._cache_misses,
-                workers=workers)
+                return self._report(collisions, len(batch), "scan",
+                                    len(batch))
         key = _cache_key(batch, offset_list)
         cache = self._caches.get(key)
         with use_config(self._config):
-            workers = shard_workers()
             if cache is None:
                 self._cache_misses += 1
                 cache = VerificationCache(self._schedule, batch, model)
@@ -763,11 +759,7 @@ class Session:
                 else:
                     source = "cache"
                     checked = 0
-        return VerificationReport(
-            collisions=tuple(collisions), window_size=len(batch),
-            source=source, checked_points=checked,
-            cache_hits=self._cache_hits, cache_misses=self._cache_misses,
-            workers=workers)
+            return self._report(collisions, len(batch), source, checked)
 
     def is_collision_free(self, window: WindowLike | None = None) -> bool:
         """Shorthand: ``verify(window).collision_free``."""
@@ -860,14 +852,16 @@ class Session:
                 f"{type(self._schedule).__name__} is immutable; repair() "
                 f"needs an editable mapping-backed schedule — restrict() "
                 f"the session to a window first")
-        report = self.verify(window)
+        # The window is built once: every round verifies this batch.
+        batch = self._window_batch(window)
+        report = self.verify(batch)
         faults_found = len(report.collisions)
         session = self
         rounds = 0
         rescheduled = 0
         limit = max(4, self.num_slots) if max_rounds is None else max_rounds
         if report.collisions:
-            key = _cache_key(self._window_batch(window), self._offsets)
+            key = _cache_key(batch, self._offsets)
         while report.collisions and rounds < limit:
             context = RepairContext(session._caches[key])
             # Greedy recoloring first; when it stalls (every slot around
@@ -882,7 +876,7 @@ class Session:
             session = session.edit(updates)
             rescheduled += len(updates)
             rounds += 1
-            report = session.verify(window)
+            report = session.verify(batch)
         return RepairReport(
             session=session, faults_found=faults_found,
             points_rescheduled=rescheduled, rounds=rounds,

@@ -52,10 +52,10 @@ from repro.engine.collisions import (
     _scan_tables,
     scan_box_plan,
 )
-from repro.engine.encode import PointBatch
+from repro.engine.encode import PointBatch, box_corners
 from repro.engine.slots import _MAX_COORD, CosetTable
 from repro.lattice.sublattice import Sublattice
-from repro.utils.vectors import IntVec, as_intvec, vadd
+from repro.utils.vectors import IntVec, vadd
 
 __all__ = [
     "PeriodicCertificate",
@@ -66,17 +66,6 @@ __all__ = [
 
 #: Default chunk size (points per axis-0 slab) for streamed box scans.
 DEFAULT_CHUNK_POINTS = 200_000
-
-
-def _validated_box(lo: Sequence[int],
-                   hi: Sequence[int]) -> tuple[IntVec, IntVec]:
-    lo_vec, hi_vec = as_intvec(lo), as_intvec(hi)
-    if len(lo_vec) != len(hi_vec) \
-            or any(l > h for l, h in zip(lo_vec, hi_vec)):
-        raise ValueError(
-            f"box corners must satisfy lo <= hi per dimension; got "
-            f"lo={lo_vec}, hi={hi_vec}")
-    return lo_vec, hi_vec
 
 
 class PeriodicCertificate:
@@ -392,7 +381,7 @@ def stream_box_collisions(schedule: Schedule,
         chunk_points: target points per slab (>= 1); the actual bound
             is one slab of rows plus the halo.
     """
-    lo_vec, hi_vec = _validated_box(lo, hi)
+    lo_vec, hi_vec = box_corners(lo, hi)
     if chunk_points < 1:
         raise ValueError("chunk_points must be >= 1")
     model = Interference.of(neighborhood_of, offsets)

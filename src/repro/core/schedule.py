@@ -39,10 +39,9 @@ import numpy as np
 
 from repro.engine.collisions import (
     _differences,
-    offset_neighbours,
     scan_collisions,
     scan_collisions_touching,
-    scan_grid_touching,
+    window_index,
 )
 from repro.engine.encode import BoxEncoder, PointBatch
 from repro.engine.slots import _MAX_COORD, CosetTable
@@ -785,11 +784,12 @@ class VerificationCache:
 
     The cache normalizes the window once — the point index,
     interference shape classes and conflict offsets — and remembers the
-    full collision list of the schedule it tracks.  A dense window in
-    row-major order (a :class:`~repro.api.Box`) is indexed by box
-    arithmetic: point ``k`` sits at grid position ``k``, so the cache
-    keeps no point tuples.  Any other window keeps a first-occurrence
-    dict and per-point occurrence lists.  After
+    full collision list of the schedule it tracks.  The window has one
+    index (:func:`~repro.engine.collisions.window_index`): a dense
+    window in row-major order (a :class:`~repro.api.Box`) is indexed by
+    box arithmetic, point ``k`` at grid position ``k``, so the cache
+    keeps no point tuples; any other window by its first occurrences
+    and occurrence lists.  After
     an edit, :meth:`apply` takes the :class:`ScheduleDelta` and
     re-verifies only the *dirty region* (the edited points dilated by
     the conflict-offset radius) in ``O(|edit| * |offsets| * log
@@ -815,15 +815,7 @@ class VerificationCache:
         self._shape_ids = shape_ids.tolist()
         self._offsets, self._positive = model.window_offsets(
             self._shapes, batch.dimension)
-        self._grid: BoxEncoder | None = None
-        self._index_of: dict[IntVec, int] = {}
-        self._occurrences: dict[IntVec, list[int]] = {}
-        if batch.row_major and batch.magnitude < _MAX_COORD:
-            self._grid = BoxEncoder(batch)
-        else:
-            for i, point in enumerate(batch.points):
-                self._index_of.setdefault(point, i)
-                self._occurrences.setdefault(point, []).append(i)
+        self._index = window_index(batch)
         self._schedule = schedule
         self._slots: list[int] | None = None
         self._collisions: list[Collision] | None = None
@@ -835,13 +827,11 @@ class VerificationCache:
 
     def __contains__(self, point: object) -> bool:
         """True when ``point`` is part of the verified window."""
-        if self._grid is None:
-            return point in self._index_of
         try:
             key = as_intvec(point)
         except TypeError:
             return False
-        return self._grid.position(key) is not None
+        return self._index.position(key) is not None
 
     def touched_in_window(self, changed: Iterable[IntVec]) -> list[IntVec]:
         """The subset of ``changed`` that :meth:`apply` would rescan.
@@ -895,28 +885,15 @@ class VerificationCache:
             assert self._slots is not None
             for point, slot in zip(touched,
                                    _slot_list(delta.schedule, touched)):
-                for i in self._positions(point):
+                for i in self._index.occurrences(point):
                     self._slots[i] = slot
             touched_set = frozenset(touched)
             self._drop_pairs(touched_set)
-            if self._grid is not None:
-                found = scan_grid_touching(
-                    self._grid, self._slots, self._shape_ids, self._shapes,
-                    self._offsets, touched_set)
-            else:
-                found = scan_collisions_touching(
-                    self._batch.points, self._slots, self._shape_ids,
-                    self._shapes, self._offsets, touched_set,
-                    self._index_of, self._occurrences)
-            for pair in found:
+            for pair in scan_collisions_touching(
+                    self._index, self._slots, self._shape_ids, self._shapes,
+                    self._positive, touched_set):
                 insort(self._collisions, pair)
         return list(self._collisions)
-
-    def _positions(self, point: IntVec) -> Sequence[int]:
-        """Window indices of a point of the window (every occurrence)."""
-        if self._grid is not None:
-            return (self._grid.position(point),)
-        return self._occurrences[point]
 
     def _drop_pairs(self, touched: frozenset[IntVec]) -> None:
         """Remove the cached pairs with an endpoint in ``touched``.
@@ -961,12 +938,13 @@ class VerificationCache:
 class RepairContext:
     """One repair round's view of a verified window.
 
-    It reads the window index, shape classes and current slots of the
-    :class:`VerificationCache` the round's verify answered from, so a
-    round builds no point -> slot dict and no cover index.  The closure
-    of ``x`` is the window points ``y != x`` whose ranges meet ``x``'s,
-    ``y - x`` in ``S_x - S_y``: the collision condition without the
-    slot test, probed at ``x - delta`` and ``x + delta`` over the
+    It reads the window index (``cache._index``), shape classes and
+    current slots of the :class:`VerificationCache` the round's verify
+    answered from, so a round builds no point -> slot dict and no cover
+    index.  The closure of ``x`` is the window points ``y != x`` whose
+    ranges meet ``x``'s, ``y - x`` in ``S_x - S_y``: the collision
+    condition without the slot test, probed at ``x - delta`` and
+    ``x + delta`` through the index's ``neighbours`` over the
     positive offsets of the window's own shapes (not a session's
     narrower ``offsets=``), ``O(|offsets|)`` per point.  ``updates``
     holds the round's moves, point -> new slot; :meth:`slot` reads
@@ -979,15 +957,13 @@ class RepairContext:
         _, self._positive = Interference.offsets_of(
             tuple(cache._shapes), cache._batch.dimension)
         self._differences = _differences(cache._shapes, self._positive)
-        self._index = (cache._grid if cache._grid is not None
-                       else (cache._index_of, cache._occurrences))
         self._closures: dict[IntVec, list[IntVec]] = {}
 
     def slot(self, point: IntVec) -> int:
         """The slot of a window point, this round's moves applied."""
         slot = self.updates.get(point)
         if slot is None:
-            slot = self._cache._slots[self._cache._positions(point)[0]]
+            slot = self._cache._slots[self._cache._index.position(point)]
         return slot
 
     def closure(self, point: IntVec) -> list[IntVec]:
@@ -995,15 +971,16 @@ class RepairContext:
         partners = self._closures.get(point)
         if partners is None:
             shape_ids, differences = self._cache._shape_ids, self._differences
-            k = self._cache._positions(point)[0]
+            index = self._cache._index
+            k = index.position(point)
             partners = []
-            for delta, i, j in offset_neighbours(self._index, point, k,
-                                                 self._positive):
+            for delta, before, j in index.neighbours(point, k,
+                                                     self._positive):
                 if j is not None and delta in differences(shape_ids[k],
                                                           shape_ids[j]):
                     partners.append(tuple(map(add, point, delta)))
-                if i is not None and delta in differences(shape_ids[i],
-                                                          shape_ids[k]):
+                if before and delta in differences(shape_ids[before[0]],
+                                                   shape_ids[k]):
                     partners.append(tuple(map(sub, point, delta)))
             partners.sort()
             self._closures[point] = partners

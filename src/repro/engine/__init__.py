@@ -16,15 +16,20 @@ brute-force reference in :mod:`repro.scenarios.reference`.
   ``REPRO_ENGINE_WORKERS``; serial is the default.
 * :mod:`repro.engine.encode` — :class:`PointBatch`, the one validated
   form of a window (an int64 array, its bounding box, and whether it
-  fills that box), and injective integer keys for its points, so
-  membership tests become sorted-array lookups.
+  fills that box), injective integer keys for its points, so
+  membership tests become sorted-array lookups, and the two window
+  indexes (:class:`BoxEncoder` for a dense row-major window,
+  ``PointIndex`` for any other) behind the one exact scan.
 * :mod:`repro.engine.slots` — :class:`CosetTable`, a vectorized form of
   the Hermite-normal-form coset reduction behind every tiling schedule:
   thousands of ``slot_of`` queries collapse into a handful of array ops.
 * :mod:`repro.engine.collisions` — the bulk collision scan used by
   :func:`repro.core.schedule.find_collisions` (a stencil over the box
-  grid for dense windows, sorted keys for the rest), plus the
-  dirty-region rescan primitive behind incremental verification.
+  grid for dense windows, sorted keys for the rest), plus its one
+  exact scan, ``scan_collisions_touching``: the dirty-region rescan
+  behind incremental verification, run over the window's index
+  (``window_index``), which with every point touched also answers every
+  exact fallback.
 * :mod:`repro.engine.parallel` — the multi-core sharding layer: worker
   resolution (``REPRO_ENGINE_WORKERS``), shard planning, and one
   persistent thread pool that runs the shards.  Sharded kernels are

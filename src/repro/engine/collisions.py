@@ -25,11 +25,11 @@ paths; no option does:
   ``searchsorted`` membership pass per offset over padded
   :class:`~repro.engine.encode.BoxEncoder` keys.
 * **exact** — :func:`scan_collisions_touching` with every point
-  touched: one dict probe per (point, offset), for the windows the
-  int64 kernels cannot represent (coordinates or a padded bounding box
-  too large for int64 keys), for windows of more than
+  touched: one probe of the window index per (point, offset), for the
+  windows the int64 kernels cannot represent (coordinates or a padded
+  bounding box too large for int64 keys), for windows of more than
   ``_MAX_SHAPE_CLASSES`` shapes, and for calls degraded by a kernel
-  failure.
+  failure (a streamed slab's too, in :func:`scan_box_plan`).
 
 Two scaling layers sit on top of the serial scan:
 
@@ -43,15 +43,22 @@ Two scaling layers sit on top of the serial scan:
   such pair lies within one conflict-offset of an edited point — the
   primitive behind incremental verification in
   :class:`repro.core.schedule.VerificationCache`.
+
+Every finite window has one index (:func:`window_index`): the
+:class:`~repro.engine.encode.BoxEncoder` of a dense row-major window,
+else a :class:`~repro.engine.encode.PointIndex`.  Both answer the same
+``± delta`` neighbour probe, so one exact scan serves the dirty-region
+rescans, every exact fallback and the repair closures
+(:class:`repro.core.schedule.RepairContext`).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Collection, Sequence
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -60,15 +67,16 @@ from repro.engine.encode import (
     _MAX_KEYED_COORD,
     BoxEncoder,
     PointBatch,
+    PointIndex,
     _row_major_strides,
 )
 from repro.engine.parallel import plan_shards, run_sharded, shard_workers
+from repro.engine.slots import _MAX_COORD
 from repro.faults.injection import consume_numpy_failure
-from repro.utils.vectors import IntVec, vsub
+from repro.utils.vectors import IntVec, as_intvec, box_points, vsub
 
-__all__ = ["EngineDegradedWarning", "StencilPlan", "offset_neighbours",
-           "scan_box_plan", "scan_collisions", "scan_collisions_touching",
-           "scan_grid_touching"]
+__all__ = ["EngineDegradedWarning", "StencilPlan", "scan_box_plan",
+           "scan_collisions", "scan_collisions_touching", "window_index"]
 
 Collision = tuple[IntVec, IntVec]
 class EngineDegradedWarning(RuntimeWarning):
@@ -185,7 +193,7 @@ def scan_collisions(points: Sequence[IntVec] | PointBatch,
     if not len(batch) or not offsets:
         return []
     zero = (0,) * batch.dimension
-    positive = _positive_half(offsets, zero)
+    positive = _positive_half(tuple(offsets), zero)
     if not positive:
         return []
     tables = _scan_tables(shapes, positive)
@@ -200,20 +208,23 @@ def scan_collisions(points: Sequence[IntVec] | PointBatch,
     if collisions is None:
         # Every pair has its left end in the window: the dirty-region
         # rescan with every point touched is the full scan.
-        points = batch.points
         return scan_collisions_touching(
-            points, np.asarray(slots).tolist(),
-            np.asarray(shape_ids).tolist(), shapes, positive, points)
+            window_index(batch), np.asarray(slots).tolist(),
+            np.asarray(shape_ids).tolist(), shapes, positive, batch.points)
     collisions.sort()
     return collisions
 
 
-def _positive_half(offsets: Iterable[IntVec],
+@lru_cache(maxsize=64)
+def _positive_half(offsets: tuple[IntVec, ...],
                    zero: IntVec) -> tuple[IntVec, ...]:
     """The lexicographically positive offsets, each once, in order: a
     repeated offset would probe, and report, every pair it finds
-    twice."""
-    return tuple(dict.fromkeys(delta for delta in offsets if delta > zero))
+    twice.  Plain-int tuples, as pair ends ``c ± delta`` must be.
+    Memoised: a dirty-region rescan of a few points would otherwise
+    spend more on this filter than on its probes."""
+    return tuple(dict.fromkeys([delta for delta in map(as_intvec, offsets)
+                                if delta > zero]))
 
 
 def _warn_degraded(error: Exception) -> None:
@@ -443,7 +454,8 @@ def scan_box_plan(plan: StencilPlan, lo: Sequence[int],
     The box-shaped counterpart of :func:`scan_collisions`, with the
     same fault seam: a numpy failure degrades this one call to the
     exact scan (:func:`scan_collisions_touching` over the filled grids,
-    every point touched) with an :class:`EngineDegradedWarning`.
+    indexed by the box's :class:`BoxEncoder`, every point of the kept
+    rows touched) with an :class:`EngineDegradedWarning`.
     ``offsets`` are the positive offsets the plan's tables were built
     from; ``rows`` keeps the pairs whose ``x`` lies in the first axis-0
     rows.
@@ -456,17 +468,16 @@ def scan_box_plan(plan: StencilPlan, lo: Sequence[int],
     else:
         collisions.sort()
         return collisions
+    # A pair whose left end lies in the first rows has its right end
+    # there or further on: touching those rows finds exactly those pairs.
     hi = tuple(low + n - 1 for low, n in zip(lo, plan.dims))
-    points = PointBatch.box(lo, hi).points
+    top = hi if rows is None else (lo[0] + rows - 1,) + hi[1:]
     slots = plan.slots.ravel().tolist()
     shape_ids = (plan.shapes.ravel().tolist() if plan.shapes is not None
                  else [0] * len(slots))
-    collisions = scan_collisions_touching(
-        points, slots, shape_ids, plan._tables.shapes, offsets, points)
-    if rows is None:
-        return collisions
-    end = lo[0] + rows
-    return [pair for pair in collisions if pair[0][0] < end]
+    return scan_collisions_touching(
+        BoxEncoder((lo, hi)), slots, shape_ids, plan._tables.shapes,
+        offsets, frozenset(box_points(lo, top)))
 
 
 def _scan_dense(batch, slots, shape_ids, tables, offsets):
@@ -545,165 +556,80 @@ def _scan_sorted(batch, slots, shape_ids, tables, offsets):
     return [(points[i], points[j]) for i, j in pairs]
 
 
-def scan_collisions_touching(points: Sequence[IntVec],
+def window_index(batch: PointBatch) -> BoxEncoder | PointIndex:
+    """The index of a finite window, built once from the window alone.
+
+    A dense row-major batch inside ``2**40`` is indexed by its box
+    (point ``k`` at key ``k``: no point tuples, no dict); any other
+    window by a :class:`~repro.engine.encode.PointIndex` of its points.
+    """
+    if batch.row_major and batch.magnitude < _MAX_COORD:
+        return BoxEncoder(batch)
+    return PointIndex(batch.points)
+
+
+def scan_collisions_touching(index: BoxEncoder | PointIndex,
                              slots: Sequence[int],
                              shape_ids: Sequence[int],
                              shapes: Sequence[frozenset[IntVec]],
                              offsets: Sequence[IntVec],
-                             touched: Collection[IntVec],
-                             index_of: Mapping[IntVec, int] | None = None,
-                             occurrences: Mapping[IntVec, Sequence[int]]
-                             | None = None) -> list[Collision]:
+                             touched: Collection[IntVec]) -> list[Collision]:
     """Colliding pairs with at least one endpoint in ``touched``, sorted.
 
     Exactly the subset of :func:`scan_collisions` output whose ``x`` or
     ``y`` lies in ``touched`` — the dirty-region rescan behind
-    incremental verification.  Such a pair is ``(c, c + delta)`` or
-    ``(c - delta, c)`` for an edited point ``c`` and a lexicographically
-    positive offset ``delta``, so the scan probes just those two
-    neighbours per (edited point, offset): ``O(|touched| * |offsets|)``
-    work, independent of the window size.  A pair with both ends edited
-    is taken from its left end only.  The shape test reads the
-    memoised difference sets of :func:`_pair_tables`.
+    incremental verification, and with every point touched the exact
+    full scan.  Such a pair is ``(c, c + delta)`` or ``(c - delta, c)``
+    for an edited point ``c`` and a lexicographically positive offset
+    ``delta``, so the scan probes just those two neighbours per (edited
+    point, offset) through the window index: ``O(|touched| *
+    |offsets|)`` work, independent of the window size.  A pair's ends
+    are computed as ``c ± delta``, so no point list is read.  A pair
+    with both ends edited is taken from its left end only, and a pair
+    is counted once per occurrence of its left end, as the full scan
+    counts a repeated point.  The shape test reads the memoised
+    difference sets of :func:`_pair_tables`.
 
     Args:
-        points, slots, shape_ids, shapes, offsets: as for
+        index: the window's :func:`window_index`; window index ``k`` is
+            the position of ``slots[k]`` and ``shape_ids[k]``.
+        slots, shape_ids, shapes, offsets: as for
             :func:`scan_collisions`, describing the *current* window
             state (slots already reflecting the edit).
         touched: the edited points (slot changed); points outside the
             window are ignored.
-        index_of: optional first-occurrence index of each window point
-            (precomputed by a cache); derived from ``points`` if omitted.
-        occurrences: optional all-occurrence indices per point, matching
-            the once-per-occurrence-of-``x`` duplicate semantics of the
-            full scan; derived from ``points`` if omitted.
     """
-    if not points or not offsets or not touched:
+    if not offsets or not touched:
         return []
-    dimension = len(points[0])
-    zero = (0,) * dimension
-    positive = _positive_half(offsets, zero)
+    positive = _positive_half(tuple(offsets), (0,) * index.dimension)
     if not positive:
         return []
-    if index_of is None or occurrences is None:
-        index_of = {}
-        occurrence_lists: dict[IntVec, list[int]] = {}
-        for i, point in enumerate(points):
-            index_of.setdefault(point, i)
-            occurrence_lists.setdefault(point, []).append(i)
-        occurrences = occurrence_lists
     differences = _differences(shapes, positive)
     touched_set = frozenset(touched)
     collisions: list[Collision] = []
     for c in touched_set:
-        k = index_of.get(c)
-        if k is None:
+        own = index.occurrences(c)
+        if not own:
             continue
+        k = own[0]
         slot, shape = slots[k], shape_ids[k]
-        own = occurrences[c]
-        for delta, i, j in offset_neighbours((index_of, occurrences), c, k,
-                                             positive):
+        for delta, before, j in index.neighbours(c, k, positive):
             # c as the left end, once per occurrence of c ...
             if j is not None:
                 for o in own:
                     if slots[o] == slots[j] and delta in differences(
                             shape_ids[o], shape_ids[j]):
-                        collisions.append((c, points[j]))
+                        collisions.append((c, tuple(map(add, c, delta))))
             # ... and as the right end, unless the left end is edited
             # too (its own forward probe finds the pair).
-            if i is None or points[i] in touched_set:
-                continue
-            for o in occurrences[points[i]]:
+            for o in before:
                 if slots[o] == slot \
                         and delta in differences(shape_ids[o], shape):
-                    collisions.append((points[i], points[k]))
+                    left = tuple(map(sub, c, delta))
+                    if left not in touched_set:
+                        collisions.append((left, c))
     collisions.sort()
     return collisions
-
-
-def scan_grid_touching(box: BoxEncoder,
-                       slots: Sequence[int],
-                       shape_ids: Sequence[int],
-                       shapes: Sequence[frozenset[IntVec]],
-                       offsets: Sequence[IntVec],
-                       touched: Collection[IntVec]) -> list[Collision]:
-    """:func:`scan_collisions_touching` over a dense row-major window.
-
-    Point ``k`` of the window is the point at key ``k`` of ``box``, so
-    :func:`offset_neighbours` finds the neighbour of ``c`` at ``delta``
-    by box arithmetic, and the probed point itself is the pair's other
-    end: no point list and no index dict.
-    """
-    zero = (0,) * box.dimension
-    positive = _positive_half(offsets, zero)
-    if not positive or not touched:
-        return []
-    differences = _differences(shapes, positive)
-    touched_set = frozenset(touched)
-    collisions: list[Collision] = []
-    for c in touched_set:
-        k = box.position(c)
-        if k is None:
-            continue
-        slot, shape = slots[k], shape_ids[k]
-        for delta, i, j in offset_neighbours(box, c, k, positive):
-            # c as the left end ...
-            if j is not None and slots[j] == slot \
-                    and delta in differences(shape, shape_ids[j]):
-                collisions.append((c, tuple(map(add, c, delta))))
-            # ... and as the right end, unless the left end is edited
-            # too (its own forward probe finds the pair).
-            if i is not None and slots[i] == slot \
-                    and delta in differences(shape_ids[i], shape):
-                left = tuple(map(sub, c, delta))
-                if left not in touched_set:
-                    collisions.append((left, c))
-    collisions.sort()
-    return collisions
-
-
-def offset_neighbours(index: BoxEncoder | tuple[Mapping[IntVec, int],
-                                                 Mapping[IntVec,
-                                                         Sequence[int]]],
-                      c: IntVec, k: int, positive: tuple[IntVec, ...],
-                      ) -> list[tuple[IntVec, int | None, int | None]]:
-    """``(delta, i, j)`` for each positive offset ``delta``: the window
-    indices of ``c - delta`` and ``c + delta`` (first occurrences), or
-    ``None`` outside the window; ``k`` is the index of ``c``.
-
-    ``index`` is the :class:`BoxEncoder` of a dense row-major window
-    (point ``k`` at key ``k``), else the window's first-occurrence dict
-    and occurrence lists.  On a box, a point at least the offset reach
-    away from every face takes fixed index shifts, without bounds
-    checks.  Both dirty-region rescans and the repair closures
-    (:class:`repro.core.schedule.RepairContext`) probe through here.
-    """
-    if isinstance(index, BoxEncoder):
-        steps, reach = _grid_steps(index.strides, positive)
-        if all(r <= x - low < n - r for x, low, n, r
-               in zip(c, index.lo, index.dims, reach)):
-            return [(delta, k - step, k + step) for delta, step in steps]
-        return [(delta, index.position(tuple(map(sub, c, delta))),
-                 index.position(tuple(map(add, c, delta))))
-                for delta in positive]
-    index_of, occurrences = index
-    found = []
-    for delta in positive:
-        before = occurrences.get(tuple(map(sub, c, delta)))
-        found.append((delta, before[0] if before else None,
-                      index_of.get(tuple(map(add, c, delta)))))
-    return found
-
-
-@lru_cache(maxsize=64)
-def _grid_steps(strides: tuple[int, ...], positive: tuple[IntVec, ...],
-                ) -> tuple[list[tuple[IntVec, int]], list[int]]:
-    """Each offset with its flat index shift on a row-major grid of
-    these strides, and the largest ``|delta|`` per axis."""
-    steps = [(delta, sum(map(mul, delta, strides))) for delta in positive]
-    reach = [max(abs(delta[axis]) for delta in positive)
-             for axis in range(len(strides))]
-    return steps, reach
 
 
 def _differences(shapes: Sequence[frozenset[IntVec]],

@@ -17,6 +17,11 @@ Two properties make this the engine's workhorse:
   ``y > x`` deduplication of collision pairs becomes a comparison of keys
   (and a candidate offset ``delta`` contributes pairs at all iff
   ``delta`` is lexicographically positive).
+
+A window index answers where a point sits in a window (``position``,
+``occurrences``) and the ``± delta`` neighbour probe (``neighbours``):
+the encoder of a dense row-major window (point ``k`` at key ``k``), or
+the :class:`PointIndex` of any other.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ import math
 import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, starmap
+from operator import add, mul, sub
 
 import numpy as np
 
 from repro.utils.vectors import IntVec, as_intvec, bounding_box, box_points
 
-__all__ = ["BoxEncoder", "PointBatch"]
+__all__ = ["BoxEncoder", "PointBatch", "PointIndex", "box_corners"]
 
 # Keys are kept below 2**62 so the numpy path can use int64 arithmetic
 # without overflow; windows larger than that fall back to tuple hashing.
@@ -41,6 +47,24 @@ _MAX_VOLUME = 2 ** 62
 # tuples.  Below int64 but at or beyond this bound, the array is kept but
 # the grid and key kernels decline it (no headroom for offsets and keys).
 _MAX_KEYED_COORD = 2 ** 62
+
+
+def box_corners(lo: Sequence[int],
+                hi: Sequence[int]) -> tuple[IntVec, IntVec]:
+    """The corners of a closed box, validated: the one check of every
+    box spec (a :class:`~repro.api.Box`, :meth:`PointBatch.box`, a
+    streamed box).
+
+    Raises:
+        ValueError: unless ``lo <= hi`` on every axis of one dimension.
+    """
+    lo_vec, hi_vec = as_intvec(lo), as_intvec(hi)
+    if not lo_vec or len(lo_vec) != len(hi_vec) \
+            or any(l > h for l, h in zip(lo_vec, hi_vec)):
+        raise ValueError(
+            f"box corners must satisfy lo <= hi per dimension; got "
+            f"lo={lo_vec}, hi={hi_vec}")
+    return lo_vec, hi_vec
 
 
 class PointBatch:
@@ -90,12 +114,7 @@ class PointBatch:
             ValueError: when the corners differ in dimension or
                 ``lo > hi`` on some axis.
         """
-        lo_vec, hi_vec = as_intvec(lo), as_intvec(hi)
-        if not lo_vec or len(lo_vec) != len(hi_vec) \
-                or any(l > h for l, h in zip(lo_vec, hi_vec)):
-            raise ValueError(
-                f"box corners must satisfy lo <= hi per dimension; got "
-                f"lo={lo_vec}, hi={hi_vec}")
+        lo_vec, hi_vec = box_corners(lo, hi)
         if max(map(abs, lo_vec + hi_vec)) >= _MAX_KEYED_COORD:
             return cls(None, list(box_points(lo_vec, hi_vec)),
                        box=(lo_vec, hi_vec), dense=False)
@@ -404,6 +423,24 @@ class BoxEncoder:
             key += i * stride
         return key
 
+    def occurrences(self, point: IntVec) -> tuple[int, ...]:
+        """``(position(point),)``, or ``()`` outside the box."""
+        key = self.position(point)
+        return () if key is None else (key,)
+
+    def neighbours(self, c: IntVec, k: int, positive: tuple[IntVec, ...],
+                   ) -> list[tuple[IntVec, tuple[int, ...], int | None]]:
+        """:meth:`PointIndex.neighbours` of a box, point ``k`` at key
+        ``k``: a point at least the offset reach away from every face
+        takes fixed key shifts, without bounds checks."""
+        steps, reach = _grid_steps(self.strides, positive)
+        if all(r <= x - low < n - r for x, low, n, r
+               in zip(c, self.lo, self.dims, reach)):
+            return [(delta, (k - step,), k + step) for delta, step in steps]
+        return [(delta, self.occurrences(tuple(map(sub, c, delta))),
+                 self.position(tuple(map(add, c, delta))))
+                for delta in positive]
+
     def offset_key(self, delta: IntVec) -> int:
         """Key difference ``position(x + delta) - position(x)`` for
         in-box pairs."""
@@ -417,3 +454,53 @@ class BoxEncoder:
 
     def __repr__(self) -> str:
         return f"BoxEncoder(lo={self.lo}, hi={self.hi}, volume={self.volume})"
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_steps(strides: tuple[int, ...], positive: tuple[IntVec, ...],
+                ) -> tuple[list[tuple[IntVec, int]], list[int]]:
+    """Each offset with its flat index shift on a row-major grid of
+    these strides, and the largest ``|delta|`` per axis."""
+    steps = [(delta, sum(map(mul, delta, strides))) for delta in positive]
+    reach = [max(abs(delta[axis]) for delta in positive)
+             for axis in range(len(strides))]
+    return steps, reach
+
+
+class PointIndex:
+    """The window index of a point list: its first occurrences and
+    occurrence lists, built once from the points.  It answers what a
+    :class:`BoxEncoder` answers for a dense row-major window."""
+
+    __slots__ = ("dimension", "_first", "_occurrences")
+
+    def __init__(self, points: Sequence[IntVec]) -> None:
+        first: dict[IntVec, int] = {}
+        occurrences: dict[IntVec, list[int]] = {}
+        for i, point in enumerate(points):
+            first.setdefault(point, i)
+            occurrences.setdefault(point, []).append(i)
+        self.dimension = len(points[0]) if len(points) else 0
+        self._first = first
+        self._occurrences = occurrences
+
+    def position(self, point: IntVec) -> int | None:
+        """The first window index of ``point`` (``None`` outside)."""
+        return self._first.get(point)
+
+    def occurrences(self, point: IntVec) -> Sequence[int]:
+        """Every window index of ``point``, in order (empty outside)."""
+        return self._occurrences.get(point, ())
+
+    def neighbours(self, c: IntVec, k: int, positive: tuple[IntVec, ...],
+                   ) -> list[tuple[IntVec, Sequence[int], int | None]]:
+        """``(delta, before, j)`` for each positive offset ``delta``:
+        every window index of ``c - delta``, empty outside the window
+        (a pair counts once per occurrence of its left end), and the
+        first window index of ``c + delta``, ``None`` outside; ``k`` is
+        the index of ``c``.
+        """
+        first, occurrences = self._first, self._occurrences
+        return [(delta, occurrences.get(tuple(map(sub, c, delta)), ()),
+                 first.get(tuple(map(add, c, delta))))
+                for delta in positive]

@@ -36,7 +36,7 @@ from repro.core.serialize import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from repro.engine.encode import PointBatch
+from repro.engine.encode import BoxEncoder, PointBatch, PointIndex
 from repro.tiles.shapes import chebyshev_ball
 from repro.utils.vectors import box_points, vadd
 
@@ -331,9 +331,10 @@ class TestDenseCacheIndex:
         caches = [VerificationCache(grid, box, tile.translate),
                   VerificationCache(table, shuffled, tile.translate),
                   VerificationCache(grid, repeated, tile.translate)]
-        assert caches[0]._grid is not None and not caches[0]._index_of
-        assert caches[1]._grid is None or shuffled == box.points
-        assert caches[2]._grid is None
+        assert isinstance(caches[0]._index, BoxEncoder)
+        assert isinstance(caches[1]._index, PointIndex) \
+            or shuffled == box.points
+        assert isinstance(caches[2]._index, PointIndex)
         schedules = [grid, table, grid]
         for step in range(11):
             if step:

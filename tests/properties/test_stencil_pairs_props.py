@@ -6,8 +6,8 @@ the equal-slot hits of a block of offset passes with one
 and resolves every pair's two ends with one ``unravel_index``.  These
 properties plant windows whose slots repeat often, so hits land on
 many offsets at once, and hold the dense scan to the exact scan
-(:func:`~repro.engine.collisions.scan_collisions_touching` with every
-point touched) pair for pair:
+(:func:`~repro.engine.collisions.scan_collisions_touching` over the
+box's points, every point touched) pair for pair:
 
 * one shape class and several, in 1-3 dimensions, with negative slots
   and corners, and with explicit offsets too long for the box;
@@ -32,7 +32,7 @@ from repro.engine.collisions import (
     scan_collisions_touching,
 )
 from repro.engine.config import EngineConfig, use_config
-from repro.engine.encode import PointBatch
+from repro.engine.encode import PointBatch, PointIndex
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -101,8 +101,8 @@ def planted_windows(draw, max_shapes):
 
 def _exact(box, slots, shape_ids, shapes, offsets):
     points = PointBatch.box(*box).points
-    return scan_collisions_touching(points, slots, shape_ids, shapes,
-                                    offsets, points)
+    return scan_collisions_touching(PointIndex(points), slots, shape_ids,
+                                    shapes, offsets, points)
 
 
 class TestStencilPairs:

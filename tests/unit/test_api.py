@@ -23,6 +23,7 @@ import pytest
 import repro.engine.parallel as parallel_module
 from repro.api import Box, EngineConfig, Session, use_config
 from repro.core.schedule import find_collisions
+from repro.engine.encode import PointBatch
 from repro.engine.parallel import run_sharded, shard_workers
 from repro.net.model import Network
 from repro.net.protocols import (
@@ -671,6 +672,62 @@ class TestSessionEditAddsPoints:
         rewrapped = session.with_config(EngineConfig(workers=2))
         report = rewrapped.edit({(1, 1): 0}).verify()
         assert list(report.collisions) == [((0, 0), (1, 1))]
+
+
+class TestOwnWindowBox:
+    """A Box equal to the session's row-major window is that window."""
+
+    @staticmethod
+    def _count_box_builds(monkeypatch):
+        builds = []
+        build = PointBatch.box.__func__
+
+        def counted(cls, lo, hi):
+            builds.append((lo, hi))
+            return build(cls, lo, hi)
+
+        monkeypatch.setattr(PointBatch, "box", classmethod(counted))
+        return builds
+
+    def test_verify_of_the_own_box_builds_no_batch(self, monkeypatch):
+        box = Box((0, 0), (11, 9))
+        session = Session.for_chebyshev(1).restrict(box)
+        first = session.verify()
+        builds = self._count_box_builds(monkeypatch)
+        assert session._window_batch(box) is session._window
+        report = session.verify(box)
+        assert builds == []
+        assert report.source == "cache"
+        assert report.collisions == first.collisions
+        # another box is built as before
+        assert session.verify(Box((0, 0), (3, 3))).window_size == 16
+        assert builds == [((0, 0), (3, 3))]
+
+    def test_repair_of_the_own_box_builds_no_batch(self, monkeypatch):
+        box = Box((0, 0), (14, 14))
+        session = Session.for_chebyshev(1).restrict(box)
+        broken = session.edit({(4, 4): session.schedule.slot_of((5, 4)),
+                               (9, 2): session.schedule.slot_of((9, 3))})
+        builds = self._count_box_builds(monkeypatch)
+        report = broken.repair(box)
+        assert builds == []
+        assert report.faults_found and report.repaired
+        assert report.rounds >= 1
+
+    def test_repair_builds_another_window_once(self, monkeypatch):
+        session = Session.for_chebyshev(1).restrict(Box((0, 0), (14, 14)))
+        broken = session.edit({(4, 4): session.schedule.slot_of((5, 4))})
+        builds = self._count_box_builds(monkeypatch)
+        report = broken.repair(Box((2, 2), (8, 8)))
+        assert report.faults_found and report.repaired
+        assert builds == [((2, 2), (8, 8))]
+
+    def test_a_point_window_with_the_same_corners_is_not_reused(self):
+        points = list(box_points((0, 0), (3, 3)))[::-1]
+        session = Session.for_chebyshev(1).restrict(points)
+        batch = session._window_batch(Box((0, 0), (3, 3)))
+        assert batch is not session._window
+        assert batch.points == sorted(points)
 
 
 class TestSessionSimulate:

@@ -22,9 +22,9 @@ from repro.core.theorem1 import schedule_from_prototile
 from repro.engine.collisions import (
     scan_collisions,
     scan_collisions_touching,
-    scan_grid_touching,
+    window_index,
 )
-from repro.engine.encode import BoxEncoder, PointBatch
+from repro.engine.encode import BoxEncoder, PointBatch, PointIndex
 from repro.scenarios.reference import reference_collisions
 from repro.tiles.shapes import chebyshev_ball, rectangle_tile
 from repro.utils.vectors import box_points
@@ -338,45 +338,31 @@ class _CountingIndex(dict):
         return super().get(key, default)
 
 
+#: Both window index kinds, by shape count.  A point list keeps the bare
+#: shape count as its id, the id this test had before it covered boxes.
+_INDEX_KINDS = [pytest.param(kind, num_shapes,
+                             id=f"box-{num_shapes}" if kind == "box"
+                             else str(num_shapes))
+                for kind in ("points", "box") for num_shapes in (1, 3, 40)]
+
+
 class TestTouchingScan:
     """The dirty-region rescan is the full scan filtered to edited ends."""
 
-    @pytest.mark.parametrize("num_shapes", [1, 3, 40])
-    def test_equals_the_filtered_full_scan(self, num_shapes):
-        rng = random.Random(num_shapes)
-        box = list(box_points((0, 0), (7, 7)))
-        for _ in range(20):
-            # duplicates, few slots (many equal pairs), random shapes
-            points = box + rng.sample(box, 6)
-            slot_of = {p: rng.randrange(3) for p in box}
-            shape_of = {p: rng.randrange(num_shapes) for p in box}
-            shapes = [frozenset({(0, 0)} | {(rng.randint(-1, 1),
-                                            rng.randint(-1, 1))
-                                           for _ in range(3)})
-                      for _ in range(num_shapes)]
-            offsets = sorted({(a - c, b - d) for a, b in [(0, 0), (1, 1)]
-                              for c, d in [(-1, 1), (1, -1), (0, 0)]}
-                             | {(0, 1), (1, 0), (2, 2)})
-            slots = [slot_of[p] for p in points]
-            shape_ids = [shape_of[p] for p in points]
-            touched = set(rng.sample(box, rng.randint(1, 10)))
-            touched.add((9, 9))  # outside the window: ignored
-            full = scan_collisions(points, slots, shape_ids, shapes,
-                                   offsets)
-            want = [pair for pair in full
-                    if pair[0] in touched or pair[1] in touched]
-            assert scan_collisions_touching(
-                points, slots, shape_ids, shapes, offsets,
-                touched) == want
-
-    @pytest.mark.parametrize("num_shapes", [1, 3, 40])
-    def test_grid_scan_equals_the_filtered_full_scan(self, num_shapes):
-        rng = random.Random(100 + num_shapes)
+    @pytest.mark.parametrize("kind, num_shapes", _INDEX_KINDS)
+    def test_equals_the_filtered_full_scan(self, kind, num_shapes):
+        # a point list with duplicates (its PointIndex) or a dense box
+        # (its BoxEncoder); few slots, so many equal pairs
+        rng = random.Random(num_shapes + (100 if kind == "box" else 0))
         for dims in [(9,), (7, 7), (3, 4, 5), (2, 9)]:
             lo = tuple(rng.randint(-3, 3) for _ in dims)
             hi = tuple(low + n - 1 for low, n in zip(lo, dims))
-            box = BoxEncoder(PointBatch.box(lo, hi))
-            points = list(box_points(lo, hi))
+            box = PointBatch.box(lo, hi)
+            window = box if kind == "box" else PointBatch.of(
+                box.points + rng.sample(box.points, 6))
+            index = window_index(window)
+            assert isinstance(index,
+                              BoxEncoder if kind == "box" else PointIndex)
             d = len(dims)
             shapes = [frozenset({(0,) * d} | {tuple(rng.randint(-1, 1)
                                                     for _ in dims)
@@ -385,32 +371,54 @@ class TestTouchingScan:
             offsets = sorted({tuple(rng.randint(-2, 2) for _ in dims)
                               for _ in range(12)} - {(0,) * d})
             for _ in range(10):
-                slots = [rng.randrange(3) for _ in points]
-                shape_ids = [rng.randrange(num_shapes) for _ in points]
-                touched = set(rng.sample(points, rng.randint(1, 6)))
+                slot_of = {p: rng.randrange(3) for p in box.points}
+                shape_of = {p: rng.randrange(num_shapes)
+                            for p in box.points}
+                slots = [slot_of[p] for p in window.points]
+                shape_ids = [shape_of[p] for p in window.points]
+                touched = set(rng.sample(box.points, rng.randint(1, 6)))
                 touched.add(tuple(h + 1 for h in hi))  # outside: ignored
-                full = scan_collisions(points, slots, shape_ids, shapes,
+                full = scan_collisions(window, slots, shape_ids, shapes,
                                        offsets)
                 want = [pair for pair in full
                         if pair[0] in touched or pair[1] in touched]
-                assert scan_grid_touching(
-                    box, slots, shape_ids, shapes, offsets,
+                assert scan_collisions_touching(
+                    index, slots, shape_ids, shapes, offsets,
                     touched) == want
 
     def test_probes_two_neighbours_per_offset(self):
         points, schedule = _tiled_mapping(12)
-        index_of = _CountingIndex()
-        occurrences = _CountingIndex()
-        for i, point in enumerate(points):
-            index_of.setdefault(point, i)
-            occurrences.setdefault(point, []).append(i)
+        index = PointIndex(points)
+        index._first = _CountingIndex(index._first)
+        index._occurrences = _CountingIndex(index._occurrences)
         offsets = sorted({(a, b) for a in range(-2, 3)
                           for b in range(-2, 3)} - {(0, 0)})
         positive = [delta for delta in offsets if delta > (0, 0)]
         scan_collisions_touching(
-            points, schedule.slots_of(points), [0] * len(points),
-            [_TILE.cells], offsets, {(5, 5)}, index_of, occurrences)
-        # one lookup of the edited point, then one forward and one
-        # backward neighbour per positive offset
-        assert index_of.probes == 1 + len(positive)
-        assert occurrences.probes == len(positive)
+            index, schedule.slots_of(points), [0] * len(points),
+            [_TILE.cells], offsets, {(5, 5)})
+        # one lookup of the edited point's occurrences, then one forward
+        # (first occurrence) and one backward (every occurrence)
+        # neighbour per positive offset
+        assert index._first.probes == len(positive)
+        assert index._occurrences.probes == 1 + len(positive)
+
+    def test_box_probes_an_inner_point_by_key_shifts(self, monkeypatch):
+        box = BoxEncoder(PointBatch.box((0, 0), (11, 11)))
+        calls = []
+        position = BoxEncoder.position
+
+        def counted(self, point):
+            calls.append(point)
+            return position(self, point)
+
+        monkeypatch.setattr(BoxEncoder, "position", counted)
+        offsets = sorted({(a, b) for a in range(-2, 3)
+                          for b in range(-2, 3)} - {(0, 0)})
+        scan_collisions_touching(box, [0] * box.volume, [0] * box.volume,
+                                 [_TILE.cells], offsets, {(5, 5), (0, 0)})
+        # an interior point takes fixed key shifts; a corner point is
+        # probed per offset in both directions
+        positive = [delta for delta in offsets if delta > (0, 0)]
+        assert calls.count((5, 5)) == 1
+        assert len(calls) == 2 + 2 * len(positive)
